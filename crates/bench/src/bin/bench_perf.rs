@@ -5,11 +5,13 @@
 //!
 //! * `bitparallel` — the fused tiled bit-sliced scan vs the retained
 //!   two-pass oracle (`BitParallelEngine::search_two_pass`);
-//! * `software` — the fused-table scalar scan;
-//! * `batch` — work-stealing multi-query batch, parallel vs serial,
-//!   plus the reference-sliced scheduler at 1/2/4 workers
-//!   (`batch_sliced*`) with its critical-path speedup derived from
-//!   per-worker CPU busy time;
+//! * `software` — the scalar oracle scan (`SoftwareEngine`), which no
+//!   production path runs;
+//! * `batch` — the multi-query batch through `search_all` on one worker
+//!   (`batch_serial`), and the reference-sliced scheduler at 1/2/4
+//!   workers (`batch_sliced*`) with its critical-path speedup over the
+//!   one-worker run of the same fused engine, derived from per-worker
+//!   CPU busy time;
 //! * `multiquery` — the 4-lane SIMD bit-sliced scan
 //!   (`fused_multiquery4`) vs four independent fused scans;
 //! * `streaming` — chunked feed through the reusable carry buffer;
@@ -208,7 +210,7 @@ fn run_shape(shape: &Shape, best_of_override: Option<usize>) -> Vec<Entry> {
         ),
     ));
 
-    // ---- batch: work-stealing parallel vs serial ----
+    // ---- batch: search_all on one worker, aligner build included ----
     let bw = BenchWorkload::generate(20, shape.batch_bases, SEED ^ 1);
     let batch_queries: Vec<_> = (0..shape.batch_queries)
         .map(|i| BenchWorkload::generate(20, 64, SEED ^ (2 + i as u64)).query)
@@ -216,30 +218,13 @@ fn run_shape(shape: &Shape, best_of_override: Option<usize>) -> Vec<Entry> {
     let (_, t_serial) = time_best_of(best_of, || {
         search_all(&batch_queries, &bw.reference, Threshold::Fraction(0.8), 1).expect("batch runs")
     });
-    let (_, t_parallel) = time_best_of(best_of, || {
-        search_all(&batch_queries, &bw.reference, Threshold::Fraction(0.8), 4).expect("batch runs")
-    });
     entries.push(Entry::time(
         &format!("batch_serial_{tag}"),
         t_serial,
         format!(
-            "{} queries × {} bases",
+            "{} queries × {} bases, 1 worker",
             shape.batch_queries, shape.batch_bases
         ),
-    ));
-    entries.push(Entry::time(
-        &format!("batch_parallel4_{tag}"),
-        t_parallel,
-        format!(
-            "{} queries × {} bases, 4 workers stealing",
-            shape.batch_queries, shape.batch_bases
-        ),
-    ));
-    entries.push(Entry::speedup(
-        &format!("batch_parallel4_vs_serial_{tag}"),
-        t_serial,
-        t_parallel,
-        "work-stealing 4-worker batch over the serial loop",
     ));
 
     // ---- sliced batch: (query, slice) stealing + SIMD lane groups ----
@@ -288,7 +273,7 @@ fn run_shape(shape: &Shape, best_of_override: Option<usize>) -> Vec<Entry> {
     entries.push(Entry::time(
         &format!("batch_sliced1_{tag}"),
         t_sliced1,
-        format!("{shape_note}, 1 worker (serial loop)"),
+        format!("{shape_note}, 1 worker running the same items inline"),
     ));
     entries.push(Entry::time(
         &format!("batch_sliced2_{tag}"),
@@ -304,7 +289,7 @@ fn run_shape(shape: &Shape, best_of_override: Option<usize>) -> Vec<Entry> {
         &format!("batch_sliced2_vs_serial_{tag}"),
         t_sliced1,
         stats2.critical_path_ns() as f64 / 1e9,
-        "serial per-query loop wall over the 2-worker critical path (busiest worker's CPU-ns)",
+        "1-worker wall over the 2-worker critical path (busiest worker's CPU-ns), same engine",
     ));
     let critical_path_s = stats4.critical_path_ns() as f64 / 1e9;
     entries.push(Entry::speedup(
@@ -312,9 +297,8 @@ fn run_shape(shape: &Shape, best_of_override: Option<usize>) -> Vec<Entry> {
         t_sliced1,
         critical_path_s,
         &format!(
-            "serial per-query loop wall over the 4-worker critical path (busiest worker's \
-             CPU-ns; wall-clock scaling additionally needs >= 4 hardware cores); combines \
-             lane-group bit-parallel engines with slice-level parallelism; \
+            "1-worker wall over the 4-worker critical path (busiest worker's CPU-ns; \
+             wall-clock scaling additionally needs >= 4 hardware cores), same engine; \
              {} items, {} lane groups at {:.0} pct occupancy",
             stats4.items, stats4.lane_groups, stats4.lane_occupancy_pct
         ),

@@ -348,6 +348,29 @@ impl PackedSeq {
         (0..self.len).map(|i| self.get_unchecked_internal(i))
     }
 
+    /// Unpacks the bases in `range`, one 32-base word at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is decreasing or ends past `self.len()`.
+    pub fn unpack_range(&self, range: std::ops::Range<usize>) -> Vec<Nucleotide> {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "base range {range:?} out of 0..{}",
+            self.len
+        );
+        let mut out = Vec::with_capacity(range.len());
+        let mut at = range.start;
+        while at < range.end {
+            let offset = at % Self::BASES_PER_WORD;
+            let take = (Self::BASES_PER_WORD - offset).min(range.end - at);
+            let word = self.words[at / Self::BASES_PER_WORD] >> (2 * offset);
+            out.extend((0..take).map(|k| Nucleotide::from_code2((word >> (2 * k)) as u8)));
+            at += take;
+        }
+        out
+    }
+
     /// Unpacks into an owned [`RnaSeq`].
     pub fn to_rna(&self) -> RnaSeq {
         self.iter().collect()
@@ -438,6 +461,26 @@ mod tests {
             assert_eq!(packed.len(), len);
             assert_eq!(packed.to_rna(), rna);
             assert_eq!(packed.words().len(), len.div_ceil(32));
+        }
+    }
+
+    #[test]
+    fn packed_unpack_range_matches_the_bases() {
+        // An aperiodic base pattern, so a misaligned word offset shows.
+        let rna: RnaSeq = (0..200usize)
+            .map(|i| Nucleotide::from_code2((i * i / 3 + i / 5) as u8))
+            .collect();
+        let packed = PackedSeq::from_rna(&rna);
+        for (lo, hi) in [
+            (0, 0),
+            (0, 200),
+            (1, 31),
+            (31, 33),
+            (32, 64),
+            (5, 150),
+            (199, 200),
+        ] {
+            assert_eq!(packed.unpack_range(lo..hi), &rna.as_slice()[lo..hi]);
         }
     }
 

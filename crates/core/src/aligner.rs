@@ -4,13 +4,15 @@
 //! Back-translation → encoding → alignment → thresholded hits, with a
 //! choice of execution engine:
 //!
-//! * [`Engine::Software`] — the fast functional engine (identical hits,
-//!   no timing);
+//! * [`Engine::Software`] — the fused bit-parallel engine
+//!   ([`BitParallelEngine`]) under the [`batch`](crate::batch) scheduler
+//!   (identical hits, no timing);
 //! * [`Engine::CycleAccurate`] — the `fabp-fpga` cycle-level simulator
 //!   (identical hits *plus* cycle/bandwidth statistics).
 
+use crate::bitparallel::{BitParallelEngine, UnsupportedQuery};
 use crate::hits::{merge_overlapping, Hit, HitRegion};
-use crate::software::SoftwareEngine;
+use crate::slice_plan::SliceOptions;
 use fabp_bio::backtranslate::BackTranslationMode;
 use fabp_bio::seq::{PackedSeq, ProteinSeq, RnaSeq};
 use fabp_encoding::encoder::{EncodedQuery, QuerySet};
@@ -41,7 +43,7 @@ impl Threshold {
 /// Which execution engine performs the scan.
 #[derive(Debug, Clone)]
 pub enum Engine {
-    /// Fast functional engine with `threads` workers.
+    /// The fused bit-parallel engine with `threads` workers.
     Software {
         /// Worker threads (1 = serial).
         threads: usize,
@@ -65,6 +67,9 @@ pub enum BuildError {
     EmptyQuery,
     /// The cycle-accurate engine could not fit the query on the device.
     Plan(PlanError),
+    /// The fused software engine cannot score the query (longer than
+    /// 65 535 elements).
+    Unsupported(UnsupportedQuery),
 }
 
 impl fmt::Display for BuildError {
@@ -72,6 +77,7 @@ impl fmt::Display for BuildError {
         match self {
             BuildError::EmptyQuery => write!(f, "query must contain at least one element"),
             BuildError::Plan(e) => write!(f, "architecture planning failed: {e}"),
+            BuildError::Unsupported(e) => write!(f, "unsupported query: {e}"),
         }
     }
 }
@@ -81,6 +87,7 @@ impl std::error::Error for BuildError {
         match self {
             BuildError::EmptyQuery => None,
             BuildError::Plan(e) => Some(e),
+            BuildError::Unsupported(e) => Some(e),
         }
     }
 }
@@ -91,11 +98,18 @@ impl From<PlanError> for BuildError {
     }
 }
 
+impl From<UnsupportedQuery> for BuildError {
+    fn from(e: UnsupportedQuery) -> BuildError {
+        BuildError::Unsupported(e)
+    }
+}
+
 impl From<BuildError> for fabp_resilience::FabpError {
     fn from(e: BuildError) -> fabp_resilience::FabpError {
         match e {
             BuildError::EmptyQuery => fabp_resilience::FabpError::EmptyQuery,
             BuildError::Plan(p) => fabp_resilience::FabpError::Plan(p.to_string()),
+            BuildError::Unsupported(u) => u.into(),
         }
     }
 }
@@ -144,12 +158,6 @@ impl FabpAlignerBuilder {
         self
     }
 
-    /// Sets a pre-encoded query.
-    pub fn encoded_query(mut self, query: EncodedQuery) -> FabpAlignerBuilder {
-        self.query = Some(query);
-        self
-    }
-
     /// Sets the reporting threshold (default: 90 % of the query length).
     pub fn threshold(mut self, threshold: Threshold) -> FabpAlignerBuilder {
         self.threshold = Some(threshold);
@@ -179,7 +187,8 @@ impl FabpAlignerBuilder {
     ///
     /// [`BuildError::EmptyQuery`] when no query was set or it is empty;
     /// [`BuildError::Plan`] when the cycle-accurate engine cannot fit the
-    /// query on its device.
+    /// query on its device; [`BuildError::Unsupported`] when the software
+    /// engine cannot score it.
     pub fn build(self) -> Result<FabpAligner, BuildError> {
         let query = self
             .query
@@ -191,22 +200,25 @@ impl FabpAlignerBuilder {
             .resolve(query.len());
 
         // Extended-Ser mode: one additional pass per serine position.
-        let queries: Vec<EncodedQuery> = match (self.mode, &self.protein) {
+        let passes: Vec<EncodedQuery> = match (self.mode, &self.protein) {
             (BackTranslationMode::ExtendedSer, Some(protein)) => {
                 let set = QuerySet::build(protein, BackTranslationMode::ExtendedSer);
                 std::iter::once(set.primary).chain(set.secondary).collect()
             }
-            _ => vec![query.clone()],
+            _ => vec![query],
         };
 
         let backend = match self.engine {
             Engine::Software { threads } => Backend::Software(
-                queries.iter().map(SoftwareEngine::new).collect(),
+                passes
+                    .iter()
+                    .map(BitParallelEngine::new)
+                    .collect::<Result<_, _>>()?,
                 threads.max(1),
             ),
             Engine::CycleAccurate(mut config) => {
                 config.threshold = threshold;
-                let engines = queries
+                let engines = passes
                     .iter()
                     .map(|q| FabpEngine::new(q.clone(), (*config).clone()))
                     .collect::<Result<Vec<_>, _>>()?;
@@ -215,7 +227,7 @@ impl FabpAlignerBuilder {
         };
 
         Ok(FabpAligner {
-            query,
+            passes,
             threshold,
             backend,
             mode: self.mode,
@@ -224,7 +236,7 @@ impl FabpAlignerBuilder {
 }
 
 enum Backend {
-    Software(Vec<SoftwareEngine>, usize),
+    Software(Vec<BitParallelEngine>, usize),
     Cycle(Vec<FabpEngine>),
 }
 
@@ -249,9 +261,8 @@ impl fmt::Debug for Backend {
 }
 
 /// Per-position best-score merge of multi-pass hit lists (both inputs
-/// position-sorted). `pub(crate)` so the sliced batch scheduler can
-/// reduce per-pass hit lists exactly the way [`FabpAligner::search`]
-/// does.
+/// position-sorted): the reduction over passes shared by the batch
+/// scheduler and the cycle-accurate backend.
 pub(crate) fn merge_hits(mut base: Vec<Hit>, extra: Vec<Hit>) -> Vec<Hit> {
     let mut merged = Vec::with_capacity(base.len().max(extra.len()));
     let mut b = base.drain(..).peekable();
@@ -309,7 +320,8 @@ pub(crate) fn merge_hits(mut base: Vec<Hit>, extra: Vec<Hit>) -> Vec<Hit> {
 /// ```
 #[derive(Debug)]
 pub struct FabpAligner {
-    query: EncodedQuery,
+    /// One encoded query per search pass; the first is the query itself.
+    passes: Vec<EncodedQuery>,
     threshold: u32,
     backend: Backend,
     mode: BackTranslationMode,
@@ -323,7 +335,7 @@ impl FabpAligner {
 
     /// The encoded query.
     pub fn query(&self) -> &EncodedQuery {
-        &self.query
+        &self.passes[0]
     }
 
     /// The resolved absolute threshold.
@@ -346,17 +358,19 @@ impl FabpAligner {
 
     /// Number of search passes (1, plus one per serine in extended mode).
     pub fn passes(&self) -> usize {
-        match &self.backend {
-            Backend::Software(engines, _) => engines.len(),
-            Backend::Cycle(engines) => engines.len(),
-        }
+        self.passes.len()
     }
 
-    /// The software scan passes, when this aligner runs on the software
-    /// backend — the batch scheduler slices these across workers. `None`
-    /// for the cycle-accurate backend, whose per-run statistics must
-    /// accumulate inside a single whole-reference run.
-    pub(crate) fn software_passes(&self) -> Option<&[SoftwareEngine]> {
+    /// The encoded query of every pass, in pass order.
+    pub(crate) fn pass_queries(&self) -> &[EncodedQuery] {
+        &self.passes
+    }
+
+    /// The fused engine of every pass, when this aligner runs on the
+    /// software backend — the batch scheduler slices these across
+    /// workers. `None` for the cycle-accurate backend, whose per-run
+    /// statistics must accumulate inside a single whole-reference run.
+    pub(crate) fn fused_passes(&self) -> Option<&[BitParallelEngine]> {
         match &self.backend {
             Backend::Software(engines, _) => Some(engines),
             Backend::Cycle(_) => None,
@@ -366,18 +380,10 @@ impl FabpAligner {
     /// Searches an RNA reference.
     pub fn search(&self, reference: &RnaSeq) -> SearchOutcome {
         match &self.backend {
-            Backend::Software(engines, threads) => {
-                let hits = engines
-                    .iter()
-                    .map(|e| e.search_parallel(reference.as_slice(), self.threshold, *threads))
-                    .reduce(merge_hits)
-                    .unwrap_or_default();
-                SearchOutcome {
-                    hits,
-                    threshold: self.threshold,
-                    query_len: self.query.len(),
-                    stats: None,
-                }
+            Backend::Software(_, threads) => {
+                let (mut outcomes, _) =
+                    crate::batch::run(&[self], reference, *threads, SliceOptions::default());
+                outcomes.remove(0)
             }
             Backend::Cycle(_) => self.search_packed(&PackedSeq::from_rna(reference)),
         }
@@ -387,20 +393,7 @@ impl FabpAligner {
     /// native input; the software engine unpacks.
     pub fn search_packed(&self, reference: &PackedSeq) -> SearchOutcome {
         match &self.backend {
-            Backend::Software(engines, threads) => {
-                let rna = reference.to_rna();
-                let hits = engines
-                    .iter()
-                    .map(|e| e.search_parallel(rna.as_slice(), self.threshold, *threads))
-                    .reduce(merge_hits)
-                    .unwrap_or_default();
-                SearchOutcome {
-                    hits,
-                    threshold: self.threshold,
-                    query_len: self.query.len(),
-                    stats: None,
-                }
-            }
+            Backend::Software(..) => self.search(&reference.to_rna()),
             Backend::Cycle(engines) => {
                 let mut hits: Option<Vec<Hit>> = None;
                 let mut stats: Option<EngineStats> = None;
@@ -436,7 +429,7 @@ impl FabpAligner {
                 SearchOutcome {
                     hits: hits.unwrap_or_default(),
                     threshold: self.threshold,
-                    query_len: self.query.len(),
+                    query_len: self.query().len(),
                     stats,
                 }
             }

@@ -1,4 +1,5 @@
-//! Multi-query batch search over reference slices.
+//! Multi-query batch search over reference slices — the one scheduler
+//! behind every software search.
 //!
 //! The paper evaluates 10 000 queries against one resident database
 //! (§IV-A). On hardware, queries are searched one after another (the query
@@ -14,20 +15,25 @@
 //! DRAM for each claim, so the memory system — not the core count — sets
 //! the ceiling. `batch_parallel4_vs_serial` measured **0.98×**.
 //!
-//! **This scheduler steals `(query-group, reference-slice)` pairs.** A
+//! **This scheduler steals `(lane-group, reference-slice)` pairs.** A
 //! [`SlicePlan`](crate::slice_plan::SlicePlan) cuts the reference into
 //! cache-friendly slices with exactly `window − 1` bases of trailing
 //! overlap (the `shard_with_overlap` math), so per-slice scans partition
 //! the alignment-position space and
 //! [`merge_shard_hits`](crate::hits::merge_shard_hits) reassembles the
 //! serial hit list bit-identically — even for one query on many workers.
-//! Orthogonally, bit-parallel-eligible queries are packed into
-//! [`LANES`]-wide groups scored by one [`MultiQueryEngine`] pass per
-//! slice, amortising column decode and table evaluation across queries.
+//! Every pass of every software query (one per query, plus one per
+//! serine in extended-Ser mode) is a lane for the fused bit-parallel
+//! engine; lanes pack [`LANES`]-wide into groups scored by one
+//! [`MultiQueryEngine`] pass per slice, amortising column decode and
+//! table evaluation across queries. [`FabpAligner::search`] runs through
+//! the same path as a batch of one.
 //!
-//! Scheduling remains **work-stealing** (an atomic claim index over the
-//! flattened item list) rather than static chunking: a worker that draws
-//! cheap slices immediately steals the next unclaimed one. Telemetry is
+//! Scheduling is **work-stealing** (an atomic claim index over the
+//! flattened item list, `claim_all`) rather than static chunking: a
+//! worker that draws cheap slices immediately steals the next unclaimed
+//! one. The index module's seeding and verification run as items of the
+//! same claim loop, the only worker pool in this crate. Telemetry is
 //! honest about utilisation: per-worker **busy-nanosecond histograms**
 //! (`fabp_batch_worker_busy_ns`) replace the old claim-count gauges that
 //! hid the 0.98× pathology, the imbalance gauge reports the busy-time
@@ -39,9 +45,10 @@ use crate::bitparallel::{BitParallelEngine, MultiQueryEngine, LANES};
 use crate::hits::{merge_shard_hits, Hit};
 use crate::slice_plan::{SliceOptions, SlicePlan};
 use fabp_bio::seq::{ProteinSeq, RnaSeq};
+use fabp_encoding::encoder::EncodedQuery;
 use fabp_resilience::{FabpError, FabpResult};
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 /// Searches every query against the reference, returning one outcome per
 /// query (input order preserved).
@@ -86,15 +93,14 @@ pub fn search_all(
 ///
 /// # Errors
 ///
-/// [`FabpError::Internal`] only on a scheduler invariant violation (a
-/// result slot filled twice or left unfilled).
-pub fn search_all_prebuilt<A: std::borrow::Borrow<FabpAligner> + Sync>(
+/// None today: the scheduler itself cannot fail once the aligners are
+/// built. The `Result` keeps the signature of [`search_all`].
+pub fn search_all_prebuilt<A: Borrow<FabpAligner> + Sync>(
     aligners: &[A],
     reference: &RnaSeq,
     threads: usize,
 ) -> FabpResult<Vec<SearchOutcome>> {
-    search_all_prebuilt_with_stats(aligners, reference, threads, SliceOptions::default())
-        .map(|(outcomes, _)| outcomes)
+    Ok(run(aligners, reference, threads, SliceOptions::default()).0)
 }
 
 /// How the scheduler actually ran one batch: work-item mix, lane packing
@@ -108,14 +114,12 @@ pub fn search_all_prebuilt<A: std::borrow::Borrow<FabpAligner> + Sync>(
 /// over serial is `serial_ns / max(per_worker_busy_ns)`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchRunStats {
-    /// Workers actually spawned (≤ requested threads).
+    /// Workers that claimed items (≤ requested threads).
     pub workers: usize,
     /// Total work items scheduled.
     pub items: usize,
     /// Items that were lane-group reference slices.
     pub group_slices: usize,
-    /// Items that were scalar `(query, pass)` reference slices.
-    pub scalar_slices: usize,
     /// Items that were whole queries (cycle-accurate backend).
     pub whole_queries: usize,
     /// Multi-query lane groups formed.
@@ -133,61 +137,6 @@ impl BatchRunStats {
     pub fn critical_path_ns(&self) -> u64 {
         self.per_worker_busy_ns.iter().copied().max().unwrap_or(0)
     }
-}
-
-/// One schedulable unit of batch work.
-enum WorkItem {
-    /// Scan one reference slice for one multi-query lane group.
-    GroupSlice { group: usize, slice: usize },
-    /// Scan positions `start..end` for one scalar software pass.
-    ScalarSlice {
-        query: usize,
-        pass: usize,
-        start: usize,
-        end: usize,
-    },
-    /// Run one whole query (cycle-accurate backend: its per-run
-    /// statistics must accumulate inside a single run).
-    Whole { query: usize },
-}
-
-/// The engine scoring one lane group's slices.
-enum GroupEngine {
-    /// Ragged tail of one query: the plain fused scan (cheaper than a
-    /// one-lane multi-query pass, which still ripples [`LANES`] counter
-    /// words).
-    Single(BitParallelEngine),
-    /// 2 ..= [`LANES`] queries per pass.
-    Multi(MultiQueryEngine),
-}
-
-/// A group of bit-parallel-eligible queries scanned together.
-struct LaneGroup {
-    /// Query indices (into `aligners`), one per lane.
-    members: Vec<usize>,
-    /// Per-lane absolute thresholds.
-    thresholds: Vec<u32>,
-    engine: GroupEngine,
-    /// Slices planned against the group-maximum window.
-    plan: SlicePlan,
-}
-
-/// What one claimed item produced.
-enum ItemResult {
-    GroupSlice {
-        group: usize,
-        /// Position-translated hits, one vector per lane.
-        per_lane: Vec<Vec<Hit>>,
-    },
-    ScalarSlice {
-        query: usize,
-        pass: usize,
-        hits: Vec<Hit>,
-    },
-    Whole {
-        query: usize,
-        outcome: SearchOutcome,
-    },
 }
 
 /// CPU nanoseconds consumed by the calling thread
@@ -229,8 +178,213 @@ fn thread_cpu_ns() -> u64 {
 #[cfg(not(target_os = "linux"))]
 fn thread_cpu_ns() -> u64 {
     use std::sync::OnceLock;
+    use std::time::Instant;
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
+}
+
+/// What [`claim_all`] returns.
+pub(crate) struct Claimed<R> {
+    /// One result per item, in item order.
+    pub(crate) results: Vec<R>,
+    /// CPU nanoseconds each worker spent inside claimed items.
+    pub(crate) busy_ns: Vec<u64>,
+}
+
+/// The worker pool of `fabp-core`: up to `threads` workers claim `items`
+/// one at a time from a shared atomic index and run each through `run`.
+///
+/// Claiming is work-stealing rather than static chunking: a worker that
+/// draws cheap items immediately takes the next unclaimed one. One
+/// worker runs the same items inline on the calling thread. Telemetry
+/// handles are resolved once per call, before any worker starts, so the
+/// claim loop pays only atomic ops and one CPU-clock read per item.
+/// A worker's panic is forwarded to the caller with its payload.
+pub(crate) fn claim_all<T, R, F>(items: &[T], threads: usize, run: F) -> Claimed<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let workers = threads.clamp(1, items.len().max(1));
+    let telemetry = fabp_telemetry::Registry::global();
+    let pending = telemetry.gauge(
+        "fabp_batch_queue_depth",
+        "Work items not yet claimed from the shared work-stealing queue",
+    );
+    let claimed_ctr = telemetry.counter(
+        "fabp_batch_items_claimed_total",
+        "Work items (reference slices or whole queries) claimed from the batch queue",
+    );
+    let busy_hists: Vec<_> = (0..workers)
+        .map(|w| {
+            telemetry.histogram_with(
+                "fabp_batch_worker_busy_ns",
+                "CPU nanoseconds each batch worker spent inside claimed work items",
+                fabp_telemetry::labels(&[("worker", &w.to_string())]),
+            )
+        })
+        .collect();
+    pending.set(items.len() as i64);
+
+    let next = AtomicUsize::new(0);
+    let work = |worker: usize| {
+        let mut results: Vec<(usize, R)> = Vec::new();
+        let mut busy_ns = 0u64;
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
+            }
+            pending.dec();
+            claimed_ctr.inc();
+            let started = thread_cpu_ns();
+            results.push((i, run(&items[i])));
+            let ns = thread_cpu_ns().saturating_sub(started);
+            busy_ns += ns;
+            busy_hists[worker].observe(ns);
+        }
+        (results, busy_ns)
+    };
+    let per_worker: Vec<(Vec<(usize, R)>, u64)> = if workers == 1 {
+        vec![work(0)]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let work = &work;
+                    scope.spawn(move || work(w))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|handle| {
+                    handle
+                        .join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                })
+                .collect()
+        })
+    };
+
+    // Honest utilisation telemetry: busy-time spread, not claim counts.
+    let busy_ns: Vec<u64> = per_worker.iter().map(|(_, ns)| *ns).collect();
+    let max_busy = busy_ns.iter().copied().max().unwrap_or(0);
+    let min_busy = busy_ns.iter().copied().min().unwrap_or(0);
+    telemetry
+        .gauge(
+            "fabp_batch_queue_imbalance",
+            "Busiest minus idlest per-worker busy time in the last batch, microseconds",
+        )
+        .set(((max_busy - min_busy) / 1_000) as i64);
+
+    // Every index was claimed exactly once, so sorting by it restores
+    // item order.
+    let mut tagged: Vec<(usize, R)> = per_worker.into_iter().flat_map(|(r, _)| r).collect();
+    tagged.sort_unstable_by_key(|&(i, _)| i);
+    Claimed {
+        results: tagged.into_iter().map(|(_, r)| r).collect(),
+        busy_ns,
+    }
+}
+
+/// One search pass of one software query: a lane of a [`LaneGroup`].
+struct Lane<'a> {
+    /// Query index (into `aligners`).
+    query: usize,
+    encoded: &'a EncodedQuery,
+    engine: &'a BitParallelEngine,
+    threshold: u32,
+}
+
+/// The engine scoring one lane group's slices.
+enum GroupEngine<'a> {
+    /// Each lane through its own fused scan: a one-lane group, where a
+    /// multi-query pass would still ripple [`LANES`] counter words.
+    Each(Vec<&'a BitParallelEngine>),
+    /// 2 ..= [`LANES`] lanes per pass.
+    Multi(MultiQueryEngine),
+}
+
+/// Up to [`LANES`] passes scanned together, slice by slice.
+struct LaneGroup<'a> {
+    lanes: &'a [Lane<'a>],
+    engine: GroupEngine<'a>,
+    /// Slices planned against the group-maximum window.
+    plan: SlicePlan,
+}
+
+impl<'a> LaneGroup<'a> {
+    fn new(
+        lanes: &'a [Lane<'a>],
+        reference_len: usize,
+        threads: usize,
+        options: SliceOptions,
+    ) -> LaneGroup<'a> {
+        let each = || GroupEngine::Each(lanes.iter().map(|l| l.engine).collect());
+        let engine = if lanes.len() == 1 {
+            each()
+        } else {
+            let queries: Vec<&EncodedQuery> = lanes.iter().map(|l| l.encoded).collect();
+            // Every lane's own fused engine was built from the same
+            // query, so the union build succeeds; scanning lane by lane
+            // stays exact if it ever does not.
+            MultiQueryEngine::new(&queries).map_or_else(|_| each(), GroupEngine::Multi)
+        };
+        let window = lanes
+            .iter()
+            .map(|l| l.engine.query_len())
+            .max()
+            .unwrap_or(1);
+        LaneGroup {
+            lanes,
+            engine,
+            plan: SlicePlan::build(reference_len, window, threads, options),
+        }
+    }
+
+    /// Scans slice `s`, returning position-translated hits per lane.
+    fn scan(&self, reference: &RnaSeq, s: usize) -> Vec<Vec<Hit>> {
+        let slice = self.plan.slices()[s];
+        let sub = &reference.as_slice()[slice.start..slice.end];
+        let mut per_lane = match &self.engine {
+            GroupEngine::Each(engines) => engines
+                .iter()
+                .zip(self.lanes)
+                .map(|(engine, lane)| engine.search(sub, lane.threshold))
+                .collect(),
+            GroupEngine::Multi(engine) => {
+                let thresholds: Vec<u32> = self.lanes.iter().map(|l| l.threshold).collect();
+                engine.search(sub, &thresholds)
+            }
+        };
+        for hit in per_lane.iter_mut().flatten() {
+            hit.position += slice.start;
+        }
+        per_lane
+    }
+}
+
+/// One schedulable unit of batch work.
+enum WorkItem {
+    /// Scan one reference slice for one lane group.
+    GroupSlice { group: usize, slice: usize },
+    /// Run one whole query (cycle-accurate backend: its per-run
+    /// statistics must accumulate inside a single run).
+    Whole { query: usize },
+}
+
+/// What one claimed item produced.
+enum ItemResult {
+    /// Position-translated hits, one vector per lane.
+    GroupSlice {
+        group: usize,
+        per_lane: Vec<Vec<Hit>>,
+    },
+    Whole {
+        query: usize,
+        outcome: SearchOutcome,
+    },
 }
 
 /// [`search_all_prebuilt`] with explicit slice sizing and scheduler
@@ -240,98 +394,51 @@ fn thread_cpu_ns() -> u64 {
 ///
 /// # Errors
 ///
-/// [`FabpError::Internal`] only on a scheduler invariant violation.
-pub fn search_all_prebuilt_with_stats<A: std::borrow::Borrow<FabpAligner> + Sync>(
+/// None today, as [`search_all_prebuilt`].
+pub fn search_all_prebuilt_with_stats<A: Borrow<FabpAligner> + Sync>(
     aligners: &[A],
     reference: &RnaSeq,
     threads: usize,
     options: SliceOptions,
 ) -> FabpResult<(Vec<SearchOutcome>, BatchRunStats)> {
-    let threads = threads.max(1);
-    if threads <= 1 || aligners.is_empty() {
-        let start = Instant::now();
-        let outcomes: Vec<SearchOutcome> = aligners
-            .iter()
-            .map(|a| a.borrow().search(reference))
-            .collect();
-        let stats = BatchRunStats {
-            workers: 1,
-            items: aligners.len(),
-            whole_queries: aligners.len(),
-            per_worker_busy_ns: vec![start.elapsed().as_nanos() as u64],
-            ..BatchRunStats::default()
-        };
-        return Ok((outcomes, stats));
-    }
+    Ok(run(aligners, reference, threads, options))
+}
 
-    // Classify queries: bit-parallel-eligible single-pass software
-    // queries become lane-group candidates; other software queries
-    // (multi-pass extended-Ser, or unsupported patterns) scan
-    // scalar-sliced; cycle-accurate queries stay whole.
-    let mut candidates: Vec<(usize, BitParallelEngine)> = Vec::new();
-    let mut scalar: Vec<usize> = Vec::new();
+/// The batch scan behind every software search: every pass of every
+/// software aligner becomes a lane, lanes pack [`LANES`]-wide into
+/// groups, and each group's reference slices are claimed by
+/// [`claim_all`]'s workers next to the cycle-accurate aligners' whole
+/// queries. Outcomes are returned in `aligners` order.
+pub(crate) fn run<A: Borrow<FabpAligner> + Sync>(
+    aligners: &[A],
+    reference: &RnaSeq,
+    threads: usize,
+    options: SliceOptions,
+) -> (Vec<SearchOutcome>, BatchRunStats) {
+    let threads = threads.max(1);
+    let mut lanes: Vec<Lane<'_>> = Vec::new();
     let mut whole: Vec<usize> = Vec::new();
     for (q, a) in aligners.iter().enumerate() {
         let a = a.borrow();
-        match a.software_passes() {
+        match a.fused_passes() {
+            Some(engines) => lanes.extend(engines.iter().zip(a.pass_queries()).map(
+                |(engine, encoded)| Lane {
+                    query: q,
+                    encoded,
+                    engine,
+                    threshold: a.threshold(),
+                },
+            )),
             None => whole.push(q),
-            Some(passes) => {
-                let eligible = if passes.len() == 1 {
-                    BitParallelEngine::new(a.query()).ok()
-                } else {
-                    None
-                };
-                match eligible {
-                    Some(engine) => candidates.push((q, engine)),
-                    None => scalar.push(q),
-                }
-            }
         }
     }
+    let groups: Vec<LaneGroup<'_>> = lanes
+        .chunks(LANES)
+        .map(|chunk| LaneGroup::new(chunk, reference.len(), threads, options))
+        .collect();
 
-    // Pack candidates into LANES-wide groups, each with its own slice
-    // plan against the group-maximum window.
-    let lane_capacity = candidates.len().div_ceil(LANES) * LANES;
-    let occupied_lanes = candidates.len();
-    let mut groups: Vec<LaneGroup> = Vec::new();
-    while !candidates.is_empty() {
-        let take = candidates.len().min(LANES);
-        let chunk: Vec<(usize, BitParallelEngine)> = candidates.drain(..take).collect();
-        let members: Vec<usize> = chunk.iter().map(|&(q, _)| q).collect();
-        let thresholds: Vec<u32> = members
-            .iter()
-            .map(|&q| aligners[q].borrow().threshold())
-            .collect();
-        let (engine, window) = if chunk.len() == 1 {
-            let (_, single) = &chunk[0];
-            let window = single.query_len();
-            (GroupEngine::Single(single.clone()), window)
-        } else {
-            let queries: Vec<_> = members
-                .iter()
-                .map(|&q| aligners[q].borrow().query())
-                .collect();
-            // Eligibility was verified per query above, so the union
-            // build cannot fail; degrade to an invariant error if it
-            // somehow does rather than panicking mid-batch.
-            let multi = MultiQueryEngine::new(&queries).map_err(|e| {
-                FabpError::Internal(format!("lane-group build failed after eligibility: {e}"))
-            })?;
-            let window = multi.max_query_len();
-            (GroupEngine::Multi(multi), window)
-        };
-        let plan = SlicePlan::build(reference.len(), window.max(1), threads, options);
-        groups.push(LaneGroup {
-            members,
-            thresholds,
-            engine,
-            plan,
-        });
-    }
-
-    // Flatten every unit of work into one steal queue. Scalar passes get
-    // their own per-pass plans (extended-Ser passes may differ in
-    // length); vacuous slices (no positions) schedule nothing.
+    // Flatten every unit of work into one claim queue; vacuous slices
+    // (no positions) schedule nothing.
     let mut items: Vec<WorkItem> = Vec::new();
     for (g, group) in groups.iter().enumerate() {
         for (s, slice) in group.plan.slices().iter().enumerate() {
@@ -340,273 +447,92 @@ pub fn search_all_prebuilt_with_stats<A: std::borrow::Borrow<FabpAligner> + Sync
             }
         }
     }
-    for &q in &scalar {
-        if let Some(passes) = aligners[q].borrow().software_passes() {
-            for (pass, engine) in passes.iter().enumerate() {
-                let plan =
-                    SlicePlan::build(reference.len(), engine.query_len().max(1), threads, options);
-                for slice in plan.slices() {
-                    if slice.positions > 0 {
-                        items.push(WorkItem::ScalarSlice {
-                            query: q,
-                            pass,
-                            start: slice.start,
-                            end: slice.start + slice.positions,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    for &q in &whole {
-        items.push(WorkItem::Whole { query: q });
-    }
+    let group_slices = items.len();
+    items.extend(whole.iter().map(|&query| WorkItem::Whole { query }));
 
-    // Telemetry handles are resolved once per batch, before any worker
-    // spawns — the hot claim loop pays only atomic ops and one CPU-clock
-    // read per item, never a registry lookup.
+    let claimed = claim_all(&items, threads, |item| match *item {
+        WorkItem::GroupSlice { group, slice } => ItemResult::GroupSlice {
+            group,
+            per_lane: groups[group].scan(reference, slice),
+        },
+        WorkItem::Whole { query } => ItemResult::Whole {
+            query,
+            outcome: aligners[query].borrow().search(reference),
+        },
+    });
+
     let telemetry = fabp_telemetry::Registry::global();
-    let pending_gauge = telemetry.gauge(
-        "fabp_batch_queue_depth",
-        "Work items not yet claimed from the shared work-stealing queue",
-    );
-    let imbalance_gauge = telemetry.gauge(
-        "fabp_batch_queue_imbalance",
-        "Busiest minus idlest per-worker busy time in the last batch, microseconds",
-    );
-    let occupancy_gauge = telemetry.gauge(
-        "fabp_batch_lane_occupancy_pct",
-        "Occupied SIMD lanes as a percentage of lane-group capacity in the last batch",
-    );
-    let items_ctr = telemetry.counter(
-        "fabp_batch_items_claimed_total",
-        "Work items (reference slices or whole queries) claimed from the batch queue",
-    );
-    let slice_steals_ctr = telemetry.counter(
-        "fabp_batch_slice_steals_total",
-        "Reference-slice work items stolen by batch workers",
-    );
-    let busy_hists: Vec<_> = (0..threads.min(items.len().max(1)))
-        .map(|w| {
-            telemetry.histogram_with(
-                "fabp_batch_worker_busy_ns",
-                "CPU nanoseconds each batch worker spent inside claimed work items",
-                fabp_telemetry::labels(&[("worker", &w.to_string())]),
-            )
-        })
-        .collect();
-
-    let workers = threads.min(items.len().max(1));
-    let next = AtomicUsize::new(0);
-    pending_gauge.set(items.len() as i64);
-
-    let run_item = |item: &WorkItem| -> ItemResult {
-        match *item {
-            WorkItem::GroupSlice { group, slice } => {
-                let g = &groups[group];
-                let s = g.plan.slices()[slice];
-                let sub = &reference.as_slice()[s.start..s.end];
-                let mut per_lane = match &g.engine {
-                    GroupEngine::Single(engine) => vec![engine.search(sub, g.thresholds[0])],
-                    GroupEngine::Multi(engine) => engine.search(sub, &g.thresholds),
-                };
-                for lane in &mut per_lane {
-                    for hit in lane.iter_mut() {
-                        hit.position += s.start;
-                    }
-                }
-                ItemResult::GroupSlice { group, per_lane }
-            }
-            WorkItem::ScalarSlice {
-                query,
-                pass,
-                start,
-                end,
-            } => {
-                let aligner = aligners[query].borrow();
-                let hits = match aligner.software_passes() {
-                    Some(passes) => passes[pass].search_range(
-                        reference.as_slice(),
-                        aligner.threshold(),
-                        start,
-                        end,
-                    ),
-                    None => Vec::new(), // unreachable: items built from software passes
-                };
-                ItemResult::ScalarSlice { query, pass, hits }
-            }
-            WorkItem::Whole { query } => ItemResult::Whole {
-                query,
-                outcome: aligners[query].borrow().search(reference),
-            },
-        }
-    };
-
-    let mut per_worker: Vec<(Vec<ItemResult>, u64)> = Vec::with_capacity(workers);
-    if !items.is_empty() {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let next = &next;
-                    let items = &items;
-                    let run_item = &run_item;
-                    let pending = &pending_gauge;
-                    let items_ctr = &items_ctr;
-                    let slice_steals = &slice_steals_ctr;
-                    let busy_hist = &busy_hists[w];
-                    scope.spawn(move || {
-                        let mut results: Vec<ItemResult> = Vec::new();
-                        let mut busy_ns: u64 = 0;
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= items.len() {
-                                break;
-                            }
-                            pending.dec();
-                            items_ctr.inc();
-                            if !matches!(items[i], WorkItem::Whole { .. }) {
-                                slice_steals.inc();
-                            }
-                            let started = thread_cpu_ns();
-                            results.push(run_item(&items[i]));
-                            let ns = thread_cpu_ns().saturating_sub(started);
-                            busy_ns += ns;
-                            busy_hist.observe(ns);
-                        }
-                        (results, busy_ns)
-                    })
-                })
-                .collect();
-            for handle in handles {
-                match handle.join() {
-                    Ok(worker_out) => per_worker.push(worker_out),
-                    // Forward a worker panic instead of masking it behind a
-                    // generic `expect` message.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-    }
-
-    // Honest utilisation telemetry: busy-time spread, not claim counts.
-    let busy: Vec<u64> = per_worker.iter().map(|(_, ns)| *ns).collect();
-    let max_busy = busy.iter().copied().max().unwrap_or(0);
-    let min_busy = busy.iter().copied().min().unwrap_or(0);
-    imbalance_gauge.set(((max_busy - min_busy) / 1_000) as i64);
-    let lane_occupancy_pct = if lane_capacity > 0 {
-        occupied_lanes as f64 * 100.0 / lane_capacity as f64
-    } else {
+    telemetry
+        .counter(
+            "fabp_batch_slice_steals_total",
+            "Reference-slice work items stolen by batch workers",
+        )
+        .add(group_slices as u64);
+    let lane_occupancy_pct = if groups.is_empty() {
         0.0
+    } else {
+        lanes.len() as f64 * 100.0 / (groups.len() * LANES) as f64
     };
-    occupancy_gauge.set(lane_occupancy_pct.round() as i64);
+    telemetry
+        .gauge(
+            "fabp_batch_lane_occupancy_pct",
+            "Occupied SIMD lanes as a percentage of lane-group capacity in the last batch",
+        )
+        .set(lane_occupancy_pct.round() as i64);
 
-    // Reassemble per-query outcomes from the slice results.
-    let mut group_acc: Vec<Vec<Vec<Vec<Hit>>>> = groups
+    // Reassemble per-query outcomes. Slices arrive per lane; the shard
+    // merge restores position order and drops the exact boundary
+    // duplicates shorter lanes re-report across slice overlaps. A
+    // query's passes then reduce with the per-position best-score merge.
+    let mut per_slice: Vec<Vec<Vec<Vec<Hit>>>> = groups
         .iter()
-        .map(|g| vec![Vec::new(); g.members.len()])
-        .collect();
-    let mut scalar_acc: Vec<Vec<Vec<Vec<Hit>>>> = aligners
-        .iter()
-        .enumerate()
-        .map(|(q, a)| {
-            if scalar.contains(&q) {
-                vec![Vec::new(); a.borrow().passes()]
-            } else {
-                Vec::new()
-            }
-        })
+        .map(|g| vec![Vec::new(); g.lanes.len()])
         .collect();
     let mut outcomes: Vec<Option<SearchOutcome>> = Vec::new();
     outcomes.resize_with(aligners.len(), || None);
-
-    let mut group_slices = 0usize;
-    let mut scalar_slices = 0usize;
-    for result in per_worker.into_iter().flat_map(|(results, _)| results) {
+    for result in claimed.results {
         match result {
             ItemResult::GroupSlice { group, per_lane } => {
-                group_slices += 1;
                 for (lane, hits) in per_lane.into_iter().enumerate() {
-                    group_acc[group][lane].push(hits);
+                    per_slice[group][lane].push(hits);
                 }
             }
-            ItemResult::ScalarSlice { query, pass, hits } => {
-                scalar_slices += 1;
-                scalar_acc[query][pass].push(hits);
-            }
-            ItemResult::Whole { query, outcome } => {
-                if outcomes[query].replace(outcome).is_some() {
-                    return Err(FabpError::Internal(format!(
-                        "batch workers produced outcome slot {query} twice"
-                    )));
-                }
-            }
+            ItemResult::Whole { query, outcome } => outcomes[query] = Some(outcome),
         }
     }
-
-    // Lane groups: slices arrive in steal order; the shard merge restores
-    // position order and drops the exact boundary duplicates shorter
-    // lanes re-report across slice overlaps.
-    for (g, group) in groups.iter().enumerate() {
-        for (lane, &q) in group.members.iter().enumerate() {
-            let hits = merge_shard_hits(std::mem::take(&mut group_acc[g][lane]));
-            let aligner = aligners[q].borrow();
-            let outcome = SearchOutcome {
-                hits,
-                threshold: aligner.threshold(),
-                query_len: aligner.query().len(),
-                stats: None,
-            };
-            if outcomes[q].replace(outcome).is_some() {
-                return Err(FabpError::Internal(format!(
-                    "batch workers produced outcome slot {q} twice"
-                )));
-            }
+    let mut per_pass: Vec<Vec<Vec<Hit>>> = vec![Vec::new(); aligners.len()];
+    for (group, slices) in groups.iter().zip(per_slice) {
+        for (lane, lane_slices) in group.lanes.iter().zip(slices) {
+            per_pass[lane.query].push(merge_shard_hits(lane_slices));
         }
     }
-    // Scalar queries: merge slices within each pass, then reduce passes
-    // with the same best-score merge the serial aligner uses.
-    for &q in &scalar {
-        let per_pass = std::mem::take(&mut scalar_acc[q]);
-        let hits = per_pass
-            .into_iter()
-            .map(merge_shard_hits)
-            .reduce(merge_hits)
-            .unwrap_or_default();
-        let aligner = aligners[q].borrow();
-        let outcome = SearchOutcome {
-            hits,
-            threshold: aligner.threshold(),
-            query_len: aligner.query().len(),
-            stats: None,
-        };
-        if outcomes[q].replace(outcome).is_some() {
-            return Err(FabpError::Internal(format!(
-                "batch workers produced outcome slot {q} twice"
-            )));
-        }
-    }
-
     let outcomes = outcomes
         .into_iter()
-        .enumerate()
-        .map(|(i, o)| {
-            o.ok_or_else(|| {
-                FabpError::Internal(format!("batch worker left outcome slot {i} unfilled"))
+        .zip(per_pass)
+        .zip(aligners)
+        .map(|((outcome, passes), a)| {
+            outcome.unwrap_or_else(|| {
+                let a = a.borrow();
+                SearchOutcome {
+                    hits: passes.into_iter().reduce(merge_hits).unwrap_or_default(),
+                    threshold: a.threshold(),
+                    query_len: a.query().len(),
+                    stats: None,
+                }
             })
         })
-        .collect::<FabpResult<Vec<SearchOutcome>>>()?;
+        .collect();
 
     let stats = BatchRunStats {
-        workers,
+        workers: claimed.busy_ns.len(),
         items: items.len(),
         group_slices,
-        scalar_slices,
         whole_queries: whole.len(),
         lane_groups: groups.len(),
         lane_occupancy_pct,
-        per_worker_busy_ns: busy,
+        per_worker_busy_ns: claimed.busy_ns,
     };
-    Ok((outcomes, stats))
+    (outcomes, stats)
 }
 
 /// Summary of a batch run: how many queries produced at least one hit.
@@ -750,8 +676,9 @@ mod tests {
     }
 
     #[test]
-    fn extended_ser_batch_goes_scalar_sliced_and_exact() {
+    fn extended_ser_passes_are_fused_lanes_and_exact() {
         use fabp_bio::backtranslate::BackTranslationMode;
+        use fabp_encoding::encoder::QuerySet;
         let mut rng = StdRng::seed_from_u64(78);
         let protein: fabp_bio::seq::ProteinSeq = "MSSKWVF".parse().unwrap();
         let reference = fabp_bio::generate::random_rna(15_000, &mut rng);
@@ -762,12 +689,25 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(aligner.passes(), 3);
-        let serial = aligner.search(&reference);
+        let golden: Vec<Hit> = QuerySet::build(&protein, BackTranslationMode::ExtendedSer)
+            .best_scores(reference.as_slice())
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, score)| score as u32 >= aligner.threshold())
+            .map(|(position, score)| Hit {
+                position,
+                score: score as u32,
+            })
+            .collect();
         let (sliced, stats) =
             search_all_prebuilt_with_stats(&[&aligner], &reference, 4, TEST_SLICES).unwrap();
-        assert_eq!(serial.hits, sliced[0].hits);
-        assert_eq!(stats.group_slices, 0, "multi-pass queries must go scalar");
-        assert!(stats.scalar_slices >= 3, "one plan per pass");
+        assert_eq!(sliced[0].hits, golden);
+        assert_eq!(aligner.search(&reference).hits, golden);
+        assert_eq!(
+            stats.lane_groups, 1,
+            "the three passes share one lane group"
+        );
+        assert_eq!(stats.group_slices, stats.items);
     }
 
     #[test]

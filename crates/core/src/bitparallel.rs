@@ -44,9 +44,13 @@ use fabp_telemetry::{labels, Counter, Registry};
 /// Maximum score-counter planes. The engine sizes its counters to the
 /// query (`⌈log2(L_q + 1)⌉` planes — the hardware's 10-bit alignment
 /// score of §IV-B corresponds to queries up to 1023 elements), capped
-/// here; queries longer than `2^MAX_PLANES − 1` elements saturate at the
-/// cap (and saturated lanes always report as hits).
+/// here. The counters saturate at the cap, which would misreport scores,
+/// so longer queries are rejected at construction ([`MAX_QUERY_LEN`]).
 const MAX_PLANES: usize = 16;
+
+/// Longest query the engines accept: its score still fits
+/// [`MAX_PLANES`] counter planes.
+const MAX_QUERY_LEN: usize = (1 << MAX_PLANES) - 1;
 
 /// 64-position blocks per tile. At ≤ 12 distinct tables this keeps the
 /// column ring (`tables × (TILE_BLOCKS + overhang) × 8 B ≈ 14 KiB`)
@@ -60,21 +64,37 @@ const MAX_TABLES: usize = 12;
 /// Error for queries the bit-parallel engine cannot score.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnsupportedQuery {
-    /// Index of the offending element.
+    /// Index of the offending element: 0 or 1 for a context-dependent
+    /// element without the two bases of context its table needs, or the
+    /// first element past the longest scorable query.
     pub element_index: usize,
 }
 
 impl std::fmt::Display for UnsupportedQuery {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "context-dependent element at index {} (< 2) requires the scalar engine",
-            self.element_index
-        )
+        if self.element_index < 2 {
+            write!(
+                f,
+                "context-dependent element at index {} (< 2) has no fused comparator table",
+                self.element_index
+            )
+        } else {
+            write!(
+                f,
+                "query longer than {} elements would overflow the score counters",
+                self.element_index
+            )
+        }
     }
 }
 
 impl std::error::Error for UnsupportedQuery {}
+
+impl From<UnsupportedQuery> for fabp_resilience::FabpError {
+    fn from(e: UnsupportedQuery) -> fabp_resilience::FabpError {
+        fabp_resilience::FabpError::Plan(e.to_string())
+    }
+}
 
 /// The bit-parallel engine for one encoded query.
 #[derive(Debug, Clone)]
@@ -104,7 +124,8 @@ impl BitParallelEngine {
     /// # Errors
     ///
     /// Returns [`UnsupportedQuery`] when a context-dependent element
-    /// appears at index 0 or 1 (impossible for protein-derived queries).
+    /// appears at index 0 or 1 (impossible for protein-derived queries),
+    /// or when the query is longer than 65 535 elements.
     ///
     /// # Panics
     ///
@@ -117,8 +138,7 @@ impl BitParallelEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`UnsupportedQuery`] when a context-dependent element
-    /// appears at index 0 or 1 (impossible for protein-derived queries).
+    /// As [`BitParallelEngine::new`].
     ///
     /// # Panics
     ///
@@ -426,9 +446,15 @@ pub const LANES: usize = 4;
 
 /// Per-element fused 64-entry comparator tables for one encoded query
 /// (bit `ctx = prev2 << 4 | prev1 << 2 | cur`), validating that no
-/// context-dependent element sits at index 0 or 1.
+/// context-dependent element sits at index 0 or 1 and that every score
+/// fits the counters.
 fn fused_element_tables(query: &EncodedQuery) -> Result<Vec<u64>, UnsupportedQuery> {
     let elements = query.decode();
+    if elements.len() > MAX_QUERY_LEN {
+        return Err(UnsupportedQuery {
+            element_index: MAX_QUERY_LEN,
+        });
+    }
     let mut tables = Vec::with_capacity(elements.len());
     for (i, &element) in elements.elements().iter().enumerate() {
         if i < 2 {
@@ -521,8 +547,7 @@ impl MultiQueryEngine {
     ///
     /// Returns [`UnsupportedQuery`] when any query has a
     /// context-dependent element at index 0 or 1 (impossible for
-    /// protein-derived queries) — the caller falls back to per-query
-    /// scalar scanning.
+    /// protein-derived queries) or is longer than 65 535 elements.
     ///
     /// # Panics
     ///
@@ -537,8 +562,7 @@ impl MultiQueryEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`UnsupportedQuery`] when any query has a
-    /// context-dependent element at index 0 or 1.
+    /// As [`MultiQueryEngine::new`].
     ///
     /// # Panics
     ///
@@ -1156,7 +1180,19 @@ mod tests {
             EncodedQuery::from_back_translated(&BackTranslatedQuery::from_elements(elements));
         let err = BitParallelEngine::new(&query).unwrap_err();
         assert_eq!(err.element_index, 0);
-        assert!(err.to_string().contains("scalar engine"));
+        assert!(err.to_string().contains("no fused comparator table"));
+    }
+
+    #[test]
+    fn overlong_query_is_rejected_instead_of_saturating() {
+        let rna: fabp_bio::seq::RnaSeq =
+            std::iter::repeat_n(Nucleotide::A, MAX_QUERY_LEN + 1).collect();
+        let err = BitParallelEngine::new(&EncodedQuery::from_exact_rna(&rna)).unwrap_err();
+        assert_eq!(err.element_index, MAX_QUERY_LEN);
+        assert!(err.to_string().contains("overflow"));
+        let longest: fabp_bio::seq::RnaSeq =
+            std::iter::repeat_n(Nucleotide::A, MAX_QUERY_LEN).collect();
+        assert!(BitParallelEngine::new(&EncodedQuery::from_exact_rna(&longest)).is_ok());
     }
 
     #[test]

@@ -53,9 +53,10 @@
 //! never UB or silent wrong hits.
 
 use crate::aligner::{FabpAligner, Threshold};
+use crate::batch::claim_all;
 use crate::bitparallel::BitParallelEngine;
 use crate::hits::{merge_shard_hits, Hit};
-use crate::slice_plan::overlap_ranges;
+use crate::slice_plan::{overlap_ranges, SliceOptions, SlicePlan};
 use fabp_baselines::kmer::{WordIndex, SYMBOLS};
 use fabp_bio::alphabet::AminoAcid;
 use fabp_bio::codon::Codon;
@@ -67,7 +68,6 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// File magic at offset 0.
 pub const MAGIC: [u8; 8] = *b"FABPIDX\0";
@@ -622,17 +622,24 @@ fn search_off(
                 .map_err(FabpError::from)
         })
         .collect::<FabpResult<_>>()?;
-    let outcomes = crate::batch::search_all_prebuilt(&aligners, &reference, workers.max(1))?;
+    let (outcomes, _) = crate::batch::run(&aligners, &reference, workers, SliceOptions::default());
     Ok(outcomes.into_iter().map(|o| o.hits).collect())
 }
 
 /// Per-query seeding state shared across shards.
 struct QuerySeed {
     words: WordIndex,
-    engine: Option<BitParallelEngine>,
-    aligner: FabpAligner,
+    engine: BitParallelEngine,
     window: usize,
     resolved_threshold: u32,
+}
+
+/// One verification work item: a run of `query`'s candidate base ranges
+/// in `shard`, as indices into the shared list of shard-local ranges.
+struct Verify {
+    query: usize,
+    shard: usize,
+    ranges: std::ops::Range<usize>,
 }
 
 fn search_seeded(
@@ -657,60 +664,34 @@ fn search_seeded(
                     index.overlap()
                 )));
             }
-            let engine = BitParallelEngine::new(&encoded).ok();
-            let aligner = FabpAligner::builder()
-                .protein_query(protein)
-                .threshold(threshold)
-                .build()
-                .map_err(FabpError::from)?;
             Ok(QuerySeed {
                 words,
-                engine,
-                aligner,
+                engine: BitParallelEngine::new(&encoded)?,
                 window,
                 resolved_threshold: threshold.resolve(window),
             })
         })
         .collect::<FabpResult<_>>()?;
 
-    // Seed every shard (parallel over shards): per shard, one 3-frame
-    // translation pass with rolling packed keys feeds every query's
-    // word table.
-    let shard_count = index.shards().len();
-    let threads = workers.max(1).min(shard_count.max(1));
-    let next = AtomicUsize::new(0);
-    let mut shard_results: Vec<Option<(Vec<Vec<usize>>, u64)>> = Vec::new();
-    shard_results.resize_with(shard_count, || None);
-    type ShardSlot = std::sync::Mutex<Option<(Vec<Vec<usize>>, u64)>>;
-    let results_slots: Vec<ShardSlot> = (0..shard_count)
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= shard_count {
-                    break;
-                }
-                let seeded = seed_shard(&index.shards()[i].packed, &seeds, params);
-                *results_slots[i].lock().expect("seed slot lock") = Some(seeded);
-            });
-        }
-    });
-    for (i, slot) in results_slots.into_iter().enumerate() {
-        shard_results[i] = slot.into_inner().expect("seed slot lock");
-    }
+    // Seed every shard: per shard, one 3-frame translation pass with
+    // rolling packed keys feeds every query's word table.
+    let seeded = claim_all(index.shards(), workers, |shard| {
+        seed_shard(&shard.packed, &seeds, params)
+    })
+    .results;
+    stats.seed_hits += seeded.iter().map(|(_, hits)| hits).sum::<u64>();
 
-    // Verify: per query, coalesce candidates into regions and run the
-    // exact engine over just those bases.
-    let mut per_query_hits: Vec<Vec<Hit>> = Vec::with_capacity(seeds.len());
+    // Coalesce each query's candidates into regions per shard. Regions
+    // are cut into slices (the batch slice plan) so a long one spreads
+    // over the workers, and consecutive slices are packed into items of
+    // at least one slice's worth of bases so short regions do not each
+    // pay a claim.
+    let options = SliceOptions::default();
+    let mut ranges: Vec<(usize, usize)> = Vec::new();
+    let mut items: Vec<Verify> = Vec::new();
     for (q, seed) in seeds.iter().enumerate() {
-        let mut per_shard: Vec<Vec<Hit>> = Vec::with_capacity(shard_count);
-        for (shard_idx, shard) in index.shards().iter().enumerate() {
-            let (candidates, _) = shard_results[shard_idx]
-                .as_ref()
-                .expect("all shards seeded");
-            let owned = index.owned_positions(shard_idx, seed.window);
+        for (s, (candidates, _)) in seeded.iter().enumerate() {
+            let owned = index.owned_positions(s, seed.window);
             let mut starts: Vec<usize> = candidates[q]
                 .iter()
                 .copied()
@@ -719,52 +700,68 @@ fn search_seeded(
             starts.sort_unstable();
             starts.dedup();
             stats.candidate_windows += starts.len() as u64;
-            if starts.is_empty() {
-                continue;
-            }
-            let regions = coalesce(&starts, seed.window, shard.packed.len());
-            let mut local_hits = Vec::new();
-            for (lo, hi) in regions {
+            let shard_len = index.shards()[s].packed.len();
+            let mut first = ranges.len();
+            let mut item_bases = 0;
+            for (lo, hi) in coalesce(&starts, seed.window, shard_len) {
                 stats.admitted_bases += (hi - lo) as u64;
-                let bases: Vec<fabp_bio::alphabet::Nucleotide> = (lo..hi)
-                    .map(|i| shard.packed.get(i).expect("in range"))
-                    .collect();
-                match &seed.engine {
-                    Some(engine) => {
-                        for hit in engine.search(&bases, seed.resolved_threshold) {
-                            let local = lo + hit.position;
-                            if local < owned {
-                                local_hits.push(Hit {
-                                    position: shard.start + local,
-                                    score: hit.score,
-                                });
-                            }
-                        }
+                for slice in SlicePlan::build(hi - lo, seed.window, workers, options).slices() {
+                    if slice.positions == 0 {
+                        continue;
                     }
-                    None => {
-                        // Bit-parallel-ineligible query: the serial
-                        // aligner verifies the region instead.
-                        let outcome = seed.aligner.search(&RnaSeq::from(bases));
-                        for hit in outcome.hits {
-                            let local = lo + hit.position;
-                            if local < owned {
-                                local_hits.push(Hit {
-                                    position: shard.start + local,
-                                    score: hit.score,
-                                });
-                            }
-                        }
+                    ranges.push((lo + slice.start, lo + slice.end));
+                    item_bases += slice.bases();
+                    if item_bases >= options.min_slice_positions {
+                        items.push(Verify {
+                            query: q,
+                            shard: s,
+                            ranges: first..ranges.len(),
+                        });
+                        first = ranges.len();
+                        item_bases = 0;
                     }
                 }
             }
-            per_shard.push(local_hits);
+            if first < ranges.len() {
+                items.push(Verify {
+                    query: q,
+                    shard: s,
+                    ranges: first..ranges.len(),
+                });
+            }
         }
-        per_query_hits.push(merge_shard_hits(per_shard));
     }
-    for (_, seed_hits) in shard_results.iter().flatten() {
-        stats.seed_hits += seed_hits;
+
+    // Verify every range with the exact engine; keep the hits the shard
+    // owns, in global coordinates.
+    let verified = claim_all(&items, workers, |item| {
+        let seed = &seeds[item.query];
+        let shard = &index.shards()[item.shard];
+        let owned = index.owned_positions(item.shard, seed.window);
+        let mut hits = Vec::new();
+        for &(lo, hi) in &ranges[item.ranges.clone()] {
+            let bases = shard.packed.unpack_range(lo..hi);
+            hits.extend(
+                seed.engine
+                    .search(&bases, seed.resolved_threshold)
+                    .into_iter()
+                    .filter_map(|hit| {
+                        let local = lo + hit.position;
+                        (local < owned).then_some(Hit {
+                            position: shard.start + local,
+                            score: hit.score,
+                        })
+                    }),
+            );
+        }
+        hits
+    })
+    .results;
+    let mut per_query: Vec<Vec<Vec<Hit>>> = vec![Vec::new(); seeds.len()];
+    for (item, hits) in items.iter().zip(verified) {
+        per_query[item.query].push(hits);
     }
-    Ok(per_query_hits)
+    Ok(per_query.into_iter().map(merge_shard_hits).collect())
 }
 
 /// Translates one packed shard in the three forward frames, streaming

@@ -8,12 +8,16 @@
 //! * [`aligner::FabpAligner`] — builder API with software and
 //!   cycle-accurate execution engines (identical hits; the latter adds
 //!   cycle/bandwidth statistics from the `fabp-fpga` model).
+//! * [`bitparallel`] — the fused bit-parallel engine, the one software
+//!   scan.
+//! * [`batch`] — the one scheduler: every software search (aligner,
+//!   batch, index, serving) runs as `(query, reference-slice)` items of
+//!   its work-stealing claim loop.
 //! * [`hits`] — hit post-processing (region merging, top-k).
-//! * [`software`] — the fast functional engine (fused comparator tables,
-//!   early-exit threshold scan, multi-threaded).
+//! * [`software`] — the scalar oracle engine that tests and benches
+//!   check the fused engine against.
 //! * [`host`] — end-to-end host pipeline timing per the paper's
 //!   measurement definition.
-//! * [`batch`] — multi-query search.
 //!
 //! ```
 //! use fabp_core::aligner::{FabpAligner, Threshold};

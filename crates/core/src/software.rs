@@ -1,12 +1,14 @@
-//! Fast functional FabP engine: the same scores as the hardware, at
-//! software speed.
+//! The scalar oracle engine: the hardware's scores, one window at a
+//! time.
 //!
-//! The software engine uses the fused comparator tables
-//! ([`fabp_encoding::fused::FusedScorer`]) with an early-exit threshold
-//! scan, optionally parallelised over reference chunks. It computes
-//! *exactly* the hits the cycle-level engine reports (property-tested),
-//! which makes paper-scale workloads (1 GB references) tractable without
-//! simulating cycles.
+//! [`SoftwareEngine`] scores every alignment position with the fused
+//! comparator tables ([`fabp_encoding::fused::FusedScorer`]) and an
+//! early-exit threshold scan. It computes *exactly* the hits the
+//! cycle-level engine reports (property-tested). No production path
+//! runs it: every software search goes through the fused bit-parallel
+//! engine ([`crate::bitparallel::BitParallelEngine`]) under the
+//! [`batch`](crate::batch) scheduler, and this engine stays as the
+//! independent scalar reference that tests and benches compare against.
 
 use crate::hits::Hit;
 use fabp_bio::alphabet::Nucleotide;
@@ -14,7 +16,7 @@ use fabp_encoding::encoder::EncodedQuery;
 use fabp_encoding::fused::FusedScorer;
 use fabp_telemetry::{labels, Counter, Registry};
 
-/// The fast software engine for one encoded query.
+/// The scalar oracle engine for one encoded query.
 #[derive(Debug, Clone)]
 pub struct SoftwareEngine {
     fused: FusedScorer,
@@ -91,50 +93,6 @@ impl SoftwareEngine {
         hits
     }
 
-    /// Parallel scan over `threads` workers. Hit set equals the serial
-    /// scan's.
-    pub fn search_parallel(
-        &self,
-        reference: &[Nucleotide],
-        threshold: u32,
-        threads: usize,
-    ) -> Vec<Hit> {
-        if self.query_len == 0 || reference.len() < self.query_len {
-            return Vec::new();
-        }
-        let positions = reference.len() - self.query_len + 1;
-        let threads = threads.max(1).min(positions);
-        self.queries_ctr.inc();
-        if threads == 1 {
-            return self.search_range(reference, threshold, 0, usize::MAX);
-        }
-        let chunk = positions.div_ceil(threads);
-        let mut hits: Vec<Hit> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let start = t * chunk;
-                let end = ((t + 1) * chunk).min(positions);
-                if start >= end {
-                    break;
-                }
-                handles
-                    .push(scope.spawn(move || self.search_range(reference, threshold, start, end)));
-            }
-            for handle in handles {
-                // Forward a worker panic instead of masking it behind a
-                // generic `expect` message: the original payload (and thus
-                // the real assertion text) reaches the caller.
-                match handle.join() {
-                    Ok(chunk_hits) => hits.extend(chunk_hits),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        hits.sort_by_key(|h| h.position);
-        hits
-    }
-
     /// Raw scores at all positions (no threshold), for analysis workloads.
     pub fn score_all(&self, reference: &[Nucleotide]) -> Vec<u32> {
         self.fused.score_all_positions(reference)
@@ -178,17 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_serial() {
-        let mut rng = StdRng::seed_from_u64(52);
-        let protein = random_protein(15, &mut rng);
-        let eng = SoftwareEngine::new(&EncodedQuery::from_protein(&protein));
-        let reference = random_rna(10_000, &mut rng);
-        let serial = eng.search(reference.as_slice(), 25);
-        let parallel = eng.search_parallel(reference.as_slice(), 25, 8);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
     fn range_restricts_positions() {
         let mut rng = StdRng::seed_from_u64(53);
         let eng = engine("MKWVF");
@@ -205,6 +152,5 @@ mod tests {
         assert!(eng.search(&[], 0).is_empty());
         let reference = random_rna(5, &mut StdRng::seed_from_u64(54));
         assert!(eng.search(reference.as_slice(), 0).is_empty());
-        assert!(eng.search_parallel(reference.as_slice(), 0, 4).is_empty());
     }
 }

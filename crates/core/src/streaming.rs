@@ -11,10 +11,11 @@
 //! in place at the front of the buffer (slid down with a `copy_within`
 //! after each chunk) and only the incoming chunk is appended, so a
 //! steady-state feed performs **zero allocations** and never re-copies or
-//! re-encodes the overlap from scratch.
+//! re-encodes the overlap from scratch. Each buffer is scanned by the
+//! fused bit-parallel engine ([`BitParallelEngine`]).
 
+use crate::bitparallel::BitParallelEngine;
 use crate::hits::Hit;
-use crate::software::SoftwareEngine;
 use fabp_bio::alphabet::Nucleotide;
 use fabp_encoding::encoder::EncodedQuery;
 use fabp_resilience::{FabpError, FabpResult};
@@ -46,7 +47,7 @@ use fabp_telemetry::Counter;
 /// ```
 #[derive(Debug, Clone)]
 pub struct StreamingAligner {
-    engine: SoftwareEngine,
+    engine: BitParallelEngine,
     threshold: u32,
     /// Reusable working buffer. Between `feed` calls it holds exactly the
     /// carried tail: the last `L_q − 1` elements seen.
@@ -66,28 +67,30 @@ impl StreamingAligner {
     ///
     /// # Panics
     ///
-    /// Panics if the query is empty; use [`StreamingAligner::try_new`]
-    /// for a fallible constructor.
+    /// Panics if the query is empty or the fused engine cannot score it;
+    /// use [`StreamingAligner::try_new`] for a fallible constructor.
     pub fn new(query: &EncodedQuery, threshold: u32) -> StreamingAligner {
         match StreamingAligner::try_new(query, threshold) {
             Ok(scanner) => scanner,
-            Err(_) => panic!("query must be non-empty"),
+            Err(e) => panic!("{e}"),
         }
     }
 
-    /// Fallible constructor: returns [`FabpError::EmptyQuery`] instead of
-    /// panicking when the query has no elements.
+    /// Fallible constructor: returns a typed error instead of panicking.
     ///
     /// # Errors
     ///
-    /// [`FabpError::EmptyQuery`] when `query` is empty.
+    /// [`FabpError::EmptyQuery`] when `query` is empty;
+    /// [`FabpError::Plan`] when the fused engine cannot score it (a
+    /// context-dependent element at index 0 or 1, or more than 65 535
+    /// elements).
     pub fn try_new(query: &EncodedQuery, threshold: u32) -> FabpResult<StreamingAligner> {
         if query.is_empty() {
             return Err(FabpError::EmptyQuery);
         }
         let telemetry = fabp_telemetry::Registry::global();
         Ok(StreamingAligner {
-            engine: SoftwareEngine::new(query),
+            engine: BitParallelEngine::new(query)?,
             threshold,
             buffer: Vec::new(),
             carry_position: 0,
@@ -159,6 +162,7 @@ impl StreamingAligner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::software::SoftwareEngine;
     use fabp_bio::generate::{random_protein, random_rna};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -241,6 +245,22 @@ mod tests {
             caps[1..].iter().all(|&c| c == steady),
             "buffer capacity kept growing: {caps:?}"
         );
+    }
+
+    #[test]
+    fn unscorable_query_is_a_typed_error_not_a_panic() {
+        use fabp_bio::backtranslate::{BackTranslatedQuery, DependentFn, PatternElement};
+        let elements = vec![
+            PatternElement::Dependent(DependentFn::Leu),
+            PatternElement::Exact(Nucleotide::A),
+            PatternElement::Exact(Nucleotide::A),
+        ];
+        let query =
+            EncodedQuery::from_back_translated(&BackTranslatedQuery::from_elements(elements));
+        match StreamingAligner::try_new(&query, 1) {
+            Err(FabpError::Plan(msg)) => assert!(msg.contains("index 0"), "{msg}"),
+            other => panic!("expected a typed plan error, got {other:?}"),
+        }
     }
 
     #[test]

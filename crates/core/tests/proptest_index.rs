@@ -1,7 +1,7 @@
 //! Property tests: persistent index round-trip and seeded-prefilter
 //! recall.
 //!
-//! Two invariant families from ISSUE 10:
+//! Three invariant families:
 //!
 //! 1. **Round-trip.** `write → load` reproduces bit-identical shards
 //!    (and the same fingerprint); flipping any byte of the serialized
@@ -14,6 +14,8 @@
 //!    the exhaustive scan's (exact agreement on admitted windows), and
 //!    recall of full-scan-findable planted regions stays at or above
 //!    the documented floor.
+//! 3. **Scheduling.** Seeded hits do not depend on the worker count,
+//!    and equal the exhaustive scan's when every window is admitted.
 
 use fabp_bio::generate::{PlantedDatabase, PlantedDatabaseConfig};
 use fabp_bio::mutate::{IndelModel, SubstitutionModel};
@@ -168,5 +170,60 @@ proptest! {
             }
         }
         prop_assert!(stats.scanned_fraction() <= 1.0);
+    }
+
+    /// **Seeded search is worker-invariant and exact.** Seeding and
+    /// verification run as items of the batch claim loop, so the worker
+    /// count may change only who claims what: 1, 2 and 4 workers return
+    /// identical hits and statistics, a subset of `--prefilter off`.
+    /// With a neighbourhood threshold every word passes, every window
+    /// is admitted, and the seeded hits equal the exhaustive scan's.
+    #[test]
+    fn seeded_hits_are_worker_invariant_and_exact_on_admitted_windows(
+        rate in 0.0f64..=0.05,
+        num_queries in 1usize..=4,
+        query_len in 8usize..=14,
+        target_shard in 512usize..=4_096,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let db = PlantedDatabase::generate(
+            &PlantedDatabaseConfig {
+                reference_len: 8_000,
+                num_queries,
+                query_len,
+                substitutions: SubstitutionModel::new(rate),
+                indels: IndelModel::none(),
+                paper_codons_only: false,
+            },
+            &mut rng,
+        );
+        let index = ReferenceIndex::build_from_rna(
+            &db.reference,
+            IndexBuildOptions { overlap: 3 * query_len + 8, target_shard_bases: target_shard },
+        ).expect("non-empty reference");
+        let threshold = Threshold::Fraction(0.6);
+        let search = |mode, params, workers| {
+            search_index(&index, &db.queries, threshold, mode, params, workers).expect("search")
+        };
+
+        let (off, _) = search(PrefilterMode::Off, SeedParams::default(), 2);
+        let (seeded, stats) = search(PrefilterMode::Seeded, SeedParams::default(), 1);
+        for workers in [2, 4] {
+            let (other, other_stats) = search(PrefilterMode::Seeded, SeedParams::default(), workers);
+            prop_assert_eq!(&other, &seeded, "{} workers", workers);
+            prop_assert_eq!(other_stats, stats);
+        }
+        for (q, hits) in seeded.iter().enumerate() {
+            for hit in hits {
+                prop_assert!(off[q].contains(hit), "query {}: {:?} not in the full scan", q, hit);
+            }
+        }
+
+        let every_word = SeedParams { word_size: 3, threshold: -100 };
+        for workers in [1, 4] {
+            let (admitted, _) = search(PrefilterMode::Seeded, every_word, workers);
+            prop_assert_eq!(&admitted, &off, "{} workers", workers);
+        }
     }
 }

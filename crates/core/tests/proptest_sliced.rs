@@ -11,16 +11,48 @@
 //! (tiny `min_slice_positions` against planted coding regions) so the
 //! `window − 1` overlap arithmetic is exercised where it can actually
 //! fail.
+//!
+//! The public entry points that run through the same scheduler —
+//! `FabpAligner::search` at one and many threads, extended-Ser
+//! aligners whose passes become fused lanes, and `StreamingAligner`
+//! over random chunkings — are held to the golden back-translation
+//! model directly.
 
+use fabp_bio::alphabet::{AminoAcid, Nucleotide};
+use fabp_bio::backtranslate::BackTranslationMode;
 use fabp_bio::generate::{coding_rna_for_paper_patterns, random_protein, random_rna};
 use fabp_bio::seq::RnaSeq;
-use fabp_core::aligner::{FabpAligner, Threshold};
+use fabp_core::aligner::{Engine, FabpAligner, Threshold};
 use fabp_core::batch::search_all_prebuilt_with_stats;
+use fabp_core::hits::Hit;
 use fabp_core::slice_plan::{SliceOptions, SlicePlan};
-use fabp_core::BitParallelEngine;
+use fabp_core::{BitParallelEngine, StreamingAligner};
+use fabp_encoding::encoder::{EncodedQuery, QuerySet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+
+/// Golden hits: the positions whose best score over `passes`, scored by
+/// the back-translation model (`BackTranslatedQuery::score_all_positions`),
+/// reaches `threshold`.
+fn golden_hits(passes: &[&EncodedQuery], reference: &[Nucleotide], threshold: u32) -> Vec<Hit> {
+    let mut best: Vec<usize> = Vec::new();
+    for pass in passes {
+        let scores = pass.decode().score_all_positions(reference);
+        best.resize(scores.len(), 0);
+        for (b, s) in best.iter_mut().zip(scores) {
+            *b = (*b).max(s);
+        }
+    }
+    best.into_iter()
+        .enumerate()
+        .filter(|&(_, score)| score as u32 >= threshold)
+        .map(|(position, score)| Hit {
+            position,
+            score: score as u32,
+        })
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -187,6 +219,68 @@ proptest! {
         let before = pairs.len();
         pairs.dedup();
         prop_assert_eq!(pairs.len(), before, "duplicate hits leaked through the merge");
+    }
+
+    /// **Every software entry point equals the golden model.**
+    /// `FabpAligner::search` at 1 and `threads` workers, in paper and
+    /// extended-Ser mode (one extra fused pass per serine), and
+    /// `StreamingAligner` fed random chunk sizes.
+    #[test]
+    fn aligner_and_streaming_match_the_golden_model(
+        query_aa in 2usize..=12,
+        reference_len in 0usize..=5_000,
+        threads in 2usize..=8,
+        fraction in 0.3f64..=1.0,
+        extended in any::<bool>(),
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut protein = random_protein(query_aa, &mut rng);
+        // At least one serine, so extended mode really adds a pass.
+        let ser_at = rng.gen_range(0..query_aa);
+        protein = protein
+            .iter()
+            .enumerate()
+            .map(|(i, &aa)| if i == ser_at { AminoAcid::Ser } else { aa })
+            .collect();
+        let mut bases = random_rna(reference_len, &mut rng).into_inner();
+        let coding = coding_rna_for_paper_patterns(&protein, &mut rng);
+        if coding.len() < bases.len() {
+            let at = rng.gen_range(0..bases.len() - coding.len());
+            bases.splice(at..at + coding.len(), coding.iter().copied());
+        }
+        let reference = RnaSeq::from(bases);
+        let mode = if extended { BackTranslationMode::ExtendedSer } else { BackTranslationMode::Paper };
+        let build = |threads| {
+            FabpAligner::builder()
+                .protein_query(&protein)
+                .threshold(Threshold::Fraction(fraction))
+                .mode(mode)
+                .engine(Engine::Software { threads })
+                .build()
+                .expect("non-empty query")
+        };
+        let set = QuerySet::build(&protein, mode);
+        let passes: Vec<&EncodedQuery> =
+            std::iter::once(&set.primary).chain(&set.secondary).collect();
+        let serial = build(1);
+        prop_assert_eq!(serial.passes(), passes.len());
+        let golden = golden_hits(&passes, reference.as_slice(), serial.threshold());
+        prop_assert_eq!(&serial.search(&reference).hits, &golden);
+        prop_assert_eq!(&build(threads).search(&reference).hits, &golden, "{} threads", threads);
+
+        let primary = golden_hits(&passes[..1], reference.as_slice(), serial.threshold());
+        let mut scanner = StreamingAligner::new(serial.query(), serial.threshold());
+        let mut streamed = Vec::new();
+        let mut rest = reference.as_slice();
+        while !rest.is_empty() {
+            let take = rng.gen_range(1..=rest.len().min(700));
+            let (chunk, tail) = rest.split_at(take);
+            streamed.extend(scanner.feed(chunk));
+            rest = tail;
+        }
+        streamed.extend(scanner.finish());
+        prop_assert_eq!(&streamed, &primary);
     }
 
     /// **Serial/parallel equivalence stays total.** The public

@@ -311,7 +311,14 @@ impl FabpServer {
         config: ServeConfig,
         registry: &Registry,
     ) -> FabpResult<FabpServer> {
-        FabpServer::build(reference, config, registry, Clock::Wall(Instant::now()))
+        let key = content_hash(reference.iter().map(|&b| b as u8));
+        FabpServer::build(
+            reference,
+            key,
+            config,
+            registry,
+            Clock::Wall(Instant::now()),
+        )
     }
 
     /// [`FabpServer::new`] with a manually advanced clock starting at 0 —
@@ -325,7 +332,8 @@ impl FabpServer {
         config: ServeConfig,
         registry: &Registry,
     ) -> FabpResult<FabpServer> {
-        FabpServer::build(reference, config, registry, Clock::Manual(0))
+        let key = content_hash(reference.iter().map(|&b| b as u8));
+        FabpServer::build(reference, key, config, registry, Clock::Manual(0))
     }
 
     /// Builds a wall-clock server over a loaded persistent index. The
@@ -381,15 +389,18 @@ impl FabpServer {
             )));
         }
         let reference = index.decode_reference();
-        let mut server = FabpServer::build(reference, config, registry, clock)?;
-        server.reference_key = index.fingerprint();
-        server.trace_seed = 0xFAB6_0006 ^ index.fingerprint();
+        let key = index.fingerprint();
+        let mut server = FabpServer::build(reference, key, config, registry, clock)?;
         server.index = Some(index);
         Ok(server)
     }
 
+    /// Builds a server over `reference`, whose cache key `reference_key`
+    /// the caller derives from wherever it already has one: a content
+    /// hash of the bases, or an index fingerprint.
     fn build(
         reference: RnaSeq,
+        reference_key: u64,
         config: ServeConfig,
         registry: &Registry,
         clock: Clock,
@@ -422,7 +433,6 @@ impl FabpServer {
             }
             _ => None,
         };
-        let reference_key = content_hash(reference.iter().map(|&b| b as u8));
         // The latency objective the batcher already steers for doubles
         // as the SLO the burn-rate monitor holds the server to.
         let slo = SloMonitor::new(
@@ -1797,6 +1807,10 @@ mod tests {
                 ..ServeConfig::default()
             };
             let mut server = FabpServer::with_index(Arc::clone(&index), config, &registry).unwrap();
+            // Keys come from the index fingerprint, never a re-hash of
+            // the decoded bases.
+            assert_eq!(server.reference_key, index.fingerprint());
+            assert_eq!(server.trace_seed, 0xFAB6_0006 ^ index.fingerprint());
             let tickets: Vec<u64> = proteins
                 .iter()
                 .map(|p| server.submit("a", p).unwrap())

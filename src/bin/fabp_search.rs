@@ -8,7 +8,9 @@
 //!
 //! Options:
 //!   --threshold <0..1>   fraction of matching elements (default 0.9)
-//!   --engine <software|bitparallel|cycle>   execution engine (default software)
+//!   --engine <software|cycle>   execution engine (default software: the
+//!                        fused bit-parallel scan; cycle: the cycle-level
+//!                        FPGA model with cycle/bandwidth statistics)
 //!   --threads <n>        software engine workers (default 4)
 //!   --top <k>            print at most k regions per query (default 10)
 //!   --stats              print telemetry counters after the run
@@ -70,7 +72,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: fabp-search --query <queries.faa> --reference <db.fna> \
-         [--threshold 0.9] [--engine software|bitparallel|cycle] [--threads 4] \
+         [--threshold 0.9] [--engine software|cycle] [--threads 4] \
          [--top 10] [--stats] [--metrics-out m.prom] [--trace-out t.json] \
          [--flight-out f.json] [--quiet] [--disasm] \
          [--resilience off|detect|recover] [--inject-faults <spec>]\n\
@@ -350,6 +352,17 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     if reference_records.is_empty() {
         return Err("reference file contains no records".into());
     }
+    let references = reference_records
+        .iter()
+        .map(|record| record.sequence.parse::<RnaSeq>())
+        .collect::<Result<Vec<_>, _>>()?;
+    let engine = match args.engine.as_str() {
+        "software" => Engine::Software {
+            threads: args.threads,
+        },
+        "cycle" => Engine::CycleAccurate(Box::new(EngineConfig::kintex7(0))),
+        other => return Err(format!("unknown engine {other:?}").into()),
+    };
 
     // Fault injection / resilience only makes sense on the modelled
     // hardware path: the software engines have no AXI stream, LUT
@@ -388,10 +401,6 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             }
         }
         let threshold_abs = Threshold::Fraction(args.threshold).resolve(encoded.len());
-        let bitparallel = match args.engine.as_str() {
-            "bitparallel" => Some(fabp::core::bitparallel::BitParallelEngine::new(&encoded)?),
-            _ => None,
-        };
         // Resilience harness: wraps the cycle-accurate engine so faults
         // can be injected and detection/recovery overhead measured.
         let resilient_engine = if resilience_active {
@@ -402,32 +411,18 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         } else {
             None
         };
-        let engine = match args.engine.as_str() {
-            "software" | "bitparallel" => Engine::Software {
-                threads: args.threads,
-            },
-            "cycle" => Engine::CycleAccurate(Box::new(EngineConfig::kintex7(0))),
-            other => return Err(format!("unknown engine {other:?}").into()),
-        };
         let aligner = FabpAligner::builder()
             .protein_query(protein)
             .threshold(Threshold::Fraction(args.threshold))
-            .engine(engine)
+            .engine(engine.clone())
             .build()?;
 
-        for record in &reference_records {
-            let reference: RnaSeq = record.sequence.parse()?;
+        for (record, reference) in reference_records.iter().zip(&references) {
             let outcome = {
                 let _search_span = telemetry.span("search");
-                match (&bitparallel, &resilient_engine) {
-                    (Some(engine), _) => SearchOutcome {
-                        hits: engine.search(reference.as_slice(), threshold_abs),
-                        threshold: threshold_abs,
-                        query_len: encoded.len(),
-                        stats: None,
-                    },
-                    (None, Some(engine)) => {
-                        let packed = PackedSeq::from_rna(&reference);
+                match &resilient_engine {
+                    Some(engine) => {
+                        let packed = PackedSeq::from_rna(reference);
                         let trace = TraceContext::mint(0xFAB6_5EA7, flight_ordinal);
                         let start_us = flight_start_us;
                         let runner =
@@ -471,7 +466,7 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
                             stats: Some(resilient.run.stats),
                         }
                     }
-                    (None, None) => aligner.search(&reference),
+                    None => aligner.search(reference),
                 }
             };
             // Cycle engine: assemble the modelled host pipeline so the

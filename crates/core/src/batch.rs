@@ -18,7 +18,7 @@
 //! **This scheduler steals `(lane-group, reference-slice)` pairs.** A
 //! [`SlicePlan`](crate::slice_plan::SlicePlan) cuts the reference into
 //! cache-friendly slices with exactly `window − 1` bases of trailing
-//! overlap (the `shard_with_overlap` math), so per-slice scans partition
+//! overlap (the fleet's shard math), so per-slice scans partition
 //! the alignment-position space and
 //! [`merge_shard_hits`](crate::hits::merge_shard_hits) reassembles the
 //! serial hit list bit-identically — even for one query on many workers.

@@ -74,10 +74,9 @@ pub fn merge_overlapping(hits: &[Hit], query_len: usize) -> Vec<HitRegion> {
 /// coordinates) into one position-sorted, duplicate-free list.
 ///
 /// This is the one shared merge step for every shard-composing path —
-/// [`crate::cluster::FpgaCluster::search`], the resilient re-dispatch
-/// path, and any caller composing
-/// [`crate::cluster::try_shard_with_overlap`] with per-shard engines
-/// (e.g. `fabp-serve`'s sharded backend). Shards built with
+/// [`crate::fleet::FpgaFleet::search`], the batch scheduler's slices,
+/// and any caller composing [`crate::fleet::pack_shards`] with
+/// per-shard engines. Shards built with
 /// `query_len - 1` bases of trailing overlap evaluate every window
 /// straddling a boundary on **two** nodes; both report the same
 /// `(position, score)` pair, and naive concatenation double-counts it.
@@ -85,8 +84,8 @@ pub fn merge_overlapping(hits: &[Hit], query_len: usize) -> Vec<HitRegion> {
 /// single-engine hit list.
 ///
 /// Input order is irrelevant (lists are sorted here), so the helper is
-/// also safe for the resilient path, where re-dispatched orphan shards
-/// complete *after* higher-offset survivors.
+/// also safe when failed-over or hedged reads complete *after*
+/// higher-offset shards.
 pub fn merge_shard_hits(per_shard: impl IntoIterator<Item = Vec<Hit>>) -> Vec<Hit> {
     let mut hits: Vec<Hit> = per_shard.into_iter().flatten().collect();
     dedup_sorted_hits(&mut hits);
@@ -103,11 +102,11 @@ pub fn dedup_sorted_hits(hits: &mut Vec<Hit>) {
 /// Like [`merge_overlapping`], but tolerates unsorted input by sorting
 /// a copy first (sort-before-merge).
 ///
-/// Use this on hit lists whose ordering is not guaranteed — e.g. the
-/// intermediate lists of [`crate::cluster::FpgaCluster::search_resilient`]
-/// while dead-node shards are being re-dispatched to survivors, which
-/// legally completes shards out of offset order. [`merge_overlapping`]
-/// panics on such input; this variant never does.
+/// Use this on hit lists whose ordering is not guaranteed — e.g. shard
+/// lists gathered in completion order while a dead node's shard fails
+/// over to a survivor, which legally completes shards out of offset
+/// order. [`merge_overlapping`] panics on such input; this variant
+/// never does.
 ///
 /// # Panics
 ///

@@ -73,6 +73,9 @@ use std::str::FromStr;
 pub const MAGIC: [u8; 8] = *b"FABPIDX\0";
 /// Current format version.
 pub const VERSION: u32 = 1;
+/// Header bytes per shard: start, base count and word count (u64 each),
+/// payload CRC and a reserved word (u32 each).
+const SHARD_GEOMETRY_BYTES: usize = 32;
 
 /// BLAST protein defaults: 3-residue words, neighbourhood threshold 11.
 pub const DEFAULT_WORD_SIZE: usize = 3;
@@ -261,7 +264,7 @@ impl ReferenceIndex {
     }
 
     fn header_bytes(&self) -> Vec<u8> {
-        let mut h = Vec::with_capacity(24 + self.shards.len() * 32);
+        let mut h = Vec::with_capacity(24 + self.shards.len() * SHARD_GEOMETRY_BYTES);
         h.extend_from_slice(&(self.total_bases as u64).to_le_bytes());
         h.extend_from_slice(&(self.overlap as u64).to_le_bytes());
         h.extend_from_slice(&(self.shards.len() as u64).to_le_bytes());
@@ -379,9 +382,15 @@ impl ReferenceIndex {
         let total_bases = hc.u64()? as usize;
         let overlap = hc.u64()? as usize;
         let shard_count = hc.u64()? as usize;
-        if shard_count == 0 || shard_count > total_bases.max(1) {
+        // Each shard's geometry takes SHARD_GEOMETRY_BYTES of the header:
+        // a count the header cannot hold is rejected before anything is
+        // allocated for it.
+        let geometry_room = (header.len() - hc.at) / SHARD_GEOMETRY_BYTES;
+        if shard_count == 0 || shard_count > total_bases.max(1) || shard_count > geometry_room {
             return Err(FabpError::Decode(format!(
-                "implausible shard count {shard_count} for {total_bases} bases"
+                "implausible shard count {shard_count} for {total_bases} bases \
+                 and a {}-byte header",
+                header.len()
             )));
         }
         let mut geometry = Vec::with_capacity(shard_count);
@@ -396,7 +405,10 @@ impl ReferenceIndex {
                     "shard {i}: {word_count} words cannot hold {base_len} bases"
                 )));
             }
-            if start + base_len > total_bases {
+            if start
+                .checked_add(base_len)
+                .is_none_or(|end| end > total_bases)
+            {
                 return Err(FabpError::Decode(format!(
                     "shard {i}: range {start}+{base_len} exceeds {total_bases} bases"
                 )));
@@ -907,6 +919,43 @@ mod tests {
                 ..
             }) => {}
             other => panic!("expected header CRC mismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn shard_count_beyond_the_header_is_a_decode_error_not_an_allocation() {
+        // A 24-byte header with a valid CRC claiming 2^36 shards over
+        // 2^40 bases: the count passes the bases bound, but the header
+        // holds no shard geometry at all.
+        let mut header = Vec::new();
+        for field in [1u64 << 40, 0, 1 << 36] {
+            header.extend_from_slice(&field.to_le_bytes());
+        }
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(header.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&header);
+        bytes.extend_from_slice(&fabp_resilience::crc::crc32(&header).to_le_bytes());
+        assert_eq!(bytes.len(), 44);
+        match ReferenceIndex::from_bytes(&bytes) {
+            Err(FabpError::Decode(msg)) => assert!(msg.contains("shard count"), "{msg}"),
+            other => panic!("expected a decode error, got {other:?}"),
+        }
+
+        // One shard whose start + length overflows usize.
+        let mut header = Vec::new();
+        for field in [u64::MAX, 0, 1, u64::MAX, 2, 1] {
+            header.extend_from_slice(&field.to_le_bytes());
+        }
+        header.extend_from_slice(&[0; 8]); // payload CRC + reserved
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(header.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&header);
+        bytes.extend_from_slice(&fabp_resilience::crc::crc32(&header).to_le_bytes());
+        match ReferenceIndex::from_bytes(&bytes) {
+            Err(FabpError::Decode(msg)) => assert!(msg.contains("exceeds"), "{msg}"),
+            other => panic!("expected a decode error, got {other:?}"),
         }
     }
 

@@ -14,6 +14,9 @@
 //!   batch, index, serving) runs as `(query, reference-slice)` items of
 //!   its work-stealing claim loop.
 //! * [`hits`] — hit post-processing (region merging, top-k).
+//! * [`fleet`] — the sharded multi-FPGA backend: even shards,
+//!   replication, health-driven routing, hedged reads and fault
+//!   recovery.
 //! * [`software`] — the scalar oracle engine that tests and benches
 //!   check the fused engine against.
 //! * [`host`] — end-to-end host pipeline timing per the paper's
@@ -42,7 +45,6 @@
 pub mod aligner;
 pub mod batch;
 pub mod bitparallel;
-pub mod cluster;
 pub mod fleet;
 pub mod hits;
 pub mod host;
@@ -53,7 +55,9 @@ pub mod streaming;
 
 pub use aligner::{BuildError, Engine, FabpAligner, SearchOutcome, Threshold};
 pub use bitparallel::{BitParallelEngine, MultiQueryEngine, LANES};
-pub use fleet::{place_replicas, FleetSearchOutcome, FpgaFleet, ShardDispatch};
+pub use fleet::{
+    pack_shards, place_replicas, FleetSearchOutcome, FleetTiming, FpgaFleet, ShardDispatch,
+};
 pub use hits::{
     best_hit, dedup_sorted_hits, merge_overlapping, merge_overlapping_unsorted, merge_shard_hits,
     top_k, Hit, HitRegion,

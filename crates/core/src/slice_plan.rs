@@ -12,9 +12,8 @@
 //! base range that scores it: slice `i` owns positions
 //! `[pos_start, pos_start + positions)` and reads bases
 //! `[pos_start, pos_start + positions + window − 1)` — the same
-//! `window − 1` trailing-overlap arithmetic as
-//! [`crate::cluster::try_shard_with_overlap`] (which now delegates its
-//! range math to [`overlap_ranges`] here). Because the overlap is
+//! trailing-overlap arithmetic as [`crate::fleet::pack_shards`] (which
+//! takes its range math from [`overlap_ranges`] here). Because the overlap is
 //! *exactly* `window − 1`, the per-slice position sets partition the
 //! global position set: scanning each base range independently and
 //! translating hits by `pos_start` reproduces the full scan with no
@@ -24,7 +23,7 @@
 //! of context (a multi-query group scanning a shorter lane against the
 //! group-maximum window) re-report boundary-straddling positions on two
 //! slices with identical `(position, score)` pairs — the same
-//! overlap-duplicate shape the cluster merge already deduplicates.
+//! overlap-duplicate shape the fleet merge already deduplicates.
 //!
 //! Slice sizing trades steal granularity against per-slice overhead
 //! (the overlap bases are re-read, and the tile ring warms up once per
@@ -188,8 +187,8 @@ impl SlicePlan {
 }
 
 /// Splits `total` positions into `count` contiguous `(start, len)` runs,
-/// sizes differing by at most one — the same even-split arithmetic as
-/// [`crate::cluster::try_shard_database`], in position space.
+/// sizes differing by at most one — the even split behind every slice
+/// and every fleet shard.
 fn position_ranges(total: usize, count: usize) -> Vec<(usize, usize)> {
     let count = count.max(1);
     let base = total / count;
@@ -207,7 +206,8 @@ fn position_ranges(total: usize, count: usize) -> Vec<(usize, usize)> {
 /// Splits `total` bases into `parts` contiguous `(start, end)` base
 /// ranges where each part additionally reads `overlap` trailing bases
 /// (clamped to the reference end) — the shared range math behind
-/// [`crate::cluster::try_shard_with_overlap`] and [`SlicePlan`].
+/// [`crate::fleet::pack_shards`], [`crate::fleet::FpgaFleet`]'s shard
+/// sizes and [`SlicePlan`].
 ///
 /// Part sizes (before overlap) differ by at most one base. With more
 /// parts than bases the surplus parts are zero-sized; they sort to the
@@ -227,7 +227,7 @@ pub fn overlap_ranges(
 ) -> FabpResult<Vec<(usize, usize)>> {
     if parts == 0 {
         return Err(FabpError::InvalidShardPlan(
-            "a cluster needs at least one node".into(),
+            "a shard plan needs at least one part".into(),
         ));
     }
     let mut ranges = Vec::with_capacity(parts);
@@ -329,8 +329,36 @@ mod tests {
     }
 
     #[test]
-    fn overlap_ranges_match_shard_with_overlap_shape() {
-        // Mirrors cluster::try_shard_with_overlap's documented semantics.
+    fn sharding_is_even_and_complete() {
+        let ranges = overlap_ranges(1_000_000_007, 8, 0).unwrap();
+        assert_eq!(ranges.len(), 8);
+        let sizes: Vec<usize> = ranges.iter().map(|&(start, end)| end - start).collect();
+        assert_eq!(sizes.iter().sum::<usize>(), 1_000_000_007);
+        let min = sizes.iter().min().unwrap();
+        let max = sizes.iter().max().unwrap();
+        assert!(max - min <= 1);
+        // Without overlap the parts tile the reference exactly.
+        assert!(ranges.windows(2).all(|w| w[0].1 == w[1].0));
+    }
+
+    #[test]
+    fn more_nodes_than_bases_yields_zero_length_shards() {
+        let sizes = |total, parts| -> Vec<usize> {
+            overlap_ranges(total, parts, 0)
+                .unwrap()
+                .iter()
+                .map(|&(start, end)| end - start)
+                .collect()
+        };
+        // The non-empty parts come first (round-robin remainder).
+        assert_eq!(sizes(3, 8), vec![1, 1, 1, 0, 0, 0, 0, 0]);
+        // Zero bases entirely.
+        assert_eq!(sizes(0, 4), vec![0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn overlap_ranges_match_the_fleet_shard_shape() {
+        // The fleet's documented shard semantics (`fleet::pack_shards`).
         let ranges = overlap_ranges(100, 4, 5).unwrap();
         assert_eq!(ranges, vec![(0, 30), (25, 55), (50, 80), (75, 100)]);
         // Degenerate: more parts than bases → zero-sized parts that

@@ -69,7 +69,7 @@ pub struct ResilienceReport {
 }
 
 impl ResilienceReport {
-    /// Folds another report into this one (cluster-level aggregation:
+    /// Folds another report into this one (fleet-level aggregation:
     /// counts add, detection latency takes the maximum).
     pub fn absorb(&mut self, other: &ResilienceReport) {
         self.injected += other.injected;

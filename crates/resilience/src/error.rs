@@ -78,9 +78,9 @@ pub enum FabpError {
         /// Cycles the watchdog waited before declaring the stall.
         stalled_cycles: u64,
     },
-    /// A cluster node died and its shard did not complete.
+    /// A fleet node is down and no routable node could serve its shard.
     NodeDown {
-        /// Index of the dead node in the cluster.
+        /// Index of the dead node in the fleet.
         node: usize,
     },
     /// A packed bitstream failed to decode (corruption escaped framing).
@@ -92,7 +92,7 @@ pub enum FabpError {
         /// The final error that exhausted the budget.
         last: Box<FabpError>,
     },
-    /// A cluster/shard plan is invalid (zero nodes, empty shard list,
+    /// A fleet/shard plan is invalid (zero nodes, empty shard list,
     /// mismatched offsets, …).
     InvalidShardPlan(String),
     /// The serving layer's admission queue is full — backpressure; the
@@ -202,7 +202,7 @@ impl fmt::Display for FabpError {
                 f,
                 "reference stream stalled at beat {beat} for {stalled_cycles} cycles past the watchdog deadline"
             ),
-            FabpError::NodeDown { node } => write!(f, "cluster node {node} is down"),
+            FabpError::NodeDown { node } => write!(f, "fleet node {node} is down"),
             FabpError::Decode(msg) => write!(f, "bitstream decode failed: {msg}"),
             FabpError::RetriesExhausted { attempts, last } => {
                 write!(f, "gave up after {attempts} attempt(s): {last}")

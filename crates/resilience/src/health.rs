@@ -1,14 +1,14 @@
 //! Health-driven routing: a phi-accrual-style failure detector over
 //! per-node latency statistics and fault events.
 //!
-//! The cluster layer in `fabp-core` originally answered node death
-//! *post mortem*: a kill observed mid-search triggered a one-shot shard
-//! redispatch, and the next search started from scratch. A fleet that
-//! serves steady traffic needs the opposite shape — **routing** consults
-//! a continuously updated health table so suspected nodes stop receiving
-//! primary reads *before* a request has to fail over, and recovered
-//! nodes rejoin gradually through probation probes instead of instantly
-//! absorbing full load.
+//! Answering node death *post mortem* — a kill observed mid-search
+//! triggering a one-shot shard redispatch, with the next search
+//! starting from scratch — makes every request pay for the failure. A
+//! fleet that serves steady traffic needs the opposite shape —
+//! **routing** consults a continuously updated health table so
+//! suspected nodes stop receiving primary reads *before* a request has
+//! to fail over, and recovered nodes rejoin gradually through probation
+//! probes instead of instantly absorbing full load.
 //!
 //! The detector keeps, per node:
 //!

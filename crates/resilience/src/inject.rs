@@ -76,10 +76,11 @@ pub enum FaultKind {
         /// Extra stall cycles beyond the modelled AXI latency.
         cycles: u64,
     },
-    /// Kill cluster node `node` after it has consumed `after_beats`
-    /// beats of its shard (power loss / fatal link error).
+    /// Kill fleet node `node` (power loss / fatal link error). The
+    /// fleet's failure detector marks the node dead outright;
+    /// `after_beats` is kept so specs round-trip.
     NodeKill {
-        /// Cluster node index.
+        /// Fleet node index.
         node: usize,
         /// Beats of its shard the node completes before dying.
         after_beats: u64,
@@ -367,7 +368,7 @@ impl FaultSchedule {
         }
     }
 
-    /// All node-kill events (cluster-level; engine runners ignore them).
+    /// All node-kill events (fleet-level; engine runners ignore them).
     pub fn node_kills(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.events.iter().filter_map(|e| match e {
             FaultKind::NodeKill { node, after_beats } => Some((*node, *after_beats)),

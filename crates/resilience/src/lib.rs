@@ -10,7 +10,7 @@
 //! * [`inject`] — a deterministic, seeded [`inject::FaultSchedule`]
 //!   (chaos harness) that flips AXI beats, corrupts packed-query words,
 //!   upsets comparator LUT configs mid-run, stalls the reference stream
-//!   past a deadline, and kills cluster nodes at a chosen point.
+//!   past a deadline, and kills fleet nodes.
 //! * [`detect`] — CRC32 framing on AXI bursts and packed streams
 //!   ([`crc`]), periodic configuration scrubbing that compares the live
 //!   comparator truth tables against the golden netlist (detection
@@ -33,9 +33,9 @@
 //! Every fault, retry, scrub and replay event is exported through
 //! `fabp-telemetry` counters and histograms (see [`telemetry`]).
 //!
-//! Cluster-level recovery (shard re-dispatch from a dead node to the
-//! survivors with recomputed timing) lives in `fabp-core`, which layers
-//! on top of this crate.
+//! Node-level recovery (failover of a dead node's shards to routable
+//! survivors, with live degraded timing) lives in `fabp_core::fleet`,
+//! which layers on top of this crate.
 
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used)]

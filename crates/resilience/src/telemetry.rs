@@ -2,8 +2,8 @@
 //!
 //! All fault/detect/recover events flow into `fabp-telemetry` through
 //! the helpers here, so the metric names stay consistent between the
-//! engine runner, the cluster recovery path in `fabp-core`, and the
-//! Prometheus golden test.
+//! engine runner, the fleet's routing and failover in `fabp-core`, and
+//! the Prometheus golden test.
 
 use fabp_telemetry::{labels, Registry};
 
@@ -113,32 +113,12 @@ pub fn record_recovery_overhead(registry: &Registry, cycles: u64) {
         .observe(cycles);
 }
 
-/// Counts one cluster node death.
-pub fn count_node_killed(registry: &Registry) {
-    registry
-        .counter(
-            "fabp_cluster_nodes_killed_total",
-            "Cluster nodes lost during a search",
-        )
-        .inc();
-}
-
-/// Counts one shard re-dispatched to a surviving node.
-pub fn count_shard_redispatched(registry: &Registry) {
-    registry
-        .counter(
-            "fabp_cluster_shards_redispatched_total",
-            "Shards re-dispatched from dead nodes to survivors",
-        )
-        .inc();
-}
-
-/// Records the degraded cluster throughput as a permille of nominal.
+/// Records the degraded fleet throughput as a permille of nominal.
 pub fn record_degraded_throughput(registry: &Registry, permille: i64) {
     registry
         .gauge(
-            "fabp_cluster_degraded_throughput_permille",
-            "Cluster throughput after degradation, in permille of nominal",
+            "fabp_fleet_degraded_throughput_permille",
+            "Fleet throughput over the live routing table, in permille of nominal",
         )
         .set(permille);
 }

@@ -9,7 +9,7 @@
 //!   removes the per-request build cost entirely;
 //! * **packed reference shards** — 2-bit packing of a database shard is
 //!   a pure function of the shard bases; resident shards are packed once
-//!   and reused by every query dispatched to the cluster backend.
+//!   and reused by every query dispatched to the fleet backend.
 //!
 //! Keys are 64-bit FNV-1a content hashes ([`content_hash`]); values are
 //! whatever the caller stores (typically `Arc<…>` so a cache hit is a

@@ -13,21 +13,22 @@
 //!   heavy tenant cannot starve the rest.
 //! * [`batcher::AdaptiveBatcher`] — adaptive micro-batching: queued
 //!   queries are coalesced into `fabp_core::batch` /
-//!   `fabp_core::cluster::FpgaCluster` dispatches whose size adapts to
+//!   `fabp_core::fleet::FpgaFleet` dispatches whose size adapts to
 //!   queue depth and a configurable latency SLO via an EWMA of observed
 //!   per-query cost.
 //! * [`cache::LruCache`] — content-hash-keyed LRU caches for built
-//!   aligners (encoded queries) and packed reference shards, with
-//!   hit/miss/eviction telemetry.
+//!   aligners and fleets (encoded queries) and packed reference shards,
+//!   with hit/miss/eviction telemetry.
 //! * [`server::FabpServer`] — the serving loop: admission → shed
 //!   expired deadlines → micro-batch → dispatch → per-request
-//!   responses, wired into `fabp-resilience` recovery (cluster backend)
+//!   responses, wired into `fabp-resilience` recovery (fleet backend)
 //!   and `fabp-telemetry` metrics/spans throughout.
-//! * **Federated fleet backend** ([`server::ServeBackend::Fleet`]) —
+//! * **Sharded fleet backend** ([`server::ServeBackend::Fleet`]) —
 //!   replicated shards with anti-affinity placement, primary reads
 //!   routed through a persistent phi-accrual
-//!   [`fabp_resilience::health::FailureDetector`], hedged tail reads
-//!   deduped by the shared merge, graceful drain
+//!   [`fabp_resilience::health::FailureDetector`], failover of a dead
+//!   node's shards, hedged tail reads deduped by the shared merge,
+//!   engine-level fault recovery, graceful drain
 //!   ([`server::FabpServer::begin_drain`]) and brownout shedding by
 //!   tenant priority when surviving capacity drops below demand.
 //!

@@ -15,9 +15,9 @@
 //!                 ▼
 //!           backend dispatch ──► Software: cached aligners +
 //!                 │               work-stealing batch::search_all_prebuilt
-//!                 │              Cluster: cached per-query FpgaCluster +
-//!                 │               cached packed shards, optional fault
-//!                 ▼               schedule through search_resilient
+//!                 │              Fleet: cached per-query FpgaFleet +
+//!                 │               cached packed shards, routed through
+//!                 ▼               the failure detector (FpgaFleet::search)
 //!           per-request Response { result, latency, … }
 //! ```
 //!
@@ -38,14 +38,13 @@ use crate::queue::{AdmissionQueue, Request};
 use fabp_bio::seq::{PackedSeq, ProteinSeq, RnaSeq};
 use fabp_core::aligner::{Engine, FabpAligner, Threshold};
 use fabp_core::batch::search_all_prebuilt;
-use fabp_core::cluster::{try_shard_with_overlap, FpgaCluster};
-use fabp_core::fleet::FpgaFleet;
+use fabp_core::fleet::{pack_shards, place_replicas, FpgaFleet};
 use fabp_core::hits::Hit;
 use fabp_core::index::{search_index, PrefilterMode, ReferenceIndex, SeedParams};
 use fabp_encoding::encoder::EncodedQuery;
 use fabp_fpga::engine::EngineConfig;
 use fabp_resilience::health::FailureDetector;
-use fabp_resilience::{FabpError, FabpResult, FaultSchedule, ResilienceLevel};
+use fabp_resilience::{FabpError, FabpResult, FaultSchedule};
 use fabp_telemetry::{
     chrome_trace_for_events, Counter, FlightRecorder, Gauge, Histogram, Registry, SloMonitor,
     SloPolicy, SloReport, TraceContext, TraceEvent, FLAG_CACHE_HIT, FLAG_CACHE_MISS, FLAG_ERROR,
@@ -54,6 +53,9 @@ use fabp_telemetry::{
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// A fleet's packed shards and their global offsets.
+type PackedShards = (Vec<PackedSeq>, Vec<usize>);
 
 /// Dump-on-anomaly budget: at most this many span-tree dumps are
 /// retained per server instance, so a pathological workload cannot turn
@@ -69,35 +71,28 @@ pub enum ServeBackend {
         /// Worker threads for [`search_all_prebuilt`] (1 = serial).
         threads: usize,
     },
-    /// A modelled FPGA cluster: one [`FpgaCluster`] per distinct query
-    /// (the query lives in flip-flops, so clusters are cached per query
-    /// content hash), packed shards resident in the reference cache.
-    Cluster {
-        /// Boards in the cluster.
-        nodes: usize,
-        /// Fault handling for dispatches (kills re-dispatch shards under
-        /// [`ResilienceLevel::Recover`]).
-        resilience: ResilienceLevel,
-        /// Optional fault-schedule spec (see
-        /// [`FaultSchedule::parse`], e.g. `"kill@1:50"`) applied to
-        /// every dispatch — chaos-testing hook, `None` in production.
-        fault_spec: Option<String>,
-    },
-    /// A federated fleet: every shard replicated on `replication` nodes
+    /// A modelled FPGA fleet ([`FpgaFleet`]): the reference split into
+    /// one shard per node, every shard replicated on `replication` nodes
     /// with anti-affinity, primary reads routed through a persistent
-    /// phi-accrual [`FailureDetector`], tail reads hedged to replicas
-    /// ([`FpgaFleet`]). Health state carries across requests, so routing
-    /// is steady-state — drained nodes stop receiving primaries before a
-    /// request has to fail over.
+    /// phi-accrual [`FailureDetector`], tail reads hedged to replicas.
+    /// One fleet is built per distinct query (the query lives in
+    /// flip-flops, so fleets are cached per query content hash); packed
+    /// shards stay resident in the reference cache. Health state carries
+    /// across requests, so routing is steady-state — drained nodes stop
+    /// receiving primaries before a request has to fail over, and a shard
+    /// with no routable replica fails over to a survivor.
     Fleet {
         /// Nodes in the fleet (== shards).
         nodes: usize,
         /// Replicas per shard (anti-affinity requires
         /// `replication <= nodes`).
         replication: usize,
-        /// Optional fault-schedule spec whose `kill@node:beat` entries
-        /// mark nodes dead in the detector at build time — chaos hook
-        /// mirroring the cluster backend's, `None` in production.
+        /// Optional fault-schedule spec (see [`FaultSchedule::parse`],
+        /// e.g. `"kill@1:50"`), parsed once at build — chaos-testing
+        /// hook, `None` in production. `kill@node:beat` entries mark
+        /// nodes dead in the failure detector; every other entry is
+        /// injected into each read and recovered by the engine-level
+        /// resilience runner.
         fault_spec: Option<String>,
     },
 }
@@ -120,7 +115,7 @@ pub struct ServeConfig {
     pub policy: BatchPolicy,
     /// Execution backend.
     pub backend: ServeBackend,
-    /// Entries in the built-aligner / built-cluster caches (per-query
+    /// Entries in the built-aligner / built-fleet caches (per-query
     /// artefacts keyed by protein content hash).
     pub query_cache: usize,
     /// Entries in the packed-reference cache.
@@ -128,7 +123,7 @@ pub struct ServeConfig {
     /// Deadline attached to [`FabpServer::submit`] requests, as a
     /// relative budget in microseconds (`None`: requests never expire).
     pub default_deadline_us: Option<u64>,
-    /// Longest query accepted, amino acids. The cluster backend sizes
+    /// Longest query accepted, amino acids. The fleet backend sizes
     /// its shard overlap from this (`3 · max_query_aa` bases), so longer
     /// queries are rejected at submit instead of silently losing
     /// cross-shard hits.
@@ -173,7 +168,7 @@ pub struct Response {
     /// Size of the dispatch batch this request rode in (0 when shed
     /// before dispatch).
     pub batch_size: usize,
-    /// Whether the per-query artefact (aligner or cluster) was already
+    /// Whether the per-query artefact (aligner or fleet) was already
     /// resident in the cache.
     pub cached_query: bool,
 }
@@ -215,7 +210,7 @@ pub struct ServerStats {
     pub batches: u64,
     /// Largest batch dispatched.
     pub peak_batch: usize,
-    /// Built-aligner / built-cluster cache counters.
+    /// Built-aligner / built-fleet cache counters.
     pub query_cache: CacheStats,
     /// Packed-reference cache counters.
     pub reference_cache: CacheStats,
@@ -259,8 +254,6 @@ pub struct FabpServer {
     batcher: AdaptiveBatcher,
     /// Built aligners (software backend), keyed by protein hash.
     aligner_cache: LruCache<Arc<FabpAligner>>,
-    /// Built clusters (cluster backend), keyed by protein hash.
-    cluster_cache: LruCache<Arc<FpgaCluster>>,
     /// Built fleets (fleet backend), keyed by protein hash.
     fleet_cache: LruCache<Arc<FpgaFleet>>,
     /// Persistent failure detector for the fleet backend (`None`
@@ -268,6 +261,9 @@ pub struct FabpServer {
     /// makes routing steady-state: EWMA latency, suspicion and probation
     /// streaks carry across requests.
     detector: Option<FailureDetector>,
+    /// The fleet backend's fault schedule, parsed once at build (empty
+    /// otherwise); its node kills are already in `detector`.
+    faults: FaultSchedule,
     /// Per-tenant brownout priority (higher survives longer); unlisted
     /// tenants default to 0.
     tenant_priority: HashMap<String, i32>,
@@ -276,15 +272,13 @@ pub struct FabpServer {
     draining: bool,
     /// Exported drain state (1 while draining).
     drain_gauge: Gauge,
-    /// Packed shard sets, keyed by reference hash.
-    packed_cache: LruCache<Arc<Vec<PackedSeq>>>,
+    /// The fleet's packed shards and their offsets, keyed by reference
+    /// hash; packed from `reference` on first dispatch.
+    packed_cache: LruCache<Arc<PackedShards>>,
     /// The persistent packed index this server was built from (None for
     /// plain in-memory references). Enables the seeded-prefilter
     /// dispatch path and supplies the reference cache key.
     index: Option<Arc<ReferenceIndex>>,
-    /// Overlapped shards for the cluster backend (empty for software).
-    shards: Vec<RnaSeq>,
-    shard_offsets: Vec<usize>,
     reference_key: u64,
     stats: ServerStats,
     latency_hist: Histogram,
@@ -305,7 +299,9 @@ impl FabpServer {
     ///
     /// # Errors
     ///
-    /// [`FabpError::InvalidShardPlan`] for a zero-node cluster backend.
+    /// [`FabpError::InvalidShardPlan`] for a zero-node fleet or an
+    /// unsatisfiable replication factor, and
+    /// [`FabpError::InvalidSpec`] for a malformed fault spec.
     pub fn new(
         reference: RnaSeq,
         config: ServeConfig,
@@ -346,8 +342,8 @@ impl FabpServer {
     ///
     /// [`FabpError::InvalidShardPlan`] when the index's shard overlap is
     /// too small for `max_query_aa` under [`PrefilterMode::Seeded`] (a
-    /// boundary-straddling window could be lost), or for a zero-node
-    /// cluster backend.
+    /// boundary-straddling window could be lost), and as
+    /// [`FabpServer::new`].
     pub fn with_index(
         index: Arc<ReferenceIndex>,
         config: ServeConfig,
@@ -405,33 +401,33 @@ impl FabpServer {
         registry: &Registry,
         clock: Clock,
     ) -> FabpResult<FabpServer> {
-        let (shards, shard_offsets) = match config.backend {
-            ServeBackend::Cluster { nodes, .. } | ServeBackend::Fleet { nodes, .. } => {
-                // Overlap sized for the longest admissible query's window
-                // (3 bases per residue); the shared merge helper removes
-                // the cross-shard duplicates the generous overlap creates.
-                try_shard_with_overlap(&reference, nodes, 3 * config.max_query_aa)?
-            }
-            ServeBackend::Software { .. } => (Vec::new(), Vec::new()),
-        };
-        let detector = match &config.backend {
+        let (detector, faults) = match &config.backend {
             ServeBackend::Fleet {
                 nodes,
                 replication,
                 fault_spec,
             } => {
-                // Fail an unsatisfiable replication factor at build, not
-                // on the first dispatch.
-                fabp_core::fleet::place_replicas(*nodes, *nodes, *replication)?;
+                // Fail a zero-node fleet, an unsatisfiable replication
+                // factor or a malformed fault spec at build, not on every
+                // dispatch.
+                place_replicas(*nodes, *nodes, *replication)?;
+                let faults = match fault_spec {
+                    Some(spec) => FaultSchedule::parse(spec)?,
+                    None => FaultSchedule::new(),
+                };
                 let mut detector = FailureDetector::with_defaults(*nodes, registry);
-                if let Some(spec) = fault_spec {
-                    for (node, _beat) in FaultSchedule::parse(spec)?.node_kills() {
-                        detector.record_kill(node);
-                    }
+                for (node, _beat) in faults.node_kills() {
+                    detector.record_kill(node);
                 }
-                Some(detector)
+                registry
+                    .gauge("fabp_fleet_nodes", "Nodes in the modelled fleet")
+                    .set(*nodes as i64);
+                registry
+                    .gauge("fabp_fleet_replication", "Replicas per shard")
+                    .set(*replication as i64);
+                (Some(detector), faults)
             }
-            _ => None,
+            ServeBackend::Software { .. } => (None, FaultSchedule::new()),
         };
         // The latency objective the batcher already steers for doubles
         // as the SLO the burn-rate monitor holds the server to.
@@ -453,9 +449,9 @@ impl FabpServer {
             queue: AdmissionQueue::new(config.queue_capacity, registry),
             batcher: AdaptiveBatcher::new(config.policy, registry),
             aligner_cache: LruCache::new("query", config.query_cache, registry),
-            cluster_cache: LruCache::new("cluster", config.query_cache, registry),
             fleet_cache: LruCache::new("fleet", config.query_cache, registry),
             detector,
+            faults,
             tenant_priority: HashMap::new(),
             draining: false,
             drain_gauge: registry.gauge(
@@ -484,8 +480,6 @@ impl FabpServer {
             registry: registry.clone(),
             clock,
             next_id: 0,
-            shards,
-            shard_offsets,
             reference_key,
             index: None,
             stats: ServerStats::default(),
@@ -506,7 +500,6 @@ impl FabpServer {
     pub fn stats(&self) -> ServerStats {
         let query_cache = match self.config.backend {
             ServeBackend::Software { .. } => self.aligner_cache.stats(),
-            ServeBackend::Cluster { .. } => self.cluster_cache.stats(),
             ServeBackend::Fleet { .. } => self.fleet_cache.stats(),
         };
         ServerStats {
@@ -593,7 +586,7 @@ impl FabpServer {
     /// [`FabpError::Draining`] once a drain has begun,
     /// [`FabpError::EmptyQuery`] for an empty protein,
     /// [`FabpError::InvalidShardPlan`] for a query longer than
-    /// [`ServeConfig::max_query_aa`] on the cluster or fleet backends,
+    /// [`ServeConfig::max_query_aa`] on the fleet backend,
     /// and [`FabpError::Overloaded`] when the admission queue is full.
     pub fn submit(&mut self, tenant: &str, protein: &ProteinSeq) -> FabpResult<u64> {
         let deadline = self
@@ -623,10 +616,8 @@ impl FabpServer {
             self.stats.rejected += 1;
             return Err(FabpError::EmptyQuery);
         }
-        if matches!(
-            self.config.backend,
-            ServeBackend::Cluster { .. } | ServeBackend::Fleet { .. }
-        ) && protein.len() > self.config.max_query_aa
+        if matches!(self.config.backend, ServeBackend::Fleet { .. })
+            && protein.len() > self.config.max_query_aa
         {
             self.stats.rejected += 1;
             return Err(FabpError::InvalidShardPlan(format!(
@@ -734,11 +725,6 @@ impl FabpServer {
         let batch_size = batch.len();
         let executed = match self.config.backend.clone() {
             ServeBackend::Software { threads } => self.dispatch_software(batch, threads),
-            ServeBackend::Cluster {
-                nodes,
-                resilience,
-                fault_spec,
-            } => self.dispatch_cluster(batch, nodes, resilience, fault_spec.as_deref()),
             ServeBackend::Fleet {
                 nodes, replication, ..
             } => self.dispatch_fleet(batch, nodes, replication, now),
@@ -1102,89 +1088,15 @@ impl FabpServer {
             .collect()
     }
 
-    /// Cluster dispatch: per-query cached clusters over cached packed
-    /// shards; queries run back-to-back as on hardware (the query lives
-    /// in flip-flops — reloading it is microseconds against a
-    /// multi-millisecond scan).
-    fn dispatch_cluster(
-        &mut self,
-        batch: Vec<Request>,
-        nodes: usize,
-        resilience: ResilienceLevel,
-        fault_spec: Option<&str>,
-    ) -> Vec<(Request, bool, bool, FabpResult<Vec<Hit>>)> {
-        let threshold = self.config.threshold;
-        let total_bases = self.reference.len() as u64;
-        let start_us = self.clock.now_us() as f64;
-        let flight = self.flight.clone();
-        batch
-            .into_iter()
-            .map(|request| {
-                let key = content_hash(request.protein.iter().map(|&aa| aa as u8));
-                let cached = self.cluster_cache.contains(key);
-                // Scatter spans hang off the batch span, so the dump
-                // reads submit → queue → batch → per-shard work.
-                let batch_ctx = request.trace.child(1);
-                flight.record(
-                    TraceEvent::new(batch_ctx.child(100), "query_cache", start_us, 1.0).with_flags(
-                        if cached {
-                            FLAG_CACHE_HIT
-                        } else {
-                            FLAG_CACHE_MISS
-                        },
-                    ),
-                );
-                let result = self.cluster_cache.try_get_or_insert_with(key, || {
-                    let query = EncodedQuery::from_protein(&request.protein);
-                    let config = EngineConfig::kintex7(threshold.resolve(query.len()));
-                    FpgaCluster::homogeneous(&query, &config, nodes, total_bases).map(Arc::new)
-                });
-                let mut recovered = false;
-                let result = result.and_then(|cluster| match fault_spec {
-                    Some(spec) => {
-                        let schedule = FaultSchedule::parse(spec)?;
-                        cluster
-                            .search_resilient_traced(
-                                &self.shards,
-                                &self.shard_offsets,
-                                resilience,
-                                &schedule,
-                                &self.registry,
-                                &flight,
-                                batch_ctx,
-                                start_us,
-                            )
-                            .map(|outcome| {
-                                recovered = outcome.report.recovered > 0;
-                                outcome.hits
-                            })
-                    }
-                    None => {
-                        let packed = self
-                            .packed_cache
-                            .get_or_insert_with(self.reference_key, || {
-                                Arc::new(self.shards.iter().map(PackedSeq::from_rna).collect())
-                            });
-                        cluster.search_packed_traced(
-                            &packed,
-                            &self.shard_offsets,
-                            &self.registry,
-                            &flight,
-                            batch_ctx,
-                            start_us,
-                        )
-                    }
-                });
-                (request, cached, recovered, result)
-            })
-            .collect()
-    }
-
     /// Fleet dispatch: per-query cached fleets over cached packed
     /// shards, hedged scatter/gather routed through the server's
-    /// persistent failure detector. Every completion feeds the
-    /// detector's EWMA statistics, so health state (and with it the p95
-    /// hedge budget) evolves across requests.
+    /// persistent failure detector. Queries run back-to-back as on
+    /// hardware (the query lives in flip-flops — reloading it is
+    /// microseconds against a multi-millisecond scan). Every completion
+    /// feeds the detector's EWMA statistics, so health state (and with
+    /// it the p95 hedge budget) evolves across requests. A request
+    /// counts as recovered when a shard failed over or the engine-level
+    /// faults of the schedule were recovered.
     fn dispatch_fleet(
         &mut self,
         batch: Vec<Request>,
@@ -1208,6 +1120,8 @@ impl FabpServer {
             .map(|request| {
                 let key = content_hash(request.protein.iter().map(|&aa| aa as u8));
                 let cached = self.fleet_cache.contains(key);
+                // Scatter spans hang off the batch span, so the dump
+                // reads submit → queue → batch → per-shard work.
                 let batch_ctx = request.trace.child(1);
                 flight.record(
                     TraceEvent::new(batch_ctx.child(100), "query_cache", start_us, 1.0).with_flags(
@@ -1226,15 +1140,21 @@ impl FabpServer {
                 });
                 let mut recovered = false;
                 let result = built.and_then(|fleet| {
+                    // Overlap sized for the longest admissible query's
+                    // window (3 bases per residue); the shared merge
+                    // removes the cross-shard duplicates it creates.
+                    let overlap = 3 * self.config.max_query_aa;
                     let packed = self
                         .packed_cache
-                        .get_or_insert_with(self.reference_key, || {
-                            Arc::new(self.shards.iter().map(PackedSeq::from_rna).collect())
-                        });
+                        .try_get_or_insert_with(self.reference_key, || {
+                            pack_shards(&self.reference, nodes, overlap).map(Arc::new)
+                        })?;
+                    let (shards, offsets) = packed.as_ref();
                     fleet
-                        .search_packed_hedged(
-                            &packed,
-                            &self.shard_offsets,
+                        .search(
+                            shards,
+                            offsets,
+                            &self.faults,
                             &mut detector,
                             now_us,
                             &self.registry,
@@ -1243,7 +1163,7 @@ impl FabpServer {
                             start_us,
                         )
                         .map(|outcome| {
-                            recovered = outcome.failovers > 0;
+                            recovered = outcome.failovers > 0 || outcome.report.recovered > 0;
                             self.stats.hedges += u64::from(outcome.hedges);
                             self.stats.hedge_wins += u64::from(outcome.hedge_wins);
                             self.stats.cancels += u64::from(outcome.cancels);
@@ -1401,27 +1321,31 @@ mod tests {
         ));
     }
 
+    /// A fleet-backend config admitting queries of up to 16 aa.
+    fn fleet(nodes: usize, replication: usize, fault_spec: Option<&str>) -> ServeConfig {
+        ServeConfig {
+            backend: ServeBackend::Fleet {
+                nodes,
+                replication,
+                fault_spec: fault_spec.map(str::to_string),
+            },
+            max_query_aa: 16,
+            ..ServeConfig::default()
+        }
+    }
+
     #[test]
-    fn cluster_backend_matches_software_and_caches_packed_shards() {
+    fn fleet_backend_at_r1_matches_software_and_caches_packed_shards() {
         let mut rng = StdRng::seed_from_u64(96);
         let proteins: Vec<ProteinSeq> = (0..3).map(|_| random_protein(7, &mut rng)).collect();
         let reference = planted_reference(&proteins, &mut rng);
         let registry = Registry::new();
-        let config = ServeConfig {
-            backend: ServeBackend::Cluster {
-                nodes: 3,
-                resilience: ResilienceLevel::Off,
-                fault_spec: None,
-            },
-            max_query_aa: 16,
-            ..ServeConfig::default()
-        };
-        let mut server = FabpServer::new(reference.clone(), config, &registry).unwrap();
+        let mut server = FabpServer::new(reference.clone(), fleet(3, 1, None), &registry).unwrap();
         let mut tickets = Vec::new();
         for protein in &proteins {
             tickets.push((server.submit("a", protein).unwrap(), protein));
         }
-        // Resubmit the first protein: exercises the cluster cache.
+        // Resubmit the first protein: exercises the fleet cache.
         let repeat = server.submit("b", &proteins[0]).unwrap();
         let responses = server.run_to_completion();
         for (ticket, protein) in tickets {
@@ -1447,20 +1371,14 @@ mod tests {
     }
 
     #[test]
-    fn cluster_backend_rejects_overlong_queries() {
+    fn fleet_backend_rejects_overlong_queries() {
         let mut rng = StdRng::seed_from_u64(97);
         let reference = random_rna(2_000, &mut rng);
-        let registry = Registry::disabled();
         let config = ServeConfig {
-            backend: ServeBackend::Cluster {
-                nodes: 2,
-                resilience: ResilienceLevel::Off,
-                fault_spec: None,
-            },
             max_query_aa: 4,
-            ..ServeConfig::default()
+            ..fleet(2, 1, None)
         };
-        let mut server = FabpServer::new(reference, config, &registry).unwrap();
+        let mut server = FabpServer::new(reference, config, &Registry::disabled()).unwrap();
         let long = random_protein(10, &mut rng);
         assert!(matches!(
             server.submit("a", &long),
@@ -1469,30 +1387,22 @@ mod tests {
     }
 
     #[test]
-    fn resilient_cluster_survives_node_kill_with_identical_hits() {
+    fn fleet_survives_node_kill_at_r1_with_identical_hits() {
         let mut rng = StdRng::seed_from_u64(98);
         let protein = random_protein(8, &mut rng);
         let reference = planted_reference(std::slice::from_ref(&protein), &mut rng);
         let registry = Registry::new();
-        let make = |fault_spec: Option<String>| ServeConfig {
-            backend: ServeBackend::Cluster {
-                nodes: 3,
-                resilience: ResilienceLevel::Recover,
-                fault_spec,
-            },
-            max_query_aa: 16,
-            ..ServeConfig::default()
-        };
-        let mut healthy = FabpServer::new(reference.clone(), make(None), &registry).unwrap();
+        let mut healthy = FabpServer::new(reference.clone(), fleet(3, 1, None), &registry).unwrap();
         healthy.submit("a", &protein).unwrap();
         let clean = healthy.run_to_completion().remove(0).result.unwrap();
 
         let mut chaos =
-            FabpServer::new(reference, make(Some("kill@1:50".to_string())), &registry).unwrap();
+            FabpServer::new(reference, fleet(3, 1, Some("kill@1:50")), &registry).unwrap();
         chaos.submit("a", &protein).unwrap();
         let survived = chaos.run_to_completion().remove(0).result.unwrap();
-        assert_eq!(survived, clean, "recovery must be hit-transparent");
+        assert_eq!(survived, clean, "failover must be hit-transparent");
         assert!(!clean.is_empty(), "planted query must hit");
+        assert_eq!(chaos.stats().failovers, 1);
     }
 
     #[test]
@@ -1501,15 +1411,7 @@ mod tests {
         let protein = random_protein(8, &mut rng);
         let reference = planted_reference(std::slice::from_ref(&protein), &mut rng);
         let registry = Registry::new();
-        let config = ServeConfig {
-            backend: ServeBackend::Cluster {
-                nodes: 3,
-                resilience: ResilienceLevel::Recover,
-                fault_spec: Some("kill@1:50".to_string()),
-            },
-            max_query_aa: 16,
-            ..ServeConfig::default()
-        };
+        let config = fleet(3, 1, Some("kill@1:50"));
         let mut server = FabpServer::new(reference.clone(), config, &registry).unwrap();
         server.submit("a", &protein).unwrap();
         let hits = server.run_to_completion().remove(0).result.unwrap();
@@ -1541,15 +1443,26 @@ mod tests {
             .expect("batch span");
         assert_eq!(batch.parent_span_id, root.span_id);
         let shards: Vec<_> = trace.iter().filter(|e| e.name == "shard").collect();
-        assert_eq!(shards.len(), 3, "one scatter span per node, dead included");
+        assert_eq!(
+            shards.len(),
+            3,
+            "one scatter span per shard, dead node's included"
+        );
         assert!(shards.iter().all(|s| s.parent_span_id == batch.span_id));
         let retry = trace
             .iter()
             .find(|e| e.name == "resilience_retry")
-            .expect("re-dispatch retry span");
-        assert!(
-            shards.iter().any(|s| s.span_id == retry.parent_span_id),
-            "retry hangs under the dead node's scatter span"
+            .expect("failover retry span");
+        let failed = shards
+            .iter()
+            .find(|s| s.span_id == retry.parent_span_id)
+            .expect("retry hangs under the dead node's shard span");
+        assert_eq!(failed.arg, 1, "shard 1 lived only on the dead node");
+        assert_ne!(failed.flags & FLAG_ERROR, 0);
+        assert_ne!(retry.arg, 1, "a survivor serves the shard");
+        assert_eq!(
+            retry.track,
+            fabp_core::fleet::SHARD_TRACK_BASE + retry.arg as u32
         );
         assert_ne!(retry.flags & fabp_telemetry::FLAG_RETRY, 0);
         assert_ne!(retry.flags & FLAG_RECOVERED, 0);
@@ -1563,6 +1476,49 @@ mod tests {
         assert_eq!(dump.trace_id, root.trace_id);
         assert!(dump.chrome_trace.contains("resilience_retry"));
         assert!(dump.chrome_trace.contains("queue_wait"));
+    }
+
+    #[test]
+    fn fleet_engine_faults_are_injected_recovered_and_transparent() {
+        let mut rng = StdRng::seed_from_u64(108);
+        let protein = random_protein(8, &mut rng);
+        let reference = planted_reference(std::slice::from_ref(&protein), &mut rng);
+        let registry = Registry::new();
+        let config = fleet(3, 2, Some("beatflip@0:2:9,stall@1:900"));
+        let mut server = FabpServer::new(reference.clone(), config, &registry).unwrap();
+        assert_eq!(server.routable_nodes(), Some(3), "no kill in the spec");
+        server.submit("a", &protein).unwrap();
+        let hits = server.run_to_completion().remove(0).result.unwrap();
+        assert_eq!(
+            hits,
+            sequential_hits(&protein, &reference, Threshold::Fraction(1.0))
+        );
+        let text = registry.snapshot().to_prometheus();
+        for kind in ["axi_beat_flip", "stream_stall"] {
+            assert!(
+                text.contains(&format!(
+                    "fabp_resilience_faults_injected_total{{kind=\"{kind}\"}} 3"
+                )),
+                "one {kind} per shard read:\n{text}"
+            );
+        }
+        assert!(server
+            .anomaly_dumps()
+            .iter()
+            .any(|d| d.reason == "fault_recovery"));
+    }
+
+    #[test]
+    fn malformed_fault_spec_fails_the_build() {
+        let reference = random_rna(500, &mut StdRng::seed_from_u64(109));
+        assert!(matches!(
+            FabpServer::new(
+                reference,
+                fleet(2, 1, Some("kill@x")),
+                &Registry::disabled()
+            ),
+            Err(FabpError::InvalidSpec(_))
+        ));
     }
 
     #[test]
@@ -1645,16 +1601,7 @@ mod tests {
         let proteins: Vec<ProteinSeq> = (0..3).map(|_| random_protein(7, &mut rng)).collect();
         let reference = planted_reference(&proteins, &mut rng);
         let registry = Registry::new();
-        let config = ServeConfig {
-            backend: ServeBackend::Fleet {
-                nodes: 3,
-                replication: 2,
-                fault_spec: None,
-            },
-            max_query_aa: 16,
-            ..ServeConfig::default()
-        };
-        let mut server = FabpServer::new(reference.clone(), config, &registry).unwrap();
+        let mut server = FabpServer::new(reference.clone(), fleet(3, 2, None), &registry).unwrap();
         assert_eq!(server.routable_nodes(), Some(3));
         let mut tickets = Vec::new();
         for protein in &proteins {
@@ -1676,6 +1623,11 @@ mod tests {
         let stats = server.stats();
         assert!(stats.query_cache.hits >= 1, "{:?}", stats.query_cache);
         assert_eq!(stats.failovers, 0, "healthy fleet never fails over");
+        // The fleet's shape is exported once, on the server's own
+        // registry.
+        let text = registry.snapshot().to_prometheus();
+        assert!(text.contains("\nfabp_fleet_nodes 3\n"), "{text}");
+        assert!(text.contains("\nfabp_fleet_replication 2\n"), "{text}");
     }
 
     #[test]

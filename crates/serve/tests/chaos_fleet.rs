@@ -1,9 +1,9 @@
 //! Chaos under live traffic: rolling node kills against a serving
 //! fleet.
 //!
-//! The cluster-backend chaos tests inject faults into a *single
-//! dispatch*; these tests kill and revive whole nodes **while a live
-//! multi-tenant query stream is being served**, across many pump
+//! The fleet's unit and server tests inject faults at build or into a
+//! *single dispatch*; these tests kill and revive whole nodes **while a
+//! live multi-tenant query stream is being served**, across many pump
 //! rounds, and hold the fleet to the two promises that matter:
 //!
 //! 1. **Bit-identity** — every successfully served response equals the

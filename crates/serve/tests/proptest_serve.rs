@@ -1,11 +1,13 @@
 //! Property tests for the serving layer.
 //!
 //! The headline property is **batching transparency**: whatever batch
-//! sizes, tenant interleavings, cache capacities or pump cadences the
-//! server chooses, the hits delivered for each request are bit-identical
-//! to a sequential single-query `FabpAligner` run with the same
-//! threshold. Micro-batching is an execution-schedule optimisation and
-//! must never be a semantic one.
+//! sizes, tenant interleavings, cache capacities, pump cadences or
+//! backend the server runs — the software batch engine, or a fleet of
+//! any size and replication with or without a dead node — the hits
+//! delivered for each request are bit-identical to a sequential
+//! single-query `FabpAligner` run with the same threshold.
+//! Micro-batching and sharding are execution-schedule optimisations and
+//! must never be semantic ones.
 //!
 //! Supporting properties pin the admission queue (conservation: every
 //! admitted request is answered exactly once; fairness: round-robin
@@ -50,7 +52,9 @@ proptest! {
 
     /// **Transparency invariant.** Served hits are bit-identical to
     /// sequential single-query runs under arbitrary query streams,
-    /// tenant assignments, batch caps, cache sizes and thread counts.
+    /// tenant assignments, batch caps, cache sizes and backends: the
+    /// software engine at any thread count, or a fleet of 1–4 nodes at
+    /// any replication, optionally with one node killed.
     #[test]
     fn batching_is_transparent(
         reference in arb_rna(200, 1_500),
@@ -60,14 +64,30 @@ proptest! {
         query_cache in 0usize..6,
         threads in 1usize..5,
         frac in 0.5f64..1.0,
+        on_fleet in any::<bool>(),
+        nodes in 1usize..=4,
+        replication_pick in 0usize..4,
+        kill in prop::option::of(0usize..4),
     ) {
+        let backend = if on_fleet {
+            ServeBackend::Fleet {
+                nodes,
+                replication: 1 + replication_pick % nodes,
+                // A one-node fleet has no survivor to fail over to.
+                fault_spec: kill
+                    .filter(|_| nodes > 1)
+                    .map(|k| format!("kill@{}:1", k % nodes)),
+            }
+        } else {
+            ServeBackend::Software { threads }
+        };
         let threshold = Threshold::Fraction(frac);
         let registry = Registry::disabled();
         let config = ServeConfig {
             threshold,
             queue_capacity: 64,
             policy: BatchPolicy { max_batch, ..BatchPolicy::default() },
-            backend: ServeBackend::Software { threads },
+            backend: backend.clone(),
             query_cache,
             reference_cache: 2,
             default_deadline_us: None,
@@ -88,9 +108,9 @@ proptest! {
                 .iter()
                 .find(|r| r.id == *ticket)
                 .expect("every ticket answered");
-            let hits = response.result.as_ref().expect("no faults injected");
+            let hits = response.result.as_ref().expect("a survivor serves every shard");
             let expected = sequential_hits(protein, &reference, threshold);
-            prop_assert_eq!(hits, &expected, "batching changed hits");
+            prop_assert_eq!(hits, &expected, "batching on {:?} changed hits", backend);
         }
     }
 

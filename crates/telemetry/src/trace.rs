@@ -4,7 +4,7 @@
 //! A [`TraceContext`] is minted once per request (SplitMix64-seeded, so
 //! ids are deterministic given the server seed and request id) and
 //! carried through every layer that touches the request: admission
-//! queue, batcher, cache, cluster scatter/gather, engine, resilience
+//! queue, batcher, cache, fleet scatter/gather, engine, resilience
 //! retries. Each layer records [`TraceEvent`]s into the registry's
 //! [`FlightRecorder`] — a bounded, overwrite-oldest ring whose hot path
 //! is zero-alloc and lock-free (per-slot seqlock over plain atomics).

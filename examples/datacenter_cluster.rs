@@ -1,9 +1,10 @@
 //! Data-center scale-out: sharding a database across FPGA boards.
 //!
 //! The paper's introduction motivates FabP with cloud FPGA deployments.
-//! This example shards a database across 1–8 modelled Kintex-7 boards,
-//! shows query latency/throughput/energy scaling, and then runs a real
-//! sharded search (with boundary overlap) to demonstrate hit-exactness,
+//! This example shards a database across 1–8 modelled Kintex-7 boards
+//! (an `FpgaFleet` holding one replica of each shard), shows query
+//! latency/throughput/energy scaling, and then runs a real sharded
+//! search (with boundary overlap) to demonstrate hit-exactness,
 //! cross-checking hits against the genes (ORFs) present in the reference.
 //!
 //! Run with: `cargo run --release --example datacenter_cluster`
@@ -11,9 +12,11 @@
 use fabp::bio::generate::{coding_rna_for_paper_patterns, random_protein, random_rna};
 use fabp::bio::orf::find_orfs;
 use fabp::bio::seq::RnaSeq;
-use fabp::core::cluster::{shard_with_overlap, FpgaCluster};
+use fabp::core::fleet::{pack_shards, FpgaFleet};
 use fabp::encoding::encoder::EncodedQuery;
 use fabp::fpga::engine::EngineConfig;
+use fabp::resilience::{FailureDetector, FaultSchedule};
+use fabp_telemetry::{FlightRecorder, Registry, TraceContext};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -31,8 +34,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "boards", "latency", "queries/sec", "J per query"
     );
     for nodes in [1usize, 2, 4, 8] {
-        let cluster = FpgaCluster::homogeneous(&query, &config, nodes, 1_000_000_000)?;
-        let t = cluster.timing();
+        let fleet = FpgaFleet::homogeneous(&query, &config, nodes, 1, 1_000_000_000)?;
+        let t = fleet.timing();
         println!(
             "{:>7} {:>11.2} ms {:>16.1} {:>14.3}",
             nodes,
@@ -60,14 +63,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let gene_query = EncodedQuery::from_protein(&gene_protein);
     let qlen = gene_query.len();
-    let cluster = FpgaCluster::homogeneous(
+    let fleet = FpgaFleet::homogeneous(
         &gene_query,
         &EngineConfig::kintex7(qlen as u32),
         4,
+        1,
         reference.len() as u64,
     )?;
-    let (shards, offsets) = shard_with_overlap(&reference, 4, qlen - 1);
-    let hits = cluster.search(&shards, &offsets)?;
+    let (shards, offsets) = pack_shards(&reference, 4, qlen - 1)?;
+    let mut detector = FailureDetector::with_defaults(4, &Registry::disabled());
+    let hits = fleet
+        .search(
+            &shards,
+            &offsets,
+            &FaultSchedule::new(),
+            &mut detector,
+            0,
+            &Registry::disabled(),
+            &FlightRecorder::disabled(),
+            TraceContext::none(),
+            0.0,
+        )?
+        .hits;
     println!(
         "  hits: {:?}",
         hits.iter().map(|h| h.position).collect::<Vec<_>>()

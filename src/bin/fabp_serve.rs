@@ -5,7 +5,7 @@
 //! [`fabp_serve::FabpServer`]: bounded admission with per-tenant
 //! round-robin fairness, adaptive micro-batching, content-hash caches
 //! and deadline shedding, over the software batch engine or the
-//! modelled FPGA cluster.
+//! modelled FPGA fleet.
 //!
 //! ```text
 //! fabp-serve --reference db.fna --queries q.faa [options]
@@ -29,9 +29,9 @@
 //!   --tenants <n>            spread queries across n tenants (default 2)
 //!   --repeat <n>             submit the stream n times (default 1;
 //!                            repeats exercise the query cache)
-//!   --backend <software|cluster|fleet>  execution backend (default software)
+//!   --backend <software|fleet>  execution backend (default software)
 //!   --threads <n>            software batch workers (default 4)
-//!   --nodes <n>              cluster/fleet nodes (default 4)
+//!   --nodes <n>              fleet nodes, one shard each (default 4)
 //!   --replication <n>        fleet replicas per shard (default 2;
 //!                            anti-affinity requires n <= nodes)
 //!   --threshold <0..1>       match fraction (default 0.9)
@@ -39,12 +39,12 @@
 //!   --max-batch <n>          micro-batch cap (default 64)
 //!   --slo-us <n>             batch latency SLO, µs (default 50000)
 //!   --deadline-us <n>        per-request deadline budget, µs
-//!   --query-cache <n>        built-aligner/cluster cache entries (default 256)
+//!   --query-cache <n>        built-aligner/fleet cache entries (default 256)
 //!   --max-query-aa <n>       longest admissible query (default 128)
-//!   --resilience <off|detect|recover>  cluster fault handling
-//!   --inject-faults <spec>   fault schedule, e.g. kill@1:50 (cluster:
-//!                            injected per dispatch; fleet: kill@ nodes
-//!                            are marked dead in the failure detector)
+//!   --inject-faults <spec>   fleet fault schedule, e.g. kill@1:50:
+//!                            kill@ nodes are marked dead in the failure
+//!                            detector (their shards fail over); other
+//!                            faults hit every read and are recovered
 //!   --stats                  print telemetry counters to stderr
 //!   --slo                    print the SLO burn-rate report to stderr
 //!   --metrics-out <path>     write Prometheus text exposition
@@ -61,7 +61,6 @@ use fabp::bio::generate::{coding_rna_for_paper_patterns, random_protein, random_
 use fabp::bio::seq::{ProteinSeq, RnaSeq};
 use fabp::core::aligner::Threshold;
 use fabp::core::index::PrefilterMode;
-use fabp::resilience::ResilienceLevel;
 use fabp::serve::{BatchPolicy, FabpServer, IndexStore, Response, ServeBackend, ServeConfig};
 use fabp_telemetry::Registry;
 use rand::rngs::StdRng;
@@ -91,7 +90,6 @@ struct Args {
     deadline_us: Option<u64>,
     query_cache: usize,
     max_query_aa: usize,
-    resilience: ResilienceLevel,
     inject_faults: Option<String>,
     stats: bool,
     slo: bool,
@@ -108,11 +106,10 @@ fn usage() -> ! {
          --queries <q.faa> --index <db.fabpidx> [--prefilter off|seeded] | \
          --synthetic-bases <n> --synthetic-queries <n>) [--query-len 12] \
          [--seed 1] [--tenants 2] [--repeat 1] \
-         [--backend software|cluster|fleet] [--threads 4] [--nodes 4] \
+         [--backend software|fleet] [--threads 4] [--nodes 4] \
          [--replication 2] [--threshold 0.9] [--queue-capacity 1024] \
          [--max-batch 64] [--slo-us 50000] [--deadline-us <n>] \
-         [--query-cache 256] [--max-query-aa 128] \
-         [--resilience off|detect|recover] [--inject-faults <spec>] \
+         [--query-cache 256] [--max-query-aa 128] [--inject-faults <spec>] \
          [--stats] [--slo] [--metrics-out m.prom] [--trace-out t.json] \
          [--flight-out f.json] [--anomaly-out a.json] [--quiet]"
     );
@@ -157,7 +154,6 @@ fn parse_args() -> Args {
         deadline_us: None,
         query_cache: 256,
         max_query_aa: 128,
-        resilience: ResilienceLevel::Off,
         inject_faults: None,
         stats: false,
         slo: false,
@@ -193,7 +189,6 @@ fn parse_args() -> Args {
             "--deadline-us" => args.deadline_us = Some(parse_for("--deadline-us", &mut it)),
             "--query-cache" => args.query_cache = parse_for("--query-cache", &mut it),
             "--max-query-aa" => args.max_query_aa = parse_for("--max-query-aa", &mut it),
-            "--resilience" => args.resilience = parse_for("--resilience", &mut it),
             "--inject-faults" => args.inject_faults = Some(value_for("--inject-faults", &mut it)),
             "--stats" => args.stats = true,
             "--slo" => args.slo = true,
@@ -288,11 +283,6 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let backend = match args.backend.as_str() {
         "software" => ServeBackend::Software {
             threads: args.threads,
-        },
-        "cluster" => ServeBackend::Cluster {
-            nodes: args.nodes,
-            resilience: args.resilience,
-            fault_spec: args.inject_faults.clone(),
         },
         "fleet" => ServeBackend::Fleet {
             nodes: args.nodes,

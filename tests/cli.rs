@@ -1,4 +1,5 @@
-//! End-to-end test of the `fabp_search` command-line binary.
+//! End-to-end tests of the `fabp_search` and `fabp_serve` command-line
+//! binaries.
 
 use std::fs;
 use std::path::PathBuf;
@@ -238,4 +239,53 @@ fn cli_names_flag_on_missing_or_bad_value() {
         stderr.contains("invalid value \"many\" for --top"),
         "stderr: {stderr}"
     );
+}
+
+/// Runs `fabp_serve` on a small synthetic workload with `extra` flags.
+fn serve(extra: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_fabp_serve"))
+        .args(["--synthetic-bases", "6000", "--synthetic-queries", "2"])
+        .args(["--query-len", "8", "--quiet"])
+        .args(extra)
+        .output()
+        .expect("binary runs")
+}
+
+#[test]
+fn serve_cli_fails_over_a_killed_node_and_rejects_removed_options() {
+    // One replica per shard: the killed node's shard fails over and
+    // every planted query still hits.
+    let output = serve(&[
+        "--backend",
+        "fleet",
+        "--nodes",
+        "3",
+        "--replication",
+        "1",
+        "--inject-faults",
+        "kill@1:50",
+    ]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "stderr: {stderr}");
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    let rows: Vec<Vec<&str>> = stdout
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| l.split('\t').collect())
+        .collect();
+    assert_eq!(rows.len(), 2, "{stdout}");
+    assert!(rows.iter().all(|r| r[3] == "ok" && r[4] != "0"), "{stdout}");
+    assert!(stderr.contains("failovers=2"), "stderr: {stderr}");
+
+    // The cluster backend and the resilience level are gone, and a
+    // malformed fault spec fails at startup.
+    let output = serve(&["--backend", "cluster"]);
+    assert!(!output.status.success());
+    assert!(String::from_utf8_lossy(&output.stderr).contains("unknown backend \"cluster\""));
+    let output = serve(&["--backend", "fleet", "--resilience", "recover"]);
+    assert_eq!(output.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&output.stderr).contains("unknown argument \"--resilience\""));
+    let output = serve(&["--backend", "fleet", "--inject-faults", "kill@x"]);
+    assert!(!output.status.success());
+    assert!(String::from_utf8_lossy(&output.stderr).contains("invalid fault spec"));
 }

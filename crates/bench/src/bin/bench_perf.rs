@@ -12,7 +12,7 @@
 //!   workers (`batch_sliced*`) with its critical-path speedup over the
 //!   one-worker run of the same fused engine, derived from per-worker
 //!   CPU busy time;
-//! * `multiquery` — the 4-lane SIMD bit-sliced scan
+//! * `multiquery` — four one-lane engines joined into one 4-lane scan
 //!   (`fused_multiquery4`) vs four independent fused scans;
 //! * `streaming` — chunked feed through the reusable carry buffer;
 //! * `engine` — the cycle-accurate simulator's event-driven fast-forward
@@ -41,14 +41,14 @@
 //! run-to-run from worker scheduling noise, so a relative gate on them
 //! is pure flake; the floor is the honest gate). CI runs `--quick
 //! --check` against the committed `BENCH_perf.json` on every push plus
-//! floors on the sliced-batch and multi-query lane speedups (the
+//! floors on the sliced-batch and joined-lane speedups (the
 //! `perf-smoke` job).
 
 use fabp_bench::{time_best_of, BenchWorkload};
 use fabp_bio::seq::PackedSeq;
 use fabp_core::aligner::{FabpAligner, Threshold};
 use fabp_core::batch::{search_all, search_all_prebuilt_with_stats};
-use fabp_core::bitparallel::{BitParallelEngine, MultiQueryEngine};
+use fabp_core::bitparallel::BitParallelEngine;
 use fabp_core::slice_plan::SliceOptions;
 use fabp_core::software::SoftwareEngine;
 use fabp_core::streaming::StreamingAligner;
@@ -304,7 +304,7 @@ fn run_shape(shape: &Shape, best_of_override: Option<usize>) -> Vec<Entry> {
         ),
     ));
 
-    // ---- multi-query SIMD lanes: 4 queries, one decoded column stream --
+    // ---- joined lanes: 4 queries, one decoded column stream ----
     let lane_proteins: Vec<_> = std::iter::once(w.query.clone())
         .chain((0..3).map(|i| BenchWorkload::generate(QUERY_AA, 256, SEED ^ (0x20 + i)).query))
         .collect();
@@ -320,18 +320,17 @@ fn run_shape(shape: &Shape, best_of_override: Option<usize>) -> Vec<Entry> {
         .iter()
         .map(|q| Threshold::Fraction(0.8).resolve(q.len()))
         .collect();
-    let lane_refs: Vec<&EncodedQuery> = lane_queries.iter().collect();
-    let multi = MultiQueryEngine::new(&lane_refs).expect("4 pinned queries fit the lane engine");
+    let multi = BitParallelEngine::join(&lane_engines.iter().collect::<Vec<_>>());
     // Correctness gate: every lane equals its own two-pass oracle.
-    let multi_hits = multi.search(reference, &lane_thresholds);
+    let multi_hits = multi.search_lanes(reference, &lane_thresholds);
     for (lane, engine) in lane_engines.iter().enumerate() {
         assert_eq!(
             multi_hits[lane],
             engine.search_two_pass(reference, lane_thresholds[lane]),
-            "{tag}: multi-query lane {lane} diverged from the two-pass oracle"
+            "{tag}: joined lane {lane} diverged from the two-pass oracle"
         );
     }
-    let (_, t_lanes4) = time_best_of(best_of, || multi.search(reference, &lane_thresholds));
+    let (_, t_lanes4) = time_best_of(best_of, || multi.search_lanes(reference, &lane_thresholds));
     let (_, t_four_scans) = time_best_of(best_of, || {
         lane_engines
             .iter()
@@ -352,7 +351,7 @@ fn run_shape(shape: &Shape, best_of_override: Option<usize>) -> Vec<Entry> {
         &format!("fused_multiquery4_vs_fused_{tag}"),
         t_four_scans,
         t_lanes4,
-        "4 independent fused scans over one 4-lane multi-query pass",
+        "4 independent fused scans over one joined 4-lane pass",
     ));
 
     // ---- engine sim: event-driven fast-forward vs exact per-beat ----

@@ -361,11 +361,6 @@ impl FabpAligner {
         self.passes.len()
     }
 
-    /// The encoded query of every pass, in pass order.
-    pub(crate) fn pass_queries(&self) -> &[EncodedQuery] {
-        &self.passes
-    }
-
     /// The fused engine of every pass, when this aligner runs on the
     /// software backend — the batch scheduler slices these across
     /// workers. `None` for the cycle-accurate backend, whose per-run

@@ -24,10 +24,11 @@
 //! serial hit list bit-identically — even for one query on many workers.
 //! Every pass of every software query (one per query, plus one per
 //! serine in extended-Ser mode) is a lane for the fused bit-parallel
-//! engine; lanes pack [`LANES`]-wide into groups scored by one
-//! [`MultiQueryEngine`] pass per slice, amortising column decode and
-//! table evaluation across queries. [`FabpAligner::search`] runs through
-//! the same path as a batch of one.
+//! engine; lanes pack [`LANES`]-wide into groups, each one
+//! [`BitParallelEngine::join`] of its passes' engines scanning a slice
+//! per pass, amortising column decode and table evaluation across
+//! queries. [`FabpAligner::search`] runs through the same path as a
+//! batch of one.
 //!
 //! Scheduling is **work-stealing** (an atomic claim index over the
 //! flattened item list, `claim_all`) rather than static chunking: a
@@ -41,11 +42,10 @@
 //! how full the SIMD lanes ran.
 
 use crate::aligner::{merge_hits, Engine, FabpAligner, SearchOutcome, Threshold};
-use crate::bitparallel::{BitParallelEngine, MultiQueryEngine, LANES};
+use crate::bitparallel::{BitParallelEngine, LANES};
 use crate::hits::{merge_shard_hits, Hit};
 use crate::slice_plan::{SliceOptions, SlicePlan};
 use fabp_bio::seq::{ProteinSeq, RnaSeq};
-use fabp_encoding::encoder::EncodedQuery;
 use fabp_resilience::{FabpError, FabpResult};
 use std::borrow::Borrow;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -292,24 +292,16 @@ where
 struct Lane<'a> {
     /// Query index (into `aligners`).
     query: usize,
-    encoded: &'a EncodedQuery,
     engine: &'a BitParallelEngine,
     threshold: u32,
 }
 
-/// The engine scoring one lane group's slices.
-enum GroupEngine<'a> {
-    /// Each lane through its own fused scan: a one-lane group, where a
-    /// multi-query pass would still ripple [`LANES`] counter words.
-    Each(Vec<&'a BitParallelEngine>),
-    /// 2 ..= [`LANES`] lanes per pass.
-    Multi(MultiQueryEngine),
-}
-
-/// Up to [`LANES`] passes scanned together, slice by slice.
+/// Up to [`LANES`] passes scanned together, slice by slice, by one
+/// joined engine.
 struct LaneGroup<'a> {
     lanes: &'a [Lane<'a>],
-    engine: GroupEngine<'a>,
+    engine: BitParallelEngine,
+    thresholds: Vec<u32>,
     /// Slices planned against the group-maximum window.
     plan: SlicePlan,
 }
@@ -321,25 +313,13 @@ impl<'a> LaneGroup<'a> {
         threads: usize,
         options: SliceOptions,
     ) -> LaneGroup<'a> {
-        let each = || GroupEngine::Each(lanes.iter().map(|l| l.engine).collect());
-        let engine = if lanes.len() == 1 {
-            each()
-        } else {
-            let queries: Vec<&EncodedQuery> = lanes.iter().map(|l| l.encoded).collect();
-            // Every lane's own fused engine was built from the same
-            // query, so the union build succeeds; scanning lane by lane
-            // stays exact if it ever does not.
-            MultiQueryEngine::new(&queries).map_or_else(|_| each(), GroupEngine::Multi)
-        };
-        let window = lanes
-            .iter()
-            .map(|l| l.engine.query_len())
-            .max()
-            .unwrap_or(1);
+        let engines: Vec<&BitParallelEngine> = lanes.iter().map(|l| l.engine).collect();
+        let engine = BitParallelEngine::join(&engines);
         LaneGroup {
             lanes,
+            thresholds: lanes.iter().map(|l| l.threshold).collect(),
+            plan: SlicePlan::build(reference_len, engine.query_len(), threads, options),
             engine,
-            plan: SlicePlan::build(reference_len, window, threads, options),
         }
     }
 
@@ -347,17 +327,7 @@ impl<'a> LaneGroup<'a> {
     fn scan(&self, reference: &RnaSeq, s: usize) -> Vec<Vec<Hit>> {
         let slice = self.plan.slices()[s];
         let sub = &reference.as_slice()[slice.start..slice.end];
-        let mut per_lane = match &self.engine {
-            GroupEngine::Each(engines) => engines
-                .iter()
-                .zip(self.lanes)
-                .map(|(engine, lane)| engine.search(sub, lane.threshold))
-                .collect(),
-            GroupEngine::Multi(engine) => {
-                let thresholds: Vec<u32> = self.lanes.iter().map(|l| l.threshold).collect();
-                engine.search(sub, &thresholds)
-            }
-        };
+        let mut per_lane = self.engine.search_lanes(sub, &self.thresholds);
         for hit in per_lane.iter_mut().flatten() {
             hit.position += slice.start;
         }
@@ -421,14 +391,11 @@ pub(crate) fn run<A: Borrow<FabpAligner> + Sync>(
     for (q, a) in aligners.iter().enumerate() {
         let a = a.borrow();
         match a.fused_passes() {
-            Some(engines) => lanes.extend(engines.iter().zip(a.pass_queries()).map(
-                |(engine, encoded)| Lane {
-                    query: q,
-                    encoded,
-                    engine,
-                    threshold: a.threshold(),
-                },
-            )),
+            Some(engines) => lanes.extend(engines.iter().map(|engine| Lane {
+                query: q,
+                engine,
+                threshold: a.threshold(),
+            })),
             None => whole.push(q),
         }
     }

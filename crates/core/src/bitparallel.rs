@@ -1,29 +1,40 @@
-//! Bit-parallel (bit-sliced) software engine.
+//! Bit-parallel (bit-sliced) software engine: the one fused scan.
 //!
 //! The FPGA evaluates 256 alignment instances simultaneously — one match
-//! bit per (instance, element) — and reduces them with Pop-Counters. This
-//! engine is the same computation transposed onto 64-bit words, executed
-//! as a **single fused, tiled streaming pass**:
+//! bit per (instance, element) — and reduces them with Pop-Counters, all
+//! fed from one reference stream buffer. This engine is the same
+//! computation transposed onto 64-bit words, executed as a **single
+//! fused, tiled streaming pass** that scores one to [`LANES`] queries
+//! (*lanes*) against one reference:
 //!
-//! 1. For every *distinct* comparator truth table used by the query the
+//! 1. For every *distinct* comparator truth table used by any lane the
 //!    engine materialises the comparator output column
 //!    `W_t[p] = t(ctx(p))` — but only for an L1-sized *tile* of the
 //!    reference at a time, and itself bit-sliced: 64 reference elements
 //!    are packed into nucleotide bit-planes and each table's factored
 //!    [`TableEval`] plan computes all 64 comparator outputs in a handful
-//!    of word operations. The tile ring is recycled (`copy_within` of the
-//!    `L_q`-element overlap) instead of allocating `O(reference)` heap
-//!    vectors, so the working set stays cache-resident regardless of the
-//!    reference size.
-//! 2. Each 64-position block of the tile is scored by adding the `L_q`
-//!    shifted column slices into vertical (bit-sliced) counters — the
-//!    Pop-Counter, carried out across 64 instances at once, with a
-//!    saturating-carry early exit.
+//!    of word operations. The lanes' tables are interned into one union
+//!    set (protein-derived queries draw from at most 12 distinct tables,
+//!    so four lanes' union is no wider than one query's worst case), and
+//!    this fill is paid once per tile whatever the lane count. The tile
+//!    ring is recycled (`copy_within` of the `L_q`-element overlap)
+//!    instead of allocating `O(reference)` heap vectors, so the working
+//!    set stays cache-resident regardless of the reference size.
+//! 2. Each 64-position block of the tile is scored lane by lane, adding
+//!    the lane's `L_q` shifted column slices into vertical (bit-sliced)
+//!    counters — the Pop-Counter, carried out across 64 instances at
+//!    once, with a saturating-carry early exit and a per-lane early
+//!    abandon.
 //! 3. Thresholding is bit-sliced too: a borrow-propagating
 //!    `score >= threshold` comparator produces the 64-position hit mask in
 //!    `O(planes)` word operations (instead of extracting all 64 scores
 //!    bit-by-bit), and the mask is walked with `trailing_zeros` so only
 //!    actual hits pay for score extraction.
+//!
+//! [`BitParallelEngine::new`] builds a one-lane engine and
+//! [`BitParallelEngine::join`] unions built engines into one that scores
+//! all of their lanes per pass; every lane's hits are bit-identical to
+//! its own one-lane scan.
 //!
 //! Queries built from proteins qualify automatically (their dependent
 //! elements sit at codon position 2, so per-window and absolute context
@@ -61,6 +72,11 @@ const TILE_BLOCKS: usize = 128;
 /// `Conditional` + 4 `Dependent` pattern-element kinds.
 const MAX_TABLES: usize = 12;
 
+/// Queries one [`BitParallelEngine`] scores per pass: the most lanes
+/// [`BitParallelEngine::join`] accepts, and the width the batch
+/// scheduler packs lane groups to.
+pub const LANES: usize = 4;
+
 /// Error for queries the bit-parallel engine cannot score.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnsupportedQuery {
@@ -96,20 +112,18 @@ impl From<UnsupportedQuery> for fabp_resilience::FabpError {
     }
 }
 
-/// The bit-parallel engine for one encoded query.
+/// The fused bit-parallel engine: one to [`LANES`] encoded queries
+/// scored against one reference stream.
 #[derive(Debug, Clone)]
 pub struct BitParallelEngine {
-    /// Distinct fused tables used by the query.
+    /// Distinct fused tables used by the lanes (their union).
     tables: Vec<u64>,
     /// Factored bit-sliced evaluation plan per distinct table: computes
     /// the comparator column for 64 reference elements at once from the
     /// nucleotide bit-planes, instead of one table lookup per element.
     evals: Vec<TableEval>,
-    /// Per query element: index into `tables`.
-    element_table: Vec<u16>,
-    query_len: usize,
-    /// Counter planes needed to represent scores up to `query_len`.
-    nplanes: usize,
+    /// The queries scored per pass (1 ..= [`LANES`]).
+    lanes: Vec<Lane>,
     /// Telemetry handles, registered once at construction so the scan
     /// loops pay only an atomic add per call (one registry lookup per
     /// engine lifetime, not per search).
@@ -118,8 +132,18 @@ pub struct BitParallelEngine {
     hits_ctr: Counter,
 }
 
+/// One query of a [`BitParallelEngine`].
+#[derive(Debug, Clone)]
+struct Lane {
+    /// Per query element: index into the engine's `tables`.
+    element_table: Vec<u16>,
+    /// Counter planes needed to represent scores up to the query length;
+    /// also the saturated-score cap.
+    nplanes: usize,
+}
+
 impl BitParallelEngine {
-    /// Builds the engine (telemetry goes to the global registry).
+    /// Builds a one-lane engine (telemetry goes to the global registry).
     ///
     /// # Errors
     ///
@@ -134,7 +158,7 @@ impl BitParallelEngine {
         BitParallelEngine::with_registry(query, Registry::global())
     }
 
-    /// Builds the engine, publishing telemetry to `registry`.
+    /// Builds a one-lane engine, publishing telemetry to `registry`.
     ///
     /// # Errors
     ///
@@ -148,25 +172,21 @@ impl BitParallelEngine {
         registry: &Registry,
     ) -> Result<BitParallelEngine, UnsupportedQuery> {
         assert!(!query.is_empty(), "query must be non-empty");
-        let per_element = fused_element_tables(query)?;
         let mut tables: Vec<u64> = Vec::new();
-        let mut element_table = Vec::with_capacity(per_element.len());
-        for table in per_element {
-            element_table.push(intern_table(&mut tables, table));
-        }
-
+        let element_table: Vec<u16> = fused_element_tables(query)?
+            .into_iter()
+            .map(|table| intern_table(&mut tables, table))
+            .collect();
         debug_assert!(tables.len() <= MAX_TABLES, "{} fused tables", tables.len());
-        let evals: Vec<TableEval> = tables.iter().map(|&t| TableEval::plan(t)).collect();
-
-        let query_len = element_table.len();
-        let nplanes = (usize::BITS - query_len.leading_zeros()) as usize;
+        let nplanes = (usize::BITS - element_table.len().leading_zeros()) as usize;
         let engine = labels(&[("engine", "bitparallel")]);
         Ok(BitParallelEngine {
+            evals: tables.iter().map(|&t| TableEval::plan(t)).collect(),
             tables,
-            evals,
-            element_table,
-            query_len,
-            nplanes: nplanes.clamp(1, MAX_PLANES),
+            lanes: vec![Lane {
+                element_table,
+                nplanes: nplanes.clamp(1, MAX_PLANES),
+            }],
             queries_ctr: registry.counter_with(
                 "fabp_queries_processed_total",
                 "Query scans started, by engine",
@@ -181,43 +201,122 @@ impl BitParallelEngine {
         })
     }
 
-    /// Query length in elements.
-    pub fn query_len(&self) -> usize {
-        self.query_len
+    /// Joins built engines into one that scores all of their lanes in a
+    /// single pass: their tables are interned into one union set, so no
+    /// query is decoded again and the join cannot fail. The result's
+    /// lanes are the engines' lanes in order; its telemetry goes to the
+    /// first engine's counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `engines` hold 1 ..= [`LANES`] lanes in total.
+    pub fn join(engines: &[&BitParallelEngine]) -> BitParallelEngine {
+        let mut tables: Vec<u64> = Vec::new();
+        let mut lanes = Vec::new();
+        for engine in engines {
+            let slots: Vec<u16> = engine
+                .tables
+                .iter()
+                .map(|&table| intern_table(&mut tables, table))
+                .collect();
+            for lane in &engine.lanes {
+                lanes.push(Lane {
+                    element_table: lane
+                        .element_table
+                        .iter()
+                        .map(|&s| slots[usize::from(s)])
+                        .collect(),
+                    nplanes: lane.nplanes,
+                });
+            }
+        }
+        assert!(
+            (1..=LANES).contains(&lanes.len()),
+            "1..={LANES} lanes per engine, got {}",
+            lanes.len()
+        );
+        let first = engines[0];
+        BitParallelEngine {
+            evals: tables.iter().map(|&t| TableEval::plan(t)).collect(),
+            tables,
+            lanes,
+            queries_ctr: first.queries_ctr.clone(),
+            residues_ctr: first.residues_ctr.clone(),
+            hits_ctr: first.hits_ctr.clone(),
+        }
     }
 
-    /// Number of distinct comparator tables (≤ 12 for protein queries).
+    /// Number of lanes: queries scored per pass (1 ..= [`LANES`]).
+    pub fn lanes(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// Query length in elements; for a joined engine the longest lane's,
+    /// the window slices of the reference must overlap by.
+    pub fn query_len(&self) -> usize {
+        self.lanes
+            .iter()
+            .map(|lane| lane.element_table.len())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Number of distinct comparator tables (≤ 12 for protein queries,
+    /// however many lanes share them).
     pub fn distinct_tables(&self) -> usize {
         self.tables.len()
     }
 
     /// Scans the reference with the fused, tiled, bit-sliced pass,
     /// reporting hits with `score >= threshold`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine holds more than one lane; a joined engine
+    /// scans with [`BitParallelEngine::search_lanes`].
     pub fn search(&self, reference: &[Nucleotide], threshold: u32) -> Vec<Hit> {
-        let qlen = self.query_len;
-        if reference.len() < qlen {
-            return Vec::new();
+        self.search_lanes(reference, &[threshold]).swap_remove(0)
+    }
+
+    /// Scans the reference once, scoring every lane against its own
+    /// threshold (`thresholds[l]` applies to lane `l`). Returns one
+    /// position-sorted hit list per lane, each bit-identical to what that
+    /// lane's query reports through its own one-lane engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `thresholds.len() != self.lanes()`.
+    pub fn search_lanes(&self, reference: &[Nucleotide], thresholds: &[u32]) -> Vec<Vec<Hit>> {
+        assert_eq!(thresholds.len(), self.lanes.len(), "one threshold per lane");
+        let mut results: Vec<Vec<Hit>> = vec![Vec::new(); self.lanes.len()];
+        // Alignment positions per lane: none for a lane longer than the
+        // reference.
+        let mut lane_positions = [0usize; LANES];
+        for (positions, lane) in lane_positions.iter_mut().zip(&self.lanes) {
+            *positions = (reference.len() + 1).saturating_sub(lane.element_table.len());
         }
-        let positions = reference.len() - qlen + 1;
-        self.queries_ctr.inc();
-        self.residues_ctr.add(positions as u64);
+        let positions = lane_positions.iter().copied().max().unwrap_or(0);
+        if positions == 0 {
+            return results;
+        }
+        self.queries_ctr.add(self.lanes.len() as u64);
+        self.residues_ctr
+            .add(lane_positions.iter().map(|&p| p as u64).sum());
 
+        let qlen = self.query_len();
         let tile_positions = TILE_BLOCKS * 64;
-        // Extra words holding the `L_q − 1` cross-tile overlap bits, plus
-        // the 2-word padding `read_unaligned` requires.
-        let overhang_words = (qlen - 1).div_ceil(64);
-        let tile_words = TILE_BLOCKS + overhang_words + 2;
-        let ntables = self.tables.len();
-        // One flat allocation for the whole scan: the tile ring. Invariant
-        // maintained below: every bit at a relative position >= the encode
-        // frontier is zero, so filling can OR bits in.
-        let mut cols = vec![0u64; ntables * tile_words];
+        // Extra words holding the longest lane's `L_q − 1` cross-tile
+        // overlap bits, plus the 2-word padding `read_unaligned` requires.
+        let tile_words = TILE_BLOCKS + (qlen - 1).div_ceil(64) + 2;
+        // One flat allocation for the whole scan: the tile ring, one row
+        // per distinct table. Invariant maintained below: every bit at a
+        // relative position >= the encode frontier is zero, so filling
+        // can OR bits in.
+        let mut cols = vec![0u64; self.tables.len() * tile_words];
 
-        let mut hits = Vec::new();
         // Next reference element to run through the comparator columns.
         let mut frontier = 0usize;
-        let mut tile_start = 0usize;
-        while tile_start < positions {
+        for tile_start in (0..positions).step_by(tile_positions) {
             let tile_valid = (positions - tile_start).min(tile_positions);
             let need_until = (tile_start + tile_positions + qlen - 1).min(reference.len());
             if tile_start > 0 {
@@ -225,24 +324,22 @@ impl BitParallelEngine {
                 // (relative positions >= tile_positions) slide from word
                 // offset TILE_BLOCKS to the front; the vacated tail is
                 // cleared for the new tile's columns.
-                for t in 0..ntables {
-                    let buf = &mut cols[t * tile_words..(t + 1) * tile_words];
+                for buf in cols.chunks_exact_mut(tile_words) {
                     buf.copy_within(TILE_BLOCKS.., 0);
-                    for w in &mut buf[tile_words - TILE_BLOCKS..] {
-                        *w = 0;
-                    }
+                    buf[tile_words - TILE_BLOCKS..].fill(0);
                 }
             }
             debug_assert!(frontier >= tile_start && frontier <= need_until);
-            // Fused pass 1: extend the comparator columns to this tile's
-            // horizon, **bit-sliced**. Each 64-element word of the
-            // reference is packed into 2-bit nucleotide planes, expanded
-            // into one-hot lane masks for the current / previous /
-            // previous-previous element (`e0`/`e1`/`e2`, with cross-word
-            // carry-in from the last elements of the preceding word), and
-            // every distinct table evaluates all 64 comparator outputs at
-            // once through its factored [`TableEval`] plan — no per-element
-            // table lookups at all.
+            // Fused pass 1, shared by every lane: extend the comparator
+            // columns to this tile's horizon, **bit-sliced**. Each
+            // 64-element word of the reference is packed into 2-bit
+            // nucleotide planes, expanded into one-hot bit masks for the
+            // current / previous / previous-previous element
+            // (`e0`/`e1`/`e2`, with cross-word carry-in from the last
+            // elements of the preceding word), and every distinct table
+            // evaluates all 64 comparator outputs at once through its
+            // factored [`TableEval`] plan — no per-element table lookups
+            // at all.
             //
             // The word walk restarts at the 64-aligned floor of the
             // frontier; recomputing the already-encoded prefix of that word
@@ -250,8 +347,7 @@ impl BitParallelEngine {
             // reference, so OR-ing the word in again is idempotent.
             // `tile_start` is a multiple of `TILE_BLOCKS * 64`, hence
             // `rel ≡ p (mod 64)` and word slots line up exactly.
-            let mut w_pos = frontier & !63;
-            while w_pos < need_until {
+            for w_pos in ((frontier & !63)..need_until).step_by(64) {
                 let end = (w_pos + 64).min(reference.len());
                 let mut b0 = 0u64;
                 let mut b1 = 0u64;
@@ -283,87 +379,92 @@ impl BitParallelEngine {
                         cols[t * tile_words + word] |= m;
                     }
                 }
-                w_pos += 64;
             }
             frontier = need_until;
 
             // Fused pass 2: vertical-counter accumulation and bit-sliced
             // thresholding, 64 positions per block, straight out of the
-            // still-hot tile ring.
-            let mut block = 0usize;
-            while block < tile_valid {
-                let valid = (tile_valid - block).min(64);
-                let lane_mask = if valid == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << valid) - 1
-                };
-                let mut plane_store = [0u64; MAX_PLANES];
-                let planes = &mut plane_store[..self.nplanes];
-                let mut saturated = 0u64;
-                let mut abandoned = false;
-                for (i, &slot) in self.element_table.iter().enumerate() {
-                    let col = &cols[slot as usize * tile_words..(slot as usize + 1) * tile_words];
-                    // Bit-sliced increment: add the match mask into the
-                    // counters (ripple across planes, early exit once the
-                    // carry clears; a carry out of the top plane
-                    // saturates instead of wrapping).
-                    let mut carry = read_unaligned(col, block + i);
-                    for plane in planes.iter_mut() {
-                        if carry == 0 {
-                            break;
-                        }
-                        let t = *plane & carry;
-                        *plane ^= carry;
-                        carry = t;
+            // still-hot tile ring. Each lane runs its own counter loop —
+            // its own plane count, carry exit and 16-element early
+            // abandon — over the shared tile. An interleaved
+            // `[u64; LANES]` ripple was tried first and measured ~3×
+            // slower per lane: rippling the full lane array per element
+            // forfeits the per-lane all-zero-carry exit and keeps every
+            // lane accumulating until the *last* lane abandons (see
+            // docs/PERFORMANCE.md). Lane independence is what makes this
+            // exact: counters never interact across lanes, only the column
+            // fill is shared.
+            for block in (0..tile_valid).step_by(64) {
+                'lanes: for (l, lane) in self.lanes.iter().enumerate() {
+                    let valid = lane_positions[l].saturating_sub(tile_start + block).min(64);
+                    if valid == 0 {
+                        continue;
                     }
-                    saturated |= carry;
-                    // Bit-sliced early abandon (the 64-lane analogue of
-                    // the scalar mismatch-budget exit): a lane can still
-                    // reach the threshold only if its counter is already
-                    // at `threshold − remaining`. Once no valid lane can,
-                    // the rest of the block's accumulation is dead work.
-                    if i & 15 == 15 {
-                        let remaining = (qlen - 1 - i) as u32;
-                        let needed = threshold.saturating_sub(remaining);
-                        if needed > 0
-                            && (ge_threshold_mask(planes, needed) | saturated) & lane_mask == 0
-                        {
-                            abandoned = true;
-                            break;
+                    let valid_mask = u64::MAX >> (64 - valid);
+                    let threshold = thresholds[l];
+                    let mut plane_store = [0u64; MAX_PLANES];
+                    let planes = &mut plane_store[..lane.nplanes];
+                    let mut saturated = 0u64;
+                    for (i, &slot) in lane.element_table.iter().enumerate() {
+                        let col =
+                            &cols[slot as usize * tile_words..(slot as usize + 1) * tile_words];
+                        // Bit-sliced increment: add the match mask into the
+                        // counters (ripple across planes, early exit once
+                        // the carry clears; a carry out of the top plane
+                        // saturates instead of wrapping).
+                        let mut carry = read_unaligned(col, block + i);
+                        for plane in planes.iter_mut() {
+                            if carry == 0 {
+                                break;
+                            }
+                            let t = *plane & carry;
+                            *plane ^= carry;
+                            carry = t;
+                        }
+                        saturated |= carry;
+                        // Bit-sliced early abandon (the 64-position analogue of
+                        // the scalar mismatch-budget exit): a position can
+                        // still reach the threshold only if its counter is
+                        // already at `threshold − remaining`. Once no valid
+                        // position can, the rest of the block's
+                        // accumulation is dead work.
+                        if i & 15 == 15 {
+                            let remaining = (lane.element_table.len() - 1 - i) as u32;
+                            let needed = threshold.saturating_sub(remaining);
+                            if needed > 0
+                                && (ge_threshold_mask(planes, needed) | saturated) & valid_mask == 0
+                            {
+                                continue 'lanes;
+                            }
                         }
                     }
+                    // O(planes) word ops produce the 64-position hit mask;
+                    // only set positions pay for score extraction.
+                    let mut hit_mask =
+                        (ge_threshold_mask(planes, threshold) | saturated) & valid_mask;
+                    while hit_mask != 0 {
+                        let j = hit_mask.trailing_zeros() as usize;
+                        hit_mask &= hit_mask - 1;
+                        let score = if (saturated >> j) & 1 == 1 {
+                            ((1u64 << lane.nplanes) - 1) as u32
+                        } else {
+                            let mut s = 0u32;
+                            for (b, &plane) in planes.iter().enumerate() {
+                                s |= (((plane >> j) & 1) as u32) << b;
+                            }
+                            s
+                        };
+                        results[l].push(Hit {
+                            position: tile_start + block + j,
+                            score,
+                        });
+                    }
                 }
-                if abandoned {
-                    block += 64;
-                    continue;
-                }
-                // O(planes) word ops produce the 64-lane hit mask; only
-                // set lanes pay for score extraction.
-                let mut hit_mask = (ge_threshold_mask(planes, threshold) | saturated) & lane_mask;
-                while hit_mask != 0 {
-                    let j = hit_mask.trailing_zeros() as usize;
-                    hit_mask &= hit_mask - 1;
-                    let score = if (saturated >> j) & 1 == 1 {
-                        ((1u64 << self.nplanes) - 1) as u32
-                    } else {
-                        let mut s = 0u32;
-                        for (b, &plane) in planes.iter().enumerate() {
-                            s |= (((plane >> j) & 1) as u32) << b;
-                        }
-                        s
-                    };
-                    hits.push(Hit {
-                        position: tile_start + block + j,
-                        score,
-                    });
-                }
-                block += 64;
             }
-            tile_start += tile_positions;
         }
-        self.hits_ctr.add(hits.len() as u64);
-        hits
+        self.hits_ctr
+            .add(results.iter().map(|hits| hits.len() as u64).sum());
+        results
     }
 
     /// The original two-pass scan: pass 1 materialises full-length column
@@ -374,8 +475,18 @@ impl BitParallelEngine {
     /// [`BitParallelEngine::search`] and as the baseline the `bench_perf`
     /// harness measures the fused path against. Scores above
     /// `2^MAX_PLANES − 1` saturate, matching the fused path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine holds more than one lane.
     pub fn search_two_pass(&self, reference: &[Nucleotide], threshold: u32) -> Vec<Hit> {
-        let qlen = self.query_len;
+        let [lane] = self.lanes.as_slice() else {
+            panic!(
+                "the two-pass oracle scores one lane, not {}",
+                self.lanes.len()
+            );
+        };
+        let qlen = lane.element_table.len();
         if reference.len() < qlen {
             return Vec::new();
         }
@@ -401,9 +512,9 @@ impl BitParallelEngine {
         while block_base < positions {
             let valid = (positions - block_base).min(64);
             let mut plane_store = [0u64; MAX_PLANES];
-            let planes = &mut plane_store[..self.nplanes];
+            let planes = &mut plane_store[..lane.nplanes];
             let mut saturated = 0u64;
-            for (i, &slot) in self.element_table.iter().enumerate() {
+            for (i, &slot) in lane.element_table.iter().enumerate() {
                 let mut carry = read_unaligned(&columns[slot as usize], block_base + i);
                 for plane in planes.iter_mut() {
                     if carry == 0 {
@@ -422,7 +533,7 @@ impl BitParallelEngine {
                     score |= (((plane >> j) & 1) as u32) << b;
                 }
                 if (saturated >> j) & 1 == 1 {
-                    score = ((1u64 << self.nplanes) - 1) as u32;
+                    score = ((1u64 << lane.nplanes) - 1) as u32;
                 }
                 if score >= threshold || (saturated >> j) & 1 == 1 {
                     hits.push(Hit {
@@ -436,13 +547,6 @@ impl BitParallelEngine {
         hits
     }
 }
-
-/// Queries scored per pass by [`MultiQueryEngine`]: the SIMD width of the
-/// portable `[u64; 4]` lane abstraction (one 256-bit AVX2 register's
-/// worth of 64-bit words; the element-wise array loops below are
-/// auto-vectorized on targets that have the registers, and compile to
-/// four scalar ops on targets that do not).
-pub const LANES: usize = 4;
 
 /// Per-element fused 64-entry comparator tables for one encoded query
 /// (bit `ctx = prev2 << 4 | prev1 << 2 | cur`), validating that no
@@ -486,321 +590,6 @@ fn intern_table(tables: &mut Vec<u64>, table: u64) -> u16 {
             tables.push(table);
             (tables.len() - 1) as u16
         }
-    }
-}
-
-/// One query's view of a [`MultiQueryEngine`] lane.
-#[derive(Debug, Clone)]
-struct LaneQuery {
-    /// Per query element: slot into the engine's *union* table set.
-    element_table: Vec<u16>,
-    query_len: usize,
-    /// Counter planes a single-query engine would use for this query —
-    /// determines the saturated-score cap, matching
-    /// [`BitParallelEngine`] bit-for-bit.
-    nplanes: usize,
-}
-
-/// Multi-query bit-sliced engine: scores up to [`LANES`] queries in one
-/// fused pass over a single decoded column stream.
-///
-/// This is the software analogue of the paper's FPGA running many
-/// alignment instances against one streamed reference: the expensive
-/// per-reference work — packing 64 bases into nucleotide bit-planes,
-/// expanding the one-hot current/prev1/prev2 lane masks, and evaluating
-/// every distinct comparator table through its factored [`TableEval`]
-/// plan — is paid **once per tile** and shared by all lanes, because the
-/// lanes' fused tables are interned into one *union* table set
-/// (protein-derived queries draw from at most [`MAX_TABLES`] distinct
-/// tables total, so four queries' union is no wider than one query's
-/// worst case). Only the per-element counter accumulation remains
-/// per-query: each 64-position block of the hot tile is scored by every
-/// lane in turn, each lane running the exact single-query vertical
-/// counter loop — its own plane count, carry exit and early abandon —
-/// so the shared fill is amortised without giving up any per-lane
-/// control-flow shortcut.
-///
-/// Each lane's hit list is bit-identical to what its own
-/// [`BitParallelEngine::search`] / [`BitParallelEngine::search_two_pass`]
-/// would report (property-tested), including per-lane thresholds,
-/// per-lane early abandon, and per-lane score saturation. Lanes with
-/// different query lengths are supported: shorter lanes simply stop
-/// contributing columns once their elements are exhausted, and their
-/// counters freeze until extraction.
-#[derive(Debug, Clone)]
-pub struct MultiQueryEngine {
-    /// Union of the lanes' distinct fused tables.
-    tables: Vec<u64>,
-    evals: Vec<TableEval>,
-    lanes: Vec<LaneQuery>,
-    max_qlen: usize,
-    queries_ctr: Counter,
-    residues_ctr: Counter,
-    hits_ctr: Counter,
-}
-
-impl MultiQueryEngine {
-    /// Builds a multi-query engine over `queries` (1 ..= [`LANES`] of
-    /// them; telemetry goes to the global registry).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnsupportedQuery`] when any query has a
-    /// context-dependent element at index 0 or 1 (impossible for
-    /// protein-derived queries) or is longer than 65 535 elements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries` is empty, longer than [`LANES`], or contains
-    /// an empty query.
-    pub fn new(queries: &[&EncodedQuery]) -> Result<MultiQueryEngine, UnsupportedQuery> {
-        MultiQueryEngine::with_registry(queries, Registry::global())
-    }
-
-    /// Builds the engine, publishing telemetry to `registry`. See
-    /// [`MultiQueryEngine::new`].
-    ///
-    /// # Errors
-    ///
-    /// As [`MultiQueryEngine::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries` is empty, longer than [`LANES`], or contains
-    /// an empty query.
-    pub fn with_registry(
-        queries: &[&EncodedQuery],
-        registry: &Registry,
-    ) -> Result<MultiQueryEngine, UnsupportedQuery> {
-        assert!(
-            !queries.is_empty() && queries.len() <= LANES,
-            "1..={LANES} queries per multi-query engine, got {}",
-            queries.len()
-        );
-        let mut tables: Vec<u64> = Vec::new();
-        let mut lanes = Vec::with_capacity(queries.len());
-        for query in queries {
-            assert!(!query.is_empty(), "query must be non-empty");
-            let per_element = fused_element_tables(query)?;
-            let element_table: Vec<u16> = per_element
-                .into_iter()
-                .map(|t| intern_table(&mut tables, t))
-                .collect();
-            let query_len = element_table.len();
-            let nplanes = (usize::BITS - query_len.leading_zeros()) as usize;
-            lanes.push(LaneQuery {
-                element_table,
-                query_len,
-                nplanes: nplanes.clamp(1, MAX_PLANES),
-            });
-        }
-        let evals: Vec<TableEval> = tables.iter().map(|&t| TableEval::plan(t)).collect();
-        let max_qlen = lanes.iter().map(|l| l.query_len).max().unwrap_or(1);
-        let engine = labels(&[("engine", "multiquery")]);
-        Ok(MultiQueryEngine {
-            tables,
-            evals,
-            lanes,
-            max_qlen,
-            queries_ctr: registry.counter_with(
-                "fabp_queries_processed_total",
-                "Query scans started, by engine",
-                engine.clone(),
-            ),
-            residues_ctr: registry.counter_with(
-                "fabp_residues_scanned_total",
-                "Alignment positions evaluated, by engine",
-                engine.clone(),
-            ),
-            hits_ctr: registry.counter_with("fabp_hits_total", "Hits emitted, by engine", engine),
-        })
-    }
-
-    /// Number of occupied lanes (1 ..= [`LANES`]).
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Longest lane's query length — the window for slice planning.
-    pub fn max_query_len(&self) -> usize {
-        self.max_qlen
-    }
-
-    /// Query length of `lane`.
-    pub fn query_len(&self, lane: usize) -> usize {
-        self.lanes[lane].query_len
-    }
-
-    /// Distinct comparator tables in the lanes' union.
-    pub fn distinct_tables(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Scans the reference once, scoring every lane against its own
-    /// threshold (`thresholds[l]` applies to lane `l`). Returns one
-    /// position-sorted hit list per lane, each bit-identical to that
-    /// lane's single-query [`BitParallelEngine::search`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `thresholds.len() != self.lanes()`.
-    pub fn search(&self, reference: &[Nucleotide], thresholds: &[u32]) -> Vec<Vec<Hit>> {
-        assert_eq!(thresholds.len(), self.lanes.len(), "one threshold per lane");
-        let nlanes = self.lanes.len();
-        let mut results: Vec<Vec<Hit>> = vec![Vec::new(); nlanes];
-        let mut lane_positions = [0usize; LANES];
-        let mut positions = 0usize;
-        for (l, lane) in self.lanes.iter().enumerate() {
-            lane_positions[l] = reference.len().saturating_sub(lane.query_len - 1);
-            if reference.len() < lane.query_len {
-                lane_positions[l] = 0;
-            }
-            positions = positions.max(lane_positions[l]);
-        }
-        if positions == 0 {
-            return results;
-        }
-        self.queries_ctr.add(nlanes as u64);
-        self.residues_ctr
-            .add(lane_positions.iter().map(|&p| p as u64).sum());
-
-        let tile_positions = TILE_BLOCKS * 64;
-        let overhang_words = (self.max_qlen - 1).div_ceil(64);
-        let tile_words = TILE_BLOCKS + overhang_words + 2;
-        let ntables = self.tables.len();
-        let mut cols = vec![0u64; ntables * tile_words];
-
-        let mut frontier = 0usize;
-        let mut tile_start = 0usize;
-        while tile_start < positions {
-            let tile_valid = (positions - tile_start).min(tile_positions);
-            let need_until = (tile_start + tile_positions + self.max_qlen - 1).min(reference.len());
-            if tile_start > 0 {
-                for t in 0..ntables {
-                    let buf = &mut cols[t * tile_words..(t + 1) * tile_words];
-                    buf.copy_within(TILE_BLOCKS.., 0);
-                    for w in &mut buf[tile_words - TILE_BLOCKS..] {
-                        *w = 0;
-                    }
-                }
-            }
-            debug_assert!(frontier >= tile_start && frontier <= need_until);
-            // Pass 1: one shared column fill for every lane — identical
-            // to the single-query fused fill, over the union tables.
-            let mut w_pos = frontier & !63;
-            while w_pos < need_until {
-                let end = (w_pos + 64).min(reference.len());
-                let mut b0 = 0u64;
-                let mut b1 = 0u64;
-                for (i, base) in reference[w_pos..end].iter().enumerate() {
-                    let c = u64::from(base.code2());
-                    b0 |= (c & 1) << i;
-                    b1 |= (c >> 1) << i;
-                }
-                let (n0, n1) = (!b0, !b1);
-                let e0 = [n1 & n0, n1 & b0, b1 & n0, b1 & b0];
-                let pc1 = prev_code(reference, w_pos, 1);
-                let pc2 = prev_code(reference, w_pos, 2);
-                let mut e1 = [0u64; 4];
-                let mut e2 = [0u64; 4];
-                for v in 0..4 {
-                    e1[v] = (e0[v] << 1) | u64::from(pc1 == v as u8);
-                    e2[v] =
-                        (e0[v] << 2) | (u64::from(pc1 == v as u8) << 1) | u64::from(pc2 == v as u8);
-                }
-                let word = (w_pos - tile_start) / 64;
-                for (t, eval) in self.evals.iter().enumerate() {
-                    let m = eval.eval(&e0, &e1, &e2);
-                    if m != 0 {
-                        cols[t * tile_words + word] |= m;
-                    }
-                }
-                w_pos += 64;
-            }
-            frontier = need_until;
-
-            // Pass 2: block-interleaved per-lane vertical counters. Each
-            // lane runs the single-query accumulation loop — its own
-            // plane count, its own carry exit, its own 16-element early
-            // abandon — over the *shared*, still-cache-hot tile. An
-            // interleaved `[u64; LANES]` ripple was tried first and
-            // measured ~3× slower per lane: rippling the full lane array
-            // per element forfeits the per-lane all-zero-carry exit and
-            // keeps every lane accumulating until the *last* lane
-            // abandons (see docs/PERFORMANCE.md). Lane independence is
-            // what makes this exact: counters never interact across
-            // lanes, only the column fill is shared.
-            let mut block = 0usize;
-            while block < tile_valid {
-                for (l, lane) in self.lanes.iter().enumerate() {
-                    let valid = lane_positions[l].saturating_sub(tile_start + block).min(64);
-                    if valid == 0 {
-                        continue;
-                    }
-                    let lane_mask = if valid == 64 {
-                        u64::MAX
-                    } else {
-                        (1u64 << valid) - 1
-                    };
-                    let threshold = thresholds[l];
-                    let mut plane_store = [0u64; MAX_PLANES];
-                    let planes = &mut plane_store[..lane.nplanes];
-                    let mut saturated = 0u64;
-                    let mut abandoned = false;
-                    for (i, &slot) in lane.element_table[..lane.query_len].iter().enumerate() {
-                        let col =
-                            &cols[slot as usize * tile_words..(slot as usize + 1) * tile_words];
-                        let mut carry = read_unaligned(col, block + i);
-                        for plane in planes.iter_mut() {
-                            if carry == 0 {
-                                break;
-                            }
-                            let t = *plane & carry;
-                            *plane ^= carry;
-                            carry = t;
-                        }
-                        saturated |= carry;
-                        if i & 15 == 15 {
-                            let remaining = (lane.query_len - 1 - i) as u32;
-                            let needed = threshold.saturating_sub(remaining);
-                            if needed > 0
-                                && (ge_threshold_mask(planes, needed) | saturated) & lane_mask == 0
-                            {
-                                abandoned = true;
-                                break;
-                            }
-                        }
-                    }
-                    if abandoned {
-                        continue;
-                    }
-                    let mut hit_mask =
-                        (ge_threshold_mask(planes, threshold) | saturated) & lane_mask;
-                    while hit_mask != 0 {
-                        let j = hit_mask.trailing_zeros() as usize;
-                        hit_mask &= hit_mask - 1;
-                        let score = if (saturated >> j) & 1 == 1 {
-                            ((1u64 << lane.nplanes) - 1) as u32
-                        } else {
-                            let mut s = 0u32;
-                            for (b, &plane) in planes.iter().enumerate() {
-                                s |= (((plane >> j) & 1) as u32) << b;
-                            }
-                            s
-                        };
-                        results[l].push(Hit {
-                            position: tile_start + block + j,
-                            score,
-                        });
-                    }
-                }
-                block += 64;
-            }
-            tile_start += tile_positions;
-        }
-        self.hits_ctr
-            .add(results.iter().map(|r| r.len() as u64).sum());
-        results
     }
 }
 
@@ -990,6 +779,16 @@ mod tests {
     /// Positions covered by one tile, mirrored from the engine constant so
     /// tests exercise real tile boundaries.
     const TILE_POSITIONS: usize = TILE_BLOCKS * 64;
+
+    /// One engine joining a one-lane engine per query, as the batch
+    /// scheduler builds its lane groups.
+    fn joined(queries: &[EncodedQuery]) -> BitParallelEngine {
+        let engines: Vec<BitParallelEngine> = queries
+            .iter()
+            .map(|q| BitParallelEngine::new(q).unwrap())
+            .collect();
+        BitParallelEngine::join(&engines.iter().collect::<Vec<_>>())
+    }
 
     #[test]
     fn matches_scalar_engine_on_random_data() {
@@ -1262,13 +1061,12 @@ mod tests {
             .map(|&aa| random_protein(aa, &mut rng))
             .collect();
         let queries: Vec<_> = proteins.iter().map(EncodedQuery::from_protein).collect();
-        let refs: Vec<&EncodedQuery> = queries.iter().collect();
-        let multi = MultiQueryEngine::new(&refs).unwrap();
+        let multi = joined(&queries);
         assert_eq!(multi.lanes(), 4);
-        assert_eq!(multi.max_query_len(), queries[3].len());
+        assert_eq!(multi.query_len(), queries[3].len());
         let reference = random_rna(10_000, &mut rng);
         let thresholds: Vec<u32> = queries.iter().map(|q| (q.len() as u32) * 2 / 3).collect();
-        let got = multi.search(reference.as_slice(), &thresholds);
+        let got = multi.search_lanes(reference.as_slice(), &thresholds);
         for (l, query) in queries.iter().enumerate() {
             let single = BitParallelEngine::new(query).unwrap();
             assert_eq!(
@@ -1290,13 +1088,12 @@ mod tests {
                 .map(|i| random_protein(4 + 6 * i, &mut rng))
                 .collect();
             let queries: Vec<_> = proteins.iter().map(EncodedQuery::from_protein).collect();
-            let refs: Vec<&EncodedQuery> = queries.iter().collect();
-            let multi = MultiQueryEngine::new(&refs).unwrap();
-            let max_qlen = multi.max_query_len();
+            let multi = joined(&queries);
+            let max_qlen = multi.query_len();
             for len in [0usize, 5, max_qlen - 1, max_qlen, max_qlen + 100] {
                 let reference = random_rna(len, &mut rng);
                 let thresholds = vec![3u32; nlanes];
-                let got = multi.search(reference.as_slice(), &thresholds);
+                let got = multi.search_lanes(reference.as_slice(), &thresholds);
                 assert_eq!(got.len(), nlanes);
                 for (l, query) in queries.iter().enumerate() {
                     let single = BitParallelEngine::new(query).unwrap();
@@ -1337,9 +1134,8 @@ mod tests {
                 .iter()
                 .map(EncodedQuery::from_protein)
                 .collect();
-            let refs: Vec<&EncodedQuery> = queries.iter().collect();
-            let multi = MultiQueryEngine::new(&refs).unwrap();
-            let max_qlen = multi.max_query_len();
+            let multi = joined(&queries);
+            let max_qlen = multi.query_len();
             let len = match len_class {
                 0 => max_qlen.saturating_sub(jitter % 5),
                 1 => max_qlen + jitter % 70,
@@ -1352,7 +1148,7 @@ mod tests {
                 .enumerate()
                 .map(|(l, q)| (q.len() as u32).saturating_sub(1 + (l as u32 + jitter as u32) % 7))
                 .collect();
-            let got = multi.search(reference.as_slice(), &thresholds);
+            let got = multi.search_lanes(reference.as_slice(), &thresholds);
             for (l, query) in queries.iter().enumerate() {
                 let single = BitParallelEngine::new(query).unwrap();
                 prop_assert_eq!(
@@ -1372,8 +1168,48 @@ mod tests {
         let protein = random_protein(10, &mut rng);
         let query = EncodedQuery::from_protein(&protein);
         let single = BitParallelEngine::new(&query).unwrap();
-        let multi = MultiQueryEngine::new(&[&query, &query, &query, &query]).unwrap();
+        let multi = BitParallelEngine::join(&[&single, &single, &single, &single]);
         assert_eq!(multi.distinct_tables(), single.distinct_tables());
         assert!(multi.distinct_tables() <= MAX_TABLES);
+    }
+
+    #[test]
+    fn joined_engines_join_again_and_count_one_query_per_lane() {
+        // A join of joined engines keeps every lane exact, and one pass
+        // counts one query per lane under the `bitparallel` label.
+        let mut rng = StdRng::seed_from_u64(0xB182);
+        let registry = Registry::new();
+        let singles: Vec<BitParallelEngine> = (0..LANES)
+            .map(|i| {
+                let query = EncodedQuery::from_protein(&random_protein(5 + 3 * i, &mut rng));
+                BitParallelEngine::with_registry(&query, &registry).unwrap()
+            })
+            .collect();
+        let pair = BitParallelEngine::join(&[&singles[0], &singles[1]]);
+        let four = BitParallelEngine::join(&[&pair, &singles[2], &singles[3]]);
+        assert_eq!(four.lanes(), LANES);
+        let reference = random_rna(3_000, &mut rng);
+        let got = four.search_lanes(reference.as_slice(), &[4; LANES]);
+        for (l, single) in singles.iter().enumerate() {
+            assert_eq!(
+                got[l],
+                single.search_two_pass(reference.as_slice(), 4),
+                "lane {l}"
+            );
+        }
+        let text = registry.snapshot().to_prometheus();
+        assert!(
+            text.contains("fabp_queries_processed_total{engine=\"bitparallel\"} 4"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "lanes per engine")]
+    fn join_beyond_lanes_panics() {
+        let query = EncodedQuery::from_protein(&"MKW".parse().unwrap());
+        let one = BitParallelEngine::new(&query).unwrap();
+        let full = BitParallelEngine::join(&[&one; LANES]);
+        BitParallelEngine::join(&[&full, &one]);
     }
 }

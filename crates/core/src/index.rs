@@ -415,6 +415,21 @@ impl ReferenceIndex {
             }
             geometry.push((start, base_len, word_count, payload_crc));
         }
+        // The shards must tile the reference in order, each reaching
+        // `overlap` bases into the next, as `build_from_rna` writes them:
+        // hit coordinates rely on it, and it bounds `total_bases` by the
+        // payload the file actually holds.
+        let tiled = geometry.first().is_some_and(|g| g.0 == 0)
+            && geometry.windows(2).all(|w| {
+                let ((start, len, ..), (next, ..)) = (w[0], w[1]);
+                next > start && start + len >= next.saturating_add(overlap).min(total_bases)
+            })
+            && geometry.last().is_some_and(|g| g.0 + g.1 == total_bases);
+        if !tiled {
+            return Err(FabpError::Decode(format!(
+                "shards do not tile {total_bases} bases in order with overlap {overlap}"
+            )));
+        }
 
         let mut cursor = Cursor {
             bytes: cur.rest(),
@@ -957,6 +972,60 @@ mod tests {
             Err(FabpError::Decode(msg)) => assert!(msg.contains("exceeds"), "{msg}"),
             other => panic!("expected a decode error, got {other:?}"),
         }
+    }
+
+    /// Rewrites the u64 at byte `offset` of the header region and
+    /// recomputes the header CRC, as anyone crafting an index can.
+    fn forge_header_u64(bytes: &mut [u8], offset: usize, value: u64) {
+        let header_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        bytes[16 + offset..24 + offset].copy_from_slice(&value.to_le_bytes());
+        let crc = fabp_resilience::crc::crc32(&bytes[16..16 + header_len]);
+        bytes[16 + header_len..20 + header_len].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    fn expect_tiling_error(bytes: &[u8]) {
+        match ReferenceIndex::from_bytes(bytes) {
+            Err(FabpError::Decode(msg)) => assert!(msg.contains("do not tile"), "{msg}"),
+            other => panic!("expected a decode error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn lying_total_bases_is_a_decode_error_not_an_allocation() {
+        // Every shard still fits inside the claimed 2^44 bases, but the
+        // last one ends far short of them: decoding the reference would
+        // otherwise allocate 16 TiB.
+        let (_, index) = small_index(1_000, 17);
+        let mut bytes = index.to_bytes();
+        forge_header_u64(&mut bytes, 0, 1 << 44);
+        expect_tiling_error(&bytes);
+    }
+
+    #[test]
+    fn misordered_or_gapped_shards_are_decode_errors() {
+        // Shard geometry follows the 24-byte header fields, 32 bytes per
+        // shard, `start` first.
+        let (_, index) = small_index(1_000, 17);
+        let start_at = |shard: usize| 24 + SHARD_GEOMETRY_BYTES * shard;
+        let starts: Vec<u64> = index.shards().iter().map(|s| s.start as u64).collect();
+        assert!(starts.len() >= 3, "{starts:?}");
+
+        // Swapped starts: each range still fits, but hits would land at
+        // the wrong coordinates.
+        let mut bytes = index.to_bytes();
+        forge_header_u64(&mut bytes, start_at(1), starts[2]);
+        forge_header_u64(&mut bytes, start_at(2), starts[1]);
+        expect_tiling_error(&bytes);
+
+        // A shard that no longer reaches `overlap` bases into the next.
+        let mut bytes = index.to_bytes();
+        forge_header_u64(&mut bytes, start_at(1), starts[1] + 1);
+        expect_tiling_error(&bytes);
+
+        // A first shard that does not start at base 0.
+        let mut bytes = index.to_bytes();
+        forge_header_u64(&mut bytes, start_at(0), 1);
+        expect_tiling_error(&bytes);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   cycle-accurate execution engines (identical hits; the latter adds
 //!   cycle/bandwidth statistics from the `fabp-fpga` model).
 //! * [`bitparallel`] — the fused bit-parallel engine, the one software
-//!   scan.
+//!   scan kernel: one to [`LANES`] queries per pass over one reference.
 //! * [`batch`] — the one scheduler: every software search (aligner,
 //!   batch, index, serving) runs as `(query, reference-slice)` items of
 //!   its work-stealing claim loop.
@@ -54,7 +54,7 @@ pub mod software;
 pub mod streaming;
 
 pub use aligner::{BuildError, Engine, FabpAligner, SearchOutcome, Threshold};
-pub use bitparallel::{BitParallelEngine, MultiQueryEngine, LANES};
+pub use bitparallel::{BitParallelEngine, LANES};
 pub use fleet::{
     pack_shards, place_replicas, FleetSearchOutcome, FleetTiming, FpgaFleet, ShardDispatch,
 };

@@ -32,13 +32,6 @@ pub struct BatchPolicy {
     pub prior_query_us: f64,
     /// EWMA smoothing factor in `(0, 1]`; higher adapts faster.
     pub alpha: f64,
-    /// SIMD lane width of the downstream batch engine
-    /// ([`fabp_core::LANES`]). When the queue holds more work than one
-    /// dispatch takes, targets are rounded down to a lane multiple so
-    /// micro-batches land on lane-group boundaries instead of paying a
-    /// partially-filled multi-query pass; depth-limited dispatches (the
-    /// queue fits entirely) are never rounded. `1` disables rounding.
-    pub lanes: usize,
 }
 
 impl Default for BatchPolicy {
@@ -48,7 +41,6 @@ impl Default for BatchPolicy {
             slo_us: 50_000,
             prior_query_us: 1_000.0,
             alpha: 0.3,
-            lanes: fabp_core::LANES,
         }
     }
 }
@@ -101,6 +93,12 @@ impl AdaptiveBatcher {
     /// requests. Zero when the queue is empty; otherwise at least 1 (a
     /// single query is dispatched even if it alone is predicted to miss
     /// the SLO — shedding is the queue's job, not the batcher's).
+    ///
+    /// When the queue holds more work than one dispatch takes, the target
+    /// is rounded down to a multiple of [`fabp_core::LANES`] so
+    /// micro-batches land on lane-group boundaries instead of paying a
+    /// partially filled lane pass; depth-limited dispatches (the queue
+    /// fits entirely) are never rounded.
     pub fn target_batch(&mut self, queue_depth: usize) -> usize {
         if queue_depth == 0 {
             self.target_gauge.set(0);
@@ -109,10 +107,9 @@ impl AdaptiveBatcher {
         let slo_limited = (self.policy.slo_us as f64 / self.ewma_query_us).floor() as usize;
         let capped = slo_limited.min(self.policy.max_batch);
         let target = if capped < queue_depth {
-            // Lane-aware rounding: the queue can refill the next batch, so
-            // don't dispatch a ragged tail that leaves SIMD lanes empty.
-            let lanes = self.policy.lanes.max(1);
-            (capped / lanes) * lanes
+            // The queue can refill the next batch, so don't dispatch a
+            // ragged tail that leaves lanes empty.
+            capped / fabp_core::LANES * fabp_core::LANES
         } else {
             queue_depth // taking the whole queue: a remainder is unavoidable
         }
@@ -153,7 +150,6 @@ mod tests {
             slo_us: 10_000,
             prior_query_us: 1_000.0,
             alpha: 0.3,
-            lanes: 4,
         });
         // slo/prior = 10: depth-limited below, SLO-limited (and rounded
         // down to the lane boundary) above.
@@ -168,7 +164,6 @@ mod tests {
             slo_us: 100, // SLO below even one query's cost
             prior_query_us: 1_000.0,
             alpha: 0.3,
-            lanes: 4,
         });
         assert_eq!(b.target_batch(0), 0);
         assert_eq!(b.target_batch(5), 1, "always makes forward progress");
@@ -181,7 +176,6 @@ mod tests {
             slo_us: 10_000,
             prior_query_us: 100.0,
             alpha: 1.0, // adapt instantly for the test
-            lanes: 4,
         });
         assert_eq!(b.target_batch(1_000), 100); // 10_000 / 100, lane-aligned
         b.observe(10, 20_000.0); // 2_000 us/query observed
@@ -198,7 +192,6 @@ mod tests {
             slo_us: 1_000_000,
             prior_query_us: 1.0,
             alpha: 0.1,
-            lanes: 4,
         });
         b.observe(4, 4_000.0); // 1_000 us/query
         assert!((b.ewma_query_us() - 1_000.0).abs() < 1e-9);
@@ -214,7 +207,6 @@ mod tests {
             slo_us: 1_000_000,
             prior_query_us: 1.0,
             alpha: 0.3,
-            lanes: 4,
         });
         assert_eq!(b.target_batch(10_000), 8);
     }
@@ -226,7 +218,6 @@ mod tests {
             slo_us: 10_000,
             prior_query_us: 1_000.0, // SLO-limited at 10
             alpha: 0.3,
-            lanes: 4,
         });
         // Queue deeper than the cap: 10 rounds down to the lane boundary.
         assert_eq!(b.target_batch(50), 8);
@@ -239,18 +230,8 @@ mod tests {
             slo_us: 3_000, // SLO-limited at 3 < lanes
             prior_query_us: 1_000.0,
             alpha: 0.3,
-            lanes: 4,
         });
         assert_eq!(tiny.target_batch(50), 1);
-        // lanes = 1 disables rounding entirely.
-        let mut unrounded = batcher(BatchPolicy {
-            max_batch: 64,
-            slo_us: 10_000,
-            prior_query_us: 1_000.0,
-            alpha: 0.3,
-            lanes: 1,
-        });
-        assert_eq!(unrounded.target_batch(50), 10);
     }
 
     #[test]

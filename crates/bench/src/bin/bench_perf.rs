@@ -16,7 +16,8 @@
 //!   (`fused_multiquery4`) vs four independent fused scans;
 //! * `streaming` — chunked feed through the reusable carry buffer;
 //! * `engine` — the cycle-accurate simulator's event-driven fast-forward
-//!   path vs the exact per-beat model.
+//!   path (the fused bit-parallel kernel under the cycle accounting) vs
+//!   the exact per-beat model.
 //!
 //! Before any timing, the harness cross-checks that the fused scan, the
 //! two-pass oracle and the scalar engine produce **bit-identical hit
@@ -375,15 +376,24 @@ fn run_shape(shape: &Shape, best_of_override: Option<usize>) -> Vec<Entry> {
     );
     let (_, t_exact) = time_best_of(best_of, || engine.run_beats_exact(&beats, &quiet));
     let (_, t_fast) = time_best_of(best_of, || engine.run_beats(&beats, &quiet));
+    let engine_per_base = |s: f64| format!("{:.3} ns/base", s * 1e9 / shape.engine_bases as f64);
     entries.push(Entry::time(
         &format!("engine_exact_{tag}"),
         t_exact,
-        format!("{} bases per-beat", shape.engine_bases),
+        format!(
+            "{} bases per-beat, {}",
+            shape.engine_bases,
+            engine_per_base(t_exact)
+        ),
     ));
     entries.push(Entry::time(
         &format!("engine_fast_forward_{tag}"),
         t_fast,
-        format!("{} bases event-driven", shape.engine_bases),
+        format!(
+            "{} bases event-driven, fused bit-parallel datapath, {}",
+            shape.engine_bases,
+            engine_per_base(t_fast)
+        ),
     ));
     entries.push(Entry::speedup(
         &format!("engine_fast_forward_vs_exact_{tag}"),

@@ -8,8 +8,9 @@
 //! * [`aligner::FabpAligner`] — builder API with software and
 //!   cycle-accurate execution engines (identical hits; the latter adds
 //!   cycle/bandwidth statistics from the `fabp-fpga` model).
-//! * [`bitparallel`] — the fused bit-parallel engine, the one software
-//!   scan kernel: one to [`LANES`] queries per pass over one reference.
+//! * [`bitparallel`] — the fused bit-parallel engine, the one scan
+//!   kernel: one to [`LANES`] queries per pass over one reference
+//!   (re-exported from `fabp-fpga`, whose cycle engine runs it too).
 //! * [`batch`] — the one scheduler: every software search (aligner,
 //!   batch, index, serving) runs as `(query, reference-slice)` items of
 //!   its work-stealing claim loop.
@@ -44,7 +45,6 @@
 
 pub mod aligner;
 pub mod batch;
-pub mod bitparallel;
 pub mod fleet;
 pub mod hits;
 pub mod host;
@@ -55,6 +55,9 @@ pub mod streaming;
 
 pub use aligner::{BuildError, Engine, FabpAligner, SearchOutcome, Threshold};
 pub use bitparallel::{BitParallelEngine, LANES};
+// The fused engine lives in `fabp-fpga`, beside the cycle engine whose
+// fast-forward datapath it drives; every core path reaches it here.
+pub use fabp_fpga::bitparallel;
 pub use fleet::{
     pack_shards, place_replicas, FleetSearchOutcome, FleetTiming, FpgaFleet, ShardDispatch,
 };

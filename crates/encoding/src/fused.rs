@@ -1,12 +1,14 @@
-//! Fused per-element match tables for fast software scoring.
+//! Fused per-element match tables for scalar software scoring.
 //!
 //! The two-LUT comparator of the hardware (input multiplexer + compare
 //! LUT, Fig. 5) is a pure function of the query element and the reference
 //! context `(ref[i−2], ref[i−1], ref[i])`. Fusing both LUTs per query
-//! element yields one 64-entry truth table, making the software inner loop
-//! a single indexed bit test — this is the engine behind the fast
-//! functional aligner in `fabp-core` and the GPU-kernel baseline in
-//! `fabp-baselines`.
+//! element yields one 64-entry truth table, making the scalar inner loop a
+//! single indexed bit test. No production scan runs it: it is the
+//! one-window-at-a-time oracle behind `fabp-core`'s `SoftwareEngine`
+//! and the GPU-kernel baseline in `fabp-baselines`. The production
+//! kernel, `fabp-fpga`'s `BitParallelEngine`, builds the same tables
+//! and scores 64 windows per word operation.
 
 use fabp_bio::alphabet::Nucleotide;
 use fabp_bio::backtranslate::BackTranslatedQuery;

@@ -46,6 +46,29 @@ impl AxiBeat {
     pub fn iter(&self) -> impl Iterator<Item = Nucleotide> + '_ {
         (0..self.valid).map(|i| self.base(i))
     }
+
+    /// Appends the valid bases to `out` — the stream buffer's fill —
+    /// unpacking a whole word (32 bases) per step rather than a base.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `valid` exceeds [`ELEMENTS_PER_BEAT`].
+    fn unpack_into(&self, out: &mut Vec<Nucleotide>) {
+        assert!(
+            self.valid <= ELEMENTS_PER_BEAT,
+            "beat holds {} > {ELEMENTS_PER_BEAT} bases",
+            self.valid
+        );
+        for (w, &word) in self.words.iter().enumerate() {
+            let n = self.valid.saturating_sub(32 * w).min(32);
+            if n == 0 {
+                break;
+            }
+            let bases: [Nucleotide; 32] =
+                std::array::from_fn(|i| Nucleotide::from_code2((word >> (2 * i)) as u8));
+            out.extend_from_slice(&bases[..n]);
+        }
+    }
 }
 
 /// Splits a packed reference into AXI beats.
@@ -128,7 +151,7 @@ impl ReferenceStream {
         } else {
             self.primed = true;
         }
-        self.buffer.extend(beat.iter());
+        beat.unpack_into(&mut self.buffer);
         StreamWindow {
             start_position: self.base_position,
             elements: &self.buffer,
@@ -165,7 +188,7 @@ mod tests {
     use fabp_bio::generate::random_rna;
     use fabp_bio::seq::RnaSeq;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn beats_round_trip_all_bases() {
@@ -176,6 +199,19 @@ mod tests {
             let unpacked: RnaSeq = beats.iter().flat_map(|b| b.iter()).collect();
             assert_eq!(unpacked, rna, "len {len}");
             assert_eq!(beats.len(), len.div_ceil(ELEMENTS_PER_BEAT));
+        }
+    }
+
+    #[test]
+    fn unpack_into_equals_iter_on_partial_beats() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let words: [u64; 8] = std::array::from_fn(|_| rng.gen());
+        for valid in [0usize, 1, 17, 31, 32, 33, 200, 255, 256] {
+            let beat = AxiBeat { words, valid };
+            let mut out = vec![Nucleotide::G];
+            beat.unpack_into(&mut out);
+            assert_eq!(out[0], Nucleotide::G, "valid {valid}: appends");
+            assert_eq!(out[1..], beat.iter().collect::<Vec<_>>(), "valid {valid}");
         }
     }
 

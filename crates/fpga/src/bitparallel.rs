@@ -41,12 +41,17 @@
 //! coincide); arbitrary element streams with early dependent elements are
 //! rejected at construction.
 //!
+//! The engine is the one scan kernel under both the software searches
+//! (`fabp-core` re-exports this module as its own `bitparallel`) and
+//! the cycle engine's fast-forward datapath
+//! ([`EngineSession::push_beats_fast`](crate::engine::EngineSession::push_beats_fast)).
+//!
 //! The original two-pass implementation is retained as
 //! [`BitParallelEngine::search_two_pass`] — it is the differential-testing
 //! oracle and the baseline the `bench_perf` harness measures the fused
 //! path against.
 
-use crate::hits::Hit;
+use crate::engine::Hit;
 use fabp_bio::alphabet::Nucleotide;
 use fabp_bio::backtranslate::{DependentFn, PatternElement};
 use fabp_encoding::encoder::EncodedQuery;
@@ -105,12 +110,6 @@ impl std::fmt::Display for UnsupportedQuery {
 }
 
 impl std::error::Error for UnsupportedQuery {}
-
-impl From<UnsupportedQuery> for fabp_resilience::FabpError {
-    fn from(e: UnsupportedQuery) -> fabp_resilience::FabpError {
-        fabp_resilience::FabpError::Plan(e.to_string())
-    }
-}
 
 /// The fused bit-parallel engine: one to [`LANES`] encoded queries
 /// scored against one reference stream.
@@ -769,9 +768,9 @@ fn read_unaligned(words: &[u64], bit_pos: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::software::SoftwareEngine;
     use fabp_bio::backtranslate::BackTranslatedQuery;
     use fabp_bio::generate::{random_protein, random_rna};
+    use fabp_encoding::fused::FusedScorer;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -779,6 +778,31 @@ mod tests {
     /// Positions covered by one tile, mirrored from the engine constant so
     /// tests exercise real tile boundaries.
     const TILE_POSITIONS: usize = TILE_BLOCKS * 64;
+
+    /// The scalar oracle: the thresholded [`FusedScorer`] scan that
+    /// `fabp-core`'s `SoftwareEngine` wraps, one window at a time.
+    struct ScalarScan(FusedScorer);
+
+    impl ScalarScan {
+        fn new(query: &EncodedQuery) -> ScalarScan {
+            ScalarScan(FusedScorer::build(&query.decode()))
+        }
+
+        fn search(&self, reference: &[Nucleotide], threshold: u32) -> Vec<Hit> {
+            let positions = (reference.len() + 1).saturating_sub(self.0.len());
+            (0..positions)
+                .filter_map(|position| {
+                    self.0
+                        .score_window_thresholded(&reference[position..], threshold)
+                        .map(|score| Hit { position, score })
+                })
+                .collect()
+        }
+
+        fn score_all(&self, reference: &[Nucleotide]) -> Vec<u32> {
+            self.0.score_all_positions(reference)
+        }
+    }
 
     /// One engine joining a one-lane engine per query, as the batch
     /// scheduler builds its lane groups.
@@ -796,7 +820,7 @@ mod tests {
         for _ in 0..5 {
             let protein = random_protein(20, &mut rng);
             let query = EncodedQuery::from_protein(&protein);
-            let scalar = SoftwareEngine::new(&query);
+            let scalar = ScalarScan::new(&query);
             let parallel = BitParallelEngine::new(&query).unwrap();
             let reference = random_rna(5_000, &mut rng);
             for threshold in [0u32, 30, 45, 60] {
@@ -843,7 +867,7 @@ mod tests {
                 _ => qlen - 1 + 2 * TILE_POSITIONS - 65 + jitter,
             };
             let reference = random_rna(len, &mut rng);
-            let scalar = SoftwareEngine::new(&query);
+            let scalar = ScalarScan::new(&query);
             let parallel = BitParallelEngine::new(&query).unwrap();
 
             if len < qlen {
@@ -874,7 +898,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xB17B);
         let protein = random_protein(5, &mut rng);
         let query = EncodedQuery::from_protein(&protein);
-        let scalar = SoftwareEngine::new(&query);
+        let scalar = ScalarScan::new(&query);
         let parallel = BitParallelEngine::new(&query).unwrap();
         for len in [15usize, 64, 78, 79, 128, 142, 143, 200] {
             let reference = random_rna(len, &mut rng);
@@ -895,7 +919,7 @@ mod tests {
         let protein = random_protein(7, &mut rng);
         let query = EncodedQuery::from_protein(&protein);
         let qlen = query.len();
-        let scalar = SoftwareEngine::new(&query);
+        let scalar = ScalarScan::new(&query);
         let parallel = BitParallelEngine::new(&query).unwrap();
         for blocks in [1usize, 2, TILE_BLOCKS, TILE_BLOCKS + 1] {
             let len = qlen - 1 + blocks * 64; // positions == blocks * 64
@@ -918,7 +942,7 @@ mod tests {
             let protein = random_protein(6, &mut rng);
             let query = EncodedQuery::from_protein(&protein);
             let qlen = query.len();
-            let scalar = SoftwareEngine::new(&query);
+            let scalar = ScalarScan::new(&query);
             let parallel = BitParallelEngine::new(&query).unwrap();
             let reference = random_rna(qlen, &mut rng);
             for threshold in [0u32, 1, qlen as u32] {
@@ -941,7 +965,7 @@ mod tests {
         let protein = random_protein(10, &mut rng);
         let query = EncodedQuery::from_protein(&protein);
         let qlen = query.len();
-        let scalar = SoftwareEngine::new(&query);
+        let scalar = ScalarScan::new(&query);
         let parallel = BitParallelEngine::new(&query).unwrap();
         let len = qlen - 1 + TILE_POSITIONS + 500;
         let reference = random_rna(len, &mut rng);

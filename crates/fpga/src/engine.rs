@@ -11,17 +11,32 @@
 //! datapath evaluates the same LUT truth tables the RTL would) while the
 //! cycle accounting reproduces the paper's bandwidth/segmentation
 //! behaviour.
+//!
+//! Two datapaths share that accounting. The exact per-beat path
+//! ([`EngineSession::push_beat`]) evaluates the live two-LUT comparator
+//! configuration for every instance, so it also models configuration
+//! upsets. The fast-forward path ([`EngineSession::push_beats_fast`],
+//! behind [`FabpEngine::run`]) scores the beat stream with the fused
+//! bit-parallel kernel ([`crate::bitparallel`]) in bounded chunks and
+//! retires each hit with the beat that completes its window, so hits
+//! and every [`CycleReport`] field match the exact path.
 
 use crate::axi::{AxiChannel, AxiConfig};
+use crate::bitparallel::BitParallelEngine;
 use crate::comparator::ComparatorCell;
 use crate::device::FpgaDevice;
 use crate::primitives::DspThreshold;
 use crate::resources::{plan, ArchParams, FabpPlan, PlanError};
+use fabp_bio::alphabet::Nucleotide;
 use fabp_bio::seq::PackedSeq;
 use fabp_encoding::encoder::EncodedQuery;
-use fabp_encoding::fused::FusedScorer;
-use fabp_encoding::packing::{axi_beats, AxiBeat, ReferenceStream};
+use fabp_encoding::packing::{axi_beats, AxiBeat, ReferenceStream, ELEMENTS_PER_BEAT};
 use std::fmt;
+
+/// Beats one fused scan of the fast-forward path covers. Its buffer
+/// holds these beats' 16 384 elements plus the `L_q − 1` the stream
+/// buffer carries, so it is bounded by the chunk, not the reference.
+const FAST_CHUNK_BEATS: usize = 64;
 
 /// Configuration of a FabP engine instance.
 #[derive(Debug, Clone)]
@@ -122,10 +137,14 @@ pub struct FabpEngine {
     config: EngineConfig,
     cell: ComparatorCell,
     dsp: DspThreshold,
-    /// Fused per-element truth tables — functionally identical to the
-    /// golden `cell` (same LUT contents, property-tested), used by the
-    /// fast-forward datapath while the live configuration is pristine.
-    fused: FusedScorer,
+    /// The fused bit-parallel kernel over the golden `cell`'s truth
+    /// tables (bit-identical, property-tested): the fast-forward
+    /// datapath while the live configuration is pristine. `None` when
+    /// the kernel rejects the query (a context-dependent element at
+    /// index 0 or 1), which then always takes the exact path. Its
+    /// counters go to a disabled registry: a run counts only through
+    /// `record_engine_run`, under `engine="cycle"`.
+    kernel: Option<BitParallelEngine>,
 }
 
 impl FabpEngine {
@@ -143,14 +162,15 @@ impl FabpEngine {
         assert!(!query.is_empty(), "query must be non-empty");
         let plan = plan(&config.device, query.len(), config.channels, &config.arch)?;
         let dsp = DspThreshold::new(config.threshold.min((1 << DspThreshold::SCORE_WIDTH) - 1));
-        let fused = FusedScorer::build(&query.decode());
+        let kernel =
+            BitParallelEngine::with_registry(&query, &fabp_telemetry::Registry::disabled()).ok();
         Ok(FabpEngine {
             query,
             plan,
             config,
             cell: ComparatorCell::new(),
             dsp,
-            fused,
+            kernel,
         })
     }
 
@@ -221,7 +241,8 @@ impl FabpEngine {
     /// fields are bit-identical to [`FabpEngine::run_beats_exact`]
     /// (enforced by the equivalence test matrix), but stall-free bursts
     /// are advanced in O(1) and the datapath is scored by the fused
-    /// comparator tables instead of per-element LUT evaluation.
+    /// bit-parallel kernel, 64 instances per word operation, instead of
+    /// per-element LUT evaluation.
     pub fn run_beats(&self, beats: &[AxiBeat], registry: &fabp_telemetry::Registry) -> EngineRun {
         let mut session = self.session();
         session.push_beats_fast(beats);
@@ -430,14 +451,20 @@ impl<'e> EngineSession<'e> {
     /// the `fast_forward_equivalence` test matrix), but two per-beat costs
     /// are amortised:
     ///
-    /// * **Datapath**: alignment instances are scored through the fused
-    ///   per-element truth tables ([`FusedScorer`]) with a
-    ///   mismatch-budget early exit, instead of per-element evaluation of
-    ///   the two-LUT comparator netlist. This is only valid while the
-    ///   live configuration equals the engine's golden cell; if a
-    ///   configuration upset is present ([`EngineSession::set_cell`]),
-    ///   the whole stream takes the exact per-beat slow path so the
-    ///   corrupted netlist is faithfully modelled.
+    /// * **Datapath**: the beats stream through the Reference Stream
+    ///   buffer as in `push_beat`, and every alignment instance they
+    ///   complete is scored by one fused bit-parallel scan
+    ///   ([`BitParallelEngine`]) per chunk of [`FAST_CHUNK_BEATS`] beats,
+    ///   over the chunk's elements plus the `L_q − 1` the buffer carries
+    ///   from earlier beats, instead of per-element evaluation of the
+    ///   two-LUT comparator netlist. A hit at position `p` retires with
+    ///   the beat that delivers element `p + L_q − 1`, the beat whose
+    ///   `push_beat` would report it, so each beat's hit count, `hits`,
+    ///   `instances_evaluated` and the stream buffer end up exactly as
+    ///   the per-beat path leaves them. The kernel models the *golden*
+    ///   datapath: if a configuration upset is present
+    ///   ([`EngineSession::set_cell`]), or the kernel rejects the query,
+    ///   the whole stream takes the exact per-beat path instead.
     /// * **Cycle accounting**: stall-free beats are batched per channel
     ///   and advanced over whole AXI bursts in O(1)
     ///   ([`AxiChannel::fetch_burst`]). Only two events can interrupt a
@@ -447,79 +474,86 @@ impl<'e> EngineSession<'e> {
     ///   single-beat update.
     pub fn push_beats_fast(&mut self, beats: &[AxiBeat]) {
         debug_assert!(!self.finished, "session already finished");
-        if self.cell != self.engine.cell {
-            // A live SEU is present: the fused scorer models the *golden*
-            // datapath, so it cannot reproduce the corrupted netlist's
-            // outputs. Take the exact per-beat path for the whole stream.
-            for beat in beats {
-                self.push_beat(beat);
+        let engine = self.engine;
+        let kernel = match &engine.kernel {
+            Some(kernel) if self.cell == engine.cell => kernel,
+            // A live SEU (the kernel models the golden netlist) or a
+            // query the kernel rejects: exact per-beat path throughout.
+            _ => {
+                for beat in beats {
+                    self.push_beat(beat);
+                }
+                return;
             }
-            return;
-        }
-        let query_len = self.engine.query.len();
-        let segments = self.engine.plan.segments.max(1) as u64;
+        };
+        let query_len = engine.query.len();
+        let segments = engine.plan.segments.max(1) as u64;
         let channels = self.channel_ready.len();
-        let bpb = self.engine.config.axi.beats_per_burst;
-        let wb_rate = self.engine.config.wb_rate_per_cycle.max(1) as u64;
-        let threshold = self.engine.dsp.threshold();
+        let bpb = engine.config.axi.beats_per_burst;
+        let wb_rate = engine.config.wb_rate_per_cycle.max(1) as u64;
+        let threshold = engine.dsp.threshold();
         // Stall-free beats deferred per channel, waiting to be advanced
         // in one `fetch_burst` call.
         let mut pending = vec![0u64; channels];
-        for beat in beats {
-            let ch = (self.beat_index % channels as u64) as usize;
-            self.beat_index += 1;
-
-            // Fused-table scoring — bit-identical to the golden
-            // comparator netlist (property-tested in `fabp-encoding` and
-            // revalidated by the equivalence matrix).
-            let mut beat_hits = 0u64;
-            {
+        let mut scan: Vec<Nucleotide> =
+            Vec::with_capacity(query_len + FAST_CHUNK_BEATS * ELEMENTS_PER_BEAT);
+        for chunk in beats.chunks(FAST_CHUNK_BEATS) {
+            // The reference from `next_position` on: the elements of
+            // incomplete instances the stream buffer carries (at most
+            // `L_q − 1`), then every element the chunk's beats deliver.
+            let scan_start = self.next_position;
+            scan.clear();
+            for beat in chunk {
                 let window = self.stream.push_beat(beat);
-                if window.elements.len() >= query_len {
-                    for offset in 0..=window.elements.len() - query_len {
-                        let position = window.start_position + offset;
-                        if position < self.next_position {
-                            continue;
-                        }
-                        self.stats.instances_evaluated += 1;
-                        if let Some(score) = self
-                            .engine
-                            .fused
-                            .score_window_thresholded(&window.elements[offset..], threshold)
-                        {
-                            self.hits.push(Hit { position, score });
-                            beat_hits += 1;
-                        }
-                    }
-                    self.next_position =
-                        window.start_position + window.elements.len() - query_len + 1;
+                let have = scan_start + scan.len();
+                scan.extend_from_slice(&window.elements[have - window.start_position..]);
+            }
+            let mut hits = kernel.search(&scan, threshold).into_iter().peekable();
+            for beat in chunk {
+                let ch = (self.beat_index % channels as u64) as usize;
+                self.beat_index += 1;
+                self.consumed += beat.valid as u64;
+
+                // Retire the instances this beat completes: positions up
+                // to `consumed − L_q`, each scored once.
+                let next = (self.consumed as usize + 1).saturating_sub(query_len);
+                self.stats.instances_evaluated += (next - self.next_position) as u64;
+                self.next_position = next;
+                let mut beat_hits = 0u64;
+                while let Some(hit) = hits.next_if(|h| scan_start + h.position < next) {
+                    self.hits.push(Hit {
+                        position: scan_start + hit.position,
+                        score: hit.score,
+                    });
+                    beat_hits += 1;
+                }
+
+                let wb_cycles = beat_hits.div_ceil(wb_rate);
+                let extra_wb = wb_cycles.saturating_sub(segments);
+
+                // This beat's index within the channel's own sequence:
+                // beats already fetched plus beats deferred ahead of it.
+                let local = self.axi[ch].stats().beats + pending[ch];
+                let new_burst = bpb != u64::MAX && local.is_multiple_of(bpb);
+                if pending[ch] > 0 && (new_burst || extra_wb > 0) {
+                    // Event boundary: advance the deferred stall-free
+                    // beats in O(1) before handling this one exactly.
+                    self.flush_pending(ch, pending[ch], segments);
+                    pending[ch] = 0;
+                }
+                if extra_wb > 0 {
+                    // WB back-pressure alters the consumer's pace for
+                    // this beat: exact single-beat update, as in
+                    // `push_beat`.
+                    let t_data = self.axi[ch].fetch_beat(self.channel_ready[ch]);
+                    self.channel_ready[ch] = t_data + segments + extra_wb;
+                    self.stats.busy_cycles += segments;
+                    self.stats.wb_stall_cycles += extra_wb;
+                } else {
+                    pending[ch] += 1;
                 }
             }
-            self.consumed += beat.valid as u64;
-
-            let wb_cycles = beat_hits.div_ceil(wb_rate);
-            let extra_wb = wb_cycles.saturating_sub(segments);
-
-            // This beat's index within the channel's own sequence: beats
-            // already fetched plus beats deferred ahead of it.
-            let local = self.axi[ch].stats().beats + pending[ch];
-            let new_burst = bpb != u64::MAX && local.is_multiple_of(bpb);
-            if pending[ch] > 0 && (new_burst || extra_wb > 0) {
-                // Event boundary: advance the deferred stall-free beats
-                // in O(1) before handling this one exactly.
-                self.flush_pending(ch, pending[ch], segments);
-                pending[ch] = 0;
-            }
-            if extra_wb > 0 {
-                // WB back-pressure alters the consumer's pace for this
-                // beat: exact single-beat update, as in `push_beat`.
-                let t_data = self.axi[ch].fetch_beat(self.channel_ready[ch]);
-                self.channel_ready[ch] = t_data + segments + extra_wb;
-                self.stats.busy_cycles += segments;
-                self.stats.wb_stall_cycles += extra_wb;
-            } else {
-                pending[ch] += 1;
-            }
+            debug_assert!(hits.next().is_none(), "every scanned hit retires");
         }
         for (ch, &deferred) in pending.iter().enumerate() {
             if deferred > 0 {

@@ -10,10 +10,10 @@
 //! every comparator cone stays dynamic exactly like the real hardware.
 //! (An earlier revision baked them in as constant drivers, which
 //! constant-folds half of each comparator away and lit up `fabp-lint`'s
-//! `lut-foldable` rule.) The cycle engine evaluates this datapath through
-//! fused tables for speed; this module builds the *actual netlist* so it
-//! can be resource-counted, Verilog-emitted, fault-simulated and verified
-//! gate-by-gate against the golden model.
+//! `lut-foldable` rule.) The cycle engine's fast path scores this
+//! datapath with the fused bit-parallel kernel; this module builds the
+//! *actual netlist* so it can be resource-counted, Verilog-emitted,
+//! fault-simulated and verified gate-by-gate against the golden model.
 
 use crate::comparator::{compare_lut, mux_lut};
 use crate::netlist::{Netlist, NodeId, ResourceCount};

@@ -5,7 +5,7 @@
 //! # fabp-fpga — gate-level and cycle-level model of the FabP accelerator
 //!
 //! The paper's accelerator is Verilog on a Kintex-7; this crate is its
-//! software twin, faithful at two levels:
+//! software twin, faithful at three levels:
 //!
 //! * **Gate level** — [`primitives::Lut6`]/[`primitives::FlipFlop`]
 //!   models of the directly-instantiated FPGA primitives, composed into
@@ -17,6 +17,10 @@
 //!   [`resources`] planner that decides query segmentation (Table I),
 //!   and the [`engine`] that streams AXI beats through 256 alignment
 //!   instances with bit-exact scoring and honest cycle accounting.
+//! * **Word level** — [`bitparallel`], the same datapath transposed
+//!   onto 64-bit words: the one fused scan kernel. It scores the cycle
+//!   engine's fast-forward path and, re-exported by `fabp-core`, every
+//!   software search.
 //!
 //! ```
 //! use fabp_fpga::engine::{EngineConfig, FabpEngine};
@@ -33,6 +37,7 @@
 //! ```
 
 pub mod axi;
+pub mod bitparallel;
 pub mod comparator;
 pub mod device;
 pub mod engine;

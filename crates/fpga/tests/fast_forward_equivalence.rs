@@ -8,18 +8,25 @@
 //! `beats`, `bytes_read`, `instances_evaluated` — and the same hit list,
 //! across devices, channel counts, AXI timings, segmentation depths,
 //! thresholds, reference shapes, injected stream stalls and injected
-//! configuration faults.
+//! configuration faults. The fast path scores beats with the fused
+//! bit-parallel kernel in chunks, so the matrix also covers irregular
+//! streams: partial beats mid-stream, runs split across calls, a
+//! checkpoint replay, and a query the kernel rejects.
 
+use fabp_bio::alphabet::Nucleotide;
+use fabp_bio::backtranslate::{BackTranslatedQuery, DependentFn, PatternElement};
 use fabp_bio::generate::{random_protein, random_rna};
 use fabp_bio::seq::PackedSeq;
 use fabp_encoding::encoder::EncodedQuery;
-use fabp_encoding::packing::axi_beats;
+use fabp_encoding::packing::{axi_beats, AxiBeat};
 use fabp_fpga::axi::AxiConfig;
+use fabp_fpga::bitparallel::BitParallelEngine;
 use fabp_fpga::comparator::ComparatorCell;
 use fabp_fpga::device::FpgaDevice;
-use fabp_fpga::engine::{CycleReport, EngineConfig, FabpEngine};
+use fabp_fpga::engine::{CycleReport, EngineConfig, EngineSession, FabpEngine};
 use fabp_fpga::primitives::Lut6;
 use fabp_telemetry::Registry;
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -217,6 +224,180 @@ fn single_beat_runs_and_wb_flood_agree() {
         assert!(
             fast.stats.wb_stall_cycles > 0,
             "r{ref_len}: flood must exercise WB back-pressure"
+        );
+    }
+}
+
+/// Asserts two open sessions agree on everything observable mid-run.
+fn assert_sessions_agree(fast: &EngineSession<'_>, exact: &EngineSession<'_>, label: &str) {
+    assert_eq!(fast.hits(), exact.hits(), "{label}: hits");
+    assert_eq!(fast.consumed(), exact.consumed(), "{label}: consumed");
+    assert_eq!(fast.beat_index(), exact.beat_index(), "{label}: beat_index");
+}
+
+/// Drives `engine` over `beats` twice: through `push_beats_fast` in one
+/// call per run between the sorted `cuts`, and per beat through
+/// `push_beat`, checking the sessions after every call. With
+/// `checkpoint`, both sessions checkpoint after their first call and,
+/// at the end, restore and replay every beat after it. Asserts the
+/// finished runs are identical: hits and every `CycleReport` field.
+fn assert_split_run_matches_exact(
+    engine: &FabpEngine,
+    beats: &[AxiBeat],
+    cuts: &[usize],
+    checkpoint: bool,
+    label: &str,
+) {
+    let mut fast = engine.session();
+    let mut exact = engine.session();
+    let mut saved = None;
+    let mut start = 0;
+    for &end in cuts.iter().chain(std::iter::once(&beats.len())) {
+        fast.push_beats_fast(&beats[start..end]);
+        for beat in &beats[start..end] {
+            exact.push_beat(beat);
+        }
+        assert_sessions_agree(
+            &fast,
+            &exact,
+            &format!("{label}: call ending at beat {end}"),
+        );
+        if checkpoint && saved.is_none() {
+            saved = Some((fast.checkpoint(), exact.checkpoint(), end));
+        }
+        start = end;
+    }
+    if let Some((fast_ckpt, exact_ckpt, from)) = saved {
+        fast.restore(&fast_ckpt);
+        exact.restore(&exact_ckpt);
+        fast.push_beats_fast(&beats[from..]);
+        for beat in &beats[from..] {
+            exact.push_beat(beat);
+        }
+        assert_sessions_agree(&fast, &exact, &format!("{label}: replay from beat {from}"));
+    }
+    let fast = fast.finish_with_registry(&Registry::new());
+    let exact = exact.finish_with_registry(&Registry::new());
+    assert_eq!(fast.hits, exact.hits, "{label}: hits");
+    assert_reports_identical(&fast.stats, &exact.stats, label);
+    assert_eq!(fast.stats, exact.stats, "{label}: CycleReport");
+}
+
+#[test]
+fn partial_beats_split_calls_and_checkpoint_replay_agree() {
+    // Hand-built beats: partial beats (1, 17 and 200 valid bases) open the
+    // stream and recur mid-stream, some shorter than the query, so the
+    // fused scan's carry crosses beats that complete no instance. Calls
+    // longer than 64 beats also cross a fused-scan chunk boundary.
+    let mut rng = StdRng::seed_from_u64(0x9A27);
+    let mut valid = vec![
+        17usize, 1, 256, 200, 256, 256, 1, 256, 17, 256, 200, 1, 17, 200,
+    ];
+    valid.extend((0..70).map(|i| [256, 256, 256, 200, 1, 256, 17][i % 7]));
+    let beats: Vec<AxiBeat> = valid
+        .iter()
+        .map(|&valid| AxiBeat {
+            words: std::array::from_fn(|_| rng.gen::<u64>()),
+            valid,
+        })
+        .collect();
+    let query = EncodedQuery::from_protein(&random_protein(12, &mut rng));
+    let qlen = query.len() as u32;
+    for threshold in [0u32, qlen / 2, qlen * 3 / 4] {
+        let config = EngineConfig {
+            channels: 2,
+            device: FpgaDevice::virtex7(),
+            ..EngineConfig::kintex7(threshold)
+        };
+        let engine = FabpEngine::new(query.clone(), config).unwrap();
+        for round in 0..4 {
+            let mut cuts: Vec<usize> = (0..3).map(|_| rng.gen_range(0..=beats.len())).collect();
+            cuts.sort_unstable();
+            assert_split_run_matches_exact(
+                &engine,
+                &beats,
+                &cuts,
+                true,
+                &format!("t{threshold}/round{round}/cuts{cuts:?}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn query_rejected_by_fused_kernel_takes_exact_path() {
+    // A context-dependent element at index 0 has no fused table, so the
+    // fast-forward entry point must run the exact per-beat datapath.
+    let mut rng = StdRng::seed_from_u64(0x0E1E);
+    let mut elements = vec![PatternElement::Dependent(DependentFn::Leu)];
+    elements.extend_from_slice(
+        BackTranslatedQuery::from_protein(&random_protein(10, &mut rng)).elements(),
+    );
+    elements.push(PatternElement::Exact(Nucleotide::G));
+    let query = EncodedQuery::from_back_translated(&BackTranslatedQuery::from_elements(elements));
+    assert_eq!(
+        BitParallelEngine::new(&query).unwrap_err().element_index,
+        0,
+        "the fused kernel must reject this query"
+    );
+    let qlen = query.len() as u32;
+    let reference = random_rna(5_000, &mut rng);
+    let beats = axi_beats(&PackedSeq::from_rna(&reference));
+    for threshold in [0u32, qlen / 2, qlen] {
+        let engine = FabpEngine::new(query.clone(), EngineConfig::kintex7(threshold)).unwrap();
+        let fast = engine.run_beats(&beats, &Registry::new());
+        let exact = engine.run_beats_exact(&beats, &Registry::new());
+        let label = format!("rejected/t{threshold}");
+        assert_eq!(fast.hits, exact.hits, "{label}: hits");
+        assert_reports_identical(&fast.stats, &exact.stats, &label);
+        assert_eq!(fast.stats, exact.stats, "{label}: CycleReport");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Fast-forward runs split at arbitrary beats equal the per-beat
+    /// model across query lengths, every threshold, reference lengths
+    /// from empty to 20 beats, AXI timings, channel counts and WB rates.
+    #[test]
+    fn split_fast_forward_runs_match_exact(
+        protein_len in 1usize..=120,
+        threshold_pick in 0u32..=360,
+        ref_len in 0usize..=5_000,
+        read_latency in 0u64..40,
+        beats_per_burst in 1u64..=24,
+        inter_burst_gap in 0u64..6,
+        two_channels in any::<bool>(),
+        wb_rate in 1usize..=4,
+        cut_picks in prop::collection::vec(0usize..=20, 0..5),
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let query = EncodedQuery::from_protein(&random_protein(protein_len, &mut rng));
+        let threshold = threshold_pick % (query.len() as u32 + 1);
+        let (device, channels) = if two_channels {
+            (FpgaDevice::virtex7(), 2)
+        } else {
+            (FpgaDevice::kintex7(), 1)
+        };
+        let config = EngineConfig {
+            device,
+            channels,
+            axi: AxiConfig { read_latency, beats_per_burst, inter_burst_gap },
+            wb_rate_per_cycle: wb_rate,
+            ..EngineConfig::kintex7(threshold)
+        };
+        let engine = FabpEngine::new(query, config).unwrap();
+        let beats = axi_beats(&PackedSeq::from_rna(&random_rna(ref_len, &mut rng)));
+        let mut cuts: Vec<usize> = cut_picks.iter().map(|&c| c.min(beats.len())).collect();
+        cuts.sort_unstable();
+        assert_split_run_matches_exact(
+            &engine,
+            &beats,
+            &cuts,
+            false,
+            &format!("q{protein_len}/t{threshold}/r{ref_len}/cuts{cuts:?}"),
         );
     }
 }

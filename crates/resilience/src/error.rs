@@ -47,8 +47,10 @@ impl fmt::Display for StreamKind {
 pub enum FabpError {
     /// A query with zero residues cannot be planned or aligned.
     EmptyQuery,
-    /// The architecture planner could not fit the design (message from
-    /// `fabp_fpga::resources::PlanError`).
+    /// The architecture planner could not fit the design, or the fused
+    /// engine cannot score the query (message from
+    /// `fabp_fpga::resources::PlanError` or
+    /// `fabp_fpga::bitparallel::UnsupportedQuery`).
     Plan(String),
     /// A framed stream failed its CRC32 check — transient corruption on
     /// the wire or in DRAM; retry the transfer.
@@ -249,6 +251,12 @@ impl std::error::Error for FabpError {
 
 impl From<fabp_fpga::resources::PlanError> for FabpError {
     fn from(e: fabp_fpga::resources::PlanError) -> FabpError {
+        FabpError::Plan(e.to_string())
+    }
+}
+
+impl From<fabp_fpga::bitparallel::UnsupportedQuery> for FabpError {
+    fn from(e: fabp_fpga::bitparallel::UnsupportedQuery) -> FabpError {
         FabpError::Plan(e.to_string())
     }
 }

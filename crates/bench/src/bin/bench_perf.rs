@@ -4,7 +4,10 @@
 //! emits `BENCH_perf.json`:
 //!
 //! * `bitparallel` — the fused tiled bit-sliced scan vs the retained
-//!   two-pass oracle (`BitParallelEngine::search_two_pass`);
+//!   two-pass oracle (`BitParallelEngine::search_two_pass`), and the
+//!   same scan at threshold `L_q` (`bitparallel_fill`), where nearly
+//!   every block abandons after its first 16-element group, which
+//!   attributes the scan between pass 1 (the column fill) and pass 2;
 //! * `software` — the scalar oracle scan (`SoftwareEngine`), which no
 //!   production path runs;
 //! * `batch` — the multi-query batch through `search_all` on one worker
@@ -161,8 +164,19 @@ fn run_shape(shape: &Shape, best_of_override: Option<usize>) -> Vec<Entry> {
         "{tag}: planted hit missing"
     );
 
+    // Pass-1 attribution: at threshold L_q nearly every block abandons
+    // after its first 16-element group, so this scan is the column fill
+    // plus one carry-save group per block.
+    let fill_threshold = query.len() as u32;
+    assert_eq!(
+        bp.search(reference, fill_threshold),
+        bp.search_two_pass(reference, fill_threshold),
+        "{tag}: fill-bound scan diverged from the two-pass oracle"
+    );
+
     let (_, t_two_pass) = time_best_of(best_of, || bp.search_two_pass(reference, threshold));
     let (_, t_fused) = time_best_of(best_of, || bp.search(reference, threshold));
+    let (_, t_fill) = time_best_of(best_of, || bp.search(reference, fill_threshold));
     let (_, t_scalar) = time_best_of(best_of, || sw.search(reference, threshold));
     let per_base = |s: f64| format!("{:.3} ns/base", s * 1e9 / shape.scan_bases as f64);
     entries.push(Entry::time(
@@ -174,6 +188,15 @@ fn run_shape(shape: &Shape, best_of_override: Option<usize>) -> Vec<Entry> {
         &format!("bitparallel_fused_{tag}"),
         t_fused,
         format!("{} bases, {}", shape.scan_bases, per_base(t_fused)),
+    ));
+    entries.push(Entry::time(
+        &format!("bitparallel_fill_{tag}"),
+        t_fill,
+        format!(
+            "{} bases at threshold L_q: the fill plus one group per block, {}",
+            shape.scan_bases,
+            per_base(t_fill)
+        ),
     ));
     entries.push(Entry::time(
         &format!("software_scan_{tag}"),

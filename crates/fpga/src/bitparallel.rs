@@ -23,8 +23,12 @@
 //! 2. Each 64-position block of the tile is scored lane by lane, adding
 //!    the lane's `L_q` shifted column slices into vertical (bit-sliced)
 //!    counters — the Pop-Counter, carried out across 64 instances at
-//!    once, with a saturating-carry early exit and a per-lane early
-//!    abandon.
+//!    once. Like Pop36's compressor tree, it first compresses: each
+//!    group of 16 columns folds into the counter through fifteen
+//!    carry-save adders (Harley–Seal), and only the group's sixteens
+//!    word ripples into the upper planes. After each group, a lane
+//!    abandons the block once no position can still reach its
+//!    threshold.
 //! 3. Thresholding is bit-sliced too: a borrow-propagating
 //!    `score >= threshold` comparator produces the 64-position hit mask in
 //!    `O(planes)` word operations (instead of extracting all 64 scores
@@ -332,7 +336,8 @@ impl BitParallelEngine {
             // Fused pass 1, shared by every lane: extend the comparator
             // columns to this tile's horizon, **bit-sliced**. Each
             // 64-element word of the reference is packed into 2-bit
-            // nucleotide planes, expanded into one-hot bit masks for the
+            // nucleotide planes eight bases at a time
+            // ([`code_planes`]), expanded into one-hot bit masks for the
             // current / previous / previous-previous element
             // (`e0`/`e1`/`e2`, with cross-word carry-in from the last
             // elements of the preceding word), and every distinct table
@@ -348,13 +353,7 @@ impl BitParallelEngine {
             // `rel ≡ p (mod 64)` and word slots line up exactly.
             for w_pos in ((frontier & !63)..need_until).step_by(64) {
                 let end = (w_pos + 64).min(reference.len());
-                let mut b0 = 0u64;
-                let mut b1 = 0u64;
-                for (i, base) in reference[w_pos..end].iter().enumerate() {
-                    let c = u64::from(base.code2());
-                    b0 |= (c & 1) << i;
-                    b1 |= (c >> 1) << i;
-                }
+                let (b0, b1) = code_planes(&reference[w_pos..end]);
                 let (n0, n1) = (!b0, !b1);
                 // One-hot planes: e0[v] has bit i set iff element
                 // w_pos + i is nucleotide code v.
@@ -384,8 +383,9 @@ impl BitParallelEngine {
             // Fused pass 2: vertical-counter accumulation and bit-sliced
             // thresholding, 64 positions per block, straight out of the
             // still-hot tile ring. Each lane runs its own counter loop —
-            // its own plane count, carry exit and 16-element early
-            // abandon — over the shared tile. An interleaved
+            // its own plane count, 16-element carry-save groups
+            // ([`add_group`]) and early abandon after each group — over
+            // the shared tile. An interleaved
             // `[u64; LANES]` ripple was tried first and measured ~3×
             // slower per lane: rippling the full lane array per element
             // forfeits the per-lane all-zero-carry exit and keeps every
@@ -404,38 +404,38 @@ impl BitParallelEngine {
                     let mut plane_store = [0u64; MAX_PLANES];
                     let planes = &mut plane_store[..lane.nplanes];
                     let mut saturated = 0u64;
-                    for (i, &slot) in lane.element_table.iter().enumerate() {
-                        let col =
-                            &cols[slot as usize * tile_words..(slot as usize + 1) * tile_words];
-                        // Bit-sliced increment: add the match mask into the
-                        // counters (ripple across planes, early exit once
-                        // the carry clears; a carry out of the top plane
-                        // saturates instead of wrapping).
-                        let mut carry = read_unaligned(col, block + i);
-                        for plane in planes.iter_mut() {
-                            if carry == 0 {
-                                break;
-                            }
-                            let t = *plane & carry;
-                            *plane ^= carry;
-                            carry = t;
-                        }
-                        saturated |= carry;
+                    // Match word of query element `i` (table `slot`) over
+                    // this block's 64 positions.
+                    let column = |slot: u16, i: usize| {
+                        let row = usize::from(slot) * tile_words;
+                        read_unaligned(&cols[row..row + tile_words], block + i)
+                    };
+                    let qlen = lane.element_table.len();
+                    // Whole 16-element groups go through the carry-save
+                    // tree (a query with a group has the ≥ 5 planes it
+                    // needs); the tail of < 16 elements ripples.
+                    let mut groups = lane.element_table.chunks_exact(16);
+                    for (g, group) in groups.by_ref().enumerate() {
+                        let first = 16 * g;
+                        let words: [u64; 16] = std::array::from_fn(|k| column(group[k], first + k));
+                        saturated |= add_group(planes, &words);
                         // Bit-sliced early abandon (the 64-position analogue of
                         // the scalar mismatch-budget exit): a position can
                         // still reach the threshold only if its counter is
                         // already at `threshold − remaining`. Once no valid
                         // position can, the rest of the block's
                         // accumulation is dead work.
-                        if i & 15 == 15 {
-                            let remaining = (lane.element_table.len() - 1 - i) as u32;
-                            let needed = threshold.saturating_sub(remaining);
-                            if needed > 0
-                                && (ge_threshold_mask(planes, needed) | saturated) & valid_mask == 0
-                            {
-                                continue 'lanes;
-                            }
+                        let remaining = (qlen - first - 16) as u32;
+                        let needed = threshold.saturating_sub(remaining);
+                        if needed > 0
+                            && (ge_threshold_mask(planes, needed) | saturated) & valid_mask == 0
+                        {
+                            continue 'lanes;
                         }
+                    }
+                    let tail = groups.remainder();
+                    for (k, &slot) in tail.iter().enumerate() {
+                        saturated |= ripple_add(planes, column(slot, qlen - tail.len() + k));
                     }
                     // O(planes) word ops produce the 64-position hit mask;
                     // only set positions pay for score extraction.
@@ -705,6 +705,95 @@ fn cur_mask(e0: &[u64; 4], set: u8) -> u64 {
     }
 }
 
+/// Bit-sliced increment: adds one match word into the counter planes,
+/// rippling the carry up until it clears. Returns the carry out of the
+/// top plane (positions whose counter would wrap; the caller saturates
+/// them).
+#[inline]
+fn ripple_add(planes: &mut [u64], mut carry: u64) -> u64 {
+    for plane in planes.iter_mut() {
+        if carry == 0 {
+            break;
+        }
+        let t = *plane & carry;
+        *plane ^= carry;
+        carry = t;
+    }
+    carry
+}
+
+/// Carry-save full adder over 64 bit positions: per position,
+/// `a + b + c = 2·carry + sum`. Returns `(carry, sum)`.
+#[inline(always)]
+fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
+    let u = a ^ b;
+    ((a & b) | (u & c), u ^ c)
+}
+
+/// Adds 16 match words into the counter planes, Harley–Seal style: the
+/// software form of the Pop-Counter's compressor tree (§III-D). The low
+/// four planes serve as the ones/twos/fours/eights accumulators, fifteen
+/// carry-save adders fold the words into them, and the one resulting
+/// sixteens word ripples into the planes above. The planes stay an
+/// ordinary bit-sliced binary counter. Returns the carry out of the top
+/// plane, as [`ripple_add`].
+#[inline]
+fn add_group(planes: &mut [u64], w: &[u64; 16]) -> u64 {
+    let (twos_a, ones) = csa(planes[0], w[0], w[1]);
+    let (twos_b, ones) = csa(ones, w[2], w[3]);
+    let (fours_a, twos) = csa(planes[1], twos_a, twos_b);
+    let (twos_a, ones) = csa(ones, w[4], w[5]);
+    let (twos_b, ones) = csa(ones, w[6], w[7]);
+    let (fours_b, twos) = csa(twos, twos_a, twos_b);
+    let (eights_a, fours) = csa(planes[2], fours_a, fours_b);
+    let (twos_a, ones) = csa(ones, w[8], w[9]);
+    let (twos_b, ones) = csa(ones, w[10], w[11]);
+    let (fours_a, twos) = csa(twos, twos_a, twos_b);
+    let (twos_a, ones) = csa(ones, w[12], w[13]);
+    let (twos_b, ones) = csa(ones, w[14], w[15]);
+    let (fours_b, twos) = csa(twos, twos_a, twos_b);
+    let (eights_b, fours) = csa(fours, fours_a, fours_b);
+    let (sixteens, eights) = csa(planes[3], eights_a, eights_b);
+    planes[..4].copy_from_slice(&[ones, twos, fours, eights]);
+    ripple_add(&mut planes[4..], sixteens)
+}
+
+/// Packs up to 64 bases into their 2-bit code planes: bit `i` of the
+/// first (second) word is bit 0 (bit 1) of `bases[i]`'s code. Eight
+/// bases at a time: their codes load as the bytes of one `u64`, and one
+/// multiply per plane gathers a bit of every byte into a byte (see
+/// [`gather_byte_bits`]); a tail of fewer than 8 bases packs per base.
+#[inline]
+fn code_planes(bases: &[Nucleotide]) -> (u64, u64) {
+    debug_assert!(bases.len() <= 64);
+    let mut b0 = 0u64;
+    let mut b1 = 0u64;
+    let mut octets = bases.chunks_exact(8);
+    for (k, octet) in octets.by_ref().enumerate() {
+        let codes = u64::from_le_bytes(std::array::from_fn(|i| octet[i].code2()));
+        b0 |= gather_byte_bits(codes) << (8 * k);
+        b1 |= gather_byte_bits(codes >> 1) << (8 * k);
+    }
+    let tail_start = bases.len() & !7;
+    for (i, base) in octets.remainder().iter().enumerate() {
+        let c = u64::from(base.code2());
+        b0 |= (c & 1) << (tail_start + i);
+        b1 |= (c >> 1) << (tail_start + i);
+    }
+    (b0, b1)
+}
+
+/// Gathers bit 0 of each byte of `x` into one byte (byte `i`'s bit lands
+/// at bit `i`). Masked bit `8i` times multiplier bit `7j + 7` lands at
+/// bit `8i + 7j + 7`: all 64 partial products are distinct positions, so
+/// nothing carries, and the top byte receives exactly the `i + j = 7`
+/// products, byte `i`'s bit at bit `56 + i`. The tests check all 256
+/// patterns of the masked bits.
+#[inline]
+fn gather_byte_bits(x: u64) -> u64 {
+    (x & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56
+}
+
 /// 2-bit code of the element `back` positions before `pos`, backfilling
 /// code 0 before the reference start (the rolling-context seed).
 #[inline]
@@ -847,7 +936,7 @@ mod tests {
         /// values `0..=qlen`.
         #[test]
         fn fused_tiled_path_matches_scalar(
-            protein_len in 3usize..=12,
+            protein_len in 3usize..=40,
             len_class in 0usize..6,
             jitter in 0usize..130,
             seed in 0u64..1_000_000,
@@ -1019,6 +1108,36 @@ mod tests {
     }
 
     #[test]
+    fn longest_query_fills_every_counter_plane() {
+        // 65 535 exact `A`s score 65 535 = all 16 planes set at every
+        // position of an all-`A` reference: 4 095 carry-save groups and a
+        // 15-element rippled tail.
+        let longest: fabp_bio::seq::RnaSeq =
+            std::iter::repeat_n(Nucleotide::A, MAX_QUERY_LEN).collect();
+        let engine = BitParallelEngine::new(&EncodedQuery::from_exact_rna(&longest)).unwrap();
+        let reference = vec![Nucleotide::A; MAX_QUERY_LEN + 5];
+        let hits = engine.search(&reference, MAX_QUERY_LEN as u32);
+        let expected: Vec<Hit> = (0..6)
+            .map(|position| Hit {
+                position,
+                score: MAX_QUERY_LEN as u32,
+            })
+            .collect();
+        assert_eq!(hits, expected);
+    }
+
+    #[test]
+    fn gather_byte_bits_is_exact() {
+        // Every pattern of the eight masked bits, with junk in the other
+        // bits of each byte (codes are <= 3, but the mask must hold).
+        for pattern in 0u64..256 {
+            let spread = (0..8).fold(0u64, |x, i| x | (((pattern >> i) & 1) << (8 * i)));
+            assert_eq!(gather_byte_bits(spread), pattern);
+            assert_eq!(gather_byte_bits(spread | 0xFEFE_FEFE_FEFE_FEFE), pattern);
+        }
+    }
+
+    #[test]
     fn d_element_in_front_is_fine() {
         use fabp_bio::backtranslate::{DependentFn, PatternElement};
         let elements = vec![
@@ -1140,10 +1259,10 @@ mod tests {
         #[test]
         fn multiquery_matches_two_pass_oracle(
             nlanes in 1usize..=LANES,
-            len_a in 3usize..=15,
-            len_b in 3usize..=15,
-            len_c in 3usize..=15,
-            len_d in 3usize..=15,
+            len_a in 3usize..=40,
+            len_b in 3usize..=40,
+            len_c in 3usize..=40,
+            len_d in 3usize..=40,
             len_class in 0usize..4,
             jitter in 0usize..130,
             seed in 0u64..1_000_000,

@@ -104,6 +104,19 @@ fn parse_for<T: std::str::FromStr>(flag: &str, it: &mut impl Iterator<Item = Str
     })
 }
 
+/// Parses a fraction in `[0, 1]`, rejecting NaN, infinities and values
+/// outside the range (which would otherwise clamp silently to 0 or 1).
+fn parse_fraction(flag: &str, it: &mut impl Iterator<Item = String>) -> f64 {
+    let raw = value_for(flag, it);
+    match raw.parse::<f64>() {
+        Ok(fraction) if (0.0..=1.0).contains(&fraction) => fraction,
+        _ => {
+            eprintln!("invalid value {raw:?} for {flag} (a fraction in [0, 1])");
+            usage()
+        }
+    }
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         query_path: String::new(),
@@ -138,7 +151,7 @@ fn parse_args() -> Args {
             "--index-shard-bases" => {
                 args.index_shard_bases = parse_for("--index-shard-bases", &mut it)
             }
-            "--threshold" => args.threshold = parse_for("--threshold", &mut it),
+            "--threshold" => args.threshold = parse_fraction("--threshold", &mut it),
             "--engine" => args.engine = value_for("--engine", &mut it),
             "--threads" => args.threads = parse_for("--threads", &mut it),
             "--top" => args.top = parse_for("--top", &mut it),

@@ -131,6 +131,19 @@ fn parse_for<T: std::str::FromStr>(flag: &str, it: &mut impl Iterator<Item = Str
     })
 }
 
+/// Parses a fraction in `[0, 1]`, rejecting NaN, infinities and values
+/// outside the range (which would otherwise clamp silently to 0 or 1).
+fn parse_fraction(flag: &str, it: &mut impl Iterator<Item = String>) -> f64 {
+    let raw = value_for(flag, it);
+    match raw.parse::<f64>() {
+        Ok(fraction) if (0.0..=1.0).contains(&fraction) => fraction,
+        _ => {
+            eprintln!("invalid value {raw:?} for {flag} (a fraction in [0, 1])");
+            usage()
+        }
+    }
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         query_path: None,
@@ -182,7 +195,7 @@ fn parse_args() -> Args {
             "--threads" => args.threads = parse_for("--threads", &mut it),
             "--nodes" => args.nodes = parse_for("--nodes", &mut it),
             "--replication" => args.replication = parse_for("--replication", &mut it),
-            "--threshold" => args.threshold = parse_for("--threshold", &mut it),
+            "--threshold" => args.threshold = parse_fraction("--threshold", &mut it),
             "--queue-capacity" => args.queue_capacity = parse_for("--queue-capacity", &mut it),
             "--max-batch" => args.max_batch = parse_for("--max-batch", &mut it),
             "--slo-us" => args.slo_us = parse_for("--slo-us", &mut it),

@@ -239,6 +239,28 @@ fn cli_names_flag_on_missing_or_bad_value() {
         stderr.contains("invalid value \"many\" for --top"),
         "stderr: {stderr}"
     );
+
+    // A match fraction outside [0, 1] is rejected, not clamped.
+    for bad in ["NaN", "-3", "7"] {
+        let output = Command::new(env!("CARGO_BIN_EXE_fabp_search"))
+            .args(["--query", "q.faa", "--reference", "db.fna"])
+            .args(["--threshold", bad])
+            .output()
+            .expect("binary runs");
+        assert_eq!(output.status.code(), Some(2), "--threshold {bad}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("invalid value {bad:?} for --threshold")),
+            "stderr: {stderr}"
+        );
+    }
+    let output = serve(&["--threshold", "NaN"]);
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("invalid value \"NaN\" for --threshold"),
+        "stderr: {stderr}"
+    );
 }
 
 /// Runs `fabp_serve` on a small synthetic workload with `extra` flags.

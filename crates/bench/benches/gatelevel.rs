@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fabp_bench::BenchWorkload;
 use fabp_bio::backtranslate::BackTranslatedQuery;
+use fabp_bio::seq::PackedSeq;
 use fabp_core::bitparallel::BitParallelEngine;
 use fabp_core::software::SoftwareEngine;
 use fabp_core::streaming::StreamingAligner;
@@ -95,8 +96,9 @@ fn bench_engine_shootout(c: &mut Criterion) {
         b.iter(|| scalar.search(bases, threshold))
     });
     let parallel = BitParallelEngine::new(&query).unwrap();
+    let packed = PackedSeq::from_rna(&workload.reference);
     group.bench_function("bit_parallel", |b| {
-        b.iter(|| parallel.search(bases, threshold))
+        b.iter(|| parallel.search(&packed, 0..packed.len(), threshold))
     });
     group.finish();
 }

@@ -17,7 +17,8 @@
 //!   CPU busy time;
 //! * `multiquery` — four one-lane engines joined into one 4-lane scan
 //!   (`fused_multiquery4`) vs four independent fused scans;
-//! * `streaming` — chunked feed through the reusable carry buffer;
+//! * `streaming` — chunked feed through the reusable carry buffer,
+//!   packing each chunk inside the feed;
 //! * `engine` — the cycle-accurate simulator's event-driven fast-forward
 //!   path (the fused bit-parallel kernel under the cycle accounting) vs
 //!   the exact per-beat model.
@@ -25,7 +26,9 @@
 //! Before any timing, the harness cross-checks that the fused scan, the
 //! two-pass oracle and the scalar engine produce **bit-identical hit
 //! sets** on the measured workload — a perf number for a wrong answer is
-//! worse than no number.
+//! worse than no number. The fused and batch entries scan a reference
+//! packed before timing starts, as every production path holds it; the
+//! oracles read the unpacked bases.
 //!
 //! ```text
 //! cargo run --release -p fabp-bench --bin bench_perf -- \
@@ -51,7 +54,7 @@
 use fabp_bench::{time_best_of, BenchWorkload};
 use fabp_bio::seq::PackedSeq;
 use fabp_core::aligner::{FabpAligner, Threshold};
-use fabp_core::batch::{search_all, search_all_prebuilt_with_stats};
+use fabp_core::batch::{search_all, search_prebuilt};
 use fabp_core::bitparallel::BitParallelEngine;
 use fabp_core::slice_plan::SliceOptions;
 use fabp_core::software::SoftwareEngine;
@@ -145,10 +148,12 @@ fn run_shape(shape: &Shape, best_of_override: Option<usize>) -> Vec<Entry> {
         .expect("pinned query is bit-parallel capable");
     let sw = SoftwareEngine::with_registry(&query, &registry);
     let reference = w.reference.as_slice();
+    let packed_ref = PackedSeq::from_rna(&w.reference);
+    let all = 0..packed_ref.len();
 
     // Correctness gate: all three scan paths must agree bit-for-bit on
     // the measured workload before any of them is timed.
-    let fused_hits = bp.search(reference, threshold);
+    let fused_hits = bp.search(&packed_ref, all.clone(), threshold);
     assert_eq!(
         fused_hits,
         bp.search_two_pass(reference, threshold),
@@ -169,14 +174,16 @@ fn run_shape(shape: &Shape, best_of_override: Option<usize>) -> Vec<Entry> {
     // plus one carry-save group per block.
     let fill_threshold = query.len() as u32;
     assert_eq!(
-        bp.search(reference, fill_threshold),
+        bp.search(&packed_ref, all.clone(), fill_threshold),
         bp.search_two_pass(reference, fill_threshold),
         "{tag}: fill-bound scan diverged from the two-pass oracle"
     );
 
     let (_, t_two_pass) = time_best_of(best_of, || bp.search_two_pass(reference, threshold));
-    let (_, t_fused) = time_best_of(best_of, || bp.search(reference, threshold));
-    let (_, t_fill) = time_best_of(best_of, || bp.search(reference, fill_threshold));
+    let (_, t_fused) = time_best_of(best_of, || bp.search(&packed_ref, all.clone(), threshold));
+    let (_, t_fill) = time_best_of(best_of, || {
+        bp.search(&packed_ref, all.clone(), fill_threshold)
+    });
     let (_, t_scalar) = time_best_of(best_of, || sw.search(reference, threshold));
     let per_base = |s: f64| format!("{:.3} ns/base", s * 1e9 / shape.scan_bases as f64);
     entries.push(Entry::time(
@@ -239,8 +246,9 @@ fn run_shape(shape: &Shape, best_of_override: Option<usize>) -> Vec<Entry> {
     let batch_queries: Vec<_> = (0..shape.batch_queries)
         .map(|i| BenchWorkload::generate(20, 64, SEED ^ (2 + i as u64)).query)
         .collect();
+    let batch_ref = PackedSeq::from_rna(&bw.reference);
     let (_, t_serial) = time_best_of(best_of, || {
-        search_all(&batch_queries, &bw.reference, Threshold::Fraction(0.8), 1).expect("batch runs")
+        search_all(&batch_queries, &batch_ref, Threshold::Fraction(0.8), 1).expect("batch runs")
     });
     entries.push(Entry::time(
         &format!("batch_serial_{tag}"),
@@ -265,8 +273,7 @@ fn run_shape(shape: &Shape, best_of_override: Option<usize>) -> Vec<Entry> {
     // Correctness gate: the sliced 4-worker schedule must be bit-identical
     // to each query's own two-pass oracle before it is timed.
     let (sliced_check, _) =
-        search_all_prebuilt_with_stats(&batch_aligners, &bw.reference, 4, SliceOptions::default())
-            .expect("sliced batch runs");
+        search_prebuilt(&batch_aligners, &batch_ref, 4, SliceOptions::default());
     for (a, outcome) in batch_aligners.iter().zip(&sliced_check) {
         let oracle = BitParallelEngine::new(a.query())
             .expect("pinned batch queries are bit-parallel eligible")
@@ -278,13 +285,12 @@ fn run_shape(shape: &Shape, best_of_override: Option<usize>) -> Vec<Entry> {
     }
     let time_sliced = |workers: usize| {
         time_best_of(best_of, || {
-            search_all_prebuilt_with_stats(
+            search_prebuilt(
                 &batch_aligners,
-                &bw.reference,
+                &batch_ref,
                 workers,
                 SliceOptions::default(),
             )
-            .expect("sliced batch runs")
         })
     };
     let (_, t_sliced1) = time_sliced(1);
@@ -346,7 +352,7 @@ fn run_shape(shape: &Shape, best_of_override: Option<usize>) -> Vec<Entry> {
         .collect();
     let multi = BitParallelEngine::join(&lane_engines.iter().collect::<Vec<_>>());
     // Correctness gate: every lane equals its own two-pass oracle.
-    let multi_hits = multi.search_lanes(reference, &lane_thresholds);
+    let multi_hits = multi.search_lanes(&packed_ref, all.clone(), &lane_thresholds);
     for (lane, engine) in lane_engines.iter().enumerate() {
         assert_eq!(
             multi_hits[lane],
@@ -354,12 +360,14 @@ fn run_shape(shape: &Shape, best_of_override: Option<usize>) -> Vec<Entry> {
             "{tag}: joined lane {lane} diverged from the two-pass oracle"
         );
     }
-    let (_, t_lanes4) = time_best_of(best_of, || multi.search_lanes(reference, &lane_thresholds));
+    let (_, t_lanes4) = time_best_of(best_of, || {
+        multi.search_lanes(&packed_ref, all.clone(), &lane_thresholds)
+    });
     let (_, t_four_scans) = time_best_of(best_of, || {
         lane_engines
             .iter()
             .zip(&lane_thresholds)
-            .map(|(engine, &t)| engine.search(reference, t).len())
+            .map(|(engine, &t)| engine.search(&packed_ref, all.clone(), t).len())
             .sum::<usize>()
     });
     entries.push(Entry::time(

@@ -235,21 +235,10 @@ impl PackedSeq {
         PackedSeq::default()
     }
 
-    /// Packs an RNA sequence.
+    /// Packs an RNA sequence, 32 bases per word.
     pub fn from_rna(seq: &RnaSeq) -> PackedSeq {
         let mut packed = PackedSeq::with_capacity(seq.len());
-        for &base in seq {
-            packed.push(base);
-        }
-        packed
-    }
-
-    /// Packs a DNA sequence (treating `T` as `U`).
-    pub fn from_dna(seq: &DnaSeq) -> PackedSeq {
-        let mut packed = PackedSeq::with_capacity(seq.len());
-        for &base in seq {
-            packed.push(base.to_rna());
-        }
+        packed.extend_from_slice(seq.as_slice());
         packed
     }
 
@@ -296,15 +285,9 @@ impl PackedSeq {
         self.len == 0
     }
 
-    /// Appends one base.
-    pub fn push(&mut self, base: Nucleotide) {
-        let bit = 2 * (self.len % Self::BASES_PER_WORD);
-        if bit == 0 {
-            self.words.push(0);
-        }
-        let word = self.words.last_mut().expect("word allocated above");
-        *word |= (base.code2() as u64) << bit;
-        self.len += 1;
+    /// Bases the sequence can hold without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.words.capacity() * Self::BASES_PER_WORD
     }
 
     /// The base at position `index`.
@@ -312,17 +295,7 @@ impl PackedSeq {
     /// Returns `None` when `index >= self.len()`.
     #[inline]
     pub fn get(&self, index: usize) -> Option<Nucleotide> {
-        if index >= self.len {
-            return None;
-        }
-        Some(self.get_unchecked_internal(index))
-    }
-
-    #[inline]
-    fn get_unchecked_internal(&self, index: usize) -> Nucleotide {
-        let word = self.words[index / Self::BASES_PER_WORD];
-        let bit = 2 * (index % Self::BASES_PER_WORD);
-        Nucleotide::from_code2(((word >> bit) & 0b11) as u8)
+        (index < self.len).then(|| Nucleotide::from_code2(self.code_at(index)))
     }
 
     /// The 2-bit hardware code at position `index`.
@@ -343,32 +316,97 @@ impl PackedSeq {
         &self.words
     }
 
-    /// Iterates over the bases.
-    pub fn iter(&self) -> impl Iterator<Item = Nucleotide> + '_ {
-        (0..self.len).map(|i| self.get_unchecked_internal(i))
+    /// The 32 bases from base `start` on, packed as one word in the
+    /// layout of [`PackedSeq::words`]: a funnel shift of the two words
+    /// they straddle. Bases past the end read as code 0.
+    #[inline]
+    pub fn word_at(&self, start: usize) -> u64 {
+        let word = |i: usize| self.words.get(i).copied().unwrap_or(0);
+        let (at, shift) = (
+            start / Self::BASES_PER_WORD,
+            2 * (start % Self::BASES_PER_WORD),
+        );
+        match shift {
+            0 => word(at),
+            _ => (word(at) >> shift) | (word(at + 1) << (64 - shift)),
+        }
     }
 
-    /// Unpacks the bases in `range`, one 32-base word at a time.
+    /// Iterates over the bases.
+    pub fn iter(&self) -> impl Iterator<Item = Nucleotide> + '_ {
+        (0..self.len).map(|i| Nucleotide::from_code2(self.code_at(i)))
+    }
+
+    /// The bases in `range` as a sequence of their own, a word at a time.
     ///
     /// # Panics
     ///
     /// Panics if `range` is decreasing or ends past `self.len()`.
-    pub fn unpack_range(&self, range: std::ops::Range<usize>) -> Vec<Nucleotide> {
-        assert!(
-            range.start <= range.end && range.end <= self.len,
-            "base range {range:?} out of 0..{}",
-            self.len
-        );
-        let mut out = Vec::with_capacity(range.len());
-        let mut at = range.start;
-        while at < range.end {
-            let offset = at % Self::BASES_PER_WORD;
-            let take = (Self::BASES_PER_WORD - offset).min(range.end - at);
-            let word = self.words[at / Self::BASES_PER_WORD] >> (2 * offset);
-            out.extend((0..take).map(|k| Nucleotide::from_code2((word >> (2 * k)) as u8)));
-            at += take;
-        }
+    pub fn slice(&self, range: std::ops::Range<usize>) -> PackedSeq {
+        assert!(range.start <= range.end && range.end <= self.len);
+        let skip = range.start % Self::BASES_PER_WORD;
+        let words = &self.words[range.start / Self::BASES_PER_WORD..];
+        let mut out = PackedSeq::new();
+        out.extend_from_words(words, skip + range.len());
+        out.drain_front(skip);
         out
+    }
+
+    /// Removes the first `n` bases in place, a word at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > self.len()`.
+    pub fn drain_front(&mut self, n: usize) {
+        assert!(n <= self.len, "cannot drain {n} of {} bases", self.len);
+        self.len -= n;
+        // Word k reads words at index >= k only, so the forward pass
+        // never reads a word it already overwrote.
+        for k in 0..self.len.div_ceil(Self::BASES_PER_WORD) {
+            self.words[k] = self.word_at(n + Self::BASES_PER_WORD * k);
+        }
+        self.words.truncate(self.len.div_ceil(Self::BASES_PER_WORD));
+        self.clear_unused_bits();
+    }
+
+    /// Appends bases, packing 32 per word (see [`pack_word`]): the
+    /// partial last word fills first, then whole words go straight in.
+    pub fn extend_from_slice(&mut self, bases: &[Nucleotide]) {
+        let room = self.words.len() * Self::BASES_PER_WORD - self.len;
+        let (head, rest) = bases.split_at(bases.len().min(room));
+        self.extend_from_words(&[pack_word(head)], head.len());
+        let words = rest.chunks(Self::BASES_PER_WORD).map(pack_word);
+        self.words.extend(words);
+        self.len += rest.len();
+    }
+
+    /// Appends the first `len` bases of `words` (laid out as
+    /// [`PackedSeq::words`], an AXI beat's words for instance); bits past
+    /// `len` in a partial last word are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` hold fewer than `len` bases.
+    pub fn extend_from_words(&mut self, words: &[u64], len: usize) {
+        let words = &words[..len.div_ceil(Self::BASES_PER_WORD)];
+        let shift = 2 * (self.len % Self::BASES_PER_WORD);
+        if shift == 0 {
+            self.words.extend_from_slice(words);
+        } else {
+            // Each word tops up the partial last word and spills the rest.
+            for &word in words {
+                *self.words.last_mut().expect("a partial last word") |= word << shift;
+                self.words.push(word >> (64 - shift));
+            }
+        }
+        self.len += len;
+        self.words.truncate(self.len.div_ceil(Self::BASES_PER_WORD));
+        self.clear_unused_bits();
+    }
+
+    /// Appends every base of `other` to `self`.
+    pub fn extend_from(&mut self, other: &PackedSeq) {
+        self.extend_from_words(&other.words, other.len);
     }
 
     /// Unpacks into an owned [`RnaSeq`].
@@ -376,21 +414,40 @@ impl PackedSeq {
         self.iter().collect()
     }
 
-    /// Appends every base of `other` to `self`.
-    pub fn extend_from(&mut self, other: &PackedSeq) {
-        for base in other.iter() {
-            self.push(base);
+    /// Zeroes the bits past the last base, as `Eq` requires.
+    fn clear_unused_bits(&mut self) {
+        if let Some(last) = self.words.last_mut() {
+            *last &= u64::MAX >> (64 - 2 * ((self.len - 1) % Self::BASES_PER_WORD + 1));
         }
     }
 }
 
+/// Packs up to 32 bases into one word, eight at a time: their codes load
+/// as the bytes of one `u64` and [`pack_octet`] closes the gaps.
+#[inline]
+fn pack_word(bases: &[Nucleotide]) -> u64 {
+    let mut codes = [0u8; 32];
+    for (code, base) in codes.iter_mut().zip(bases) {
+        *code = base.code2();
+    }
+    (0..4).fold(0, |word, k| {
+        let octet = u64::from_le_bytes(codes[8 * k..8 * k + 8].try_into().expect("8 bytes"));
+        word | (pack_octet(octet) << (16 * k))
+    })
+}
+
+/// Gathers eight 2-bit codes, one per byte of `x`, into 16 bits (byte
+/// `i`'s at bits `2i..2i + 2`): each shift-or step halves the gaps.
+#[inline]
+fn pack_octet(x: u64) -> u64 {
+    let x = (x | (x >> 6)) & 0x000F_000F_000F_000F;
+    let x = (x | (x >> 12)) & 0x0000_00FF_0000_00FF;
+    (x | (x >> 24)) & 0xFFFF
+}
+
 impl FromIterator<Nucleotide> for PackedSeq {
     fn from_iter<I: IntoIterator<Item = Nucleotide>>(iter: I) -> PackedSeq {
-        let mut packed = PackedSeq::new();
-        for base in iter {
-            packed.push(base);
-        }
-        packed
+        PackedSeq::from_rna(&iter.into_iter().collect())
     }
 }
 
@@ -465,7 +522,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_unpack_range_matches_the_bases() {
+    fn packed_slice_drain_and_word_append_match_the_bases() {
         // An aperiodic base pattern, so a misaligned word offset shows.
         let rna: RnaSeq = (0..200usize)
             .map(|i| Nucleotide::from_code2((i * i / 3 + i / 5) as u8))
@@ -480,8 +537,36 @@ mod tests {
             (5, 150),
             (199, 200),
         ] {
-            assert_eq!(packed.unpack_range(lo..hi), &rna.as_slice()[lo..hi]);
+            let expected = PackedSeq::from_rna(&RnaSeq::from(rna.as_slice()[lo..hi].to_vec()));
+            assert_eq!(packed.slice(lo..hi), expected, "slice {lo}..{hi}");
+            let mut drained = packed.slice(0..hi);
+            drained.drain_front(lo);
+            assert_eq!(drained, expected, "drain {lo} of 0..{hi}");
+            let mut joined = packed.slice(0..lo);
+            joined.extend_from_words(expected.words(), expected.len());
+            assert_eq!(joined, packed.slice(0..hi), "append {lo}..{hi}");
         }
+    }
+
+    #[test]
+    fn pack_octet_is_exact() {
+        // Every octet of 2-bit codes, one code per byte.
+        for pattern in 0u64..1 << 16 {
+            let bytes = (0..8).fold(0u64, |x, i| x | (((pattern >> (2 * i)) & 0b11) << (8 * i)));
+            assert_eq!(pack_octet(bytes), pattern);
+        }
+    }
+
+    #[test]
+    fn word_append_ignores_bits_past_the_last_base() {
+        let mut packed = PackedSeq::from_rna(&"ACG".parse().unwrap());
+        packed.extend_from_words(&[u64::MAX, u64::MAX], 33);
+        assert_eq!(packed.len(), 36);
+        assert_eq!(packed.to_string(), format!("ACG{}", "U".repeat(33)));
+        assert_eq!(
+            PackedSeq::from_words(packed.words().to_vec(), 36),
+            Some(packed)
+        );
     }
 
     #[test]

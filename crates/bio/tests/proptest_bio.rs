@@ -15,6 +15,15 @@ fn arb_rna(max_len: usize) -> impl Strategy<Value = RnaSeq> {
         .prop_map(|v| v.into_iter().map(Nucleotide::from_code2).collect())
 }
 
+/// Packs `bases` one base at a time, straight into words.
+fn per_base(bases: &[Nucleotide]) -> PackedSeq {
+    let mut words = vec![0u64; bases.len().div_ceil(32)];
+    for (i, base) in bases.iter().enumerate() {
+        words[i / 32] |= u64::from(base.code2()) << (2 * (i % 32));
+    }
+    PackedSeq::from_words(words, bases.len()).expect("per-base words are canonical")
+}
+
 fn arb_protein(max_len: usize) -> impl Strategy<Value = ProteinSeq> {
     prop::collection::vec(0usize..21, 1..=max_len)
         .prop_map(|v| v.into_iter().map(|i| AminoAcid::ALL[i]).collect())
@@ -23,11 +32,31 @@ fn arb_protein(max_len: usize) -> impl Strategy<Value = ProteinSeq> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
+    /// The word-level packer, `slice`, `drain_front` and the word append
+    /// all equal per-base construction, at every length and offset.
     #[test]
-    fn packed_seq_round_trip(rna in arb_rna(2000)) {
+    fn packed_seq_round_trip(rna in arb_rna(2000), a in 0usize..=2000, b in 0usize..=2000) {
         let packed = PackedSeq::from_rna(&rna);
         prop_assert_eq!(packed.len(), rna.len());
-        prop_assert_eq!(packed.to_rna(), rna);
+        prop_assert_eq!(&packed.to_rna(), &rna);
+        let bases = rna.as_slice();
+        prop_assert_eq!(&packed, &per_base(bases));
+        prop_assert_eq!(&bases.iter().copied().collect::<PackedSeq>(), &packed);
+
+        let (a, b) = (a % (bases.len() + 1), b % (bases.len() + 1));
+        let (lo, hi) = (a.min(b), a.max(b));
+        prop_assert_eq!(&packed.slice(lo..hi), &per_base(&bases[lo..hi]));
+        let mut drained = packed.clone();
+        drained.drain_front(lo);
+        prop_assert_eq!(&drained, &per_base(&bases[lo..]));
+
+        let tail = per_base(&bases[lo..]);
+        let mut joined = per_base(&bases[..lo]);
+        joined.extend_from_words(tail.words(), tail.len());
+        prop_assert_eq!(&joined, &packed);
+        let mut joined = per_base(&bases[..lo]);
+        joined.extend_from_slice(&bases[lo..]);
+        prop_assert_eq!(&joined, &packed);
     }
 
     #[test]

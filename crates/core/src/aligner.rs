@@ -10,6 +10,7 @@
 //! * [`Engine::CycleAccurate`] — the `fabp-fpga` cycle-level simulator
 //!   (identical hits *plus* cycle/bandwidth statistics).
 
+use crate::batch::search_prebuilt;
 use crate::bitparallel::{BitParallelEngine, UnsupportedQuery};
 use crate::hits::{merge_overlapping, Hit, HitRegion};
 use crate::slice_plan::SliceOptions;
@@ -372,23 +373,19 @@ impl FabpAligner {
         }
     }
 
-    /// Searches an RNA reference.
+    /// Searches an RNA reference, packed once ([`FabpAligner::search_packed`]).
     pub fn search(&self, reference: &RnaSeq) -> SearchOutcome {
-        match &self.backend {
-            Backend::Software(_, threads) => {
-                let (mut outcomes, _) =
-                    crate::batch::run(&[self], reference, *threads, SliceOptions::default());
-                outcomes.remove(0)
-            }
-            Backend::Cycle(_) => self.search_packed(&PackedSeq::from_rna(reference)),
-        }
+        self.search_packed(&PackedSeq::from_rna(reference))
     }
 
-    /// Searches a packed (2-bit) reference — the cycle-accurate engine's
-    /// native input; the software engine unpacks.
+    /// Searches a packed (2-bit) reference, the form both engines scan.
     pub fn search_packed(&self, reference: &PackedSeq) -> SearchOutcome {
         match &self.backend {
-            Backend::Software(..) => self.search(&reference.to_rna()),
+            Backend::Software(_, threads) => {
+                let options = SliceOptions::default();
+                let (mut outcomes, _) = search_prebuilt(&[self], reference, *threads, options);
+                outcomes.remove(0)
+            }
             Backend::Cycle(engines) => {
                 let mut hits: Option<Vec<Hit>> = None;
                 let mut stats: Option<EngineStats> = None;

@@ -28,7 +28,8 @@
 //! [`BitParallelEngine::join`] of its passes' engines scanning a slice
 //! per pass, amortising column decode and table evaluation across
 //! queries. [`FabpAligner::search`] runs through the same path as a
-//! batch of one.
+//! batch of one. Each slice is a base range of the packed reference,
+//! which the kernel scans in place.
 //!
 //! Scheduling is **work-stealing** (an atomic claim index over the
 //! flattened item list, `claim_all`) rather than static chunking: a
@@ -45,7 +46,7 @@ use crate::aligner::{merge_hits, Engine, FabpAligner, SearchOutcome, Threshold};
 use crate::bitparallel::{BitParallelEngine, LANES};
 use crate::hits::{merge_shard_hits, Hit};
 use crate::slice_plan::{SliceOptions, SlicePlan};
-use fabp_bio::seq::{ProteinSeq, RnaSeq};
+use fabp_bio::seq::{PackedSeq, ProteinSeq};
 use fabp_resilience::{FabpError, FabpResult};
 use std::borrow::Borrow;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -64,7 +65,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// [`FabpError`] taxonomy (e.g. [`FabpError::EmptyQuery`]).
 pub fn search_all(
     queries: &[ProteinSeq],
-    reference: &RnaSeq,
+    reference: &PackedSeq,
     threshold: Threshold,
     threads: usize,
 ) -> FabpResult<Vec<SearchOutcome>> {
@@ -80,27 +81,7 @@ pub fn search_all(
                 .map_err(FabpError::from)
         })
         .collect::<FabpResult<Vec<_>>>()?;
-    search_all_prebuilt(&aligners, reference, threads)
-}
-
-/// [`search_all`] over aligners the caller already built (and possibly
-/// cached) — the serving layer's dispatch path, where the encode and
-/// table-build cost of a repeated query is paid once and reused across
-/// micro-batches. Outcomes are returned in `aligners` order.
-///
-/// `A` is anything that borrows a [`FabpAligner`], so `&[FabpAligner]`
-/// and `&[Arc<FabpAligner>]` both work.
-///
-/// # Errors
-///
-/// None today: the scheduler itself cannot fail once the aligners are
-/// built. The `Result` keeps the signature of [`search_all`].
-pub fn search_all_prebuilt<A: Borrow<FabpAligner> + Sync>(
-    aligners: &[A],
-    reference: &RnaSeq,
-    threads: usize,
-) -> FabpResult<Vec<SearchOutcome>> {
-    Ok(run(aligners, reference, threads, SliceOptions::default()).0)
+    Ok(search_prebuilt(&aligners, reference, threads, SliceOptions::default()).0)
 }
 
 /// How the scheduler actually ran one batch: work-item mix, lane packing
@@ -324,10 +305,11 @@ impl<'a> LaneGroup<'a> {
     }
 
     /// Scans slice `s`, returning position-translated hits per lane.
-    fn scan(&self, reference: &RnaSeq, s: usize) -> Vec<Vec<Hit>> {
+    fn scan(&self, reference: &PackedSeq, s: usize) -> Vec<Vec<Hit>> {
         let slice = self.plan.slices()[s];
-        let sub = &reference.as_slice()[slice.start..slice.end];
-        let mut per_lane = self.engine.search_lanes(sub, &self.thresholds);
+        let mut per_lane =
+            self.engine
+                .search_lanes(reference, slice.start..slice.end, &self.thresholds);
         for hit in per_lane.iter_mut().flatten() {
             hit.position += slice.start;
         }
@@ -357,31 +339,21 @@ enum ItemResult {
     },
 }
 
-/// [`search_all_prebuilt`] with explicit slice sizing and scheduler
-/// statistics — the benchmarking and property-testing entry point (the
-/// proptest matrix draws `options` to force slice boundaries through
-/// match windows).
-///
-/// # Errors
-///
-/// None today, as [`search_all_prebuilt`].
-pub fn search_all_prebuilt_with_stats<A: Borrow<FabpAligner> + Sync>(
-    aligners: &[A],
-    reference: &RnaSeq,
-    threads: usize,
-    options: SliceOptions,
-) -> FabpResult<(Vec<SearchOutcome>, BatchRunStats)> {
-    Ok(run(aligners, reference, threads, options))
-}
-
-/// The batch scan behind every software search: every pass of every
+/// The batch scan behind every software search, over aligners the
+/// caller already built (and possibly cached — the serving layer pays a
+/// repeated query's encode and table build once): every pass of every
 /// software aligner becomes a lane, lanes pack [`LANES`]-wide into
 /// groups, and each group's reference slices are claimed by
 /// [`claim_all`]'s workers next to the cycle-accurate aligners' whole
-/// queries. Outcomes are returned in `aligners` order.
-pub(crate) fn run<A: Borrow<FabpAligner> + Sync>(
+/// queries. `options` sizes the slices (the proptest matrix draws it to
+/// force slice boundaries through match windows).
+///
+/// Returns the outcomes in `aligners` order and how the scheduler ran.
+/// `A` is anything that borrows a [`FabpAligner`], so `&[FabpAligner]`
+/// and `&[Arc<FabpAligner>]` both work.
+pub fn search_prebuilt<A: Borrow<FabpAligner> + Sync>(
     aligners: &[A],
-    reference: &RnaSeq,
+    reference: &PackedSeq,
     threads: usize,
     options: SliceOptions,
 ) -> (Vec<SearchOutcome>, BatchRunStats) {
@@ -424,7 +396,7 @@ pub(crate) fn run<A: Borrow<FabpAligner> + Sync>(
         },
         WorkItem::Whole { query } => ItemResult::Whole {
             query,
-            outcome: aligners[query].borrow().search(reference),
+            outcome: aligners[query].borrow().search_packed(reference),
         },
     });
 
@@ -526,6 +498,7 @@ pub fn summarize(outcomes: &[SearchOutcome]) -> BatchSummary {
 mod tests {
     use super::*;
     use fabp_bio::generate::{random_protein, PlantedDatabase, PlantedDatabaseConfig};
+    use fabp_bio::seq::RnaSeq;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -548,7 +521,13 @@ mod tests {
             },
             &mut rng,
         );
-        let outcomes = search_all(&db.queries, &db.reference, Threshold::Fraction(1.0), 4).unwrap();
+        let outcomes = search_all(
+            &db.queries,
+            &PackedSeq::from_rna(&db.reference),
+            Threshold::Fraction(1.0),
+            4,
+        )
+        .unwrap();
         assert_eq!(outcomes.len(), 8);
         for (region, outcome) in db.regions.iter().zip(&outcomes) {
             assert!(
@@ -574,9 +553,20 @@ mod tests {
             },
             &mut rng,
         );
-        let serial = search_all(&db.queries, &db.reference, Threshold::Fraction(0.85), 1).unwrap();
-        let parallel =
-            search_all(&db.queries, &db.reference, Threshold::Fraction(0.85), 8).unwrap();
+        let serial = search_all(
+            &db.queries,
+            &PackedSeq::from_rna(&db.reference),
+            Threshold::Fraction(0.85),
+            1,
+        )
+        .unwrap();
+        let parallel = search_all(
+            &db.queries,
+            &PackedSeq::from_rna(&db.reference),
+            Threshold::Fraction(0.85),
+            8,
+        )
+        .unwrap();
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.hits, b.hits);
         }
@@ -600,9 +590,15 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let serial = search_all_prebuilt(&aligners, &reference, 1).unwrap();
+        let serial = search_prebuilt(
+            &aligners,
+            &PackedSeq::from_rna(&reference),
+            1,
+            SliceOptions::default(),
+        )
+        .0;
         let (sliced, stats) =
-            search_all_prebuilt_with_stats(&aligners, &reference, 8, TEST_SLICES).unwrap();
+            search_prebuilt(&aligners, &PackedSeq::from_rna(&reference), 8, TEST_SLICES);
         assert_eq!(serial[0].hits, sliced[0].hits);
         assert!(
             stats.items >= 8,
@@ -632,9 +628,15 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let serial = search_all_prebuilt(&aligners, &reference, 1).unwrap();
+        let serial = search_prebuilt(
+            &aligners,
+            &PackedSeq::from_rna(&reference),
+            1,
+            SliceOptions::default(),
+        )
+        .0;
         let (sliced, stats) =
-            search_all_prebuilt_with_stats(&aligners, &reference, 4, TEST_SLICES).unwrap();
+            search_prebuilt(&aligners, &PackedSeq::from_rna(&reference), 4, TEST_SLICES);
         for (i, (a, b)) in serial.iter().zip(&sliced).enumerate() {
             assert_eq!(a.hits, b.hits, "query {i}");
         }
@@ -666,8 +668,12 @@ mod tests {
                 score: score as u32,
             })
             .collect();
-        let (sliced, stats) =
-            search_all_prebuilt_with_stats(&[&aligner], &reference, 4, TEST_SLICES).unwrap();
+        let (sliced, stats) = search_prebuilt(
+            &[&aligner],
+            &PackedSeq::from_rna(&reference),
+            4,
+            TEST_SLICES,
+        );
         assert_eq!(sliced[0].hits, golden);
         assert_eq!(aligner.search(&reference).hits, golden);
         assert_eq!(
@@ -700,8 +706,12 @@ mod tests {
             .unwrap();
         let serial_soft = soft.search(&reference);
         let serial_cycle = cycle.search(&reference);
-        let (batch, stats) =
-            search_all_prebuilt_with_stats(&[&soft, &cycle], &reference, 4, TEST_SLICES).unwrap();
+        let (batch, stats) = search_prebuilt(
+            &[&soft, &cycle],
+            &PackedSeq::from_rna(&reference),
+            4,
+            TEST_SLICES,
+        );
         assert_eq!(batch[0].hits, serial_soft.hits);
         assert_eq!(batch[1].hits, serial_cycle.hits);
         assert!(batch[1].stats.is_some(), "cycle stats must survive");
@@ -724,8 +734,20 @@ mod tests {
             },
             &mut rng,
         );
-        let serial = search_all(&db.queries, &db.reference, Threshold::Fraction(0.8), 1).unwrap();
-        let wide = search_all(&db.queries, &db.reference, Threshold::Fraction(0.8), 16).unwrap();
+        let serial = search_all(
+            &db.queries,
+            &PackedSeq::from_rna(&db.reference),
+            Threshold::Fraction(0.8),
+            1,
+        )
+        .unwrap();
+        let wide = search_all(
+            &db.queries,
+            &PackedSeq::from_rna(&db.reference),
+            Threshold::Fraction(0.8),
+            16,
+        )
+        .unwrap();
         assert_eq!(wide.len(), db.queries.len());
         for (a, b) in serial.iter().zip(&wide) {
             assert_eq!(a.hits, b.hits);
@@ -744,8 +766,20 @@ mod tests {
             queries.push(random_protein(6, &mut rng));
         }
         let reference = fabp_bio::generate::random_rna(40_000, &mut rng);
-        let serial = search_all(&queries, &reference, Threshold::Fraction(0.6), 1).unwrap();
-        let parallel = search_all(&queries, &reference, Threshold::Fraction(0.6), 4).unwrap();
+        let serial = search_all(
+            &queries,
+            &PackedSeq::from_rna(&reference),
+            Threshold::Fraction(0.6),
+            1,
+        )
+        .unwrap();
+        let parallel = search_all(
+            &queries,
+            &PackedSeq::from_rna(&reference),
+            Threshold::Fraction(0.6),
+            4,
+        )
+        .unwrap();
         assert_eq!(serial.len(), parallel.len());
         for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
             assert_eq!(a.hits, b.hits, "query {i}");
@@ -764,7 +798,13 @@ mod tests {
             },
             &mut rng,
         );
-        search_all(&db.queries, &db.reference, Threshold::Fraction(0.9), 3).unwrap();
+        search_all(
+            &db.queries,
+            &PackedSeq::from_rna(&db.reference),
+            Threshold::Fraction(0.9),
+            3,
+        )
+        .unwrap();
         let snapshot = fabp_telemetry::Registry::global().snapshot();
         let text = snapshot.to_prometheus();
         assert!(text.contains("fabp_batch_queue_depth"));
@@ -780,7 +820,13 @@ mod tests {
     #[test]
     fn empty_batch_is_ok() {
         let reference: RnaSeq = "ACGU".parse().unwrap();
-        let outcomes = search_all(&[], &reference, Threshold::Absolute(0), 4).unwrap();
+        let outcomes = search_all(
+            &[],
+            &PackedSeq::from_rna(&reference),
+            Threshold::Absolute(0),
+            4,
+        )
+        .unwrap();
         assert!(outcomes.is_empty());
         assert_eq!(summarize(&outcomes).queries, 0);
     }
@@ -790,7 +836,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(80);
         let queries = vec![random_protein(5, &mut rng), random_protein(7, &mut rng)];
         let reference = RnaSeq::new();
-        let outcomes = search_all(&queries, &reference, Threshold::Absolute(1), 4).unwrap();
+        let outcomes = search_all(
+            &queries,
+            &PackedSeq::from_rna(&reference),
+            Threshold::Absolute(1),
+            4,
+        )
+        .unwrap();
         assert_eq!(outcomes.len(), 2);
         assert!(outcomes.iter().all(|o| o.hits.is_empty()));
     }
@@ -799,6 +851,12 @@ mod tests {
     fn empty_query_in_batch_errors() {
         let reference: RnaSeq = "ACGU".parse().unwrap();
         let queries = vec![ProteinSeq::new()];
-        assert!(search_all(&queries, &reference, Threshold::Absolute(0), 1).is_err());
+        assert!(search_all(
+            &queries,
+            &PackedSeq::from_rna(&reference),
+            Threshold::Absolute(0),
+            1
+        )
+        .is_err());
     }
 }

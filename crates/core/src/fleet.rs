@@ -50,7 +50,7 @@
 
 use crate::hits::{merge_shard_hits, Hit};
 use crate::slice_plan::overlap_ranges;
-use fabp_bio::seq::{PackedSeq, RnaSeq};
+use fabp_bio::seq::PackedSeq;
 use fabp_encoding::encoder::EncodedQuery;
 use fabp_fpga::engine::{EngineConfig, FabpEngine};
 use fabp_resilience::health::FailureDetector;
@@ -87,7 +87,7 @@ pub struct FleetTiming {
     pub joules_per_query: f64,
 }
 
-/// Packs `reference` into `nodes` shards, sizes differing by at most
+/// Cuts `reference` into `nodes` shards, sizes differing by at most
 /// one base, each carrying `overlap` bases of trailing context (clamped
 /// to the reference end) so windows straddling a shard boundary are
 /// scored by at least one node; [`merge_shard_hits`] removes the
@@ -102,16 +102,13 @@ pub struct FleetTiming {
 ///
 /// Returns [`FabpError::InvalidShardPlan`] if `nodes == 0`.
 pub fn pack_shards(
-    reference: &RnaSeq,
+    reference: &PackedSeq,
     nodes: usize,
     overlap: usize,
 ) -> FabpResult<(Vec<PackedSeq>, Vec<usize>)> {
     Ok(overlap_ranges(reference.len(), nodes, overlap)?
         .into_iter()
-        .map(|(start, end)| {
-            let shard = reference.as_slice()[start..end].iter().copied().collect();
-            (shard, start)
-        })
+        .map(|(start, end)| (reference.slice(start..end), start))
         .unzip())
 }
 
@@ -698,6 +695,7 @@ mod tests {
     use super::*;
     use crate::hits::{merge_overlapping, merge_overlapping_unsorted};
     use fabp_bio::generate::{coding_rna_for_paper_patterns, random_protein, random_rna};
+    use fabp_bio::seq::RnaSeq;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -736,7 +734,8 @@ mod tests {
             reference.len() as u64,
         )
         .unwrap();
-        let (shards, offsets) = pack_shards(reference, nodes, qlen - 1).unwrap();
+        let (shards, offsets) =
+            pack_shards(&PackedSeq::from_rna(reference), nodes, qlen - 1).unwrap();
         (fleet, shards, offsets)
     }
 
@@ -1032,7 +1031,7 @@ mod tests {
     fn shard_count_mismatch_is_a_typed_error() {
         let (query, reference) = fixture(46, 800, &[]);
         let (fleet, _, _) = fleet_over(&query, &reference, 4, 2);
-        let (shards, offsets) = pack_shards(&reference, 3, 0).unwrap();
+        let (shards, offsets) = pack_shards(&PackedSeq::from_rna(&reference), 3, 0).unwrap();
         let mut detector = FailureDetector::with_defaults(4, &Registry::disabled());
         let none = FaultSchedule::new();
         let registry = Registry::disabled();
@@ -1040,7 +1039,7 @@ mod tests {
             search(&fleet, &shards, &offsets, &none, &mut detector, &registry),
             Err(FabpError::InvalidShardPlan(_))
         ));
-        let (shards, offsets) = pack_shards(&reference, 4, 0).unwrap();
+        let (shards, offsets) = pack_shards(&PackedSeq::from_rna(&reference), 4, 0).unwrap();
         assert!(matches!(
             search(
                 &fleet,
@@ -1061,7 +1060,7 @@ mod tests {
         let query = EncodedQuery::from_protein(&protein);
         let fleet = FpgaFleet::homogeneous(&query, &EngineConfig::kintex7(5), 2, 1, 100).unwrap();
         let reference: RnaSeq = "ACGUACGUACGU".parse().unwrap();
-        let (shards, offsets) = pack_shards(&reference, 3, 0).unwrap();
+        let (shards, offsets) = pack_shards(&PackedSeq::from_rna(&reference), 3, 0).unwrap();
         let mut detector = FailureDetector::with_defaults(2, &Registry::disabled());
         let none = FaultSchedule::new();
         let registry = Registry::disabled();
@@ -1109,7 +1108,7 @@ mod tests {
     fn zero_nodes_is_a_typed_error() {
         let (query, reference) = fixture(47, 100, &[]);
         assert!(matches!(
-            pack_shards(&reference, 0, 3),
+            pack_shards(&PackedSeq::from_rna(&reference), 0, 3),
             Err(FabpError::InvalidShardPlan(_))
         ));
         assert!(matches!(
@@ -1144,7 +1143,7 @@ mod tests {
     fn overlap_larger_than_shard_clamps_to_reference_end() {
         // 12 bases in 6 shards of 2 bases, overlap 5 > shard size.
         let reference: RnaSeq = "ACGUACGUACGU".parse().unwrap();
-        let (shards, offsets) = pack_shards(&reference, 6, 5).unwrap();
+        let (shards, offsets) = pack_shards(&PackedSeq::from_rna(&reference), 6, 5).unwrap();
         assert_eq!(shards.len(), 6);
         assert_eq!(offsets, vec![0, 2, 4, 6, 8, 10]);
         for (shard, &offset) in shards.iter().zip(&offsets) {
@@ -1163,7 +1162,8 @@ mod tests {
     fn overlap_with_more_nodes_than_bases_stays_in_bounds_and_complete() {
         let reference: RnaSeq = "ACGUA".parse().unwrap(); // 5 bases
         for (nodes, overlap) in [(8, 3), (8, 5), (8, 64), (5, 5), (12, 0)] {
-            let (shards, offsets) = pack_shards(&reference, nodes, overlap).unwrap();
+            let (shards, offsets) =
+                pack_shards(&PackedSeq::from_rna(&reference), nodes, overlap).unwrap();
             assert_eq!(shards.len(), nodes, "nodes={nodes} overlap={overlap}");
             assert_eq!(offsets.len(), nodes);
             // Offsets are non-decreasing, in bounds, and the shard at
@@ -1220,7 +1220,8 @@ mod tests {
         for (nodes, overlap) in [(16, qlen - 1), (8, 40), (40, qlen - 1), (3, 0)] {
             let fleet =
                 FpgaFleet::homogeneous(&query, &config, nodes, 1, reference.len() as u64).unwrap();
-            let (shards, offsets) = pack_shards(&reference, nodes, overlap).unwrap();
+            let (shards, offsets) =
+                pack_shards(&PackedSeq::from_rna(&reference), nodes, overlap).unwrap();
             let mut detector = FailureDetector::with_defaults(nodes, &Registry::disabled());
             let hits = search(
                 &fleet,
@@ -1280,7 +1281,7 @@ mod tests {
         // Per-shard runs, hits translated to global coordinates — the
         // composition a multi-query serving layer performs.
         let (fleet, _, _) = fleet_over(&query, &reference, 4, 1);
-        let (shards, offsets) = pack_shards(&reference, 4, overlap).unwrap();
+        let (shards, offsets) = pack_shards(&PackedSeq::from_rna(&reference), 4, overlap).unwrap();
         let per_shard: Vec<Vec<Hit>> = shards
             .iter()
             .zip(&offsets)

@@ -13,8 +13,10 @@
 //!    `fabp-resilience`, and written as raw little-endian words. Loading
 //!    is a single pass of reads straight into `u64` buffers — no text
 //!    parse, no re-encode — so a 1 GB+ reference cold-loads at I/O
-//!    speed and warm paths can hold the shards resident behind an
+//!    speed and warm paths can hold the index resident behind an
 //!    [`Arc`](std::sync::Arc) keyed by [`ReferenceIndex::fingerprint`].
+//!    In memory the reference is one contiguous [`PackedSeq`] that every
+//!    search scans in place; shards are base ranges of it.
 //! 2. **A k-mer seed prefilter** ([`search_index`] with
 //!    [`PrefilterMode::Seeded`]): the production promotion of
 //!    [`fabp_baselines::kmer::WordIndex`] — a BLAST-style BLOSUM62
@@ -49,11 +51,13 @@
 //!
 //! A corrupted header fails with
 //! [`FabpError::CrcMismatch`]`{stream: IndexHeader}`; a corrupted shard
-//! payload with `{stream: IndexShard, frame: shard}` — typed errors,
-//! never UB or silent wrong hits.
+//! payload with `{stream: IndexShard, frame: shard}`; shards that do not
+//! tile the reference, or whose trailing overlap disagrees with the
+//! bases that follow, with [`FabpError::Decode`] — typed errors, never
+//! UB or silent wrong hits.
 
-use crate::aligner::{FabpAligner, Threshold};
-use crate::batch::claim_all;
+use crate::aligner::Threshold;
+use crate::batch::{claim_all, search_all};
 use crate::bitparallel::BitParallelEngine;
 use crate::hits::{merge_shard_hits, Hit};
 use crate::slice_plan::{overlap_ranges, SliceOptions, SlicePlan};
@@ -62,12 +66,14 @@ use fabp_bio::alphabet::AminoAcid;
 use fabp_bio::codon::Codon;
 use fabp_bio::seq::{PackedSeq, ProteinSeq, RnaSeq};
 use fabp_encoding::encoder::EncodedQuery;
-use fabp_resilience::crc::crc32_words;
+use fabp_resilience::crc::{crc32, crc32_words, Crc32};
 use fabp_resilience::{FabpError, FabpResult, StreamKind};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
+use std::ops::Range;
 use std::path::Path;
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// File magic at offset 0.
 pub const MAGIC: [u8; 8] = *b"FABPIDX\0";
@@ -159,27 +165,19 @@ impl Default for IndexBuildOptions {
     }
 }
 
-/// One packed shard of the reference: `base_len` bases starting at
-/// global base `start`, including the trailing overlap.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexShard {
-    /// Global base offset of the shard's first base.
-    pub start: usize,
-    /// The 2-bit packed shard bases (body + trailing overlap).
-    pub packed: PackedSeq,
-}
-
-/// A persistent, CRC-framed, packed-shard reference index.
+/// A persistent, CRC-framed, packed-shard reference index: the reference
+/// held once, and shards as base ranges of it, each reaching `overlap`
+/// bases into the next, that frame the file and spread seeding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReferenceIndex {
-    total_bases: usize,
     overlap: usize,
-    shards: Vec<IndexShard>,
+    reference: Arc<PackedSeq>,
+    shards: Vec<Range<usize>>,
     fingerprint: u64,
 }
 
 impl ReferenceIndex {
-    /// Packs `reference` into overlap-sharded form.
+    /// Packs `reference` and cuts it into overlapping shards.
     ///
     /// # Errors
     ///
@@ -195,28 +193,24 @@ impl ReferenceIndex {
             ));
         }
         let parts = total.div_ceil(options.target_shard_bases.max(1)).max(1);
-        let ranges = overlap_ranges(total, parts, options.overlap)?;
-        let shards: Vec<IndexShard> = ranges
+        let shards = overlap_ranges(total, parts, options.overlap)?
             .into_iter()
             .filter(|(s, e)| e > s)
-            .map(|(s, e)| IndexShard {
-                start: s,
-                packed: reference.as_slice()[s..e].iter().copied().collect(),
-            })
+            .map(|(s, e)| s..e)
             .collect();
         let mut index = ReferenceIndex {
-            total_bases: total,
             overlap: options.overlap,
+            reference: Arc::new(PackedSeq::from_rna(reference)),
             shards,
             fingerprint: 0,
         };
-        index.fingerprint = index.compute_fingerprint();
+        index.fingerprint = fingerprint(total, index.overlap, &index.shards, &index.shard_crcs());
         Ok(index)
     }
 
     /// Total reference length in bases.
     pub fn total_bases(&self) -> usize {
-        self.total_bases
+        self.reference.len()
     }
 
     /// Trailing overlap bases per shard.
@@ -224,8 +218,13 @@ impl ReferenceIndex {
         self.overlap
     }
 
-    /// The packed shards, in reference order.
-    pub fn shards(&self) -> &[IndexShard] {
+    /// The whole reference, 2-bit packed, shareable.
+    pub fn reference(&self) -> &Arc<PackedSeq> {
+        &self.reference
+    }
+
+    /// The shards' base ranges, in reference order.
+    pub fn shards(&self) -> &[Range<usize>] {
         &self.shards
     }
 
@@ -236,73 +235,42 @@ impl ReferenceIndex {
         self.fingerprint
     }
 
-    /// Alignment positions this shard *owns* for a `window`-base query:
-    /// positions in the trailing overlap belong to the next shard.
-    fn owned_positions(&self, shard_idx: usize, window: usize) -> usize {
-        let shard = &self.shards[shard_idx];
-        let len = shard.packed.len();
-        let body = match self.shards.get(shard_idx + 1) {
-            Some(next) => next.start - shard.start,
-            None => len,
-        };
-        body.min((len + 1).saturating_sub(window))
+    /// End of the alignment positions shard `i` *owns* for a `window`-base
+    /// query: positions in its trailing overlap belong to the next shard.
+    fn owned_end(&self, i: usize, window: usize) -> usize {
+        let shard = &self.shards[i];
+        let body = self.shards.get(i + 1).map_or(shard.end, |next| next.start) - shard.start;
+        shard.start + body.min((shard.len() + 1).saturating_sub(window))
     }
 
-    /// Decodes the full reference back to an [`RnaSeq`] (each shard's
-    /// body, overlap skipped) — the exhaustive-scan path for
-    /// [`PrefilterMode::Off`].
-    pub fn decode_reference(&self) -> RnaSeq {
-        let mut bases = Vec::with_capacity(self.total_bases);
-        for (i, shard) in self.shards.iter().enumerate() {
-            let body = match self.shards.get(i + 1) {
-                Some(next) => next.start - shard.start,
-                None => shard.packed.len(),
-            };
-            bases.extend(shard.packed.iter().take(body));
-        }
-        RnaSeq::from(bases)
+    fn shard_crcs(&self) -> Vec<u32> {
+        self.shards
+            .iter()
+            .map(|shard| crc32_words(self.reference.slice(shard.clone()).words()))
+            .collect()
     }
 
-    fn header_bytes(&self) -> Vec<u8> {
-        let mut h = Vec::with_capacity(24 + self.shards.len() * SHARD_GEOMETRY_BYTES);
-        h.extend_from_slice(&(self.total_bases as u64).to_le_bytes());
-        h.extend_from_slice(&(self.overlap as u64).to_le_bytes());
-        h.extend_from_slice(&(self.shards.len() as u64).to_le_bytes());
+    /// The version-1 serializer, cutting each shard's words with a slice.
+    fn write_bytes(&self, w: &mut impl Write) -> std::io::Result<()> {
+        let crcs = self.shard_crcs();
+        let header = header_bytes(self.total_bases(), self.overlap, &self.shards, &crcs);
+        w.write_all(&MAGIC)?;
+        w.write_all(&VERSION.to_le_bytes())?;
+        w.write_all(&(header.len() as u32).to_le_bytes())?;
+        w.write_all(&header)?;
+        w.write_all(&crc32(&header).to_le_bytes())?;
         for shard in &self.shards {
-            h.extend_from_slice(&(shard.start as u64).to_le_bytes());
-            h.extend_from_slice(&(shard.packed.len() as u64).to_le_bytes());
-            h.extend_from_slice(&(shard.packed.words().len() as u64).to_le_bytes());
-            h.extend_from_slice(&crc32_words(shard.packed.words()).to_le_bytes());
-            h.extend_from_slice(&0u32.to_le_bytes());
+            for word in self.reference.slice(shard.clone()).words() {
+                w.write_all(&word.to_le_bytes())?;
+            }
         }
-        h
-    }
-
-    fn compute_fingerprint(&self) -> u64 {
-        let header = self.header_bytes();
-        let header_crc = fabp_resilience::crc::crc32(&header);
-        let mut tail = fabp_resilience::crc::Crc32::new();
-        for shard in &self.shards {
-            tail.update(&crc32_words(shard.packed.words()).to_le_bytes());
-        }
-        (u64::from(header_crc) << 32) | u64::from(tail.finalize())
+        Ok(())
     }
 
     /// Serializes the index to the version-1 byte layout.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let header = self.header_bytes();
-        let payload_words: usize = self.shards.iter().map(|s| s.packed.words().len()).sum();
-        let mut out = Vec::with_capacity(20 + header.len() + payload_words * 8);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(header.len() as u32).to_le_bytes());
-        out.extend_from_slice(&header);
-        out.extend_from_slice(&fabp_resilience::crc::crc32(&header).to_le_bytes());
-        for shard in &self.shards {
-            for word in shard.packed.words() {
-                out.extend_from_slice(&word.to_le_bytes());
-            }
-        }
+        let mut out = Vec::new();
+        self.write_bytes(&mut out).expect("a Vec write cannot fail");
         out
     }
 
@@ -314,20 +282,8 @@ impl ReferenceIndex {
     pub fn write_to(&self, path: impl AsRef<Path>) -> FabpResult<()> {
         let io_err = |e: std::io::Error| FabpError::Internal(format!("index write: {e}"));
         let mut w = BufWriter::new(File::create(path).map_err(io_err)?);
-        let header = self.header_bytes();
-        w.write_all(&MAGIC).map_err(io_err)?;
-        w.write_all(&VERSION.to_le_bytes()).map_err(io_err)?;
-        w.write_all(&(header.len() as u32).to_le_bytes())
-            .map_err(io_err)?;
-        w.write_all(&header).map_err(io_err)?;
-        w.write_all(&fabp_resilience::crc::crc32(&header).to_le_bytes())
-            .map_err(io_err)?;
-        for shard in &self.shards {
-            for word in shard.packed.words() {
-                w.write_all(&word.to_le_bytes()).map_err(io_err)?;
-            }
-        }
-        w.flush().map_err(io_err)
+        let written = self.write_bytes(&mut w).and_then(|()| w.flush());
+        written.map_err(io_err)
     }
 
     /// Loads an index from `path` (buffered chunk reads straight into
@@ -336,7 +292,7 @@ impl ReferenceIndex {
     /// # Errors
     ///
     /// * [`FabpError::Decode`] — wrong magic/version, truncation, or
-    ///   inconsistent geometry;
+    ///   inconsistent geometry or overlap bases;
     /// * [`FabpError::CrcMismatch`] — header or shard payload corrupted.
     pub fn load(path: impl AsRef<Path>) -> FabpResult<ReferenceIndex> {
         let io_err = |e: std::io::Error| FabpError::Decode(format!("index read: {e}"));
@@ -365,7 +321,7 @@ impl ReferenceIndex {
         let header_len = cur.u32()? as usize;
         let header = cur.take(header_len)?.to_vec();
         let stored_header_crc = cur.u32()?;
-        let actual_header_crc = fabp_resilience::crc::crc32(&header);
+        let actual_header_crc = crc32(&header);
         if stored_header_crc != actual_header_crc {
             return Err(FabpError::CrcMismatch {
                 stream: StreamKind::IndexHeader,
@@ -393,7 +349,8 @@ impl ReferenceIndex {
                 header.len()
             )));
         }
-        let mut geometry = Vec::with_capacity(shard_count);
+        let mut shards = Vec::with_capacity(shard_count);
+        let mut crcs = Vec::with_capacity(shard_count);
         for i in 0..shard_count {
             let start = hc.u64()? as usize;
             let base_len = hc.u64()? as usize;
@@ -413,31 +370,38 @@ impl ReferenceIndex {
                     "shard {i}: range {start}+{base_len} exceeds {total_bases} bases"
                 )));
             }
-            geometry.push((start, base_len, word_count, payload_crc));
+            shards.push(start..start + base_len);
+            crcs.push(payload_crc);
         }
         // The shards must tile the reference in order, each reaching
         // `overlap` bases into the next, as `build_from_rna` writes them:
         // hit coordinates rely on it, and it bounds `total_bases` by the
         // payload the file actually holds.
-        let tiled = geometry.first().is_some_and(|g| g.0 == 0)
-            && geometry.windows(2).all(|w| {
-                let ((start, len, ..), (next, ..)) = (w[0], w[1]);
-                next > start && start + len >= next.saturating_add(overlap).min(total_bases)
+        let tiled = shards.first().is_some_and(|s| s.start == 0)
+            && shards.windows(2).all(|w| {
+                let next = w[1].start;
+                next > w[0].start && w[0].end >= next.saturating_add(overlap).min(total_bases)
             })
-            && geometry.last().is_some_and(|g| g.0 + g.1 == total_bases);
+            && shards.last().is_some_and(|s| s.end == total_bases);
         if !tiled {
             return Err(FabpError::Decode(format!(
                 "shards do not tile {total_bases} bases in order with overlap {overlap}"
             )));
         }
 
+        // Append each shard's body, its bases up to the next shard's
+        // start (at most its length, by the tiling). Its trailing overlap
+        // repeats later bases; it is checked once they are all in.
         let mut cursor = Cursor {
             bytes: cur.rest(),
             at: 0,
         };
-        let mut shards = Vec::with_capacity(shard_count);
-        for (i, (start, base_len, word_count, payload_crc)) in geometry.into_iter().enumerate() {
-            let raw = cursor.take(word_count * 8)?;
+        // Sized by the payload the file holds, not the header's claim.
+        let mut reference = PackedSeq::with_capacity(total_bases.min(4 * cursor.bytes.len()));
+        let mut overlaps = Vec::new();
+        for (i, (shard, &payload_crc)) in shards.iter().zip(&crcs).enumerate() {
+            let len = shard.len();
+            let raw = cursor.take(len.div_ceil(PackedSeq::BASES_PER_WORD) * 8)?;
             let words: Vec<u64> = raw
                 .chunks_exact(8)
                 .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
@@ -451,23 +415,57 @@ impl ReferenceIndex {
                     actual,
                 });
             }
-            let packed = PackedSeq::from_words(words, base_len).ok_or_else(|| {
-                FabpError::Decode(format!(
-                    "shard {i}: words inconsistent with {base_len} bases"
-                ))
+            let packed = PackedSeq::from_words(words, len).ok_or_else(|| {
+                FabpError::Decode(format!("shard {i}: words inconsistent with {len} bases"))
             })?;
-            shards.push(IndexShard { start, packed });
+            let body = shards.get(i + 1).map_or(shard.end, |next| next.start) - shard.start;
+            reference.extend_from_words(packed.words(), body);
+            if body < len {
+                overlaps.push((i, shard.start + body, packed.slice(body..len)));
+            }
         }
-
-        let mut index = ReferenceIndex {
-            total_bases,
+        for (i, at, bases) in overlaps {
+            if reference.slice(at..at + bases.len()) != bases {
+                return Err(FabpError::Decode(format!(
+                    "shard {i}: trailing overlap at base {at} disagrees with the next shard"
+                )));
+            }
+        }
+        Ok(ReferenceIndex {
+            fingerprint: fingerprint(total_bases, overlap, &shards, &crcs),
             overlap,
+            reference: Arc::new(reference),
             shards,
-            fingerprint: 0,
-        };
-        index.fingerprint = index.compute_fingerprint();
-        Ok(index)
+        })
     }
+}
+
+fn header_bytes(total: usize, overlap: usize, shards: &[Range<usize>], crcs: &[u32]) -> Vec<u8> {
+    let mut h = Vec::with_capacity(24 + shards.len() * SHARD_GEOMETRY_BYTES);
+    h.extend_from_slice(&(total as u64).to_le_bytes());
+    h.extend_from_slice(&(overlap as u64).to_le_bytes());
+    h.extend_from_slice(&(shards.len() as u64).to_le_bytes());
+    for (shard, crc) in shards.iter().zip(crcs) {
+        h.extend_from_slice(&(shard.start as u64).to_le_bytes());
+        h.extend_from_slice(&(shard.len() as u64).to_le_bytes());
+        h.extend_from_slice(
+            &(shard.len().div_ceil(PackedSeq::BASES_PER_WORD) as u64).to_le_bytes(),
+        );
+        h.extend_from_slice(&crc.to_le_bytes());
+        h.extend_from_slice(&0u32.to_le_bytes());
+    }
+    h
+}
+
+/// [`ReferenceIndex::fingerprint`]: the header CRC over the chained
+/// shard payload CRCs.
+fn fingerprint(total: usize, overlap: usize, shards: &[Range<usize>], crcs: &[u32]) -> u64 {
+    let header_crc = crc32(&header_bytes(total, overlap, shards, crcs));
+    let mut tail = Crc32::new();
+    for crc in crcs {
+        tail.update(&crc.to_le_bytes());
+    }
+    (u64::from(header_crc) << 32) | u64::from(tail.finalize())
 }
 
 struct Cursor<'a> {
@@ -583,8 +581,8 @@ pub fn record_recall(recall: f64) {
 
 /// Searches `proteins` against the indexed reference.
 ///
-/// With [`PrefilterMode::Off`] the reference is decoded once and every
-/// position scanned (the exhaustive ground-truth path). With
+/// With [`PrefilterMode::Off`] every position of the held words is
+/// scanned (the exhaustive ground-truth path). With
 /// [`PrefilterMode::Seeded`] each shard is translated in three frames,
 /// seed hits are diagonally binned into candidate windows, and only the
 /// coalesced candidate regions are verified by the exact engine — hits
@@ -619,8 +617,11 @@ pub fn search_index(
     };
     let hits = match mode {
         PrefilterMode::Off => {
+            // The exhaustive path: the held words through the sliced
+            // batch scheduler.
             stats.admitted_bases = stats.full_scan_bases;
-            search_off(index, proteins, threshold, workers)?
+            let outcomes = search_all(proteins, &index.reference, threshold, workers)?;
+            outcomes.into_iter().map(|o| o.hits).collect()
         }
         PrefilterMode::Seeded => {
             search_seeded(index, proteins, threshold, params, workers, &mut stats)?
@@ -628,29 +629,6 @@ pub fn search_index(
     };
     publish_stats(&stats, mode);
     Ok((hits, stats))
-}
-
-/// The exhaustive path: decode once, scan everything through the
-/// sliced batch scheduler.
-fn search_off(
-    index: &ReferenceIndex,
-    proteins: &[ProteinSeq],
-    threshold: Threshold,
-    workers: usize,
-) -> FabpResult<Vec<Vec<Hit>>> {
-    let reference = index.decode_reference();
-    let aligners: Vec<FabpAligner> = proteins
-        .iter()
-        .map(|p| {
-            FabpAligner::builder()
-                .protein_query(p)
-                .threshold(threshold)
-                .build()
-                .map_err(FabpError::from)
-        })
-        .collect::<FabpResult<_>>()?;
-    let (outcomes, _) = crate::batch::run(&aligners, &reference, workers, SliceOptions::default());
-    Ok(outcomes.into_iter().map(|o| o.hits).collect())
 }
 
 /// Per-query seeding state shared across shards.
@@ -662,7 +640,7 @@ struct QuerySeed {
 }
 
 /// One verification work item: a run of `query`'s candidate base ranges
-/// in `shard`, as indices into the shared list of shard-local ranges.
+/// in `shard`, as indices into the shared list of global ranges.
 struct Verify {
     query: usize,
     shard: usize,
@@ -701,9 +679,10 @@ fn search_seeded(
         .collect::<FabpResult<_>>()?;
 
     // Seed every shard: per shard, one 3-frame translation pass with
-    // rolling packed keys feeds every query's word table.
+    // rolling packed keys over the held words feeds every query's word
+    // table.
     let seeded = claim_all(index.shards(), workers, |shard| {
-        seed_shard(&shard.packed, &seeds, params)
+        seed_shard(&index.reference, shard.clone(), &seeds, params)
     })
     .results;
     stats.seed_hits += seeded.iter().map(|(_, hits)| hits).sum::<u64>();
@@ -718,19 +697,18 @@ fn search_seeded(
     let mut items: Vec<Verify> = Vec::new();
     for (q, seed) in seeds.iter().enumerate() {
         for (s, (candidates, _)) in seeded.iter().enumerate() {
-            let owned = index.owned_positions(s, seed.window);
+            let owned_end = index.owned_end(s, seed.window);
             let mut starts: Vec<usize> = candidates[q]
                 .iter()
                 .copied()
-                .filter(|&c| c < owned)
+                .filter(|&c| c < owned_end)
                 .collect();
             starts.sort_unstable();
             starts.dedup();
             stats.candidate_windows += starts.len() as u64;
-            let shard_len = index.shards()[s].packed.len();
             let mut first = ranges.len();
             let mut item_bases = 0;
-            for (lo, hi) in coalesce(&starts, seed.window, shard_len) {
+            for (lo, hi) in coalesce(&starts, seed.window, index.shards()[s].end) {
                 stats.admitted_bases += (hi - lo) as u64;
                 for slice in SlicePlan::build(hi - lo, seed.window, workers, options).slices() {
                     if slice.positions == 0 {
@@ -759,23 +737,21 @@ fn search_seeded(
         }
     }
 
-    // Verify every range with the exact engine; keep the hits the shard
-    // owns, in global coordinates.
+    // Verify every range in place with the exact engine; keep the hits
+    // the shard owns.
     let verified = claim_all(&items, workers, |item| {
         let seed = &seeds[item.query];
-        let shard = &index.shards()[item.shard];
-        let owned = index.owned_positions(item.shard, seed.window);
+        let owned_end = index.owned_end(item.shard, seed.window);
         let mut hits = Vec::new();
         for &(lo, hi) in &ranges[item.ranges.clone()] {
-            let bases = shard.packed.unpack_range(lo..hi);
             hits.extend(
                 seed.engine
-                    .search(&bases, seed.resolved_threshold)
+                    .search(&index.reference, lo..hi, seed.resolved_threshold)
                     .into_iter()
                     .filter_map(|hit| {
-                        let local = lo + hit.position;
-                        (local < owned).then_some(Hit {
-                            position: shard.start + local,
+                        let position = lo + hit.position;
+                        (position < owned_end).then_some(Hit {
+                            position,
                             score: hit.score,
                         })
                     }),
@@ -791,18 +767,19 @@ fn search_seeded(
     Ok(per_query.into_iter().map(merge_shard_hits).collect())
 }
 
-/// Translates one packed shard in the three forward frames, streaming
-/// rolling packed word keys into every query's neighbourhood table.
-/// Returns per-query candidate window starts (shard-local bases) and
-/// the raw seed-hit count.
+/// Translates one shard of the packed reference in the three forward
+/// frames, streaming rolling packed word keys into every query's
+/// neighbourhood table. Returns per-query candidate window starts
+/// (global bases, none before the shard) and the raw seed-hit count.
 fn seed_shard(
-    packed: &PackedSeq,
+    reference: &PackedSeq,
+    shard: Range<usize>,
     seeds: &[QuerySeed],
     params: SeedParams,
 ) -> (Vec<Vec<usize>>, u64) {
     let w = params.word_size;
     let rolling_modulus = SYMBOLS.pow(w as u32 - 1);
-    let len = packed.len();
+    let len = shard.len();
     let mut candidates: Vec<Vec<usize>> = seeds.iter().map(|_| Vec::new()).collect();
     let mut seed_hits = 0u64;
     for frame in 0..3usize {
@@ -813,17 +790,17 @@ fn seed_shard(
         let mut residues = 0usize;
         let aa_count = (len - frame) / 3;
         for j in 0..aa_count {
-            let base = frame + 3 * j;
-            let codon_idx = ((packed.code_at(base) as usize) << 4)
-                | ((packed.code_at(base + 1) as usize) << 2)
-                | (packed.code_at(base + 2) as usize);
+            let base = shard.start + frame + 3 * j;
+            let codon_idx = ((reference.code_at(base) as usize) << 4)
+                | ((reference.code_at(base + 1) as usize) << 2)
+                | (reference.code_at(base + 2) as usize);
             let aa: AminoAcid = Codon::from_index(codon_idx as u8).translate();
             key = (key % rolling_modulus) * SYMBOLS + aa.index();
             residues += 1;
             if residues < w {
                 continue;
             }
-            // Word spans residues j−w+1 ..= j; its first base:
+            // Word spans residues j−w+1 ..= j; its first base, shard-local:
             let word_base = frame + 3 * (j + 1 - w);
             for (q, seed) in seeds.iter().enumerate() {
                 let postings = seed.words.lookup_key(key);
@@ -831,7 +808,7 @@ fn seed_shard(
                 for &qpos in postings {
                     let offset = 3 * qpos as usize;
                     if word_base >= offset {
-                        candidates[q].push(word_base - offset);
+                        candidates[q].push(shard.start + word_base - offset);
                     }
                 }
             }
@@ -841,12 +818,12 @@ fn seed_shard(
 }
 
 /// Coalesces sorted candidate starts into disjoint `[lo, hi)` base
-/// regions of `window`-sized verifications, clamped to the shard.
-fn coalesce(starts: &[usize], window: usize, shard_len: usize) -> Vec<(usize, usize)> {
+/// regions of `window`-sized verifications, clamped to the shard end.
+fn coalesce(starts: &[usize], window: usize, shard_end: usize) -> Vec<(usize, usize)> {
     let mut regions: Vec<(usize, usize)> = Vec::new();
     for &c in starts {
         let lo = c;
-        let hi = (c + window).min(shard_len);
+        let hi = (c + window).min(shard_end);
         if hi <= lo {
             continue;
         }
@@ -884,7 +861,7 @@ mod tests {
         let (reference, index) = small_index(1_000, 7);
         assert_eq!(index.total_bases(), 1_000);
         assert!(index.shards().len() > 1);
-        assert_eq!(index.decode_reference(), reference);
+        assert_eq!(index.reference().to_rna(), reference);
     }
 
     #[test]
@@ -972,6 +949,23 @@ mod tests {
             Err(FabpError::Decode(msg)) => assert!(msg.contains("exceeds"), "{msg}"),
             other => panic!("expected a decode error, got {other:?}"),
         }
+
+        // One well-tiled shard of 2^44 bases and no payload: the reference
+        // must not be sized by the claim before the payload is read.
+        let mut header = Vec::new();
+        for field in [1u64 << 44, 0, 1, 0, 1 << 44, 1 << 39] {
+            header.extend_from_slice(&field.to_le_bytes());
+        }
+        header.extend_from_slice(&[0; 8]); // payload CRC + reserved
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(header.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&header);
+        bytes.extend_from_slice(&fabp_resilience::crc::crc32(&header).to_le_bytes());
+        match ReferenceIndex::from_bytes(&bytes) {
+            Err(FabpError::Decode(msg)) => assert!(msg.contains("truncated"), "{msg}"),
+            other => panic!("expected a decode error, got {other:?}"),
+        }
     }
 
     /// Rewrites the u64 at byte `offset` of the header region and
@@ -1026,6 +1020,33 @@ mod tests {
         let mut bytes = index.to_bytes();
         forge_header_u64(&mut bytes, start_at(0), 1);
         expect_tiling_error(&bytes);
+    }
+
+    #[test]
+    fn inconsistent_overlap_is_a_decode_error() {
+        // Shard 0's first overlap base no longer repeats shard 1's first
+        // base. Both CRCs are recomputed, so only the overlap check can
+        // catch it; otherwise the bases would be dropped unread.
+        let (_, index) = small_index(1_000, 17);
+        let mut bytes = index.to_bytes();
+        let header_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let payload = 20 + header_len;
+        let body = index.shards()[1].start;
+        let bit = 2 * (body % 32);
+        bytes[payload + 8 * (body / 32) + bit / 8] ^= 1 << (bit % 8);
+        let words = index.shards()[0].len().div_ceil(32);
+        let shard0: Vec<u64> = bytes[payload..payload + 8 * words]
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        let crc_at = 16 + 24 + 24;
+        bytes[crc_at..crc_at + 4].copy_from_slice(&crc32_words(&shard0).to_le_bytes());
+        let crc = crc32(&bytes[16..16 + header_len]);
+        bytes[16 + header_len..20 + header_len].copy_from_slice(&crc.to_le_bytes());
+        match ReferenceIndex::from_bytes(&bytes) {
+            Err(FabpError::Decode(msg)) => assert!(msg.contains("overlap"), "{msg}"),
+            other => panic!("expected a decode error, got {other:?}"),
+        }
     }
 
     #[test]

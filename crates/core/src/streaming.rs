@@ -6,17 +6,18 @@
 //! level, so gigabase FASTA files can be searched without materialising
 //! them in memory.
 //!
-//! The working buffer is owned by the scanner and reused across
-//! [`StreamingAligner::feed`] calls: the carried `L_q − 1` overlap stays
-//! in place at the front of the buffer (slid down with a `copy_within`
-//! after each chunk) and only the incoming chunk is appended, so a
-//! steady-state feed performs **zero allocations** and never re-copies or
-//! re-encodes the overlap from scratch. Each buffer is scanned by the
-//! fused bit-parallel engine ([`BitParallelEngine`]).
+//! The working buffer is 2-bit packed, owned by the scanner and reused
+//! across [`StreamingAligner::feed`] calls: the carried `L_q − 1`
+//! overlap stays in place at the front of the buffer (slid down a word
+//! at a time after each chunk) and only the incoming chunk is packed and
+//! appended, so a steady-state feed performs **zero allocations** and
+//! never re-packs the overlap. Each buffer is scanned by the fused
+//! bit-parallel engine ([`BitParallelEngine`]).
 
 use crate::bitparallel::BitParallelEngine;
 use crate::hits::Hit;
 use fabp_bio::alphabet::Nucleotide;
+use fabp_bio::seq::PackedSeq;
 use fabp_encoding::encoder::EncodedQuery;
 use fabp_resilience::{FabpError, FabpResult};
 use fabp_telemetry::Counter;
@@ -49,9 +50,9 @@ use fabp_telemetry::Counter;
 pub struct StreamingAligner {
     engine: BitParallelEngine,
     threshold: u32,
-    /// Reusable working buffer. Between `feed` calls it holds exactly the
-    /// carried tail: the last `L_q − 1` elements seen.
-    buffer: Vec<Nucleotide>,
+    /// Reusable packed working buffer. Between `feed` calls it holds
+    /// exactly the carried tail: the last `L_q − 1` elements seen.
+    buffer: PackedSeq,
     /// Global position of `buffer[0]`.
     carry_position: usize,
     /// Total elements consumed.
@@ -92,7 +93,7 @@ impl StreamingAligner {
         Ok(StreamingAligner {
             engine: BitParallelEngine::new(query)?,
             threshold,
-            buffer: Vec::new(),
+            buffer: PackedSeq::new(),
             carry_position: 0,
             consumed: 0,
             chunks_ctr: telemetry.counter("fabp_stream_chunks_total", "Reference chunks streamed"),
@@ -111,10 +112,10 @@ impl StreamingAligner {
     /// Feeds the next chunk, returning all hits whose windows are now
     /// complete (positions are global).
     ///
-    /// Steady-state cost: one append of `chunk` into the reused working
-    /// buffer, one scan, one in-place slide of the `L_q − 1` carry tail —
-    /// no allocation once the buffer has grown to the largest
-    /// `carry + chunk` seen.
+    /// Steady-state cost: one packed append of `chunk` into the reused
+    /// working buffer, one scan, one in-place slide of the `L_q − 1`
+    /// carry tail — no allocation once the buffer has grown to the
+    /// largest `carry + chunk` seen.
     pub fn feed(&mut self, chunk: &[Nucleotide]) -> Vec<Hit> {
         let qlen = self.engine.query_len();
         self.consumed += chunk.len();
@@ -122,29 +123,21 @@ impl StreamingAligner {
         self.elements_ctr.add(chunk.len() as u64);
 
         // The carry tail is already in place at the front of the buffer;
-        // append only the new chunk.
+        // pack and append only the new chunk.
         self.buffer.extend_from_slice(chunk);
 
-        let hits: Vec<Hit> = if self.buffer.len() >= qlen {
-            self.engine
-                .search(&self.buffer, self.threshold)
-                .into_iter()
-                .map(|h| Hit {
-                    position: h.position + self.carry_position,
-                    score: h.score,
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let all = 0..self.buffer.len();
+        let mut hits = self.engine.search(&self.buffer, all, self.threshold);
+        for hit in &mut hits {
+            hit.position += self.carry_position;
+        }
 
         // Slide the trailing qlen-1 elements to the front for the next
         // chunk (in place — the allocation is retained).
         let keep = (qlen - 1).min(self.buffer.len());
         let drop = self.buffer.len() - keep;
         self.carry_position += drop;
-        self.buffer.copy_within(drop.., 0);
-        self.buffer.truncate(keep);
+        self.buffer.drain_front(drop);
 
         hits
     }
@@ -154,7 +147,7 @@ impl StreamingAligner {
     /// resets the state and returns nothing; provided for API symmetry
     /// with chunked decoders.
     pub fn finish(&mut self) -> Vec<Hit> {
-        self.buffer.clear();
+        self.buffer = PackedSeq::new();
         Vec::new()
     }
 }

@@ -56,7 +56,7 @@ proptest! {
         let loaded = ReferenceIndex::from_bytes(&bytes).expect("round trip");
         prop_assert_eq!(&loaded, &index);
         prop_assert_eq!(loaded.fingerprint(), index.fingerprint());
-        prop_assert_eq!(loaded.decode_reference(), reference);
+        prop_assert_eq!(loaded.reference().to_rna(), reference);
     }
 
     /// **Corruption is always a typed error.** Flip one byte anywhere

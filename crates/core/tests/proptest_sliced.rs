@@ -21,9 +21,9 @@
 use fabp_bio::alphabet::{AminoAcid, Nucleotide};
 use fabp_bio::backtranslate::BackTranslationMode;
 use fabp_bio::generate::{coding_rna_for_paper_patterns, random_protein, random_rna};
-use fabp_bio::seq::RnaSeq;
+use fabp_bio::seq::{PackedSeq, RnaSeq};
 use fabp_core::aligner::{Engine, FabpAligner, Threshold};
-use fabp_core::batch::search_all_prebuilt_with_stats;
+use fabp_core::batch::search_prebuilt;
 use fabp_core::hits::Hit;
 use fabp_core::slice_plan::{SliceOptions, SlicePlan};
 use fabp_core::{BitParallelEngine, StreamingAligner};
@@ -98,7 +98,7 @@ proptest! {
 
         let options = SliceOptions { slices_per_worker, min_slice_positions: min_slice };
         let (sliced, stats) =
-            search_all_prebuilt_with_stats(&aligners, &reference, workers, options).expect("batch runs");
+            search_prebuilt(&aligners, &PackedSeq::from_rna(&reference), workers, options);
         prop_assert_eq!(sliced.len(), aligners.len());
         prop_assert_eq!(stats.per_worker_busy_ns.len(), stats.workers);
 
@@ -147,7 +147,7 @@ proptest! {
             .build()
             .expect("non-empty query");
         let (sliced, _) =
-            search_all_prebuilt_with_stats(&[&aligner], &reference, workers, options).expect("batch runs");
+            search_prebuilt(&[&aligner], &PackedSeq::from_rna(&reference), workers, options);
         let oracle = BitParallelEngine::new(aligner.query())
             .expect("eligible")
             .search_two_pass(reference.as_slice(), aligner.threshold());
@@ -208,7 +208,7 @@ proptest! {
         }
 
         let (sliced, _) =
-            search_all_prebuilt_with_stats(&[&aligner], &reference, workers, options).expect("batch runs");
+            search_prebuilt(&[&aligner], &PackedSeq::from_rna(&reference), workers, options);
         let oracle = BitParallelEngine::new(aligner.query())
             .expect("eligible")
             .search_two_pass(reference.as_slice(), aligner.threshold());
@@ -284,7 +284,7 @@ proptest! {
     }
 
     /// **Serial/parallel equivalence stays total.** The public
-    /// `search_all_prebuilt` (default slice sizing) agrees with the
+    /// `search_prebuilt` (default slice sizing) agrees with the
     /// serial path for any worker count, including `workers = 1`.
     #[test]
     fn default_options_match_serial_for_any_worker_count(
@@ -308,7 +308,12 @@ proptest! {
             })
             .collect();
         let serial: Vec<_> = aligners.iter().map(|a| a.search(&reference)).collect();
-        let parallel = fabp_core::batch::search_all_prebuilt(&aligners, &reference, workers).expect("batch runs");
+        let (parallel, _) = search_prebuilt(
+            &aligners,
+            &PackedSeq::from_rna(&reference),
+            workers,
+            SliceOptions::default(),
+        );
         for (a, b) in serial.iter().zip(&parallel) {
             prop_assert_eq!(&a.hits, &b.hits);
         }

@@ -11,7 +11,8 @@
 //!    engine materialises the comparator output column
 //!    `W_t[p] = t(ctx(p))` — but only for an L1-sized *tile* of the
 //!    reference at a time, and itself bit-sliced: 64 reference elements
-//!    are packed into nucleotide bit-planes and each table's factored
+//!    load from the 2-bit packed words with a funnel shift, their even
+//!    and odd bits unzip into nucleotide bit-planes, and each table's factored
 //!    [`TableEval`] plan computes all 64 comparator outputs in a handful
 //!    of word operations. The lanes' tables are interned into one union
 //!    set (protein-derived queries draw from at most 12 distinct tables,
@@ -35,6 +36,9 @@
 //!    bit-by-bit), and the mask is walked with `trailing_zeros` so only
 //!    actual hits pay for score extraction.
 //!
+//! The engine scans a base range of a [`PackedSeq`] (the FPGA streams the
+//! same 2-bit words) as a reference of its own, positions relative to it.
+//!
 //! [`BitParallelEngine::new`] builds a one-lane engine and
 //! [`BitParallelEngine::join`] unions built engines into one that scores
 //! all of their lanes per pass; every lane's hits are bit-identical to
@@ -53,13 +57,15 @@
 //! The original two-pass implementation is retained as
 //! [`BitParallelEngine::search_two_pass`] — it is the differential-testing
 //! oracle and the baseline the `bench_perf` harness measures the fused
-//! path against.
+//! path against; it reads unpacked bases.
 
 use crate::engine::Hit;
 use fabp_bio::alphabet::Nucleotide;
 use fabp_bio::backtranslate::{DependentFn, PatternElement};
+use fabp_bio::seq::PackedSeq;
 use fabp_encoding::encoder::EncodedQuery;
 use fabp_telemetry::{labels, Counter, Registry};
+use std::ops::Range;
 
 /// Maximum score-counter planes. The engine sizes its counters to the
 /// query (`⌈log2(L_q + 1)⌉` planes — the hardware's 10-bit alignment
@@ -270,33 +276,47 @@ impl BitParallelEngine {
         self.tables.len()
     }
 
-    /// Scans the reference with the fused, tiled, bit-sliced pass,
-    /// reporting hits with `score >= threshold`.
+    /// Scans `range` of the packed reference with the fused, tiled,
+    /// bit-sliced pass, reporting hits with `score >= threshold` at
+    /// positions relative to `range.start`.
     ///
     /// # Panics
     ///
-    /// Panics if the engine holds more than one lane; a joined engine
-    /// scans with [`BitParallelEngine::search_lanes`].
-    pub fn search(&self, reference: &[Nucleotide], threshold: u32) -> Vec<Hit> {
-        self.search_lanes(reference, &[threshold]).swap_remove(0)
+    /// Panics if the engine holds more than one lane (a joined engine
+    /// scans with [`BitParallelEngine::search_lanes`]), or on a bad range.
+    pub fn search(&self, reference: &PackedSeq, range: Range<usize>, threshold: u32) -> Vec<Hit> {
+        self.search_lanes(reference, range, &[threshold])
+            .swap_remove(0)
     }
 
-    /// Scans the reference once, scoring every lane against its own
-    /// threshold (`thresholds[l]` applies to lane `l`). Returns one
-    /// position-sorted hit list per lane, each bit-identical to what that
-    /// lane's query reports through its own one-lane engine.
+    /// Scans `range` of the packed reference once, scoring every lane
+    /// against its own threshold (`thresholds[l]` applies to lane `l`).
+    /// Returns one position-sorted hit list per lane, positions relative
+    /// to `range.start`, each bit-identical to what that lane's query
+    /// reports through its own one-lane engine.
     ///
     /// # Panics
     ///
-    /// Panics if `thresholds.len() != self.lanes()`.
-    pub fn search_lanes(&self, reference: &[Nucleotide], thresholds: &[u32]) -> Vec<Vec<Hit>> {
+    /// Panics if `thresholds.len() != self.lanes()`, or if `range` ends
+    /// past `reference.len()`.
+    pub fn search_lanes(
+        &self,
+        reference: &PackedSeq,
+        range: Range<usize>,
+        thresholds: &[u32],
+    ) -> Vec<Vec<Hit>> {
         assert_eq!(thresholds.len(), self.lanes.len(), "one threshold per lane");
+        assert!(
+            range.end <= reference.len(),
+            "range {range:?} out of bounds"
+        );
+        let len = range.len();
         let mut results: Vec<Vec<Hit>> = vec![Vec::new(); self.lanes.len()];
         // Alignment positions per lane: none for a lane longer than the
-        // reference.
+        // range.
         let mut lane_positions = [0usize; LANES];
         for (positions, lane) in lane_positions.iter_mut().zip(&self.lanes) {
-            *positions = (reference.len() + 1).saturating_sub(lane.element_table.len());
+            *positions = (len + 1).saturating_sub(lane.element_table.len());
         }
         let positions = lane_positions.iter().copied().max().unwrap_or(0);
         if positions == 0 {
@@ -321,7 +341,7 @@ impl BitParallelEngine {
         let mut frontier = 0usize;
         for tile_start in (0..positions).step_by(tile_positions) {
             let tile_valid = (positions - tile_start).min(tile_positions);
-            let need_until = (tile_start + tile_positions + qlen - 1).min(reference.len());
+            let need_until = (tile_start + tile_positions + qlen - 1).min(len);
             if tile_start > 0 {
                 // Recycle the ring: the already-encoded overlap bits
                 // (relative positions >= tile_positions) slide from word
@@ -335,15 +355,16 @@ impl BitParallelEngine {
             debug_assert!(frontier >= tile_start && frontier <= need_until);
             // Fused pass 1, shared by every lane: extend the comparator
             // columns to this tile's horizon, **bit-sliced**. Each
-            // 64-element word of the reference is packed into 2-bit
-            // nucleotide planes eight bases at a time
-            // ([`code_planes`]), expanded into one-hot bit masks for the
-            // current / previous / previous-previous element
-            // (`e0`/`e1`/`e2`, with cross-word carry-in from the last
-            // elements of the preceding word), and every distinct table
+            // 64-element block of the range loads from two or three packed
+            // words with a funnel shift ([`PackedSeq::word_at`]), unzips
+            // into 2-bit nucleotide planes ([`unzip_codes`]), expands into
+            // one-hot bit masks for the current / previous /
+            // previous-previous element (`e0`/`e1`/`e2`, with cross-block
+            // carry-in read from the words), and every distinct table
             // evaluates all 64 comparator outputs at once through its
             // factored [`TableEval`] plan — no per-element table lookups
-            // at all.
+            // at all. Bits past the range end come from whatever follows
+            // it; pass 2 never reads them into a valid position.
             //
             // The word walk restarts at the 64-aligned floor of the
             // frontier; recomputing the already-encoded prefix of that word
@@ -352,17 +373,20 @@ impl BitParallelEngine {
             // `tile_start` is a multiple of `TILE_BLOCKS * 64`, hence
             // `rel ≡ p (mod 64)` and word slots line up exactly.
             for w_pos in ((frontier & !63)..need_until).step_by(64) {
-                let end = (w_pos + 64).min(reference.len());
-                let (b0, b1) = code_planes(&reference[w_pos..end]);
+                let at = range.start + w_pos;
+                let (b0, b1) = unzip_codes(reference.word_at(at), reference.word_at(at + 32));
                 let (n0, n1) = (!b0, !b1);
                 // One-hot planes: e0[v] has bit i set iff element
                 // w_pos + i is nucleotide code v.
                 let e0 = [n1 & n0, n1 & b0, b1 & n0, b1 & b0];
                 // Previous-element planes: shifted e0 with carry-in from
-                // the word boundary (positions before the reference start
-                // backfill as code 0, matching the rolling ctx = 0 seed).
-                let pc1 = prev_code(reference, w_pos, 1);
-                let pc2 = prev_code(reference, w_pos, 2);
+                // the two codes before the block (positions before the
+                // range start backfill as code 0, matching the rolling
+                // ctx = 0 seed; `w_pos` is 0 or at least 64).
+                let (pc1, pc2) = match w_pos {
+                    0 => (0, 0),
+                    _ => (reference.code_at(at - 1), reference.code_at(at - 2)),
+                };
                 let mut e1 = [0u64; 4];
                 let mut e2 = [0u64; 4];
                 for v in 0..4 {
@@ -758,51 +782,29 @@ fn add_group(planes: &mut [u64], w: &[u64; 16]) -> u64 {
     ripple_add(&mut planes[4..], sixteens)
 }
 
-/// Packs up to 64 bases into their 2-bit code planes: bit `i` of the
-/// first (second) word is bit 0 (bit 1) of `bases[i]`'s code. Eight
-/// bases at a time: their codes load as the bytes of one `u64`, and one
-/// multiply per plane gathers a bit of every byte into a byte (see
-/// [`gather_byte_bits`]); a tail of fewer than 8 bases packs per base.
+/// Splits 64 packed 2-bit codes (32 in `lo`, then 32 in `hi`) into bit
+/// planes: bit `i` of the first (second) result is bit 0 (bit 1) of code `i`.
 #[inline]
-fn code_planes(bases: &[Nucleotide]) -> (u64, u64) {
-    debug_assert!(bases.len() <= 64);
-    let mut b0 = 0u64;
-    let mut b1 = 0u64;
-    let mut octets = bases.chunks_exact(8);
-    for (k, octet) in octets.by_ref().enumerate() {
-        let codes = u64::from_le_bytes(std::array::from_fn(|i| octet[i].code2()));
-        b0 |= gather_byte_bits(codes) << (8 * k);
-        b1 |= gather_byte_bits(codes >> 1) << (8 * k);
-    }
-    let tail_start = bases.len() & !7;
-    for (i, base) in octets.remainder().iter().enumerate() {
-        let c = u64::from(base.code2());
-        b0 |= (c & 1) << (tail_start + i);
-        b1 |= (c >> 1) << (tail_start + i);
-    }
-    (b0, b1)
+fn unzip_codes(lo: u64, hi: u64) -> (u64, u64) {
+    let (lo, hi) = (unshuffle(lo), unshuffle(hi));
+    ((lo << 32 >> 32) | (hi << 32), (lo >> 32) | (hi >> 32 << 32))
 }
 
-/// Gathers bit 0 of each byte of `x` into one byte (byte `i`'s bit lands
-/// at bit `i`). Masked bit `8i` times multiplier bit `7j + 7` lands at
-/// bit `8i + 7j + 7`: all 64 partial products are distinct positions, so
-/// nothing carries, and the top byte receives exactly the `i + j = 7`
-/// products, byte `i`'s bit at bit `56 + i`. The tests check all 256
-/// patterns of the masked bits.
+/// Outer perfect unshuffle (Hacker's Delight §7-2): bit `2k` moves to bit
+/// `k`, bit `2k + 1` to bit `32 + k`.
 #[inline]
-fn gather_byte_bits(x: u64) -> u64 {
-    (x & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56
-}
-
-/// 2-bit code of the element `back` positions before `pos`, backfilling
-/// code 0 before the reference start (the rolling-context seed).
-#[inline]
-fn prev_code(reference: &[Nucleotide], pos: usize, back: usize) -> u8 {
-    if pos >= back {
-        reference[pos - back].code2()
-    } else {
-        0
+fn unshuffle(mut x: u64) -> u64 {
+    for (shift, mask) in [
+        (1, 0x2222_2222_2222_2222u64),
+        (2, 0x0C0C_0C0C_0C0C_0C0C),
+        (4, 0x00F0_00F0_00F0_00F0),
+        (8, 0x0000_FF00_0000_FF00),
+        (16, 0x0000_0000_FFFF_0000),
+    ] {
+        let t = (x ^ (x >> shift)) & mask;
+        x ^= t ^ (t << shift);
     }
+    x
 }
 
 /// Bit-sliced `score >= threshold` over 64 lanes in `O(planes)` word
@@ -862,7 +864,7 @@ mod tests {
     use fabp_encoding::fused::FusedScorer;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// Positions covered by one tile, mirrored from the engine constant so
     /// tests exercise real tile boundaries.
@@ -893,6 +895,32 @@ mod tests {
         }
     }
 
+    /// Packs `reference` and scans all of it.
+    fn scan(engine: &BitParallelEngine, reference: &[Nucleotide], threshold: u32) -> Vec<Hit> {
+        let packed: PackedSeq = reference.iter().copied().collect();
+        engine.search(&packed, 0..packed.len(), threshold)
+    }
+
+    /// Packs `reference` and scans all of it with every lane.
+    fn scan_lanes(
+        engine: &BitParallelEngine,
+        reference: &[Nucleotide],
+        thresholds: &[u32],
+    ) -> Vec<Vec<Hit>> {
+        let packed: PackedSeq = reference.iter().copied().collect();
+        engine.search_lanes(&packed, 0..packed.len(), thresholds)
+    }
+
+    /// A packed reference holding `reference` at `offset`, between
+    /// random flanks, so a range scan starts at any word offset and
+    /// crosses word, 64-block and tile boundaries.
+    fn embedded(reference: &[Nucleotide], offset: usize, rng: &mut StdRng) -> PackedSeq {
+        let mut packed = PackedSeq::from_rna(&random_rna(offset, rng));
+        packed.extend_from_slice(reference);
+        packed.extend_from(&PackedSeq::from_rna(&random_rna(offset % 37, rng)));
+        packed
+    }
+
     /// One engine joining a one-lane engine per query, as the batch
     /// scheduler builds its lane groups.
     fn joined(queries: &[EncodedQuery]) -> BitParallelEngine {
@@ -913,7 +941,7 @@ mod tests {
             let parallel = BitParallelEngine::new(&query).unwrap();
             let reference = random_rna(5_000, &mut rng);
             for threshold in [0u32, 30, 45, 60] {
-                let fused = parallel.search(reference.as_slice(), threshold);
+                let fused = scan(&parallel, reference.as_slice(), threshold);
                 assert_eq!(
                     fused,
                     scalar.search(reference.as_slice(), threshold),
@@ -939,6 +967,7 @@ mod tests {
             protein_len in 3usize..=40,
             len_class in 0usize..6,
             jitter in 0usize..130,
+            start in 0usize..96,
             seed in 0u64..1_000_000,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -958,9 +987,13 @@ mod tests {
             let reference = random_rna(len, &mut rng);
             let scalar = ScalarScan::new(&query);
             let parallel = BitParallelEngine::new(&query).unwrap();
+            // The same bases at range `start..start + len` of a longer
+            // packed reference; the oracle reads the unpacked slice.
+            let packed = embedded(reference.as_slice(), start, &mut rng);
+            let range = start..start + len;
 
             if len < qlen {
-                prop_assert!(parallel.search(reference.as_slice(), 0).is_empty());
+                prop_assert!(parallel.search(&packed, range, 0).is_empty());
             } else {
                 // One scalar scoring pass; thresholds derived by filtering.
                 let scores = scalar.score_all(reference.as_slice());
@@ -971,10 +1004,10 @@ mod tests {
                         .filter(|&(_, &s)| s >= threshold)
                         .map(|(position, &score)| Hit { position, score })
                         .collect();
-                    let fused = parallel.search(reference.as_slice(), threshold);
+                    let fused = parallel.search(&packed, range.clone(), threshold);
                     prop_assert_eq!(
                         &fused, &expected,
-                        "len {} threshold {}", len, threshold
+                        "len {} start {} threshold {}", len, start, threshold
                     );
                 }
             }
@@ -992,7 +1025,7 @@ mod tests {
         for len in [15usize, 64, 78, 79, 128, 142, 143, 200] {
             let reference = random_rna(len, &mut rng);
             assert_eq!(
-                parallel.search(reference.as_slice(), 0),
+                scan(&parallel, reference.as_slice(), 0),
                 scalar.search(reference.as_slice(), 0),
                 "len {len}"
             );
@@ -1015,7 +1048,7 @@ mod tests {
             let reference = random_rna(len, &mut rng);
             for threshold in [0u32, (qlen / 2) as u32, qlen as u32] {
                 assert_eq!(
-                    parallel.search(reference.as_slice(), threshold),
+                    scan(&parallel, reference.as_slice(), threshold),
                     scalar.search(reference.as_slice(), threshold),
                     "blocks {blocks} threshold {threshold}"
                 );
@@ -1035,7 +1068,7 @@ mod tests {
             let parallel = BitParallelEngine::new(&query).unwrap();
             let reference = random_rna(qlen, &mut rng);
             for threshold in [0u32, 1, qlen as u32] {
-                let hits = parallel.search(reference.as_slice(), threshold);
+                let hits = scan(&parallel, reference.as_slice(), threshold);
                 assert_eq!(
                     hits,
                     scalar.search(reference.as_slice(), threshold),
@@ -1060,7 +1093,7 @@ mod tests {
         let reference = random_rna(len, &mut rng);
         for threshold in [0u32, (qlen as u32) / 2, qlen as u32 - 1] {
             assert_eq!(
-                parallel.search(reference.as_slice(), threshold),
+                scan(&parallel, reference.as_slice(), threshold),
                 scalar.search(reference.as_slice(), threshold),
                 "threshold {threshold}"
             );
@@ -1116,7 +1149,7 @@ mod tests {
             std::iter::repeat_n(Nucleotide::A, MAX_QUERY_LEN).collect();
         let engine = BitParallelEngine::new(&EncodedQuery::from_exact_rna(&longest)).unwrap();
         let reference = vec![Nucleotide::A; MAX_QUERY_LEN + 5];
-        let hits = engine.search(&reference, MAX_QUERY_LEN as u32);
+        let hits = scan(&engine, &reference, MAX_QUERY_LEN as u32);
         let expected: Vec<Hit> = (0..6)
             .map(|position| Hit {
                 position,
@@ -1127,13 +1160,22 @@ mod tests {
     }
 
     #[test]
-    fn gather_byte_bits_is_exact() {
-        // Every pattern of the eight masked bits, with junk in the other
-        // bits of each byte (codes are <= 3, but the mask must hold).
-        for pattern in 0u64..256 {
-            let spread = (0..8).fold(0u64, |x, i| x | (((pattern >> i) & 1) << (8 * i)));
-            assert_eq!(gather_byte_bits(spread), pattern);
-            assert_eq!(gather_byte_bits(spread | 0xFEFE_FEFE_FEFE_FEFE), pattern);
+    fn unzip_codes_splits_the_bit_planes() {
+        let mut rng = StdRng::seed_from_u64(0xB183);
+        for _ in 0..100 {
+            let (lo, hi): (u64, u64) = (rng.gen(), rng.gen());
+            let code = |i: usize| {
+                if i < 32 {
+                    lo >> (2 * i)
+                } else {
+                    hi >> (2 * (i - 32))
+                }
+            };
+            let (b0, b1) = unzip_codes(lo, hi);
+            for i in 0..64 {
+                assert_eq!((b0 >> i) & 1, code(i) & 1, "bit 0 of code {i}");
+                assert_eq!((b1 >> i) & 1, (code(i) >> 1) & 1, "bit 1 of code {i}");
+            }
         }
     }
 
@@ -1148,7 +1190,7 @@ mod tests {
             EncodedQuery::from_back_translated(&BackTranslatedQuery::from_elements(elements));
         let engine = BitParallelEngine::new(&query).unwrap();
         let reference: fabp_bio::seq::RnaSeq = "UGAG".parse().unwrap();
-        let hits = engine.search(reference.as_slice(), 2);
+        let hits = scan(&engine, reference.as_slice(), 2);
         // Windows: UG (D matches U, G ✓), GA (✗ second), AG (✓).
         assert_eq!(
             hits.iter().map(|h| h.position).collect::<Vec<_>>(),
@@ -1162,7 +1204,7 @@ mod tests {
         let query = EncodedQuery::from_protein(&protein);
         let engine = BitParallelEngine::new(&query).unwrap();
         let reference = random_rna(5, &mut StdRng::seed_from_u64(1));
-        assert!(engine.search(reference.as_slice(), 0).is_empty());
+        assert!(scan(&engine, reference.as_slice(), 0).is_empty());
     }
 
     #[test]
@@ -1209,7 +1251,7 @@ mod tests {
         assert_eq!(multi.query_len(), queries[3].len());
         let reference = random_rna(10_000, &mut rng);
         let thresholds: Vec<u32> = queries.iter().map(|q| (q.len() as u32) * 2 / 3).collect();
-        let got = multi.search_lanes(reference.as_slice(), &thresholds);
+        let got = scan_lanes(&multi, reference.as_slice(), &thresholds);
         for (l, query) in queries.iter().enumerate() {
             let single = BitParallelEngine::new(query).unwrap();
             assert_eq!(
@@ -1236,7 +1278,7 @@ mod tests {
             for len in [0usize, 5, max_qlen - 1, max_qlen, max_qlen + 100] {
                 let reference = random_rna(len, &mut rng);
                 let thresholds = vec![3u32; nlanes];
-                let got = multi.search_lanes(reference.as_slice(), &thresholds);
+                let got = scan_lanes(&multi, reference.as_slice(), &thresholds);
                 assert_eq!(got.len(), nlanes);
                 for (l, query) in queries.iter().enumerate() {
                     let single = BitParallelEngine::new(query).unwrap();
@@ -1265,6 +1307,7 @@ mod tests {
             len_d in 3usize..=40,
             len_class in 0usize..4,
             jitter in 0usize..130,
+            start in 0usize..96,
             seed in 0u64..1_000_000,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -1291,13 +1334,14 @@ mod tests {
                 .enumerate()
                 .map(|(l, q)| (q.len() as u32).saturating_sub(1 + (l as u32 + jitter as u32) % 7))
                 .collect();
-            let got = multi.search_lanes(reference.as_slice(), &thresholds);
+            let packed = embedded(reference.as_slice(), start, &mut rng);
+            let got = multi.search_lanes(&packed, start..start + len, &thresholds);
             for (l, query) in queries.iter().enumerate() {
                 let single = BitParallelEngine::new(query).unwrap();
                 prop_assert_eq!(
                     &got[l],
                     &single.search_two_pass(reference.as_slice(), thresholds[l]),
-                    "nlanes {} len {} lane {}", nlanes, len, l
+                    "nlanes {} len {} start {} lane {}", nlanes, len, start, l
                 );
             }
         }
@@ -1332,7 +1376,7 @@ mod tests {
         let four = BitParallelEngine::join(&[&pair, &singles[2], &singles[3]]);
         assert_eq!(four.lanes(), LANES);
         let reference = random_rna(3_000, &mut rng);
-        let got = four.search_lanes(reference.as_slice(), &[4; LANES]);
+        let got = scan_lanes(&four, reference.as_slice(), &[4; LANES]);
         for (l, single) in singles.iter().enumerate() {
             assert_eq!(
                 got[l],

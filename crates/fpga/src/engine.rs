@@ -27,7 +27,6 @@ use crate::comparator::ComparatorCell;
 use crate::device::FpgaDevice;
 use crate::primitives::DspThreshold;
 use crate::resources::{plan, ArchParams, FabpPlan, PlanError};
-use fabp_bio::alphabet::Nucleotide;
 use fabp_bio::seq::PackedSeq;
 use fabp_encoding::encoder::EncodedQuery;
 use fabp_encoding::packing::{axi_beats, AxiBeat, ReferenceStream, ELEMENTS_PER_BEAT};
@@ -495,20 +494,22 @@ impl<'e> EngineSession<'e> {
         // Stall-free beats deferred per channel, waiting to be advanced
         // in one `fetch_burst` call.
         let mut pending = vec![0u64; channels];
-        let mut scan: Vec<Nucleotide> =
-            Vec::with_capacity(query_len + FAST_CHUNK_BEATS * ELEMENTS_PER_BEAT);
         for chunk in beats.chunks(FAST_CHUNK_BEATS) {
-            // The reference from `next_position` on: the elements of
-            // incomplete instances the stream buffer carries (at most
-            // `L_q − 1`), then every element the chunk's beats deliver.
+            // The reference from `next_position` on, packed: the (at most
+            // `L_q − 1`) elements the stream buffer carries, then every
+            // beat's words, partial beats included.
             let scan_start = self.next_position;
-            scan.clear();
-            for beat in chunk {
+            let mut scan = PackedSeq::with_capacity(query_len + chunk.len() * ELEMENTS_PER_BEAT);
+            for (k, beat) in chunk.iter().enumerate() {
                 let window = self.stream.push_beat(beat);
-                let have = scan_start + scan.len();
-                scan.extend_from_slice(&window.elements[have - window.start_position..]);
+                if k == 0 {
+                    let carried = &window.elements[scan_start - window.start_position..];
+                    scan.extend_from_slice(&carried[..carried.len() - beat.valid]);
+                }
+                scan.extend_from_words(&beat.words, beat.valid);
             }
-            let mut hits = kernel.search(&scan, threshold).into_iter().peekable();
+            let hits = kernel.search(&scan, 0..scan.len(), threshold);
+            let mut hits = hits.into_iter().peekable();
             for beat in chunk {
                 let ch = (self.beat_index % channels as u64) as usize;
                 self.beat_index += 1;

@@ -265,6 +265,17 @@ impl FaultSchedule {
             let num = |i: usize| -> FabpResult<u64> {
                 parts.get(i).and_then(|p| parse_u64(p)).ok_or_else(bad)
             };
+            // A word or bit the modelled hardware does not have is
+            // rejected, not wrapped onto one it does.
+            let at_most = |i: usize, max: u64, what: &str| -> FabpResult<u64> {
+                let value = num(i)?;
+                if value > max {
+                    return Err(FabpError::InvalidSpec(format!(
+                        "{what} {value} in `{atom}` is out of range (0..={max})"
+                    )));
+                }
+                Ok(value)
+            };
             let event = match kind {
                 "beatflip" => {
                     if parts.len() != 3 {
@@ -272,8 +283,8 @@ impl FaultSchedule {
                     }
                     FaultKind::AxiBeatFlip {
                         beat: num(0)?,
-                        word: (num(1)? as usize).min(7),
-                        bit: (num(2)? % 64) as u32,
+                        word: at_most(1, 7, "beat word")? as usize,
+                        bit: at_most(2, 63, "bit")? as u32,
                     }
                 }
                 "queryflip" => {
@@ -282,7 +293,7 @@ impl FaultSchedule {
                     }
                     FaultKind::QueryWordFlip {
                         word: num(0)? as usize,
-                        bit: (num(1)? % 64) as u32,
+                        bit: at_most(1, 63, "bit")? as u32,
                     }
                 }
                 "config" => {
@@ -301,7 +312,7 @@ impl FaultSchedule {
                     FaultKind::ConfigUpset {
                         beat: num(0)?,
                         lut,
-                        bit: (num(2)? % 64) as u32,
+                        bit: at_most(2, 63, "bit")? as u32,
                     }
                 }
                 "stall" => {
@@ -481,6 +492,17 @@ mod tests {
         ] {
             let err = FaultSchedule::parse(bad).unwrap_err();
             assert_eq!(err.kind_label(), "invalid_spec", "{bad} should fail");
+        }
+        // A beat word or bit the hardware lacks, named in the error.
+        for bad in [
+            "beatflip@0:8:1",
+            "beatflip@0:1:64",
+            "queryflip@0:64",
+            "config@1:mux:64",
+        ] {
+            let err = FaultSchedule::parse(bad).unwrap_err();
+            assert_eq!(err.kind_label(), "invalid_spec", "{bad} should fail");
+            assert!(err.to_string().contains(bad), "{bad}: {err}");
         }
         assert!(FaultSchedule::parse("").unwrap().is_empty());
     }

@@ -1,7 +1,7 @@
 //! The serving loop: admission → shed → micro-batch → dispatch → respond.
 //!
-//! [`FabpServer`] owns one resident reference database and serves a
-//! multi-tenant query stream against it:
+//! [`FabpServer`] owns one resident 2-bit packed reference database and
+//! serves a multi-tenant query stream against it:
 //!
 //! ```text
 //! submit() ──► AdmissionQueue (bounded, per-tenant round-robin)
@@ -14,7 +14,7 @@
 //!                 │
 //!                 ▼
 //!           backend dispatch ──► Software: cached aligners +
-//!                 │               work-stealing batch::search_all_prebuilt
+//!                 │               work-stealing batch::search_prebuilt
 //!                 │              Fleet: cached per-query FpgaFleet +
 //!                 │               cached packed shards, routed through
 //!                 ▼               the failure detector (FpgaFleet::search)
@@ -37,10 +37,11 @@ use crate::cache::{content_hash, CacheStats, LruCache};
 use crate::queue::{AdmissionQueue, Request};
 use fabp_bio::seq::{PackedSeq, ProteinSeq, RnaSeq};
 use fabp_core::aligner::{Engine, FabpAligner, Threshold};
-use fabp_core::batch::search_all_prebuilt;
+use fabp_core::batch::search_prebuilt;
 use fabp_core::fleet::{pack_shards, place_replicas, FpgaFleet};
 use fabp_core::hits::Hit;
 use fabp_core::index::{search_index, PrefilterMode, ReferenceIndex, SeedParams};
+use fabp_core::slice_plan::SliceOptions;
 use fabp_encoding::encoder::EncodedQuery;
 use fabp_fpga::engine::EngineConfig;
 use fabp_resilience::health::FailureDetector;
@@ -68,7 +69,7 @@ pub enum ServeBackend {
     /// The fast functional engine, parallelised across the batch with
     /// `threads` work-stealing workers.
     Software {
-        /// Worker threads for [`search_all_prebuilt`] (1 = serial).
+        /// Worker threads for [`search_prebuilt`] (1 = serial).
         threads: usize,
     },
     /// A modelled FPGA fleet ([`FpgaFleet`]): the reference split into
@@ -245,7 +246,9 @@ impl Clock {
 /// A long-running query-serving instance over one resident reference.
 #[derive(Debug)]
 pub struct FabpServer {
-    reference: RnaSeq,
+    /// The resident reference, 2-bit packed: packed once from an
+    /// [`RnaSeq`], or shared with the persistent index.
+    reference: Arc<PackedSeq>,
     config: ServeConfig,
     registry: Registry,
     clock: Clock,
@@ -273,7 +276,7 @@ pub struct FabpServer {
     /// Exported drain state (1 while draining).
     drain_gauge: Gauge,
     /// The fleet's packed shards and their offsets, keyed by reference
-    /// hash; packed from `reference` on first dispatch.
+    /// hash; cut from `reference` on first dispatch.
     packed_cache: LruCache<Arc<PackedShards>>,
     /// The persistent packed index this server was built from (None for
     /// plain in-memory references). Enables the seeded-prefilter
@@ -295,26 +298,22 @@ pub struct FabpServer {
 }
 
 impl FabpServer {
-    /// Builds a wall-clock server over `reference`.
+    /// Builds a wall-clock server over `reference`, packed once.
     ///
     /// # Errors
     ///
     /// [`FabpError::InvalidShardPlan`] for a zero-node fleet or an
     /// unsatisfiable replication factor, and
-    /// [`FabpError::InvalidSpec`] for a malformed fault spec.
+    /// [`FabpError::InvalidSpec`] for a malformed fault spec or one that
+    /// kills a node the fleet does not have.
     pub fn new(
         reference: RnaSeq,
         config: ServeConfig,
         registry: &Registry,
     ) -> FabpResult<FabpServer> {
         let key = content_hash(reference.iter().map(|&b| b as u8));
-        FabpServer::build(
-            reference,
-            key,
-            config,
-            registry,
-            Clock::Wall(Instant::now()),
-        )
+        let packed = Arc::new(PackedSeq::from_rna(&reference));
+        FabpServer::build(packed, key, config, registry, Clock::Wall(Instant::now()))
     }
 
     /// [`FabpServer::new`] with a manually advanced clock starting at 0 —
@@ -329,12 +328,13 @@ impl FabpServer {
         registry: &Registry,
     ) -> FabpResult<FabpServer> {
         let key = content_hash(reference.iter().map(|&b| b as u8));
-        FabpServer::build(reference, key, config, registry, Clock::Manual(0))
+        let packed = Arc::new(PackedSeq::from_rna(&reference));
+        FabpServer::build(packed, key, config, registry, Clock::Manual(0))
     }
 
-    /// Builds a wall-clock server over a loaded persistent index. The
-    /// reference cache key becomes [`ReferenceIndex::fingerprint`] — no
-    /// O(n) re-hash of the decoded bases — and
+    /// Builds a wall-clock server over a loaded persistent index, sharing
+    /// its packed words. The reference cache key becomes
+    /// [`ReferenceIndex::fingerprint`] — no O(n) re-hash of the bases — and
     /// [`ServeConfig::prefilter`] selects between the exhaustive scan
     /// and the seeded seed-and-verify dispatch on the software backend.
     ///
@@ -384,8 +384,8 @@ impl FabpServer {
                 3 * config.max_query_aa - 1,
             )));
         }
-        let reference = index.decode_reference();
         let key = index.fingerprint();
+        let reference = Arc::clone(index.reference());
         let mut server = FabpServer::build(reference, key, config, registry, clock)?;
         server.index = Some(index);
         Ok(server)
@@ -395,7 +395,7 @@ impl FabpServer {
     /// the caller derives from wherever it already has one: a content
     /// hash of the bases, or an index fingerprint.
     fn build(
-        reference: RnaSeq,
+        reference: Arc<PackedSeq>,
         reference_key: u64,
         config: ServeConfig,
         registry: &Registry,
@@ -416,7 +416,11 @@ impl FabpServer {
                     None => FaultSchedule::new(),
                 };
                 let mut detector = FailureDetector::with_defaults(*nodes, registry);
-                for (node, _beat) in faults.node_kills() {
+                for (node, beat) in faults.node_kills() {
+                    if node >= *nodes {
+                        let msg = format!("`kill@{node}:{beat}`: the fleet has {nodes} nodes");
+                        return Err(FabpError::InvalidSpec(msg));
+                    }
                     detector.record_kill(node);
                 }
                 registry
@@ -969,16 +973,8 @@ impl FabpServer {
             .filter_map(|(_, _, built)| built.as_ref().ok().cloned())
             .collect();
         let align_start = Instant::now();
-        let outcomes = match search_all_prebuilt(&runnable, &self.reference, threads) {
-            Ok(outcomes) => outcomes,
-            Err(e) => {
-                // A scheduler invariant failure poisons the whole batch.
-                return prepared
-                    .into_iter()
-                    .map(|(request, cached, _)| (request, cached, false, Err(e.clone())))
-                    .collect();
-            }
-        };
+        let (outcomes, _) =
+            search_prebuilt(&runnable, &self.reference, threads, SliceOptions::default());
         let align_us = align_start.elapsed().as_secs_f64() * 1e6;
         let mut outcomes = outcomes.into_iter();
         prepared
@@ -1513,12 +1509,21 @@ mod tests {
         let reference = random_rna(500, &mut StdRng::seed_from_u64(109));
         assert!(matches!(
             FabpServer::new(
-                reference,
+                reference.clone(),
                 fleet(2, 1, Some("kill@x")),
                 &Registry::disabled()
             ),
             Err(FabpError::InvalidSpec(_))
         ));
+        // The fleet has nodes 0 and 1 only.
+        match FabpServer::new(
+            reference,
+            fleet(2, 1, Some("kill@2:50")),
+            &Registry::disabled(),
+        ) {
+            Err(FabpError::InvalidSpec(msg)) => assert!(msg.contains("kill@2:50"), "{msg}"),
+            other => panic!("expected an invalid spec, got {other:?}"),
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use fabp::bio::generate::{coding_rna_for_paper_patterns, random_protein, random_rna};
 use fabp::bio::orf::find_orfs;
-use fabp::bio::seq::RnaSeq;
+use fabp::bio::seq::{PackedSeq, RnaSeq};
 use fabp::core::fleet::{pack_shards, FpgaFleet};
 use fabp::encoding::encoder::EncodedQuery;
 use fabp::fpga::engine::EngineConfig;
@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         1,
         reference.len() as u64,
     )?;
-    let (shards, offsets) = pack_shards(&reference, 4, qlen - 1)?;
+    let (shards, offsets) = pack_shards(&PackedSeq::from_rna(&reference), 4, qlen - 1)?;
     let mut detector = FailureDetector::with_defaults(4, &Registry::disabled());
     let hits = fleet
         .search(

@@ -11,6 +11,7 @@
 use fabp::baselines::tblastn::{tblastn_search, TblastnConfig};
 use fabp::bio::generate::{PlantedDatabase, PlantedDatabaseConfig};
 use fabp::bio::mutate::SubstitutionModel;
+use fabp::bio::seq::PackedSeq;
 use fabp::core::aligner::{FabpAligner, Threshold};
 use fabp::core::batch;
 use rand::rngs::StdRng;
@@ -37,7 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- FabP batch search at a 90% threshold -------------------------
-    let outcomes = batch::search_all(&db.queries, &db.reference, Threshold::Fraction(0.9), 4)?;
+    let packed = PackedSeq::from_rna(&db.reference);
+    let outcomes = batch::search_all(&db.queries, &packed, Threshold::Fraction(0.9), 4)?;
     println!("\nFabP (90% threshold):");
     let mut fabp_found = 0;
     for (region, outcome) in db.regions.iter().zip(&outcomes) {

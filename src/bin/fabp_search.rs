@@ -42,7 +42,7 @@ use fabp::core::index::{
     search_index, IndexBuildOptions, PrefilterMode, ReferenceIndex, SeedParams,
 };
 use fabp::fpga::engine::{EngineConfig, FabpEngine};
-use fabp::resilience::{FaultSchedule, ResilienceLevel, ResilientRunner};
+use fabp::resilience::{FabpError, FaultSchedule, ResilienceLevel, ResilientRunner};
 use fabp_telemetry::{chrome_trace_for_events, MetricValue, Registry, TraceContext, TraceEvent};
 use std::fs::File;
 use std::process::ExitCode;
@@ -360,14 +360,14 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     }
 
     // References may be DNA or RNA; parse leniently via the RNA alphabet
-    // (T is accepted as U).
+    // (T is accepted as U), packed once for every query and engine.
     let reference_records = read_records(File::open(&args.reference_path)?)?;
     if reference_records.is_empty() {
         return Err("reference file contains no records".into());
     }
     let references = reference_records
         .iter()
-        .map(|record| record.sequence.parse::<RnaSeq>())
+        .map(|record| record.sequence.parse().map(|rna| PackedSeq::from_rna(&rna)))
         .collect::<Result<Vec<_>, _>>()?;
     let engine = match args.engine.as_str() {
         "software" => Engine::Software {
@@ -388,6 +388,10 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         Some(spec) => FaultSchedule::parse(spec)?,
         None => FaultSchedule::new(),
     };
+    if let Some((node, beat)) = fault_schedule.node_kills().next() {
+        let msg = format!("`kill@{node}:{beat}`: fabp_search models one device, not a fleet");
+        return Err(FabpError::InvalidSpec(msg).into());
+    }
 
     if !args.quiet {
         eprintln!(
@@ -435,13 +439,12 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
                 let _search_span = telemetry.span("search");
                 match &resilient_engine {
                     Some(engine) => {
-                        let packed = PackedSeq::from_rna(reference);
                         let trace = TraceContext::mint(0xFAB6_5EA7, flight_ordinal);
                         let start_us = flight_start_us;
                         let runner =
                             ResilientRunner::new(engine, args.resilience, fault_schedule.clone())
                                 .with_trace(flight.clone(), trace, start_us);
-                        let resilient = runner.run(&packed, telemetry)?;
+                        let resilient = runner.run(reference, telemetry)?;
                         let dur_us = (resilient.run.stats.kernel_seconds * 1e6).max(1.0);
                         flight.record(
                             TraceEvent::new(trace, "search", start_us, dur_us)
@@ -479,7 +482,7 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
                             stats: Some(resilient.run.stats),
                         }
                     }
-                    None => aligner.search(reference),
+                    None => aligner.search_packed(reference),
                 }
             };
             // Cycle engine: assemble the modelled host pipeline so the

@@ -311,3 +311,48 @@ fn serve_cli_fails_over_a_killed_node_and_rejects_removed_options() {
     assert!(!output.status.success());
     assert!(String::from_utf8_lossy(&output.stderr).contains("invalid fault spec"));
 }
+
+#[test]
+fn serve_cli_rejects_a_kill_of_a_node_the_fleet_lacks() {
+    // Four nodes are 0..=3: killing node 9 would otherwise be a no-op
+    // that reports a healthy run.
+    let output = serve(&[
+        "--backend",
+        "fleet",
+        "--nodes",
+        "4",
+        "--replication",
+        "1",
+        "--inject-faults",
+        "kill@9:50",
+    ]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("kill@9:50"), "stderr: {stderr}");
+}
+
+#[test]
+fn search_cli_rejects_a_node_kill_on_its_one_device() {
+    let query = temp_file("qk.faa", ">q\nMF\n");
+    let reference = temp_file("dbk.fna", ">r\nAAATGTTTAAA\n");
+    let output = Command::new(env!("CARGO_BIN_EXE_fabp_search"))
+        .args([
+            "--query",
+            query.to_str().unwrap(),
+            "--reference",
+            reference.to_str().unwrap(),
+            "--engine",
+            "cycle",
+            "--resilience",
+            "recover",
+            "--inject-faults",
+            "kill@0:1",
+        ])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("kill@0:1"), "stderr: {stderr}");
+    fs::remove_file(query).ok();
+    fs::remove_file(reference).ok();
+}

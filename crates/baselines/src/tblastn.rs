@@ -17,12 +17,12 @@
 //! the 12-thread variant reproduces the paper's "multi-thread (12 threads)
 //! CPU" configuration.
 
-use crate::kmer::WordIndex;
 use crate::sw::{sw_banded_score, GapPenalties};
 use fabp_bio::alphabet::AminoAcid;
 use fabp_bio::blosum::blosum62;
 use fabp_bio::seq::{ProteinSeq, RnaSeq};
 use fabp_bio::translate::translate_frame;
+use fabp_core::kmer::WordIndex;
 
 /// Tuning parameters of the search (NCBI-flavoured defaults).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -2,10 +2,10 @@
 //! TBLASTN pipeline stages.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use fabp_baselines::kmer::WordIndex;
 use fabp_baselines::sw::{sw_banded_score, sw_protein, GapPenalties};
 use fabp_bio::blosum::blosum62;
 use fabp_bio::generate::random_protein;
+use fabp_core::kmer::WordIndex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

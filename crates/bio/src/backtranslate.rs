@@ -579,6 +579,27 @@ mod tests {
         }
     }
 
+    /// The premise of the seeded prefilter's identity bound: a residue
+    /// scores all 3 elements only if its codon translates to the query
+    /// residue, so a window scoring `t` holds at least `t − 2n`
+    /// identical residues.
+    #[test]
+    fn patterns_accept_only_synonymous_codons() {
+        let patterns = AminoAcid::ALL
+            .into_iter()
+            .map(|aa| (aa, back_translate(aa)))
+            .chain([(AminoAcid::Ser, serine_secondary_pattern())]);
+        for (aa, pattern) in patterns {
+            for codon in pattern.accepted_codons() {
+                assert_eq!(
+                    codon.translate(),
+                    aa,
+                    "pattern {pattern} for {aa:?} accepts {codon}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn serine_secondary_covers_the_dropped_codons() {
         let pattern = serine_secondary_pattern();

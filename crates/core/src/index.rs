@@ -18,21 +18,30 @@
 //!    In memory the reference is one contiguous [`PackedSeq`] that every
 //!    search scans in place; shards are base ranges of it.
 //! 2. **A k-mer seed prefilter** ([`search_index`] with
-//!    [`PrefilterMode::Seeded`]): the production promotion of
-//!    [`fabp_baselines::kmer::WordIndex`] — a BLAST-style BLOSUM62
-//!    neighbourhood word table per query. Each shard is translated in
-//!    the three forward frames with rolling packed keys; every seed hit
-//!    `(word position, query position)` names one diagonal, so the
-//!    candidate alignment start is `word_base − 3·q`. Candidates are
-//!    binned per shard, coalesced into disjoint regions, and **verified
-//!    by the exact engine** ([`BitParallelEngine`]) over just those
-//!    regions. A hit depends only on the `window` bases it spans, so
-//!    every hit the filter admits is bit-identical to the full scan's;
-//!    the filter can only *miss* windows whose every seed word mutated
-//!    below the neighbourhood threshold `T`. Recall is measured against
-//!    planted ground truth (see `tests/proptest_index.rs` and
-//!    `bench_serve`); [`PrefilterMode::Off`] keeps the exhaustive scan
-//!    reachable end-to-end.
+//!    [`PrefilterMode::Seeded`]), seed-then-extend in the
+//!    filter-then-verify shape. The BLAST-style BLOSUM62 neighbourhood
+//!    tables of every query ([`WordIndex`]) are merged into one table per
+//!    search. Each shard is translated once in the three forward frames,
+//!    and each frame word is looked up once with a rolling packed key;
+//!    every seed hit `(word position, query position)` names one
+//!    diagonal, so the candidate alignment start is `word_base − 3·q`.
+//!    Each seeded (query, diagonal) is checked once against an
+//!    **identity bound**: a codon pattern accepts only synonymous codons,
+//!    so a window scoring `t` over `n` residues holds at least `t − 2n`
+//!    residues identical to the query's, and a diagonal with fewer
+//!    cannot reach the threshold. Where the bound forces every passing
+//!    window to repeat a query word exactly, the table keeps only that
+//!    query's exact postings. The diagonals that pass are coalesced
+//!    into disjoint regions and **verified by the exact engine**
+//!    ([`BitParallelEngine`]) over just those regions. A hit depends only
+//!    on the `window` bases it spans, so seeded hits are a subset of the
+//!    full scan's with equal scores, and every full-scan hit whose own
+//!    diagonal carries a seed word is reported; the filter can only
+//!    *miss* windows none of whose words seeds their own query position.
+//!    Recall is measured against planted ground truth (see
+//!    `tests/proptest_index.rs` and `bench_serve`);
+//!    [`PrefilterMode::Off`] keeps the exhaustive scan reachable
+//!    end-to-end.
 //!
 //! # On-disk layout (version 1, all little-endian)
 //!
@@ -60,8 +69,8 @@ use crate::aligner::Threshold;
 use crate::batch::{claim_all, search_all};
 use crate::bitparallel::BitParallelEngine;
 use crate::hits::{merge_shard_hits, Hit};
+use crate::kmer::{pack_word, WordIndex, SYMBOLS};
 use crate::slice_plan::{overlap_ranges, SliceOptions, SlicePlan};
-use fabp_baselines::kmer::{WordIndex, SYMBOLS};
 use fabp_bio::alphabet::AminoAcid;
 use fabp_bio::codon::Codon;
 use fabp_bio::seq::{PackedSeq, ProteinSeq, RnaSeq};
@@ -509,8 +518,10 @@ impl<'a> Cursor<'a> {
 pub struct IndexSearchStats {
     /// Raw seed hits (word match × posting) across all queries/shards.
     pub seed_hits: u64,
-    /// Candidate alignment windows admitted for verification (after
-    /// diagonal binning, before region coalescing).
+    /// Candidate alignment windows admitted for verification: the
+    /// distinct seeded (query, window start) pairs, each counted by the
+    /// shard that owns the start, that pass the query's identity bound
+    /// (all of them when the bound is 0), before region coalescing.
     pub candidate_windows: u64,
     /// Bases the exact engine actually scanned (coalesced regions),
     /// summed over queries.
@@ -583,10 +594,13 @@ pub fn record_recall(recall: f64) {
 ///
 /// With [`PrefilterMode::Off`] every position of the held words is
 /// scanned (the exhaustive ground-truth path). With
-/// [`PrefilterMode::Seeded`] each shard is translated in three frames,
-/// seed hits are diagonally binned into candidate windows, and only the
-/// coalesced candidate regions are verified by the exact engine — hits
-/// are bit-identical to the full scan on everything admitted.
+/// [`PrefilterMode::Seeded`] each shard is translated once in three
+/// frames against one neighbourhood table of all queries, each seeded
+/// diagonal whose window can reach the threshold (the identity bound in
+/// the module docs) becomes a candidate window, and only the coalesced
+/// candidate regions are verified by the exact engine. Seeded hits are a
+/// subset of the full scan's with equal scores, and include every
+/// full-scan hit whose own diagonal carries a seed word.
 ///
 /// Returns per-query hit lists (global positions, merged and deduped by
 /// [`merge_shard_hits`]) and the run's [`IndexSearchStats`].
@@ -631,12 +645,159 @@ pub fn search_index(
     Ok((hits, stats))
 }
 
-/// Per-query seeding state shared across shards.
+/// Per-query seeding and verification state shared across shards.
 struct QuerySeed {
     words: WordIndex,
     engine: BitParallelEngine,
     window: usize,
     resolved_threshold: u32,
+    /// Residues in the query.
+    residue_count: usize,
+    /// The query's amino-acid indices, zero-padded to whole 8-byte words.
+    residues: Vec<u8>,
+    /// Residues a window must share with the query to reach the
+    /// threshold, `threshold − 2n`, floored at 0 (no bound).
+    need: usize,
+    /// The packed keys of the query's words, when only the postings of
+    /// exact word matches can seed a window that passes the bound (see
+    /// [`QuerySeed::exact_words`]).
+    exact_words: Option<Vec<usize>>,
+}
+
+impl QuerySeed {
+    /// The identity bound: whether the translated residues from
+    /// `frame[0]` on match at least [`QuerySeed::need`] of the query's.
+    ///
+    /// A codon pattern accepts only codons of its own amino acid (pinned
+    /// by `fabp-bio`'s backtranslate tests), so a window residue that
+    /// differs from the query's scores at most 2 of its 3 elements; a
+    /// window scoring `t` therefore holds at least `t − 2n` identical
+    /// residues, and a window that fails the bound cannot reach the
+    /// threshold. `frame` must hold the window's residues plus padding to
+    /// a whole 8-byte word; the residues are compared 8 at a time.
+    fn reaches_need(&self, frame: &[u8]) -> bool {
+        if self.need == 0 {
+            return true;
+        }
+        let Some(allowed) = self.residue_count.checked_sub(self.need) else {
+            return false;
+        };
+        let mut mismatches = 0;
+        for (k, query) in self.residues.chunks_exact(8).enumerate() {
+            let mut diff = load_word(query) ^ load_word(&frame[8 * k..]);
+            let valid = self.residue_count - 8 * k;
+            if valid < 8 {
+                diff &= (1 << (8 * valid)) - 1;
+            }
+            // Residue indices are below 32, so every byte of `diff` is
+            // too: adding 0x7F sets a byte's top bit exactly when the
+            // byte is non-zero, with no carry into the next byte.
+            mismatches += ((diff + 0x7F7F_7F7F_7F7F_7F7F) & 0x8080_8080_8080_8080).count_ones();
+            if mismatches as usize > allowed {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The packed keys of `query`'s words when an exact word match is the
+    /// only seed that can lead to a window passing the bound.
+    ///
+    /// A passing window holds at least `need` identical residues, so its
+    /// at most `n − need` other residues split them into at most
+    /// `n − need + 1` runs, one of at least `ceil(need / (n − need + 1))`
+    /// residues. When that is `w` or more, the window repeats a query
+    /// word exactly, at the word's own position; if every query word
+    /// seeds itself, that word's own posting seeds the window's
+    /// diagonal, and the query's other postings add no candidate.
+    fn exact_words(query: &[AminoAcid], words: &WordIndex, need: usize) -> Option<Vec<usize>> {
+        let (n, w) = (query.len(), words.word_size());
+        let pigeonhole = need > 0 && (need > n || need.div_ceil(n - need + 1) >= w);
+        let keys: Vec<usize> = query.windows(w).map(pack_word).collect();
+        let self_seeding = keys
+            .iter()
+            .enumerate()
+            .all(|(j, &key)| words.lookup_key(key).contains(&(j as u32)));
+        (pigeonhole && self_seeding).then_some(keys)
+    }
+}
+
+/// The first 8 bytes of `bytes`, little-endian.
+fn load_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
+}
+
+/// A query word seeded by a reference word: residue `position` of
+/// query `query`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Posting {
+    query: u32,
+    position: u32,
+}
+
+/// Postings copied per frame word without looking at the row length;
+/// the rare longer row takes a second copy.
+const GATHER: usize = 4;
+
+/// Frame words whose postings are gathered before they are checked, so
+/// the gather buffer stays in L1.
+const SEED_BLOCK: usize = 256;
+
+/// The neighbourhood tables of every query of one search, merged into
+/// one CSR table over the dense `21^w` packed word keys, so each frame
+/// word of the reference is looked up once whatever the query count.
+struct SeedTable {
+    word_size: usize,
+    /// CSR row offsets, `21^w + 1` entries.
+    offsets: Vec<usize>,
+    /// `(query, query position)` postings, grouped by packed word, then
+    /// [`GATHER`] padding postings so every row can be read `GATHER` wide.
+    /// A query with [`QuerySeed::exact_words`] keeps only its exact
+    /// postings, those whose key is its own word at that position.
+    postings: Vec<Posting>,
+    /// Per packed word, every query position it seeds: the raw seed hits,
+    /// postings left out included.
+    seed_hits: Vec<u64>,
+}
+
+impl SeedTable {
+    /// Merges the seeds' word tables, which share one word size.
+    fn build(seeds: &[QuerySeed], word_size: usize) -> SeedTable {
+        let table_size = SYMBOLS.pow(word_size as u32);
+        let mut offsets = Vec::with_capacity(table_size + 1);
+        let mut postings = Vec::new();
+        let mut seed_hits = Vec::with_capacity(table_size);
+        offsets.push(0);
+        for key in 0..table_size {
+            let mut hits = 0;
+            for (query, seed) in seeds.iter().enumerate() {
+                let positions = seed.words.lookup_key(key);
+                hits += positions.len() as u64;
+                postings.extend(
+                    positions
+                        .iter()
+                        .filter(|&&p| {
+                            seed.exact_words
+                                .as_ref()
+                                .is_none_or(|k| k[p as usize] == key)
+                        })
+                        .map(|&position| Posting {
+                            query: query as u32,
+                            position,
+                        }),
+                );
+            }
+            offsets.push(postings.len());
+            seed_hits.push(hits);
+        }
+        postings.resize(postings.len() + GATHER, Posting::default());
+        SeedTable {
+            word_size,
+            offsets,
+            postings,
+            seed_hits,
+        }
+    }
 }
 
 /// One verification work item: a run of `query`'s candidate base ranges
@@ -655,34 +816,47 @@ fn search_seeded(
     workers: usize,
     stats: &mut IndexSearchStats,
 ) -> FabpResult<Vec<Vec<Hit>>> {
-    let seeds: Vec<QuerySeed> = proteins
-        .iter()
-        .map(|protein| {
-            let words =
-                WordIndex::try_build(protein.as_slice(), params.word_size, params.threshold)?;
-            let encoded = EncodedQuery::from_protein(protein);
-            let window = encoded.len();
-            if index.shards().len() > 1 && window > index.overlap() + 1 {
-                return Err(FabpError::InvalidShardPlan(format!(
-                    "query window {window} exceeds index overlap {} + 1; rebuild the \
-                     index with a larger overlap or use --prefilter off",
-                    index.overlap()
-                )));
-            }
-            Ok(QuerySeed {
-                words,
-                engine: BitParallelEngine::new(&encoded)?,
-                window,
-                resolved_threshold: threshold.resolve(window),
-            })
+    // Each query's neighbourhood table and engine, built on the workers.
+    let seeds: Vec<QuerySeed> = claim_all(proteins, workers, |protein| {
+        let words = WordIndex::try_build(protein.as_slice(), params.word_size, params.threshold)?;
+        let encoded = EncodedQuery::from_protein(protein);
+        let window = encoded.len();
+        if index.shards().len() > 1 && window > index.overlap() + 1 {
+            return Err(FabpError::InvalidShardPlan(format!(
+                "query window {window} exceeds index overlap {} + 1; rebuild the \
+                 index with a larger overlap or use --prefilter off",
+                index.overlap()
+            )));
+        }
+        let resolved_threshold = threshold.resolve(window);
+        let need = (resolved_threshold as usize).saturating_sub(2 * protein.len());
+        let mut residues: Vec<u8> = protein.iter().map(|aa| aa.index() as u8).collect();
+        residues.resize(protein.len().next_multiple_of(8), 0);
+        Ok(QuerySeed {
+            exact_words: QuerySeed::exact_words(protein.as_slice(), &words, need),
+            words,
+            engine: BitParallelEngine::new(&encoded)?,
+            window,
+            resolved_threshold,
+            residue_count: protein.len(),
+            residues,
+            need,
         })
-        .collect::<FabpResult<_>>()?;
+    })
+    .results
+    .into_iter()
+    .collect::<FabpResult<_>>()?;
+    if seeds.is_empty() {
+        return Ok(Vec::new());
+    }
 
-    // Seed every shard: per shard, one 3-frame translation pass with
-    // rolling packed keys over the held words feeds every query's word
-    // table.
-    let seeded = claim_all(index.shards(), workers, |shard| {
-        seed_shard(&index.reference, shard.clone(), &seeds, params)
+    // Seed every shard: per shard, one 3-frame translation of the held
+    // words, one lookup per frame word in the table of all queries, and
+    // at most one identity check per seeded (query, diagonal).
+    let table = SeedTable::build(&seeds, params.word_size);
+    let shard_ids: Vec<usize> = (0..index.shards().len()).collect();
+    let mut seeded = claim_all(&shard_ids, workers, |&s| {
+        seed_shard(index, s, &seeds, &table)
     })
     .results;
     stats.seed_hits += seeded.iter().map(|(_, hits)| hits).sum::<u64>();
@@ -696,13 +870,8 @@ fn search_seeded(
     let mut ranges: Vec<(usize, usize)> = Vec::new();
     let mut items: Vec<Verify> = Vec::new();
     for (q, seed) in seeds.iter().enumerate() {
-        for (s, (candidates, _)) in seeded.iter().enumerate() {
-            let owned_end = index.owned_end(s, seed.window);
-            let mut starts: Vec<usize> = candidates[q]
-                .iter()
-                .copied()
-                .filter(|&c| c < owned_end)
-                .collect();
+        for (s, (candidates, _)) in seeded.iter_mut().enumerate() {
+            let mut starts = std::mem::take(&mut candidates[q]);
             starts.sort_unstable();
             starts.dedup();
             stats.candidate_windows += starts.len() as u64;
@@ -767,54 +936,115 @@ fn search_seeded(
     Ok(per_query.into_iter().map(merge_shard_hits).collect())
 }
 
-/// Translates one shard of the packed reference in the three forward
-/// frames, streaming rolling packed word keys into every query's
-/// neighbourhood table. Returns per-query candidate window starts
-/// (global bases, none before the shard) and the raw seed-hit count.
+/// Seeds shard `s`: translates each of its three forward frames once,
+/// rolls a packed word key along each frame, looks every key up once in
+/// the all-query `table`, and checks each (query, diagonal) its postings
+/// seed once against the query's identity bound. Returns per-query
+/// candidate window starts (global bases the shard owns, unordered) and
+/// the raw seed-hit count.
 fn seed_shard(
-    reference: &PackedSeq,
-    shard: Range<usize>,
+    index: &ReferenceIndex,
+    s: usize,
     seeds: &[QuerySeed],
-    params: SeedParams,
+    table: &SeedTable,
 ) -> (Vec<Vec<usize>>, u64) {
-    let w = params.word_size;
-    let rolling_modulus = SYMBOLS.pow(w as u32 - 1);
-    let len = shard.len();
-    let mut candidates: Vec<Vec<usize>> = seeds.iter().map(|_| Vec::new()).collect();
+    let shard = index.shards()[s].clone();
+    let w = table.word_size;
+    let top = SYMBOLS.pow(w as u32 - 1);
+    // A query's word positions span `n − w + 1` residues, so every seed
+    // hit on one diagonal comes within that many frame words of the
+    // first: a ring of at least that many slots per query, keyed by
+    // diagonal, remembers each diagonal until its last hit has passed.
+    let ring = seeds
+        .iter()
+        .map(|seed| (seed.residue_count + 1).saturating_sub(w).max(1))
+        .max()
+        .unwrap_or(1)
+        .next_power_of_two();
+    let mut seen = vec![usize::MAX; seeds.len() * ring];
+    let mut candidates: Vec<Vec<usize>> = vec![Vec::new(); seeds.len()];
+    let mut gathered: Vec<(u32, usize)> = Vec::with_capacity(GATHER * SEED_BLOCK);
     let mut seed_hits = 0u64;
     for frame in 0..3usize {
-        if len < frame + 3 {
+        let first_base = shard.start + frame;
+        let count = shard.len().saturating_sub(frame) / 3;
+        if count < w {
             continue;
         }
-        let mut key = 0usize;
-        let mut residues = 0usize;
-        let aa_count = (len - frame) / 3;
-        for j in 0..aa_count {
-            let base = shard.start + frame + 3 * j;
-            let codon_idx = ((reference.code_at(base) as usize) << 4)
-                | ((reference.code_at(base + 1) as usize) << 2)
-                | (reference.code_at(base + 2) as usize);
-            let aa: AminoAcid = Codon::from_index(codon_idx as u8).translate();
-            key = (key % rolling_modulus) * SYMBOLS + aa.index();
-            residues += 1;
-            if residues < w {
-                continue;
+        // Per query, the diagonals whose window starts at a base the
+        // shard owns; each such window lies inside the shard.
+        let owned: Vec<usize> = seeds
+            .iter()
+            .map(|seed| {
+                let owned_end = index.owned_end(s, seed.window);
+                owned_end.saturating_sub(first_base).div_ceil(3)
+            })
+            .collect();
+        let residues = translate_codons(&index.reference, first_base, count);
+        seen.fill(usize::MAX);
+        let mut key = residues[..w - 1]
+            .iter()
+            .fold(0, |key, &r| key * SYMBOLS + r as usize);
+        let words = count + 1 - w;
+        for block in (0..words).step_by(SEED_BLOCK) {
+            // Gather the block's postings as (query, diagonal): word `j`
+            // spans frame residues `j ..= j + w − 1`, so seeding query
+            // position `p` puts the window's first residue, its
+            // diagonal, at `j − p` (wrapping past every owned diagonal
+            // when `p > j`). Copying `GATHER` slots per word and keeping
+            // the row's share spares a branch on each row's length.
+            gathered.clear();
+            for j in block..words.min(block + SEED_BLOCK) {
+                key = key * SYMBOLS + residues[j + w - 1] as usize;
+                let (lo, hi) = (table.offsets[key], table.offsets[key + 1]);
+                seed_hits += table.seed_hits[key];
+                let row = &table.postings[lo..hi.max(lo + GATHER)];
+                let entry = |p: &Posting| (p.query, j.wrapping_sub(p.position as usize));
+                let kept = gathered.len() + (hi - lo).min(GATHER);
+                gathered.extend(row[..GATHER].iter().map(entry));
+                gathered.truncate(kept);
+                gathered.extend(row[GATHER..].iter().map(entry));
+                key -= residues[j] as usize * top;
             }
-            // Word spans residues j−w+1 ..= j; its first base, shard-local:
-            let word_base = frame + 3 * (j + 1 - w);
-            for (q, seed) in seeds.iter().enumerate() {
-                let postings = seed.words.lookup_key(key);
-                seed_hits += postings.len() as u64;
-                for &qpos in postings {
-                    let offset = 3 * qpos as usize;
-                    if word_base >= offset {
-                        candidates[q].push(shard.start + word_base - offset);
-                    }
+            for &(query, diagonal) in &gathered {
+                let q = query as usize;
+                if diagonal >= owned[q] {
+                    continue;
+                }
+                let slot = &mut seen[q * ring + (diagonal & (ring - 1))];
+                if *slot == diagonal {
+                    continue;
+                }
+                *slot = diagonal;
+                if seeds[q].reaches_need(&residues[diagonal..]) {
+                    candidates[q].push(first_base + 3 * diagonal);
                 }
             }
         }
     }
     (candidates, seed_hits)
+}
+
+/// Amino-acid indices of the `count` codons from base `start` on, ten
+/// codons per packed word read, followed by one word of zero padding
+/// for [`QuerySeed::reaches_need`]'s 8-residue loads.
+fn translate_codons(reference: &PackedSeq, start: usize, count: usize) -> Vec<u8> {
+    // A packed word holds a codon's first base in its low bits, so the
+    // 6 bits `b0 | b1 << 2 | b2 << 4` index this table.
+    let residue_of: [u8; 64] = std::array::from_fn(|bits| {
+        let codon = ((bits & 0b11) << 4) | (bits & 0b1100) | (bits >> 4);
+        Codon::from_index(codon as u8).translate().index() as u8
+    });
+    let mut residues = Vec::with_capacity(count + 8);
+    let mut at = start;
+    while residues.len() < count {
+        let word = reference.word_at(at);
+        let take = (count - residues.len()).min(10);
+        residues.extend((0..take).map(|k| residue_of[((word >> (6 * k)) & 63) as usize]));
+        at += 30;
+    }
+    residues.resize(count + 8, 0);
+    residues
 }
 
 /// Coalesces sorted candidate starts into disjoint `[lo, hi)` base
@@ -1119,6 +1349,54 @@ mod tests {
         assert!(stats.admitted_bases < off_stats.admitted_bases);
         assert!(stats.scanned_fraction() < 1.0);
         assert!(stats.seed_hits > 0);
+    }
+
+    #[test]
+    fn a_window_seeded_only_by_neighbourhood_words_is_kept() {
+        // Each planted window scores exactly the threshold `t`, so it
+        // holds exactly `need = t − 2n` identical residues, and no seed on
+        // its diagonal comes from a query word it repeats exactly:
+        //
+        // * (WWI)×10 against (WWV)×10: 20 identical residues, never three
+        //   in a row; each Val codon GUU matches 2 of Ile's 3 elements,
+        //   so t = 80, and WWV seeds WWI's positions (score 25);
+        // * A*AIWW against A*AVWW: t = 17 and `need` 5 puts every passing
+        //   window in the pigeonhole regime, but its one identical word,
+        //   A*A, scores 9 < T against itself and seeds nothing; AVW and
+        //   VWW seed the diagonal.
+        let cases = [
+            ("WWI".repeat(10), "UGGUGGGUU".repeat(10), 80),
+            ("A*AIWW".to_string(), "GCUUAAGCUGUUUGGUGG".to_string(), 17),
+        ];
+        for (query, coding, t) in cases {
+            let query: ProteinSeq = query.parse().unwrap();
+            let coding: RnaSeq = coding.parse().unwrap();
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut bases = random_rna(2_000, &mut rng).into_inner();
+            bases.splice(700..700 + coding.len(), coding.iter().copied());
+            let index = ReferenceIndex::build_from_rna(
+                &RnaSeq::from(bases),
+                IndexBuildOptions {
+                    overlap: 100,
+                    target_shard_bases: 500,
+                },
+            )
+            .unwrap();
+            let search = |mode| {
+                let queries = [query.clone()];
+                let threshold = Threshold::Absolute(t);
+                search_index(&index, &queries, threshold, mode, SeedParams::default(), 2)
+                    .unwrap()
+                    .0
+            };
+            let off = search(PrefilterMode::Off);
+            let plant = Hit {
+                position: 700,
+                score: t,
+            };
+            assert!(off[0].contains(&plant), "{query}: {off:?}");
+            assert_eq!(search(PrefilterMode::Seeded), off, "{query}");
+        }
     }
 
     #[test]

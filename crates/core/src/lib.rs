@@ -15,6 +15,8 @@
 //!   batch, index, serving) runs as `(query, reference-slice)` items of
 //!   its work-stealing claim loop.
 //! * [`hits`] — hit post-processing (region merging, top-k).
+//! * [`index`] — the persistent packed reference index and its seeded
+//!   prefilter, over [`kmer`]'s BLAST-style word neighbourhoods.
 //! * [`fleet`] — the sharded multi-FPGA backend: even shards,
 //!   replication, health-driven routing, hedged reads and fault
 //!   recovery.
@@ -49,6 +51,7 @@ pub mod fleet;
 pub mod hits;
 pub mod host;
 pub mod index;
+pub mod kmer;
 pub mod slice_plan;
 pub mod software;
 pub mod streaming;

@@ -16,22 +16,40 @@
 //!    the documented floor.
 //! 3. **Scheduling.** Seeded hits do not depend on the worker count,
 //!    and equal the exhaustive scan's when every window is admitted.
+//! 4. **The identity bound.** Seeded search drops only windows that
+//!    carry no seed word on their own diagonal: it reports every
+//!    exhaustive-scan hit whose diagonal a query word seeds, and equals
+//!    the exhaustive scan where pigeonhole puts a self-seeding identical
+//!    word on every hit's diagonal.
 
-use fabp_bio::generate::{PlantedDatabase, PlantedDatabaseConfig};
+use fabp_bio::alphabet::AminoAcid;
+use fabp_bio::codon::Codon;
+use fabp_bio::generate::{
+    coding_rna_for_paper_patterns, random_protein, PlantedDatabase, PlantedDatabaseConfig,
+};
 use fabp_bio::mutate::{IndelModel, SubstitutionModel};
-use fabp_bio::seq::RnaSeq;
+use fabp_bio::seq::{ProteinSeq, RnaSeq};
 use fabp_core::aligner::Threshold;
 use fabp_core::index::{
     search_index, IndexBuildOptions, PrefilterMode, ReferenceIndex, SeedParams,
 };
+use fabp_core::kmer::WordIndex;
 use fabp_resilience::FabpError;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn random_reference(len: usize, seed: u64) -> RnaSeq {
     let mut rng = StdRng::seed_from_u64(seed);
     fabp_bio::generate::random_rna(len, &mut rng)
+}
+
+/// The residues of the `residues`-codon window starting at base `at`.
+fn translate_window(reference: &RnaSeq, at: usize, residues: usize) -> Vec<AminoAcid> {
+    reference.as_slice()[at..at + 3 * residues]
+        .chunks_exact(3)
+        .map(|c| Codon::new(c[0], c[1], c[2]).translate())
+        .collect()
 }
 
 proptest! {
@@ -224,6 +242,96 @@ proptest! {
         for workers in [1, 4] {
             let (admitted, _) = search(PrefilterMode::Seeded, every_word, workers);
             prop_assert_eq!(&admitted, &off, "{} workers", workers);
+        }
+    }
+
+    /// **The identity bound drops only windows without a seed of their
+    /// own.** A threshold fraction from 0.5 to 1.0 or an absolute
+    /// threshold, 0–8 % substitutions, 6–40-aa queries (some holding a
+    /// Stop), any shard size and 1–3 workers. Against the exhaustive
+    /// scan:
+    ///
+    /// * seeded hits are a subset, with equal scores;
+    /// * every hit whose own diagonal carries a seed word is reported
+    ///   (a brute-force oracle over `WordIndex::lookup`);
+    /// * the two are equal when `ceil(need / (n − need + 1)) ≥ w`, where
+    ///   `need = t − 2n`, and every query word seeds itself: a window
+    ///   scoring `t` then holds `w` identical residues in a row, a word
+    ///   that seeds the window's own diagonal.
+    #[test]
+    fn seeded_search_is_complete_on_seeded_diagonals(
+        fraction in 0.5f64..=1.0,
+        absolute in 12u32..=120,
+        threshold_pick in 0usize..4,
+        rate in 0.0f64..=0.08,
+        num_queries in 1usize..=4,
+        target_shard in 256usize..=4_096,
+        workers in 1usize..=3,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let queries: Vec<ProteinSeq> = (0..num_queries)
+            .map(|_| {
+                let len = rng.gen_range(6..=40);
+                let mut residues = random_protein(len, &mut rng).into_inner();
+                if rng.gen_bool(0.4) {
+                    residues[rng.gen_range(0..len)] = AminoAcid::Stop;
+                }
+                ProteinSeq::from(residues)
+            })
+            .collect();
+        // Two mutated copies of every query, one per 1 000-base slot.
+        let mut bases = fabp_bio::generate::random_rna(2_000 * num_queries + 500, &mut rng)
+            .into_inner();
+        for (q, query) in queries.iter().enumerate() {
+            for copy in 0..2 {
+                let coding = coding_rna_for_paper_patterns(query, &mut rng);
+                let (mutated, _) = SubstitutionModel::new(rate).mutate_rna(&coding, &mut rng);
+                let at = 1_000 * (2 * q + copy) + rng.gen_range(0..1_000 - mutated.len());
+                bases.splice(at..at + mutated.len(), mutated.iter().copied());
+            }
+        }
+        let reference = RnaSeq::from(bases);
+        let index = ReferenceIndex::build_from_rna(
+            &reference,
+            IndexBuildOptions { overlap: 3 * 40, target_shard_bases: target_shard },
+        ).expect("non-empty reference");
+        let threshold = if threshold_pick == 0 {
+            Threshold::Absolute(absolute)
+        } else {
+            Threshold::Fraction(fraction)
+        };
+        let params = SeedParams::default();
+        let w = params.word_size;
+        let search = |mode| {
+            search_index(&index, &queries, threshold, mode, params, workers).expect("search")
+        };
+        let (off, _) = search(PrefilterMode::Off);
+        let (seeded, _) = search(PrefilterMode::Seeded);
+
+        for (q, query) in queries.iter().enumerate() {
+            for hit in &seeded[q] {
+                prop_assert!(off[q].contains(hit), "query {q}: {hit:?} not in the full scan");
+            }
+            let n = query.len();
+            let words = WordIndex::try_build(query.as_slice(), w, params.threshold)
+                .expect("word table");
+            for hit in &off[q] {
+                let window = translate_window(&reference, hit.position, n);
+                let seeded_diagonal = (0..=n - w)
+                    .any(|j| words.lookup(&window[j..j + w]).contains(&(j as u32)));
+                prop_assert!(
+                    !seeded_diagonal || seeded[q].contains(hit),
+                    "query {q} ({n} aa): {hit:?} has a seed on its diagonal but was dropped"
+                );
+            }
+            let need = (threshold.resolve(3 * n) as usize).saturating_sub(2 * n);
+            let self_seeding = (0..=n - w)
+                .all(|j| words.lookup(&query.as_slice()[j..j + w]).contains(&(j as u32)));
+            let pigeonhole = need > 0 && (need > n || need.div_ceil(n - need + 1) >= w);
+            if pigeonhole && self_seeding {
+                prop_assert_eq!(&seeded[q], &off[q], "query {} ({} aa), need {}", q, n, need);
+            }
         }
     }
 }

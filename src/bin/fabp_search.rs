@@ -45,6 +45,7 @@ use fabp::fpga::engine::{EngineConfig, FabpEngine};
 use fabp::resilience::{FabpError, FaultSchedule, ResilienceLevel, ResilientRunner};
 use fabp_telemetry::{chrome_trace_for_events, MetricValue, Registry, TraceContext, TraceEvent};
 use std::fs::File;
+use std::io::{BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
 
 struct Args {
@@ -64,10 +65,14 @@ struct Args {
     inject_faults: Option<String>,
     build_index: Option<String>,
     index_path: Option<String>,
-    prefilter: PrefilterMode,
-    index_overlap: usize,
-    index_shard_bases: usize,
+    prefilter: Option<PrefilterMode>,
+    index_overlap: Option<usize>,
+    index_shard_bases: Option<usize>,
 }
+
+/// The header line of the hit TSV on stdout.
+const TSV_HEADER: &str =
+    "# query\treference\tregion_start\tregion_end\tbest_pos\tscore\tmax_score\thits";
 
 fn usage() -> ! {
     eprintln!(
@@ -135,9 +140,9 @@ fn parse_args() -> Args {
         inject_faults: None,
         build_index: None,
         index_path: None,
-        prefilter: PrefilterMode::Seeded,
-        index_overlap: IndexBuildOptions::default().overlap,
-        index_shard_bases: IndexBuildOptions::default().target_shard_bases,
+        prefilter: None,
+        index_overlap: None,
+        index_shard_bases: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -146,10 +151,10 @@ fn parse_args() -> Args {
             "--reference" => args.reference_path = value_for("--reference", &mut it),
             "--build-index" => args.build_index = Some(value_for("--build-index", &mut it)),
             "--index" => args.index_path = Some(value_for("--index", &mut it)),
-            "--prefilter" => args.prefilter = parse_for("--prefilter", &mut it),
-            "--index-overlap" => args.index_overlap = parse_for("--index-overlap", &mut it),
+            "--prefilter" => args.prefilter = Some(parse_for("--prefilter", &mut it)),
+            "--index-overlap" => args.index_overlap = Some(parse_for("--index-overlap", &mut it)),
             "--index-shard-bases" => {
-                args.index_shard_bases = parse_for("--index-shard-bases", &mut it)
+                args.index_shard_bases = Some(parse_for("--index-shard-bases", &mut it))
             }
             "--threshold" => args.threshold = parse_fraction("--threshold", &mut it),
             "--engine" => args.engine = value_for("--engine", &mut it),
@@ -184,6 +189,22 @@ fn parse_args() -> Args {
     } else if args.query_path.is_empty() || args.reference_path.is_empty() {
         usage();
     }
+    // A flag of another mode would otherwise be ignored silently.
+    if args.prefilter.is_some() && args.index_path.is_none() {
+        eprintln!("--prefilter requires --index");
+        usage();
+    }
+    if args.build_index.is_none() {
+        for (flag, given) in [
+            ("--index-overlap", args.index_overlap.is_some()),
+            ("--index-shard-bases", args.index_shard_bases.is_some()),
+        ] {
+            if given {
+                eprintln!("{flag} requires --build-index");
+                usage();
+            }
+        }
+    }
     args
 }
 
@@ -201,11 +222,14 @@ fn run_build_index(args: &Args, out: &str) -> Result<(), Box<dyn std::error::Err
     }
     let reference = RnaSeq::from(bases);
     let started = std::time::Instant::now();
+    let defaults = IndexBuildOptions::default();
     let index = ReferenceIndex::build_from_rna(
         &reference,
         IndexBuildOptions {
-            overlap: args.index_overlap,
-            target_shard_bases: args.index_shard_bases,
+            overlap: args.index_overlap.unwrap_or(defaults.overlap),
+            target_shard_bases: args
+                .index_shard_bases
+                .unwrap_or(defaults.target_shard_bases),
         },
     )?;
     index.write_to(out)?;
@@ -235,6 +259,7 @@ fn run_index_search(
     if queries.is_empty() {
         return Err("query file contains no records".into());
     }
+    let prefilter = args.prefilter.unwrap_or_default();
     let started = std::time::Instant::now();
     let index = ReferenceIndex::load(index_path)?;
     let load_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -245,7 +270,7 @@ fn run_index_search(
             index.total_bases(),
             index.shards().len(),
             index.fingerprint(),
-            args.prefilter.label(),
+            prefilter.label(),
         );
     }
     let proteins: Vec<_> = queries.iter().map(|(_, p)| p.clone()).collect();
@@ -254,12 +279,13 @@ fn run_index_search(
         &index,
         &proteins,
         Threshold::Fraction(args.threshold),
-        args.prefilter,
+        prefilter,
         SeedParams::default(),
         args.threads,
     )?;
     let search_ms = searched.elapsed().as_secs_f64() * 1e3;
-    println!("# query\treference\tregion_start\tregion_end\tbest_pos\tscore\tmax_score\thits");
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    writeln!(out, "{TSV_HEADER}")?;
     for ((query_id, protein), hits) in queries.iter().zip(all_hits) {
         let query_len = 3 * protein.len();
         let outcome = SearchOutcome {
@@ -271,7 +297,8 @@ fn run_index_search(
         let mut regions = outcome.regions();
         regions.sort_by_key(|r| std::cmp::Reverse(r.best.score));
         for region in regions.iter().take(args.top) {
-            println!(
+            writeln!(
+                out,
                 "{query_id}\t{index_path}\t{}\t{}\t{}\t{}\t{}\t{}",
                 region.start,
                 region.end,
@@ -279,9 +306,10 @@ fn run_index_search(
                 region.best.score,
                 outcome.query_len,
                 region.hit_count
-            );
+            )?;
         }
     }
+    out.flush()?;
     if !args.quiet {
         eprintln!(
             "# index: search {search_ms:.1} ms, seed_hits={} candidate_windows={} \
@@ -404,7 +432,8 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         );
     }
 
-    println!("# query\treference\tregion_start\tregion_end\tbest_pos\tscore\tmax_score\thits");
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    writeln!(out, "{TSV_HEADER}")?;
     for (query_id, protein) in &queries {
         let _query_span = telemetry.span("query");
         let encoded = {
@@ -499,7 +528,8 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             let mut regions = outcome.regions();
             regions.sort_by_key(|r| std::cmp::Reverse(r.best.score));
             for region in regions.iter().take(args.top) {
-                println!(
+                writeln!(
+                    out,
                     "{query_id}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
                     record.id,
                     region.start,
@@ -508,7 +538,7 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
                     region.best.score,
                     outcome.query_len,
                     region.hit_count
-                );
+                )?;
             }
             if args.stats && !args.quiet {
                 if let Some(stats) = outcome.stats {
@@ -523,6 +553,8 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             }
         }
     }
+
+    out.flush()?;
 
     if args.stats {
         print_stats_report(telemetry);
@@ -557,6 +589,14 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader closed stdout early (`| head`): it has the rows it
+        // wanted, so stop writing without an error.
+        Err(e)
+            if e.downcast_ref::<std::io::Error>()
+                .is_some_and(|e| e.kind() == ErrorKind::BrokenPipe) =>
+        {
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("fabp-search: {e}");
             ExitCode::FAILURE

@@ -66,6 +66,7 @@ use fabp_telemetry::Registry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fs::File;
+use std::io::{BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
 
 struct Args {
@@ -396,9 +397,11 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     responses.extend(server.run_to_completion());
     let wall_seconds = started.elapsed().as_secs_f64();
 
-    println!(
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    writeln!(
+        out,
         "# ticket\tquery\ttenant\tstatus\thits\tbest_pos\tbest_score\tlatency_us\tbatch\tcached"
-    );
+    )?;
     responses.sort_by_key(|r| r.id);
     for response in &responses {
         let name = names
@@ -417,7 +420,8 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             }
             Err(_) => (-1, -1, -1),
         };
-        println!(
+        writeln!(
+            out,
             "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
             response.id,
             name,
@@ -429,8 +433,9 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             response.latency_us,
             response.batch_size,
             response.cached_query,
-        );
+        )?;
     }
+    out.flush()?;
 
     let stats = server.stats();
     let mut latencies: Vec<u64> = responses
@@ -536,6 +541,14 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader closed stdout early (`| head`): it has the rows it
+        // wanted, so stop writing without an error.
+        Err(e)
+            if e.downcast_ref::<std::io::Error>()
+                .is_some_and(|e| e.kind() == ErrorKind::BrokenPipe) =>
+        {
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("fabp-serve: {e}");
             ExitCode::FAILURE

@@ -2,8 +2,9 @@
 //! binaries.
 
 use std::fs;
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Output, Stdio};
 
 fn temp_file(name: &str, contents: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -355,4 +356,150 @@ fn search_cli_rejects_a_node_kill_on_its_one_device() {
     assert!(stderr.contains("kill@0:1"), "stderr: {stderr}");
     fs::remove_file(query).ok();
     fs::remove_file(reference).ok();
+}
+
+/// Runs `command`, reads one line of its stdout, closes the pipe while
+/// rows are still to come, and waits for the exit.
+fn first_line_then_close(command: &mut Command) -> (String, Output) {
+    let mut child = command
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    (first, child.wait_with_output().unwrap())
+}
+
+/// The exit of a run whose reader went away early: success, no panic.
+fn assert_clean_early_close(what: &str, (first, output): (String, Output)) {
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(first.starts_with("# "), "{what}: first line {first:?}");
+    assert!(
+        output.status.success(),
+        "{what}: {:?}, stderr: {stderr}",
+        output.status
+    );
+    assert!(!stderr.contains("panicked"), "{what}: stderr: {stderr}");
+}
+
+#[test]
+fn search_cli_exits_cleanly_when_stdout_closes_early() {
+    // 6 000 records, each holding Met-Phe once: far more rows than a
+    // pipe buffers, on both the FASTA and the index path.
+    let query = temp_file("qpipe.faa", ">q\nMF\n");
+    let records: String = (0..6_000)
+        .map(|i| format!(">r{i}\nAAATGTTTAAA\n"))
+        .collect();
+    let reference = temp_file("dbpipe.fna", &records);
+    let index = temp_file("dbpipe.fabpidx", "");
+    let search = || Command::new(env!("CARGO_BIN_EXE_fabp_search"));
+    let built = search()
+        .args(["--reference", reference.to_str().unwrap()])
+        .args(["--build-index", index.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(built.status.success(), "{built:?}");
+
+    let rows = ["--threshold", "1.0", "--top", "100000", "--quiet"];
+    assert_clean_early_close(
+        "--reference",
+        first_line_then_close(
+            search()
+                .args(["--query", query.to_str().unwrap()])
+                .args(["--reference", reference.to_str().unwrap()])
+                .args(rows),
+        ),
+    );
+    assert_clean_early_close(
+        "--index",
+        first_line_then_close(
+            search()
+                .args(["--query", query.to_str().unwrap()])
+                .args(["--index", index.to_str().unwrap(), "--prefilter", "off"])
+                .args(rows),
+        ),
+    );
+    for path in [query, reference, index] {
+        fs::remove_file(path).ok();
+    }
+}
+
+#[test]
+fn serve_cli_exits_cleanly_when_stdout_closes_early() {
+    // One TSV row per query: 3 000 rows outgrow the pipe buffer.
+    assert_clean_early_close(
+        "fabp_serve",
+        first_line_then_close(
+            Command::new(env!("CARGO_BIN_EXE_fabp_serve"))
+                .args(["--synthetic-bases", "20000", "--synthetic-queries", "3000"])
+                .arg("--quiet"),
+        ),
+    );
+}
+
+#[test]
+fn search_cli_rejects_flags_of_another_mode() {
+    // Each flag belongs to one mode; elsewhere it is a usage error that
+    // names it, not a silent no-op.
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &[
+                "--query",
+                "q.faa",
+                "--reference",
+                "db.fna",
+                "--prefilter",
+                "seeded",
+            ],
+            "--prefilter",
+        ),
+        (
+            &[
+                "--reference",
+                "db.fna",
+                "--build-index",
+                "x.fabpidx",
+                "--prefilter",
+                "off",
+            ],
+            "--prefilter",
+        ),
+        (
+            &[
+                "--query",
+                "q.faa",
+                "--reference",
+                "db.fna",
+                "--index-overlap",
+                "90",
+            ],
+            "--index-overlap",
+        ),
+        (
+            &[
+                "--query",
+                "q.faa",
+                "--index",
+                "x.fabpidx",
+                "--index-shard-bases",
+                "4096",
+            ],
+            "--index-shard-bases",
+        ),
+    ];
+    for (args, flag) in cases {
+        let output = Command::new(env!("CARGO_BIN_EXE_fabp_search"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} requires")),
+            "{args:?}: {stderr}"
+        );
+    }
 }

@@ -439,7 +439,7 @@ fn pack_word(bases: &[Nucleotide]) -> u64 {
 /// Gathers eight 2-bit codes, one per byte of `x`, into 16 bits (byte
 /// `i`'s at bits `2i..2i + 2`): each shift-or step halves the gaps.
 #[inline]
-fn pack_octet(x: u64) -> u64 {
+pub(crate) fn pack_octet(x: u64) -> u64 {
     let x = (x | (x >> 6)) & 0x000F_000F_000F_000F;
     let x = (x | (x >> 12)) & 0x0000_00FF_0000_00FF;
     (x | (x >> 24)) & 0xFFFF

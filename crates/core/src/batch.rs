@@ -15,8 +15,10 @@
 //! DRAM for each claim, so the memory system — not the core count — sets
 //! the ceiling. `batch_parallel4_vs_serial` measured **0.98×**.
 //!
-//! **This scheduler steals `(lane-group, reference-slice)` pairs.** A
-//! [`SlicePlan`](crate::slice_plan::SlicePlan) cuts the reference into
+//! **This scheduler steals `(lane-group, record, slice)` triples.** A
+//! reference is one record or many (a FASTA file's, searched as
+//! references of their own in one queue). A
+//! [`SlicePlan`](crate::slice_plan::SlicePlan) cuts each record into
 //! cache-friendly slices with exactly `window − 1` bases of trailing
 //! overlap (the fleet's shard math), so per-slice scans partition
 //! the alignment-position space and
@@ -49,6 +51,7 @@ use crate::slice_plan::{SliceOptions, SlicePlan};
 use fabp_bio::seq::{PackedSeq, ProteinSeq};
 use fabp_resilience::{FabpError, FabpResult};
 use std::borrow::Borrow;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Searches every query against the reference, returning one outcome per
@@ -81,7 +84,15 @@ pub fn search_all(
                 .map_err(FabpError::from)
         })
         .collect::<FabpResult<Vec<_>>>()?;
-    Ok(search_prebuilt(&aligners, reference, threads, SliceOptions::default()).0)
+    let whole = 0..reference.len();
+    let (mut outcomes, _) = search_prebuilt(
+        &aligners,
+        reference,
+        std::slice::from_ref(&whole),
+        threads,
+        SliceOptions::default(),
+    );
+    Ok(outcomes.swap_remove(0))
 }
 
 /// How the scheduler actually ran one batch: work-item mix, lane packing
@@ -101,7 +112,8 @@ pub struct BatchRunStats {
     pub items: usize,
     /// Items that were lane-group reference slices.
     pub group_slices: usize,
-    /// Items that were whole queries (cycle-accurate backend).
+    /// Items that were whole (query, record) runs (cycle-accurate
+    /// backend).
     pub whole_queries: usize,
     /// Multi-query lane groups formed.
     pub lane_groups: usize,
@@ -283,33 +295,52 @@ struct LaneGroup<'a> {
     lanes: &'a [Lane<'a>],
     engine: BitParallelEngine,
     thresholds: Vec<u32>,
-    /// Slices planned against the group-maximum window.
-    plan: SlicePlan,
+    /// The shortest lane's window: a slice holding fewer bases has no
+    /// position for any lane.
+    shortest: usize,
+    /// Each record's slices, planned against the group-maximum window.
+    plans: Vec<SlicePlan>,
 }
 
 impl<'a> LaneGroup<'a> {
     fn new(
         lanes: &'a [Lane<'a>],
-        reference_len: usize,
+        records: &[Range<usize>],
         threads: usize,
         options: SliceOptions,
     ) -> LaneGroup<'a> {
         let engines: Vec<&BitParallelEngine> = lanes.iter().map(|l| l.engine).collect();
         let engine = BitParallelEngine::join(&engines);
+        let window = engine.query_len();
         LaneGroup {
             lanes,
             thresholds: lanes.iter().map(|l| l.threshold).collect(),
-            plan: SlicePlan::build(reference_len, engine.query_len(), threads, options),
+            shortest: engines
+                .iter()
+                .map(|e| e.query_len())
+                .min()
+                .unwrap_or(window),
+            plans: records
+                .iter()
+                .map(|record| SlicePlan::build(record.len(), window, threads, options))
+                .collect(),
             engine,
         }
     }
 
-    /// Scans slice `s`, returning position-translated hits per lane.
-    fn scan(&self, reference: &PackedSeq, s: usize) -> Vec<Vec<Hit>> {
-        let slice = self.plan.slices()[s];
-        let mut per_lane =
-            self.engine
-                .search_lanes(reference, slice.start..slice.end, &self.thresholds);
+    /// Scans slice `s` of record `r`, returning hits per lane at
+    /// positions within the record.
+    fn scan(
+        &self,
+        reference: &PackedSeq,
+        records: &[Range<usize>],
+        r: usize,
+        s: usize,
+    ) -> Vec<Vec<Hit>> {
+        let slice = self.plans[r].slices()[s];
+        let start = records[r].start;
+        let range = start + slice.start..start + slice.end;
+        let mut per_lane = self.engine.search_lanes(reference, range, &self.thresholds);
         for hit in per_lane.iter_mut().flatten() {
             hit.position += slice.start;
         }
@@ -319,22 +350,28 @@ impl<'a> LaneGroup<'a> {
 
 /// One schedulable unit of batch work.
 enum WorkItem {
-    /// Scan one reference slice for one lane group.
-    GroupSlice { group: usize, slice: usize },
-    /// Run one whole query (cycle-accurate backend: its per-run
-    /// statistics must accumulate inside a single run).
-    Whole { query: usize },
+    /// Scan one slice of one record for one lane group.
+    GroupSlice {
+        group: usize,
+        record: usize,
+        slice: usize,
+    },
+    /// Run one whole query over one record (cycle-accurate backend: its
+    /// per-run statistics must accumulate inside a single run).
+    Whole { query: usize, record: usize },
 }
 
 /// What one claimed item produced.
 enum ItemResult {
-    /// Position-translated hits, one vector per lane.
+    /// Hits per lane, at positions within the record.
     GroupSlice {
         group: usize,
+        record: usize,
         per_lane: Vec<Vec<Hit>>,
     },
     Whole {
         query: usize,
+        record: usize,
         outcome: SearchOutcome,
     },
 }
@@ -343,20 +380,29 @@ enum ItemResult {
 /// caller already built (and possibly cached — the serving layer pays a
 /// repeated query's encode and table build once): every pass of every
 /// software aligner becomes a lane, lanes pack [`LANES`]-wide into
-/// groups, and each group's reference slices are claimed by
-/// [`claim_all`]'s workers next to the cycle-accurate aligners' whole
-/// queries. `options` sizes the slices (the proptest matrix draws it to
-/// force slice boundaries through match windows).
+/// groups, and each group's slices of each record are claimed by one
+/// [`claim_all`] queue's workers next to the cycle-accurate aligners'
+/// whole (query, record) runs, so a search of many records starts its
+/// workers once. `records` are base ranges of `reference` searched as
+/// references of their own (hit positions within the record); a
+/// single `0..reference.len()` searches the whole reference. `options`
+/// sizes the slices (the proptest matrix draws it to force slice
+/// boundaries through match windows).
 ///
-/// Returns the outcomes in `aligners` order and how the scheduler ran.
-/// `A` is anything that borrows a [`FabpAligner`], so `&[FabpAligner]`
-/// and `&[Arc<FabpAligner>]` both work.
+/// Returns the outcomes per record, each in `aligners` order, and how
+/// the scheduler ran. `A` is anything that borrows a [`FabpAligner`],
+/// so `&[FabpAligner]` and `&[Arc<FabpAligner>]` both work.
+///
+/// # Panics
+///
+/// Panics if a record range ends past `reference.len()`.
 pub fn search_prebuilt<A: Borrow<FabpAligner> + Sync>(
     aligners: &[A],
     reference: &PackedSeq,
+    records: &[Range<usize>],
     threads: usize,
     options: SliceOptions,
-) -> (Vec<SearchOutcome>, BatchRunStats) {
+) -> (Vec<Vec<SearchOutcome>>, BatchRunStats) {
     let threads = threads.max(1);
     let mut lanes: Vec<Lane<'_>> = Vec::new();
     let mut whole: Vec<usize> = Vec::new();
@@ -373,31 +419,56 @@ pub fn search_prebuilt<A: Borrow<FabpAligner> + Sync>(
     }
     let groups: Vec<LaneGroup<'_>> = lanes
         .chunks(LANES)
-        .map(|chunk| LaneGroup::new(chunk, reference.len(), threads, options))
+        .map(|chunk| LaneGroup::new(chunk, records, threads, options))
         .collect();
 
-    // Flatten every unit of work into one claim queue; vacuous slices
-    // (no positions) schedule nothing.
+    // Flatten every unit of work into one claim queue. A slice too short
+    // for the group's shortest lane has no position to score and
+    // schedules nothing; one shorter than the longest lane's window
+    // still scores the lanes that fit.
     let mut items: Vec<WorkItem> = Vec::new();
-    for (g, group) in groups.iter().enumerate() {
-        for (s, slice) in group.plan.slices().iter().enumerate() {
-            if slice.positions > 0 {
-                items.push(WorkItem::GroupSlice { group: g, slice: s });
+    for record in 0..records.len() {
+        for (g, group) in groups.iter().enumerate() {
+            for (s, slice) in group.plans[record].slices().iter().enumerate() {
+                if slice.bases() >= group.shortest {
+                    items.push(WorkItem::GroupSlice {
+                        group: g,
+                        record,
+                        slice: s,
+                    });
+                }
             }
         }
     }
     let group_slices = items.len();
-    items.extend(whole.iter().map(|&query| WorkItem::Whole { query }));
+    for record in 0..records.len() {
+        items.extend(whole.iter().map(|&query| WorkItem::Whole { query, record }));
+    }
 
     let claimed = claim_all(&items, threads, |item| match *item {
-        WorkItem::GroupSlice { group, slice } => ItemResult::GroupSlice {
+        WorkItem::GroupSlice {
             group,
-            per_lane: groups[group].scan(reference, slice),
+            record,
+            slice,
+        } => ItemResult::GroupSlice {
+            group,
+            record,
+            per_lane: groups[group].scan(reference, records, record, slice),
         },
-        WorkItem::Whole { query } => ItemResult::Whole {
-            query,
-            outcome: aligners[query].borrow().search_packed(reference),
-        },
+        WorkItem::Whole { query, record } => {
+            let range = records[record].clone();
+            let aligner = aligners[query].borrow();
+            let outcome = if range == (0..reference.len()) {
+                aligner.search_packed(reference)
+            } else {
+                aligner.search_packed(&reference.slice(range))
+            };
+            ItemResult::Whole {
+                query,
+                record,
+                outcome,
+            }
+        }
     });
 
     let telemetry = fabp_telemetry::Registry::global();
@@ -419,54 +490,77 @@ pub fn search_prebuilt<A: Borrow<FabpAligner> + Sync>(
         )
         .set(lane_occupancy_pct.round() as i64);
 
-    // Reassemble per-query outcomes. Slices arrive per lane; the shard
-    // merge restores position order and drops the exact boundary
-    // duplicates shorter lanes re-report across slice overlaps. A
-    // query's passes then reduce with the per-position best-score merge.
-    let mut per_slice: Vec<Vec<Vec<Vec<Hit>>>> = groups
-        .iter()
-        .map(|g| vec![Vec::new(); g.lanes.len()])
-        .collect();
-    let mut outcomes: Vec<Option<SearchOutcome>> = Vec::new();
-    outcomes.resize_with(aligners.len(), || None);
-    for result in claimed.results {
-        match result {
-            ItemResult::GroupSlice { group, per_lane } => {
-                for (lane, hits) in per_lane.into_iter().enumerate() {
-                    per_slice[group][lane].push(hits);
-                }
+    // Reassemble per-(record, query) outcomes in one pass over the
+    // results, which arrive in item order: a (record, group)'s slices
+    // are consecutive. Across several slices the shard merge restores
+    // position order and drops the exact boundary duplicates shorter
+    // lanes re-report across slice overlaps; one slice's lists already
+    // are in order. A query's passes then reduce with the per-position
+    // best-score merge.
+    let mut hits: Vec<Vec<Vec<Hit>>> = vec![vec![Vec::new(); aligners.len()]; records.len()];
+    let mut whole_outcomes: Vec<(usize, usize, SearchOutcome)> = Vec::new();
+    let mut results = claimed.results.into_iter().peekable();
+    while let Some(result) = results.next() {
+        let (group, record, per_lane) = match result {
+            ItemResult::GroupSlice {
+                group,
+                record,
+                per_lane,
+            } => (group, record, per_lane),
+            ItemResult::Whole {
+                query,
+                record,
+                outcome,
+            } => {
+                whole_outcomes.push((record, query, outcome));
+                continue;
             }
-            ItemResult::Whole { query, outcome } => outcomes[query] = Some(outcome),
+        };
+        let same_key = |next: &ItemResult| {
+            matches!(*next, ItemResult::GroupSlice { group: g, record: r, .. }
+                if (g, r) == (group, record))
+        };
+        let mut slices = vec![per_lane];
+        while let Some(ItemResult::GroupSlice { per_lane, .. }) = results.next_if(same_key) {
+            slices.push(per_lane);
+        }
+        for (l, lane) in groups[group].lanes.iter().enumerate() {
+            let lane_hits = match slices.as_mut_slice() {
+                [one] => std::mem::take(&mut one[l]),
+                many => merge_shard_hits(many.iter_mut().map(|s| std::mem::take(&mut s[l]))),
+            };
+            let query_hits = &mut hits[record][lane.query];
+            *query_hits = if query_hits.is_empty() {
+                lane_hits
+            } else {
+                merge_hits(std::mem::take(query_hits), lane_hits)
+            };
         }
     }
-    let mut per_pass: Vec<Vec<Vec<Hit>>> = vec![Vec::new(); aligners.len()];
-    for (group, slices) in groups.iter().zip(per_slice) {
-        for (lane, lane_slices) in group.lanes.iter().zip(slices) {
-            per_pass[lane.query].push(merge_shard_hits(lane_slices));
-        }
-    }
-    let outcomes = outcomes
+    let mut outcomes: Vec<Vec<SearchOutcome>> = hits
         .into_iter()
-        .zip(per_pass)
-        .zip(aligners)
-        .map(|((outcome, passes), a)| {
-            outcome.unwrap_or_else(|| {
-                let a = a.borrow();
-                SearchOutcome {
-                    hits: passes.into_iter().reduce(merge_hits).unwrap_or_default(),
-                    threshold: a.threshold(),
-                    query_len: a.query().len(),
+        .map(|record_hits| {
+            record_hits
+                .into_iter()
+                .zip(aligners)
+                .map(|(hits, a)| SearchOutcome {
+                    hits,
+                    threshold: a.borrow().threshold(),
+                    query_len: a.borrow().query().len(),
                     stats: None,
-                }
-            })
+                })
+                .collect()
         })
         .collect();
+    for (record, query, outcome) in whole_outcomes {
+        outcomes[record][query] = outcome;
+    }
 
     let stats = BatchRunStats {
         workers: claimed.busy_ns.len(),
         items: items.len(),
         group_slices,
-        whole_queries: whole.len(),
+        whole_queries: whole.len() * records.len(),
         lane_groups: groups.len(),
         lane_occupancy_pct,
         per_worker_busy_ns: claimed.busy_ns,
@@ -501,6 +595,25 @@ mod tests {
     use fabp_bio::seq::RnaSeq;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// [`search_prebuilt`] over the whole of `reference`, as one record.
+    fn search_whole<A: Borrow<FabpAligner> + Sync>(
+        aligners: &[A],
+        reference: &RnaSeq,
+        threads: usize,
+        options: SliceOptions,
+    ) -> (Vec<SearchOutcome>, BatchRunStats) {
+        let packed = PackedSeq::from_rna(reference);
+        let whole = 0..packed.len();
+        let (mut outcomes, stats) = search_prebuilt(
+            aligners,
+            &packed,
+            std::slice::from_ref(&whole),
+            threads,
+            options,
+        );
+        (outcomes.swap_remove(0), stats)
+    }
 
     /// Small slices so even test-sized references exercise real stealing.
     const TEST_SLICES: SliceOptions = SliceOptions {
@@ -590,15 +703,8 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let serial = search_prebuilt(
-            &aligners,
-            &PackedSeq::from_rna(&reference),
-            1,
-            SliceOptions::default(),
-        )
-        .0;
-        let (sliced, stats) =
-            search_prebuilt(&aligners, &PackedSeq::from_rna(&reference), 8, TEST_SLICES);
+        let serial = search_whole(&aligners, &reference, 1, SliceOptions::default()).0;
+        let (sliced, stats) = search_whole(&aligners, &reference, 8, TEST_SLICES);
         assert_eq!(serial[0].hits, sliced[0].hits);
         assert!(
             stats.items >= 8,
@@ -628,15 +734,8 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let serial = search_prebuilt(
-            &aligners,
-            &PackedSeq::from_rna(&reference),
-            1,
-            SliceOptions::default(),
-        )
-        .0;
-        let (sliced, stats) =
-            search_prebuilt(&aligners, &PackedSeq::from_rna(&reference), 4, TEST_SLICES);
+        let serial = search_whole(&aligners, &reference, 1, SliceOptions::default()).0;
+        let (sliced, stats) = search_whole(&aligners, &reference, 4, TEST_SLICES);
         for (i, (a, b)) in serial.iter().zip(&sliced).enumerate() {
             assert_eq!(a.hits, b.hits, "query {i}");
         }
@@ -668,12 +767,7 @@ mod tests {
                 score: score as u32,
             })
             .collect();
-        let (sliced, stats) = search_prebuilt(
-            &[&aligner],
-            &PackedSeq::from_rna(&reference),
-            4,
-            TEST_SLICES,
-        );
+        let (sliced, stats) = search_whole(&[&aligner], &reference, 4, TEST_SLICES);
         assert_eq!(sliced[0].hits, golden);
         assert_eq!(aligner.search(&reference).hits, golden);
         assert_eq!(
@@ -706,17 +800,102 @@ mod tests {
             .unwrap();
         let serial_soft = soft.search(&reference);
         let serial_cycle = cycle.search(&reference);
-        let (batch, stats) = search_prebuilt(
-            &[&soft, &cycle],
-            &PackedSeq::from_rna(&reference),
-            4,
-            TEST_SLICES,
-        );
+        let (batch, stats) = search_whole(&[&soft, &cycle], &reference, 4, TEST_SLICES);
         assert_eq!(batch[0].hits, serial_soft.hits);
         assert_eq!(batch[1].hits, serial_cycle.hits);
         assert!(batch[1].stats.is_some(), "cycle stats must survive");
         assert_eq!(stats.whole_queries, 1);
         assert!(stats.group_slices >= 1);
+    }
+
+    #[test]
+    fn a_reference_between_the_windows_keeps_the_shorter_lanes_hits() {
+        // 30 bases: room for GATT's 12-element window, none for the
+        // 60-element one it shares a lane group with.
+        let reference: RnaSeq = "ACCGAAACAUGGACCCUUUAUAUGAACUCU".parse().unwrap();
+        let build = |protein: &str| {
+            FabpAligner::builder()
+                .protein_query(&protein.parse().unwrap())
+                .threshold(Threshold::Fraction(0.5))
+                .build()
+                .unwrap()
+        };
+        let short = build("GATT");
+        let long = build("NNQNNYFVEHYCKCRVTSSL");
+        let alone = short.search(&reference);
+        assert!(!alone.hits.is_empty());
+        let (grouped, stats) = search_whole(&[&short, &long], &reference, 2, TEST_SLICES);
+        assert_eq!(grouped[0].hits, alone.hits);
+        assert!(grouped[1].hits.is_empty());
+        assert_eq!((stats.lane_groups, stats.items), (1, 1));
+        // Shorter than both windows: nothing to schedule.
+        let (none, stats) = search_whole(
+            &[&short, &long],
+            &"ACGUACGUAC".parse().unwrap(),
+            2,
+            TEST_SLICES,
+        );
+        assert!(none.iter().all(|o| o.hits.is_empty()));
+        assert_eq!(stats.items, 0);
+    }
+
+    #[test]
+    fn records_are_searched_as_references_of_their_own_in_one_queue() {
+        // Records of mixed lengths (one shorter than every window, one
+        // between the windows) under one claim queue: each record's
+        // outcome is that record searched alone, cycle-accurate runs
+        // included.
+        let mut rng = StdRng::seed_from_u64(81);
+        let proteins: Vec<_> = [3, 9, 5, 14, 7]
+            .iter()
+            .map(|&aa| random_protein(aa, &mut rng))
+            .collect();
+        let lengths = [4_000usize, 8, 30, 700, 1_500];
+        let records: Vec<RnaSeq> = lengths
+            .iter()
+            .map(|&len| fabp_bio::generate::random_rna(len, &mut rng))
+            .collect();
+        let mut aligners: Vec<FabpAligner> = proteins
+            .iter()
+            .map(|p| {
+                FabpAligner::builder()
+                    .protein_query(p)
+                    .threshold(Threshold::Fraction(0.5))
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        aligners.push(
+            FabpAligner::builder()
+                .protein_query(&proteins[1])
+                .threshold(Threshold::Fraction(0.5))
+                .engine(Engine::CycleAccurate(Box::new(
+                    fabp_fpga::engine::EngineConfig::kintex7(0),
+                )))
+                .build()
+                .unwrap(),
+        );
+        let mut reference = PackedSeq::new();
+        let mut ranges = Vec::new();
+        for record in &records {
+            let start = reference.len();
+            reference.extend_from(&PackedSeq::from_rna(record));
+            ranges.push(start..reference.len());
+        }
+        let (outcomes, stats) = search_prebuilt(&aligners, &reference, &ranges, 3, TEST_SLICES);
+        assert_eq!(outcomes.len(), records.len());
+        for (r, (record, outcomes)) in records.iter().zip(&outcomes).enumerate() {
+            for (q, (aligner, outcome)) in aligners.iter().zip(outcomes).enumerate() {
+                assert_eq!(
+                    outcome.hits,
+                    aligner.search(record).hits,
+                    "record {r} query {q}"
+                );
+            }
+        }
+        assert_eq!(stats.whole_queries, records.len());
+        assert!(stats.workers <= 3);
+        assert!(outcomes[1][5].stats.is_some(), "cycle stats per record");
     }
 
     #[test]

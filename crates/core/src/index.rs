@@ -186,13 +186,28 @@ pub struct ReferenceIndex {
 }
 
 impl ReferenceIndex {
-    /// Packs `reference` and cuts it into overlapping shards.
+    /// Packs `reference` and cuts it into overlapping shards
+    /// ([`ReferenceIndex::build_from_packed`]).
     ///
     /// # Errors
     ///
     /// Returns [`FabpError::InvalidShardPlan`] for an empty reference.
     pub fn build_from_rna(
         reference: &RnaSeq,
+        options: IndexBuildOptions,
+    ) -> FabpResult<ReferenceIndex> {
+        ReferenceIndex::build_from_packed(PackedSeq::from_rna(reference), options)
+    }
+
+    /// Cuts an already packed reference (a FASTA file read by
+    /// [`read_packed`](fabp_bio::fasta::read_packed), say) into
+    /// overlapping shards, holding its words as they are.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FabpError::InvalidShardPlan`] for an empty reference.
+    pub fn build_from_packed(
+        reference: PackedSeq,
         options: IndexBuildOptions,
     ) -> FabpResult<ReferenceIndex> {
         let total = reference.len();
@@ -209,7 +224,7 @@ impl ReferenceIndex {
             .collect();
         let mut index = ReferenceIndex {
             overlap: options.overlap,
-            reference: Arc::new(PackedSeq::from_rna(reference)),
+            reference: Arc::new(reference),
             shards,
             fingerprint: 0,
         };

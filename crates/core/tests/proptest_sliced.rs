@@ -22,15 +22,16 @@ use fabp_bio::alphabet::{AminoAcid, Nucleotide};
 use fabp_bio::backtranslate::BackTranslationMode;
 use fabp_bio::generate::{coding_rna_for_paper_patterns, random_protein, random_rna};
 use fabp_bio::seq::{PackedSeq, RnaSeq};
-use fabp_core::aligner::{Engine, FabpAligner, Threshold};
-use fabp_core::batch::search_prebuilt;
+use fabp_core::aligner::{Engine, FabpAligner, SearchOutcome, Threshold};
+use fabp_core::batch::{search_prebuilt, BatchRunStats};
 use fabp_core::hits::Hit;
 use fabp_core::slice_plan::{SliceOptions, SlicePlan};
-use fabp_core::{BitParallelEngine, StreamingAligner};
+use fabp_core::{BitParallelEngine, StreamingAligner, LANES};
 use fabp_encoding::encoder::{EncodedQuery, QuerySet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Borrow;
 
 /// Golden hits: the positions whose best score over `passes`, scored by
 /// the back-translation model (`BackTranslatedQuery::score_all_positions`),
@@ -54,26 +55,57 @@ fn golden_hits(passes: &[&EncodedQuery], reference: &[Nucleotide], threshold: u3
         .collect()
 }
 
+/// [`search_prebuilt`] over the whole of `reference`, as one record.
+fn search_whole<A: Borrow<FabpAligner> + Sync>(
+    aligners: &[A],
+    reference: &RnaSeq,
+    workers: usize,
+    options: SliceOptions,
+) -> (Vec<SearchOutcome>, BatchRunStats) {
+    let packed = PackedSeq::from_rna(reference);
+    let whole = 0..packed.len();
+    let (mut outcomes, stats) = search_prebuilt(
+        aligners,
+        &packed,
+        std::slice::from_ref(&whole),
+        workers,
+        options,
+    );
+    (outcomes.swap_remove(0), stats)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// **Sliced-batch bit-identity.** Random query count/lengths,
-    /// reference length, worker count and slice sizing: every query's
-    /// batch hits equal its own serial `search_two_pass` oracle.
+    /// **Sliced-batch bit-identity.** Random query count and a length
+    /// per query, reference length, worker count and slice sizing: every
+    /// query's batch hits equal its own serial `search_two_pass` oracle.
+    /// Some cases draw a reference between the first lane group's
+    /// shortest and longest windows, where only the shorter lanes have
+    /// positions to score.
     #[test]
     fn sliced_batch_matches_two_pass_oracle(
-        num_queries in 1usize..=6,
-        query_aa in 3usize..=14,
+        query_aas in prop::collection::vec(2usize..=16, 1..=6),
         reference_len in 200usize..=6_000,
+        between_windows in any::<bool>(),
         workers in 2usize..=8,
         min_slice in 32usize..=512,
         slices_per_worker in 1usize..=4,
         seed in 0u64..1_000_000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let proteins: Vec<_> = (0..num_queries)
-            .map(|i| random_protein(query_aa + i % 3, &mut rng))
+        let proteins: Vec<_> = query_aas
+            .iter()
+            .map(|&aa| random_protein(aa, &mut rng))
             .collect();
+        // The first lane group's windows (one lane per query here).
+        let windows: Vec<usize> = query_aas.iter().take(LANES).map(|aa| 3 * aa).collect();
+        let (shortest, longest) = (windows.iter().min().unwrap(), windows.iter().max().unwrap());
+        let reference_len = if between_windows && shortest < longest {
+            shortest + (seed as usize) % (longest - shortest)
+        } else {
+            reference_len
+        };
         // Plant one real coding region per query so hits actually exist
         // for slice boundaries to straddle.
         let mut bases = random_rna(reference_len, &mut rng).into_inner();
@@ -97,8 +129,7 @@ proptest! {
             .collect();
 
         let options = SliceOptions { slices_per_worker, min_slice_positions: min_slice };
-        let (sliced, stats) =
-            search_prebuilt(&aligners, &PackedSeq::from_rna(&reference), workers, options);
+        let (sliced, stats) = search_whole(&aligners, &reference, workers, options);
         prop_assert_eq!(sliced.len(), aligners.len());
         prop_assert_eq!(stats.per_worker_busy_ns.len(), stats.workers);
 
@@ -108,9 +139,77 @@ proptest! {
                 .search_two_pass(reference.as_slice(), aligner.threshold());
             prop_assert_eq!(
                 &outcome.hits, &oracle,
-                "query {} of {} (workers {}, min_slice {}, spw {})",
-                i, num_queries, workers, min_slice, slices_per_worker
+                "query {} of {:?} aa over {} bases (workers {}, min_slice {}, spw {})",
+                i, query_aas, reference_len, workers, min_slice, slices_per_worker
             );
+        }
+    }
+
+    /// **Records are references of their own, under one queue.** A
+    /// reference cut into records — every other one shorter than 48
+    /// bases, so some fall short of every window and some between the
+    /// windows — is searched in one `search_prebuilt` call: each
+    /// (record, query) outcome equals that query's two-pass oracle over
+    /// the record's bases alone, at positions within the record.
+    #[test]
+    fn record_ranges_match_each_record_searched_alone(
+        query_aas in prop::collection::vec(2usize..=12, 1..=6),
+        record_lens in prop::collection::vec(0usize..=1_200, 1..=6),
+        workers in 1usize..=6,
+        min_slice in 16usize..=256,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let proteins: Vec<_> = query_aas
+            .iter()
+            .map(|&aa| random_protein(aa, &mut rng))
+            .collect();
+        let records: Vec<RnaSeq> = record_lens
+            .iter()
+            .enumerate()
+            .map(|(r, &len)| {
+                let mut bases = random_rna(if r % 2 == 1 { len % 48 } else { len }, &mut rng).into_inner();
+                let coding = coding_rna_for_paper_patterns(&proteins[r % proteins.len()], &mut rng);
+                if coding.len() <= bases.len() {
+                    let at = rng.gen_range(0..=bases.len() - coding.len());
+                    bases.splice(at..at + coding.len(), coding.iter().copied());
+                }
+                RnaSeq::from(bases)
+            })
+            .collect();
+        let mut reference = PackedSeq::new();
+        let mut ranges = Vec::new();
+        for record in &records {
+            let start = reference.len();
+            reference.extend_from(&PackedSeq::from_rna(record));
+            ranges.push(start..reference.len());
+        }
+        let aligners: Vec<FabpAligner> = proteins
+            .iter()
+            .map(|p| {
+                FabpAligner::builder()
+                    .protein_query(p)
+                    .threshold(Threshold::Fraction(0.6))
+                    .build()
+                    .expect("non-empty query")
+            })
+            .collect();
+        let options = SliceOptions { slices_per_worker: 2, min_slice_positions: min_slice };
+        let (outcomes, stats) = search_prebuilt(&aligners, &reference, &ranges, workers, options);
+        prop_assert_eq!(outcomes.len(), records.len());
+        prop_assert!(stats.workers <= workers);
+        for (r, (record, outcomes)) in records.iter().zip(&outcomes).enumerate() {
+            prop_assert_eq!(outcomes.len(), aligners.len());
+            for (q, (aligner, outcome)) in aligners.iter().zip(outcomes).enumerate() {
+                let oracle = BitParallelEngine::new(aligner.query())
+                    .expect("eligible")
+                    .search_two_pass(record.as_slice(), aligner.threshold());
+                prop_assert_eq!(
+                    &outcome.hits, &oracle,
+                    "record {} of {:?} bases, query {} of {:?} aa",
+                    r, record_lens, q, query_aas
+                );
+            }
         }
     }
 
@@ -146,8 +245,7 @@ proptest! {
             .threshold(Threshold::Fraction(1.0))
             .build()
             .expect("non-empty query");
-        let (sliced, _) =
-            search_prebuilt(&[&aligner], &PackedSeq::from_rna(&reference), workers, options);
+        let (sliced, _) = search_whole(&[&aligner], &reference, workers, options);
         let oracle = BitParallelEngine::new(aligner.query())
             .expect("eligible")
             .search_two_pass(reference.as_slice(), aligner.threshold());
@@ -207,8 +305,7 @@ proptest! {
             prop_assert_eq!(pair[0].end - pair[1].start, window - 1);
         }
 
-        let (sliced, _) =
-            search_prebuilt(&[&aligner], &PackedSeq::from_rna(&reference), workers, options);
+        let (sliced, _) = search_whole(&[&aligner], &reference, workers, options);
         let oracle = BitParallelEngine::new(aligner.query())
             .expect("eligible")
             .search_two_pass(reference.as_slice(), aligner.threshold());
@@ -308,12 +405,7 @@ proptest! {
             })
             .collect();
         let serial: Vec<_> = aligners.iter().map(|a| a.search(&reference)).collect();
-        let (parallel, _) = search_prebuilt(
-            &aligners,
-            &PackedSeq::from_rna(&reference),
-            workers,
-            SliceOptions::default(),
-        );
+        let (parallel, _) = search_whole(&aligners, &reference, workers, SliceOptions::default());
         for (a, b) in serial.iter().zip(&parallel) {
             prop_assert_eq!(&a.hits, &b.hits);
         }

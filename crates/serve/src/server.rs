@@ -35,6 +35,7 @@
 use crate::batcher::{AdaptiveBatcher, BatchPolicy};
 use crate::cache::{content_hash, CacheStats, LruCache};
 use crate::queue::{AdmissionQueue, Request};
+use fabp_bio::alphabet::Nucleotide;
 use fabp_bio::seq::{PackedSeq, ProteinSeq, RnaSeq};
 use fabp_core::aligner::{Engine, FabpAligner, Threshold};
 use fabp_core::batch::search_prebuilt;
@@ -311,9 +312,24 @@ impl FabpServer {
         config: ServeConfig,
         registry: &Registry,
     ) -> FabpResult<FabpServer> {
-        let key = content_hash(reference.iter().map(|&b| b as u8));
-        let packed = Arc::new(PackedSeq::from_rna(&reference));
-        FabpServer::build(packed, key, config, registry, Clock::Wall(Instant::now()))
+        FabpServer::with_packed(PackedSeq::from_rna(&reference), config, registry)
+    }
+
+    /// [`FabpServer::new`] over a reference that is already packed (a
+    /// FASTA file read by
+    /// [`read_packed`](fabp_bio::fasta::read_packed), say), held as it is.
+    ///
+    /// # Errors
+    ///
+    /// As [`FabpServer::new`].
+    pub fn with_packed(
+        reference: PackedSeq,
+        config: ServeConfig,
+        registry: &Registry,
+    ) -> FabpResult<FabpServer> {
+        let key = content_hash(reference.iter().map(Nucleotide::code2));
+        let clock = Clock::Wall(Instant::now());
+        FabpServer::build(Arc::new(reference), key, config, registry, clock)
     }
 
     /// [`FabpServer::new`] with a manually advanced clock starting at 0 —
@@ -973,10 +989,17 @@ impl FabpServer {
             .filter_map(|(_, _, built)| built.as_ref().ok().cloned())
             .collect();
         let align_start = Instant::now();
-        let (outcomes, _) =
-            search_prebuilt(&runnable, &self.reference, threads, SliceOptions::default());
+        let whole = 0..self.reference.len();
+        let options = SliceOptions::default();
+        let (mut outcomes, _) = search_prebuilt(
+            &runnable,
+            &self.reference,
+            std::slice::from_ref(&whole),
+            threads,
+            options,
+        );
         let align_us = align_start.elapsed().as_secs_f64() * 1e6;
-        let mut outcomes = outcomes.into_iter();
+        let mut outcomes = outcomes.swap_remove(0).into_iter();
         prepared
             .into_iter()
             .map(|(request, cached, built)| {

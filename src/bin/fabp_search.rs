@@ -11,7 +11,9 @@
 //!   --engine <software|cycle>   execution engine (default software: the
 //!                        fused bit-parallel scan; cycle: the cycle-level
 //!                        FPGA model with cycle/bandwidth statistics)
-//!   --threads <n>        software engine workers (default 4)
+//!   --threads <n>        software engine workers for the whole run
+//!                        (default 4): every query and record is one
+//!                        batch under one worker pool
 //!   --top <k>            print at most k regions per query (default 10)
 //!   --stats              print telemetry counters after the run
 //!   --metrics-out <path> write Prometheus text exposition to <path>
@@ -26,6 +28,12 @@
 //!                        `seed:0xBEEF` or `beatflip@3:1:7,stall@40:2000`
 //! ```
 //!
+//! The software engine reads the reference FASTA straight into 2-bit
+//! words, builds each query's aligner once and scans every (query,
+//! record) pair in one lane-packed batch; rows print query by query,
+//! each query's records in file order. The cycle engine models one
+//! device, so it searches each query against each record in turn.
+//!
 //! `--resilience` and `--inject-faults` drive the cycle-accurate engine
 //! through the `fabp-resilience` harness: faults from the spec are
 //! injected on the modelled AXI/config/query paths, and the detection/
@@ -34,13 +42,16 @@
 //! overhead line reports the throughput cost of detection against the
 //! unprotected cycle count.
 
-use fabp::bio::fasta::{read_proteins, read_records};
-use fabp::bio::seq::{PackedSeq, RnaSeq};
+use fabp::bio::fasta::{read_packed, read_proteins};
+use fabp::bio::seq::{PackedSeq, ProteinSeq};
 use fabp::core::aligner::{Engine, FabpAligner, SearchOutcome, Threshold};
+use fabp::core::batch::search_prebuilt;
 use fabp::core::host::HostConfig;
 use fabp::core::index::{
     search_index, IndexBuildOptions, PrefilterMode, ReferenceIndex, SeedParams,
 };
+use fabp::core::slice_plan::SliceOptions;
+use fabp::encoding::encoder::EncodedQuery;
 use fabp::fpga::engine::{EngineConfig, FabpEngine};
 use fabp::resilience::{FabpError, FaultSchedule, ResilienceLevel, ResilientRunner};
 use fabp_telemetry::{chrome_trace_for_events, MetricValue, Registry, TraceContext, TraceEvent};
@@ -73,6 +84,32 @@ struct Args {
 /// The header line of the hit TSV on stdout.
 const TSV_HEADER: &str =
     "# query\treference\tregion_start\tregion_end\tbest_pos\tscore\tmax_score\thits";
+
+/// Writes the `top` best-scoring hit regions of one query against one
+/// reference as TSV rows — the one row format of every search mode.
+fn write_rows(
+    out: &mut impl Write,
+    query_id: &str,
+    reference: &str,
+    outcome: &SearchOutcome,
+    top: usize,
+) -> std::io::Result<()> {
+    let mut regions = outcome.regions();
+    regions.sort_by_key(|r| std::cmp::Reverse(r.best.score));
+    for region in regions.iter().take(top) {
+        writeln!(
+            out,
+            "{query_id}\t{reference}\t{}\t{}\t{}\t{}\t{}\t{}",
+            region.start,
+            region.end,
+            region.best.position,
+            region.best.score,
+            outcome.query_len,
+            region.hit_count
+        )?;
+    }
+    Ok(())
+}
 
 fn usage() -> ! {
     eprintln!(
@@ -211,20 +248,14 @@ fn parse_args() -> Args {
 /// `--build-index`: pack the reference FASTA (records concatenated in
 /// file order) into the persistent shard format and exit.
 fn run_build_index(args: &Args, out: &str) -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
-    let reference_records = read_records(File::open(&args.reference_path)?)?;
-    if reference_records.is_empty() {
+    let reference = read_packed(File::open(&args.reference_path)?)?;
+    if reference.ids.is_empty() {
         return Err("reference file contains no records".into());
     }
-    let mut bases = Vec::new();
-    for record in &reference_records {
-        let seq: RnaSeq = record.sequence.parse()?;
-        bases.extend_from_slice(seq.as_slice());
-    }
-    let reference = RnaSeq::from(bases);
     let started = std::time::Instant::now();
     let defaults = IndexBuildOptions::default();
-    let index = ReferenceIndex::build_from_rna(
-        &reference,
+    let index = ReferenceIndex::build_from_packed(
+        reference.bases,
         IndexBuildOptions {
             overlap: args.index_overlap.unwrap_or(defaults.overlap),
             target_shard_bases: args
@@ -294,20 +325,7 @@ fn run_index_search(
             query_len,
             stats: None,
         };
-        let mut regions = outcome.regions();
-        regions.sort_by_key(|r| std::cmp::Reverse(r.best.score));
-        for region in regions.iter().take(args.top) {
-            writeln!(
-                out,
-                "{query_id}\t{index_path}\t{}\t{}\t{}\t{}\t{}\t{}",
-                region.start,
-                region.end,
-                region.best.position,
-                region.best.score,
-                outcome.query_len,
-                region.hit_count
-            )?;
-        }
+        write_rows(&mut out, query_id, index_path, &outcome, args.top)?;
     }
     out.flush()?;
     if !args.quiet {
@@ -387,16 +405,13 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         return Err("query file contains no records".into());
     }
 
-    // References may be DNA or RNA; parse leniently via the RNA alphabet
-    // (T is accepted as U), packed once for every query and engine.
-    let reference_records = read_records(File::open(&args.reference_path)?)?;
-    if reference_records.is_empty() {
+    // References may be DNA or RNA (T reads as U): the reader packs the
+    // file's bases straight into 2-bit words, one sequence for all
+    // records.
+    let reference = read_packed(File::open(&args.reference_path)?)?;
+    if reference.ids.is_empty() {
         return Err("reference file contains no records".into());
     }
-    let references = reference_records
-        .iter()
-        .map(|record| record.sequence.parse().map(|rna| PackedSeq::from_rna(&rna)))
-        .collect::<Result<Vec<_>, _>>()?;
     let engine = match args.engine.as_str() {
         "software" => Engine::Software {
             threads: args.threads,
@@ -426,19 +441,17 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             "{} quer{} vs {} reference record(s), threshold {:.0}%, engine {}",
             queries.len(),
             if queries.len() == 1 { "y" } else { "ies" },
-            reference_records.len(),
+            reference.ids.len(),
             args.threshold * 100.0,
             args.engine
         );
     }
 
-    let mut out = BufWriter::new(std::io::stdout().lock());
-    writeln!(out, "{TSV_HEADER}")?;
-    for (query_id, protein) in &queries {
-        let _query_span = telemetry.span("query");
+    // Each query's encoding and aligner, built once for every record.
+    let build = |query_id: &str, protein: &ProteinSeq| {
         let encoded = {
             let _encode_span = telemetry.span("encode_query");
-            fabp::encoding::encoder::EncodedQuery::from_protein(protein)
+            EncodedQuery::from_protein(protein)
         };
         if args.disasm && !args.quiet {
             eprintln!("# disassembly of {query_id}:");
@@ -446,109 +459,143 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
                 eprintln!("#   {line}");
             }
         }
-        let threshold_abs = Threshold::Fraction(args.threshold).resolve(encoded.len());
-        // Resilience harness: wraps the cycle-accurate engine so faults
-        // can be injected and detection/recovery overhead measured.
-        let resilient_engine = if resilience_active {
-            Some(FabpEngine::new(
-                encoded.clone(),
-                EngineConfig::kintex7(threshold_abs),
-            )?)
-        } else {
-            None
-        };
         let aligner = FabpAligner::builder()
             .protein_query(protein)
             .threshold(Threshold::Fraction(args.threshold))
             .engine(engine.clone())
             .build()?;
+        Ok::<_, Box<dyn std::error::Error + Send + Sync>>((encoded, aligner))
+    };
 
-        for (record, reference) in reference_records.iter().zip(&references) {
-            let outcome = {
-                let _search_span = telemetry.span("search");
-                match &resilient_engine {
-                    Some(engine) => {
-                        let trace = TraceContext::mint(0xFAB6_5EA7, flight_ordinal);
-                        let start_us = flight_start_us;
-                        let runner =
-                            ResilientRunner::new(engine, args.resilience, fault_schedule.clone())
-                                .with_trace(flight.clone(), trace, start_us);
-                        let resilient = runner.run(reference, telemetry)?;
-                        let dur_us = (resilient.run.stats.kernel_seconds * 1e6).max(1.0);
-                        flight.record(
-                            TraceEvent::new(trace, "search", start_us, dur_us)
-                                .with_arg(flight_ordinal),
-                        );
-                        flight_ordinal += 1;
-                        flight_start_us += dur_us + 1.0;
-                        if !args.quiet {
-                            let r = &resilient.report;
-                            let cycles = resilient.run.stats.cycles;
-                            let pct = if cycles > 0 {
-                                100.0 * r.overhead_cycles as f64 / cycles as f64
-                            } else {
-                                0.0
-                            };
-                            eprintln!(
-                                "# resilience[{}] {query_id} vs {}: injected={} detected={} \
-                                 recovered={} retries={} scrubs={} replayed_beats={} \
-                                 overhead={} cycles ({pct:.3}% of {cycles})",
-                                args.resilience,
-                                record.id,
-                                r.injected,
-                                r.detected,
-                                r.recovered,
-                                r.retries,
-                                r.scrubs,
-                                r.replayed_beats,
-                                r.overhead_cycles,
-                            );
-                        }
-                        SearchOutcome {
-                            hits: resilient.run.hits,
-                            threshold: threshold_abs,
-                            query_len: encoded.len(),
-                            stats: Some(resilient.run.stats),
-                        }
-                    }
-                    None => aligner.search_packed(reference),
-                }
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    writeln!(out, "{TSV_HEADER}")?;
+    if args.engine == "software" {
+        // Every (query, record) pair in one lane-packed batch: one
+        // claim queue, whose workers start once for the whole run.
+        let aligners = queries
+            .iter()
+            .map(|(query_id, protein)| {
+                let _query_span = telemetry.span("query");
+                build(query_id, protein).map(|(_, aligner)| aligner)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let (outcomes, _) = {
+            let _search_span = telemetry.span("search");
+            search_prebuilt(
+                &aligners,
+                &reference.bases,
+                &reference.ranges,
+                args.threads,
+                SliceOptions::default(),
+            )
+        };
+        for (q, (query_id, _)) in queries.iter().enumerate() {
+            for (record_id, record_outcomes) in reference.ids.iter().zip(&outcomes) {
+                write_rows(&mut out, query_id, record_id, &record_outcomes[q], args.top)?;
+            }
+        }
+    } else {
+        // The cycle engine models one device: each query runs against
+        // each record in turn.
+        let records: Vec<PackedSeq> = reference
+            .ranges
+            .iter()
+            .map(|range| reference.bases.slice(range.clone()))
+            .collect();
+        for (query_id, protein) in &queries {
+            let _query_span = telemetry.span("query");
+            let (encoded, aligner) = build(query_id, protein)?;
+            let threshold_abs = Threshold::Fraction(args.threshold).resolve(encoded.len());
+            // Resilience harness: wraps the cycle-accurate engine so faults
+            // can be injected and detection/recovery overhead measured.
+            let resilient_engine = if resilience_active {
+                Some(FabpEngine::new(
+                    encoded.clone(),
+                    EngineConfig::kintex7(threshold_abs),
+                )?)
+            } else {
+                None
             };
-            // Cycle engine: assemble the modelled host pipeline so the
-            // encode → transfer → kernel → readback breakdown lands in
-            // the span ring and the per-stage counters.
-            if let Some(stats) = &outcome.stats {
-                let _ = fabp::core::host::end_to_end(
-                    &HostConfig::default(),
-                    encoded.len(),
-                    outcome.hits.len(),
-                    stats.kernel_seconds,
-                );
-            }
-            let mut regions = outcome.regions();
-            regions.sort_by_key(|r| std::cmp::Reverse(r.best.score));
-            for region in regions.iter().take(args.top) {
-                writeln!(
-                    out,
-                    "{query_id}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-                    record.id,
-                    region.start,
-                    region.end,
-                    region.best.position,
-                    region.best.score,
-                    outcome.query_len,
-                    region.hit_count
-                )?;
-            }
-            if args.stats && !args.quiet {
-                if let Some(stats) = outcome.stats {
-                    eprintln!(
-                        "# {query_id} vs {}: {} cycles, {:.2} GB/s, {:.3} ms kernel",
-                        record.id,
-                        stats.cycles,
-                        stats.achieved_bandwidth / 1e9,
-                        stats.kernel_seconds * 1e3
+
+            for (record_id, record) in reference.ids.iter().zip(&records) {
+                let outcome = {
+                    let _search_span = telemetry.span("search");
+                    match &resilient_engine {
+                        Some(engine) => {
+                            let trace = TraceContext::mint(0xFAB6_5EA7, flight_ordinal);
+                            let start_us = flight_start_us;
+                            let runner = ResilientRunner::new(
+                                engine,
+                                args.resilience,
+                                fault_schedule.clone(),
+                            )
+                            .with_trace(
+                                flight.clone(),
+                                trace,
+                                start_us,
+                            );
+                            let resilient = runner.run(record, telemetry)?;
+                            let dur_us = (resilient.run.stats.kernel_seconds * 1e6).max(1.0);
+                            flight.record(
+                                TraceEvent::new(trace, "search", start_us, dur_us)
+                                    .with_arg(flight_ordinal),
+                            );
+                            flight_ordinal += 1;
+                            flight_start_us += dur_us + 1.0;
+                            if !args.quiet {
+                                let r = &resilient.report;
+                                let cycles = resilient.run.stats.cycles;
+                                let pct = if cycles > 0 {
+                                    100.0 * r.overhead_cycles as f64 / cycles as f64
+                                } else {
+                                    0.0
+                                };
+                                eprintln!(
+                                    "# resilience[{}] {query_id} vs {}: injected={} detected={} \
+                                     recovered={} retries={} scrubs={} replayed_beats={} \
+                                     overhead={} cycles ({pct:.3}% of {cycles})",
+                                    args.resilience,
+                                    record_id,
+                                    r.injected,
+                                    r.detected,
+                                    r.recovered,
+                                    r.retries,
+                                    r.scrubs,
+                                    r.replayed_beats,
+                                    r.overhead_cycles,
+                                );
+                            }
+                            SearchOutcome {
+                                hits: resilient.run.hits,
+                                threshold: threshold_abs,
+                                query_len: encoded.len(),
+                                stats: Some(resilient.run.stats),
+                            }
+                        }
+                        None => aligner.search_packed(record),
+                    }
+                };
+                // Cycle engine: assemble the modelled host pipeline so the
+                // encode → transfer → kernel → readback breakdown lands in
+                // the span ring and the per-stage counters.
+                if let Some(stats) = &outcome.stats {
+                    let _ = fabp::core::host::end_to_end(
+                        &HostConfig::default(),
+                        encoded.len(),
+                        outcome.hits.len(),
+                        stats.kernel_seconds,
                     );
+                }
+                write_rows(&mut out, query_id, record_id, &outcome, args.top)?;
+                if args.stats && !args.quiet {
+                    if let Some(stats) = outcome.stats {
+                        eprintln!(
+                            "# {query_id} vs {record_id}: {} cycles, {:.2} GB/s, {:.3} ms kernel",
+                            stats.cycles,
+                            stats.achieved_bandwidth / 1e9,
+                            stats.kernel_seconds * 1e3
+                        );
+                    }
                 }
             }
         }

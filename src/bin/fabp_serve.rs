@@ -14,7 +14,9 @@
 //!
 //! Options:
 //!   --queries <faa>          protein queries (FASTA)
-//!   --reference <fna>        reference database (FASTA, first record)
+//!   --reference <fna>        reference database (FASTA; every record,
+//!                            concatenated in file order as
+//!                            fabp-search --build-index packs it)
 //!   --index <fabpidx>        persistent packed index (see fabp-search
 //!                            --build-index); cold + warm load timings
 //!                            are reported on the `# index:` line
@@ -56,9 +58,9 @@
 //!   --quiet                  suppress informational stderr output
 //! ```
 
-use fabp::bio::fasta::{read_proteins, read_records};
+use fabp::bio::fasta::{read_packed, read_proteins};
 use fabp::bio::generate::{coding_rna_for_paper_patterns, random_protein, random_rna};
-use fabp::bio::seq::{ProteinSeq, RnaSeq};
+use fabp::bio::seq::{PackedSeq, ProteinSeq};
 use fabp::core::aligner::Threshold;
 use fabp::core::index::PrefilterMode;
 use fabp::serve::{BatchPolicy, FabpServer, IndexStore, Response, ServeBackend, ServeConfig};
@@ -231,23 +233,24 @@ fn parse_args() -> Args {
     args
 }
 
-/// A reference sequence plus named queries — the serving workload.
-type Workload = (RnaSeq, Vec<(String, ProteinSeq)>);
+/// A packed reference plus named queries — the serving workload.
+type Workload = (PackedSeq, Vec<(String, ProteinSeq)>);
 
-/// Builds the workload: either from FASTA files or a synthetic
-/// planted-homology database (every query is guaranteed to hit).
+/// Builds the workload: either from FASTA files (the reference's records
+/// concatenated in file order, as `fabp-search --build-index` packs
+/// them) or a synthetic planted-homology database (every query is
+/// guaranteed to hit).
 fn load_workload(args: &Args) -> Result<Workload, Box<dyn std::error::Error + Send + Sync>> {
     if let (Some(qp), Some(rp)) = (&args.query_path, &args.reference_path) {
         let queries = read_proteins(File::open(qp)?)?;
         if queries.is_empty() {
             return Err("query file contains no records".into());
         }
-        let records = read_records(File::open(rp)?)?;
-        let first = records
-            .first()
-            .ok_or("reference file contains no records")?;
-        let reference: RnaSeq = first.sequence.parse()?;
-        return Ok((reference, queries));
+        let reference = read_packed(File::open(rp)?)?;
+        if reference.ids.is_empty() {
+            return Err("reference file contains no records".into());
+        }
+        return Ok((reference.bases, queries));
     }
     let mut rng = StdRng::seed_from_u64(args.seed);
     let queries: Vec<(String, ProteinSeq)> = (0..args.synthetic_queries)
@@ -269,7 +272,7 @@ fn load_workload(args: &Args) -> Result<Workload, Box<dyn std::error::Error + Se
             bases.splice(at..at + coding.len(), coding.iter().copied());
         }
     }
-    Ok((RnaSeq::from(bases), queries))
+    Ok((PackedSeq::from_rna(&bases.into()), queries))
 }
 
 fn percentile(sorted_us: &[u64], p: f64) -> u64 {
@@ -352,7 +355,7 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     } else {
         let (reference, queries) = load_workload(&args)?;
         let bases = reference.len();
-        let server = FabpServer::new(reference, config, registry)?;
+        let server = FabpServer::with_packed(reference, config, registry)?;
         (server, queries, bases)
     };
     if !args.quiet {

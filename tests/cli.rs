@@ -1,6 +1,11 @@
 //! End-to-end tests of the `fabp_search` and `fabp_serve` command-line
 //! binaries.
 
+use fabp::bio::fasta::{write_records, Record};
+use fabp::bio::generate::{coding_rna_for_paper_patterns, random_protein, random_rna};
+use fabp::bio::seq::{ProteinSeq, RnaSeq};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::fs;
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -501,5 +506,190 @@ fn search_cli_rejects_flags_of_another_mode() {
             stderr.contains(&format!("{flag} requires")),
             "{args:?}: {stderr}"
         );
+    }
+}
+
+/// Writes `records` as a FASTA file wrapped at `width` columns.
+fn fasta_file(name: &str, records: &[(String, String)], width: usize) -> PathBuf {
+    let records: Vec<Record> = records
+        .iter()
+        .map(|(id, sequence)| Record::new(id.clone(), sequence.clone()))
+        .collect();
+    let mut text = Vec::new();
+    write_records(&mut text, &records, width).unwrap();
+    temp_file(name, &String::from_utf8(text).unwrap())
+}
+
+/// Random DNA of `len` bases with `protein`'s coding RNA planted at
+/// `at`, when it fits.
+fn planted_dna(len: usize, protein: &ProteinSeq, at: usize, rng: &mut StdRng) -> String {
+    let mut bases = random_rna(len, rng).into_inner();
+    let coding = coding_rna_for_paper_patterns(protein, rng);
+    if at + coding.len() <= len {
+        bases.splice(at..at + coding.len(), coding);
+    }
+    RnaSeq::from(bases).to_string().replace('U', "T")
+}
+
+#[test]
+fn search_cli_batches_every_record_as_the_cycle_engine_searches_them() {
+    // Windows of 9 to 60 bases against records of 7 bases (shorter than
+    // every window), 40 (between the windows) and longer ones.
+    let mut rng = StdRng::seed_from_u64(2020);
+    let proteins: Vec<ProteinSeq> = [3, 12, 5, 20, 8, 4]
+        .iter()
+        .map(|&aa| random_protein(aa, &mut rng))
+        .collect();
+    let queries: Vec<(String, String)> = proteins
+        .iter()
+        .enumerate()
+        .map(|(q, p)| (format!("q{q}"), p.to_string()))
+        .collect();
+    let records: Vec<(String, String)> = [3_000, 7, 40, 900, 5_000]
+        .iter()
+        .enumerate()
+        .map(|(r, &len)| {
+            let planted = &proteins[r % proteins.len()];
+            (
+                format!("rec{r}"),
+                planted_dna(len, planted, len / 3, &mut rng),
+            )
+        })
+        .collect();
+    let query = fasta_file("qbatch.faa", &queries, 60);
+    let reference = fasta_file("dbbatch.fna", &records, 70);
+    let search = |extra: &[&str]| {
+        let output = Command::new(env!("CARGO_BIN_EXE_fabp_search"))
+            .args(["--query", query.to_str().unwrap()])
+            .args(["--reference", reference.to_str().unwrap()])
+            .args(["--threshold", "0.5", "--quiet"])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{extra:?}: {stderr}");
+        String::from_utf8(output.stdout).unwrap()
+    };
+    let cycle = search(&["--engine", "cycle"]);
+    assert!(
+        cycle.lines().any(|l| l.split('\t').nth(1) == Some("rec2")),
+        "the record between the windows has rows:\n{cycle}"
+    );
+    for threads in ["1", "2", "3"] {
+        assert_eq!(
+            search(&["--threads", threads]),
+            cycle,
+            "--threads {threads}"
+        );
+    }
+    fs::remove_file(query).ok();
+    fs::remove_file(reference).ok();
+}
+
+#[test]
+fn every_reference_path_reads_every_record_and_names_a_bad_one() {
+    // MFWKMFWK planted in record 2 of 3: `fabp_serve --reference` must
+    // serve it at its offset in the concatenated reference, as the index
+    // built from the same file does.
+    let mut rng = StdRng::seed_from_u64(2021);
+    let protein: ProteinSeq = "MFWKMFWK".parse().unwrap();
+    let records = vec![
+        (
+            "rec1".to_string(),
+            planted_dna(3_000, &protein, 3_000, &mut rng),
+        ),
+        (
+            "rec2".to_string(),
+            planted_dna(2_000, &protein, 500, &mut rng),
+        ),
+        (
+            "rec3".to_string(),
+            planted_dna(1_000, &protein, 1_000, &mut rng),
+        ),
+    ];
+    let query = temp_file("qrec.faa", ">q1\nMFWKMFWK\n");
+    let reference = fasta_file("dbrec.fna", &records, 80);
+    let index = temp_file("dbrec.fabpidx", "");
+    let built = Command::new(env!("CARGO_BIN_EXE_fabp_search"))
+        .args(["--reference", reference.to_str().unwrap()])
+        .args(["--build-index", index.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(built.status.success(), "{built:?}");
+    let serve_rows = |source: &[&str]| {
+        let output = Command::new(env!("CARGO_BIN_EXE_fabp_serve"))
+            .args(["--queries", query.to_str().unwrap(), "--quiet"])
+            .args(source)
+            .output()
+            .expect("binary runs");
+        assert!(output.status.success(), "{output:?}");
+        let stdout = String::from_utf8(output.stdout).unwrap();
+        let latency = stdout
+            .lines()
+            .next()
+            .and_then(|header| header.split('\t').position(|c| c == "latency_us"))
+            .expect("a latency_us column");
+        stdout
+            .lines()
+            .map(|line| {
+                let mut cells: Vec<&str> = line.split('\t').collect();
+                cells.remove(latency);
+                cells.join("\t")
+            })
+            .collect::<Vec<_>>()
+    };
+    let from_fasta = serve_rows(&["--reference", reference.to_str().unwrap()]);
+    assert_eq!(
+        from_fasta,
+        serve_rows(&["--index", index.to_str().unwrap()])
+    );
+    let row: Vec<&str> = from_fasta[1].split('\t').collect();
+    assert_eq!(
+        (row[3], row[4], row[5]),
+        ("ok", "1", "3500"),
+        "{from_fasta:?}"
+    );
+
+    // A bad base in record 2 fails every reference path, naming it.
+    let mut bad = records.clone();
+    bad[1].1.replace_range(10..11, "N");
+    let bad_reference = fasta_file("dbbad.fna", &bad, 80);
+    let bad_path = bad_reference.to_str().unwrap();
+    let runs: [(&str, Vec<&str>); 3] = [
+        (
+            env!("CARGO_BIN_EXE_fabp_serve"),
+            vec![
+                "--queries",
+                query.to_str().unwrap(),
+                "--reference",
+                bad_path,
+            ],
+        ),
+        (
+            env!("CARGO_BIN_EXE_fabp_search"),
+            vec!["--query", query.to_str().unwrap(), "--reference", bad_path],
+        ),
+        (
+            env!("CARGO_BIN_EXE_fabp_search"),
+            vec![
+                "--reference",
+                bad_path,
+                "--build-index",
+                index.to_str().unwrap(),
+            ],
+        ),
+    ];
+    for (bin, args) in runs {
+        let output = Command::new(bin).args(&args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("record 'rec2' (header at line ")
+                && stderr.contains("invalid nucleotide symbol 'N'"),
+            "{args:?}: {stderr}"
+        );
+    }
+    for path in [query, reference, index, bad_reference] {
+        fs::remove_file(path).ok();
     }
 }

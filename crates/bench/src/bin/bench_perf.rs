@@ -272,15 +272,9 @@ fn run_shape(shape: &Shape, best_of_override: Option<usize>) -> Vec<Entry> {
         .collect();
     // Correctness gate: the sliced 4-worker schedule must be bit-identical
     // to each query's own two-pass oracle before it is timed.
-    let whole = 0..batch_ref.len();
-    let (sliced_check, _) = search_prebuilt(
-        &batch_aligners,
-        &batch_ref,
-        std::slice::from_ref(&whole),
-        4,
-        SliceOptions::default(),
-    );
-    for (a, outcome) in batch_aligners.iter().zip(&sliced_check[0]) {
+    let (sliced_check, _) =
+        search_prebuilt(&batch_aligners, &batch_ref, 4, SliceOptions::default());
+    for (a, outcome) in batch_aligners.iter().zip(&sliced_check) {
         let oracle = BitParallelEngine::new(a.query())
             .expect("pinned batch queries are bit-parallel eligible")
             .search_two_pass(bw.reference.as_slice(), a.threshold());
@@ -294,7 +288,6 @@ fn run_shape(shape: &Shape, best_of_override: Option<usize>) -> Vec<Entry> {
             search_prebuilt(
                 &batch_aligners,
                 &batch_ref,
-                std::slice::from_ref(&whole),
                 workers,
                 SliceOptions::default(),
             )

@@ -173,6 +173,17 @@ pub struct PackedRecords {
     pub ranges: Vec<Range<usize>>,
 }
 
+impl PackedRecords {
+    /// `bases` as one record named `id`.
+    pub fn one(id: impl Into<String>, bases: PackedSeq) -> PackedRecords {
+        PackedRecords {
+            ranges: std::iter::once(0..bases.len()).collect(),
+            ids: vec![id.into()],
+            bases,
+        }
+    }
+}
+
 /// Reads a DNA or RNA FASTA file straight into 2-bit words.
 ///
 /// The grammar is [`read_records`]': the file's bytes are read once

@@ -382,16 +382,9 @@ impl FabpAligner {
     pub fn search_packed(&self, reference: &PackedSeq) -> SearchOutcome {
         match &self.backend {
             Backend::Software(_, threads) => {
-                let whole = 0..reference.len();
-                let options = SliceOptions::default();
-                let (mut outcomes, _) = search_prebuilt(
-                    &[self],
-                    reference,
-                    std::slice::from_ref(&whole),
-                    *threads,
-                    options,
-                );
-                outcomes.swap_remove(0).swap_remove(0)
+                let (mut outcomes, _) =
+                    search_prebuilt(&[self], reference, *threads, SliceOptions::default());
+                outcomes.swap_remove(0)
             }
             Backend::Cycle(engines) => {
                 let mut hits: Option<Vec<Hit>> = None;

@@ -15,11 +15,10 @@
 //! DRAM for each claim, so the memory system — not the core count — sets
 //! the ceiling. `batch_parallel4_vs_serial` measured **0.98×**.
 //!
-//! **This scheduler steals `(lane-group, record, slice)` triples.** A
-//! reference is one record or many (a FASTA file's, searched as
-//! references of their own in one queue). A
-//! [`SlicePlan`](crate::slice_plan::SlicePlan) cuts each record into
-//! cache-friendly slices with exactly `window − 1` bases of trailing
+//! **This scheduler steals `(lane-group, slice)` pairs.** A
+//! [`SlicePlan`](crate::slice_plan::SlicePlan) cuts the reference — a
+//! multi-record database's concatenation, scanned once for every query —
+//! into cache-friendly slices with exactly `window − 1` bases of trailing
 //! overlap (the fleet's shard math), so per-slice scans partition
 //! the alignment-position space and
 //! [`merge_shard_hits`](crate::hits::merge_shard_hits) reassembles the
@@ -51,7 +50,6 @@ use crate::slice_plan::{SliceOptions, SlicePlan};
 use fabp_bio::seq::{PackedSeq, ProteinSeq};
 use fabp_resilience::{FabpError, FabpResult};
 use std::borrow::Borrow;
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Searches every query against the reference, returning one outcome per
@@ -84,15 +82,7 @@ pub fn search_all(
                 .map_err(FabpError::from)
         })
         .collect::<FabpResult<Vec<_>>>()?;
-    let whole = 0..reference.len();
-    let (mut outcomes, _) = search_prebuilt(
-        &aligners,
-        reference,
-        std::slice::from_ref(&whole),
-        threads,
-        SliceOptions::default(),
-    );
-    Ok(outcomes.swap_remove(0))
+    Ok(search_prebuilt(&aligners, reference, threads, SliceOptions::default()).0)
 }
 
 /// How the scheduler actually ran one batch: work-item mix, lane packing
@@ -112,8 +102,7 @@ pub struct BatchRunStats {
     pub items: usize,
     /// Items that were lane-group reference slices.
     pub group_slices: usize,
-    /// Items that were whole (query, record) runs (cycle-accurate
-    /// backend).
+    /// Items that were whole-query runs (cycle-accurate backend).
     pub whole_queries: usize,
     /// Multi-query lane groups formed.
     pub lane_groups: usize,
@@ -298,14 +287,14 @@ struct LaneGroup<'a> {
     /// The shortest lane's window: a slice holding fewer bases has no
     /// position for any lane.
     shortest: usize,
-    /// Each record's slices, planned against the group-maximum window.
-    plans: Vec<SlicePlan>,
+    /// The reference's slices, planned against the group-maximum window.
+    plan: SlicePlan,
 }
 
 impl<'a> LaneGroup<'a> {
     fn new(
         lanes: &'a [Lane<'a>],
-        records: &[Range<usize>],
+        reference_len: usize,
         threads: usize,
         options: SliceOptions,
     ) -> LaneGroup<'a> {
@@ -320,27 +309,17 @@ impl<'a> LaneGroup<'a> {
                 .map(|e| e.query_len())
                 .min()
                 .unwrap_or(window),
-            plans: records
-                .iter()
-                .map(|record| SlicePlan::build(record.len(), window, threads, options))
-                .collect(),
+            plan: SlicePlan::build(reference_len, window, threads, options),
             engine,
         }
     }
 
-    /// Scans slice `s` of record `r`, returning hits per lane at
-    /// positions within the record.
-    fn scan(
-        &self,
-        reference: &PackedSeq,
-        records: &[Range<usize>],
-        r: usize,
-        s: usize,
-    ) -> Vec<Vec<Hit>> {
-        let slice = self.plans[r].slices()[s];
-        let start = records[r].start;
-        let range = start + slice.start..start + slice.end;
-        let mut per_lane = self.engine.search_lanes(reference, range, &self.thresholds);
+    /// Scans slice `s`, returning hits per lane at reference positions.
+    fn scan(&self, reference: &PackedSeq, s: usize) -> Vec<Vec<Hit>> {
+        let slice = self.plan.slices()[s];
+        let mut per_lane =
+            self.engine
+                .search_lanes(reference, slice.start..slice.end, &self.thresholds);
         for hit in per_lane.iter_mut().flatten() {
             hit.position += slice.start;
         }
@@ -350,28 +329,22 @@ impl<'a> LaneGroup<'a> {
 
 /// One schedulable unit of batch work.
 enum WorkItem {
-    /// Scan one slice of one record for one lane group.
-    GroupSlice {
-        group: usize,
-        record: usize,
-        slice: usize,
-    },
-    /// Run one whole query over one record (cycle-accurate backend: its
-    /// per-run statistics must accumulate inside a single run).
-    Whole { query: usize, record: usize },
+    /// Scan one slice for one lane group.
+    GroupSlice { group: usize, slice: usize },
+    /// Run one whole query (cycle-accurate backend: its per-run
+    /// statistics must accumulate inside a single run).
+    Whole { query: usize },
 }
 
 /// What one claimed item produced.
 enum ItemResult {
-    /// Hits per lane, at positions within the record.
+    /// Hits per lane, at reference positions.
     GroupSlice {
         group: usize,
-        record: usize,
         per_lane: Vec<Vec<Hit>>,
     },
     Whole {
         query: usize,
-        record: usize,
         outcome: SearchOutcome,
     },
 }
@@ -380,29 +353,25 @@ enum ItemResult {
 /// caller already built (and possibly cached — the serving layer pays a
 /// repeated query's encode and table build once): every pass of every
 /// software aligner becomes a lane, lanes pack [`LANES`]-wide into
-/// groups, and each group's slices of each record are claimed by one
+/// groups, and each group's slices of the reference are claimed by one
 /// [`claim_all`] queue's workers next to the cycle-accurate aligners'
-/// whole (query, record) runs, so a search of many records starts its
-/// workers once. `records` are base ranges of `reference` searched as
-/// references of their own (hit positions within the record); a
-/// single `0..reference.len()` searches the whole reference. `options`
-/// sizes the slices (the proptest matrix draws it to force slice
-/// boundaries through match windows).
+/// whole runs. `options` sizes the slices (the proptest matrix draws it
+/// to force slice boundaries through match windows).
 ///
-/// Returns the outcomes per record, each in `aligners` order, and how
-/// the scheduler ran. `A` is anything that borrows a [`FabpAligner`],
-/// so `&[FabpAligner]` and `&[Arc<FabpAligner>]` both work.
+/// A multi-record reference is scanned as its records' concatenation,
+/// in one pass for every query; [`locate`](crate::hits::locate) then
+/// drops the hits whose window crosses a record end and maps the rest to
+/// their records.
 ///
-/// # Panics
-///
-/// Panics if a record range ends past `reference.len()`.
+/// Returns one outcome per aligner, in `aligners` order, and how the
+/// scheduler ran. `A` is anything that borrows a [`FabpAligner`], so
+/// `&[FabpAligner]` and `&[Arc<FabpAligner>]` both work.
 pub fn search_prebuilt<A: Borrow<FabpAligner> + Sync>(
     aligners: &[A],
     reference: &PackedSeq,
-    records: &[Range<usize>],
     threads: usize,
     options: SliceOptions,
-) -> (Vec<Vec<SearchOutcome>>, BatchRunStats) {
+) -> (Vec<SearchOutcome>, BatchRunStats) {
     let threads = threads.max(1);
     let mut lanes: Vec<Lane<'_>> = Vec::new();
     let mut whole: Vec<usize> = Vec::new();
@@ -419,7 +388,7 @@ pub fn search_prebuilt<A: Borrow<FabpAligner> + Sync>(
     }
     let groups: Vec<LaneGroup<'_>> = lanes
         .chunks(LANES)
-        .map(|chunk| LaneGroup::new(chunk, records, threads, options))
+        .map(|chunk| LaneGroup::new(chunk, reference.len(), threads, options))
         .collect();
 
     // Flatten every unit of work into one claim queue. A slice too short
@@ -427,48 +396,25 @@ pub fn search_prebuilt<A: Borrow<FabpAligner> + Sync>(
     // schedules nothing; one shorter than the longest lane's window
     // still scores the lanes that fit.
     let mut items: Vec<WorkItem> = Vec::new();
-    for record in 0..records.len() {
-        for (g, group) in groups.iter().enumerate() {
-            for (s, slice) in group.plans[record].slices().iter().enumerate() {
-                if slice.bases() >= group.shortest {
-                    items.push(WorkItem::GroupSlice {
-                        group: g,
-                        record,
-                        slice: s,
-                    });
-                }
+    for (g, group) in groups.iter().enumerate() {
+        for (s, slice) in group.plan.slices().iter().enumerate() {
+            if slice.bases() >= group.shortest {
+                items.push(WorkItem::GroupSlice { group: g, slice: s });
             }
         }
     }
     let group_slices = items.len();
-    for record in 0..records.len() {
-        items.extend(whole.iter().map(|&query| WorkItem::Whole { query, record }));
-    }
+    items.extend(whole.iter().map(|&query| WorkItem::Whole { query }));
 
     let claimed = claim_all(&items, threads, |item| match *item {
-        WorkItem::GroupSlice {
+        WorkItem::GroupSlice { group, slice } => ItemResult::GroupSlice {
             group,
-            record,
-            slice,
-        } => ItemResult::GroupSlice {
-            group,
-            record,
-            per_lane: groups[group].scan(reference, records, record, slice),
+            per_lane: groups[group].scan(reference, slice),
         },
-        WorkItem::Whole { query, record } => {
-            let range = records[record].clone();
-            let aligner = aligners[query].borrow();
-            let outcome = if range == (0..reference.len()) {
-                aligner.search_packed(reference)
-            } else {
-                aligner.search_packed(&reference.slice(range))
-            };
-            ItemResult::Whole {
-                query,
-                record,
-                outcome,
-            }
-        }
+        WorkItem::Whole { query } => ItemResult::Whole {
+            query,
+            outcome: aligners[query].borrow().search_packed(reference),
+        },
     });
 
     let telemetry = fabp_telemetry::Registry::global();
@@ -490,38 +436,26 @@ pub fn search_prebuilt<A: Borrow<FabpAligner> + Sync>(
         )
         .set(lane_occupancy_pct.round() as i64);
 
-    // Reassemble per-(record, query) outcomes in one pass over the
-    // results, which arrive in item order: a (record, group)'s slices
-    // are consecutive. Across several slices the shard merge restores
-    // position order and drops the exact boundary duplicates shorter
-    // lanes re-report across slice overlaps; one slice's lists already
-    // are in order. A query's passes then reduce with the per-position
-    // best-score merge.
-    let mut hits: Vec<Vec<Vec<Hit>>> = vec![vec![Vec::new(); aligners.len()]; records.len()];
-    let mut whole_outcomes: Vec<(usize, usize, SearchOutcome)> = Vec::new();
+    // Reassemble per-query outcomes in one pass over the results, which
+    // arrive in item order: a group's slices are consecutive. Across
+    // several slices the shard merge restores position order and drops
+    // the exact boundary duplicates shorter lanes re-report across slice
+    // overlaps; one slice's lists already are in order. A query's passes
+    // then reduce with the per-position best-score merge.
+    let mut hits: Vec<Vec<Hit>> = vec![Vec::new(); aligners.len()];
+    let mut whole_outcomes: Vec<(usize, SearchOutcome)> = Vec::new();
     let mut results = claimed.results.into_iter().peekable();
     while let Some(result) = results.next() {
-        let (group, record, per_lane) = match result {
-            ItemResult::GroupSlice {
-                group,
-                record,
-                per_lane,
-            } => (group, record, per_lane),
-            ItemResult::Whole {
-                query,
-                record,
-                outcome,
-            } => {
-                whole_outcomes.push((record, query, outcome));
+        let (group, per_lane) = match result {
+            ItemResult::GroupSlice { group, per_lane } => (group, per_lane),
+            ItemResult::Whole { query, outcome } => {
+                whole_outcomes.push((query, outcome));
                 continue;
             }
         };
-        let same_key = |next: &ItemResult| {
-            matches!(*next, ItemResult::GroupSlice { group: g, record: r, .. }
-                if (g, r) == (group, record))
-        };
+        let same_group = |next: &ItemResult| matches!(*next, ItemResult::GroupSlice { group: g, .. } if g == group);
         let mut slices = vec![per_lane];
-        while let Some(ItemResult::GroupSlice { per_lane, .. }) = results.next_if(same_key) {
+        while let Some(ItemResult::GroupSlice { per_lane, .. }) = results.next_if(same_group) {
             slices.push(per_lane);
         }
         for (l, lane) in groups[group].lanes.iter().enumerate() {
@@ -529,7 +463,7 @@ pub fn search_prebuilt<A: Borrow<FabpAligner> + Sync>(
                 [one] => std::mem::take(&mut one[l]),
                 many => merge_shard_hits(many.iter_mut().map(|s| std::mem::take(&mut s[l]))),
             };
-            let query_hits = &mut hits[record][lane.query];
+            let query_hits = &mut hits[lane.query];
             *query_hits = if query_hits.is_empty() {
                 lane_hits
             } else {
@@ -537,30 +471,25 @@ pub fn search_prebuilt<A: Borrow<FabpAligner> + Sync>(
             };
         }
     }
-    let mut outcomes: Vec<Vec<SearchOutcome>> = hits
+    let mut outcomes: Vec<SearchOutcome> = hits
         .into_iter()
-        .map(|record_hits| {
-            record_hits
-                .into_iter()
-                .zip(aligners)
-                .map(|(hits, a)| SearchOutcome {
-                    hits,
-                    threshold: a.borrow().threshold(),
-                    query_len: a.borrow().query().len(),
-                    stats: None,
-                })
-                .collect()
+        .zip(aligners)
+        .map(|(hits, a)| SearchOutcome {
+            hits,
+            threshold: a.borrow().threshold(),
+            query_len: a.borrow().query().len(),
+            stats: None,
         })
         .collect();
-    for (record, query, outcome) in whole_outcomes {
-        outcomes[record][query] = outcome;
+    for (query, outcome) in whole_outcomes {
+        outcomes[query] = outcome;
     }
 
     let stats = BatchRunStats {
         workers: claimed.busy_ns.len(),
         items: items.len(),
         group_slices,
-        whole_queries: whole.len() * records.len(),
+        whole_queries: whole.len(),
         lane_groups: groups.len(),
         lane_occupancy_pct,
         per_worker_busy_ns: claimed.busy_ns,
@@ -591,28 +520,20 @@ pub fn summarize(outcomes: &[SearchOutcome]) -> BatchSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hits::split_by_record;
     use fabp_bio::generate::{random_protein, PlantedDatabase, PlantedDatabaseConfig};
     use fabp_bio::seq::RnaSeq;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// [`search_prebuilt`] over the whole of `reference`, as one record.
+    /// [`search_prebuilt`] over `reference`, packed.
     fn search_whole<A: Borrow<FabpAligner> + Sync>(
         aligners: &[A],
         reference: &RnaSeq,
         threads: usize,
         options: SliceOptions,
     ) -> (Vec<SearchOutcome>, BatchRunStats) {
-        let packed = PackedSeq::from_rna(reference);
-        let whole = 0..packed.len();
-        let (mut outcomes, stats) = search_prebuilt(
-            aligners,
-            &packed,
-            std::slice::from_ref(&whole),
-            threads,
-            options,
-        );
-        (outcomes.swap_remove(0), stats)
+        search_prebuilt(aligners, &PackedSeq::from_rna(reference), threads, options)
     }
 
     /// Small slices so even test-sized references exercise real stealing.
@@ -842,9 +763,9 @@ mod tests {
     #[test]
     fn records_are_searched_as_references_of_their_own_in_one_queue() {
         // Records of mixed lengths (one shorter than every window, one
-        // between the windows) under one claim queue: each record's
-        // outcome is that record searched alone, cycle-accurate runs
-        // included.
+        // between the windows), scanned as one concatenation under one
+        // claim queue: each record's hits under the record rule are that
+        // record searched alone, cycle-accurate runs included.
         let mut rng = StdRng::seed_from_u64(81);
         let proteins: Vec<_> = [3, 9, 5, 14, 7]
             .iter()
@@ -882,20 +803,20 @@ mod tests {
             reference.extend_from(&PackedSeq::from_rna(record));
             ranges.push(start..reference.len());
         }
-        let (outcomes, stats) = search_prebuilt(&aligners, &reference, &ranges, 3, TEST_SLICES);
-        assert_eq!(outcomes.len(), records.len());
-        for (r, (record, outcomes)) in records.iter().zip(&outcomes).enumerate() {
-            for (q, (aligner, outcome)) in aligners.iter().zip(outcomes).enumerate() {
-                assert_eq!(
-                    outcome.hits,
-                    aligner.search(record).hits,
-                    "record {r} query {q}"
-                );
+        let (outcomes, stats) = search_prebuilt(&aligners, &reference, 3, TEST_SLICES);
+        assert_eq!(outcomes.len(), aligners.len());
+        for (q, (aligner, outcome)) in aligners.iter().zip(&outcomes).enumerate() {
+            let mut per_record = vec![Vec::new(); records.len()];
+            for (r, hits) in split_by_record(&outcome.hits, outcome.query_len, &ranges) {
+                per_record[r] = hits;
+            }
+            for (r, (record, hits)) in records.iter().zip(&per_record).enumerate() {
+                assert_eq!(hits, &aligner.search(record).hits, "record {r} query {q}");
             }
         }
-        assert_eq!(stats.whole_queries, records.len());
+        assert_eq!(stats.whole_queries, 1);
         assert!(stats.workers <= 3);
-        assert!(outcomes[1][5].stats.is_some(), "cycle stats per record");
+        assert!(outcomes[5].stats.is_some(), "cycle stats survive");
     }
 
     #[test]

@@ -1,11 +1,64 @@
-//! Hit post-processing: merging, ranking and region extraction.
+//! Hit post-processing: the record rule, merging, ranking and region
+//! extraction.
 //!
 //! FabP reports *every* alignment position above the threshold (§III-C), so
 //! a strong homology produces a cluster of overlapping hits around the true
 //! position. Downstream consumers usually want one region per homology —
 //! [`merge_overlapping`] — or the best few positions — [`top_k`].
+//!
+//! Every search path scans a database's records as one concatenated
+//! stream, as FabP streams its whole database from DRAM. [`locate`] is the
+//! one rule that turns such a scan's hits back into per-record ones.
+
+use std::ops::Range;
 
 pub use fabp_fpga::engine::Hit;
+
+/// The record rule: keeps `hit` only when its `window`-base window lies
+/// inside one of `records`, and maps it to `(record, hit)` with the
+/// position as an offset within that record.
+///
+/// `records` are base ranges of the concatenated reference, in order and
+/// disjoint (empty ones allowed); the hit's record is found through the
+/// sorted record starts. A window that crosses a record end spans two
+/// database sequences, a place no sequence holds, so it is dropped.
+pub fn locate(hit: Hit, window: usize, records: &[Range<usize>]) -> Option<(usize, Hit)> {
+    let r = records
+        .partition_point(|record| record.start <= hit.position)
+        .checked_sub(1)?;
+    let record = &records[r];
+    (hit.position + window <= record.end).then_some((
+        r,
+        Hit {
+            position: hit.position - record.start,
+            score: hit.score,
+        },
+    ))
+}
+
+/// Drops the hits of a concatenated scan whose window crosses a record
+/// end ([`locate`]), keeping concatenated coordinates.
+pub fn retain_within_records(hits: &mut Vec<Hit>, window: usize, records: &[Range<usize>]) {
+    hits.retain(|&hit| locate(hit, window, records).is_some());
+}
+
+/// Splits the position-sorted hits of a concatenated scan by record
+/// ([`locate`]): each record that holds a hit, in order, with its hits at
+/// offsets within it.
+pub fn split_by_record(
+    hits: &[Hit],
+    window: usize,
+    records: &[Range<usize>],
+) -> Vec<(usize, Vec<Hit>)> {
+    let mut split: Vec<(usize, Vec<Hit>)> = Vec::new();
+    for (r, hit) in hits.iter().filter_map(|&hit| locate(hit, window, records)) {
+        match split.last_mut() {
+            Some((last, record_hits)) if *last == r => record_hits.push(hit),
+            _ => split.push((r, vec![hit])),
+        }
+    }
+    split
+}
 
 /// A maximal run of overlapping hits, merged into one reported region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,6 +189,42 @@ mod tests {
 
     fn hit(position: usize, score: u32) -> Hit {
         Hit { position, score }
+    }
+
+    #[test]
+    fn locate_keeps_windows_inside_one_record() {
+        // Records of 10, 0 and 8 bases, then one of 5; windows of 4.
+        let records = [0..10, 10..10, 10..18, 18..23];
+        let at = |position| locate(hit(position, 7), 4, &records);
+        assert_eq!(at(0), Some((0, hit(0, 7))));
+        assert_eq!(at(6), Some((0, hit(6, 7))), "ends on the record end");
+        assert_eq!(at(7), None, "crosses into the third record");
+        assert_eq!(
+            at(10),
+            Some((2, hit(0, 7))),
+            "the empty record holds nothing"
+        );
+        assert_eq!(at(14), Some((2, hit(4, 7))));
+        assert_eq!(at(15), None);
+        assert_eq!(at(19), Some((3, hit(1, 7))));
+        assert_eq!(at(20), None, "runs past the last record");
+        assert_eq!(locate(hit(3, 7), 4, &[]), None);
+        let late = [5..20, 20..30];
+        assert_eq!(locate(hit(3, 7), 4, &late), None, "before every record");
+    }
+
+    #[test]
+    fn split_and_retain_apply_the_record_rule() {
+        let records = [0..10, 10..18];
+        let hits = [hit(2, 5), hit(6, 6), hit(8, 7), hit(11, 8), hit(15, 9)];
+        assert_eq!(
+            split_by_record(&hits, 4, &records),
+            vec![(0, vec![hit(2, 5), hit(6, 6)]), (1, vec![hit(1, 8)])]
+        );
+        let mut kept = hits.to_vec();
+        retain_within_records(&mut kept, 4, &records);
+        assert_eq!(kept, vec![hit(2, 5), hit(6, 6), hit(11, 8)]);
+        assert!(split_by_record(&[], 4, &records).is_empty());
     }
 
     #[test]

@@ -43,7 +43,14 @@
 //!    [`PrefilterMode::Off`] keeps the exhaustive scan reachable
 //!    end-to-end.
 //!
-//! # On-disk layout (version 1, all little-endian)
+//! The reference is a database of records (a FASTA file's sequences)
+//! held as one concatenation, as FabP streams its whole database. Every
+//! search scans the concatenation once and keeps only the hits whose
+//! window lies inside one record ([`locate`](crate::hits::locate)): a
+//! window spanning two
+//! records is a place no record holds.
+//!
+//! # On-disk layout (version 2, all little-endian)
 //!
 //! ```text
 //! magic   "FABPIDX\0"                      8 bytes
@@ -54,25 +61,34 @@
 //!   then per shard:
 //!     start u64 · base_len u64 · word_count u64
 //!     payload_crc u32 · reserved u32
+//!   record_count u64
+//!   then per record:
+//!     start u64 · base_len u64 · id_len u64 · id (id_len UTF-8 bytes)
 //! header_crc u32   CRC32 over the header region
 //! payload: per shard, word_count × u64 packed words
 //! ```
+//!
+//! Version 1 is the same layout without the record table; a version-1
+//! file loads as one record with an empty id.
 //!
 //! A corrupted header fails with
 //! [`FabpError::CrcMismatch`]`{stream: IndexHeader}`; a corrupted shard
 //! payload with `{stream: IndexShard, frame: shard}`; shards that do not
 //! tile the reference, or whose trailing overlap disagrees with the
-//! bases that follow, with [`FabpError::Decode`] — typed errors, never
-//! UB or silent wrong hits.
+//! bases that follow, records that do not tile it, and counts or id
+//! lengths the header cannot hold, with [`FabpError::Decode`] — typed
+//! errors, never UB, an allocation beyond the file's size, or silent
+//! wrong hits.
 
 use crate::aligner::Threshold;
 use crate::batch::{claim_all, search_all};
 use crate::bitparallel::BitParallelEngine;
-use crate::hits::{merge_shard_hits, Hit};
+use crate::hits::{merge_shard_hits, retain_within_records, Hit};
 use crate::kmer::{pack_word, WordIndex, SYMBOLS};
 use crate::slice_plan::{overlap_ranges, SliceOptions, SlicePlan};
 use fabp_bio::alphabet::AminoAcid;
 use fabp_bio::codon::Codon;
+use fabp_bio::fasta::PackedRecords;
 use fabp_bio::seq::{PackedSeq, ProteinSeq, RnaSeq};
 use fabp_encoding::encoder::EncodedQuery;
 use fabp_resilience::crc::{crc32, crc32_words, Crc32};
@@ -86,11 +102,14 @@ use std::sync::Arc;
 
 /// File magic at offset 0.
 pub const MAGIC: [u8; 8] = *b"FABPIDX\0";
-/// Current format version.
-pub const VERSION: u32 = 1;
+/// Current format version: version 1 plus the record table.
+pub const VERSION: u32 = 2;
 /// Header bytes per shard: start, base count and word count (u64 each),
 /// payload CRC and a reserved word (u32 each).
 const SHARD_GEOMETRY_BYTES: usize = 32;
+/// Header bytes per record before its id: start, base count and id
+/// length (u64 each).
+const RECORD_FIXED_BYTES: usize = 24;
 
 /// BLAST protein defaults: 3-residue words, neighbourhood threshold 11.
 pub const DEFAULT_WORD_SIZE: usize = 3;
@@ -175,19 +194,22 @@ impl Default for IndexBuildOptions {
 }
 
 /// A persistent, CRC-framed, packed-shard reference index: the reference
-/// held once, and shards as base ranges of it, each reaching `overlap`
-/// bases into the next, that frame the file and spread seeding.
+/// held once, its records as base ranges of it, and shards as base ranges
+/// of it, each reaching `overlap` bases into the next, that frame the
+/// file and spread seeding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReferenceIndex {
     overlap: usize,
     reference: Arc<PackedSeq>,
     shards: Vec<Range<usize>>,
+    records: Vec<Range<usize>>,
+    record_ids: Vec<String>,
     fingerprint: u64,
 }
 
 impl ReferenceIndex {
-    /// Packs `reference` and cuts it into overlapping shards
-    /// ([`ReferenceIndex::build_from_packed`]).
+    /// Packs `reference` as one record with an empty id and cuts it into
+    /// overlapping shards ([`ReferenceIndex::build_from_packed`]).
     ///
     /// # Errors
     ///
@@ -196,25 +218,35 @@ impl ReferenceIndex {
         reference: &RnaSeq,
         options: IndexBuildOptions,
     ) -> FabpResult<ReferenceIndex> {
-        ReferenceIndex::build_from_packed(PackedSeq::from_rna(reference), options)
+        let records = PackedRecords::one("", PackedSeq::from_rna(reference));
+        ReferenceIndex::build_from_packed(records, options)
     }
 
-    /// Cuts an already packed reference (a FASTA file read by
+    /// Cuts already packed records (a FASTA file read by
     /// [`read_packed`](fabp_bio::fasta::read_packed), say) into
-    /// overlapping shards, holding its words as they are.
+    /// overlapping shards, holding their words as they are.
     ///
     /// # Errors
     ///
-    /// Returns [`FabpError::InvalidShardPlan`] for an empty reference.
+    /// Returns [`FabpError::InvalidShardPlan`] for an empty reference, or
+    /// records that do not tile it in order, one id each.
     pub fn build_from_packed(
-        reference: PackedSeq,
+        reference: PackedRecords,
         options: IndexBuildOptions,
     ) -> FabpResult<ReferenceIndex> {
-        let total = reference.len();
+        let total = reference.bases.len();
         if total == 0 {
             return Err(FabpError::InvalidShardPlan(
                 "cannot index an empty reference".into(),
             ));
+        }
+        if reference.ids.len() != reference.ranges.len() || !records_tile(&reference.ranges, total)
+        {
+            return Err(FabpError::InvalidShardPlan(format!(
+                "{} record ranges with {} ids do not tile {total} bases in order",
+                reference.ranges.len(),
+                reference.ids.len()
+            )));
         }
         let parts = total.div_ceil(options.target_shard_bases.max(1)).max(1);
         let shards = overlap_ranges(total, parts, options.overlap)?
@@ -224,11 +256,14 @@ impl ReferenceIndex {
             .collect();
         let mut index = ReferenceIndex {
             overlap: options.overlap,
-            reference: Arc::new(reference),
+            reference: Arc::new(reference.bases),
             shards,
+            records: reference.ranges,
+            record_ids: reference.ids,
             fingerprint: 0,
         };
-        index.fingerprint = fingerprint(total, index.overlap, &index.shards, &index.shard_crcs());
+        let crcs = index.shard_crcs();
+        index.fingerprint = fingerprint(&index.header_bytes(&crcs), &crcs);
         Ok(index)
     }
 
@@ -252,9 +287,20 @@ impl ReferenceIndex {
         &self.shards
     }
 
-    /// Content fingerprint derived from the header and per-shard CRCs;
-    /// stable across write/load round trips, suitable as a cache key
-    /// that avoids re-hashing the full reference.
+    /// The records' base ranges, in order, tiling the reference.
+    pub fn records(&self) -> &[Range<usize>] {
+        &self.records
+    }
+
+    /// The records' identifiers, in order.
+    pub fn record_ids(&self) -> &[String] {
+        &self.record_ids
+    }
+
+    /// Content fingerprint derived from the header (record table
+    /// included) and per-shard CRCs; stable across write/load round
+    /// trips, suitable as a cache key that avoids re-hashing the full
+    /// reference.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -274,10 +320,37 @@ impl ReferenceIndex {
             .collect()
     }
 
-    /// The version-1 serializer, cutting each shard's words with a slice.
+    /// The version-2 header region, given the shards' payload CRCs.
+    fn header_bytes(&self, crcs: &[u32]) -> Vec<u8> {
+        let mut h = Vec::with_capacity(
+            32 + self.shards.len() * SHARD_GEOMETRY_BYTES + self.records.len() * RECORD_FIXED_BYTES,
+        );
+        let put = |h: &mut Vec<u8>, values: &[usize]| {
+            for &value in values {
+                h.extend_from_slice(&(value as u64).to_le_bytes());
+            }
+        };
+        put(
+            &mut h,
+            &[self.total_bases(), self.overlap, self.shards.len()],
+        );
+        for (shard, crc) in self.shards.iter().zip(crcs) {
+            let words = shard.len().div_ceil(PackedSeq::BASES_PER_WORD);
+            put(&mut h, &[shard.start, shard.len(), words]);
+            h.extend_from_slice(&crc.to_le_bytes());
+            h.extend_from_slice(&0u32.to_le_bytes());
+        }
+        put(&mut h, &[self.records.len()]);
+        for (record, id) in self.records.iter().zip(&self.record_ids) {
+            put(&mut h, &[record.start, record.len(), id.len()]);
+            h.extend_from_slice(id.as_bytes());
+        }
+        h
+    }
+
+    /// The version-2 serializer, cutting each shard's words with a slice.
     fn write_bytes(&self, w: &mut impl Write) -> std::io::Result<()> {
-        let crcs = self.shard_crcs();
-        let header = header_bytes(self.total_bases(), self.overlap, &self.shards, &crcs);
+        let header = self.header_bytes(&self.shard_crcs());
         w.write_all(&MAGIC)?;
         w.write_all(&VERSION.to_le_bytes())?;
         w.write_all(&(header.len() as u32).to_le_bytes())?;
@@ -291,7 +364,7 @@ impl ReferenceIndex {
         Ok(())
     }
 
-    /// Serializes the index to the version-1 byte layout.
+    /// Serializes the index to the version-2 byte layout.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.write_bytes(&mut out).expect("a Vec write cannot fail");
@@ -315,8 +388,9 @@ impl ReferenceIndex {
     ///
     /// # Errors
     ///
-    /// * [`FabpError::Decode`] — wrong magic/version, truncation, or
-    ///   inconsistent geometry or overlap bases;
+    /// * [`FabpError::Decode`] — wrong magic/version, truncation,
+    ///   inconsistent geometry or overlap bases, or a record table that
+    ///   does not tile the reference;
     /// * [`FabpError::CrcMismatch`] — header or shard payload corrupted.
     pub fn load(path: impl AsRef<Path>) -> FabpResult<ReferenceIndex> {
         let io_err = |e: std::io::Error| FabpError::Decode(format!("index read: {e}"));
@@ -326,8 +400,8 @@ impl ReferenceIndex {
         ReferenceIndex::from_bytes(&bytes)
     }
 
-    /// Decodes the version-1 byte layout. See [`ReferenceIndex::load`]
-    /// for the error contract.
+    /// Decodes the version-2 byte layout, or version 1 as one record. See
+    /// [`ReferenceIndex::load`] for the error contract.
     pub fn from_bytes(bytes: &[u8]) -> FabpResult<ReferenceIndex> {
         let mut cur = Cursor { bytes, at: 0 };
         let magic = cur.take(8)?;
@@ -337,9 +411,9 @@ impl ReferenceIndex {
             )));
         }
         let version = cur.u32()?;
-        if version != VERSION {
+        if version != 1 && version != VERSION {
             return Err(FabpError::Decode(format!(
-                "unsupported index version {version} (expected {VERSION})"
+                "unsupported index version {version} (expected 1 or {VERSION})"
             )));
         }
         let header_len = cur.u32()? as usize;
@@ -412,6 +486,14 @@ impl ReferenceIndex {
                 "shards do not tile {total_bases} bases in order with overlap {overlap}"
             )));
         }
+        let (records, record_ids) = if version == 1 {
+            (
+                std::iter::once(0..total_bases).collect(),
+                vec![String::new()],
+            )
+        } else {
+            decode_records(&mut hc, total_bases)?
+        };
 
         // Append each shard's body, its bases up to the next shard's
         // start (at most its length, by the tiling). Its trailing overlap
@@ -455,41 +537,83 @@ impl ReferenceIndex {
                 )));
             }
         }
-        Ok(ReferenceIndex {
-            fingerprint: fingerprint(total_bases, overlap, &shards, &crcs),
+        let mut index = ReferenceIndex {
             overlap,
             reference: Arc::new(reference),
             shards,
-        })
+            records,
+            record_ids,
+            fingerprint: 0,
+        };
+        index.fingerprint = fingerprint(&index.header_bytes(&crcs), &crcs);
+        Ok(index)
     }
 }
 
-fn header_bytes(total: usize, overlap: usize, shards: &[Range<usize>], crcs: &[u32]) -> Vec<u8> {
-    let mut h = Vec::with_capacity(24 + shards.len() * SHARD_GEOMETRY_BYTES);
-    h.extend_from_slice(&(total as u64).to_le_bytes());
-    h.extend_from_slice(&(overlap as u64).to_le_bytes());
-    h.extend_from_slice(&(shards.len() as u64).to_le_bytes());
-    for (shard, crc) in shards.iter().zip(crcs) {
-        h.extend_from_slice(&(shard.start as u64).to_le_bytes());
-        h.extend_from_slice(&(shard.len() as u64).to_le_bytes());
-        h.extend_from_slice(
-            &(shard.len().div_ceil(PackedSeq::BASES_PER_WORD) as u64).to_le_bytes(),
-        );
-        h.extend_from_slice(&crc.to_le_bytes());
-        h.extend_from_slice(&0u32.to_le_bytes());
+/// Whether `records` tile `0..total` in order: each starts where the
+/// previous one ends, the first at 0, the last ending at `total`.
+fn records_tile(records: &[Range<usize>], total: usize) -> bool {
+    let mut end = 0;
+    for record in records {
+        if record.start != end || record.end < record.start {
+            return false;
+        }
+        end = record.end;
     }
-    h
+    !records.is_empty() && end == total
+}
+
+/// Decodes the version-2 record table from the header cursor `hc`.
+///
+/// The count and every id length are checked against the bytes the
+/// header holds before anything is allocated for them, and the records
+/// must tile the `total` bases in order.
+fn decode_records(
+    hc: &mut Cursor<'_>,
+    total: usize,
+) -> FabpResult<(Vec<Range<usize>>, Vec<String>)> {
+    let count = hc.u64()? as usize;
+    let room = hc.rest().len() / RECORD_FIXED_BYTES;
+    if count == 0 || count > room {
+        return Err(FabpError::Decode(format!(
+            "implausible record count {count} for a header with room for {room}"
+        )));
+    }
+    let mut records = Vec::with_capacity(count);
+    let mut ids = Vec::with_capacity(count);
+    for i in 0..count {
+        let start = hc.u64()? as usize;
+        let len = hc.u64()? as usize;
+        let id_len = hc.u64()? as usize;
+        if id_len > hc.rest().len() {
+            return Err(FabpError::Decode(format!(
+                "record {i}: id of {id_len} bytes overruns the header"
+            )));
+        }
+        let id = std::str::from_utf8(hc.take(id_len)?)
+            .map_err(|_| FabpError::Decode(format!("record {i}: id is not UTF-8")))?;
+        let end = start.checked_add(len).ok_or_else(|| {
+            FabpError::Decode(format!("record {i}: range {start}+{len} overflows"))
+        })?;
+        records.push(start..end);
+        ids.push(id.to_string());
+    }
+    if !records_tile(&records, total) {
+        return Err(FabpError::Decode(format!(
+            "records do not tile {total} bases in order"
+        )));
+    }
+    Ok((records, ids))
 }
 
 /// [`ReferenceIndex::fingerprint`]: the header CRC over the chained
 /// shard payload CRCs.
-fn fingerprint(total: usize, overlap: usize, shards: &[Range<usize>], crcs: &[u32]) -> u64 {
-    let header_crc = crc32(&header_bytes(total, overlap, shards, crcs));
+fn fingerprint(header: &[u8], crcs: &[u32]) -> u64 {
     let mut tail = Crc32::new();
     for crc in crcs {
         tail.update(&crc.to_le_bytes());
     }
-    (u64::from(header_crc) << 32) | u64::from(tail.finalize())
+    (u64::from(crc32(header)) << 32) | u64::from(tail.finalize())
 }
 
 struct Cursor<'a> {
@@ -499,7 +623,7 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> FabpResult<&'a [u8]> {
-        if self.at + n > self.bytes.len() {
+        if n > self.bytes.len() - self.at {
             return Err(FabpError::Decode(format!(
                 "index truncated: wanted {n} bytes at offset {}, have {}",
                 self.at,
@@ -617,6 +741,10 @@ pub fn record_recall(recall: f64) {
 /// subset of the full scan's with equal scores, and include every
 /// full-scan hit whose own diagonal carries a seed word.
 ///
+/// Either way the concatenated records are scanned once, and a hit is
+/// kept only when its window lies inside one record
+/// ([`retain_within_records`]).
+///
 /// Returns per-query hit lists (global positions, merged and deduped by
 /// [`merge_shard_hits`]) and the run's [`IndexSearchStats`].
 ///
@@ -644,7 +772,7 @@ pub fn search_index(
         full_scan_bases: index.total_bases() as u64 * proteins.len() as u64,
         ..IndexSearchStats::default()
     };
-    let hits = match mode {
+    let mut hits: Vec<Vec<Hit>> = match mode {
         PrefilterMode::Off => {
             // The exhaustive path: the held words through the sliced
             // batch scheduler.
@@ -656,6 +784,9 @@ pub fn search_index(
             search_seeded(index, proteins, threshold, params, workers, &mut stats)?
         }
     };
+    for (query_hits, protein) in hits.iter_mut().zip(proteins) {
+        retain_within_records(query_hits, 3 * protein.len(), index.records());
+    }
     publish_stats(&stats, mode);
     Ok((hits, stats))
 }
@@ -1159,57 +1290,206 @@ mod tests {
         }
     }
 
+    /// A file of `version` framing the `header` region, with no payload.
+    fn framed(version: u32, header: &[u8]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&version.to_le_bytes());
+        bytes.extend_from_slice(&(header.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(header);
+        bytes.extend_from_slice(&crc32(header).to_le_bytes());
+        bytes
+    }
+
+    fn expect_decode_error(bytes: &[u8], needle: &str) {
+        match ReferenceIndex::from_bytes(bytes) {
+            Err(FabpError::Decode(msg)) => assert!(msg.contains(needle), "{msg}"),
+            other => panic!("expected a decode error naming {needle:?}, got {other:?}"),
+        }
+    }
+
     #[test]
     fn shard_count_beyond_the_header_is_a_decode_error_not_an_allocation() {
+        let header = |fields: &[u64]| -> Vec<u8> {
+            let mut h: Vec<u8> = fields.iter().flat_map(|f| f.to_le_bytes()).collect();
+            h.extend_from_slice(&[0; 8]); // payload CRC + reserved
+            h
+        };
         // A 24-byte header with a valid CRC claiming 2^36 shards over
         // 2^40 bases: the count passes the bases bound, but the header
         // holds no shard geometry at all.
-        let mut header = Vec::new();
-        for field in [1u64 << 40, 0, 1 << 36] {
-            header.extend_from_slice(&field.to_le_bytes());
-        }
-        let mut bytes = MAGIC.to_vec();
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(header.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&header);
-        bytes.extend_from_slice(&fabp_resilience::crc::crc32(&header).to_le_bytes());
+        let mut bytes = header(&[1 << 40, 0, 1 << 36]);
+        bytes.truncate(24);
+        let bytes = framed(VERSION, &bytes);
         assert_eq!(bytes.len(), 44);
-        match ReferenceIndex::from_bytes(&bytes) {
-            Err(FabpError::Decode(msg)) => assert!(msg.contains("shard count"), "{msg}"),
-            other => panic!("expected a decode error, got {other:?}"),
-        }
+        expect_decode_error(&bytes, "shard count");
 
         // One shard whose start + length overflows usize.
-        let mut header = Vec::new();
-        for field in [u64::MAX, 0, 1, u64::MAX, 2, 1] {
-            header.extend_from_slice(&field.to_le_bytes());
-        }
-        header.extend_from_slice(&[0; 8]); // payload CRC + reserved
-        let mut bytes = MAGIC.to_vec();
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(header.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&header);
-        bytes.extend_from_slice(&fabp_resilience::crc::crc32(&header).to_le_bytes());
-        match ReferenceIndex::from_bytes(&bytes) {
-            Err(FabpError::Decode(msg)) => assert!(msg.contains("exceeds"), "{msg}"),
-            other => panic!("expected a decode error, got {other:?}"),
-        }
+        expect_decode_error(
+            &framed(VERSION, &header(&[u64::MAX, 0, 1, u64::MAX, 2, 1])),
+            "exceeds",
+        );
 
-        // One well-tiled shard of 2^44 bases and no payload: the reference
-        // must not be sized by the claim before the payload is read.
-        let mut header = Vec::new();
-        for field in [1u64 << 44, 0, 1, 0, 1 << 44, 1 << 39] {
-            header.extend_from_slice(&field.to_le_bytes());
+        // One well-tiled shard of 2^44 bases, as one record, and no
+        // payload: the reference must not be sized by the claim before
+        // the payload is read.
+        let mut h = header(&[1 << 44, 0, 1, 0, 1 << 44, 1 << 39]);
+        for field in [1u64, 0, 1 << 44, 0] {
+            h.extend_from_slice(&field.to_le_bytes());
         }
-        header.extend_from_slice(&[0; 8]); // payload CRC + reserved
-        let mut bytes = MAGIC.to_vec();
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(header.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&header);
-        bytes.extend_from_slice(&fabp_resilience::crc::crc32(&header).to_le_bytes());
-        match ReferenceIndex::from_bytes(&bytes) {
-            Err(FabpError::Decode(msg)) => assert!(msg.contains("truncated"), "{msg}"),
-            other => panic!("expected a decode error, got {other:?}"),
+        expect_decode_error(&framed(VERSION, &h), "truncated");
+        // Version 1 has no record table.
+        expect_decode_error(
+            &framed(1, &header(&[1 << 44, 0, 1, 0, 1 << 44, 1 << 39])),
+            "truncated",
+        );
+    }
+
+    /// A 1 000-base index of records `rec1`, `rec2` and `rec3` (300, 300
+    /// and 400 bases) in several shards.
+    fn records_index() -> ReferenceIndex {
+        let mut rng = StdRng::seed_from_u64(23);
+        let bases = PackedSeq::from_rna(&random_rna(1_000, &mut rng));
+        let records = PackedRecords {
+            bases,
+            ids: ["rec1", "rec2", "rec3"].map(String::from).to_vec(),
+            ranges: vec![0..300, 300..600, 600..1_000],
+        };
+        let options = IndexBuildOptions {
+            overlap: 47,
+            target_shard_bases: 256,
+        };
+        ReferenceIndex::build_from_packed(records, options).unwrap()
+    }
+
+    /// Header offset of record `r`'s start field in `index`'s file.
+    fn record_at(index: &ReferenceIndex, r: usize) -> usize {
+        let table = 24 + SHARD_GEOMETRY_BYTES * index.shards().len();
+        let ids: usize = index.record_ids()[..r].iter().map(String::len).sum();
+        table + 8 + RECORD_FIXED_BYTES * r + ids
+    }
+
+    #[test]
+    fn records_round_trip_and_are_fingerprinted() {
+        let index = records_index();
+        assert_eq!(index.records(), [0..300, 300..600, 600..1_000]);
+        assert_eq!(index.record_ids(), ["rec1", "rec2", "rec3"]);
+        let loaded = ReferenceIndex::from_bytes(&index.to_bytes()).unwrap();
+        assert_eq!(loaded, index);
+        // The same bases and shards as other records fingerprint apart.
+        let mut bytes = index.to_bytes();
+        forge_header_u64(&mut bytes, record_at(&index, 0) + 8, 299);
+        forge_header_u64(&mut bytes, record_at(&index, 1), 299);
+        forge_header_u64(&mut bytes, record_at(&index, 1) + 8, 301);
+        let moved = ReferenceIndex::from_bytes(&bytes).unwrap();
+        assert_eq!(moved.records(), [0..299, 299..600, 600..1_000]);
+        assert_ne!(moved.fingerprint(), index.fingerprint());
+        // Unequal ids and ranges are refused at build.
+        let records = PackedRecords {
+            bases: index.reference().as_ref().clone(),
+            ids: vec!["only".into()],
+            ranges: vec![0..300, 300..1_000],
+        };
+        let options = IndexBuildOptions::default();
+        assert!(matches!(
+            ReferenceIndex::build_from_packed(records, options),
+            Err(FabpError::InvalidShardPlan(_))
+        ));
+    }
+
+    #[test]
+    fn a_version_1_file_loads_as_one_record() {
+        // A version-2 file of one unnamed record, less its record table,
+        // is the version-1 file of the same reference.
+        let (reference, index) = small_index(1_000, 29);
+        let mut bytes = index.to_bytes();
+        let header_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let v1_len = header_len - 8 - RECORD_FIXED_BYTES;
+        bytes.drain(16 + v1_len..16 + header_len);
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        bytes[12..16].copy_from_slice(&(v1_len as u32).to_le_bytes());
+        let crc = crc32(&bytes[16..16 + v1_len]);
+        bytes[16 + v1_len..20 + v1_len].copy_from_slice(&crc.to_le_bytes());
+        let loaded = ReferenceIndex::from_bytes(&bytes).unwrap();
+        assert_eq!(
+            (loaded.records().len(), loaded.records()[0].clone()),
+            (1, 0..1_000)
+        );
+        assert_eq!(loaded.record_ids(), [""]);
+        assert_eq!(loaded.reference().to_rna(), reference);
+        assert_eq!(loaded, index);
+        assert_eq!(loaded.fingerprint(), index.fingerprint());
+    }
+
+    #[test]
+    fn a_record_table_the_header_cannot_hold_is_a_decode_error_not_an_allocation() {
+        let index = records_index();
+        let count_at = record_at(&index, 0) - 8;
+        let forged = |offset: usize, value: u64| {
+            let mut bytes = index.to_bytes();
+            forge_header_u64(&mut bytes, offset, value);
+            bytes
+        };
+        // A record count or an id length far beyond the header's bytes.
+        expect_decode_error(&forged(count_at, 1 << 40), "record count");
+        expect_decode_error(&forged(count_at, 0), "record count");
+        expect_decode_error(&forged(record_at(&index, 1) + 16, 1 << 40), "overruns");
+        expect_decode_error(&forged(record_at(&index, 1) + 16, u64::MAX), "overruns");
+        // Records that overlap, leave a gap, end past `total_bases` or
+        // end short of it.
+        let untiled = "do not tile 1000 bases";
+        expect_decode_error(&forged(record_at(&index, 1), 290), untiled);
+        expect_decode_error(&forged(record_at(&index, 1), 310), untiled);
+        expect_decode_error(&forged(record_at(&index, 2) + 8, 401), untiled);
+        expect_decode_error(&forged(record_at(&index, 2) + 8, 399), untiled);
+        expect_decode_error(&forged(record_at(&index, 2) + 8, u64::MAX), "overflows");
+        // An id that is not UTF-8.
+        let mut bytes = index.to_bytes();
+        let id_at = 16 + record_at(&index, 1) + RECORD_FIXED_BYTES;
+        bytes[id_at] = 0xFF;
+        let header_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let crc = crc32(&bytes[16..16 + header_len]);
+        bytes[16 + header_len..20 + header_len].copy_from_slice(&crc.to_le_bytes());
+        expect_decode_error(&bytes, "not UTF-8");
+    }
+
+    #[test]
+    fn index_search_drops_windows_that_cross_a_record_end() {
+        // MFWKMFWK's coding RNA split 12 + 12 across the rec1|rec2 end,
+        // and whole inside rec3 at its base 100.
+        let protein: ProteinSeq = "MFWKMFWK".parse().unwrap();
+        let coding: RnaSeq = "AUGUUUUGGAAAAUGUUCUGGAAG".parse().unwrap();
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut bases = random_rna(1_000, &mut rng).into_inner();
+        bases.splice(288..312, coding.iter().copied());
+        bases.splice(700..724, coding.iter().copied());
+        let records = PackedRecords {
+            bases: PackedSeq::from_rna(&RnaSeq::from(bases)),
+            ids: ["rec1", "rec2", "rec3"].map(String::from).to_vec(),
+            ranges: vec![0..300, 300..600, 600..1_000],
+        };
+        let options = IndexBuildOptions {
+            overlap: 47,
+            target_shard_bases: 256,
+        };
+        let index = ReferenceIndex::build_from_packed(records, options).unwrap();
+        for mode in [PrefilterMode::Off, PrefilterMode::Seeded] {
+            let (hits, _) = search_index(
+                &index,
+                std::slice::from_ref(&protein),
+                Threshold::Fraction(1.0),
+                mode,
+                SeedParams::default(),
+                2,
+            )
+            .unwrap();
+            assert_eq!(
+                hits,
+                [[Hit {
+                    position: 700,
+                    score: 24
+                }]],
+                "{mode:?}"
+            );
         }
     }
 

@@ -24,7 +24,7 @@ use fabp_bio::generate::{coding_rna_for_paper_patterns, random_protein, random_r
 use fabp_bio::seq::{PackedSeq, RnaSeq};
 use fabp_core::aligner::{Engine, FabpAligner, SearchOutcome, Threshold};
 use fabp_core::batch::{search_prebuilt, BatchRunStats};
-use fabp_core::hits::Hit;
+use fabp_core::hits::{split_by_record, Hit};
 use fabp_core::slice_plan::{SliceOptions, SlicePlan};
 use fabp_core::{BitParallelEngine, StreamingAligner, LANES};
 use fabp_encoding::encoder::{EncodedQuery, QuerySet};
@@ -55,23 +55,14 @@ fn golden_hits(passes: &[&EncodedQuery], reference: &[Nucleotide], threshold: u3
         .collect()
 }
 
-/// [`search_prebuilt`] over the whole of `reference`, as one record.
+/// [`search_prebuilt`] over `reference`, packed.
 fn search_whole<A: Borrow<FabpAligner> + Sync>(
     aligners: &[A],
     reference: &RnaSeq,
     workers: usize,
     options: SliceOptions,
 ) -> (Vec<SearchOutcome>, BatchRunStats) {
-    let packed = PackedSeq::from_rna(reference);
-    let whole = 0..packed.len();
-    let (mut outcomes, stats) = search_prebuilt(
-        aligners,
-        &packed,
-        std::slice::from_ref(&whole),
-        workers,
-        options,
-    );
-    (outcomes.swap_remove(0), stats)
+    search_prebuilt(aligners, &PackedSeq::from_rna(reference), workers, options)
 }
 
 proptest! {
@@ -145,16 +136,19 @@ proptest! {
         }
     }
 
-    /// **Records are references of their own, under one queue.** A
+    /// **Records are references of their own, under one scan.** A
     /// reference cut into records — every other one shorter than 48
     /// bases, so some fall short of every window and some between the
-    /// windows — is searched in one `search_prebuilt` call: each
-    /// (record, query) outcome equals that query's two-pass oracle over
-    /// the record's bases alone, at positions within the record.
+    /// windows, and some plants split across a record end — is searched
+    /// as one concatenation in one `search_prebuilt` call, and the record
+    /// rule (`split_by_record`) splits each query's hits: each (record,
+    /// query) outcome equals that query's two-pass oracle over the
+    /// record's bases alone, at positions within the record.
     #[test]
     fn record_ranges_match_each_record_searched_alone(
         query_aas in prop::collection::vec(2usize..=12, 1..=6),
         record_lens in prop::collection::vec(0usize..=1_200, 1..=6),
+        split_plants in prop::collection::vec(any::<bool>(), 6),
         workers in 1usize..=6,
         min_slice in 16usize..=256,
         seed in 0u64..1_000_000,
@@ -177,6 +171,21 @@ proptest! {
                 RnaSeq::from(bases)
             })
             .collect();
+        let mut records: Vec<Vec<Nucleotide>> =
+            records.into_iter().map(RnaSeq::into_inner).collect();
+        // Plant a coding region split across record `r`'s end and record
+        // `r + 1`'s start: a window no record holds.
+        for r in 0..records.len().saturating_sub(1) {
+            let coding = coding_rna_for_paper_patterns(&proteins[r % proteins.len()], &mut rng);
+            let head = rng.gen_range(1..coding.len());
+            let fits = head <= records[r].len() && coding.len() - head <= records[r + 1].len();
+            if split_plants[r] && fits {
+                let tail_at = records[r].len() - head;
+                records[r].splice(tail_at.., coding.as_slice()[..head].iter().copied());
+                records[r + 1].splice(..coding.len() - head, coding.as_slice()[head..].iter().copied());
+            }
+        }
+        let records: Vec<RnaSeq> = records.into_iter().map(RnaSeq::from).collect();
         let mut reference = PackedSeq::new();
         let mut ranges = Vec::new();
         for record in &records {
@@ -195,17 +204,20 @@ proptest! {
             })
             .collect();
         let options = SliceOptions { slices_per_worker: 2, min_slice_positions: min_slice };
-        let (outcomes, stats) = search_prebuilt(&aligners, &reference, &ranges, workers, options);
-        prop_assert_eq!(outcomes.len(), records.len());
+        let (outcomes, stats) = search_prebuilt(&aligners, &reference, workers, options);
+        prop_assert_eq!(outcomes.len(), aligners.len());
         prop_assert!(stats.workers <= workers);
-        for (r, (record, outcomes)) in records.iter().zip(&outcomes).enumerate() {
-            prop_assert_eq!(outcomes.len(), aligners.len());
-            for (q, (aligner, outcome)) in aligners.iter().zip(outcomes).enumerate() {
+        for (q, (aligner, outcome)) in aligners.iter().zip(&outcomes).enumerate() {
+            let mut per_record = vec![Vec::new(); records.len()];
+            for (r, hits) in split_by_record(&outcome.hits, outcome.query_len, &ranges) {
+                per_record[r] = hits;
+            }
+            for (r, (record, hits)) in records.iter().zip(&per_record).enumerate() {
                 let oracle = BitParallelEngine::new(aligner.query())
                     .expect("eligible")
                     .search_two_pass(record.as_slice(), aligner.threshold());
                 prop_assert_eq!(
-                    &outcome.hits, &oracle,
+                    hits, &oracle,
                     "record {} of {:?} bases, query {} of {:?} aa",
                     r, record_lens, q, query_aas
                 );

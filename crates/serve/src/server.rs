@@ -1,7 +1,8 @@
 //! The serving loop: admission → shed → micro-batch → dispatch → respond.
 //!
-//! [`FabpServer`] owns one resident 2-bit packed reference database and
-//! serves a multi-tenant query stream against it:
+//! [`FabpServer`] owns one resident 2-bit packed reference database — its
+//! records concatenated, scanned once per batch — and serves a
+//! multi-tenant query stream against it:
 //!
 //! ```text
 //! submit() ──► AdmissionQueue (bounded, per-tenant round-robin)
@@ -23,10 +24,12 @@
 //!
 //! **Transparency invariant.** Whatever batch sizes, tenant
 //! interleavings or cache states occur, the hits in a successful
-//! [`Response`] are bit-identical to a sequential single-query
-//! [`FabpAligner`] run with the same threshold — batching is an
-//! execution-schedule optimisation, never a semantic one. The crate's
-//! proptest pins this.
+//! [`Response`] are bit-identical to sequential single-query
+//! [`FabpAligner`] runs over each record, in concatenated coordinates,
+//! with the same threshold — batching is an execution-schedule
+//! optimisation, never a semantic one. Every dispatch path applies the
+//! record rule ([`retain_within_records`]), so no hit spans two records.
+//! The crate's proptest pins this.
 //!
 //! Time is injectable: production servers run on a wall clock, tests use
 //! [`FabpServer::with_manual_clock`] plus [`FabpServer::advance_clock_us`]
@@ -36,11 +39,12 @@ use crate::batcher::{AdaptiveBatcher, BatchPolicy};
 use crate::cache::{content_hash, CacheStats, LruCache};
 use crate::queue::{AdmissionQueue, Request};
 use fabp_bio::alphabet::Nucleotide;
+use fabp_bio::fasta::PackedRecords;
 use fabp_bio::seq::{PackedSeq, ProteinSeq, RnaSeq};
 use fabp_core::aligner::{Engine, FabpAligner, Threshold};
 use fabp_core::batch::search_prebuilt;
 use fabp_core::fleet::{pack_shards, place_replicas, FpgaFleet};
-use fabp_core::hits::Hit;
+use fabp_core::hits::{retain_within_records, Hit};
 use fabp_core::index::{search_index, PrefilterMode, ReferenceIndex, SeedParams};
 use fabp_core::slice_plan::SliceOptions;
 use fabp_encoding::encoder::EncodedQuery;
@@ -53,6 +57,7 @@ use fabp_telemetry::{
     FLAG_RECOVERED, FLAG_SHED,
 };
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -161,7 +166,8 @@ pub struct Response {
     pub id: u64,
     /// Tenant the request belonged to.
     pub tenant: String,
-    /// Merged hits in global reference coordinates, or the typed error
+    /// Merged hits in concatenated reference coordinates, each window
+    /// inside one record, or the typed error
     /// that ended the request ([`FabpError::DeadlineExceeded`] for shed
     /// requests, build/dispatch errors otherwise).
     pub result: FabpResult<Vec<Hit>>,
@@ -250,6 +256,9 @@ pub struct FabpServer {
     /// The resident reference, 2-bit packed: packed once from an
     /// [`RnaSeq`], or shared with the persistent index.
     reference: Arc<PackedSeq>,
+    /// The records' base ranges in `reference`: no served hit crosses
+    /// one's end.
+    records: Arc<[Range<usize>]>,
     config: ServeConfig,
     registry: Registry,
     clock: Clock,
@@ -299,7 +308,8 @@ pub struct FabpServer {
 }
 
 impl FabpServer {
-    /// Builds a wall-clock server over `reference`, packed once.
+    /// Builds a wall-clock server over `reference`, packed once, as one
+    /// record.
     ///
     /// # Errors
     ///
@@ -312,24 +322,33 @@ impl FabpServer {
         config: ServeConfig,
         registry: &Registry,
     ) -> FabpResult<FabpServer> {
-        FabpServer::with_packed(PackedSeq::from_rna(&reference), config, registry)
+        let records = PackedRecords::one("", PackedSeq::from_rna(&reference));
+        FabpServer::with_packed(records, config, registry)
     }
 
-    /// [`FabpServer::new`] over a reference that is already packed (a
-    /// FASTA file read by
-    /// [`read_packed`](fabp_bio::fasta::read_packed), say), held as it is.
+    /// [`FabpServer::new`] over records that are already packed (a FASTA
+    /// file read by [`read_packed`](fabp_bio::fasta::read_packed), say),
+    /// their bases held as they are.
     ///
     /// # Errors
     ///
     /// As [`FabpServer::new`].
     pub fn with_packed(
-        reference: PackedSeq,
+        reference: PackedRecords,
         config: ServeConfig,
         registry: &Registry,
     ) -> FabpResult<FabpServer> {
-        let key = content_hash(reference.iter().map(Nucleotide::code2));
+        let key = content_hash(reference.bases.iter().map(Nucleotide::code2));
         let clock = Clock::Wall(Instant::now());
-        FabpServer::build(Arc::new(reference), key, config, registry, clock)
+        let records = reference.ranges.into();
+        FabpServer::build(
+            Arc::new(reference.bases),
+            records,
+            key,
+            config,
+            registry,
+            clock,
+        )
     }
 
     /// [`FabpServer::new`] with a manually advanced clock starting at 0 —
@@ -344,12 +363,14 @@ impl FabpServer {
         registry: &Registry,
     ) -> FabpResult<FabpServer> {
         let key = content_hash(reference.iter().map(|&b| b as u8));
-        let packed = Arc::new(PackedSeq::from_rna(&reference));
-        FabpServer::build(packed, key, config, registry, Clock::Manual(0))
+        let records = PackedRecords::one("", PackedSeq::from_rna(&reference));
+        let (packed, ranges) = (Arc::new(records.bases), records.ranges.into());
+        FabpServer::build(packed, ranges, key, config, registry, Clock::Manual(0))
     }
 
     /// Builds a wall-clock server over a loaded persistent index, sharing
-    /// its packed words. The reference cache key becomes
+    /// its packed words and serving its records. The reference cache key
+    /// becomes
     /// [`ReferenceIndex::fingerprint`] — no O(n) re-hash of the bases — and
     /// [`ServeConfig::prefilter`] selects between the exhaustive scan
     /// and the seeded seed-and-verify dispatch on the software backend.
@@ -402,16 +423,18 @@ impl FabpServer {
         }
         let key = index.fingerprint();
         let reference = Arc::clone(index.reference());
-        let mut server = FabpServer::build(reference, key, config, registry, clock)?;
+        let records = index.records().into();
+        let mut server = FabpServer::build(reference, records, key, config, registry, clock)?;
         server.index = Some(index);
         Ok(server)
     }
 
-    /// Builds a server over `reference`, whose cache key `reference_key`
-    /// the caller derives from wherever it already has one: a content
-    /// hash of the bases, or an index fingerprint.
+    /// Builds a server over `reference` and its `records`, whose cache
+    /// key `reference_key` the caller derives from wherever it already
+    /// has one: a content hash of the bases, or an index fingerprint.
     fn build(
         reference: Arc<PackedSeq>,
+        records: Arc<[Range<usize>]>,
         reference_key: u64,
         config: ServeConfig,
         registry: &Registry,
@@ -496,6 +519,7 @@ impl FabpServer {
                 "Responses delivered with an error (shed or dispatch failure)",
             ),
             reference,
+            records,
             config,
             registry: registry.clone(),
             clock,
@@ -989,23 +1013,16 @@ impl FabpServer {
             .filter_map(|(_, _, built)| built.as_ref().ok().cloned())
             .collect();
         let align_start = Instant::now();
-        let whole = 0..self.reference.len();
-        let options = SliceOptions::default();
-        let (mut outcomes, _) = search_prebuilt(
-            &runnable,
-            &self.reference,
-            std::slice::from_ref(&whole),
-            threads,
-            options,
-        );
+        let (outcomes, _) =
+            search_prebuilt(&runnable, &self.reference, threads, SliceOptions::default());
         let align_us = align_start.elapsed().as_secs_f64() * 1e6;
-        let mut outcomes = outcomes.swap_remove(0).into_iter();
+        let mut outcomes = outcomes.into_iter();
         prepared
             .into_iter()
             .map(|(request, cached, built)| {
                 let result = match built {
                     Ok(_) => match outcomes.next() {
-                        Some(outcome) => {
+                        Some(mut outcome) => {
                             flight.record(
                                 TraceEvent::new(
                                     request.trace.child(1).child(200),
@@ -1014,6 +1031,11 @@ impl FabpServer {
                                     align_us,
                                 )
                                 .with_track(1),
+                            );
+                            retain_within_records(
+                                &mut outcome.hits,
+                                outcome.query_len,
+                                &self.records,
                             );
                             Ok(outcome.hits)
                         }
@@ -1031,10 +1053,10 @@ impl FabpServer {
     /// Index-backed seeded dispatch: the whole batch rides one
     /// [`search_index`] call — per shard, one three-frame translation
     /// pass seeds every query's word table, then the exact engine
-    /// verifies only the coalesced candidate regions. Hits are
-    /// bit-identical to the exhaustive scan on everything the filter
-    /// admits (the serving transparency invariant is unchanged for
-    /// admitted windows).
+    /// verifies only the coalesced candidate regions, and the index's
+    /// records mask the hits. Hits are bit-identical to the exhaustive
+    /// scan on everything the filter admits (the serving transparency
+    /// invariant is unchanged for admitted windows).
     fn dispatch_indexed(
         &mut self,
         batch: Vec<Request>,
@@ -1181,12 +1203,14 @@ impl FabpServer {
                             batch_ctx,
                             start_us,
                         )
-                        .map(|outcome| {
+                        .map(|mut outcome| {
                             recovered = outcome.failovers > 0 || outcome.report.recovered > 0;
                             self.stats.hedges += u64::from(outcome.hedges);
                             self.stats.hedge_wins += u64::from(outcome.hedge_wins);
                             self.stats.cancels += u64::from(outcome.cancels);
                             self.stats.failovers += u64::from(outcome.failovers);
+                            let window = 3 * request.protein.len();
+                            retain_within_records(&mut outcome.hits, window, &self.records);
                             outcome.hits
                         })
                 });

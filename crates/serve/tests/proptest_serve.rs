@@ -4,8 +4,9 @@
 //! sizes, tenant interleavings, cache capacities, pump cadences or
 //! backend the server runs — the software batch engine, or a fleet of
 //! any size and replication with or without a dead node — the hits
-//! delivered for each request are bit-identical to a sequential
-//! single-query `FabpAligner` run with the same threshold.
+//! delivered for each request are bit-identical to sequential
+//! single-query `FabpAligner` runs over each record of the reference,
+//! with the same threshold.
 //! Micro-batching and sharding are execution-schedule optimisations and
 //! must never be semantic ones.
 //!
@@ -16,11 +17,15 @@
 //! traces).
 
 use fabp_bio::alphabet::{AminoAcid, Nucleotide};
-use fabp_bio::seq::{ProteinSeq, RnaSeq};
+use fabp_bio::fasta::PackedRecords;
+use fabp_bio::generate::coding_rna_for_paper_patterns;
+use fabp_bio::seq::{PackedSeq, ProteinSeq, RnaSeq};
 use fabp_core::aligner::{Engine, FabpAligner, Threshold};
 use fabp_serve::{content_hash, BatchPolicy, FabpServer, LruCache, ServeBackend, ServeConfig};
 use fabp_telemetry::Registry;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn arb_protein(min: usize, max: usize) -> impl Strategy<Value = ProteinSeq> {
     prop::collection::vec(0usize..20, min..=max)
@@ -51,13 +56,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// **Transparency invariant.** Served hits are bit-identical to
-    /// sequential single-query runs under arbitrary query streams,
-    /// tenant assignments, batch caps, cache sizes and backends: the
-    /// software engine at any thread count, or a fleet of 1–4 nodes at
-    /// any replication, optionally with one node killed.
+    /// sequential single-query runs over each record, in concatenated
+    /// coordinates, under arbitrary query streams, tenant assignments,
+    /// batch caps, cache sizes, backends and record cuts: the software
+    /// engine at any thread count, or a fleet of 1–4 nodes at any
+    /// replication, optionally with one node killed, over one record or
+    /// several, with a query's coding RNA planted across each record end.
     #[test]
     fn batching_is_transparent(
         reference in arb_rna(200, 1_500),
+        cuts in prop::collection::vec(0usize..1_500, 0..=3),
         queries in prop::collection::vec(arb_protein(2, 12), 1..12),
         tenant_of in prop::collection::vec(0usize..4, 12),
         max_batch in 1usize..8,
@@ -68,6 +76,7 @@ proptest! {
         nodes in 1usize..=4,
         replication_pick in 0usize..4,
         kill in prop::option::of(0usize..4),
+        seed in 0u64..1_000_000,
     ) {
         let backend = if on_fleet {
             ServeBackend::Fleet {
@@ -94,8 +103,30 @@ proptest! {
             max_query_aa: 64,
             prefilter: fabp_core::index::PrefilterMode::Off,
         };
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(reference.len())).collect();
+        bounds.push(0);
+        bounds.push(reference.len());
+        bounds.sort_unstable();
+        let ranges: Vec<_> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
+        // A window no record holds: a query's coding RNA split across
+        // each record end it fits over.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut bases = reference.into_inner();
+        for (k, range) in ranges.iter().skip(1).enumerate() {
+            let coding = coding_rna_for_paper_patterns(&queries[k % queries.len()], &mut rng);
+            let at = range.start.checked_sub(coding.len() / 2);
+            if let Some(at) = at.filter(|&at| at + coding.len() <= bases.len()) {
+                bases.splice(at..at + coding.len(), coding.iter().copied());
+            }
+        }
+        let reference = RnaSeq::from(bases);
+        let records = PackedRecords {
+            bases: PackedSeq::from_rna(&reference),
+            ids: (0..ranges.len()).map(|r| format!("rec{r}")).collect(),
+            ranges: ranges.clone(),
+        };
         let mut server =
-            FabpServer::new(reference.clone(), config, &registry).expect("server builds");
+            FabpServer::with_packed(records, config, &registry).expect("server builds");
         let mut tickets = Vec::new();
         for (i, protein) in queries.iter().enumerate() {
             let tenant = format!("tenant-{}", tenant_of[i % tenant_of.len()]);
@@ -109,8 +140,22 @@ proptest! {
                 .find(|r| r.id == *ticket)
                 .expect("every ticket answered");
             let hits = response.result.as_ref().expect("a survivor serves every shard");
-            let expected = sequential_hits(protein, &reference, threshold);
-            prop_assert_eq!(hits, &expected, "batching on {:?} changed hits", backend);
+            let expected: Vec<_> = ranges
+                .iter()
+                .flat_map(|range| {
+                    let record = RnaSeq::from(reference.as_slice()[range.clone()].to_vec());
+                    sequential_hits(protein, &record, threshold)
+                        .into_iter()
+                        .map(|hit| fabp_core::hits::Hit {
+                            position: range.start + hit.position,
+                            score: hit.score,
+                        })
+                })
+                .collect();
+            prop_assert_eq!(
+                hits, &expected,
+                "batching on {:?} over records {:?} changed hits", backend, ranges
+            );
         }
     }
 

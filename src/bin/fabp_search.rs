@@ -29,10 +29,16 @@
 //! ```
 //!
 //! The software engine reads the reference FASTA straight into 2-bit
-//! words, builds each query's aligner once and scans every (query,
-//! record) pair in one lane-packed batch; rows print query by query,
-//! each query's records in file order. The cycle engine models one
-//! device, so it searches each query against each record in turn.
+//! words, builds each query's aligner once and scans the records'
+//! concatenation once for every query in one lane-packed batch; the
+//! record rule ([`split_by_record`]) drops each hit whose window crosses
+//! a record end and maps the rest to their records. Rows print query by
+//! query, each query's records in file order. The cycle engine models
+//! one device, so it searches each query against each record in turn.
+//!
+//! `--index` searches a persistent index's concatenated records, masked
+//! by the same rule; its rows name the index file and give concatenated
+//! coordinates.
 //!
 //! `--resilience` and `--inject-faults` drive the cycle-accurate engine
 //! through the `fabp-resilience` harness: faults from the spec are
@@ -46,6 +52,7 @@ use fabp::bio::fasta::{read_packed, read_proteins};
 use fabp::bio::seq::{PackedSeq, ProteinSeq};
 use fabp::core::aligner::{Engine, FabpAligner, SearchOutcome, Threshold};
 use fabp::core::batch::search_prebuilt;
+use fabp::core::hits::split_by_record;
 use fabp::core::host::HostConfig;
 use fabp::core::index::{
     search_index, IndexBuildOptions, PrefilterMode, ReferenceIndex, SeedParams,
@@ -54,7 +61,9 @@ use fabp::core::slice_plan::SliceOptions;
 use fabp::encoding::encoder::EncodedQuery;
 use fabp::fpga::engine::{EngineConfig, FabpEngine};
 use fabp::resilience::{FabpError, FaultSchedule, ResilienceLevel, ResilientRunner};
-use fabp_telemetry::{chrome_trace_for_events, MetricValue, Registry, TraceContext, TraceEvent};
+use fabp_telemetry::{
+    chrome_trace_for_events, FlightRecorder, MetricValue, Registry, TraceContext, TraceEvent,
+};
 use std::fs::File;
 use std::io::{BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
@@ -231,6 +240,10 @@ fn parse_args() -> Args {
         eprintln!("--prefilter requires --index");
         usage();
     }
+    if args.disasm && (args.index_path.is_some() || args.build_index.is_some()) {
+        eprintln!("--disasm requires --query with --reference");
+        usage();
+    }
     if args.build_index.is_none() {
         for (flag, given) in [
             ("--index-overlap", args.index_overlap.is_some()),
@@ -246,7 +259,8 @@ fn parse_args() -> Args {
 }
 
 /// `--build-index`: pack the reference FASTA (records concatenated in
-/// file order) into the persistent shard format and exit.
+/// file order, with their ids and base ranges) into the persistent shard
+/// format and exit.
 fn run_build_index(args: &Args, out: &str) -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let reference = read_packed(File::open(&args.reference_path)?)?;
     if reference.ids.is_empty() {
@@ -255,7 +269,7 @@ fn run_build_index(args: &Args, out: &str) -> Result<(), Box<dyn std::error::Err
     let started = std::time::Instant::now();
     let defaults = IndexBuildOptions::default();
     let index = ReferenceIndex::build_from_packed(
-        reference.bases,
+        reference,
         IndexBuildOptions {
             overlap: args.index_overlap.unwrap_or(defaults.overlap),
             target_shard_bases: args
@@ -266,9 +280,10 @@ fn run_build_index(args: &Args, out: &str) -> Result<(), Box<dyn std::error::Err
     index.write_to(out)?;
     let build_ms = started.elapsed().as_secs_f64() * 1e3;
     eprintln!(
-        "# index: {} bases in {} shard(s), overlap {}, fingerprint {:016x}, \
+        "# index: {} bases in {} record(s) and {} shard(s), overlap {}, fingerprint {:016x}, \
          built+written in {build_ms:.1} ms -> {out}",
         index.total_bases(),
+        index.records().len(),
         index.shards().len(),
         index.overlap(),
         index.fingerprint(),
@@ -281,7 +296,6 @@ fn run_build_index(args: &Args, out: &str) -> Result<(), Box<dyn std::error::Err
 fn run_index_search(
     args: &Args,
     index_path: &str,
-    telemetry: &Registry,
 ) -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     if args.engine != "software" {
         return Err("--index implies the software engine; drop --engine".into());
@@ -337,6 +351,16 @@ fn run_index_search(
             istats.scanned_fraction(),
         );
     }
+    Ok(())
+}
+
+/// The output tail of every search mode: the `--stats` report and the
+/// `--metrics-out`, `--trace-out` and `--flight-out` files.
+fn write_outputs(
+    args: &Args,
+    telemetry: &Registry,
+    flight: &FlightRecorder,
+) -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     if args.stats {
         print_stats_report(telemetry);
     }
@@ -351,6 +375,17 @@ fn run_index_search(
         std::fs::write(path, snapshot.to_chrome_trace())?;
         if !args.quiet {
             eprintln!("# trace written to {path}");
+        }
+    }
+    if let Some(path) = &args.flight_out {
+        let events = flight.events();
+        std::fs::write(path, chrome_trace_for_events(&events))?;
+        if !args.quiet {
+            eprintln!(
+                "# flight recorder written to {path} ({} spans retained, {} dropped)",
+                events.len(),
+                flight.dropped()
+            );
         }
     }
     Ok(())
@@ -388,13 +423,14 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     if let Some(out) = args.build_index.clone() {
         return run_build_index(&args, &out);
     }
+    let flight = telemetry.flight_recorder();
     if let Some(index_path) = args.index_path.clone() {
         if args.resilience != ResilienceLevel::Off || args.inject_faults.is_some() {
             return Err("--resilience/--inject-faults are not supported with --index".into());
         }
-        return run_index_search(&args, &index_path, telemetry);
+        run_index_search(&args, &index_path)?;
+        return write_outputs(&args, telemetry, &flight);
     }
-    let flight = telemetry.flight_recorder();
     // One trace id per (query, reference) search; spans share a
     // deterministic synthetic timeline so dumps replay identically.
     let mut flight_ordinal = 0u64;
@@ -470,8 +506,9 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let mut out = BufWriter::new(std::io::stdout().lock());
     writeln!(out, "{TSV_HEADER}")?;
     if args.engine == "software" {
-        // Every (query, record) pair in one lane-packed batch: one
-        // claim queue, whose workers start once for the whole run.
+        // Every query over the concatenated records in one lane-packed
+        // batch: one claim queue, whose workers start once for the
+        // whole run.
         let aligners = queries
             .iter()
             .map(|(query_id, protein)| {
@@ -484,14 +521,21 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             search_prebuilt(
                 &aligners,
                 &reference.bases,
-                &reference.ranges,
                 args.threads,
                 SliceOptions::default(),
             )
         };
-        for (q, (query_id, _)) in queries.iter().enumerate() {
-            for (record_id, record_outcomes) in reference.ids.iter().zip(&outcomes) {
-                write_rows(&mut out, query_id, record_id, &record_outcomes[q], args.top)?;
+        for ((query_id, _), outcome) in queries.iter().zip(outcomes) {
+            let window = outcome.query_len;
+            for (record, hits) in split_by_record(&outcome.hits, window, &reference.ranges) {
+                let record_outcome = SearchOutcome {
+                    hits,
+                    threshold: outcome.threshold,
+                    query_len: window,
+                    stats: None,
+                };
+                let record_id = &reference.ids[record];
+                write_rows(&mut out, query_id, record_id, &record_outcome, args.top)?;
             }
         }
     } else {
@@ -602,35 +646,7 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     }
 
     out.flush()?;
-
-    if args.stats {
-        print_stats_report(telemetry);
-    }
-    let snapshot = telemetry.snapshot();
-    if let Some(path) = &args.metrics_out {
-        std::fs::write(path, snapshot.to_prometheus())?;
-        if !args.quiet {
-            eprintln!("# metrics written to {path}");
-        }
-    }
-    if let Some(path) = &args.trace_out {
-        std::fs::write(path, snapshot.to_chrome_trace())?;
-        if !args.quiet {
-            eprintln!("# trace written to {path}");
-        }
-    }
-    if let Some(path) = &args.flight_out {
-        let events = flight.events();
-        std::fs::write(path, chrome_trace_for_events(&events))?;
-        if !args.quiet {
-            eprintln!(
-                "# flight recorder written to {path} ({} spans retained, {} dropped)",
-                events.len(),
-                flight.dropped()
-            );
-        }
-    }
-    Ok(())
+    write_outputs(&args, telemetry, &flight)
 }
 
 fn main() -> ExitCode {

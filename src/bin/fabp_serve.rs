@@ -16,7 +16,8 @@
 //!   --queries <faa>          protein queries (FASTA)
 //!   --reference <fna>        reference database (FASTA; every record,
 //!                            concatenated in file order as
-//!                            fabp-search --build-index packs it)
+//!                            fabp-search --build-index packs it; no
+//!                            hit spans two records)
 //!   --index <fabpidx>        persistent packed index (see fabp-search
 //!                            --build-index); cold + warm load timings
 //!                            are reported on the `# index:` line
@@ -58,7 +59,7 @@
 //!   --quiet                  suppress informational stderr output
 //! ```
 
-use fabp::bio::fasta::{read_packed, read_proteins};
+use fabp::bio::fasta::{read_packed, read_proteins, PackedRecords};
 use fabp::bio::generate::{coding_rna_for_paper_patterns, random_protein, random_rna};
 use fabp::bio::seq::{PackedSeq, ProteinSeq};
 use fabp::core::aligner::Threshold;
@@ -233,13 +234,13 @@ fn parse_args() -> Args {
     args
 }
 
-/// A packed reference plus named queries — the serving workload.
-type Workload = (PackedSeq, Vec<(String, ProteinSeq)>);
+/// Packed reference records plus named queries — the serving workload.
+type Workload = (PackedRecords, Vec<(String, ProteinSeq)>);
 
 /// Builds the workload: either from FASTA files (the reference's records
 /// concatenated in file order, as `fabp-search --build-index` packs
-/// them) or a synthetic planted-homology database (every query is
-/// guaranteed to hit).
+/// them) or a synthetic planted-homology database of one record (every
+/// query is guaranteed to hit).
 fn load_workload(args: &Args) -> Result<Workload, Box<dyn std::error::Error + Send + Sync>> {
     if let (Some(qp), Some(rp)) = (&args.query_path, &args.reference_path) {
         let queries = read_proteins(File::open(qp)?)?;
@@ -250,7 +251,7 @@ fn load_workload(args: &Args) -> Result<Workload, Box<dyn std::error::Error + Se
         if reference.ids.is_empty() {
             return Err("reference file contains no records".into());
         }
-        return Ok((reference.bases, queries));
+        return Ok((reference, queries));
     }
     let mut rng = StdRng::seed_from_u64(args.seed);
     let queries: Vec<(String, ProteinSeq)> = (0..args.synthetic_queries)
@@ -272,7 +273,8 @@ fn load_workload(args: &Args) -> Result<Workload, Box<dyn std::error::Error + Se
             bases.splice(at..at + coding.len(), coding.iter().copied());
         }
     }
-    Ok((PackedSeq::from_rna(&bases.into()), queries))
+    let records = PackedRecords::one("synthetic", PackedSeq::from_rna(&bases.into()));
+    Ok((records, queries))
 }
 
 fn percentile(sorted_us: &[u64], p: f64) -> u64 {
@@ -354,7 +356,7 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         (server, queries, bases)
     } else {
         let (reference, queries) = load_workload(&args)?;
-        let bases = reference.len();
+        let bases = reference.bases.len();
         let server = FabpServer::with_packed(reference, config, registry)?;
         (server, queries, bases)
     };

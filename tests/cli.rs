@@ -449,7 +449,7 @@ fn serve_cli_exits_cleanly_when_stdout_closes_early() {
 fn search_cli_rejects_flags_of_another_mode() {
     // Each flag belongs to one mode; elsewhere it is a usage error that
     // names it, not a silent no-op.
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 5] = [
         (
             &[
                 "--query",
@@ -493,6 +493,10 @@ fn search_cli_rejects_flags_of_another_mode() {
                 "4096",
             ],
             "--index-shard-bases",
+        ),
+        (
+            &["--query", "q.faa", "--index", "x.fabpidx", "--disasm"],
+            "--disasm",
         ),
     ];
     for (args, flag) in cases {
@@ -690,6 +694,142 @@ fn every_reference_path_reads_every_record_and_names_a_bad_one() {
         );
     }
     for path in [query, reference, index, bad_reference] {
+        fs::remove_file(path).ok();
+    }
+}
+
+/// The 3-record repro, written to `name`: MFWKMFWK's coding RNA split
+/// 12 + 12 across the rec1|rec2 end (500 bases each), and whole in rec3
+/// at its base 300.
+fn split_plant_records(name: &str) -> PathBuf {
+    let coding = "ATGTTTTGGAAAATGTTCTGGAAG"; // MFWKMFWK
+    let mut rng = StdRng::seed_from_u64(2022);
+    let mut dna = |len: usize| RnaSeq::to_string(&random_rna(len, &mut rng)).replace('U', "T");
+    let (mut rec1, mut rec2, mut rec3) = (dna(500), dna(500), dna(600));
+    rec1.replace_range(488.., &coding[..12]);
+    rec2.replace_range(..12, &coding[12..]);
+    rec3.replace_range(300..324, coding);
+    let records = [("rec1", rec1), ("rec2", rec2), ("rec3", rec3)]
+        .map(|(id, sequence)| (id.to_string(), sequence));
+    fasta_file(name, &records, 70)
+}
+
+#[test]
+fn no_search_path_reports_a_window_that_spans_two_records() {
+    let query = temp_file("qsplit.faa", ">q1\nMFWKMFWK\n");
+    let reference = split_plant_records("dbsplit.fna");
+    let index = temp_file("dbsplit.fabpidx", "");
+    let run = |bin: &str, args: &[&str]| {
+        let output = Command::new(bin).args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{args:?}: {stderr}");
+        let stdout = String::from_utf8(output.stdout).unwrap();
+        stdout
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(str::to_string)
+            .collect::<Vec<_>>()
+    };
+    let (query, reference, index) = (
+        query.to_str().unwrap(),
+        reference.to_str().unwrap(),
+        index.to_str().unwrap(),
+    );
+    let search = env!("CARGO_BIN_EXE_fabp_search");
+    run(search, &["--reference", reference, "--build-index", index]);
+
+    let fasta = ["--query", query, "--reference", reference, "--quiet"];
+    for engine in ["software", "cycle"] {
+        assert_eq!(
+            run(search, &[&fasta[..], &["--engine", engine]].concat()),
+            ["q1\trec3\t300\t324\t300\t24\t24\t1"],
+            "--engine {engine}"
+        );
+    }
+    for prefilter in ["off", "seeded"] {
+        let args = [
+            "--query",
+            query,
+            "--index",
+            index,
+            "--prefilter",
+            prefilter,
+            "--quiet",
+        ];
+        assert_eq!(
+            run(search, &args),
+            [format!("q1\t{index}\t1300\t1324\t1300\t24\t24\t1")],
+            "--prefilter {prefilter}"
+        );
+    }
+
+    // fabp_serve rows: ticket, query, tenant, status, hits, best_pos, …
+    let serve = env!("CARGO_BIN_EXE_fabp_serve");
+    let fleet = ["--backend", "fleet", "--nodes", "2", "--replication", "1"];
+    for source in [["--reference", reference], ["--index", index]] {
+        for backend in [&["--backend", "software"][..], &fleet[..]] {
+            let args = [&["--queries", query, "--quiet"][..], &source, backend].concat();
+            let rows = run(serve, &args);
+            let cells: Vec<&str> = rows[0].split('\t').collect();
+            assert_eq!(
+                (rows.len(), cells[3], cells[4], cells[5]),
+                (1, "ok", "1", "1300"),
+                "{args:?}"
+            );
+        }
+    }
+    let args = [
+        "--queries",
+        query,
+        "--index",
+        index,
+        "--prefilter",
+        "seeded",
+        "--quiet",
+    ];
+    let rows = run(serve, &args);
+    let cells: Vec<&str> = rows[0].split('\t').collect();
+    assert_eq!((cells[4], cells[5]), ("1", "1300"), "{rows:?}");
+    for path in [query, reference, index] {
+        fs::remove_file(path).ok();
+    }
+}
+
+#[test]
+fn every_search_mode_writes_a_flight_trace_json_accepts() {
+    let query = temp_file("qflight.faa", ">q1\nMFWKMFWK\n");
+    let reference = split_plant_records("dbflight.fna");
+    let index = temp_file("dbflight.fabpidx", "");
+    let (query, reference, index) = (
+        query.to_str().unwrap(),
+        reference.to_str().unwrap(),
+        index.to_str().unwrap(),
+    );
+    let search = || Command::new(env!("CARGO_BIN_EXE_fabp_search"));
+    let built = search()
+        .args(["--reference", reference, "--build-index", index])
+        .output()
+        .expect("binary runs");
+    assert!(built.status.success(), "{built:?}");
+    for source in [["--reference", reference], ["--index", index]] {
+        let flight = temp_file("flight.json", "");
+        fs::remove_file(&flight).unwrap();
+        let output = search()
+            .args(["--query", query, "--quiet"])
+            .args(source)
+            .args(["--flight-out", flight.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        assert!(output.status.success(), "{source:?}: {output:?}");
+        let parsed = Command::new("python3")
+            .args(["-c", "import json, sys; json.load(open(sys.argv[1]))"])
+            .arg(&flight)
+            .output()
+            .expect("python3 runs");
+        assert!(parsed.status.success(), "{source:?}: {parsed:?}");
+        fs::remove_file(flight).ok();
+    }
+    for path in [query, reference, index] {
         fs::remove_file(path).ok();
     }
 }

@@ -46,7 +46,7 @@ struct Options {
     seed: u64,
     /// Write the run's telemetry as Prometheus text here.
     metrics_out: Option<String>,
-    /// Write the run's span ring as a Chrome trace here.
+    /// Write the run's flight-recorder spans as a Chrome trace here.
     trace_out: Option<String>,
 }
 
@@ -143,13 +143,15 @@ fn main() {
 
     // Export the telemetry the experiments produced (engine counters,
     // AXI stall attribution, host-stage spans, …).
-    let snapshot = fabp_telemetry::Registry::global().snapshot();
+    let registry = fabp_telemetry::Registry::global();
     if let Some(path) = &options.metrics_out {
-        std::fs::write(path, snapshot.to_prometheus()).expect("write --metrics-out");
+        std::fs::write(path, registry.snapshot().to_prometheus()).expect("write --metrics-out");
         eprintln!("telemetry metrics written to {path}");
     }
     if let Some(path) = &options.trace_out {
-        std::fs::write(path, snapshot.to_chrome_trace()).expect("write --trace-out");
+        let events = registry.flight_recorder().events();
+        let trace = fabp_telemetry::chrome_trace_for_events(&events);
+        std::fs::write(path, trace).expect("write --trace-out");
         eprintln!("telemetry trace written to {path}");
     }
 }

@@ -82,10 +82,14 @@ pub fn end_to_end(
     breakdown
 }
 
+/// Seed of the host pipeline's trace ids (one trace per modelled run).
+const HOST_TRACE_SEED: u64 = 0x4057_E2E0;
+
 /// Publishes one end-to-end breakdown to `registry`: per-stage
 /// `fabp_host_stage_seconds{stage=…}` float counters plus a modelled
-/// span tree `end_to_end → encode → query_transfer → kernel → readback`
-/// whose child durations sum exactly to the parent.
+/// trace `end_to_end → encode → query_transfer → kernel → readback` in
+/// the flight recorder, one trace per call, whose child durations sum
+/// exactly to the parent.
 pub fn record_end_to_end(registry: &fabp_telemetry::Registry, breakdown: &EndToEnd) {
     if !registry.is_enabled() {
         return;
@@ -111,11 +115,13 @@ pub fn record_end_to_end(registry: &fabp_telemetry::Registry, breakdown: &EndToE
             "Modelled end-to-end seconds (paper's measured window)",
         )
         .add(breakdown.total());
+    let runs = registry.counter("fabp_host_end_to_end_runs_total", "End-to-end model runs");
+    runs.inc();
+    let trace = fabp_telemetry::TraceContext::mint(HOST_TRACE_SEED, runs.get());
+    let stages_us = stages.map(|(stage, seconds)| (stage, seconds * 1e6));
     registry
-        .counter("fabp_host_end_to_end_runs_total", "End-to-end model runs")
-        .inc();
-    let spans: Vec<(&str, f64)> = stages.iter().map(|&(s, t)| (s, t * 1e6)).collect();
-    registry.record_span_tree("end_to_end", &spans);
+        .flight_recorder()
+        .record_stages(trace, "end_to_end", registry.now_us(), &stages_us);
 }
 
 /// Breakdown of a multi-query batch against one resident database.
@@ -260,6 +266,31 @@ mod tests {
         let config = HostConfig::default();
         let e = end_to_end(&config, 750, 1000, 20.0e-3);
         assert!(e.kernel_seconds / e.total() > 0.99, "breakdown: {e:?}");
+    }
+
+    #[test]
+    fn each_run_records_its_own_stage_trace() {
+        let registry = fabp_telemetry::Registry::new();
+        let breakdown = end_to_end(&HostConfig::default(), 150, 4, 1.0e-3);
+        record_end_to_end(&registry, &breakdown);
+        record_end_to_end(&registry, &breakdown);
+        let events = registry.flight_recorder().events();
+        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+        let one = [
+            "end_to_end",
+            "encode",
+            "query_transfer",
+            "kernel",
+            "readback",
+        ];
+        assert_eq!(names, [one, one].concat());
+        let (first, second) = events.split_at(5);
+        assert_ne!(first[0].trace_id, second[0].trace_id);
+        for run in [first, second] {
+            assert!(run.iter().all(|e| e.trace_id == run[0].trace_id));
+            let stages_us: f64 = run[1..].iter().map(|e| e.dur_us).sum();
+            assert!((stages_us - breakdown.total() * 1e6).abs() < 1e-6);
+        }
     }
 
     #[test]

@@ -132,6 +132,10 @@ pub struct FaultSchedule {
     seed: Option<u64>,
 }
 
+/// Longest stall a spec may ask for, in cycles: 21 s at the modelled
+/// 200 MHz, and small enough that no sum of a spec's stalls overflows.
+const MAX_STALL_CYCLES: u64 = u32::MAX as u64;
+
 /// The per-kind weights used by [`FaultSchedule::seeded`].
 #[derive(Debug, Clone, Copy)]
 pub struct FaultMix {
@@ -266,7 +270,8 @@ impl FaultSchedule {
                 parts.get(i).and_then(|p| parse_u64(p)).ok_or_else(bad)
             };
             // A word or bit the modelled hardware does not have is
-            // rejected, not wrapped onto one it does.
+            // rejected, not wrapped onto one it does; a stall is capped
+            // so that no sum of stalls the runner forms can overflow.
             let at_most = |i: usize, max: u64, what: &str| -> FabpResult<u64> {
                 let value = num(i)?;
                 if value > max {
@@ -321,7 +326,7 @@ impl FaultSchedule {
                     }
                     FaultKind::StreamStall {
                         beat: num(0)?,
-                        cycles: num(1)?,
+                        cycles: at_most(1, MAX_STALL_CYCLES, "stall cycles")?,
                     }
                 }
                 "kill" => {
@@ -499,12 +504,15 @@ mod tests {
             "beatflip@0:1:64",
             "queryflip@0:64",
             "config@1:mux:64",
+            "stall@1:4294967296",
         ] {
             let err = FaultSchedule::parse(bad).unwrap_err();
             assert_eq!(err.kind_label(), "invalid_spec", "{bad} should fail");
             assert!(err.to_string().contains(bad), "{bad}: {err}");
         }
         assert!(FaultSchedule::parse("").unwrap().is_empty());
+        // The longest stall still parses.
+        assert!(FaultSchedule::parse("stall@1:4294967295").is_ok());
     }
 
     #[test]

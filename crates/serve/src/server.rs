@@ -61,6 +61,10 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Salt on the trace seed for dispatch traces, keeping their ids apart
+/// from the per-request ones.
+const DISPATCH_TRACE_SALT: u64 = 0xBA7C_4000_0000_0001;
+
 /// A fleet's packed shards and their global offsets.
 type PackedShards = (Vec<PackedSeq>, Vec<usize>);
 
@@ -778,8 +782,12 @@ impl FabpServer {
         self.batch_hist.observe(batch_size as u64);
         self.stats.batches += 1;
         self.stats.peak_batch = self.stats.peak_batch.max(batch_size);
-        self.registry.record_span_tree(
+        // Each dispatch is a trace of its own, so an anomaly dump (one
+        // request's trace) never holds the batch tree.
+        self.flight.record_stages(
+            TraceContext::mint(self.trace_seed ^ DISPATCH_TRACE_SALT, batch_id),
             "fabp_serve_batch",
+            now as f64,
             &[("dequeue", dequeue_us), ("execute", exec_us)],
         );
 
@@ -1891,10 +1899,19 @@ mod tests {
         assert!(text.contains("fabp_serve_served_total 1"), "{text}");
         assert!(text.contains("fabp_serve_batch_size"), "{text}");
         assert!(text.contains("fabp_serve_latency_us"), "{text}");
-        let spans = registry.snapshot();
-        assert!(
-            spans.spans.iter().any(|s| s.name == "fabp_serve_batch"),
-            "expected a fabp_serve_batch span"
-        );
+        // The dispatch tree: `fabp_serve_batch` over `dequeue` and
+        // `execute`, all under one trace id of its own.
+        let events = registry.flight_recorder().events();
+        let batch = events
+            .iter()
+            .find(|e| e.name == "fabp_serve_batch")
+            .expect("expected a fabp_serve_batch span");
+        for stage in ["dequeue", "execute"] {
+            let child = events.iter().find(|e| e.name == stage).unwrap();
+            assert_eq!(child.trace_id, batch.trace_id, "{stage}");
+            assert_eq!(child.parent_span_id, batch.span_id, "{stage}");
+        }
+        let request = events.iter().find(|e| e.name == "request").unwrap();
+        assert_ne!(request.trace_id, batch.trace_id);
     }
 }

@@ -68,33 +68,6 @@ fn bench_histograms(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_spans(c: &mut Criterion) {
-    let mut group = c.benchmark_group("span");
-    group.throughput(Throughput::Elements(OPS));
-
-    let disabled = Registry::disabled();
-    group.bench_function("disabled_span", |b| {
-        b.iter(|| {
-            for _ in 0..OPS {
-                let _s = black_box(&disabled).span("bench");
-            }
-        })
-    });
-
-    // Live spans lock the ring on drop — orders of magnitude above the
-    // counter path, which is why spans sit at request granularity (one
-    // per query), never in per-position loops.
-    let live = Registry::new();
-    group.bench_function("enabled_span", |b| {
-        b.iter(|| {
-            for _ in 0..OPS {
-                let _s = black_box(&live).span("bench");
-            }
-        })
-    });
-    group.finish();
-}
-
 fn bench_trace(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace");
     group.throughput(Throughput::Elements(OPS));
@@ -135,11 +108,5 @@ fn bench_trace(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_counters,
-    bench_histograms,
-    bench_spans,
-    bench_trace
-);
+criterion_group!(benches, bench_counters, bench_histograms, bench_trace);
 criterion_main!(benches);

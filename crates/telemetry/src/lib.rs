@@ -1,4 +1,4 @@
-//! Lock-free metrics and span tracing for the FabP reproduction.
+//! Lock-free metrics and trace events for the FabP reproduction.
 //!
 //! The paper's evaluation (§IV) reports throughput, stall fractions and
 //! end-to-end stage timings; this crate is the plumbing that lets every
@@ -17,14 +17,17 @@
 //!   against [`Registry::global()`] by default; tests and benches build
 //!   private [`Registry::new()`] instances, or pass
 //!   [`Registry::disabled()`] to measure the no-op path.
-//! * **Spans are RAII.** [`Span::enter`] pushes onto a thread-local
-//!   stack and records a wall-time interval into a bounded ring buffer
-//!   on drop. Modelled (non-wall-clock) pipelines use
-//!   [`Registry::record_span_tree`] to lay synthetic parent/child spans
-//!   whose durations sum exactly.
-//! * **Export is snapshot-based.** [`Registry::snapshot`] captures a
-//!   consistent view; [`Snapshot::to_prometheus`],
-//!   [`Snapshot::to_json`] and [`Snapshot::to_chrome_trace`] render it.
+//! * **One span model.** Every span is a [`TraceEvent`] in the
+//!   registry's [`FlightRecorder`]: a bounded, lock-free ring that keeps
+//!   the newest [`FLIGHT_RECORDER_CAPACITY`] events and counts the rest
+//!   as dropped. A [`TraceContext`] carries the trace id and parent
+//!   links. Measured spans record wall-clock durations; modelled
+//!   pipelines use [`FlightRecorder::record_stages`], whose children
+//!   sum exactly to their parent.
+//! * **Export is snapshot-based.** [`Registry::snapshot`] captures the
+//!   metrics, which [`Snapshot::to_prometheus`] and [`Snapshot::to_json`]
+//!   render; [`chrome_trace_for_events`] renders the recorder's events
+//!   as a Chrome trace.
 //!
 //! ```
 //! use fabp_telemetry::Registry;
@@ -44,16 +47,14 @@ mod metrics;
 mod registry;
 mod slo;
 mod snapshot;
-mod span;
 mod trace;
 
 pub use metrics::{Counter, FloatCounter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use registry::{labels, Labels, Registry, LABELS_DROPPED_METRIC, MAX_SERIES_PER_METRIC};
 pub use slo::{BurnRate, SloMonitor, SloPolicy, SloReport, TenantSlo};
 pub use snapshot::{
-    Exemplar, HistogramSnapshot, MetricKind, MetricSnapshot, MetricValue, Snapshot, SpanSnapshot,
+    Exemplar, HistogramSnapshot, MetricKind, MetricSnapshot, MetricValue, Snapshot,
 };
-pub use span::Span;
 pub use trace::{
     chrome_trace_for_events, splitmix64, FlightEvent, FlightRecorder, TraceContext, TraceEvent,
     FLAG_CACHE_HIT, FLAG_CACHE_MISS, FLAG_CANCELLED, FLAG_ERROR, FLAG_HEDGE, FLAG_RECOVERED,

@@ -1,19 +1,14 @@
 //! The metric registry: named, labelled metric registration with
-//! deduplication, plus the span ring buffer.
+//! deduplication, plus the flight recorder every trace event lands in.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::metrics::{Counter, FloatCounter, Gauge, Histogram, HistogramCell};
-use crate::snapshot::{MetricValue, Snapshot, SpanSnapshot};
-use crate::span::{RawSpan, Span};
+use crate::snapshot::{MetricValue, Snapshot};
 use crate::trace::{FlightInner, FlightRecorder, FLIGHT_RECORDER_CAPACITY};
-
-/// Maximum number of retained spans; older spans are dropped (and
-/// counted) once the ring is full.
-pub(crate) const SPAN_RING_CAPACITY: usize = 65_536;
 
 /// Maximum distinct label sets per metric name. Registration past the
 /// cap lands on an `other` overflow series (all label values rewritten
@@ -51,24 +46,14 @@ pub(crate) struct SeriesEntry {
 }
 
 #[derive(Debug)]
-pub(crate) struct SpanRing {
-    pub(crate) spans: VecDeque<RawSpan>,
-    pub(crate) dropped: u64,
-    pub(crate) next_id: u64,
-}
-
-#[derive(Debug)]
 pub(crate) struct RegistryInner {
     pub(crate) series: Mutex<BTreeMap<SeriesKey, SeriesEntry>>,
-    pub(crate) spans: Mutex<SpanRing>,
     pub(crate) epoch: Instant,
-    /// Synthetic thread-id allocator for modelled span trees.
-    pub(crate) next_tid: AtomicU64,
-    /// Lock-free flight recorder for request-scoped trace events.
+    /// Lock-free flight recorder: the one store of trace events.
     pub(crate) flight: Arc<FlightInner>,
 }
 
-/// A metric + span registry.
+/// A metric + trace registry.
 ///
 /// Cloning a `Registry` is cheap (an `Arc` bump); clones share state.
 /// [`Registry::disabled()`] returns a registry whose handles are all
@@ -86,13 +71,7 @@ impl Registry {
         Registry {
             inner: Some(Arc::new(RegistryInner {
                 series: Mutex::new(BTreeMap::new()),
-                spans: Mutex::new(SpanRing {
-                    spans: VecDeque::new(),
-                    dropped: 0,
-                    next_id: 1,
-                }),
                 epoch: Instant::now(),
-                next_tid: AtomicU64::new(1_000),
                 flight: Arc::new(FlightInner::new(FLIGHT_RECORDER_CAPACITY)),
             })),
         }
@@ -214,75 +193,6 @@ impl Registry {
         }
     }
 
-    // --- spans ----------------------------------------------------------
-
-    /// Opens a wall-clock span on the current thread. The span records
-    /// itself into this registry's ring buffer when dropped; nested
-    /// `enter` calls on the same thread become children.
-    pub fn span(&self, name: &'static str) -> Span {
-        Span::enter_on(self, name)
-    }
-
-    /// Records a modelled (non-wall-clock) span tree: one parent
-    /// covering `[start_us, start_us + stages.len() durations]` with one
-    /// child per `(name, duration_us)` stage laid end to end, so the
-    /// children sum exactly to the parent. All spans share a fresh
-    /// synthetic thread id, keeping trees from separate calls disjoint
-    /// in trace viewers.
-    ///
-    /// Returns the synthetic tid used (0 when disabled).
-    pub fn record_span_tree(&self, parent: &str, stages: &[(&str, f64)]) -> u64 {
-        let start_us = match &self.inner {
-            Some(inner) => inner.epoch.elapsed().as_nanos() as f64 / 1_000.0,
-            None => 0.0,
-        };
-        self.record_span_tree_at(parent, start_us, stages)
-    }
-
-    /// [`Registry::record_span_tree`] with an explicit start timestamp
-    /// (microseconds since the registry epoch). Fully deterministic —
-    /// this is what the exporter golden tests use.
-    pub fn record_span_tree_at(&self, parent: &str, start_us: f64, stages: &[(&str, f64)]) -> u64 {
-        let Some(inner) = &self.inner else { return 0 };
-        let tid = inner.next_tid.fetch_add(1, Ordering::Relaxed);
-        let total_us: f64 = stages.iter().map(|(_, d)| d.max(0.0)).sum();
-        let mut ring = inner.spans.lock().expect("span ring poisoned");
-        let parent_id = ring.next_id;
-        ring.next_id += 1;
-        push_span(
-            &mut ring,
-            RawSpan {
-                id: parent_id,
-                parent: 0,
-                name: parent.to_string(),
-                tid,
-                start_us,
-                dur_us: total_us,
-                depth: 0,
-            },
-        );
-        let mut cursor = start_us;
-        for &(name, dur) in stages {
-            let dur = dur.max(0.0);
-            let id = ring.next_id;
-            ring.next_id += 1;
-            push_span(
-                &mut ring,
-                RawSpan {
-                    id,
-                    parent: parent_id,
-                    name: name.to_string(),
-                    tid,
-                    start_us: cursor,
-                    dur_us: dur,
-                    depth: 1,
-                },
-            );
-            cursor += dur;
-        }
-        tid
-    }
-
     /// Microseconds since this registry was created (0 when disabled).
     pub fn now_us(&self) -> f64 {
         self.inner
@@ -292,7 +202,7 @@ impl Registry {
 
     // --- export ---------------------------------------------------------
 
-    /// Captures a consistent snapshot of all series and retained spans.
+    /// Captures a consistent snapshot of all series.
     pub fn snapshot(&self) -> Snapshot {
         let Some(inner) = &self.inner else {
             return Snapshot::default();
@@ -307,55 +217,7 @@ impl Registry {
                 value: MetricValue::capture(&entry.cell),
             });
         }
-        drop(series);
-        let ring = inner.spans.lock().expect("span ring poisoned");
-        let spans = ring
-            .spans
-            .iter()
-            .map(|s| SpanSnapshot {
-                id: s.id,
-                parent: s.parent,
-                name: s.name.clone(),
-                tid: s.tid,
-                start_us: s.start_us,
-                dur_us: s.dur_us,
-                depth: s.depth,
-            })
-            .collect();
-        Snapshot {
-            metrics,
-            spans,
-            dropped_spans: ring.dropped,
-        }
-    }
-
-    /// Clears all metric values and spans (registrations survive; the
-    /// same handles keep working). Useful between benchmark phases.
-    pub fn reset(&self) {
-        let Some(inner) = &self.inner else { return };
-        let series = inner.series.lock().expect("series map poisoned");
-        for entry in series.values() {
-            match &entry.cell {
-                MetricCell::Counter(c) | MetricCell::FloatCounter(c) => {
-                    c.store(0, Ordering::Relaxed)
-                }
-                MetricCell::Gauge(c) => c.store(0, Ordering::Relaxed),
-                MetricCell::Histogram(h) => {
-                    for b in &h.buckets {
-                        b.store(0, Ordering::Relaxed);
-                    }
-                    h.sum.store(0, Ordering::Relaxed);
-                    h.count.store(0, Ordering::Relaxed);
-                    for e in h.exemplar_trace.iter().chain(&h.exemplar_value) {
-                        e.store(0, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        drop(series);
-        let mut ring = inner.spans.lock().expect("span ring poisoned");
-        ring.spans.clear();
-        ring.dropped = 0;
+        Snapshot { metrics }
     }
 }
 
@@ -411,26 +273,6 @@ impl RegistryInner {
             MetricCell::Histogram(c) => MetricCell::Histogram(Arc::clone(c)),
         }
     }
-
-    pub(crate) fn push_raw_span(&self, span: RawSpan) {
-        let mut ring = self.spans.lock().expect("span ring poisoned");
-        push_span(&mut ring, span);
-    }
-
-    pub(crate) fn alloc_span_id(&self) -> u64 {
-        let mut ring = self.spans.lock().expect("span ring poisoned");
-        let id = ring.next_id;
-        ring.next_id += 1;
-        id
-    }
-}
-
-fn push_span(ring: &mut SpanRing, span: RawSpan) {
-    if ring.spans.len() >= SPAN_RING_CAPACITY {
-        ring.spans.pop_front();
-        ring.dropped += 1;
-    }
-    ring.spans.push_back(span);
 }
 
 /// Builds a label list from `(key, value)` string pairs.
@@ -444,6 +286,7 @@ pub fn labels(pairs: &[(&str, &str)]) -> Labels {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TraceContext;
 
     #[test]
     fn same_series_shares_cell() {
@@ -476,7 +319,9 @@ mod tests {
         c.add(10);
         assert_eq!(c.get(), 0);
         assert!(r.snapshot().metrics.is_empty());
-        assert_eq!(r.record_span_tree("p", &[("a", 1.0)]), 0);
+        let flight = r.flight_recorder();
+        flight.record_stages(TraceContext::mint(1, 1), "p", 0.0, &[("a", 1.0)]);
+        assert!(flight.events().is_empty());
     }
 
     #[test]
@@ -499,38 +344,32 @@ mod tests {
     #[test]
     fn span_tree_children_sum_to_parent() {
         let r = Registry::new();
-        let tid = r.record_span_tree("e2e", &[("a", 10.0), ("b", 20.0), ("c", 30.0)]);
-        assert!(tid >= 1_000);
-        let snap = r.snapshot();
-        assert_eq!(snap.spans.len(), 4);
-        let parent = &snap.spans[0];
+        let flight = r.flight_recorder();
+        let ctx = TraceContext::mint(1, 1);
+        let stages = [("a", 10.0), ("b", 20.0), ("c", 30.0)];
+        flight.record_stages(ctx, "e2e", r.now_us(), &stages);
+        let spans = flight.events();
+        assert_eq!(spans.len(), 4);
+        let parent = &spans[0];
         assert_eq!(parent.name, "e2e");
         assert_eq!(parent.dur_us, 60.0);
-        let child_sum: f64 = snap.spans[1..].iter().map(|s| s.dur_us).sum();
+        let child_sum: f64 = spans[1..].iter().map(|s| s.dur_us).sum();
         assert_eq!(child_sum, parent.dur_us);
+        // One trace: every child hangs under the parent.
+        for child in &spans[1..] {
+            assert_eq!(child.trace_id, parent.trace_id);
+            assert_eq!(child.parent_span_id, parent.span_id);
+        }
         // Children tile the parent interval. The absolute start is a
         // wall-clock sample, so summing child offsets onto it can differ
         // from the parent's end in the last ulp — compare with a slack.
-        assert_eq!(snap.spans[1].start_us, parent.start_us);
-        let child_end = snap.spans[3].start_us + snap.spans[3].dur_us;
+        assert_eq!(spans[1].start_us, parent.start_us);
+        let child_end = spans[3].start_us + spans[3].dur_us;
         let parent_end = parent.start_us + parent.dur_us;
         assert!(
             (child_end - parent_end).abs() < 1e-6,
             "{child_end} vs {parent_end}"
         );
-    }
-
-    #[test]
-    fn reset_clears_values_not_registrations() {
-        let r = Registry::new();
-        let c = r.counter("r_total", "r");
-        c.add(9);
-        r.record_span_tree("p", &[("s", 1.0)]);
-        r.reset();
-        assert_eq!(c.get(), 0);
-        assert!(r.snapshot().spans.is_empty());
-        c.inc();
-        assert_eq!(c.get(), 1); // handle still live
     }
 
     #[test]
@@ -579,16 +418,5 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.counter_total(LABELS_DROPPED_METRIC), 0);
         assert_eq!(snap.metrics.len(), MAX_SERIES_PER_METRIC + 5);
-    }
-
-    #[test]
-    fn ring_drops_oldest() {
-        let r = Registry::new();
-        for i in 0..(SPAN_RING_CAPACITY + 10) {
-            r.record_span_tree("p", &[("s", i as f64)]);
-        }
-        let snap = r.snapshot();
-        assert_eq!(snap.spans.len(), SPAN_RING_CAPACITY);
-        assert!(snap.dropped_spans >= 20);
     }
 }

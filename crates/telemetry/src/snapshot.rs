@@ -1,5 +1,5 @@
-//! Snapshot capture and the three exporters: Prometheus text
-//! exposition, stable JSON, and Chrome trace-event JSON.
+//! Snapshot capture and the two metric exporters: Prometheus text
+//! exposition and stable JSON.
 
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
@@ -134,34 +134,11 @@ pub struct MetricSnapshot {
     pub value: MetricValue,
 }
 
-/// One recorded span.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanSnapshot {
-    /// Unique id within the registry.
-    pub id: u64,
-    /// Parent span id (0 for roots).
-    pub parent: u64,
-    /// Span name.
-    pub name: String,
-    /// Thread id (synthetic ≥ 1000 for modelled trees).
-    pub tid: u64,
-    /// Start, microseconds since registry creation.
-    pub start_us: f64,
-    /// Duration in microseconds.
-    pub dur_us: f64,
-    /// Nesting depth (0 = root).
-    pub depth: u32,
-}
-
-/// A consistent capture of a registry's metrics and spans.
+/// A consistent capture of a registry's metrics.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// All registered series, sorted by (name, labels).
     pub metrics: Vec<MetricSnapshot>,
-    /// Retained spans, oldest first.
-    pub spans: Vec<SpanSnapshot>,
-    /// Spans evicted from the ring buffer.
-    pub dropped_spans: u64,
 }
 
 fn fmt_f64(v: f64) -> String {
@@ -303,8 +280,8 @@ impl Snapshot {
     }
 
     /// Renders the snapshot as stable JSON: metrics sorted by
-    /// (name, labels), spans in recording order. The layout is part of
-    /// the crate's public contract (golden-tested).
+    /// (name, labels). The layout is part of the crate's public contract
+    /// (golden-tested).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"metrics\": [");
         for (i, m) in self.metrics.iter().enumerate() {
@@ -370,64 +347,7 @@ impl Snapshot {
             }
             out.push('}');
         }
-        out.push_str("\n  ],\n  \"spans\": [");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"id\": {}, \"parent\": {}, \"name\": \"{}\", \"tid\": {}, \"start_us\": {}, \"dur_us\": {}, \"depth\": {}}}",
-                s.id,
-                s.parent,
-                escape(&s.name),
-                s.tid,
-                fmt_f64(s.start_us),
-                fmt_f64(s.dur_us),
-                s.depth
-            );
-        }
-        let _ = write!(
-            out,
-            "\n  ],\n  \"dropped_spans\": {}\n}}\n",
-            self.dropped_spans
-        );
-        out
-    }
-
-    /// Renders retained spans as a Chrome trace-event file
-    /// (`chrome://tracing` / Perfetto "JSON Array Format" wrapped in an
-    /// object). Each span is a complete (`"ph": "X"`) event; metrics
-    /// are attached as process metadata.
-    pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::from("{\"traceEvents\": [\n");
-        let mut first = true;
-        for s in &self.spans {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "  {{\"name\": \"{}\", \"cat\": \"fabp\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \"pid\": 1, \"tid\": {}, \"args\": {{\"id\": {}, \"parent\": {}, \"depth\": {}}}}}",
-                escape(&s.name),
-                fmt_f64(s.start_us),
-                fmt_f64(s.dur_us),
-                s.tid,
-                s.id,
-                s.parent,
-                s.depth
-            );
-        }
-        if !first {
-            out.push('\n');
-        }
-        let _ = writeln!(
-            out,
-            "], \"displayTimeUnit\": \"ms\", \"otherData\": {{\"dropped_spans\": \"{}\", \"metric_series\": \"{}\"}}}}",
-            self.dropped_spans,
-            self.metrics.len()
-        );
+        out.push_str("\n  ]\n}\n");
         out
     }
 
@@ -517,24 +437,9 @@ mod tests {
         assert!(a.contains("\"name\": \"fabp_hits_total\""));
         assert!(a.contains("\"kind\": \"histogram\""));
         assert!(a.contains("\"le\": \"+Inf\", \"count\": 1"));
-        assert!(a.contains("\"dropped_spans\": 0"));
         // Balanced braces/brackets (cheap well-formedness check).
         assert_eq!(a.matches('{').count(), a.matches('}').count());
         assert_eq!(a.matches('[').count(), a.matches(']').count());
-    }
-
-    #[test]
-    fn chrome_trace_shape() {
-        let r = Registry::new();
-        r.record_span_tree("end_to_end", &[("encode", 5.0), ("kernel", 10.0)]);
-        let trace = r.snapshot().to_chrome_trace();
-        assert!(trace.starts_with("{\"traceEvents\": ["));
-        assert!(trace.contains("\"ph\": \"X\""));
-        assert!(trace.contains("\"name\": \"end_to_end\""));
-        assert!(trace.contains("\"name\": \"kernel\""));
-        assert!(trace.contains("\"displayTimeUnit\": \"ms\""));
-        assert_eq!(trace.matches("\"ph\": \"X\"").count(), 3);
-        assert_eq!(trace.matches('{').count(), trace.matches('}').count());
     }
 
     #[test]

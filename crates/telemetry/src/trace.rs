@@ -1,5 +1,5 @@
-//! Request-scoped tracing: `TraceContext` propagation and the lock-free
-//! flight recorder.
+//! Tracing: `TraceContext` propagation and the lock-free flight
+//! recorder, the one store of spans.
 //!
 //! A [`TraceContext`] is minted once per request (SplitMix64-seeded, so
 //! ids are deterministic given the server seed and request id) and
@@ -316,6 +316,31 @@ impl FlightRecorder {
         slot.seq.store(2 * gen + 2, Ordering::Release);
     }
 
+    /// Records a parent event and its stages laid end to end under one
+    /// context: the parent is `ctx` and covers the stages' summed
+    /// duration from `start_us`; stage `i` is `ctx.child(i)` and starts
+    /// where stage `i - 1` ends, so the children sum exactly to the
+    /// parent. Negative durations count as zero.
+    pub fn record_stages(
+        &self,
+        ctx: TraceContext,
+        parent: &'static str,
+        start_us: f64,
+        stages: &[(&'static str, f64)],
+    ) {
+        if self.inner.is_none() || !ctx.is_enabled() {
+            return;
+        }
+        let total_us = stages.iter().map(|(_, dur)| dur.max(0.0)).sum();
+        self.record(TraceEvent::new(ctx, parent, start_us, total_us));
+        let mut cursor = start_us;
+        for (slot, &(name, dur)) in (0u64..).zip(stages) {
+            let dur = dur.max(0.0);
+            self.record(TraceEvent::new(ctx.child(slot), name, cursor, dur));
+            cursor += dur;
+        }
+    }
+
     /// Total events ever recorded (including overwritten ones).
     pub fn recorded(&self) -> u64 {
         self.inner
@@ -419,9 +444,10 @@ fn escape_name(s: &str) -> String {
         .collect()
 }
 
-/// Renders a set of flight-recorder events as a Chrome trace-event
-/// file (same envelope as [`crate::Snapshot::to_chrome_trace`]). Events
-/// are grouped per trace: `pid` is a small per-trace ordinal, `tid` the
+/// Renders a set of flight-recorder events as a Chrome trace-event file
+/// (`chrome://tracing` / Perfetto "JSON Array Format" wrapped in an
+/// object; every event a complete `"ph": "X"` event). Events are
+/// grouped per trace: `pid` is a small per-trace ordinal, `tid` the
 /// producer-chosen track, and each event's args carry the full trace
 /// identity so parent/child links survive the export.
 pub fn chrome_trace_for_events(events: &[FlightEvent]) -> String {

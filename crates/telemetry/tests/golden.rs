@@ -11,12 +11,12 @@
 //! GOLDEN_UPDATE=1 cargo test -p fabp-telemetry --test golden
 //! ```
 
-use fabp_telemetry::{labels, Registry};
+use fabp_telemetry::{chrome_trace_for_events, labels, Registry, TraceContext};
 use std::path::PathBuf;
 
 /// Builds the fixed registry every golden file is derived from. All
-/// inputs — values, label sets, span timestamps — are explicit, so the
-/// export is byte-deterministic.
+/// inputs — values, label sets, trace ids, span timestamps — are
+/// explicit, so the export is byte-deterministic.
 fn golden_registry() -> Registry {
     let r = Registry::new();
     r.counter("fabp_engine_beats_total", "AXI beats consumed")
@@ -52,7 +52,8 @@ fn golden_registry() -> Registry {
     h.observe(97);
     h.observe(u64::MAX);
     // Modelled host pipeline: children tile the parent exactly.
-    r.record_span_tree_at(
+    r.flight_recorder().record_stages(
+        TraceContext::mint(0xFAB, 1),
         "end_to_end",
         100.0,
         &[
@@ -102,19 +103,21 @@ fn json_matches_golden() {
     check("sample.json", &golden_registry().snapshot().to_json());
 }
 
+/// The golden registry's trace events as a Chrome trace.
+fn golden_trace() -> String {
+    chrome_trace_for_events(&golden_registry().flight_recorder().events())
+}
+
 #[test]
 fn chrome_trace_matches_golden() {
-    check(
-        "sample_trace.json",
-        &golden_registry().snapshot().to_chrome_trace(),
-    );
+    check("sample_trace.json", &golden_trace());
 }
 
 #[test]
 fn golden_trace_is_valid_trace_event_json() {
     // Cheap structural validation so the golden file itself can't rot:
     // balanced braces, one complete event per span, children tile parent.
-    let trace = golden_registry().snapshot().to_chrome_trace();
+    let trace = golden_trace();
     assert_eq!(trace.matches('{').count(), trace.matches('}').count());
     assert_eq!(trace.matches("\"ph\": \"X\"").count(), 5);
     assert!(trace.contains("\"ts\": 100.0"));

@@ -17,10 +17,10 @@
 //!   --top <k>            print at most k regions per query (default 10)
 //!   --stats              print telemetry counters after the run
 //!   --metrics-out <path> write Prometheus text exposition to <path>
-//!   --trace-out <path>   write a Chrome trace-event JSON to <path>
-//!   --flight-out <path>  write the flight recorder's request-scoped
-//!                        spans (per-query trace ids; retry spans on the
-//!                        cycle engine) as Chrome trace-event JSON
+//!   --trace-out <path>   write the flight recorder's spans (one trace
+//!                        per query; the modelled host stages and retry
+//!                        spans on the cycle engine) as Chrome
+//!                        trace-event JSON to <path>
 //!   --quiet              suppress informational stderr output
 //!   --disasm             print each query's instruction listing
 //!   --resilience <off|detect|recover>   fault handling level (cycle engine)
@@ -38,7 +38,9 @@
 //!
 //! `--index` searches a persistent index's concatenated records, masked
 //! by the same rule; its rows name the index file and give concatenated
-//! coordinates.
+//! coordinates. `--build-index` writes that index; the search flags are
+//! usage errors there, and every mode ends in the same `--stats`,
+//! `--metrics-out` and `--trace-out` tail.
 //!
 //! `--resilience` and `--inject-faults` drive the cycle-accurate engine
 //! through the `fabp-resilience` harness: faults from the spec are
@@ -61,9 +63,7 @@ use fabp::core::slice_plan::SliceOptions;
 use fabp::encoding::encoder::EncodedQuery;
 use fabp::fpga::engine::{EngineConfig, FabpEngine};
 use fabp::resilience::{FabpError, FaultSchedule, ResilienceLevel, ResilientRunner};
-use fabp_telemetry::{
-    chrome_trace_for_events, FlightRecorder, MetricValue, Registry, TraceContext, TraceEvent,
-};
+use fabp_telemetry::{chrome_trace_for_events, MetricValue, Registry, TraceContext, TraceEvent};
 use std::fs::File;
 use std::io::{BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
@@ -80,7 +80,6 @@ struct Args {
     quiet: bool,
     metrics_out: Option<String>,
     trace_out: Option<String>,
-    flight_out: Option<String>,
     resilience: ResilienceLevel,
     inject_faults: Option<String>,
     build_index: Option<String>,
@@ -120,12 +119,16 @@ fn write_rows(
     Ok(())
 }
 
+/// Seed of the measured spans' trace ids: one trace per query, per
+/// batch search and per index build.
+const TRACE_SEED: u64 = 0xFAB6_0E77;
+
 fn usage() -> ! {
     eprintln!(
         "usage: fabp-search --query <queries.faa> --reference <db.fna> \
          [--threshold 0.9] [--engine software|cycle] [--threads 4] \
          [--top 10] [--stats] [--metrics-out m.prom] [--trace-out t.json] \
-         [--flight-out f.json] [--quiet] [--disasm] \
+         [--quiet] [--disasm] \
          [--resilience off|detect|recover] [--inject-faults <spec>]\n\
          \n\
          persistent index:\n\
@@ -181,7 +184,6 @@ fn parse_args() -> Args {
         quiet: false,
         metrics_out: None,
         trace_out: None,
-        flight_out: None,
         resilience: ResilienceLevel::Off,
         inject_faults: None,
         build_index: None,
@@ -190,8 +192,10 @@ fn parse_args() -> Args {
         index_overlap: None,
         index_shard_bases: None,
     };
+    let mut given = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
+        given.push(arg.clone());
         match arg.as_str() {
             "--query" => args.query_path = value_for("--query", &mut it),
             "--reference" => args.reference_path = value_for("--reference", &mut it),
@@ -211,7 +215,6 @@ fn parse_args() -> Args {
             "--quiet" => args.quiet = true,
             "--metrics-out" => args.metrics_out = Some(value_for("--metrics-out", &mut it)),
             "--trace-out" => args.trace_out = Some(value_for("--trace-out", &mut it)),
-            "--flight-out" => args.flight_out = Some(value_for("--flight-out", &mut it)),
             "--resilience" => args.resilience = parse_for("--resilience", &mut it),
             "--inject-faults" => args.inject_faults = Some(value_for("--inject-faults", &mut it)),
             "--help" | "-h" => usage(),
@@ -236,23 +239,24 @@ fn parse_args() -> Args {
         usage();
     }
     // A flag of another mode would otherwise be ignored silently.
-    if args.prefilter.is_some() && args.index_path.is_none() {
-        eprintln!("--prefilter requires --index");
-        usage();
-    }
-    if args.disasm && (args.index_path.is_some() || args.build_index.is_some()) {
-        eprintln!("--disasm requires --query with --reference");
-        usage();
-    }
-    if args.build_index.is_none() {
-        for (flag, given) in [
-            ("--index-overlap", args.index_overlap.is_some()),
-            ("--index-shard-bases", args.index_shard_bases.is_some()),
-        ] {
-            if given {
-                eprintln!("{flag} requires --build-index");
-                usage();
-            }
+    let (build, index) = (args.build_index.is_some(), args.index_path.is_some());
+    let search = "a search, not --build-index";
+    for (flag, allowed, needs) in [
+        ("--prefilter", index, "--index"),
+        ("--disasm", !build && !index, "--query with --reference"),
+        ("--index-overlap", build, "--build-index"),
+        ("--index-shard-bases", build, "--build-index"),
+        ("--query", !build, search),
+        ("--engine", !build, search),
+        ("--threshold", !build, search),
+        ("--top", !build, search),
+        ("--threads", !build, search),
+        ("--resilience", !build, search),
+        ("--inject-faults", !build, search),
+    ] {
+        if !allowed && given.iter().any(|g| g == flag) {
+            eprintln!("{flag} requires {needs}");
+            usage();
         }
     }
     args
@@ -260,13 +264,13 @@ fn parse_args() -> Args {
 
 /// `--build-index`: pack the reference FASTA (records concatenated in
 /// file order, with their ids and base ranges) into the persistent shard
-/// format and exit.
+/// format.
 fn run_build_index(args: &Args, out: &str) -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let reference = read_packed(File::open(&args.reference_path)?)?;
     if reference.ids.is_empty() {
         return Err("reference file contains no records".into());
     }
-    let started = std::time::Instant::now();
+    let start_us = Registry::global().now_us();
     let defaults = IndexBuildOptions::default();
     let index = ReferenceIndex::build_from_packed(
         reference,
@@ -278,16 +282,18 @@ fn run_build_index(args: &Args, out: &str) -> Result<(), Box<dyn std::error::Err
         },
     )?;
     index.write_to(out)?;
-    let build_ms = started.elapsed().as_secs_f64() * 1e3;
-    eprintln!(
-        "# index: {} bases in {} record(s) and {} shard(s), overlap {}, fingerprint {:016x}, \
-         built+written in {build_ms:.1} ms -> {out}",
-        index.total_bases(),
-        index.records().len(),
-        index.shards().len(),
-        index.overlap(),
-        index.fingerprint(),
-    );
+    let build_ms = record_since(TraceContext::mint(TRACE_SEED, 0), "build_index", start_us) / 1e3;
+    if !args.quiet {
+        eprintln!(
+            "# index: {} bases in {} record(s) and {} shard(s), overlap {}, \
+             fingerprint {:016x}, built+written in {build_ms:.1} ms -> {out}",
+            index.total_bases(),
+            index.records().len(),
+            index.shards().len(),
+            index.overlap(),
+            index.fingerprint(),
+        );
+    }
     Ok(())
 }
 
@@ -319,7 +325,7 @@ fn run_index_search(
         );
     }
     let proteins: Vec<_> = queries.iter().map(|(_, p)| p.clone()).collect();
-    let searched = std::time::Instant::now();
+    let start_us = Registry::global().now_us();
     let (all_hits, istats) = search_index(
         &index,
         &proteins,
@@ -328,7 +334,7 @@ fn run_index_search(
         SeedParams::default(),
         args.threads,
     )?;
-    let search_ms = searched.elapsed().as_secs_f64() * 1e3;
+    let search_ms = record_since(TraceContext::mint(TRACE_SEED, 0), "search", start_us) / 1e3;
     let mut out = BufWriter::new(std::io::stdout().lock());
     writeln!(out, "{TSV_HEADER}")?;
     for ((query_id, protein), hits) in queries.iter().zip(all_hits) {
@@ -354,35 +360,36 @@ fn run_index_search(
     Ok(())
 }
 
-/// The output tail of every search mode: the `--stats` report and the
-/// `--metrics-out`, `--trace-out` and `--flight-out` files.
-fn write_outputs(
-    args: &Args,
-    telemetry: &Registry,
-    flight: &FlightRecorder,
-) -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
+/// Records the flight event `name` under `ctx`, measured from `start_us`
+/// to now on the global registry's clock; returns its duration in µs.
+fn record_since(ctx: TraceContext, name: &'static str, start_us: f64) -> f64 {
+    let telemetry = Registry::global();
+    let dur_us = telemetry.now_us() - start_us;
+    let event = TraceEvent::new(ctx, name, start_us, dur_us);
+    telemetry.flight_recorder().record(event);
+    dur_us
+}
+
+/// The output tail of every mode: the `--stats` report and the
+/// `--metrics-out` and `--trace-out` files.
+fn write_outputs(args: &Args) -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
+    let telemetry = Registry::global();
     if args.stats {
         print_stats_report(telemetry);
     }
-    let snapshot = telemetry.snapshot();
     if let Some(path) = &args.metrics_out {
-        std::fs::write(path, snapshot.to_prometheus())?;
+        std::fs::write(path, telemetry.snapshot().to_prometheus())?;
         if !args.quiet {
             eprintln!("# metrics written to {path}");
         }
     }
     if let Some(path) = &args.trace_out {
-        std::fs::write(path, snapshot.to_chrome_trace())?;
-        if !args.quiet {
-            eprintln!("# trace written to {path}");
-        }
-    }
-    if let Some(path) = &args.flight_out {
+        let flight = telemetry.flight_recorder();
         let events = flight.events();
         std::fs::write(path, chrome_trace_for_events(&events))?;
         if !args.quiet {
             eprintln!(
-                "# flight recorder written to {path} ({} spans retained, {} dropped)",
+                "# trace written to {path} ({} events retained, {} dropped)",
                 events.len(),
                 flight.dropped()
             );
@@ -414,25 +421,37 @@ fn print_stats_report(registry: &Registry) {
             ),
         }
     }
-    eprintln!("#   spans recorded = {}", snap.spans.len());
+    let flight = registry.flight_recorder();
+    eprintln!(
+        "#   trace events retained = {}, dropped = {}",
+        flight.events().len(),
+        flight.dropped()
+    );
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let args = parse_args();
-    let telemetry = Registry::global();
-    if let Some(out) = args.build_index.clone() {
-        return run_build_index(&args, &out);
-    }
-    let flight = telemetry.flight_recorder();
-    if let Some(index_path) = args.index_path.clone() {
+    if let Some(out) = &args.build_index {
+        run_build_index(&args, out)?;
+    } else if let Some(index_path) = &args.index_path {
         if args.resilience != ResilienceLevel::Off || args.inject_faults.is_some() {
             return Err("--resilience/--inject-faults are not supported with --index".into());
         }
-        run_index_search(&args, &index_path)?;
-        return write_outputs(&args, telemetry, &flight);
+        run_index_search(&args, index_path)?;
+    } else {
+        run_reference_search(&args)?;
     }
-    // One trace id per (query, reference) search; spans share a
-    // deterministic synthetic timeline so dumps replay identically.
+    write_outputs(&args)
+}
+
+/// `--reference`: search the FASTA records, software batch or cycle
+/// model, recording each query's measured spans in the flight recorder.
+fn run_reference_search(args: &Args) -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
+    let telemetry = Registry::global();
+    let flight = telemetry.flight_recorder();
+    // One trace id per resilient (query, reference) search; its spans
+    // share a deterministic synthetic timeline so dumps replay
+    // identically.
     let mut flight_ordinal = 0u64;
     let mut flight_start_us = 0.0f64;
 
@@ -484,11 +503,10 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     }
 
     // Each query's encoding and aligner, built once for every record.
-    let build = |query_id: &str, protein: &ProteinSeq| {
-        let encoded = {
-            let _encode_span = telemetry.span("encode_query");
-            EncodedQuery::from_protein(protein)
-        };
+    let build = |ctx: TraceContext, query_id: &str, protein: &ProteinSeq| {
+        let start_us = telemetry.now_us();
+        let encoded = EncodedQuery::from_protein(protein);
+        record_since(ctx.child(0), "encode_query", start_us);
         if args.disasm && !args.quiet {
             eprintln!("# disassembly of {query_id}:");
             for line in encoded.disassemble().lines() {
@@ -509,22 +527,25 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         // Every query over the concatenated records in one lane-packed
         // batch: one claim queue, whose workers start once for the
         // whole run.
-        let aligners = queries
-            .iter()
-            .map(|(query_id, protein)| {
-                let _query_span = telemetry.span("query");
-                build(query_id, protein).map(|(_, aligner)| aligner)
+        let aligners = (0u64..)
+            .zip(&queries)
+            .map(|(ordinal, (query_id, protein))| {
+                let ctx = TraceContext::mint(TRACE_SEED, ordinal);
+                let start_us = telemetry.now_us();
+                let built = build(ctx, query_id, protein);
+                record_since(ctx, "query", start_us);
+                built.map(|(_, aligner)| aligner)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let (outcomes, _) = {
-            let _search_span = telemetry.span("search");
-            search_prebuilt(
-                &aligners,
-                &reference.bases,
-                args.threads,
-                SliceOptions::default(),
-            )
-        };
+        let start_us = telemetry.now_us();
+        let (outcomes, _) = search_prebuilt(
+            &aligners,
+            &reference.bases,
+            args.threads,
+            SliceOptions::default(),
+        );
+        let batch = TraceContext::mint(TRACE_SEED, queries.len() as u64);
+        record_since(batch, "search", start_us);
         for ((query_id, _), outcome) in queries.iter().zip(outcomes) {
             let window = outcome.query_len;
             for (record, hits) in split_by_record(&outcome.hits, window, &reference.ranges) {
@@ -546,9 +567,10 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             .iter()
             .map(|range| reference.bases.slice(range.clone()))
             .collect();
-        for (query_id, protein) in &queries {
-            let _query_span = telemetry.span("query");
-            let (encoded, aligner) = build(query_id, protein)?;
+        for ((query_id, protein), ordinal) in queries.iter().zip(0u64..) {
+            let ctx = TraceContext::mint(TRACE_SEED, ordinal);
+            let query_start_us = telemetry.now_us();
+            let (encoded, aligner) = build(ctx, query_id, protein)?;
             let threshold_abs = Threshold::Fraction(args.threshold).resolve(encoded.len());
             // Resilience harness: wraps the cycle-accurate engine so faults
             // can be injected and detection/recovery overhead measured.
@@ -561,67 +583,59 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
                 None
             };
 
-            for (record_id, record) in reference.ids.iter().zip(&records) {
-                let outcome = {
-                    let _search_span = telemetry.span("search");
-                    match &resilient_engine {
-                        Some(engine) => {
-                            let trace = TraceContext::mint(0xFAB6_5EA7, flight_ordinal);
-                            let start_us = flight_start_us;
-                            let runner = ResilientRunner::new(
-                                engine,
+            for ((record_id, record), slot) in reference.ids.iter().zip(&records).zip(1u64..) {
+                let search_start_us = telemetry.now_us();
+                let outcome = match &resilient_engine {
+                    Some(engine) => {
+                        let trace = TraceContext::mint(0xFAB6_5EA7, flight_ordinal);
+                        let start_us = flight_start_us;
+                        let runner =
+                            ResilientRunner::new(engine, args.resilience, fault_schedule.clone())
+                                .with_trace(flight.clone(), trace, start_us);
+                        let resilient = runner.run(record, telemetry)?;
+                        let dur_us = (resilient.run.stats.kernel_seconds * 1e6).max(1.0);
+                        flight.record(
+                            TraceEvent::new(trace, "search", start_us, dur_us)
+                                .with_arg(flight_ordinal),
+                        );
+                        flight_ordinal += 1;
+                        flight_start_us += dur_us + 1.0;
+                        if !args.quiet {
+                            let r = &resilient.report;
+                            let cycles = resilient.run.stats.cycles;
+                            let pct = if cycles > 0 {
+                                100.0 * r.overhead_cycles as f64 / cycles as f64
+                            } else {
+                                0.0
+                            };
+                            eprintln!(
+                                "# resilience[{}] {query_id} vs {}: injected={} detected={} \
+                                 recovered={} retries={} scrubs={} replayed_beats={} \
+                                 overhead={} cycles ({pct:.3}% of {cycles})",
                                 args.resilience,
-                                fault_schedule.clone(),
-                            )
-                            .with_trace(
-                                flight.clone(),
-                                trace,
-                                start_us,
+                                record_id,
+                                r.injected,
+                                r.detected,
+                                r.recovered,
+                                r.retries,
+                                r.scrubs,
+                                r.replayed_beats,
+                                r.overhead_cycles,
                             );
-                            let resilient = runner.run(record, telemetry)?;
-                            let dur_us = (resilient.run.stats.kernel_seconds * 1e6).max(1.0);
-                            flight.record(
-                                TraceEvent::new(trace, "search", start_us, dur_us)
-                                    .with_arg(flight_ordinal),
-                            );
-                            flight_ordinal += 1;
-                            flight_start_us += dur_us + 1.0;
-                            if !args.quiet {
-                                let r = &resilient.report;
-                                let cycles = resilient.run.stats.cycles;
-                                let pct = if cycles > 0 {
-                                    100.0 * r.overhead_cycles as f64 / cycles as f64
-                                } else {
-                                    0.0
-                                };
-                                eprintln!(
-                                    "# resilience[{}] {query_id} vs {}: injected={} detected={} \
-                                     recovered={} retries={} scrubs={} replayed_beats={} \
-                                     overhead={} cycles ({pct:.3}% of {cycles})",
-                                    args.resilience,
-                                    record_id,
-                                    r.injected,
-                                    r.detected,
-                                    r.recovered,
-                                    r.retries,
-                                    r.scrubs,
-                                    r.replayed_beats,
-                                    r.overhead_cycles,
-                                );
-                            }
-                            SearchOutcome {
-                                hits: resilient.run.hits,
-                                threshold: threshold_abs,
-                                query_len: encoded.len(),
-                                stats: Some(resilient.run.stats),
-                            }
                         }
-                        None => aligner.search_packed(record),
+                        SearchOutcome {
+                            hits: resilient.run.hits,
+                            threshold: threshold_abs,
+                            query_len: encoded.len(),
+                            stats: Some(resilient.run.stats),
+                        }
                     }
+                    None => aligner.search_packed(record),
                 };
+                record_since(ctx.child(slot), "search", search_start_us);
                 // Cycle engine: assemble the modelled host pipeline so the
                 // encode → transfer → kernel → readback breakdown lands in
-                // the span ring and the per-stage counters.
+                // the flight recorder and the per-stage counters.
                 if let Some(stats) = &outcome.stats {
                     let _ = fabp::core::host::end_to_end(
                         &HostConfig::default(),
@@ -642,11 +656,11 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
                     }
                 }
             }
+            record_since(ctx, "query", query_start_us);
         }
     }
-
     out.flush()?;
-    write_outputs(&args, telemetry, &flight)
+    Ok(())
 }
 
 fn main() -> ExitCode {

@@ -33,8 +33,10 @@
 //!   --repeat <n>             submit the stream n times (default 1;
 //!                            repeats exercise the query cache)
 //!   --backend <software|fleet>  execution backend (default software)
-//!   --threads <n>            software batch workers (default 4)
-//!   --nodes <n>              fleet nodes, one shard each (default 4)
+//!   --threads <n>            software batch workers (default 4;
+//!                            software backend only)
+//!   --nodes <n>              fleet nodes, one shard each (default 4;
+//!                            fleet backend only, as are the next two)
 //!   --replication <n>        fleet replicas per shard (default 2;
 //!                            anti-affinity requires n <= nodes)
 //!   --threshold <0..1>       match fraction (default 0.9)
@@ -51,9 +53,10 @@
 //!   --stats                  print telemetry counters to stderr
 //!   --slo                    print the SLO burn-rate report to stderr
 //!   --metrics-out <path>     write Prometheus text exposition
-//!   --trace-out <path>       write Chrome trace-event JSON (span tree)
-//!   --flight-out <path>      write the flight recorder's retained
-//!                            request spans as Chrome trace-event JSON
+//!   --trace-out <path>       write the flight recorder's spans (every
+//!                            request's tree and each dispatch's
+//!                            `fabp_serve_batch`) as Chrome trace-event
+//!                            JSON
 //!   --anomaly-out <path>     write the first captured anomaly dump
 //!                            (SLO/deadline/fault-recovery span tree)
 //!   --quiet                  suppress informational stderr output
@@ -65,7 +68,7 @@ use fabp::bio::seq::{PackedSeq, ProteinSeq};
 use fabp::core::aligner::Threshold;
 use fabp::core::index::PrefilterMode;
 use fabp::serve::{BatchPolicy, FabpServer, IndexStore, Response, ServeBackend, ServeConfig};
-use fabp_telemetry::Registry;
+use fabp_telemetry::{chrome_trace_for_events, Registry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fs::File;
@@ -100,7 +103,6 @@ struct Args {
     quiet: bool,
     metrics_out: Option<String>,
     trace_out: Option<String>,
-    flight_out: Option<String>,
     anomaly_out: Option<String>,
 }
 
@@ -115,7 +117,7 @@ fn usage() -> ! {
          [--max-batch 64] [--slo-us 50000] [--deadline-us <n>] \
          [--query-cache 256] [--max-query-aa 128] [--inject-faults <spec>] \
          [--stats] [--slo] [--metrics-out m.prom] [--trace-out t.json] \
-         [--flight-out f.json] [--anomaly-out a.json] [--quiet]"
+         [--anomaly-out a.json] [--quiet]"
     );
     std::process::exit(2);
 }
@@ -177,11 +179,12 @@ fn parse_args() -> Args {
         quiet: false,
         metrics_out: None,
         trace_out: None,
-        flight_out: None,
         anomaly_out: None,
     };
+    let mut given = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
+        given.push(arg.clone());
         match arg.as_str() {
             "--queries" => args.query_path = Some(value_for("--queries", &mut it)),
             "--reference" => args.reference_path = Some(value_for("--reference", &mut it)),
@@ -212,7 +215,6 @@ fn parse_args() -> Args {
             "--quiet" => args.quiet = true,
             "--metrics-out" => args.metrics_out = Some(value_for("--metrics-out", &mut it)),
             "--trace-out" => args.trace_out = Some(value_for("--trace-out", &mut it)),
-            "--flight-out" => args.flight_out = Some(value_for("--flight-out", &mut it)),
             "--anomaly-out" => args.anomaly_out = Some(value_for("--anomaly-out", &mut it)),
             "--help" | "-h" => usage(),
             other => {
@@ -230,6 +232,19 @@ fn parse_args() -> Args {
     if args.prefilter == PrefilterMode::Seeded && args.index_path.is_none() {
         eprintln!("--prefilter seeded requires --index");
         usage();
+    }
+    // A flag of the other backend would otherwise be ignored silently.
+    let fleet = args.backend == "fleet";
+    for (flag, allowed, needs) in [
+        ("--nodes", fleet, "--backend fleet"),
+        ("--replication", fleet, "--backend fleet"),
+        ("--inject-faults", fleet, "--backend fleet"),
+        ("--threads", !fleet, "--backend software"),
+    ] {
+        if !allowed && given.iter().any(|g| g == flag) {
+            eprintln!("{flag} requires {needs}");
+            usage();
+        }
     }
     args
 }
@@ -484,12 +499,13 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         );
     }
 
+    let flight = registry.flight_recorder();
     if args.stats {
-        let snap = registry.snapshot();
         eprintln!(
-            "# telemetry: {} series, {} spans",
-            snap.metrics.len(),
-            snap.spans.len()
+            "# telemetry: {} series, {} trace events retained, {} dropped",
+            registry.snapshot().metrics.len(),
+            flight.events().len(),
+            flight.dropped()
         );
     }
     // Evaluate the SLO monitor before snapshotting so the burn-rate
@@ -498,27 +514,20 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     if args.slo {
         eprint!("{}", slo_report.render_text());
     }
-    let snapshot = registry.snapshot();
     if let Some(path) = &args.metrics_out {
-        std::fs::write(path, snapshot.to_prometheus())?;
+        std::fs::write(path, registry.snapshot().to_prometheus())?;
         if !args.quiet {
             eprintln!("# metrics written to {path}");
         }
     }
     if let Some(path) = &args.trace_out {
-        std::fs::write(path, snapshot.to_chrome_trace())?;
-        if !args.quiet {
-            eprintln!("# trace written to {path}");
-        }
-    }
-    if let Some(path) = &args.flight_out {
-        let events = server.flight_recorder().events();
-        std::fs::write(path, fabp_telemetry::chrome_trace_for_events(&events))?;
+        let events = flight.events();
+        std::fs::write(path, chrome_trace_for_events(&events))?;
         if !args.quiet {
             eprintln!(
-                "# flight recorder ({} retained spans, {} dropped) written to {path}",
+                "# trace written to {path} ({} events retained, {} dropped)",
                 events.len(),
-                server.flight_recorder().dropped()
+                flight.dropped()
             );
         }
     }

@@ -449,6 +449,17 @@ fn serve_cli_exits_cleanly_when_stdout_closes_early() {
 fn search_cli_rejects_flags_of_another_mode() {
     // Each flag belongs to one mode; elsewhere it is a usage error that
     // names it, not a silent no-op.
+    let build = ["--reference", "db.fna", "--build-index", "x.fabpidx"];
+    let search_flags: [&[&str]; 7] = [
+        &["--query", "q.faa"],
+        &["--engine", "cycle"],
+        &["--threshold", "0.5"],
+        &["--top", "3"],
+        &["--threads", "9"],
+        &["--resilience", "recover"],
+        &["--inject-faults", "stall@1:5"],
+    ];
+    let build_cases = search_flags.map(|flag| ([&build[..], flag].concat(), flag[0]));
     let cases: [(&[&str], &str); 5] = [
         (
             &[
@@ -499,7 +510,8 @@ fn search_cli_rejects_flags_of_another_mode() {
             "--disasm",
         ),
     ];
-    for (args, flag) in cases {
+    let build_cases = build_cases.iter().map(|(args, flag)| (&args[..], *flag));
+    for (args, flag) in cases.into_iter().chain(build_cases) {
         let output = Command::new(env!("CARGO_BIN_EXE_fabp_search"))
             .args(args)
             .output()
@@ -817,7 +829,7 @@ fn every_search_mode_writes_a_flight_trace_json_accepts() {
         let output = search()
             .args(["--query", query, "--quiet"])
             .args(source)
-            .args(["--flight-out", flight.to_str().unwrap()])
+            .args(["--trace-out", flight.to_str().unwrap()])
             .output()
             .expect("binary runs");
         assert!(output.status.success(), "{source:?}: {output:?}");
@@ -831,5 +843,143 @@ fn every_search_mode_writes_a_flight_trace_json_accepts() {
     }
     for path in [query, reference, index] {
         fs::remove_file(path).ok();
+    }
+}
+
+/// The span names in a `--trace-out` file, which must parse as JSON.
+fn trace_names(path: &std::path::Path) -> std::collections::BTreeSet<String> {
+    let parsed = Command::new("python3")
+        .args(["-c", "import json, sys; json.load(open(sys.argv[1]))"])
+        .arg(path)
+        .output()
+        .expect("python3 runs");
+    assert!(parsed.status.success(), "{}: {parsed:?}", path.display());
+    fs::read_to_string(path)
+        .unwrap()
+        .lines()
+        .filter_map(|line| line.trim_start().strip_prefix("{\"name\": \""))
+        .filter_map(|rest| rest.split('"').next().map(str::to_string))
+        .collect()
+}
+
+#[test]
+fn one_trace_file_holds_every_span_of_a_run() {
+    let trace = temp_file("onetrace.json", "");
+    let trace_out = ["--trace-out", trace.to_str().unwrap()];
+    let assert_names = |what: &str, want: &[&str]| {
+        let names = trace_names(&trace);
+        let missing: Vec<_> = want.iter().filter(|n| !names.contains(**n)).collect();
+        assert!(
+            missing.is_empty(),
+            "{what}: missing {missing:?} in {names:?}"
+        );
+    };
+
+    // fabp_serve: each dispatch's tree and every request's spans.
+    let output = serve(&[&["--repeat", "2", "--threads", "2"][..], &trace_out].concat());
+    assert!(output.status.success(), "{output:?}");
+    let dispatch = ["fabp_serve_batch", "dequeue", "execute"];
+    let request = ["queue_wait", "query_cache", "align", "batch", "request"];
+    assert_names("fabp_serve", &[&dispatch[..], &request].concat());
+
+    // fabp_search: the measured spans, plus the modelled host stages on
+    // the cycle engine.
+    let query = temp_file("qonetrace.faa", ">q1\nMFWKMFWK\n>q2\nMFSRMFSR\n");
+    let reference = split_plant_records("dbonetrace.fna");
+    let fasta = [
+        "--query",
+        query.to_str().unwrap(),
+        "--reference",
+        reference.to_str().unwrap(),
+        "--quiet",
+    ];
+    let measured = ["query", "encode_query", "search"];
+    let modelled = [
+        "end_to_end",
+        "encode",
+        "query_transfer",
+        "kernel",
+        "readback",
+    ];
+    for (engine, want) in [
+        ("software", measured.to_vec()),
+        ("cycle", [&measured[..], &modelled].concat()),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_fabp_search"))
+            .args(fasta)
+            .args(["--engine", engine])
+            .args(trace_out)
+            .output()
+            .expect("binary runs");
+        assert!(output.status.success(), "{output:?}");
+        assert_names(engine, &want);
+    }
+
+    // The second trace file of the two-store model is gone.
+    let flight = ["--flight-out", "f.json"];
+    let search = Command::new(env!("CARGO_BIN_EXE_fabp_search"))
+        .args(fasta)
+        .args(flight)
+        .output()
+        .expect("binary runs");
+    for output in [serve(&flight), search] {
+        assert_eq!(output.status.code(), Some(2), "{output:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("unknown argument \"--flight-out\""),
+            "{stderr}"
+        );
+    }
+    for path in [trace, query, reference] {
+        fs::remove_file(path).ok();
+    }
+}
+
+#[test]
+fn build_index_mode_writes_the_output_tail() {
+    let reference = split_plant_records("dbtail.fna");
+    let index = temp_file("dbtail.fabpidx", "");
+    let metrics = temp_file("tail.prom", "");
+    fs::remove_file(&metrics).unwrap();
+    let output = Command::new(env!("CARGO_BIN_EXE_fabp_search"))
+        .args(["--reference", reference.to_str().unwrap()])
+        .args(["--build-index", index.to_str().unwrap()])
+        .args(["--metrics-out", metrics.to_str().unwrap(), "--quiet"])
+        .output()
+        .expect("binary runs");
+    assert!(output.status.success(), "{output:?}");
+    // `--quiet` silences the `# index:` line too.
+    assert!(output.stderr.is_empty(), "{output:?}");
+    assert!(metrics.exists(), "--metrics-out was not written");
+    for path in [reference, index, metrics] {
+        fs::remove_file(path).ok();
+    }
+}
+
+#[test]
+fn serve_cli_rejects_flags_of_another_backend() {
+    // The fleet's flags do nothing on the software backend, and the
+    // software workers do nothing on the fleet: each is a usage error
+    // that names the flag, not a silent no-op.
+    let cases: [(&[&str], &str); 4] = [
+        (&["--nodes", "9"], "--nodes requires --backend fleet"),
+        (
+            &["--replication", "7"],
+            "--replication requires --backend fleet",
+        ),
+        (
+            &["--inject-faults", "kill@1:50"],
+            "--inject-faults requires --backend fleet",
+        ),
+        (
+            &["--backend", "fleet", "--threads", "2"],
+            "--threads requires --backend software",
+        ),
+    ];
+    for (args, message) in cases {
+        let output = serve(args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
     }
 }

@@ -505,11 +505,11 @@ fn fleet_sweep(entries: &mut Vec<Entry>) {
     let protein = random_protein(12, &mut rng);
     let query = EncodedQuery::from_protein(&protein);
     let config = EngineConfig::kintex7(query.len() as u32);
-    const TOTAL_BASES: u64 = 1_000_000;
+    const TOTAL_BASES: usize = 1_000_000;
     let mut qps_single = 0.0;
     for nodes in [1usize, 2, 4, 8, 16] {
         let replication = 2.min(nodes);
-        let fleet = FpgaFleet::homogeneous(&query, &config, nodes, replication, TOTAL_BASES)
+        let fleet = FpgaFleet::homogeneous(&query, &config, nodes, replication, TOTAL_BASES, 0)
             .expect("fleet builds");
         let qps = fleet.timing().queries_per_second;
         if nodes == 1 {

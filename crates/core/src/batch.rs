@@ -497,26 +497,6 @@ pub fn search_prebuilt<A: Borrow<FabpAligner> + Sync>(
     (outcomes, stats)
 }
 
-/// Summary of a batch run: how many queries produced at least one hit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchSummary {
-    /// Queries searched.
-    pub queries: usize,
-    /// Queries with ≥ 1 hit.
-    pub queries_with_hits: usize,
-    /// Total hits across all queries.
-    pub total_hits: usize,
-}
-
-/// Summarises batch outcomes.
-pub fn summarize(outcomes: &[SearchOutcome]) -> BatchSummary {
-    BatchSummary {
-        queries: outcomes.len(),
-        queries_with_hits: outcomes.iter().filter(|o| !o.hits.is_empty()).count(),
-        total_hits: outcomes.iter().map(|o| o.hits.len()).sum(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,9 +550,8 @@ mod tests {
                 region.query_index
             );
         }
-        let summary = summarize(&outcomes);
-        assert_eq!(summary.queries_with_hits, 8);
-        assert!(summary.total_hits >= 8);
+        assert_eq!(outcomes.iter().filter(|o| !o.hits.is_empty()).count(), 8);
+        assert!(outcomes.iter().map(|o| o.hits.len()).sum::<usize>() >= 8);
     }
 
     #[test]
@@ -928,7 +907,6 @@ mod tests {
         )
         .unwrap();
         assert!(outcomes.is_empty());
-        assert_eq!(summarize(&outcomes).queries, 0);
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //! each query and merges the hits. [`FpgaFleet`] is that model, and the
 //! only sharded backend:
 //!
-//! * **Even shards.** [`pack_shards`] cuts a reference into one shard
-//!   per node, sizes differing by at most one base, each carrying
-//!   trailing overlap so boundary-straddling windows are scored; the
-//!   range math is [`crate::slice_plan::overlap_ranges`], shared with
-//!   the batch scheduler's slices.
+//! * **Even shards over one resident reference.** A fleet cuts the
+//!   reference it serves into one base range per node, sizes differing
+//!   by at most one base, each carrying trailing overlap so
+//!   boundary-straddling windows are scored; the range math is
+//!   [`crate::slice_plan::overlap_ranges`], shared with the batch
+//!   scheduler's slices. Reads stream their range straight from the
+//!   caller's packed words: the fleet holds no copy of the reference.
 //! * **Replication with anti-affinity.** [`place_replicas`] assigns each
 //!   shard `s` to `R` distinct nodes `(s + r) % nodes`, so no node holds
 //!   two replicas of one shard and any single failure leaves `R − 1`
@@ -63,6 +65,7 @@ use fabp_telemetry::{
     FlightRecorder, Registry, TraceContext, TraceEvent, FLAG_CANCELLED, FLAG_ERROR, FLAG_HEDGE,
     FLAG_RECOVERED, FLAG_RETRY,
 };
+use std::ops::Range;
 
 /// Display-track base for per-shard scatter spans in Chrome-trace dumps:
 /// node `n`'s spans render on track `SHARD_TRACK_BASE + n`, so parallel
@@ -85,31 +88,6 @@ pub struct FleetTiming {
     /// Total board energy per query, joules (per-board power from the
     /// activity model).
     pub joules_per_query: f64,
-}
-
-/// Cuts `reference` into `nodes` shards, sizes differing by at most
-/// one base, each carrying `overlap` bases of trailing context (clamped
-/// to the reference end) so windows straddling a shard boundary are
-/// scored by at least one node; [`merge_shard_hits`] removes the
-/// duplicates a generous overlap creates. Returns `(shards, global
-/// offsets)`.
-///
-/// Degenerate inputs are well-defined: with more nodes than bases the
-/// surplus shards are empty, and an overlap larger than a shard extends
-/// it to the end of the reference.
-///
-/// # Errors
-///
-/// Returns [`FabpError::InvalidShardPlan`] if `nodes == 0`.
-pub fn pack_shards(
-    reference: &PackedSeq,
-    nodes: usize,
-    overlap: usize,
-) -> FabpResult<(Vec<PackedSeq>, Vec<usize>)> {
-    Ok(overlap_ranges(reference.len(), nodes, overlap)?
-        .into_iter()
-        .map(|(start, end)| (reference.slice(start..end), start))
-        .unzip())
 }
 
 /// Places `R` replicas of each of `shards` shards across `nodes` nodes
@@ -209,7 +187,9 @@ pub struct FleetSearchOutcome {
 #[derive(Debug)]
 pub struct FpgaFleet {
     engine: FabpEngine,
-    shard_bases: Vec<u64>,
+    /// Each shard's base range in the reference, trailing overlap
+    /// included: the one shard geometry reads and timing share.
+    ranges: Vec<Range<usize>>,
     placement: Vec<Vec<usize>>,
     /// Per-node latency multiplier (test hook modelling stragglers);
     /// 1.0 = nominal.
@@ -220,8 +200,13 @@ pub struct FpgaFleet {
 impl FpgaFleet {
     /// Builds a homogeneous fleet: `nodes` boards with `config`, the
     /// database of `total_bases` nucleotides split into `nodes` even
-    /// shards, each shard replicated on `replication` nodes with
-    /// anti-affinity.
+    /// shards, each reading `overlap` bases of trailing context (clamped
+    /// to the reference end) so windows straddling a shard boundary are
+    /// scored, and each shard replicated on `replication` nodes with
+    /// anti-affinity. An overlap of at least `query.len() − 1` scores
+    /// every window; [`merge_shard_hits`] removes the duplicates a
+    /// larger one creates. With more nodes than bases the surplus shards
+    /// are empty.
     ///
     /// # Errors
     ///
@@ -234,22 +219,20 @@ impl FpgaFleet {
         config: &EngineConfig,
         nodes: usize,
         replication: usize,
-        total_bases: u64,
+        total_bases: usize,
+        overlap: usize,
     ) -> FabpResult<FpgaFleet> {
         if query.is_empty() {
             return Err(FabpError::EmptyQuery);
         }
-        let total = usize::try_from(total_bases).map_err(|_| {
-            FabpError::InvalidShardPlan(format!("{total_bases} bases exceed the address space"))
-        })?;
-        let shard_bases = overlap_ranges(total, nodes, 0)?
+        let ranges = overlap_ranges(total_bases, nodes, overlap)?
             .into_iter()
-            .map(|(start, end)| (end - start) as u64)
+            .map(|(start, end)| start..end)
             .collect();
         let placement = place_replicas(nodes, nodes, replication)?;
         Ok(FpgaFleet {
             engine: FabpEngine::new(query.clone(), config.clone())?,
-            shard_bases,
+            ranges,
             placement,
             straggle: vec![1.0; nodes],
             replication,
@@ -270,6 +253,21 @@ impl FpgaFleet {
     /// shard `s`, primary first.
     pub fn placement(&self) -> &[Vec<usize>] {
         &self.placement
+    }
+
+    /// Length of the reference the fleet shards.
+    fn total_bases(&self) -> usize {
+        self.ranges.last().map_or(0, |range| range.end)
+    }
+
+    /// Bases shard `shard` owns: from its start up to the next shard's
+    /// start, overlap excluded.
+    fn owned_bases(&self, shard: usize) -> u64 {
+        let end = self
+            .ranges
+            .get(shard + 1)
+            .map_or(self.total_bases(), |next| next.start);
+        (end - self.ranges[shard].start) as u64
     }
 
     /// Models `node` as a straggler: its reads take `factor`× the
@@ -317,8 +315,8 @@ impl FpgaFleet {
     fn timing_for_assignment(&self, assignment: &[(usize, usize)]) -> FleetTiming {
         let mut load = vec![0u64; self.nodes()];
         for &(shard, node) in assignment {
-            if let (Some(l), Some(&bases)) = (load.get_mut(node), self.shard_bases.get(shard)) {
-                *l += bases;
+            if let Some(l) = load.get_mut(node) {
+                *l += self.owned_bases(shard);
             }
         }
         let watts = fabp_fpga::power_model::PowerModel::default()
@@ -392,13 +390,15 @@ impl FpgaFleet {
             .find(|&n| n != primary && detector.accepts_probes(n))
     }
 
-    /// Hedged scatter/gather of one query over pre-packed shards (see
-    /// [`pack_shards`]) — the fleet's one entry point. Untraced callers
-    /// pass [`TraceContext::none`] and a disabled recorder.
+    /// Hedged scatter/gather of one query over `reference`, the packed
+    /// database the fleet was built for — the fleet's one entry point.
+    /// Untraced callers pass [`TraceContext::none`] and a disabled
+    /// recorder.
     ///
-    /// Per shard: the primary read goes to the first routable placed
-    /// replica (consulting `detector`'s live routing table; node kills
-    /// are recorded there by the caller with
+    /// Per shard: each read streams the shard's whole range, overlap
+    /// included, from `reference`'s words. The primary read goes to the
+    /// first routable placed replica (consulting `detector`'s live
+    /// routing table; node kills are recorded there by the caller with
     /// [`FailureDetector::record_kill`]); a shard with no routable
     /// replica fails over to another routable node. When the primary's
     /// modelled completion exceeds the detector's p95-derived budget
@@ -428,15 +428,15 @@ impl FpgaFleet {
     ///
     /// # Errors
     ///
-    /// [`FabpError::InvalidShardPlan`] on shard/offset count mismatch,
+    /// [`FabpError::InvalidShardPlan`] when `reference` is not the
+    /// length the fleet was built for,
     /// [`FabpError::NodeDown`] when no node is routable for some shard,
     /// and any engine-level error [`ResilientRunner::run`] could not
     /// recover.
     #[allow(clippy::too_many_arguments)]
     pub fn search(
         &self,
-        shards: &[PackedSeq],
-        shard_offsets: &[usize],
+        reference: &PackedSeq,
         faults: &FaultSchedule,
         detector: &mut FailureDetector,
         now_us: u64,
@@ -445,27 +445,26 @@ impl FpgaFleet {
         trace: TraceContext,
         start_us: f64,
     ) -> FabpResult<FleetSearchOutcome> {
-        if shards.len() != self.nodes() || shards.len() != shard_offsets.len() {
+        if reference.len() != self.total_bases() {
             return Err(FabpError::InvalidShardPlan(format!(
-                "{} shard(s) / {} offset(s) for a {}-node fleet",
-                shards.len(),
-                shard_offsets.len(),
-                self.nodes()
+                "a {}-base reference for a fleet sharding {} bases",
+                reference.len(),
+                self.total_bases()
             )));
         }
         let engine_faults = has_engine_faults(faults);
         let mut report = ResilienceReport::default();
-        let mut per_shard: Vec<Vec<Hit>> = Vec::with_capacity(shards.len());
-        let mut dispatches = Vec::with_capacity(shards.len());
+        let mut per_shard: Vec<Vec<Hit>> = Vec::with_capacity(self.nodes());
+        let mut dispatches = Vec::with_capacity(self.nodes());
         let (mut hedges, mut hedge_wins, mut cancels, mut failovers) = (0u32, 0u32, 0u32, 0u32);
 
-        for (shard_idx, (shard, &offset)) in shards.iter().zip(shard_offsets).enumerate() {
+        for (shard_idx, range) in self.ranges.iter().enumerate() {
             let (primary, failover) = self.route_shard(shard_idx, detector)?;
             if failover {
                 failovers += 1;
                 rtel::count_failover(registry);
             }
-            let bases = shard.len() as u64;
+            let bases = range.len() as u64;
             let primary_latency = self.read_latency_us(primary, bases);
 
             // Hedge when the primary's modelled completion blows the
@@ -480,89 +479,62 @@ impl FpgaFleet {
             };
 
             let shard_ctx = trace.child(shard_idx as u64);
-            let dispatch = match hedge {
-                None => {
-                    self.record_shard_span(
-                        flight,
-                        shard_ctx,
-                        shard_idx,
-                        primary,
-                        primary_latency,
-                        start_us,
-                        if failover { FLAG_ERROR } else { 0 },
-                    );
-                    ShardDispatch {
-                        shard: shard_idx,
-                        primary,
-                        hedge: None,
-                        winner: primary,
-                        cancelled: None,
-                        failover,
-                    }
+            let mut dispatch = ShardDispatch {
+                shard: shard_idx,
+                primary,
+                hedge,
+                winner: primary,
+                cancelled: None,
+                failover,
+            };
+            let mut hedge_latency = 0.0;
+            if let Some(hedge_node) = hedge {
+                hedges += 1;
+                rtel::count_hedge_issued(registry);
+                hedge_latency = self.read_latency_us(hedge_node, bases);
+                let loser = if hedge_latency < primary_latency {
+                    hedge_wins += 1;
+                    rtel::count_hedge_won(registry);
+                    dispatch.winner = hedge_node;
+                    primary
+                } else {
+                    hedge_node
+                };
+                // First response wins; the loser is cancelled if the
+                // cancel reaches it before it finishes anyway.
+                if (hedge_latency - primary_latency).abs() > CANCEL_PROPAGATION_US {
+                    cancels += 1;
+                    rtel::count_hedge_cancelled(registry);
+                    dispatch.cancelled = Some(loser);
                 }
-                Some(hedge_node) => {
-                    hedges += 1;
-                    rtel::count_hedge_issued(registry);
-                    let hedge_latency = self.read_latency_us(hedge_node, bases);
-                    let (winner, winner_latency, loser, loser_latency) =
-                        if hedge_latency < primary_latency {
-                            hedge_wins += 1;
-                            rtel::count_hedge_won(registry);
-                            (hedge_node, hedge_latency, primary, primary_latency)
-                        } else {
-                            (primary, primary_latency, hedge_node, hedge_latency)
-                        };
-                    // First response wins; the loser is cancelled if the
-                    // cancel reaches it before it finishes anyway.
-                    let cancelled = if loser_latency - winner_latency > CANCEL_PROPAGATION_US {
-                        cancels += 1;
-                        rtel::count_hedge_cancelled(registry);
-                        Some(loser)
-                    } else {
-                        None
-                    };
-                    let primary_flags = (if failover { FLAG_ERROR } else { 0 })
-                        | (if cancelled == Some(primary) {
-                            FLAG_CANCELLED
-                        } else {
-                            0
-                        });
-                    self.record_shard_span(
-                        flight,
-                        shard_ctx,
-                        shard_idx,
-                        primary,
-                        primary_latency,
-                        start_us,
-                        primary_flags,
-                    );
-                    let hedge_flags = FLAG_HEDGE
-                        | (if cancelled == Some(hedge_node) {
-                            FLAG_CANCELLED
-                        } else {
-                            0
-                        });
-                    flight.record(
-                        TraceEvent::new(
-                            shard_ctx.child(0x4E + hedge_node as u64),
-                            "hedge",
-                            start_us,
-                            hedge_latency,
-                        )
-                        .with_arg(hedge_node as u64)
-                        .with_track(SHARD_TRACK_BASE + hedge_node as u32)
-                        .with_flags(hedge_flags),
-                    );
-                    ShardDispatch {
-                        shard: shard_idx,
-                        primary,
-                        hedge: Some(hedge_node),
-                        winner,
-                        cancelled,
-                        failover,
-                    }
+            }
+            let cancelled = |node| {
+                if dispatch.cancelled == Some(node) {
+                    FLAG_CANCELLED
+                } else {
+                    0
                 }
             };
+            let error = if failover { FLAG_ERROR } else { 0 };
+            flight.record(
+                TraceEvent::new(shard_ctx, "shard", start_us, primary_latency)
+                    .with_arg(shard_idx as u64)
+                    .with_track(SHARD_TRACK_BASE + primary as u32)
+                    .with_flags(error | cancelled(primary)),
+            );
+            if let Some(hedge_node) = hedge {
+                flight.record(
+                    TraceEvent::new(
+                        shard_ctx.child(0x4E + hedge_node as u64),
+                        "hedge",
+                        start_us,
+                        hedge_latency,
+                    )
+                    .with_arg(hedge_node as u64)
+                    .with_track(SHARD_TRACK_BASE + hedge_node as u32)
+                    .with_flags(FLAG_HEDGE | cancelled(hedge_node)),
+                );
+            }
             if failover {
                 // The placement could not serve the shard: the failover
                 // is a recovered retry on the node that served it.
@@ -579,36 +551,36 @@ impl FpgaFleet {
                 );
             }
 
-            // Run every read that delivers a response; exact duplicates
-            // from an uncancelled loser are removed by the merge below.
-            let mut delivering = vec![dispatch.winner];
-            if let Some(hedge_node) = dispatch.hedge {
-                let loser = if dispatch.winner == hedge_node {
-                    dispatch.primary
+            // Run every read that delivers a response: the winner's, and
+            // an uncancelled loser's, whose exact duplicates the merge
+            // below removes.
+            let loser = hedge.map(|node| {
+                if node == dispatch.winner {
+                    primary
                 } else {
-                    hedge_node
-                };
-                if dispatch.cancelled.is_none() {
-                    delivering.push(loser);
+                    node
                 }
-            }
-            for &node in &delivering {
+            });
+            let uncancelled = loser.filter(|_| dispatch.cancelled.is_none());
+            for node in std::iter::once(dispatch.winner).chain(uncancelled) {
                 let latency = self.read_latency_us(node, bases);
                 let read_ctx = shard_ctx.child(0x10 + node as u64);
                 let run = if engine_faults {
+                    let shard = reference.slice(range.clone());
                     let out =
-                        self.run_resilient(shard, faults, registry, flight, read_ctx, start_us)?;
+                        self.run_resilient(&shard, faults, registry, flight, read_ctx, start_us)?;
                     report.absorb(&out.report);
                     out.run
                 } else {
+                    let range = range.clone();
                     self.engine
-                        .run_traced(shard, registry, flight, read_ctx, start_us)
+                        .run_traced(reference, range, registry, flight, read_ctx, start_us)
                 };
                 per_shard.push(
                     run.hits
                         .into_iter()
                         .map(|h| Hit {
-                            position: h.position + offset,
+                            position: h.position + range.start,
                             score: h.score,
                         })
                         .collect(),
@@ -669,25 +641,6 @@ impl FpgaFleet {
         );
         Ok(out)
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn record_shard_span(
-        &self,
-        flight: &FlightRecorder,
-        ctx: TraceContext,
-        shard: usize,
-        node: usize,
-        dur_us: f64,
-        start_us: f64,
-        flags: u32,
-    ) {
-        flight.record(
-            TraceEvent::new(ctx, "shard", start_us, dur_us)
-                .with_arg(shard as u64)
-                .with_track(SHARD_TRACK_BASE + node as u32)
-                .with_flags(flags),
-        );
-    }
 }
 
 #[cfg(test)]
@@ -718,39 +671,37 @@ mod tests {
     }
 
     /// A fleet for `query` over `reference` with the exact-window
-    /// threshold, plus its shards packed with `query_len - 1` overlap.
+    /// threshold and `query_len - 1` overlap, plus the reference packed.
     fn fleet_over(
         query: &EncodedQuery,
         reference: &RnaSeq,
         nodes: usize,
         replication: usize,
-    ) -> (FpgaFleet, Vec<PackedSeq>, Vec<usize>) {
+    ) -> (FpgaFleet, PackedSeq) {
         let qlen = query.len();
-        let fleet = FpgaFleet::homogeneous(
-            query,
-            &EngineConfig::kintex7(qlen as u32),
-            nodes,
-            replication,
-            reference.len() as u64,
-        )
-        .unwrap();
-        let (shards, offsets) =
-            pack_shards(&PackedSeq::from_rna(reference), nodes, qlen - 1).unwrap();
-        (fleet, shards, offsets)
+        let config = EngineConfig::kintex7(qlen as u32);
+        let bases = reference.len();
+        let fleet =
+            FpgaFleet::homogeneous(query, &config, nodes, replication, bases, qlen - 1).unwrap();
+        (fleet, PackedSeq::from_rna(reference))
+    }
+
+    /// Bases shard 0 of `fleet_over`'s fleet reads, overlap included.
+    fn first_shard_bases(query: &EncodedQuery, reference: &PackedSeq, nodes: usize) -> u64 {
+        let (start, end) = overlap_ranges(reference.len(), nodes, query.len() - 1).unwrap()[0];
+        (end - start) as u64
     }
 
     /// An untraced search at time 0.
     fn search(
         fleet: &FpgaFleet,
-        shards: &[PackedSeq],
-        offsets: &[usize],
+        reference: &PackedSeq,
         faults: &FaultSchedule,
         detector: &mut FailureDetector,
         registry: &Registry,
     ) -> FabpResult<FleetSearchOutcome> {
         fleet.search(
-            shards,
-            offsets,
+            reference,
             faults,
             detector,
             0,
@@ -812,12 +763,11 @@ mod tests {
         // Plants one copy mid-shard and one straddling the shard
         // boundary at 1000.
         let (query, reference) = fixture(41, 2_000, &[300, 985]);
-        let (fleet, shards, offsets) = fleet_over(&query, &reference, 4, 2);
+        let (fleet, packed) = fleet_over(&query, &reference, 4, 2);
         let mut detector = FailureDetector::with_defaults(4, &Registry::disabled());
         let out = search(
             &fleet,
-            &shards,
-            &offsets,
+            &packed,
             &FaultSchedule::new(),
             &mut detector,
             &Registry::disabled(),
@@ -840,12 +790,11 @@ mod tests {
         // The single-replica shape: 4 shards of 500 bases, one copy
         // straddling the boundary at 1000 and one mid-shard.
         let (query, reference) = fixture(2, 2_000, &[985, 300]);
-        let (fleet, shards, offsets) = fleet_over(&query, &reference, 4, 1);
+        let (fleet, packed) = fleet_over(&query, &reference, 4, 1);
         let mut detector = FailureDetector::with_defaults(4, &Registry::disabled());
         let hits = search(
             &fleet,
-            &shards,
-            &offsets,
+            &packed,
             &FaultSchedule::new(),
             &mut detector,
             &Registry::disabled(),
@@ -863,8 +812,8 @@ mod tests {
     #[test]
     fn straggler_triggers_hedge_and_hits_stay_bit_identical() {
         let (query, reference) = fixture(42, 2_000, &[300, 985]);
-        let (mut fleet, shards, offsets) = fleet_over(&query, &reference, 4, 2);
-        let nominal = fleet.read_latency_us(0, shards[0].len() as u64);
+        let (mut fleet, packed) = fleet_over(&query, &reference, 4, 2);
+        let nominal = fleet.read_latency_us(0, first_shard_bases(&query, &packed, 4));
 
         // Train the detector at the nominal latency, then make node 1 a
         // heavy straggler: its primary read blows the p95 budget and the
@@ -879,8 +828,7 @@ mod tests {
         let registry = Registry::new();
         let out = fleet
             .search(
-                &shards,
-                &offsets,
+                &packed,
                 &FaultSchedule::new(),
                 &mut detector,
                 1_000_000,
@@ -905,8 +853,8 @@ mod tests {
     #[test]
     fn uncancellable_loser_delivers_duplicates_that_dedup_exactly() {
         let (query, reference) = fixture(43, 1_600, &[200, 900]);
-        let (mut fleet, shards, offsets) = fleet_over(&query, &reference, 4, 2);
-        let nominal = fleet.read_latency_us(0, shards[0].len() as u64);
+        let (mut fleet, packed) = fleet_over(&query, &reference, 4, 2);
+        let nominal = fleet.read_latency_us(0, first_shard_bases(&query, &packed, 4));
 
         // Train the budget low, then slow *every* node slightly: each
         // primary blows its budget, but primary and hedge finish within
@@ -921,8 +869,7 @@ mod tests {
 
         let out = fleet
             .search(
-                &shards,
-                &offsets,
+                &packed,
                 &FaultSchedule::new(),
                 &mut detector,
                 1_000_000,
@@ -948,7 +895,7 @@ mod tests {
     #[test]
     fn drained_replicas_fail_over_and_stay_bit_identical() {
         let (query, reference) = fixture(44, 2_000, &[120, 1_500]);
-        let (fleet, shards, offsets) = fleet_over(&query, &reference, 4, 2);
+        let (fleet, packed) = fleet_over(&query, &reference, 4, 2);
 
         // Shard 0 is placed on nodes (0, 1); kill both. The scatter
         // must fail over to a routable node and still merge the full
@@ -957,15 +904,7 @@ mod tests {
         detector.record_kill(0);
         detector.record_kill(1);
         let none = FaultSchedule::new();
-        let out = search(
-            &fleet,
-            &shards,
-            &offsets,
-            &none,
-            &mut detector,
-            &Registry::disabled(),
-        )
-        .unwrap();
+        let out = search(&fleet, &packed, &none, &mut detector, &Registry::disabled()).unwrap();
         assert_eq!(out.hits, oracle(&query, &reference));
         assert!(out.failovers >= 1);
         assert!(out.dispatches[0].failover);
@@ -981,14 +920,7 @@ mod tests {
         detector.record_kill(2);
         detector.record_kill(3);
         assert!(matches!(
-            search(
-                &fleet,
-                &shards,
-                &offsets,
-                &none,
-                &mut detector,
-                &Registry::disabled()
-            ),
+            search(&fleet, &packed, &none, &mut detector, &Registry::disabled()),
             Err(FabpError::NodeDown { .. })
         ));
     }
@@ -997,15 +929,14 @@ mod tests {
     fn hedging_is_deterministic_for_identical_inputs() {
         let (query, reference) = fixture(45, 1_800, &[400]);
         let run = || {
-            let (mut fleet, shards, offsets) = fleet_over(&query, &reference, 4, 2);
-            let nominal = fleet.read_latency_us(0, shards[0].len() as u64);
+            let (mut fleet, packed) = fleet_over(&query, &reference, 4, 2);
+            let nominal = fleet.read_latency_us(0, first_shard_bases(&query, &packed, 4));
             let mut detector = FailureDetector::with_defaults(4, &Registry::disabled());
             warm(&mut detector, 4, nominal);
             fleet.set_straggle(3, 50.0);
             let out = fleet
                 .search(
-                    &shards,
-                    &offsets,
+                    &packed,
                     &FaultSchedule::new(),
                     &mut detector,
                     1_000_000,
@@ -1029,63 +960,50 @@ mod tests {
 
     #[test]
     fn shard_count_mismatch_is_a_typed_error() {
+        // The fleet cuts its shards from the reference length it was
+        // built for; a reference shorter or longer than that (empty
+        // included) does not fit its shard plan.
         let (query, reference) = fixture(46, 800, &[]);
-        let (fleet, _, _) = fleet_over(&query, &reference, 4, 2);
-        let (shards, offsets) = pack_shards(&PackedSeq::from_rna(&reference), 3, 0).unwrap();
+        let (fleet, packed) = fleet_over(&query, &reference, 4, 2);
         let mut detector = FailureDetector::with_defaults(4, &Registry::disabled());
         let none = FaultSchedule::new();
         let registry = Registry::disabled();
-        assert!(matches!(
-            search(&fleet, &shards, &offsets, &none, &mut detector, &registry),
-            Err(FabpError::InvalidShardPlan(_))
-        ));
-        let (shards, offsets) = pack_shards(&PackedSeq::from_rna(&reference), 4, 0).unwrap();
-        assert!(matches!(
-            search(
-                &fleet,
-                &shards,
-                &offsets[..3],
-                &none,
-                &mut detector,
-                &registry
-            ),
-            Err(FabpError::InvalidShardPlan(_))
-        ));
+        for len in [799, 801, 0] {
+            let wrong = PackedSeq::from_rna(&random_rna(len, &mut StdRng::seed_from_u64(3)));
+            assert!(matches!(
+                search(&fleet, &wrong, &none, &mut detector, &registry),
+                Err(FabpError::InvalidShardPlan(_))
+            ));
+        }
+        assert!(search(&fleet, &packed, &none, &mut detector, &registry).is_ok());
     }
 
     #[test]
     fn shard_count_mismatch_at_r1_is_a_typed_error() {
-        // More shards than nodes, then fewer shards than offsets.
+        // Two nodes at R = 1 sharding 12 bases: one base short, one
+        // base over, then the reference the plan was cut from.
         let protein = random_protein(5, &mut StdRng::seed_from_u64(3));
         let query = EncodedQuery::from_protein(&protein);
-        let fleet = FpgaFleet::homogeneous(&query, &EngineConfig::kintex7(5), 2, 1, 100).unwrap();
         let reference: RnaSeq = "ACGUACGUACGU".parse().unwrap();
-        let (shards, offsets) = pack_shards(&PackedSeq::from_rna(&reference), 3, 0).unwrap();
+        let (fleet, packed) = fleet_over(&query, &reference, 2, 1);
         let mut detector = FailureDetector::with_defaults(2, &Registry::disabled());
         let none = FaultSchedule::new();
         let registry = Registry::disabled();
-        assert!(matches!(
-            search(&fleet, &shards, &offsets, &none, &mut detector, &registry),
-            Err(FabpError::InvalidShardPlan(_))
-        ));
-        assert!(matches!(
-            search(
-                &fleet,
-                &shards[..2],
-                &offsets,
-                &none,
-                &mut detector,
-                &registry
-            ),
-            Err(FabpError::InvalidShardPlan(_))
-        ));
+        for wrong in ["ACGUACGUACG", "ACGUACGUACGUA"] {
+            let wrong = PackedSeq::from_rna(&wrong.parse().unwrap());
+            assert!(matches!(
+                search(&fleet, &wrong, &none, &mut detector, &registry),
+                Err(FabpError::InvalidShardPlan(_))
+            ));
+        }
+        assert!(search(&fleet, &packed, &none, &mut detector, &registry).is_ok());
     }
 
     #[test]
     fn empty_query_fleet_is_a_typed_error() {
         let query = EncodedQuery::from_exact_rna(&RnaSeq::new());
         assert!(matches!(
-            FpgaFleet::homogeneous(&query, &EngineConfig::kintex7(0), 2, 2, 100),
+            FpgaFleet::homogeneous(&query, &EngineConfig::kintex7(0), 2, 2, 100, 0),
             Err(FabpError::EmptyQuery)
         ));
     }
@@ -1096,7 +1014,7 @@ mod tests {
         for nodes in [1, 2, 4] {
             assert!(
                 matches!(
-                    FpgaFleet::homogeneous(&query, &EngineConfig::kintex7(0), nodes, 1, 100),
+                    FpgaFleet::homogeneous(&query, &EngineConfig::kintex7(0), nodes, 1, 100, 0),
                     Err(FabpError::EmptyQuery)
                 ),
                 "nodes={nodes}"
@@ -1108,11 +1026,11 @@ mod tests {
     fn zero_nodes_is_a_typed_error() {
         let (query, reference) = fixture(47, 100, &[]);
         assert!(matches!(
-            pack_shards(&PackedSeq::from_rna(&reference), 0, 3),
+            overlap_ranges(reference.len(), 0, 3),
             Err(FabpError::InvalidShardPlan(_))
         ));
         assert!(matches!(
-            FpgaFleet::homogeneous(&query, &EngineConfig::kintex7(30), 0, 1, 100),
+            FpgaFleet::homogeneous(&query, &EngineConfig::kintex7(30), 0, 1, 100, 3),
             Err(FabpError::InvalidShardPlan(_))
         ));
     }
@@ -1122,8 +1040,8 @@ mod tests {
         let protein = random_protein(50, &mut StdRng::seed_from_u64(1));
         let query = EncodedQuery::from_protein(&protein);
         let config = EngineConfig::kintex7(140);
-        let single = FpgaFleet::homogeneous(&query, &config, 1, 1, 1_000_000_000).unwrap();
-        let quad = FpgaFleet::homogeneous(&query, &config, 4, 1, 1_000_000_000).unwrap();
+        let single = FpgaFleet::homogeneous(&query, &config, 1, 1, 1_000_000_000, 0).unwrap();
+        let quad = FpgaFleet::homogeneous(&query, &config, 4, 1, 1_000_000_000, 0).unwrap();
         let t1 = single.timing();
         let t4 = quad.timing();
         let scaling = t4.queries_per_second / t1.queries_per_second;
@@ -1142,46 +1060,31 @@ mod tests {
     #[test]
     fn overlap_larger_than_shard_clamps_to_reference_end() {
         // 12 bases in 6 shards of 2 bases, overlap 5 > shard size.
-        let reference: RnaSeq = "ACGUACGUACGU".parse().unwrap();
-        let (shards, offsets) = pack_shards(&PackedSeq::from_rna(&reference), 6, 5).unwrap();
-        assert_eq!(shards.len(), 6);
+        let ranges = overlap_ranges(12, 6, 5).unwrap();
+        let offsets: Vec<usize> = ranges.iter().map(|&(start, _)| start).collect();
         assert_eq!(offsets, vec![0, 2, 4, 6, 8, 10]);
-        for (shard, &offset) in shards.iter().zip(&offsets) {
-            // Every shard stays in bounds and reproduces the reference.
-            assert!(offset + shard.len() <= reference.len());
-            assert_eq!(
-                shard.to_rna().as_slice(),
-                &reference.as_slice()[offset..offset + shard.len()]
-            );
-        }
-        // The final shard cannot read past the end.
-        assert_eq!(shards[5].len(), 2);
+        // Every shard stays in bounds, and the final shard cannot read
+        // past the end.
+        assert!(ranges.iter().all(|&(start, end)| start <= end && end <= 12));
+        assert_eq!(ranges[5], (10, 12));
     }
 
     #[test]
     fn overlap_with_more_nodes_than_bases_stays_in_bounds_and_complete() {
-        let reference: RnaSeq = "ACGUA".parse().unwrap(); // 5 bases
+        let bases = 5;
         for (nodes, overlap) in [(8, 3), (8, 5), (8, 64), (5, 5), (12, 0)] {
-            let (shards, offsets) =
-                pack_shards(&PackedSeq::from_rna(&reference), nodes, overlap).unwrap();
-            assert_eq!(shards.len(), nodes, "nodes={nodes} overlap={overlap}");
-            assert_eq!(offsets.len(), nodes);
-            // Offsets are non-decreasing, in bounds, and the shard at
-            // each offset reproduces the reference slice exactly.
-            for (shard, &offset) in shards.iter().zip(&offsets) {
-                assert!(offset <= reference.len());
-                assert!(offset + shard.len() <= reference.len());
-                assert_eq!(
-                    shard.to_rna().as_slice(),
-                    &reference.as_slice()[offset..offset + shard.len()]
-                );
-            }
-            assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
+            let ranges = overlap_ranges(bases, nodes, overlap).unwrap();
+            assert_eq!(ranges.len(), nodes, "nodes={nodes} overlap={overlap}");
+            // Offsets are non-decreasing and every range is in bounds.
+            assert!(ranges
+                .iter()
+                .all(|&(start, end)| start <= end && end <= bases));
+            assert!(ranges.windows(2).all(|w| w[0].0 <= w[1].0));
             // Every base is covered by at least one shard: the union of
-            // [offset, offset + len) ranges is [0, reference.len()).
-            let mut covered = vec![false; reference.len()];
-            for (shard, &offset) in shards.iter().zip(&offsets) {
-                for c in covered.iter_mut().skip(offset).take(shard.len()) {
+            // the ranges is [0, bases).
+            let mut covered = vec![false; bases];
+            for &(start, end) in &ranges {
+                for c in &mut covered[start..end] {
                     *c = true;
                 }
             }
@@ -1190,12 +1093,12 @@ mod tests {
                 "nodes={nodes} overlap={overlap}: coverage gap"
             );
             // Zero-size shard bodies appear exactly when nodes > bases.
-            let zero_body = overlap_ranges(reference.len(), nodes, 0)
+            let zero_body = overlap_ranges(bases, nodes, 0)
                 .unwrap()
                 .iter()
                 .filter(|&&(start, end)| start == end)
                 .count();
-            assert_eq!(zero_body, nodes.saturating_sub(reference.len()));
+            assert_eq!(zero_body, nodes.saturating_sub(bases));
         }
     }
 
@@ -1217,16 +1120,14 @@ mod tests {
         let expected = oracle(&query, &reference);
         assert!(!expected.is_empty(), "fixture must plant a hit");
 
+        let packed = PackedSeq::from_rna(&reference);
         for (nodes, overlap) in [(16, qlen - 1), (8, 40), (40, qlen - 1), (3, 0)] {
             let fleet =
-                FpgaFleet::homogeneous(&query, &config, nodes, 1, reference.len() as u64).unwrap();
-            let (shards, offsets) =
-                pack_shards(&PackedSeq::from_rna(&reference), nodes, overlap).unwrap();
+                FpgaFleet::homogeneous(&query, &config, nodes, 1, packed.len(), overlap).unwrap();
             let mut detector = FailureDetector::with_defaults(nodes, &Registry::disabled());
             let hits = search(
                 &fleet,
-                &shards,
-                &offsets,
+                &packed,
                 &FaultSchedule::new(),
                 &mut detector,
                 &Registry::disabled(),
@@ -1250,7 +1151,7 @@ mod tests {
 
     #[test]
     fn composed_shard_searches_do_not_duplicate_boundary_hits() {
-        // A caller composing `pack_shards` with per-shard engine runs
+        // A caller composing `overlap_ranges` with per-shard engine runs
         // must get the single-engine hit list. Naive concatenation
         // double-reports a boundary homology: once from shard 1's
         // overlap tail and once from shard 2's head.
@@ -1280,19 +1181,20 @@ mod tests {
 
         // Per-shard runs, hits translated to global coordinates — the
         // composition a multi-query serving layer performs.
-        let (fleet, _, _) = fleet_over(&query, &reference, 4, 1);
-        let (shards, offsets) = pack_shards(&PackedSeq::from_rna(&reference), 4, overlap).unwrap();
-        let per_shard: Vec<Vec<Hit>> = shards
-            .iter()
-            .zip(&offsets)
-            .map(|(shard, &offset)| {
+        let packed = PackedSeq::from_rna(&reference);
+        let config = EngineConfig::kintex7(query.len() as u32);
+        let fleet = FpgaFleet::homogeneous(&query, &config, 4, 1, packed.len(), overlap).unwrap();
+        let per_shard: Vec<Vec<Hit>> = overlap_ranges(packed.len(), 4, overlap)
+            .unwrap()
+            .into_iter()
+            .map(|(start, end)| {
                 fleet
                     .engine
-                    .run(shard)
+                    .run(&packed.slice(start..end))
                     .hits
                     .into_iter()
                     .map(|h| Hit {
-                        position: h.position + offset,
+                        position: h.position + start,
                         score: h.score,
                     })
                     .collect()
@@ -1315,8 +1217,7 @@ mod tests {
         let mut detector = FailureDetector::with_defaults(4, &Registry::disabled());
         let out = search(
             &fleet,
-            &shards,
-            &offsets,
+            &packed,
             &FaultSchedule::new(),
             &mut detector,
             &Registry::disabled(),
@@ -1330,26 +1231,19 @@ mod tests {
     #[test]
     fn node_kill_recovers_on_survivors_with_degraded_timing() {
         let (query, reference) = fixture(4, 2_000, &[985, 300]);
-        let (fleet, shards, offsets) = fleet_over(&query, &reference, 4, 1);
+        let (fleet, packed) = fleet_over(&query, &reference, 4, 1);
         let none = FaultSchedule::new();
         let mut healthy = FailureDetector::with_defaults(4, &Registry::disabled());
-        let baseline = search(
-            &fleet,
-            &shards,
-            &offsets,
-            &none,
-            &mut healthy,
-            &Registry::disabled(),
-        )
-        .unwrap()
-        .hits;
+        let baseline = search(&fleet, &packed, &none, &mut healthy, &Registry::disabled())
+            .unwrap()
+            .hits;
         assert!(baseline.iter().any(|h| h.position == 300));
 
         // Kill the node holding the mid-shard hit (node 0 covers 0..500).
         let registry = Registry::new();
         let mut detector = FailureDetector::with_defaults(4, &registry);
         detector.record_kill(0);
-        let out = search(&fleet, &shards, &offsets, &none, &mut detector, &registry).unwrap();
+        let out = search(&fleet, &packed, &none, &mut detector, &registry).unwrap();
         assert_eq!(
             out.hits, baseline,
             "survivors must reproduce the full hit set bit-identically"
@@ -1382,26 +1276,21 @@ mod tests {
         // sort-before-merge path must be used.
         let (query, reference) = fixture(31, 1_600, &[100, 1_300]);
         let qlen = query.len();
-        let (fleet, shards, offsets) = fleet_over(&query, &reference, 4, 1);
+        let (fleet, packed) = fleet_over(&query, &reference, 4, 1);
         let none = FaultSchedule::new();
         let mut healthy = FailureDetector::with_defaults(4, &Registry::disabled());
-        let baseline = search(
-            &fleet,
-            &shards,
-            &offsets,
-            &none,
-            &mut healthy,
-            &Registry::disabled(),
-        )
-        .unwrap()
-        .hits;
+        let baseline = search(&fleet, &packed, &none, &mut healthy, &Registry::disabled())
+            .unwrap()
+            .hits;
 
         // Completion order with node 0's shard served last.
+        let ranges = overlap_ranges(packed.len(), 4, qlen - 1).unwrap();
         let mut completion_order: Vec<Hit> = Vec::new();
         for shard in [1usize, 2, 3, 0] {
-            let run = fleet.engine.run(&shards[shard]);
+            let (start, end) = ranges[shard];
+            let run = fleet.engine.run(&packed.slice(start..end));
             completion_order.extend(run.hits.into_iter().map(|h| Hit {
-                position: h.position + offsets[shard],
+                position: h.position + start,
                 score: h.score,
             }));
         }
@@ -1420,15 +1309,7 @@ mod tests {
         // The full path: kill node 0, fail over, merge regions.
         let mut detector = FailureDetector::with_defaults(4, &Registry::disabled());
         detector.record_kill(0);
-        let out = search(
-            &fleet,
-            &shards,
-            &offsets,
-            &none,
-            &mut detector,
-            &Registry::disabled(),
-        )
-        .unwrap();
+        let out = search(&fleet, &packed, &none, &mut detector, &Registry::disabled()).unwrap();
         assert_eq!(out.hits, baseline);
         let regions = merge_overlapping_unsorted(&out.hits, qlen);
         assert_eq!(regions, merge_overlapping(&baseline, qlen));
@@ -1440,7 +1321,7 @@ mod tests {
     #[test]
     fn killing_every_node_is_fatal() {
         let (query, reference) = fixture(8, 200, &[]);
-        let (fleet, shards, offsets) = fleet_over(&query, &reference, 2, 1);
+        let (fleet, packed) = fleet_over(&query, &reference, 2, 1);
         let faults = FaultSchedule::parse("kill@0:1,kill@1:1").unwrap();
         let mut detector = FailureDetector::with_defaults(2, &Registry::disabled());
         for (node, _) in faults.node_kills() {
@@ -1449,8 +1330,7 @@ mod tests {
         assert!(matches!(
             search(
                 &fleet,
-                &shards,
-                &offsets,
+                &packed,
                 &faults,
                 &mut detector,
                 &Registry::disabled()
@@ -1462,12 +1342,11 @@ mod tests {
     #[test]
     fn node_kill_with_engine_faults_still_bit_identical() {
         let (query, reference) = fixture(13, 1_500, &[700]);
-        let (fleet, shards, offsets) = fleet_over(&query, &reference, 3, 1);
+        let (fleet, packed) = fleet_over(&query, &reference, 3, 1);
         let mut healthy = FailureDetector::with_defaults(3, &Registry::disabled());
         let baseline = search(
             &fleet,
-            &shards,
-            &offsets,
+            &packed,
             &FaultSchedule::new(),
             &mut healthy,
             &Registry::disabled(),
@@ -1488,8 +1367,7 @@ mod tests {
         }
         let out = fleet
             .search(
-                &shards,
-                &offsets,
+                &packed,
                 &faults,
                 &mut detector,
                 0,

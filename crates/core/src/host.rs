@@ -11,8 +11,7 @@
 //! Per that definition the database transfer host→FPGA is *outside* the
 //! measured window (the reference is resident in FPGA DRAM); the measured
 //! end-to-end time is query load + kernel + result write-back, which this
-//! module assembles. The one-time database staging cost is still exposed
-//! for completeness.
+//! module assembles.
 
 /// Host/board interconnect and encoding-rate parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,126 +123,6 @@ pub fn record_end_to_end(registry: &fabp_telemetry::Registry, breakdown: &EndToE
         .record_stages(trace, "end_to_end", registry.now_us(), &stages_us);
 }
 
-/// Breakdown of a multi-query batch against one resident database.
-///
-/// Produced by [`batch_timing`]; [`BatchTiming::total`] is the figure
-/// the paper's 10 000-query evaluation (§IV-A) accumulates.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct BatchTiming {
-    /// Host-side encoding time on the critical path. With double
-    /// buffering the host encodes query *i + 1* while the board runs
-    /// kernel *i*, so only the first query's encode — plus any residual
-    /// when encoding outruns a kernel cycle — is exposed. Zero when the
-    /// queries are pre-encoded.
-    pub encode_seconds: f64,
-    /// Query-swap transfers: one per kernel (the distributed-memory
-    /// query is reloaded between kernels), each `pcie_latency +
-    /// query_bytes / pcie_bandwidth`.
-    pub swap_seconds: f64,
-    /// Kernel execution over all queries.
-    pub kernel_seconds: f64,
-    /// Result read-back over all queries.
-    pub readback_seconds: f64,
-}
-
-impl BatchTiming {
-    /// Total batch wall-clock seconds.
-    pub fn total(&self) -> f64 {
-        self.encode_seconds + self.swap_seconds + self.kernel_seconds + self.readback_seconds
-    }
-}
-
-/// Models a batch of `queries` searches against one resident database.
-///
-/// Per kernel the model charges a distinct **query-swap** transfer
-/// (query bytes over PCIe plus one transfer latency), the kernel itself
-/// and the result read-back; host-side encoding is charged only where
-/// it is exposed (see [`BatchTiming::encode_seconds`]). Set
-/// `pre_encoded` when the queries were encoded ahead of the batch (the
-/// serving layer's cached-query path): encoding then costs nothing at
-/// batch time.
-///
-/// The earlier model multiplied the *full* single-query end-to-end time
-/// by the query count, double-charging the pipelined encode stage and
-/// modelling no distinct swap transfer.
-pub fn batch_timing(
-    config: &HostConfig,
-    queries: usize,
-    query_elements: usize,
-    hits_per_query: usize,
-    kernel_seconds: f64,
-    pre_encoded: bool,
-) -> BatchTiming {
-    let n = queries as f64;
-    let query_bytes = (query_elements * 6).div_ceil(8) as f64;
-    let result_bytes = (hits_per_query * 8) as f64;
-    let swap = config.pcie_latency + query_bytes / config.pcie_bandwidth;
-    let readback = config.pcie_latency + result_bytes / config.pcie_bandwidth;
-    let per_kernel = swap + kernel_seconds + readback;
-    let encode = if pre_encoded || queries == 0 {
-        0.0
-    } else {
-        // First encode is fully exposed; later encodes overlap the
-        // previous kernel cycle and only their residual surfaces.
-        let one = query_elements as f64 / config.encode_rate;
-        one + (n - 1.0) * (one - per_kernel).max(0.0)
-    };
-    BatchTiming {
-        encode_seconds: encode,
-        swap_seconds: n * swap,
-        kernel_seconds: n * kernel_seconds,
-        readback_seconds: n * readback,
-    }
-}
-
-/// Total seconds of [`batch_timing`] with host-side encoding included
-/// (queries arrive un-encoded). Use [`batch_seconds_pre_encoded`] when
-/// encoded queries are already resident (e.g. served from a cache).
-pub fn batch_seconds(
-    config: &HostConfig,
-    queries: usize,
-    query_elements: usize,
-    hits_per_query: usize,
-    kernel_seconds: f64,
-) -> f64 {
-    batch_timing(
-        config,
-        queries,
-        query_elements,
-        hits_per_query,
-        kernel_seconds,
-        false,
-    )
-    .total()
-}
-
-/// Total seconds of [`batch_timing`] for pre-encoded queries: encoding
-/// is done once, ahead of the batch, and costs nothing per kernel.
-pub fn batch_seconds_pre_encoded(
-    config: &HostConfig,
-    queries: usize,
-    query_elements: usize,
-    hits_per_query: usize,
-    kernel_seconds: f64,
-) -> f64 {
-    batch_timing(
-        config,
-        queries,
-        query_elements,
-        hits_per_query,
-        kernel_seconds,
-        true,
-    )
-    .total()
-}
-
-/// One-time cost of staging a database of `reference_bytes` packed bytes
-/// into FPGA DRAM (outside the paper's measured window; amortised over
-/// all queries searched against the database).
-pub fn database_staging_seconds(config: &HostConfig, reference_bytes: u64) -> f64 {
-    config.pcie_latency + reference_bytes as f64 / config.pcie_bandwidth
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,101 +170,6 @@ mod tests {
             let stages_us: f64 = run[1..].iter().map(|e| e.dur_us).sum();
             assert!((stages_us - breakdown.total() * 1e6).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn staging_scales_with_database() {
-        let config = HostConfig::default();
-        let small = database_staging_seconds(&config, 1_000_000);
-        let large = database_staging_seconds(&config, 250_000_000);
-        assert!(large > small * 100.0);
-        // 0.25 GB over 12 GB/s ≈ 21 ms.
-        assert!((large - 0.0208).abs() < 0.005, "large = {large}");
-    }
-
-    #[test]
-    fn batch_scales_linearly_and_kernel_dominates() {
-        let config = HostConfig::default();
-        let total = batch_seconds(&config, 10_000, 750, 100, 58.6e-3);
-        // 10k long queries over 1 Gbase ≈ 10 minutes of kernel time.
-        assert!((580.0..=600.0).contains(&total), "total {total}");
-        let single = batch_seconds(&config, 1, 750, 100, 58.6e-3);
-        assert!((total / single - 10_000.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn batch_timing_matches_hand_computed_model() {
-        // Round numbers so every component is exact by hand:
-        // 1 GB/s PCIe, 1 µs latency, 1 M elements/s encoder.
-        let config = HostConfig {
-            pcie_bandwidth: 1.0e9,
-            pcie_latency: 1.0e-6,
-            encode_rate: 1.0e6,
-        };
-        // 1000 elements → ceil(6000/8) = 750 query bytes;
-        // 100 hits → 800 result bytes.
-        let swap = 1.0e-6 + 750.0e-9; // 1.75 µs per kernel
-        let readback = 1.0e-6 + 800.0e-9; // 1.80 µs per kernel
-        let kernel = 1.0e-3;
-        let encode_one = 1.0e-3; // 1000 / 1e6
-
-        let t = batch_timing(&config, 10, 1000, 100, kernel, false);
-        let eps = 1e-12;
-        assert!((t.swap_seconds - 10.0 * swap).abs() < eps, "{t:?}");
-        assert!((t.kernel_seconds - 10.0 * kernel).abs() < eps);
-        assert!((t.readback_seconds - 10.0 * readback).abs() < eps);
-        // encode (1 ms) < swap+kernel+readback per kernel, so only the
-        // first query's encode is exposed.
-        assert!((t.encode_seconds - encode_one).abs() < eps);
-        let expected_total = encode_one + 10.0 * (swap + kernel + readback);
-        assert!((t.total() - expected_total).abs() < eps, "{}", t.total());
-        // The docstring's promise, now true: total = per-kernel
-        // (swap + kernel + readback) × queries, plus exposed encode.
-        assert!((batch_seconds(&config, 10, 1000, 100, kernel) - expected_total).abs() < eps);
-
-        // Pre-encoded queries pay no encode at all.
-        let pre = batch_timing(&config, 10, 1000, 100, kernel, true);
-        assert_eq!(pre.encode_seconds, 0.0);
-        assert!(
-            (batch_seconds_pre_encoded(&config, 10, 1000, 100, kernel)
-                - 10.0 * (swap + kernel + readback))
-                .abs()
-                < eps
-        );
-
-        // Encode-bound batch (zero-length kernel, no hits): pipelining
-        // degenerates to N encodes plus one pipeline flush of transfers.
-        let rb0 = 1.0e-6; // readback with 0 hits: latency only
-        let bound = batch_timing(&config, 10, 1000, 0, 0.0, false);
-        let expected_bound = 10.0 * encode_one + (swap + rb0);
-        assert!(
-            (bound.total() - expected_bound).abs() < eps,
-            "{} vs {expected_bound}",
-            bound.total()
-        );
-
-        // Degenerate batches are well-defined.
-        assert_eq!(
-            batch_timing(&config, 0, 1000, 100, kernel, false).total(),
-            0.0
-        );
-    }
-
-    #[test]
-    fn old_model_overcharged_the_batch() {
-        // The pre-fix body multiplied the full per-query end-to-end time
-        // (encode included) by the query count. For an encode-visible
-        // workload the corrected model is strictly cheaper, by exactly
-        // the (queries - 1) hidden encode stages.
-        let config = HostConfig {
-            pcie_bandwidth: 1.0e9,
-            pcie_latency: 1.0e-6,
-            encode_rate: 1.0e6,
-        };
-        let old = end_to_end(&config, 1000, 100, 1.0e-3).total() * 10.0;
-        let new = batch_seconds(&config, 10, 1000, 100, 1.0e-3);
-        let hidden = 9.0 * (1000.0 / config.encode_rate);
-        assert!((old - new - hidden).abs() < 1e-12, "old {old} new {new}");
     }
 
     #[test]

@@ -61,9 +61,7 @@ pub use bitparallel::{BitParallelEngine, LANES};
 // The fused engine lives in `fabp-fpga`, beside the cycle engine whose
 // fast-forward datapath it drives; every core path reaches it here.
 pub use fabp_fpga::bitparallel;
-pub use fleet::{
-    pack_shards, place_replicas, FleetSearchOutcome, FleetTiming, FpgaFleet, ShardDispatch,
-};
+pub use fleet::{place_replicas, FleetSearchOutcome, FleetTiming, FpgaFleet, ShardDispatch};
 pub use hits::{
     best_hit, dedup_sorted_hits, merge_overlapping, merge_overlapping_unsorted, merge_shard_hits,
     top_k, Hit, HitRegion,

@@ -12,8 +12,8 @@
 //! base range that scores it: slice `i` owns positions
 //! `[pos_start, pos_start + positions)` and reads bases
 //! `[pos_start, pos_start + positions + window − 1)` — the same
-//! trailing-overlap arithmetic as [`crate::fleet::pack_shards`] (which
-//! takes its range math from [`overlap_ranges`] here). Because the overlap is
+//! trailing-overlap arithmetic as [`crate::fleet::FpgaFleet`]'s shards
+//! (which take their range math from [`overlap_ranges`] here). Because the overlap is
 //! *exactly* `window − 1`, the per-slice position sets partition the
 //! global position set: scanning each base range independently and
 //! translating hits by `pos_start` reproduces the full scan with no
@@ -206,8 +206,7 @@ fn position_ranges(total: usize, count: usize) -> Vec<(usize, usize)> {
 /// Splits `total` bases into `parts` contiguous `(start, end)` base
 /// ranges where each part additionally reads `overlap` trailing bases
 /// (clamped to the reference end) — the shared range math behind
-/// [`crate::fleet::pack_shards`], [`crate::fleet::FpgaFleet`]'s shard
-/// sizes and [`SlicePlan`].
+/// [`crate::fleet::FpgaFleet`]'s shards and [`SlicePlan`].
 ///
 /// Part sizes (before overlap) differ by at most one base. With more
 /// parts than bases the surplus parts are zero-sized; they sort to the
@@ -358,7 +357,7 @@ mod tests {
 
     #[test]
     fn overlap_ranges_match_the_fleet_shard_shape() {
-        // The fleet's documented shard semantics (`fleet::pack_shards`).
+        // The fleet's documented shard semantics (`FpgaFleet::homogeneous`).
         let ranges = overlap_ranges(100, 4, 5).unwrap();
         assert_eq!(ranges, vec![(0, 30), (25, 55), (50, 80), (75, 100)]);
         // Degenerate: more parts than bases → zero-sized parts that

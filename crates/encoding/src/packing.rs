@@ -11,6 +11,7 @@
 
 use fabp_bio::alphabet::Nucleotide;
 use fabp_bio::seq::PackedSeq;
+use std::ops::Range;
 
 /// Reference elements carried per AXI beat (512 bits / 2 bits per base).
 pub const ELEMENTS_PER_BEAT: usize = 256;
@@ -87,21 +88,35 @@ impl AxiBeat {
 /// # Ok::<(), fabp_bio::alphabet::ParseSymbolError>(())
 /// ```
 pub fn axi_beats(reference: &PackedSeq) -> Vec<AxiBeat> {
-    let words = reference.words();
-    let mut beats = Vec::with_capacity(reference.len().div_ceil(ELEMENTS_PER_BEAT));
-    let mut remaining = reference.len();
-    let mut w = 0usize;
-    while remaining > 0 {
-        let mut beat = [0u64; 8];
-        for slot in beat.iter_mut() {
-            if w < words.len() {
-                *slot = words[w];
-                w += 1;
+    axi_beats_in(reference, 0..reference.len())
+}
+
+/// Splits the bases of `reference` in `range` into AXI beats, read in
+/// place from its words ([`PackedSeq::word_at`]): a shard streamed from
+/// a resident database without copying it first. The last beat's bits
+/// past `range.end` are zero.
+///
+/// # Panics
+///
+/// Panics if `range` is decreasing or ends past `reference.len()`.
+pub fn axi_beats_in(reference: &PackedSeq, range: Range<usize>) -> Vec<AxiBeat> {
+    assert!(range.start <= range.end && range.end <= reference.len());
+    let (end, tail) = (range.end, range.len() % 32);
+    let mut beats: Vec<AxiBeat> = range
+        .step_by(ELEMENTS_PER_BEAT)
+        .map(|start| {
+            let valid = (end - start).min(ELEMENTS_PER_BEAT);
+            let mut words = [0u64; 8];
+            for (w, slot) in words.iter_mut().take(valid.div_ceil(32)).enumerate() {
+                *slot = reference.word_at(start + 32 * w);
             }
-        }
-        let valid = remaining.min(ELEMENTS_PER_BEAT);
-        beats.push(AxiBeat { words: beat, valid });
-        remaining -= valid;
+            AxiBeat { words, valid }
+        })
+        .collect();
+    // A partial last word also read the bases after the range: zero
+    // them, as in a copy of the range.
+    if let Some(last) = beats.last_mut().filter(|_| tail > 0) {
+        last.words[(last.valid - 1) / 32] &= (1 << (2 * tail)) - 1;
     }
     beats
 }
@@ -199,6 +214,23 @@ mod tests {
             let unpacked: RnaSeq = beats.iter().flat_map(|b| b.iter()).collect();
             assert_eq!(unpacked, rna, "len {len}");
             assert_eq!(beats.len(), len.div_ceil(ELEMENTS_PER_BEAT));
+        }
+    }
+
+    #[test]
+    fn beats_of_a_range_equal_beats_of_its_copy() {
+        // Unaligned starts, partial words and partial beats: beats read
+        // in place carry the copied range's words, zero past its end.
+        let mut rng = StdRng::seed_from_u64(5);
+        let packed = PackedSeq::from_rna(&random_rna(1_100, &mut rng));
+        for _ in 0..200 {
+            let start = rng.gen_range(0..=packed.len());
+            let end = rng.gen_range(start..=packed.len());
+            assert_eq!(
+                axi_beats_in(&packed, start..end),
+                axi_beats(&packed.slice(start..end)),
+                "{start}..{end}"
+            );
         }
     }
 

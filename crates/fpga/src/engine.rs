@@ -207,7 +207,9 @@ impl FabpEngine {
         self.run_beats(&axi_beats(reference), registry)
     }
 
-    /// [`FabpEngine::run_with_registry`] with request-scoped tracing: on
+    /// Runs the kernel over `reference[range]`, its beats read in place
+    /// ([`fabp_encoding::packing::axi_beats_in`]; hit positions are
+    /// relative to `range.start`), with request-scoped tracing: on
     /// completion one `fpga_kernel` work span is recorded into `flight`
     /// under `trace`, with the modelled kernel time as its duration (so
     /// span durations stay deterministic under an injectable clock) and
@@ -216,16 +218,19 @@ impl FabpEngine {
     pub fn run_traced(
         &self,
         reference: &PackedSeq,
+        range: std::ops::Range<usize>,
         registry: &fabp_telemetry::Registry,
         flight: &fabp_telemetry::FlightRecorder,
         trace: fabp_telemetry::TraceContext,
         start_us: f64,
     ) -> EngineRun {
-        let run = self.run_with_registry(reference, registry);
-        let dur_us = self.model_kernel_seconds(reference.len().div_ceil(4) as u64) * 1e6;
+        let bases = range.len();
+        let beats = fabp_encoding::packing::axi_beats_in(reference, range);
+        let run = self.run_beats(&beats, registry);
+        let dur_us = self.model_kernel_seconds(bases.div_ceil(4) as u64) * 1e6;
         flight.record(
             fabp_telemetry::TraceEvent::new(trace, "fpga_kernel", start_us, dur_us)
-                .with_arg(reference.len() as u64),
+                .with_arg(bases as u64),
         );
         run
     }

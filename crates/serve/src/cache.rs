@@ -1,15 +1,12 @@
 //! Content-hash-keyed LRU caching with telemetry.
 //!
-//! The serving layer caches two expensive artefacts:
-//!
-//! * **encoded queries / built aligners** — back-translation, 6-bit
-//!   encoding and comparator-table construction are pure functions of
-//!   the protein text, and production query streams are heavy-tailed
-//!   (popular proteins recur), so a small LRU keyed by content hash
-//!   removes the per-request build cost entirely;
-//! * **packed reference shards** — 2-bit packing of a database shard is
-//!   a pure function of the shard bases; resident shards are packed once
-//!   and reused by every query dispatched to the fleet backend.
+//! The serving layer caches one expensive artefact: the **built aligner
+//! or fleet** of an encoded query. Back-translation, 6-bit encoding and
+//! comparator-table construction are pure functions of the protein
+//! text, and production query streams are heavy-tailed (popular proteins
+//! recur), so a small LRU keyed by content hash removes the per-request
+//! build cost entirely. The reference is never cached: every backend
+//! reads the one resident copy.
 //!
 //! Keys are 64-bit FNV-1a content hashes ([`content_hash`]); values are
 //! whatever the caller stores (typically `Arc<…>` so a cache hit is a

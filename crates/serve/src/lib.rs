@@ -17,12 +17,15 @@
 //!   queue depth and a configurable latency SLO via an EWMA of observed
 //!   per-query cost.
 //! * [`cache::LruCache`] — content-hash-keyed LRU caches for built
-//!   aligners and fleets (encoded queries) and packed reference shards,
-//!   with hit/miss/eviction telemetry.
+//!   aligners and fleets (encoded queries), with hit/miss/eviction
+//!   telemetry.
 //! * [`server::FabpServer`] — the serving loop: admission → shed
 //!   expired deadlines → micro-batch → dispatch → per-request
 //!   responses, wired into `fabp-resilience` recovery (fleet backend)
-//!   and `fabp-telemetry` metrics/spans throughout.
+//!   and `fabp-telemetry` metrics/spans throughout. Each backend — the
+//!   scan, the seeded prefilter over an index, or the fleet — keeps its
+//!   own state, chosen once at build, and every one reads the one
+//!   resident 2-bit reference: the server holds no second copy of it.
 //! * **Sharded fleet backend** ([`server::ServeBackend::Fleet`]) —
 //!   replicated shards with anti-affinity placement, primary reads
 //!   routed through a persistent phi-accrual

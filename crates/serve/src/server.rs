@@ -14,13 +14,17 @@
 //!           AdaptiveBatcher picks the batch size (EWMA vs. SLO)
 //!                 │
 //!                 ▼
-//!           backend dispatch ──► Software: cached aligners +
+//!           backend dispatch ──► Scan: cached aligners +
 //!                 │               work-stealing batch::search_prebuilt
-//!                 │              Fleet: cached per-query FpgaFleet +
-//!                 │               cached packed shards, routed through
-//!                 ▼               the failure detector (FpgaFleet::search)
+//!                 │              Seeded: one search_index per batch
+//!                 │              Fleet: cached per-query FpgaFleet
+//!                 │               reading the resident reference, routed
+//!                 ▼               through the failure detector
 //!           per-request Response { result, latency, … }
 //! ```
+//!
+//! Each backend keeps its own state, chosen once at build; every one
+//! reads the one resident reference and holds no copy of it.
 //!
 //! **Transparency invariant.** Whatever batch sizes, tenant
 //! interleavings or cache states occur, the hits in a successful
@@ -43,7 +47,7 @@ use fabp_bio::fasta::PackedRecords;
 use fabp_bio::seq::{PackedSeq, ProteinSeq, RnaSeq};
 use fabp_core::aligner::{Engine, FabpAligner, Threshold};
 use fabp_core::batch::search_prebuilt;
-use fabp_core::fleet::{pack_shards, place_replicas, FpgaFleet};
+use fabp_core::fleet::{place_replicas, FpgaFleet};
 use fabp_core::hits::{retain_within_records, Hit};
 use fabp_core::index::{search_index, PrefilterMode, ReferenceIndex, SeedParams};
 use fabp_core::slice_plan::SliceOptions;
@@ -65,8 +69,9 @@ use std::time::Instant;
 /// from the per-request ones.
 const DISPATCH_TRACE_SALT: u64 = 0xBA7C_4000_0000_0001;
 
-/// A fleet's packed shards and their global offsets.
-type PackedShards = (Vec<PackedSeq>, Vec<usize>);
+/// A dispatched request, whether its per-query artefact was cached,
+/// whether it needed fault recovery, and its hits or error.
+type Served = (Request, bool, bool, FabpResult<Vec<Hit>>);
 
 /// Dump-on-anomaly budget: at most this many span-tree dumps are
 /// retained per server instance, so a pathological workload cannot turn
@@ -87,11 +92,12 @@ pub enum ServeBackend {
     /// with anti-affinity, primary reads routed through a persistent
     /// phi-accrual [`FailureDetector`], tail reads hedged to replicas.
     /// One fleet is built per distinct query (the query lives in
-    /// flip-flops, so fleets are cached per query content hash); packed
-    /// shards stay resident in the reference cache. Health state carries
-    /// across requests, so routing is steady-state — drained nodes stop
-    /// receiving primaries before a request has to fail over, and a shard
-    /// with no routable replica fails over to a survivor.
+    /// flip-flops, so fleets are cached per query content hash); every
+    /// read streams its shard's range of the resident reference. Health
+    /// state carries across requests, so routing is steady-state —
+    /// drained nodes stop receiving primaries before a request has to
+    /// fail over, and a shard with no routable replica fails over to a
+    /// survivor.
     Fleet {
         /// Nodes in the fleet (== shards).
         nodes: usize,
@@ -129,7 +135,9 @@ pub struct ServeConfig {
     /// Entries in the built-aligner / built-fleet caches (per-query
     /// artefacts keyed by protein content hash).
     pub query_cache: usize,
-    /// Entries in the packed-reference cache.
+    /// Unused: the fleet reads the resident reference and caches no
+    /// shards. Kept so that existing struct literals build; it goes in
+    /// a later release.
     pub reference_cache: usize,
     /// Deadline attached to [`FabpServer::submit`] requests, as a
     /// relative budget in microseconds (`None`: requests never expire).
@@ -139,11 +147,12 @@ pub struct ServeConfig {
     /// queries are rejected at submit instead of silently losing
     /// cross-shard hits.
     pub max_query_aa: usize,
-    /// Prefilter routing for index-backed servers
-    /// ([`FabpServer::with_index`]): [`PrefilterMode::Seeded`] routes
-    /// the software backend through the k-mer seed-and-verify path;
-    /// [`PrefilterMode::Off`] (the default) keeps the exhaustive scan.
-    /// Ignored without an index.
+    /// Prefilter routing: [`PrefilterMode::Off`] (the default) keeps
+    /// the exhaustive scan; [`PrefilterMode::Seeded`] routes the
+    /// software backend of an index-backed server
+    /// ([`FabpServer::with_index`]) through the k-mer seed-and-verify
+    /// path. `Seeded` without an index, or on the fleet backend, fails
+    /// the build with [`FabpError::InvalidSpec`].
     pub prefilter: PrefilterMode,
 }
 
@@ -222,10 +231,9 @@ pub struct ServerStats {
     pub batches: u64,
     /// Largest batch dispatched.
     pub peak_batch: usize,
-    /// Built-aligner / built-fleet cache counters.
+    /// Built-aligner / built-fleet cache counters (zero on the seeded
+    /// backend, which builds no per-query artefact).
     pub query_cache: CacheStats,
-    /// Packed-reference cache counters.
-    pub reference_cache: CacheStats,
     /// Hedged duplicate reads issued by the fleet backend.
     pub hedges: u64,
     /// Hedges that beat their primary.
@@ -254,6 +262,133 @@ impl Clock {
     }
 }
 
+/// What one serving backend keeps between dispatches, chosen once when
+/// the server is built.
+#[derive(Debug)]
+enum Backend {
+    /// The exhaustive software scan.
+    Scan {
+        /// Worker threads for [`search_prebuilt`].
+        threads: usize,
+        /// Built aligners, keyed by protein hash.
+        aligners: LruCache<Arc<FabpAligner>>,
+    },
+    /// Seed-and-verify over the index the server was built from.
+    Seeded {
+        /// Worker threads for [`search_index`].
+        threads: usize,
+        /// The persistent index; its words are the resident reference.
+        index: Arc<ReferenceIndex>,
+    },
+    /// The modelled fleet.
+    Fleet(FleetState),
+}
+
+/// The fleet backend's state.
+#[derive(Debug)]
+struct FleetState {
+    nodes: usize,
+    replication: usize,
+    /// Persistent across requests, which makes routing steady-state:
+    /// EWMA latency, suspicion and probation streaks carry over.
+    detector: FailureDetector,
+    /// The fault schedule, parsed once; its node kills are already in
+    /// `detector`.
+    faults: FaultSchedule,
+    /// Built fleets, keyed by protein hash.
+    fleets: LruCache<Arc<FpgaFleet>>,
+}
+
+impl Backend {
+    /// The state `config` selects; `index` is the server's index, if it
+    /// has one.
+    fn new(
+        config: &ServeConfig,
+        index: Option<&Arc<ReferenceIndex>>,
+        registry: &Registry,
+    ) -> FabpResult<Backend> {
+        match (&config.backend, config.prefilter, index) {
+            (&ServeBackend::Software { threads }, PrefilterMode::Off, _) => {
+                let aligners = LruCache::new("query", config.query_cache, registry);
+                Ok(Backend::Scan { threads, aligners })
+            }
+            (&ServeBackend::Software { threads }, PrefilterMode::Seeded, Some(index)) => {
+                let window = 3 * config.max_query_aa;
+                if index.shards().len() > 1 && window > index.overlap() + 1 {
+                    return Err(FabpError::InvalidShardPlan(format!(
+                        "index overlap {} cannot cover max_query_aa {} windows ({window} bases); \
+                         rebuild the index with --overlap >= {} or lower max_query_aa",
+                        index.overlap(),
+                        config.max_query_aa,
+                        window - 1,
+                    )));
+                }
+                let index = Arc::clone(index);
+                Ok(Backend::Seeded { threads, index })
+            }
+            (ServeBackend::Software { .. }, PrefilterMode::Seeded, None) => Err(
+                FabpError::InvalidSpec("the seeded prefilter needs an index (with_index)".into()),
+            ),
+            (ServeBackend::Fleet { .. }, PrefilterMode::Seeded, _) => Err(FabpError::InvalidSpec(
+                "the seeded prefilter runs on the software backend only".into(),
+            )),
+            (
+                ServeBackend::Fleet {
+                    nodes,
+                    replication,
+                    fault_spec,
+                },
+                PrefilterMode::Off,
+                _,
+            ) => {
+                let spec = fault_spec.as_deref();
+                FleetState::new(*nodes, *replication, spec, config, registry).map(Backend::Fleet)
+            }
+        }
+    }
+}
+
+impl FleetState {
+    /// A fleet of `nodes` holding each shard `replication` times, with
+    /// `fault_spec`'s node kills recorded in its detector.
+    fn new(
+        nodes: usize,
+        replication: usize,
+        fault_spec: Option<&str>,
+        config: &ServeConfig,
+        registry: &Registry,
+    ) -> FabpResult<FleetState> {
+        // Fail a zero-node fleet, an unsatisfiable replication factor or
+        // a malformed fault spec at build, not on every dispatch.
+        place_replicas(nodes, nodes, replication)?;
+        let faults = match fault_spec {
+            Some(spec) => FaultSchedule::parse(spec)?,
+            None => FaultSchedule::new(),
+        };
+        let mut detector = FailureDetector::with_defaults(nodes, registry);
+        for (node, beat) in faults.node_kills() {
+            if node >= nodes {
+                let msg = format!("`kill@{node}:{beat}`: the fleet has {nodes} nodes");
+                return Err(FabpError::InvalidSpec(msg));
+            }
+            detector.record_kill(node);
+        }
+        registry
+            .gauge("fabp_fleet_nodes", "Nodes in the modelled fleet")
+            .set(nodes as i64);
+        registry
+            .gauge("fabp_fleet_replication", "Replicas per shard")
+            .set(replication as i64);
+        Ok(FleetState {
+            nodes,
+            replication,
+            detector,
+            faults,
+            fleets: LruCache::new("fleet", config.query_cache, registry),
+        })
+    }
+}
+
 /// A long-running query-serving instance over one resident reference.
 #[derive(Debug)]
 pub struct FabpServer {
@@ -269,18 +404,7 @@ pub struct FabpServer {
     next_id: u64,
     queue: AdmissionQueue,
     batcher: AdaptiveBatcher,
-    /// Built aligners (software backend), keyed by protein hash.
-    aligner_cache: LruCache<Arc<FabpAligner>>,
-    /// Built fleets (fleet backend), keyed by protein hash.
-    fleet_cache: LruCache<Arc<FpgaFleet>>,
-    /// Persistent failure detector for the fleet backend (`None`
-    /// otherwise). Living on the server rather than per dispatch is what
-    /// makes routing steady-state: EWMA latency, suspicion and probation
-    /// streaks carry across requests.
-    detector: Option<FailureDetector>,
-    /// The fleet backend's fault schedule, parsed once at build (empty
-    /// otherwise); its node kills are already in `detector`.
-    faults: FaultSchedule,
+    backend: Backend,
     /// Per-tenant brownout priority (higher survives longer); unlisted
     /// tenants default to 0.
     tenant_priority: HashMap<String, i32>,
@@ -289,14 +413,6 @@ pub struct FabpServer {
     draining: bool,
     /// Exported drain state (1 while draining).
     drain_gauge: Gauge,
-    /// The fleet's packed shards and their offsets, keyed by reference
-    /// hash; cut from `reference` on first dispatch.
-    packed_cache: LruCache<Arc<PackedShards>>,
-    /// The persistent packed index this server was built from (None for
-    /// plain in-memory references). Enables the seeded-prefilter
-    /// dispatch path and supplies the reference cache key.
-    index: Option<Arc<ReferenceIndex>>,
-    reference_key: u64,
     stats: ServerStats,
     latency_hist: Histogram,
     batch_hist: Histogram,
@@ -319,8 +435,9 @@ impl FabpServer {
     ///
     /// [`FabpError::InvalidShardPlan`] for a zero-node fleet or an
     /// unsatisfiable replication factor, and
-    /// [`FabpError::InvalidSpec`] for a malformed fault spec or one that
-    /// kills a node the fleet does not have.
+    /// [`FabpError::InvalidSpec`] for a malformed fault spec, one that
+    /// kills a node the fleet does not have, or the seeded prefilter
+    /// (which needs [`FabpServer::with_index`]).
     pub fn new(
         reference: RnaSeq,
         config: ServeConfig,
@@ -344,15 +461,8 @@ impl FabpServer {
     ) -> FabpResult<FabpServer> {
         let key = content_hash(reference.bases.iter().map(Nucleotide::code2));
         let clock = Clock::Wall(Instant::now());
-        let records = reference.ranges.into();
-        FabpServer::build(
-            Arc::new(reference.bases),
-            records,
-            key,
-            config,
-            registry,
-            clock,
-        )
+        let (packed, records) = (Arc::new(reference.bases), reference.ranges.into());
+        FabpServer::build(packed, records, None, key, config, registry, clock)
     }
 
     /// [`FabpServer::new`] with a manually advanced clock starting at 0 —
@@ -369,12 +479,12 @@ impl FabpServer {
         let key = content_hash(reference.iter().map(|&b| b as u8));
         let records = PackedRecords::one("", PackedSeq::from_rna(&reference));
         let (packed, ranges) = (Arc::new(records.bases), records.ranges.into());
-        FabpServer::build(packed, ranges, key, config, registry, Clock::Manual(0))
+        let clock = Clock::Manual(0);
+        FabpServer::build(packed, ranges, None, key, config, registry, clock)
     }
 
     /// Builds a wall-clock server over a loaded persistent index, sharing
-    /// its packed words and serving its records. The reference cache key
-    /// becomes
+    /// its packed words and serving its records. Trace ids derive from
     /// [`ReferenceIndex::fingerprint`] — no O(n) re-hash of the bases — and
     /// [`ServeConfig::prefilter`] selects between the exhaustive scan
     /// and the seeded seed-and-verify dispatch on the software backend.
@@ -384,98 +494,33 @@ impl FabpServer {
     /// [`FabpError::InvalidShardPlan`] when the index's shard overlap is
     /// too small for `max_query_aa` under [`PrefilterMode::Seeded`] (a
     /// boundary-straddling window could be lost), and as
-    /// [`FabpServer::new`].
+    /// [`FabpServer::new`]; here the seeded prefilter fails the build
+    /// only on the fleet backend.
     pub fn with_index(
         index: Arc<ReferenceIndex>,
         config: ServeConfig,
         registry: &Registry,
     ) -> FabpResult<FabpServer> {
-        FabpServer::build_with_index(index, config, registry, Clock::Wall(Instant::now()))
+        let (key, clock) = (index.fingerprint(), Clock::Wall(Instant::now()));
+        let (words, records) = (Arc::clone(index.reference()), index.records().into());
+        FabpServer::build(words, records, Some(&index), key, config, registry, clock)
     }
 
-    /// [`FabpServer::with_index`] on a manual clock (tests).
-    ///
-    /// # Errors
-    ///
-    /// As [`FabpServer::with_index`].
-    pub fn with_index_manual_clock(
-        index: Arc<ReferenceIndex>,
-        config: ServeConfig,
-        registry: &Registry,
-    ) -> FabpResult<FabpServer> {
-        FabpServer::build_with_index(index, config, registry, Clock::Manual(0))
-    }
-
-    fn build_with_index(
-        index: Arc<ReferenceIndex>,
-        config: ServeConfig,
-        registry: &Registry,
-        clock: Clock,
-    ) -> FabpResult<FabpServer> {
-        if config.prefilter == PrefilterMode::Seeded
-            && index.shards().len() > 1
-            && 3 * config.max_query_aa > index.overlap() + 1
-        {
-            return Err(FabpError::InvalidShardPlan(format!(
-                "index overlap {} cannot cover max_query_aa {} windows ({} bases); \
-                 rebuild the index with --overlap >= {} or lower max_query_aa",
-                index.overlap(),
-                config.max_query_aa,
-                3 * config.max_query_aa,
-                3 * config.max_query_aa - 1,
-            )));
-        }
-        let key = index.fingerprint();
-        let reference = Arc::clone(index.reference());
-        let records = index.records().into();
-        let mut server = FabpServer::build(reference, records, key, config, registry, clock)?;
-        server.index = Some(index);
-        Ok(server)
-    }
-
-    /// Builds a server over `reference` and its `records`, whose cache
-    /// key `reference_key` the caller derives from wherever it already
-    /// has one: a content hash of the bases, or an index fingerprint.
+    /// Builds a server over `reference` and its `records`, with the
+    /// backend state `config` selects over `index`. Trace ids derive
+    /// from `reference_key`, which the caller takes from wherever it
+    /// already has one: a content hash of the bases, or an index
+    /// fingerprint.
     fn build(
         reference: Arc<PackedSeq>,
         records: Arc<[Range<usize>]>,
+        index: Option<&Arc<ReferenceIndex>>,
         reference_key: u64,
         config: ServeConfig,
         registry: &Registry,
         clock: Clock,
     ) -> FabpResult<FabpServer> {
-        let (detector, faults) = match &config.backend {
-            ServeBackend::Fleet {
-                nodes,
-                replication,
-                fault_spec,
-            } => {
-                // Fail a zero-node fleet, an unsatisfiable replication
-                // factor or a malformed fault spec at build, not on every
-                // dispatch.
-                place_replicas(*nodes, *nodes, *replication)?;
-                let faults = match fault_spec {
-                    Some(spec) => FaultSchedule::parse(spec)?,
-                    None => FaultSchedule::new(),
-                };
-                let mut detector = FailureDetector::with_defaults(*nodes, registry);
-                for (node, beat) in faults.node_kills() {
-                    if node >= *nodes {
-                        let msg = format!("`kill@{node}:{beat}`: the fleet has {nodes} nodes");
-                        return Err(FabpError::InvalidSpec(msg));
-                    }
-                    detector.record_kill(node);
-                }
-                registry
-                    .gauge("fabp_fleet_nodes", "Nodes in the modelled fleet")
-                    .set(*nodes as i64);
-                registry
-                    .gauge("fabp_fleet_replication", "Replicas per shard")
-                    .set(*replication as i64);
-                (Some(detector), faults)
-            }
-            ServeBackend::Software { .. } => (None, FaultSchedule::new()),
-        };
+        let backend = Backend::new(&config, index, registry)?;
         // The latency objective the batcher already steers for doubles
         // as the SLO the burn-rate monitor holds the server to.
         let slo = SloMonitor::new(
@@ -495,17 +540,13 @@ impl FabpServer {
             ),
             queue: AdmissionQueue::new(config.queue_capacity, registry),
             batcher: AdaptiveBatcher::new(config.policy, registry),
-            aligner_cache: LruCache::new("query", config.query_cache, registry),
-            fleet_cache: LruCache::new("fleet", config.query_cache, registry),
-            detector,
-            faults,
+            backend,
             tenant_priority: HashMap::new(),
             draining: false,
             drain_gauge: registry.gauge(
                 "fabp_serve_draining",
                 "1 while the server is draining (rejecting new submits)",
             ),
-            packed_cache: LruCache::new("reference", config.reference_cache, registry),
             latency_hist: registry.histogram(
                 "fabp_serve_latency_us",
                 "Per-request submit-to-response latency, microseconds",
@@ -528,8 +569,6 @@ impl FabpServer {
             registry: registry.clone(),
             clock,
             next_id: 0,
-            reference_key,
-            index: None,
             stats: ServerStats::default(),
         })
     }
@@ -544,17 +583,9 @@ impl FabpServer {
         self.queue.depth()
     }
 
-    /// Aggregate counters (cache stats are read live from the caches).
+    /// Aggregate counters, the query cache's as of the last dispatch.
     pub fn stats(&self) -> ServerStats {
-        let query_cache = match self.config.backend {
-            ServeBackend::Software { .. } => self.aligner_cache.stats(),
-            ServeBackend::Fleet { .. } => self.fleet_cache.stats(),
-        };
-        ServerStats {
-            query_cache,
-            reference_cache: self.packed_cache.stats(),
-            ..self.stats
-        }
+        self.stats
     }
 
     /// Server-clock time, microseconds since construction.
@@ -600,8 +631,8 @@ impl FabpServer {
     /// it and [`FabpServer::pump`] sheds by brownout if demand exceeds
     /// surviving capacity.
     pub fn kill_node(&mut self, node: usize) {
-        if let Some(detector) = &mut self.detector {
-            detector.record_kill(node);
+        if let Backend::Fleet(fleet) = &mut self.backend {
+            fleet.detector.record_kill(node);
         }
     }
 
@@ -609,21 +640,24 @@ impl FabpServer {
     /// back primary routing through probe successes (hedges land on it
     /// first).
     pub fn revive_node(&mut self, node: usize) {
-        if let Some(detector) = &mut self.detector {
-            detector.revive(node);
+        if let Backend::Fleet(fleet) = &mut self.backend {
+            fleet.detector.revive(node);
         }
     }
 
     /// Nodes currently accepting primary reads (`None` on non-fleet
     /// backends).
     pub fn routable_nodes(&self) -> Option<usize> {
-        self.detector.as_ref().map(|d| d.routable_count())
+        self.failure_detector().map(FailureDetector::routable_count)
     }
 
     /// Read access to the fleet's failure detector, when the backend
     /// has one.
     pub fn failure_detector(&self) -> Option<&FailureDetector> {
-        self.detector.as_ref()
+        match &self.backend {
+            Backend::Fleet(fleet) => Some(&fleet.detector),
+            Backend::Scan { .. } | Backend::Seeded { .. } => None,
+        }
     }
 
     /// Submits a query under the configured default deadline budget.
@@ -664,9 +698,7 @@ impl FabpServer {
             self.stats.rejected += 1;
             return Err(FabpError::EmptyQuery);
         }
-        if matches!(self.config.backend, ServeBackend::Fleet { .. })
-            && protein.len() > self.config.max_query_aa
-        {
+        if matches!(self.backend, Backend::Fleet(_)) && protein.len() > self.config.max_query_aa {
             self.stats.rejected += 1;
             return Err(FabpError::InvalidShardPlan(format!(
                 "query of {} aa exceeds max_query_aa {} the shard overlap was sized for",
@@ -711,44 +743,7 @@ impl FabpServer {
         responses.reserve(batch.len() + shed.len());
         for (request, error) in shed {
             self.stats.shed += 1;
-            self.failed_ctr.inc();
-            let latency_us = now.saturating_sub(request.submitted_us);
-            self.latency_hist
-                .observe_traced(latency_us, request.trace.trace_id);
-            self.flight.record(
-                TraceEvent::new(
-                    request.trace.child(0),
-                    "queue_wait",
-                    request.submitted_us as f64,
-                    latency_us as f64,
-                )
-                .with_flags(FLAG_SHED),
-            );
-            self.flight.record(
-                TraceEvent::new(
-                    request.trace,
-                    "request",
-                    request.submitted_us as f64,
-                    latency_us as f64,
-                )
-                .with_arg(request.id)
-                .with_flags(FLAG_SHED | FLAG_ERROR),
-            );
-            self.slo.observe(&request.tenant, now, latency_us, false);
-            self.capture_anomaly(
-                &request.tenant,
-                request.id,
-                request.trace.trace_id,
-                "deadline_exceeded",
-            );
-            responses.push(Response {
-                id: request.id,
-                tenant: request.tenant,
-                result: Err(error),
-                latency_us,
-                batch_size: 0,
-                cached_query: false,
-            });
+            responses.push(self.answer_unserved(request, now, error, "deadline_exceeded"));
         }
         if batch.is_empty() {
             return responses;
@@ -771,11 +766,21 @@ impl FabpServer {
 
         let exec_start = Instant::now();
         let batch_size = batch.len();
-        let executed = match self.config.backend.clone() {
-            ServeBackend::Software { threads } => self.dispatch_software(batch, threads),
-            ServeBackend::Fleet {
-                nodes, replication, ..
-            } => self.dispatch_fleet(batch, nodes, replication, now),
+        let dispatch = Dispatch {
+            reference: &self.reference,
+            records: &self.records,
+            config: &self.config,
+            registry: &self.registry,
+            flight: &self.flight,
+            now_us: now,
+            start_us: self.clock.now_us() as f64,
+        };
+        let executed = match &mut self.backend {
+            Backend::Scan { threads, aligners } => {
+                dispatch.scan(batch, *threads, aligners, &mut self.stats)
+            }
+            Backend::Seeded { threads, index } => dispatch.seeded(batch, *threads, index),
+            Backend::Fleet(fleet) => dispatch.fleet(batch, fleet, &mut self.stats),
         };
         let exec_us = exec_start.elapsed().as_secs_f64() * 1e6;
         self.batcher.observe(batch_size, exec_us);
@@ -794,43 +799,25 @@ impl FabpServer {
         let done = self.clock.now_us();
         let slo_us = self.config.policy.slo_us;
         for (request, cached_query, recovered, result) in executed {
-            match &result {
-                Ok(_) => {
-                    self.stats.served_ok += 1;
-                    self.served_ctr.inc();
-                }
-                Err(_) => {
-                    self.stats.served_err += 1;
-                    self.failed_ctr.inc();
-                }
+            let (ok, trace) = (result.is_ok(), request.trace);
+            if ok {
+                self.stats.served_ok += 1;
+                self.served_ctr.inc();
+            } else {
+                self.stats.served_err += 1;
+                self.failed_ctr.inc();
             }
             let latency_us = done.saturating_sub(request.submitted_us);
-            self.latency_hist
-                .observe_traced(latency_us, request.trace.trace_id);
-            self.flight.record(
-                TraceEvent::new(request.trace.child(1), "batch", now as f64, exec_us)
-                    .with_arg(batch_id),
-            );
-            let mut flags = 0;
-            if result.is_err() {
-                flags |= FLAG_ERROR;
-            }
-            if recovered {
-                flags |= FLAG_RECOVERED;
-            }
-            self.flight.record(
-                TraceEvent::new(
-                    request.trace,
-                    "request",
-                    request.submitted_us as f64,
-                    latency_us as f64,
-                )
-                .with_arg(request.id)
-                .with_flags(flags),
-            );
-            self.slo
-                .observe(&request.tenant, done, latency_us, result.is_ok());
-            let anomaly = if result.is_err() {
+            self.latency_hist.observe_traced(latency_us, trace.trace_id);
+            let batch_span = TraceEvent::new(trace.child(1), "batch", now as f64, exec_us);
+            self.flight.record(batch_span.with_arg(batch_id));
+            let error = if ok { 0 } else { FLAG_ERROR };
+            let flags = error | if recovered { FLAG_RECOVERED } else { 0 };
+            let (start_us, dur_us) = (request.submitted_us as f64, latency_us as f64);
+            let root = TraceEvent::new(trace, "request", start_us, dur_us).with_arg(request.id);
+            self.flight.record(root.with_flags(flags));
+            self.slo.observe(&request.tenant, done, latency_us, ok);
+            let anomaly = if !ok {
                 Some("dispatch_error")
             } else if recovered {
                 Some("fault_recovery")
@@ -840,7 +827,7 @@ impl FabpServer {
                 None
             };
             if let Some(reason) = anomaly {
-                self.capture_anomaly(&request.tenant, request.id, request.trace.trace_id, reason);
+                self.capture_anomaly(&request.tenant, request.id, trace.trace_id, reason);
             }
             responses.push(Response {
                 id: request.id,
@@ -863,66 +850,65 @@ impl FabpServer {
     /// [`FabpError::Brownout`]. No-op on non-fleet backends and on a
     /// healthy fleet.
     fn shed_for_brownout(&mut self, now: u64, responses: &mut Vec<Response>) {
-        let (serving, nodes) = match (&self.detector, &self.config.backend) {
-            (Some(detector), ServeBackend::Fleet { nodes, .. }) => {
-                (detector.serving_count(), *nodes)
-            }
-            _ => return,
+        let Backend::Fleet(fleet) = &self.backend else {
+            return;
         };
-        if serving >= nodes || nodes == 0 {
+        let (serving, nodes) = (fleet.detector.serving_count(), fleet.nodes);
+        if serving >= nodes {
             return;
         }
         let allowed = self.config.queue_capacity * serving / nodes;
         if self.queue.depth() <= allowed {
             return;
         }
-        let priorities = self.tenant_priority.clone();
+        let priorities = &self.tenant_priority;
         let shed = self.queue.shed_lowest_priority(allowed, |tenant| {
             priorities.get(tenant).copied().unwrap_or(0)
         });
         for request in shed {
             self.stats.brownout_shed += 1;
-            self.failed_ctr.inc();
-            let latency_us = now.saturating_sub(request.submitted_us);
-            self.latency_hist
-                .observe_traced(latency_us, request.trace.trace_id);
-            self.flight.record(
-                TraceEvent::new(
-                    request.trace.child(0),
-                    "queue_wait",
-                    request.submitted_us as f64,
-                    latency_us as f64,
-                )
+            let error = FabpError::Brownout {
+                routable_nodes: serving,
+                fleet_nodes: nodes,
+            };
+            responses.push(self.answer_unserved(request, now, error, "brownout"));
+        }
+    }
+
+    /// Answers `request` with `error` instead of dispatching it: records
+    /// its shed spans, latency and SLO miss, and dumps its trace as a
+    /// `reason` anomaly.
+    fn answer_unserved(
+        &mut self,
+        request: Request,
+        now: u64,
+        error: FabpError,
+        reason: &'static str,
+    ) -> Response {
+        self.failed_ctr.inc();
+        let latency_us = now.saturating_sub(request.submitted_us);
+        self.latency_hist
+            .observe_traced(latency_us, request.trace.trace_id);
+        let (start_us, dur_us) = (request.submitted_us as f64, latency_us as f64);
+        self.flight.record(
+            TraceEvent::new(request.trace.child(0), "queue_wait", start_us, dur_us)
                 .with_flags(FLAG_SHED),
-            );
-            self.flight.record(
-                TraceEvent::new(
-                    request.trace,
-                    "request",
-                    request.submitted_us as f64,
-                    latency_us as f64,
-                )
+        );
+        self.flight.record(
+            TraceEvent::new(request.trace, "request", start_us, dur_us)
                 .with_arg(request.id)
                 .with_flags(FLAG_SHED | FLAG_ERROR),
-            );
-            self.slo.observe(&request.tenant, now, latency_us, false);
-            self.capture_anomaly(
-                &request.tenant,
-                request.id,
-                request.trace.trace_id,
-                "brownout",
-            );
-            responses.push(Response {
-                id: request.id,
-                tenant: request.tenant,
-                result: Err(FabpError::Brownout {
-                    routable_nodes: serving,
-                    fleet_nodes: nodes,
-                }),
-                latency_us,
-                batch_size: 0,
-                cached_query: false,
-            });
+        );
+        self.slo.observe(&request.tenant, now, latency_us, false);
+        let trace_id = request.trace.trace_id;
+        self.capture_anomaly(&request.tenant, request.id, trace_id, reason);
+        Response {
+            id: request.id,
+            tenant: request.tenant,
+            result: Err(error),
+            latency_us,
+            batch_size: 0,
+            cached_query: false,
         }
     }
 
@@ -971,41 +957,39 @@ impl FabpServer {
         }
         responses
     }
+}
 
-    /// Software dispatch: cached aligners + one work-stealing batch run.
-    fn dispatch_software(
-        &mut self,
+/// What a dispatch reads from the server besides its backend's state.
+struct Dispatch<'a> {
+    reference: &'a PackedSeq,
+    records: &'a [Range<usize>],
+    config: &'a ServeConfig,
+    registry: &'a Registry,
+    flight: &'a FlightRecorder,
+    /// Server clock when the batch left the queue, microseconds.
+    now_us: u64,
+    /// Server clock when the dispatch started: the start of its spans.
+    start_us: f64,
+}
+
+impl Dispatch<'_> {
+    /// Scan dispatch: cached aligners + one work-stealing batch run.
+    fn scan(
+        &self,
         batch: Vec<Request>,
         threads: usize,
-    ) -> Vec<(Request, bool, bool, FabpResult<Vec<Hit>>)> {
-        if self.config.prefilter == PrefilterMode::Seeded {
-            if let Some(index) = self.index.clone() {
-                return self.dispatch_indexed(batch, &index, threads);
-            }
-        }
+        aligners: &mut LruCache<Arc<FabpAligner>>,
+        stats: &mut ServerStats,
+    ) -> Vec<Served> {
         let threshold = self.config.threshold;
-        let start_us = self.clock.now_us() as f64;
-        let flight = self.flight.clone();
         // Resolve every request to a cached/built aligner (or a build
         // error) first, so one bad query cannot fail its batch-mates.
         let mut prepared: Vec<(Request, bool, FabpResult<Arc<FabpAligner>>)> = Vec::new();
         for request in batch {
             let key = content_hash(request.protein.iter().map(|&aa| aa as u8));
-            let cached = self.aligner_cache.contains(key);
-            flight.record(
-                TraceEvent::new(
-                    request.trace.child(1).child(100),
-                    "query_cache",
-                    start_us,
-                    1.0,
-                )
-                .with_flags(if cached {
-                    FLAG_CACHE_HIT
-                } else {
-                    FLAG_CACHE_MISS
-                }),
-            );
-            let built = self.aligner_cache.try_get_or_insert_with(key, || {
+            let cached = aligners.contains(key);
+            self.record_query_cache(request.trace.child(1), cached);
+            let built = aligners.try_get_or_insert_with(key, || {
                 FabpAligner::builder()
                     .protein_query(&request.protein)
                     .threshold(threshold)
@@ -1016,129 +1000,76 @@ impl FabpServer {
             });
             prepared.push((request, cached, built));
         }
+        stats.query_cache = aligners.stats();
         let runnable: Vec<Arc<FabpAligner>> = prepared
             .iter()
             .filter_map(|(_, _, built)| built.as_ref().ok().cloned())
             .collect();
         let align_start = Instant::now();
         let (outcomes, _) =
-            search_prebuilt(&runnable, &self.reference, threads, SliceOptions::default());
+            search_prebuilt(&runnable, self.reference, threads, SliceOptions::default());
         let align_us = align_start.elapsed().as_secs_f64() * 1e6;
         let mut outcomes = outcomes.into_iter();
         prepared
             .into_iter()
             .map(|(request, cached, built)| {
-                let result = match built {
-                    Ok(_) => match outcomes.next() {
-                        Some(mut outcome) => {
-                            flight.record(
-                                TraceEvent::new(
-                                    request.trace.child(1).child(200),
-                                    "align",
-                                    start_us,
-                                    align_us,
-                                )
-                                .with_track(1),
-                            );
-                            retain_within_records(
-                                &mut outcome.hits,
-                                outcome.query_len,
-                                &self.records,
-                            );
-                            Ok(outcome.hits)
-                        }
-                        None => Err(FabpError::Internal(
-                            "batch dispatch returned fewer outcomes than aligners".to_string(),
-                        )),
-                    },
-                    Err(e) => Err(e),
-                };
+                let missing = "batch dispatch returned fewer outcomes than aligners";
+                let result = built
+                    .and_then(|_| {
+                        outcomes
+                            .next()
+                            .ok_or_else(|| FabpError::Internal(missing.into()))
+                    })
+                    .map(|mut outcome| {
+                        self.record_work(request.trace, "align", align_us);
+                        retain_within_records(&mut outcome.hits, outcome.query_len, self.records);
+                        outcome.hits
+                    });
                 (request, cached, false, result)
             })
             .collect()
     }
 
-    /// Index-backed seeded dispatch: the whole batch rides one
-    /// [`search_index`] call — per shard, one three-frame translation
-    /// pass seeds every query's word table, then the exact engine
-    /// verifies only the coalesced candidate regions, and the index's
-    /// records mask the hits. Hits are bit-identical to the exhaustive
-    /// scan on everything the filter admits (the serving transparency
-    /// invariant is unchanged for admitted windows).
-    fn dispatch_indexed(
-        &mut self,
-        batch: Vec<Request>,
-        index: &ReferenceIndex,
-        threads: usize,
-    ) -> Vec<(Request, bool, bool, FabpResult<Vec<Hit>>)> {
-        let threshold = self.config.threshold;
-        let start_us = self.clock.now_us() as f64;
-        let flight = self.flight.clone();
-        // Pre-validate so one bad query cannot fail its batch-mates.
-        let prepared: Vec<(Request, Option<FabpError>)> = batch
-            .into_iter()
-            .map(|request| {
-                let err = request.protein.is_empty().then_some(FabpError::EmptyQuery);
-                (request, err)
-            })
-            .collect();
-        let proteins: Vec<ProteinSeq> = prepared
-            .iter()
-            .filter(|(_, err)| err.is_none())
-            .map(|(r, _)| r.protein.clone())
-            .collect();
+    /// Seeded dispatch: the whole batch rides one [`search_index`] call
+    /// — per shard, one three-frame translation pass seeds every query's
+    /// word table, then the exact engine verifies only the coalesced
+    /// candidate regions, and the index's records mask the hits. Hits
+    /// are bit-identical to the exhaustive scan on everything the filter
+    /// admits (the serving transparency invariant is unchanged for
+    /// admitted windows).
+    fn seeded(&self, batch: Vec<Request>, threads: usize, index: &ReferenceIndex) -> Vec<Served> {
+        let proteins: Vec<ProteinSeq> = batch.iter().map(|r| r.protein.clone()).collect();
         let verify_start = Instant::now();
         let searched = search_index(
             index,
             &proteins,
-            threshold,
+            self.config.threshold,
             PrefilterMode::Seeded,
             SeedParams::default(),
             threads,
         );
         let verify_us = verify_start.elapsed().as_secs_f64() * 1e6;
-        let mut per_query = match searched {
-            Ok((hits, _stats)) => hits.into_iter(),
-            Err(e) => {
-                return prepared
-                    .into_iter()
-                    .map(|(request, err)| {
-                        let failure = err.unwrap_or_else(|| e.clone());
-                        (request, false, false, Err(failure))
-                    })
-                    .collect();
-            }
-        };
-        prepared
+        let mut per_query = searched.map(|(hits, _stats)| hits.into_iter());
+        batch
             .into_iter()
-            .map(|(request, err)| {
-                let result = match err {
-                    Some(e) => Err(e),
-                    None => match per_query.next() {
-                        Some(hits) => {
-                            flight.record(
-                                TraceEvent::new(
-                                    request.trace.child(1).child(200),
-                                    "seed_verify",
-                                    start_us,
-                                    verify_us,
-                                )
-                                .with_track(1),
-                            );
-                            Ok(hits)
-                        }
-                        None => Err(FabpError::Internal(
-                            "index dispatch returned fewer hit lists than queries".to_string(),
-                        )),
-                    },
+            .map(|request| {
+                let missing = "index dispatch returned fewer hit lists than queries";
+                let result = match &mut per_query {
+                    Ok(hits) => hits
+                        .next()
+                        .ok_or_else(|| FabpError::Internal(missing.into())),
+                    Err(e) => Err(e.clone()),
                 };
+                if result.is_ok() {
+                    self.record_work(request.trace, "seed_verify", verify_us);
+                }
                 (request, false, false, result)
             })
             .collect()
     }
 
-    /// Fleet dispatch: per-query cached fleets over cached packed
-    /// shards, hedged scatter/gather routed through the server's
+    /// Fleet dispatch: per-query cached fleets streaming the resident
+    /// reference, hedged scatter/gather routed through the server's
     /// persistent failure detector. Queries run back-to-back as on
     /// hardware (the query lives in flip-flops — reloading it is
     /// microseconds against a multi-millisecond scan). Every completion
@@ -1146,87 +1077,81 @@ impl FabpServer {
     /// it the p95 hedge budget) evolves across requests. A request
     /// counts as recovered when a shard failed over or the engine-level
     /// faults of the schedule were recovered.
-    fn dispatch_fleet(
-        &mut self,
+    fn fleet(
+        &self,
         batch: Vec<Request>,
-        nodes: usize,
-        replication: usize,
-        now_us: u64,
-    ) -> Vec<(Request, bool, bool, FabpResult<Vec<Hit>>)> {
+        fleet: &mut FleetState,
+        stats: &mut ServerStats,
+    ) -> Vec<Served> {
         let threshold = self.config.threshold;
-        let total_bases = self.reference.len() as u64;
-        let start_us = self.clock.now_us() as f64;
-        let flight = self.flight.clone();
-        // Take the detector out of the server for the duration of the
-        // batch so it can be threaded mutably through every dispatch
-        // alongside the caches, then put it back.
-        let mut detector = match self.detector.take() {
-            Some(detector) => detector,
-            None => FailureDetector::with_defaults(nodes, &self.registry),
-        };
-        let results = batch
+        let (nodes, replication, total) = (fleet.nodes, fleet.replication, self.reference.len());
+        // Overlap sized for the longest admissible query's window (3
+        // bases per residue); the shared merge removes the cross-shard
+        // duplicates it creates.
+        let overlap = 3 * self.config.max_query_aa;
+        let served = batch
             .into_iter()
             .map(|request| {
                 let key = content_hash(request.protein.iter().map(|&aa| aa as u8));
-                let cached = self.fleet_cache.contains(key);
+                let cached = fleet.fleets.contains(key);
                 // Scatter spans hang off the batch span, so the dump
                 // reads submit → queue → batch → per-shard work.
                 let batch_ctx = request.trace.child(1);
-                flight.record(
-                    TraceEvent::new(batch_ctx.child(100), "query_cache", start_us, 1.0).with_flags(
-                        if cached {
-                            FLAG_CACHE_HIT
-                        } else {
-                            FLAG_CACHE_MISS
-                        },
-                    ),
-                );
-                let built = self.fleet_cache.try_get_or_insert_with(key, || {
+                self.record_query_cache(batch_ctx, cached);
+                let built = fleet.fleets.try_get_or_insert_with(key, || {
                     let query = EncodedQuery::from_protein(&request.protein);
                     let config = EngineConfig::kintex7(threshold.resolve(query.len()));
-                    FpgaFleet::homogeneous(&query, &config, nodes, replication, total_bases)
+                    FpgaFleet::homogeneous(&query, &config, nodes, replication, total, overlap)
                         .map(Arc::new)
                 });
                 let mut recovered = false;
-                let result = built.and_then(|fleet| {
-                    // Overlap sized for the longest admissible query's
-                    // window (3 bases per residue); the shared merge
-                    // removes the cross-shard duplicates it creates.
-                    let overlap = 3 * self.config.max_query_aa;
-                    let packed = self
-                        .packed_cache
-                        .try_get_or_insert_with(self.reference_key, || {
-                            pack_shards(&self.reference, nodes, overlap).map(Arc::new)
-                        })?;
-                    let (shards, offsets) = packed.as_ref();
-                    fleet
+                let result = built.and_then(|built| {
+                    built
                         .search(
-                            shards,
-                            offsets,
-                            &self.faults,
-                            &mut detector,
-                            now_us,
-                            &self.registry,
-                            &flight,
+                            self.reference,
+                            &fleet.faults,
+                            &mut fleet.detector,
+                            self.now_us,
+                            self.registry,
+                            self.flight,
                             batch_ctx,
-                            start_us,
+                            self.start_us,
                         )
                         .map(|mut outcome| {
                             recovered = outcome.failovers > 0 || outcome.report.recovered > 0;
-                            self.stats.hedges += u64::from(outcome.hedges);
-                            self.stats.hedge_wins += u64::from(outcome.hedge_wins);
-                            self.stats.cancels += u64::from(outcome.cancels);
-                            self.stats.failovers += u64::from(outcome.failovers);
+                            stats.hedges += u64::from(outcome.hedges);
+                            stats.hedge_wins += u64::from(outcome.hedge_wins);
+                            stats.cancels += u64::from(outcome.cancels);
+                            stats.failovers += u64::from(outcome.failovers);
                             let window = 3 * request.protein.len();
-                            retain_within_records(&mut outcome.hits, window, &self.records);
+                            retain_within_records(&mut outcome.hits, window, self.records);
                             outcome.hits
                         })
                 });
                 (request, cached, recovered, result)
             })
             .collect();
-        self.detector = Some(detector);
-        results
+        stats.query_cache = fleet.fleets.stats();
+        served
+    }
+
+    /// Records whether a request's per-query artefact was cached, under
+    /// its batch span `ctx`.
+    fn record_query_cache(&self, ctx: TraceContext, cached: bool) {
+        let flags = if cached {
+            FLAG_CACHE_HIT
+        } else {
+            FLAG_CACHE_MISS
+        };
+        let event = TraceEvent::new(ctx.child(100), "query_cache", self.start_us, 1.0);
+        self.flight.record(event.with_flags(flags));
+    }
+
+    /// Records a request's measured dispatch work `name` under its batch
+    /// span.
+    fn record_work(&self, trace: TraceContext, name: &'static str, dur_us: f64) {
+        let event = TraceEvent::new(trace.child(1).child(200), name, self.start_us, dur_us);
+        self.flight.record(event.with_track(1));
     }
 }
 
@@ -1386,7 +1311,7 @@ mod tests {
     }
 
     #[test]
-    fn fleet_backend_at_r1_matches_software_and_caches_packed_shards() {
+    fn fleet_backend_at_r1_matches_software() {
         let mut rng = StdRng::seed_from_u64(96);
         let proteins: Vec<ProteinSeq> = (0..3).map(|_| random_protein(7, &mut rng)).collect();
         let reference = planted_reference(&proteins, &mut rng);
@@ -1408,17 +1333,6 @@ mod tests {
         assert!(repeated.result.is_ok());
         let stats = server.stats();
         assert!(stats.query_cache.hits >= 1, "{:?}", stats.query_cache);
-        // Packed shards were built once and re-used by every dispatch.
-        assert_eq!(
-            stats.reference_cache.misses, 1,
-            "{:?}",
-            stats.reference_cache
-        );
-        assert!(
-            stats.reference_cache.hits >= 3,
-            "{:?}",
-            stats.reference_cache
-        );
     }
 
     #[test]
@@ -1819,9 +1733,8 @@ mod tests {
                 ..ServeConfig::default()
             };
             let mut server = FabpServer::with_index(Arc::clone(&index), config, &registry).unwrap();
-            // Keys come from the index fingerprint, never a re-hash of
-            // the decoded bases.
-            assert_eq!(server.reference_key, index.fingerprint());
+            // Trace ids come from the index fingerprint, never a
+            // re-hash of the decoded bases.
             assert_eq!(server.trace_seed, 0xFAB6_0006 ^ index.fingerprint());
             let tickets: Vec<u64> = proteins
                 .iter()
@@ -1884,6 +1797,60 @@ mod tests {
         // The exhaustive path over the same index stays available.
         let off = ServeConfig::default();
         assert!(FabpServer::with_index(index, off, &registry).is_ok());
+    }
+
+    #[test]
+    fn seeded_prefilter_needs_an_index_and_the_software_backend() {
+        use fabp_core::index::IndexBuildOptions;
+        let reference = random_rna(2_000, &mut StdRng::seed_from_u64(110));
+        let seeded = |config: ServeConfig| ServeConfig {
+            prefilter: PrefilterMode::Seeded,
+            max_query_aa: 16,
+            ..config
+        };
+        let registry = Registry::disabled();
+        // Without an index there is nothing to seed.
+        let config = seeded(ServeConfig::default());
+        match FabpServer::new(reference.clone(), config, &registry) {
+            Err(FabpError::InvalidSpec(msg)) => assert!(msg.contains("index"), "{msg}"),
+            other => panic!("expected InvalidSpec, got {other:?}"),
+        }
+        // The fleet reads every shard; it has no seeded path.
+        let options = IndexBuildOptions {
+            overlap: 3 * 16,
+            target_shard_bases: 512,
+        };
+        let index = Arc::new(ReferenceIndex::build_from_rna(&reference, options).unwrap());
+        let config = seeded(fleet(2, 1, None));
+        match FabpServer::with_index(Arc::clone(&index), config, &registry) {
+            Err(FabpError::InvalidSpec(msg)) => assert!(msg.contains("software"), "{msg}"),
+            other => panic!("expected InvalidSpec, got {other:?}"),
+        }
+        // Either half alone builds.
+        assert!(FabpServer::with_index(index, seeded(ServeConfig::default()), &registry).is_ok());
+        assert!(FabpServer::new(reference, fleet(2, 1, None), &registry).is_ok());
+    }
+
+    #[test]
+    fn only_the_active_backends_cache_exports_series() {
+        let mut rng = StdRng::seed_from_u64(111);
+        let protein = random_protein(5, &mut rng);
+        let reference = random_rna(1_500, &mut rng);
+        for (config, name) in [
+            (ServeConfig::default(), "query"),
+            (fleet(2, 1, None), "fleet"),
+        ] {
+            let registry = Registry::new();
+            let mut server = FabpServer::new(reference.clone(), config, &registry).unwrap();
+            server.submit("a", &protein).unwrap();
+            server.run_to_completion();
+            let text = registry.snapshot().to_prometheus();
+            let caches: Vec<&str> = ["query", "fleet", "reference"]
+                .into_iter()
+                .filter(|cache| text.contains(&format!("cache=\"{cache}\"")))
+                .collect();
+            assert_eq!(caches, [name], "{text}");
+        }
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Property tests for the serving layer.
 //!
 //! The headline property is **batching transparency**: whatever batch
-//! sizes, tenant interleavings, cache capacities, pump cadences or
-//! backend the server runs — the software batch engine, or a fleet of
-//! any size and replication with or without a dead node — the hits
+//! sizes, tenant interleavings, cache capacities, pump cadences, source
+//! or backend state the server runs — raw records or a multi-shard
+//! index; the software scan, the seeded prefilter, or a fleet of any
+//! size and replication with or without a dead node — the hits
 //! delivered for each request are bit-identical to sequential
 //! single-query `FabpAligner` runs over each record of the reference,
-//! with the same threshold.
+//! with the same threshold (a subset of them, with equal scores, under
+//! the seeded prefilter).
 //! Micro-batching and sharding are execution-schedule optimisations and
 //! must never be semantic ones.
 //!
@@ -21,11 +23,16 @@ use fabp_bio::fasta::PackedRecords;
 use fabp_bio::generate::coding_rna_for_paper_patterns;
 use fabp_bio::seq::{PackedSeq, ProteinSeq, RnaSeq};
 use fabp_core::aligner::{Engine, FabpAligner, Threshold};
+use fabp_core::index::{IndexBuildOptions, PrefilterMode, ReferenceIndex};
 use fabp_serve::{content_hash, BatchPolicy, FabpServer, LruCache, ServeBackend, ServeConfig};
 use fabp_telemetry::Registry;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
+
+/// Longest query the transparency property's servers admit.
+const MAX_QUERY_AA: usize = 64;
 
 fn arb_protein(min: usize, max: usize) -> impl Strategy<Value = ProteinSeq> {
     prop::collection::vec(0usize..20, min..=max)
@@ -58,10 +65,13 @@ proptest! {
     /// **Transparency invariant.** Served hits are bit-identical to
     /// sequential single-query runs over each record, in concatenated
     /// coordinates, under arbitrary query streams, tenant assignments,
-    /// batch caps, cache sizes, backends and record cuts: the software
+    /// batch caps, cache sizes, sources, backends and record cuts: raw
+    /// records or a multi-shard index built from them; the software
     /// engine at any thread count, or a fleet of 1–4 nodes at any
-    /// replication, optionally with one node killed, over one record or
+    /// replication, optionally with one node killed; over one record or
     /// several, with a query's coding RNA planted across each record end.
+    /// On an index-backed software server the seeded prefilter serves a
+    /// subset of those hits, with equal scores.
     #[test]
     fn batching_is_transparent(
         reference in arb_rna(200, 1_500),
@@ -77,6 +87,10 @@ proptest! {
         replication_pick in 0usize..4,
         kill in prop::option::of(0usize..4),
         seed in 0u64..1_000_000,
+        from_index in any::<bool>(),
+        shard_bases in 64usize..512,
+        extra_overlap in 0usize..64,
+        seeded in any::<bool>(),
     ) {
         let backend = if on_fleet {
             ServeBackend::Fleet {
@@ -92,6 +106,7 @@ proptest! {
         };
         let threshold = Threshold::Fraction(frac);
         let registry = Registry::disabled();
+        let seeded = seeded && from_index && !on_fleet;
         let config = ServeConfig {
             threshold,
             queue_capacity: 64,
@@ -100,8 +115,8 @@ proptest! {
             query_cache,
             reference_cache: 2,
             default_deadline_us: None,
-            max_query_aa: 64,
-            prefilter: fabp_core::index::PrefilterMode::Off,
+            max_query_aa: MAX_QUERY_AA,
+            prefilter: if seeded { PrefilterMode::Seeded } else { PrefilterMode::Off },
         };
         let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(reference.len())).collect();
         bounds.push(0);
@@ -125,8 +140,17 @@ proptest! {
             ids: (0..ranges.len()).map(|r| format!("rec{r}")).collect(),
             ranges: ranges.clone(),
         };
-        let mut server =
-            FabpServer::with_packed(records, config, &registry).expect("server builds");
+        let mut server = if from_index {
+            let options = IndexBuildOptions {
+                overlap: 3 * MAX_QUERY_AA - 1 + extra_overlap,
+                target_shard_bases: shard_bases,
+            };
+            let index = ReferenceIndex::build_from_packed(records, options).expect("index builds");
+            FabpServer::with_index(Arc::new(index), config, &registry)
+        } else {
+            FabpServer::with_packed(records, config, &registry)
+        }
+        .expect("server builds");
         let mut tickets = Vec::new();
         for (i, protein) in queries.iter().enumerate() {
             let tenant = format!("tenant-{}", tenant_of[i % tenant_of.len()]);
@@ -152,10 +176,20 @@ proptest! {
                         })
                 })
                 .collect();
-            prop_assert_eq!(
-                hits, &expected,
-                "batching on {:?} over records {:?} changed hits", backend, ranges
-            );
+            if seeded {
+                for hit in hits {
+                    prop_assert!(
+                        expected.contains(hit),
+                        "seeded hit {:?} is not the oracle's {:?}", hit, expected
+                    );
+                }
+            } else {
+                prop_assert_eq!(
+                    hits, &expected,
+                    "batching on {:?} over records {:?} (index: {}) changed hits",
+                    backend, ranges, from_index
+                );
+            }
         }
     }
 

@@ -12,7 +12,7 @@
 use fabp::bio::generate::{coding_rna_for_paper_patterns, random_protein, random_rna};
 use fabp::bio::orf::find_orfs;
 use fabp::bio::seq::{PackedSeq, RnaSeq};
-use fabp::core::fleet::{pack_shards, FpgaFleet};
+use fabp::core::fleet::FpgaFleet;
 use fabp::encoding::encoder::EncodedQuery;
 use fabp::fpga::engine::EngineConfig;
 use fabp::resilience::{FailureDetector, FaultSchedule};
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "boards", "latency", "queries/sec", "J per query"
     );
     for nodes in [1usize, 2, 4, 8] {
-        let fleet = FpgaFleet::homogeneous(&query, &config, nodes, 1, 1_000_000_000)?;
+        let fleet = FpgaFleet::homogeneous(&query, &config, nodes, 1, 1_000_000_000, 0)?;
         let t = fleet.timing();
         println!(
             "{:>7} {:>11.2} ms {:>16.1} {:>14.3}",
@@ -61,21 +61,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let reference = RnaSeq::from(bases);
 
+    // Each board reads its shard plus qlen − 1 bases of the next, so a
+    // gene straddling a boundary is scored whole.
     let gene_query = EncodedQuery::from_protein(&gene_protein);
     let qlen = gene_query.len();
+    let packed = PackedSeq::from_rna(&reference);
     let fleet = FpgaFleet::homogeneous(
         &gene_query,
         &EngineConfig::kintex7(qlen as u32),
         4,
         1,
-        reference.len() as u64,
+        packed.len(),
+        qlen - 1,
     )?;
-    let (shards, offsets) = pack_shards(&PackedSeq::from_rna(&reference), 4, qlen - 1)?;
     let mut detector = FailureDetector::with_defaults(4, &Registry::disabled());
     let hits = fleet
         .search(
-            &shards,
-            &offsets,
+            &packed,
             &FaultSchedule::new(),
             &mut detector,
             0,

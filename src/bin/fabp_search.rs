@@ -42,13 +42,13 @@
 //! usage errors there, and every mode ends in the same `--stats`,
 //! `--metrics-out` and `--trace-out` tail.
 //!
-//! `--resilience` and `--inject-faults` drive the cycle-accurate engine
-//! through the `fabp-resilience` harness: faults from the spec are
-//! injected on the modelled AXI/config/query paths, and the detection/
-//! recovery machinery (CRC framing, configuration scrubbing, stream
-//! watchdog, retry with backoff) runs at the requested level. A per-run
-//! overhead line reports the throughput cost of detection against the
-//! unprotected cycle count.
+//! `--resilience` and `--inject-faults` (`--engine cycle` only) drive
+//! the cycle-accurate engine through the `fabp-resilience` harness:
+//! faults from the spec are injected on the modelled AXI/config/query
+//! paths, and the detection/recovery machinery (CRC framing,
+//! configuration scrubbing, stream watchdog, retry with backoff) runs at
+//! the requested level. A per-run overhead line reports the throughput
+//! cost of detection against the unprotected cycle count.
 
 use fabp::bio::fasta::{read_packed, read_proteins};
 use fabp::bio::seq::{PackedSeq, ProteinSeq};
@@ -72,7 +72,9 @@ struct Args {
     query_path: String,
     reference_path: String,
     threshold: f64,
-    engine: String,
+    /// `--engine cycle`: the cycle-level FPGA model, not the software
+    /// engine.
+    cycle: bool,
     threads: usize,
     top: usize,
     stats: bool,
@@ -176,7 +178,7 @@ fn parse_args() -> Args {
         query_path: String::new(),
         reference_path: String::new(),
         threshold: 0.9,
-        engine: "software".to_string(),
+        cycle: false,
         threads: 4,
         top: 10,
         stats: false,
@@ -207,7 +209,16 @@ fn parse_args() -> Args {
                 args.index_shard_bases = Some(parse_for("--index-shard-bases", &mut it))
             }
             "--threshold" => args.threshold = parse_fraction("--threshold", &mut it),
-            "--engine" => args.engine = value_for("--engine", &mut it),
+            "--engine" => {
+                args.cycle = match value_for("--engine", &mut it).as_str() {
+                    "software" => false,
+                    "cycle" => true,
+                    other => {
+                        eprintln!("invalid value {other:?} for --engine (software or cycle)");
+                        usage()
+                    }
+                }
+            }
             "--threads" => args.threads = parse_for("--threads", &mut it),
             "--top" => args.top = parse_for("--top", &mut it),
             "--stats" => args.stats = true,
@@ -240,19 +251,19 @@ fn parse_args() -> Args {
     }
     // A flag of another mode would otherwise be ignored silently.
     let (build, index) = (args.build_index.is_some(), args.index_path.is_some());
-    let search = "a search, not --build-index";
+    let (search, fasta) = ("a search, not --build-index", "--query with --reference");
     for (flag, allowed, needs) in [
         ("--prefilter", index, "--index"),
-        ("--disasm", !build && !index, "--query with --reference"),
+        ("--disasm", !build && !index, fasta),
         ("--index-overlap", build, "--build-index"),
         ("--index-shard-bases", build, "--build-index"),
         ("--query", !build, search),
-        ("--engine", !build, search),
+        ("--engine", !build && !index, fasta),
         ("--threshold", !build, search),
         ("--top", !build, search),
         ("--threads", !build, search),
-        ("--resilience", !build, search),
-        ("--inject-faults", !build, search),
+        ("--resilience", args.cycle, "--engine cycle"),
+        ("--inject-faults", args.cycle, "--engine cycle"),
     ] {
         if !allowed && given.iter().any(|g| g == flag) {
             eprintln!("{flag} requires {needs}");
@@ -303,9 +314,6 @@ fn run_index_search(
     args: &Args,
     index_path: &str,
 ) -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
-    if args.engine != "software" {
-        return Err("--index implies the software engine; drop --engine".into());
-    }
     let queries = read_proteins(File::open(&args.query_path)?)?;
     if queries.is_empty() {
         return Err("query file contains no records".into());
@@ -434,9 +442,6 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     if let Some(out) = &args.build_index {
         run_build_index(&args, out)?;
     } else if let Some(index_path) = &args.index_path {
-        if args.resilience != ResilienceLevel::Off || args.inject_faults.is_some() {
-            return Err("--resilience/--inject-faults are not supported with --index".into());
-        }
         run_index_search(&args, index_path)?;
     } else {
         run_reference_search(&args)?;
@@ -467,21 +472,19 @@ fn run_reference_search(args: &Args) -> Result<(), Box<dyn std::error::Error + S
     if reference.ids.is_empty() {
         return Err("reference file contains no records".into());
     }
-    let engine = match args.engine.as_str() {
-        "software" => Engine::Software {
+    let engine = if args.cycle {
+        Engine::CycleAccurate(Box::new(EngineConfig::kintex7(0)))
+    } else {
+        Engine::Software {
             threads: args.threads,
-        },
-        "cycle" => Engine::CycleAccurate(Box::new(EngineConfig::kintex7(0))),
-        other => return Err(format!("unknown engine {other:?}").into()),
+        }
     };
 
     // Fault injection / resilience only makes sense on the modelled
-    // hardware path: the software engines have no AXI stream, LUT
-    // configuration or DMA to corrupt.
+    // hardware path (parse_args allows them with --engine cycle only):
+    // the software engines have no AXI stream, LUT configuration or DMA
+    // to corrupt.
     let resilience_active = args.resilience != ResilienceLevel::Off || args.inject_faults.is_some();
-    if resilience_active && args.engine != "cycle" {
-        return Err("--resilience/--inject-faults require --engine cycle".into());
-    }
     let fault_schedule = match &args.inject_faults {
         Some(spec) => FaultSchedule::parse(spec)?,
         None => FaultSchedule::new(),
@@ -498,7 +501,7 @@ fn run_reference_search(args: &Args) -> Result<(), Box<dyn std::error::Error + S
             if queries.len() == 1 { "y" } else { "ies" },
             reference.ids.len(),
             args.threshold * 100.0,
-            args.engine
+            if args.cycle { "cycle" } else { "software" },
         );
     }
 
@@ -523,7 +526,7 @@ fn run_reference_search(args: &Args) -> Result<(), Box<dyn std::error::Error + S
 
     let mut out = BufWriter::new(std::io::stdout().lock());
     writeln!(out, "{TSV_HEADER}")?;
-    if args.engine == "software" {
+    if !args.cycle {
         // Every query over the concatenated records in one lane-packed
         // batch: one claim queue, whose workers start once for the
         // whole run.

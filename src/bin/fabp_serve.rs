@@ -22,7 +22,7 @@
 //!                            --build-index); cold + warm load timings
 //!                            are reported on the `# index:` line
 //!   --prefilter <off|seeded> exhaustive scan or k-mer seeded
-//!                            seed-and-verify (requires --index,
+//!                            seed-and-verify (requires --index on the
 //!                            software backend; default off)
 //!   --synthetic-bases <n>    generate a random reference of n bases
 //!   --synthetic-queries <n>  generate n random queries (planted in the
@@ -86,7 +86,7 @@ struct Args {
     seed: u64,
     tenants: usize,
     repeat: usize,
-    backend: String,
+    fleet: bool,
     threads: usize,
     nodes: usize,
     replication: usize,
@@ -162,7 +162,7 @@ fn parse_args() -> Args {
         seed: 1,
         tenants: 2,
         repeat: 1,
-        backend: "software".to_string(),
+        fleet: false,
         threads: 4,
         nodes: 4,
         replication: 2,
@@ -198,7 +198,16 @@ fn parse_args() -> Args {
             "--seed" => args.seed = parse_for("--seed", &mut it),
             "--tenants" => args.tenants = parse_for("--tenants", &mut it),
             "--repeat" => args.repeat = parse_for("--repeat", &mut it),
-            "--backend" => args.backend = value_for("--backend", &mut it),
+            "--backend" => {
+                args.fleet = match value_for("--backend", &mut it).as_str() {
+                    "software" => false,
+                    "fleet" => true,
+                    other => {
+                        eprintln!("invalid value {other:?} for --backend (software or fleet)");
+                        usage()
+                    }
+                }
+            }
             "--threads" => args.threads = parse_for("--threads", &mut it),
             "--nodes" => args.nodes = parse_for("--nodes", &mut it),
             "--replication" => args.replication = parse_for("--replication", &mut it),
@@ -229,17 +238,19 @@ fn parse_args() -> Args {
     if !(file_mode || synth_mode || index_mode) {
         usage();
     }
-    if args.prefilter == PrefilterMode::Seeded && args.index_path.is_none() {
-        eprintln!("--prefilter seeded requires --index");
-        usage();
-    }
-    // A flag of the other backend would otherwise be ignored silently.
-    let fleet = args.backend == "fleet";
+    // A flag of another backend or source would otherwise be ignored
+    // silently.
+    let (fleet, index) = (args.fleet, args.index_path.is_some());
     for (flag, allowed, needs) in [
         ("--nodes", fleet, "--backend fleet"),
         ("--replication", fleet, "--backend fleet"),
         ("--inject-faults", fleet, "--backend fleet"),
         ("--threads", !fleet, "--backend software"),
+        (
+            "--prefilter",
+            index && !fleet,
+            "--index on --backend software",
+        ),
     ] {
         if !allowed && given.iter().any(|g| g == flag) {
             eprintln!("{flag} requires {needs}");
@@ -310,20 +321,16 @@ fn error_label(response: &Response) -> &'static str {
 fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let args = parse_args();
     let registry = Registry::global();
-    if args.prefilter == PrefilterMode::Seeded && args.backend != "software" {
-        return Err("--prefilter seeded runs on the software backend only".into());
-    }
-
-    let backend = match args.backend.as_str() {
-        "software" => ServeBackend::Software {
-            threads: args.threads,
-        },
-        "fleet" => ServeBackend::Fleet {
+    let backend = if args.fleet {
+        ServeBackend::Fleet {
             nodes: args.nodes,
             replication: args.replication,
             fault_spec: args.inject_faults.clone(),
-        },
-        other => return Err(format!("unknown backend {other:?}").into()),
+        }
+    } else {
+        ServeBackend::Software {
+            threads: args.threads,
+        }
     };
     let config = ServeConfig {
         threshold: Threshold::Fraction(args.threshold),
@@ -335,10 +342,10 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         },
         backend,
         query_cache: args.query_cache,
-        reference_cache: 8,
         default_deadline_us: args.deadline_us,
         max_query_aa: args.max_query_aa,
         prefilter: args.prefilter,
+        ..ServeConfig::default()
     };
 
     // Workload + server: FASTA/synthetic reference, or a persistent
@@ -383,7 +390,7 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             args.repeat,
             args.tenants,
             resident_bases,
-            args.backend,
+            if args.fleet { "fleet" } else { "software" },
         );
     }
 
@@ -480,13 +487,12 @@ fn run() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         stats.peak_batch,
     );
     eprintln!(
-        "# qps={qps:.1} p50_us={} p99_us={} query_cache_hit_rate={:.3} reference_cache_hit_rate={:.3}",
+        "# qps={qps:.1} p50_us={} p99_us={} query_cache_hit_rate={:.3}",
         percentile(&latencies, 0.50),
         percentile(&latencies, 0.99),
         stats.query_cache.hit_rate(),
-        stats.reference_cache.hit_rate(),
     );
-    if args.backend == "fleet" {
+    if args.fleet {
         eprintln!(
             "# fleet: routable={}/{} hedges={} hedge_wins={} cancels={} failovers={} brownout_shed={}",
             server.routable_nodes().unwrap_or(args.nodes),

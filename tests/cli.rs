@@ -105,8 +105,12 @@ fn cli_rejects_missing_files_and_bad_engine() {
         ])
         .output()
         .expect("binary runs");
-    assert!(!output.status.success());
-    assert!(String::from_utf8_lossy(&output.stderr).contains("unknown engine"));
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("invalid value \"quantum\" for --engine"),
+        "{stderr}"
+    );
 
     fs::remove_file(query).ok();
     fs::remove_file(reference).ok();
@@ -308,8 +312,12 @@ fn serve_cli_fails_over_a_killed_node_and_rejects_removed_options() {
     // The cluster backend and the resilience level are gone, and a
     // malformed fault spec fails at startup.
     let output = serve(&["--backend", "cluster"]);
-    assert!(!output.status.success());
-    assert!(String::from_utf8_lossy(&output.stderr).contains("unknown backend \"cluster\""));
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("invalid value \"cluster\" for --backend"),
+        "{stderr}"
+    );
     let output = serve(&["--backend", "fleet", "--resilience", "recover"]);
     assert_eq!(output.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&output.stderr).contains("unknown argument \"--resilience\""));
@@ -448,81 +456,58 @@ fn serve_cli_exits_cleanly_when_stdout_closes_early() {
 #[test]
 fn search_cli_rejects_flags_of_another_mode() {
     // Each flag belongs to one mode; elsewhere it is a usage error that
-    // names it, not a silent no-op.
-    let build = ["--reference", "db.fna", "--build-index", "x.fabpidx"];
-    let search_flags: [&[&str]; 7] = [
-        &["--query", "q.faa"],
-        &["--engine", "cycle"],
-        &["--threshold", "0.5"],
-        &["--top", "3"],
-        &["--threads", "9"],
-        &["--resilience", "recover"],
-        &["--inject-faults", "stall@1:5"],
+    // names it, not a silent no-op. A case is a mode's command line and
+    // flags that do not belong to it, the first of them named.
+    let build = "--reference db.fna --build-index x.fabpidx";
+    let index = "--query q.faa --index x.fabpidx";
+    let fasta = "--query q.faa --reference db.fna";
+    let cases = [
+        (fasta, "--prefilter seeded"),
+        (build, "--prefilter off"),
+        (fasta, "--index-overlap 90"),
+        (index, "--index-shard-bases 4096"),
+        (index, "--disasm"),
+        (build, "--query q.faa"),
+        (build, "--engine cycle"),
+        (build, "--threshold 0.5"),
+        (build, "--top 3"),
+        (build, "--threads 9"),
+        (build, "--resilience recover"),
+        (build, "--inject-faults stall@1:5"),
+        // No engine choice on an index, and nothing for the resilience
+        // harness to drive but the cycle engine.
+        (index, "--engine cycle"),
+        (index, "--engine software"),
+        (index, "--resilience recover"),
+        (index, "--resilience off"),
+        (index, "--inject-faults seed:0xBEEF"),
+        (fasta, "--resilience recover"),
+        (fasta, "--resilience off --engine software"),
+        (fasta, "--inject-faults seed:0xBEEF"),
     ];
-    let build_cases = search_flags.map(|flag| ([&build[..], flag].concat(), flag[0]));
-    let cases: [(&[&str], &str); 5] = [
-        (
-            &[
-                "--query",
-                "q.faa",
-                "--reference",
-                "db.fna",
-                "--prefilter",
-                "seeded",
-            ],
-            "--prefilter",
-        ),
-        (
-            &[
-                "--reference",
-                "db.fna",
-                "--build-index",
-                "x.fabpidx",
-                "--prefilter",
-                "off",
-            ],
-            "--prefilter",
-        ),
-        (
-            &[
-                "--query",
-                "q.faa",
-                "--reference",
-                "db.fna",
-                "--index-overlap",
-                "90",
-            ],
-            "--index-overlap",
-        ),
-        (
-            &[
-                "--query",
-                "q.faa",
-                "--index",
-                "x.fabpidx",
-                "--index-shard-bases",
-                "4096",
-            ],
-            "--index-shard-bases",
-        ),
-        (
-            &["--query", "q.faa", "--index", "x.fabpidx", "--disasm"],
-            "--disasm",
-        ),
-    ];
-    let build_cases = build_cases.iter().map(|(args, flag)| (&args[..], *flag));
-    for (args, flag) in cases.into_iter().chain(build_cases) {
+    for (mode, extra) in cases {
+        let args: Vec<&str> = mode.split(' ').chain(extra.split(' ')).collect();
         let output = Command::new(env!("CARGO_BIN_EXE_fabp_search"))
-            .args(args)
+            .args(&args)
             .output()
             .expect("binary runs");
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(
-            stderr.contains(&format!("{flag} requires")),
-            "{args:?}: {stderr}"
-        );
+        let flag = extra.split(' ').next().unwrap_or_default();
+        let message = format!("{flag} requires");
+        assert!(stderr.contains(&message), "{args:?}: {stderr}");
     }
+    // So is an engine the binary does not have.
+    let output = Command::new(env!("CARGO_BIN_EXE_fabp_search"))
+        .args(fasta.split(' ').chain(["--engine", "bogus"]))
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("invalid value \"bogus\" for --engine"),
+        "{stderr}"
+    );
 }
 
 /// Writes `records` as a FASTA file wrapped at `width` columns.
@@ -958,28 +943,32 @@ fn build_index_mode_writes_the_output_tail() {
 
 #[test]
 fn serve_cli_rejects_flags_of_another_backend() {
-    // The fleet's flags do nothing on the software backend, and the
-    // software workers do nothing on the fleet: each is a usage error
-    // that names the flag, not a silent no-op.
-    let cases: [(&[&str], &str); 4] = [
-        (&["--nodes", "9"], "--nodes requires --backend fleet"),
+    // The fleet's flags do nothing on the software backend, the
+    // software workers do nothing on the fleet, and only an index on the
+    // software backend has a prefilter: each is a usage error that names
+    // the flag, not a silent no-op.
+    let cases = [
+        ("--nodes 9", "--nodes requires --backend fleet"),
+        ("--replication 7", "--replication requires --backend fleet"),
         (
-            &["--replication", "7"],
-            "--replication requires --backend fleet",
-        ),
-        (
-            &["--inject-faults", "kill@1:50"],
+            "--inject-faults kill@1:50",
             "--inject-faults requires --backend fleet",
         ),
         (
-            &["--backend", "fleet", "--threads", "2"],
+            "--backend fleet --threads 2",
             "--threads requires --backend software",
         ),
+        (
+            "--index db.fabpidx --queries q.faa --prefilter seeded --backend fleet",
+            "--prefilter requires --index on --backend software",
+        ),
+        ("--prefilter off", "--prefilter requires --index"),
+        ("--backend bogus", "invalid value \"bogus\" for --backend"),
     ];
     for (args, message) in cases {
-        let output = serve(args);
+        let output = serve(&args.split(' ').collect::<Vec<_>>());
         let stderr = String::from_utf8_lossy(&output.stderr);
-        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert_eq!(output.status.code(), Some(2), "{args}: {stderr}");
+        assert!(stderr.contains(message), "{args}: {stderr}");
     }
 }

@@ -98,12 +98,8 @@ pub fn search_all(
 pub struct BatchRunStats {
     /// Workers that claimed items (≤ requested threads).
     pub workers: usize,
-    /// Total work items scheduled.
+    /// (Lane group, reference slice) work items scheduled.
     pub items: usize,
-    /// Items that were lane-group reference slices.
-    pub group_slices: usize,
-    /// Items that were whole-query runs (cycle-accurate backend).
-    pub whole_queries: usize,
     /// Multi-query lane groups formed.
     pub lane_groups: usize,
     /// Occupied lanes as a percentage of `lane_groups × LANES`
@@ -196,7 +192,7 @@ where
     );
     let claimed_ctr = telemetry.counter(
         "fabp_batch_items_claimed_total",
-        "Work items (reference slices or whole queries) claimed from the batch queue",
+        "Work items claimed from the batch queue",
     );
     let busy_hists: Vec<_> = (0..workers)
         .map(|w| {
@@ -327,36 +323,16 @@ impl<'a> LaneGroup<'a> {
     }
 }
 
-/// One schedulable unit of batch work.
-enum WorkItem {
-    /// Scan one slice for one lane group.
-    GroupSlice { group: usize, slice: usize },
-    /// Run one whole query (cycle-accurate backend: its per-run
-    /// statistics must accumulate inside a single run).
-    Whole { query: usize },
-}
-
-/// What one claimed item produced.
-enum ItemResult {
-    /// Hits per lane, at reference positions.
-    GroupSlice {
-        group: usize,
-        per_lane: Vec<Vec<Hit>>,
-    },
-    Whole {
-        query: usize,
-        outcome: SearchOutcome,
-    },
-}
-
 /// The batch scan behind every software search, over aligners the
 /// caller already built (and possibly cached — the serving layer pays a
 /// repeated query's encode and table build once): every pass of every
 /// software aligner becomes a lane, lanes pack [`LANES`]-wide into
 /// groups, and each group's slices of the reference are claimed by one
-/// [`claim_all`] queue's workers next to the cycle-accurate aligners'
-/// whole runs. `options` sizes the slices (the proptest matrix draws it
-/// to force slice boundaries through match windows).
+/// [`claim_all`] queue's workers. A cycle-accurate aligner runs its whole
+/// search on the calling thread after the queue, so its cycle statistics
+/// cover one whole-reference run. `options` sizes the slices (the
+/// proptest matrix draws it to force slice boundaries through match
+/// windows).
 ///
 /// A multi-record reference is scanned as its records' concatenation,
 /// in one pass for every query; [`locate`](crate::hits::locate) then
@@ -374,16 +350,14 @@ pub fn search_prebuilt<A: Borrow<FabpAligner> + Sync>(
 ) -> (Vec<SearchOutcome>, BatchRunStats) {
     let threads = threads.max(1);
     let mut lanes: Vec<Lane<'_>> = Vec::new();
-    let mut whole: Vec<usize> = Vec::new();
     for (q, a) in aligners.iter().enumerate() {
         let a = a.borrow();
-        match a.fused_passes() {
-            Some(engines) => lanes.extend(engines.iter().map(|engine| Lane {
+        if let Some(engines) = a.fused_passes() {
+            lanes.extend(engines.iter().map(|engine| Lane {
                 query: q,
                 engine,
                 threshold: a.threshold(),
-            })),
-            None => whole.push(q),
+            }));
         }
     }
     let groups: Vec<LaneGroup<'_>> = lanes
@@ -391,30 +365,22 @@ pub fn search_prebuilt<A: Borrow<FabpAligner> + Sync>(
         .map(|chunk| LaneGroup::new(chunk, reference.len(), threads, options))
         .collect();
 
-    // Flatten every unit of work into one claim queue. A slice too short
-    // for the group's shortest lane has no position to score and
-    // schedules nothing; one shorter than the longest lane's window
-    // still scores the lanes that fit.
-    let mut items: Vec<WorkItem> = Vec::new();
-    for (g, group) in groups.iter().enumerate() {
-        for (s, slice) in group.plan.slices().iter().enumerate() {
-            if slice.bases() >= group.shortest {
-                items.push(WorkItem::GroupSlice { group: g, slice: s });
-            }
-        }
-    }
-    let group_slices = items.len();
-    items.extend(whole.iter().map(|&query| WorkItem::Whole { query }));
-
-    let claimed = claim_all(&items, threads, |item| match *item {
-        WorkItem::GroupSlice { group, slice } => ItemResult::GroupSlice {
-            group,
-            per_lane: groups[group].scan(reference, slice),
-        },
-        WorkItem::Whole { query } => ItemResult::Whole {
-            query,
-            outcome: aligners[query].borrow().search_packed(reference),
-        },
+    // Flatten every group's slices into one claim queue of (lane group,
+    // slice) items. A slice too short for the group's shortest lane has
+    // no position to score and schedules nothing; one shorter than the
+    // longest lane's window still scores the lanes that fit.
+    let items: Vec<(usize, usize)> = groups
+        .iter()
+        .enumerate()
+        .flat_map(|(g, group)| {
+            let slices = group.plan.slices().iter().enumerate();
+            slices
+                .filter(|(_, slice)| slice.bases() >= group.shortest)
+                .map(move |(s, _)| (g, s))
+        })
+        .collect();
+    let claimed = claim_all(&items, threads, |&(group, slice)| {
+        groups[group].scan(reference, slice)
     });
 
     let telemetry = fabp_telemetry::Registry::global();
@@ -423,7 +389,7 @@ pub fn search_prebuilt<A: Borrow<FabpAligner> + Sync>(
             "fabp_batch_slice_steals_total",
             "Reference-slice work items stolen by batch workers",
         )
-        .add(group_slices as u64);
+        .add(items.len() as u64);
     let lane_occupancy_pct = if groups.is_empty() {
         0.0
     } else {
@@ -436,29 +402,18 @@ pub fn search_prebuilt<A: Borrow<FabpAligner> + Sync>(
         )
         .set(lane_occupancy_pct.round() as i64);
 
-    // Reassemble per-query outcomes in one pass over the results, which
-    // arrive in item order: a group's slices are consecutive. Across
-    // several slices the shard merge restores position order and drops
-    // the exact boundary duplicates shorter lanes re-report across slice
-    // overlaps; one slice's lists already are in order. A query's passes
-    // then reduce with the per-position best-score merge.
+    // Reassemble per-query hits group by group. Across several slices the
+    // shard merge restores position order and drops the exact boundary
+    // duplicates shorter lanes re-report across slice overlaps; one
+    // slice's lists already are in order. A query's passes then reduce
+    // with the per-position best-score merge.
+    let mut slices_of: Vec<Vec<Vec<Vec<Hit>>>> = vec![Vec::new(); groups.len()];
+    for (&(group, _), per_lane) in items.iter().zip(claimed.results) {
+        slices_of[group].push(per_lane);
+    }
     let mut hits: Vec<Vec<Hit>> = vec![Vec::new(); aligners.len()];
-    let mut whole_outcomes: Vec<(usize, SearchOutcome)> = Vec::new();
-    let mut results = claimed.results.into_iter().peekable();
-    while let Some(result) = results.next() {
-        let (group, per_lane) = match result {
-            ItemResult::GroupSlice { group, per_lane } => (group, per_lane),
-            ItemResult::Whole { query, outcome } => {
-                whole_outcomes.push((query, outcome));
-                continue;
-            }
-        };
-        let same_group = |next: &ItemResult| matches!(*next, ItemResult::GroupSlice { group: g, .. } if g == group);
-        let mut slices = vec![per_lane];
-        while let Some(ItemResult::GroupSlice { per_lane, .. }) = results.next_if(same_group) {
-            slices.push(per_lane);
-        }
-        for (l, lane) in groups[group].lanes.iter().enumerate() {
+    for (group, mut slices) in groups.iter().zip(slices_of) {
+        for (l, lane) in group.lanes.iter().enumerate() {
             let lane_hits = match slices.as_mut_slice() {
                 [one] => std::mem::take(&mut one[l]),
                 many => merge_shard_hits(many.iter_mut().map(|s| std::mem::take(&mut s[l]))),
@@ -471,25 +426,26 @@ pub fn search_prebuilt<A: Borrow<FabpAligner> + Sync>(
             };
         }
     }
-    let mut outcomes: Vec<SearchOutcome> = hits
+    let outcomes = hits
         .into_iter()
         .zip(aligners)
-        .map(|(hits, a)| SearchOutcome {
-            hits,
-            threshold: a.borrow().threshold(),
-            query_len: a.borrow().query().len(),
-            stats: None,
+        .map(|(hits, a)| {
+            let a = a.borrow();
+            match a.fused_passes() {
+                Some(_) => SearchOutcome {
+                    hits,
+                    threshold: a.threshold(),
+                    query_len: a.query().len(),
+                    stats: None,
+                },
+                None => a.search_packed(reference),
+            }
         })
         .collect();
-    for (query, outcome) in whole_outcomes {
-        outcomes[query] = outcome;
-    }
 
     let stats = BatchRunStats {
         workers: claimed.busy_ns.len(),
         items: items.len(),
-        group_slices,
-        whole_queries: whole.len(),
         lane_groups: groups.len(),
         lane_occupancy_pct,
         per_worker_busy_ns: claimed.busy_ns,
@@ -611,7 +567,6 @@ mod tests {
             "1 query × 8 workers must schedule ≥ 8 slices, got {}",
             stats.items
         );
-        assert_eq!(stats.group_slices, stats.items);
         assert_eq!(stats.lane_groups, 1);
         assert_eq!(stats.workers, 8);
         assert_eq!(stats.per_worker_busy_ns.len(), 8);
@@ -674,13 +629,13 @@ mod tests {
             stats.lane_groups, 1,
             "the three passes share one lane group"
         );
-        assert_eq!(stats.group_slices, stats.items);
     }
 
     #[test]
     fn mixed_backends_in_one_batch_are_exact() {
-        // Software and cycle-accurate aligners in one batch: the cycle
-        // query stays whole (stats intact), software queries slice.
+        // Software and cycle-accurate aligners in one batch: software
+        // queries slice on the workers, the cycle query runs whole after
+        // them (stats intact).
         let mut rng = StdRng::seed_from_u64(79);
         let p1 = random_protein(10, &mut rng);
         let p2 = random_protein(12, &mut rng);
@@ -704,8 +659,8 @@ mod tests {
         assert_eq!(batch[0].hits, serial_soft.hits);
         assert_eq!(batch[1].hits, serial_cycle.hits);
         assert!(batch[1].stats.is_some(), "cycle stats must survive");
-        assert_eq!(stats.whole_queries, 1);
-        assert!(stats.group_slices >= 1);
+        assert_eq!(batch[1].stats, serial_cycle.stats);
+        assert!(stats.items >= 1);
     }
 
     #[test]
@@ -793,7 +748,6 @@ mod tests {
                 assert_eq!(hits, &aligner.search(record).hits, "record {r} query {q}");
             }
         }
-        assert_eq!(stats.whole_queries, 1);
         assert!(stats.workers <= 3);
         assert!(outcomes[5].stats.is_some(), "cycle stats survive");
     }

@@ -16,13 +16,17 @@
 //!    speed and warm paths can hold the index resident behind an
 //!    [`Arc`](std::sync::Arc) keyed by [`ReferenceIndex::fingerprint`].
 //!    In memory the reference is one contiguous [`PackedSeq`] that every
-//!    search scans in place; shards are base ranges of it.
+//!    search scans in place; shards are base ranges of it that frame
+//!    the file and nothing else. The overlap is framing the loader
+//!    cross-checks, at most one shard long; no search reads either.
 //! 2. **A k-mer seed prefilter** ([`search_index`] with
 //!    [`PrefilterMode::Seeded`]), seed-then-extend in the
 //!    filter-then-verify shape. The BLAST-style BLOSUM62 neighbourhood
 //!    tables of every query ([`WordIndex`]) are merged into one table per
-//!    search. Each shard is translated once in the three forward frames,
-//!    and each frame word is looked up once with a rolling packed key;
+//!    search. The reference is cut into the batch scheduler's slices
+//!    ([`SlicePlan`]) for the longest query window and the worker count;
+//!    each slice is translated once in the three forward frames, and
+//!    each frame word is looked up once with a rolling packed key;
 //!    every seed hit `(word position, query position)` names one
 //!    diagonal, so the candidate alignment start is `word_base − 3·q`.
 //!    Each seeded (query, diagonal) is checked once against an
@@ -31,8 +35,9 @@
 //!    residues identical to the query's, and a diagonal with fewer
 //!    cannot reach the threshold. Where the bound forces every passing
 //!    window to repeat a query word exactly, the table keeps only that
-//!    query's exact postings. The diagonals that pass are coalesced
-//!    into disjoint regions and **verified by the exact engine**
+//!    query's exact postings. Each query's passing diagonals, gathered
+//!    from every slice, are coalesced once into disjoint regions of the
+//!    whole reference and **verified by the exact engine**
 //!    ([`BitParallelEngine`]) over just those regions. A hit depends only
 //!    on the `window` bases it spans, so seeded hits are a subset of the
 //!    full scan's with equal scores, and every full-scan hit whose own
@@ -83,7 +88,7 @@
 use crate::aligner::Threshold;
 use crate::batch::{claim_all, search_all};
 use crate::bitparallel::BitParallelEngine;
-use crate::hits::{merge_shard_hits, retain_within_records, Hit};
+use crate::hits::{retain_within_records, Hit};
 use crate::kmer::{pack_word, WordIndex, SYMBOLS};
 use crate::slice_plan::{overlap_ranges, SliceOptions, SlicePlan};
 use fabp_bio::alphabet::AminoAcid;
@@ -172,11 +177,10 @@ impl Default for SeedParams {
 /// Sizing policy for [`ReferenceIndex::build_from_rna`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexBuildOptions {
-    /// Trailing overlap bases per shard. Must be at least
-    /// `3 × max_query_aa − 1` for the seeded path to admit every query
-    /// window; the serve layer derives it from its `max_query_aa`.
+    /// Trailing overlap bases per shard: framing the loader cross-checks,
+    /// at most `target_shard_bases`. No search reads it.
     pub overlap: usize,
-    /// Target shard payload size in bases; the builder cuts
+    /// Target shard payload size in bases, at least 1; the builder cuts
     /// `ceil(total / target)` shards.
     pub target_shard_bases: usize,
 }
@@ -184,7 +188,7 @@ pub struct IndexBuildOptions {
 impl Default for IndexBuildOptions {
     fn default() -> IndexBuildOptions {
         IndexBuildOptions {
-            // 3 × 128 aa: comfortably above every workload's max query.
+            // The framing every earlier release wrote.
             overlap: 384,
             // 4 Mbases/shard: large enough to amortise per-shard costs,
             // small enough to parallelise seeding across cores.
@@ -196,7 +200,7 @@ impl Default for IndexBuildOptions {
 /// A persistent, CRC-framed, packed-shard reference index: the reference
 /// held once, its records as base ranges of it, and shards as base ranges
 /// of it, each reaching `overlap` bases into the next, that frame the
-/// file and spread seeding.
+/// file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReferenceIndex {
     overlap: usize,
@@ -213,7 +217,7 @@ impl ReferenceIndex {
     ///
     /// # Errors
     ///
-    /// Returns [`FabpError::InvalidShardPlan`] for an empty reference.
+    /// As [`ReferenceIndex::build_from_packed`].
     pub fn build_from_rna(
         reference: &RnaSeq,
         options: IndexBuildOptions,
@@ -228,8 +232,11 @@ impl ReferenceIndex {
     ///
     /// # Errors
     ///
-    /// Returns [`FabpError::InvalidShardPlan`] for an empty reference, or
-    /// records that do not tile it in order, one id each.
+    /// Returns [`FabpError::InvalidShardPlan`] for an empty reference,
+    /// records that do not tile it in order, one id each, a zero
+    /// `target_shard_bases`, or an `overlap` above it: each shard then
+    /// repeats less than its own length, so the file holds fewer than
+    /// twice the reference's bases.
     pub fn build_from_packed(
         reference: PackedRecords,
         options: IndexBuildOptions,
@@ -240,6 +247,13 @@ impl ReferenceIndex {
                 "cannot index an empty reference".into(),
             ));
         }
+        let (overlap, target) = (options.overlap, options.target_shard_bases);
+        if target == 0 || overlap > target {
+            return Err(FabpError::InvalidShardPlan(format!(
+                "index shard size {target} must be at least 1 and at least the \
+                 overlap {overlap}"
+            )));
+        }
         if reference.ids.len() != reference.ranges.len() || !records_tile(&reference.ranges, total)
         {
             return Err(FabpError::InvalidShardPlan(format!(
@@ -248,14 +262,13 @@ impl ReferenceIndex {
                 reference.ids.len()
             )));
         }
-        let parts = total.div_ceil(options.target_shard_bases.max(1)).max(1);
-        let shards = overlap_ranges(total, parts, options.overlap)?
+        let shards = overlap_ranges(total, total.div_ceil(target), overlap)?
             .into_iter()
             .filter(|(s, e)| e > s)
             .map(|(s, e)| s..e)
             .collect();
         let mut index = ReferenceIndex {
-            overlap: options.overlap,
+            overlap,
             reference: Arc::new(reference.bases),
             shards,
             records: reference.ranges,
@@ -303,14 +316,6 @@ impl ReferenceIndex {
     /// reference.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// End of the alignment positions shard `i` *owns* for a `window`-base
-    /// query: positions in its trailing overlap belong to the next shard.
-    fn owned_end(&self, i: usize, window: usize) -> usize {
-        let shard = &self.shards[i];
-        let body = self.shards.get(i + 1).map_or(shard.end, |next| next.start) - shard.start;
-        shard.start + body.min((shard.len() + 1).saturating_sub(window))
     }
 
     fn shard_crcs(&self) -> Vec<u32> {
@@ -655,12 +660,13 @@ impl<'a> Cursor<'a> {
 /// Counters describing one [`search_index`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IndexSearchStats {
-    /// Raw seed hits (word match × posting) across all queries/shards.
+    /// Raw seed hits (word match × posting) across all queries, each
+    /// frame word of the reference counted once.
     pub seed_hits: u64,
     /// Candidate alignment windows admitted for verification: the
-    /// distinct seeded (query, window start) pairs, each counted by the
-    /// shard that owns the start, that pass the query's identity bound
-    /// (all of them when the bound is 0), before region coalescing.
+    /// distinct seeded (query, window start) pairs that pass the query's
+    /// identity bound (all of them when the bound is 0), before region
+    /// coalescing.
     pub candidate_windows: u64,
     /// Bases the exact engine actually scanned (coalesced regions),
     /// summed over queries.
@@ -686,7 +692,7 @@ fn publish_stats(stats: &IndexSearchStats, mode: PrefilterMode) {
     registry
         .counter(
             "fabp_index_seed_hits_total",
-            "Raw k-mer seed hits across queries and shards",
+            "Raw k-mer seed hits across queries, each reference word counted once",
         )
         .add(stats.seed_hits);
     registry
@@ -733,27 +739,25 @@ pub fn record_recall(recall: f64) {
 ///
 /// With [`PrefilterMode::Off`] every position of the held words is
 /// scanned (the exhaustive ground-truth path). With
-/// [`PrefilterMode::Seeded`] each shard is translated once in three
-/// frames against one neighbourhood table of all queries, each seeded
-/// diagonal whose window can reach the threshold (the identity bound in
-/// the module docs) becomes a candidate window, and only the coalesced
-/// candidate regions are verified by the exact engine. Seeded hits are a
-/// subset of the full scan's with equal scores, and include every
-/// full-scan hit whose own diagonal carries a seed word.
+/// [`PrefilterMode::Seeded`] each slice of the batch plan is translated
+/// once in three frames against one neighbourhood table of all queries,
+/// each seeded diagonal whose window can reach the threshold (the
+/// identity bound in the module docs) becomes a candidate window, and
+/// only each query's coalesced candidate regions are verified by the
+/// exact engine. Seeded hits are a subset of the full scan's with equal
+/// scores, include every full-scan hit whose own diagonal carries a seed
+/// word, and do not depend on the file's shards or the worker count.
 ///
 /// Either way the concatenated records are scanned once, and a hit is
 /// kept only when its window lies inside one record
 /// ([`retain_within_records`]).
 ///
-/// Returns per-query hit lists (global positions, merged and deduped by
-/// [`merge_shard_hits`]) and the run's [`IndexSearchStats`].
+/// Returns per-query hit lists (global positions, in order) and the
+/// run's [`IndexSearchStats`].
 ///
 /// # Errors
 ///
 /// * [`FabpError::EmptyQuery`] — a query with zero residues;
-/// * [`FabpError::InvalidShardPlan`] — a query window wider than the
-///   index overlap allows (`3 × aa > overlap + 1` on a multi-shard
-///   index), which would lose boundary-straddling hits;
 /// * seed-table errors from [`WordIndex::try_build`].
 pub fn search_index(
     index: &ReferenceIndex,
@@ -791,7 +795,7 @@ pub fn search_index(
     Ok((hits, stats))
 }
 
-/// Per-query seeding and verification state shared across shards.
+/// Per-query seeding and verification state shared across slices.
 struct QuerySeed {
     words: WordIndex,
     engine: BitParallelEngine,
@@ -946,12 +950,11 @@ impl SeedTable {
     }
 }
 
-/// One verification work item: a run of `query`'s candidate base ranges
-/// in `shard`, as indices into the shared list of global ranges.
+/// One verification work item: a run of `query`'s candidate base ranges,
+/// as indices into the shared list of global ranges.
 struct Verify {
     query: usize,
-    shard: usize,
-    ranges: std::ops::Range<usize>,
+    ranges: Range<usize>,
 }
 
 fn search_seeded(
@@ -967,13 +970,6 @@ fn search_seeded(
         let words = WordIndex::try_build(protein.as_slice(), params.word_size, params.threshold)?;
         let encoded = EncodedQuery::from_protein(protein);
         let window = encoded.len();
-        if index.shards().len() > 1 && window > index.overlap() + 1 {
-            return Err(FabpError::InvalidShardPlan(format!(
-                "query window {window} exceeds index overlap {} + 1; rebuild the \
-                 index with a larger overlap or use --prefilter off",
-                index.overlap()
-            )));
-        }
         let resolved_threshold = threshold.resolve(window);
         let need = (resolved_threshold as usize).saturating_sub(2 * protein.len());
         let mut residues: Vec<u8> = protein.iter().map(|aa| aa.index() as u8).collect();
@@ -992,110 +988,118 @@ fn search_seeded(
     .results
     .into_iter()
     .collect::<FabpResult<_>>()?;
-    if seeds.is_empty() {
+    let Some(longest) = seeds.iter().map(|seed| seed.window).max() else {
         return Ok(Vec::new());
-    }
+    };
 
-    // Seed every shard: per shard, one 3-frame translation of the held
-    // words, one lookup per frame word in the table of all queries, and
-    // at most one identity check per seeded (query, diagonal).
+    // Seed the batch plan's slices of the resident reference for the
+    // longest window, each slice's three forward frames as items of their
+    // own. A slice owns the window starts up to the next slice's first
+    // base, the last one those up to the reference end, and reads every
+    // base an owned window covers.
     let table = SeedTable::build(&seeds, params.word_size);
-    let shard_ids: Vec<usize> = (0..index.shards().len()).collect();
-    let mut seeded = claim_all(&shard_ids, workers, |&s| {
-        seed_shard(index, s, &seeds, &table)
+    let reference = index.reference();
+    let options = SliceOptions::default();
+    let plan = SlicePlan::build(reference.len(), longest, workers, options);
+    let slices = plan.slices();
+    let frames: Vec<(usize, usize)> = (0..slices.len())
+        .flat_map(|i| (0..3).map(move |frame| (i, frame)))
+        .collect();
+    let mut seeded = claim_all(&frames, workers, |&(i, frame)| {
+        let owned_end = slices.get(i + 1).map_or(reference.len(), |next| next.start);
+        let bases = slices[i].start + frame..slices[i].end;
+        seed_frame(reference, bases, owned_end, &seeds, &table)
     })
     .results;
     stats.seed_hits += seeded.iter().map(|(_, hits)| hits).sum::<u64>();
 
-    // Coalesce each query's candidates into regions per shard. Regions
-    // are cut into slices (the batch slice plan) so a long one spreads
-    // over the workers, and consecutive slices are packed into items of
-    // at least one slice's worth of bases so short regions do not each
-    // pay a claim.
-    let options = SliceOptions::default();
+    // Coalesce each query's candidates, gathered from every slice, once
+    // over the whole reference. Regions are cut into slices (the batch
+    // slice plan) so a long one spreads over the workers, and
+    // consecutive slices are packed into items of at least one slice's
+    // worth of bases so short regions do not each pay a claim.
     let mut ranges: Vec<(usize, usize)> = Vec::new();
     let mut items: Vec<Verify> = Vec::new();
     for (q, seed) in seeds.iter().enumerate() {
-        for (s, (candidates, _)) in seeded.iter_mut().enumerate() {
-            let mut starts = std::mem::take(&mut candidates[q]);
-            starts.sort_unstable();
-            starts.dedup();
-            stats.candidate_windows += starts.len() as u64;
-            let mut first = ranges.len();
-            let mut item_bases = 0;
-            for (lo, hi) in coalesce(&starts, seed.window, index.shards()[s].end) {
-                stats.admitted_bases += (hi - lo) as u64;
-                for slice in SlicePlan::build(hi - lo, seed.window, workers, options).slices() {
-                    if slice.positions == 0 {
-                        continue;
-                    }
-                    ranges.push((lo + slice.start, lo + slice.end));
-                    item_bases += slice.bases();
-                    if item_bases >= options.min_slice_positions {
-                        items.push(Verify {
-                            query: q,
-                            shard: s,
-                            ranges: first..ranges.len(),
-                        });
-                        first = ranges.len();
-                        item_bases = 0;
-                    }
+        let mut starts: Vec<usize> = seeded
+            .iter_mut()
+            .flat_map(|(candidates, _)| std::mem::take(&mut candidates[q]))
+            .collect();
+        starts.sort_unstable();
+        stats.candidate_windows += starts.len() as u64;
+        let mut first = ranges.len();
+        let mut item_bases = 0;
+        for (lo, hi) in coalesce(&starts, seed.window, reference.len()) {
+            stats.admitted_bases += (hi - lo) as u64;
+            for slice in SlicePlan::build(hi - lo, seed.window, workers, options).slices() {
+                ranges.push((lo + slice.start, lo + slice.end));
+                item_bases += slice.bases();
+                if item_bases >= options.min_slice_positions {
+                    items.push(Verify {
+                        query: q,
+                        ranges: first..ranges.len(),
+                    });
+                    first = ranges.len();
+                    item_bases = 0;
                 }
             }
-            if first < ranges.len() {
-                items.push(Verify {
-                    query: q,
-                    shard: s,
-                    ranges: first..ranges.len(),
-                });
-            }
+        }
+        if first < ranges.len() {
+            items.push(Verify {
+                query: q,
+                ranges: first..ranges.len(),
+            });
         }
     }
 
-    // Verify every range in place with the exact engine; keep the hits
-    // the shard owns.
+    // Verify every range in place with the exact engine. A query's
+    // regions are disjoint and its items in order, so its hits are its
+    // items' hits, concatenated.
     let verified = claim_all(&items, workers, |item| {
         let seed = &seeds[item.query];
-        let owned_end = index.owned_end(item.shard, seed.window);
         let mut hits = Vec::new();
         for &(lo, hi) in &ranges[item.ranges.clone()] {
             hits.extend(
                 seed.engine
-                    .search(&index.reference, lo..hi, seed.resolved_threshold)
+                    .search(reference, lo..hi, seed.resolved_threshold)
                     .into_iter()
-                    .filter_map(|hit| {
-                        let position = lo + hit.position;
-                        (position < owned_end).then_some(Hit {
-                            position,
-                            score: hit.score,
-                        })
+                    .map(|hit| Hit {
+                        position: lo + hit.position,
+                        score: hit.score,
                     }),
             );
         }
         hits
     })
     .results;
-    let mut per_query: Vec<Vec<Vec<Hit>>> = vec![Vec::new(); seeds.len()];
+    let mut per_query: Vec<Vec<Hit>> = vec![Vec::new(); seeds.len()];
     for (item, hits) in items.iter().zip(verified) {
-        per_query[item.query].push(hits);
+        per_query[item.query].extend(hits);
     }
-    Ok(per_query.into_iter().map(merge_shard_hits).collect())
+    Ok(per_query)
 }
 
-/// Seeds shard `s`: translates each of its three forward frames once,
-/// rolls a packed word key along each frame, looks every key up once in
-/// the all-query `table`, and checks each (query, diagonal) its postings
-/// seed once against the query's identity bound. Returns per-query
-/// candidate window starts (global bases the shard owns, unordered) and
-/// the raw seed-hit count.
-fn seed_shard(
-    index: &ReferenceIndex,
-    s: usize,
+/// Seeds one forward frame of a slice, the codons of `bases` from its
+/// first base on: translates them once, rolls a packed word key along
+/// them, looks every key up once in the all-query `table`, and checks
+/// each (query, diagonal) its postings seed once against the query's
+/// identity bound. The slice owns the window starts and frame words that
+/// begin below `owned_end`. Returns per-query candidate window starts
+/// (owned global bases whose window ends inside the reference,
+/// unordered) and the raw seed-hit count of the owned words.
+fn seed_frame(
+    reference: &PackedSeq,
+    bases: Range<usize>,
+    owned_end: usize,
     seeds: &[QuerySeed],
     table: &SeedTable,
 ) -> (Vec<Vec<usize>>, u64) {
-    let shard = index.shards()[s].clone();
     let w = table.word_size;
+    let count = bases.len() / 3;
+    let mut candidates: Vec<Vec<usize>> = vec![Vec::new(); seeds.len()];
+    if count < w {
+        return (candidates, 0);
+    }
     let top = SYMBOLS.pow(w as u32 - 1);
     // A query's word positions span `n − w + 1` residues, so every seed
     // hit on one diagonal comes within that many frame words of the
@@ -1108,63 +1112,57 @@ fn seed_shard(
         .unwrap_or(1)
         .next_power_of_two();
     let mut seen = vec![usize::MAX; seeds.len() * ring];
-    let mut candidates: Vec<Vec<usize>> = vec![Vec::new(); seeds.len()];
     let mut gathered: Vec<(u32, usize)> = Vec::with_capacity(GATHER * SEED_BLOCK);
     let mut seed_hits = 0u64;
-    for frame in 0..3usize {
-        let first_base = shard.start + frame;
-        let count = shard.len().saturating_sub(frame) / 3;
-        if count < w {
-            continue;
-        }
-        // Per query, the diagonals whose window starts at a base the
-        // shard owns; each such window lies inside the shard.
-        let owned: Vec<usize> = seeds
-            .iter()
-            .map(|seed| {
-                let owned_end = index.owned_end(s, seed.window);
-                owned_end.saturating_sub(first_base).div_ceil(3)
-            })
-            .collect();
-        let residues = translate_codons(&index.reference, first_base, count);
-        seen.fill(usize::MAX);
-        let mut key = residues[..w - 1]
-            .iter()
-            .fold(0, |key, &r| key * SYMBOLS + r as usize);
-        let words = count + 1 - w;
-        for block in (0..words).step_by(SEED_BLOCK) {
-            // Gather the block's postings as (query, diagonal): word `j`
-            // spans frame residues `j ..= j + w − 1`, so seeding query
-            // position `p` puts the window's first residue, its
-            // diagonal, at `j − p` (wrapping past every owned diagonal
-            // when `p > j`). Copying `GATHER` slots per word and keeping
-            // the row's share spares a branch on each row's length.
-            gathered.clear();
-            for j in block..words.min(block + SEED_BLOCK) {
-                key = key * SYMBOLS + residues[j + w - 1] as usize;
-                let (lo, hi) = (table.offsets[key], table.offsets[key + 1]);
+    // Per query, the diagonals whose window starts at an owned base and
+    // ends inside the reference; each such window lies inside the slice.
+    let owned: Vec<usize> = seeds
+        .iter()
+        .map(|seed| {
+            let end = owned_end.min((reference.len() + 1).saturating_sub(seed.window));
+            end.saturating_sub(bases.start).div_ceil(3)
+        })
+        .collect();
+    let owned_words = owned_end.saturating_sub(bases.start).div_ceil(3);
+    let residues = translate_codons(reference, bases.start, count);
+    let mut key = residues[..w - 1]
+        .iter()
+        .fold(0, |key, &r| key * SYMBOLS + r as usize);
+    let words = count + 1 - w;
+    for block in (0..words).step_by(SEED_BLOCK) {
+        // Gather the block's postings as (query, diagonal): word `j`
+        // spans frame residues `j ..= j + w − 1`, so seeding query
+        // position `p` puts the window's first residue, its diagonal, at
+        // `j − p` (wrapping past every owned diagonal when `p > j`).
+        // Copying `GATHER` slots per word and keeping the row's share
+        // spares a branch on each row's length.
+        gathered.clear();
+        for j in block..words.min(block + SEED_BLOCK) {
+            key = key * SYMBOLS + residues[j + w - 1] as usize;
+            let (lo, hi) = (table.offsets[key], table.offsets[key + 1]);
+            if j < owned_words {
                 seed_hits += table.seed_hits[key];
-                let row = &table.postings[lo..hi.max(lo + GATHER)];
-                let entry = |p: &Posting| (p.query, j.wrapping_sub(p.position as usize));
-                let kept = gathered.len() + (hi - lo).min(GATHER);
-                gathered.extend(row[..GATHER].iter().map(entry));
-                gathered.truncate(kept);
-                gathered.extend(row[GATHER..].iter().map(entry));
-                key -= residues[j] as usize * top;
             }
-            for &(query, diagonal) in &gathered {
-                let q = query as usize;
-                if diagonal >= owned[q] {
-                    continue;
-                }
-                let slot = &mut seen[q * ring + (diagonal & (ring - 1))];
-                if *slot == diagonal {
-                    continue;
-                }
-                *slot = diagonal;
-                if seeds[q].reaches_need(&residues[diagonal..]) {
-                    candidates[q].push(first_base + 3 * diagonal);
-                }
+            let row = &table.postings[lo..hi.max(lo + GATHER)];
+            let entry = |p: &Posting| (p.query, j.wrapping_sub(p.position as usize));
+            let kept = gathered.len() + (hi - lo).min(GATHER);
+            gathered.extend(row[..GATHER].iter().map(entry));
+            gathered.truncate(kept);
+            gathered.extend(row[GATHER..].iter().map(entry));
+            key -= residues[j] as usize * top;
+        }
+        for &(query, diagonal) in &gathered {
+            let q = query as usize;
+            if diagonal >= owned[q] {
+                continue;
+            }
+            let slot = &mut seen[q * ring + (diagonal & (ring - 1))];
+            if *slot == diagonal {
+                continue;
+            }
+            *slot = diagonal;
+            if seeds[q].reaches_need(&residues[diagonal..]) {
+                candidates[q].push(bases.start + 3 * diagonal);
             }
         }
     }
@@ -1194,12 +1192,12 @@ fn translate_codons(reference: &PackedSeq, start: usize, count: usize) -> Vec<u8
 }
 
 /// Coalesces sorted candidate starts into disjoint `[lo, hi)` base
-/// regions of `window`-sized verifications, clamped to the shard end.
-fn coalesce(starts: &[usize], window: usize, shard_end: usize) -> Vec<(usize, usize)> {
+/// regions of `window`-sized verifications, clamped to the reference end.
+fn coalesce(starts: &[usize], window: usize, end: usize) -> Vec<(usize, usize)> {
     let mut regions: Vec<(usize, usize)> = Vec::new();
     for &c in starts {
         let lo = c;
-        let hi = (c + window).min(shard_end);
+        let hi = (c + window).min(end);
         if hi <= lo {
             continue;
         }
@@ -1216,7 +1214,7 @@ mod tests {
     use super::*;
     use fabp_bio::generate::{random_protein, random_rna};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn small_index(len: usize, seed: u64) -> (RnaSeq, ReferenceIndex) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1695,20 +1693,100 @@ mod tests {
     }
 
     #[test]
-    fn oversized_query_window_is_rejected_on_multi_shard_index() {
-        let (_, index) = small_index(1_000, 13); // overlap 47
-        let mut rng = StdRng::seed_from_u64(1);
-        let protein = random_protein(30, &mut rng); // window 90 > 48
-        let err = search_index(
-            &index,
-            &[protein],
-            Threshold::Fraction(0.8),
-            PrefilterMode::Seeded,
-            SeedParams::default(),
-            1,
-        )
-        .unwrap_err();
-        assert!(matches!(err, FabpError::InvalidShardPlan(_)), "{err}");
+    fn oversized_query_window_is_served_on_multi_shard_index() {
+        // A 90-base window against shards of 250 bases that reach 47
+        // into the next, planted across the second shard's start and past
+        // the first shard's end: seeding reads the resident reference,
+        // not the shards, so the window is served like any other.
+        let mut rng = StdRng::seed_from_u64(13);
+        let protein = random_protein(30, &mut rng);
+        let coding = fabp_bio::generate::coding_rna_for_paper_patterns(&protein, &mut rng);
+        let mut bases = random_rna(1_000, &mut rng).into_inner();
+        bases.splice(230..320, coding.iter().copied());
+        let reference = RnaSeq::from(bases);
+        let options = IndexBuildOptions {
+            overlap: 47,
+            target_shard_bases: 256,
+        };
+        let index = ReferenceIndex::build_from_rna(&reference, options).unwrap();
+        assert_eq!(index.shards()[1], 250..547);
+        let search = |index: &ReferenceIndex, mode| {
+            let (queries, threshold) = (std::slice::from_ref(&protein), Threshold::Fraction(1.0));
+            search_index(index, queries, threshold, mode, SeedParams::default(), 1)
+                .unwrap()
+                .0
+        };
+        let off = search(&index, PrefilterMode::Off);
+        let plant = Hit {
+            position: 230,
+            score: 90,
+        };
+        assert!(off[0].contains(&plant), "{off:?}");
+        assert_eq!(search(&index, PrefilterMode::Seeded), off);
+        let one_shard = ReferenceIndex::build_from_rna(&reference, IndexBuildOptions::default());
+        assert_eq!(search(&one_shard.unwrap(), PrefilterMode::Seeded), off);
+    }
+
+    #[test]
+    fn seeded_search_does_not_read_the_files_framing() {
+        // One multi-record reference indexed at 1, 3 and 8 shards, each
+        // at overlap 0 and at the largest overlap its shards can frame:
+        // seeding runs over the batch plan's slices of the resident
+        // words, so every file gives the same hits and statistics, at 1
+        // and 4 workers, inside the pigeonhole regime (1.0; 0.9 for the
+        // 34- and 12-aa queries) and outside it (0.7, 0.5).
+        let mut rng = StdRng::seed_from_u64(37);
+        let proteins = [34, 12, 20].map(|aa| random_protein(aa, &mut rng));
+        let total = 72_000;
+        let mut bases = random_rna(total, &mut rng).into_inner();
+        // Plants, every other one mutated, around the shard starts at
+        // 24 000 and 27 000 and the 4-worker slice starts near 18 000 and
+        // 36 000.
+        let plants = [17_950, 23_980, 26_990, 35_900, 36_010, 60_000];
+        for (k, at) in plants.into_iter().enumerate() {
+            let protein = &proteins[k % proteins.len()];
+            let coding = fabp_bio::generate::coding_rna_for_paper_patterns(protein, &mut rng);
+            let mut coding = coding.into_inner();
+            for i in (k..coding.len() * (k % 2)).step_by(9) {
+                coding[i] = fabp_bio::alphabet::Nucleotide::from_code2(rng.gen_range(0..4));
+            }
+            bases.splice(at..at + coding.len(), coding);
+        }
+        let records = PackedRecords {
+            bases: PackedSeq::from_rna(&RnaSeq::from(bases)),
+            ids: ["a", "b", "c"].map(String::from).to_vec(),
+            ranges: vec![0..30_000, 30_000..50_000, 50_000..total],
+        };
+        let files: Vec<ReferenceIndex> = [1, 3, 8]
+            .into_iter()
+            .flat_map(|shards| {
+                let target_shard_bases = total.div_ceil(shards);
+                [0, target_shard_bases].map(|overlap| {
+                    let options = IndexBuildOptions {
+                        overlap,
+                        target_shard_bases,
+                    };
+                    let index = ReferenceIndex::build_from_packed(records.clone(), options);
+                    let index = index.unwrap();
+                    assert_eq!(index.shards().len(), shards);
+                    index
+                })
+            })
+            .collect();
+        for fraction in [1.0, 0.9, 0.7, 0.5] {
+            for workers in [1, 4] {
+                let search = |index| {
+                    let threshold = Threshold::Fraction(fraction);
+                    let (mode, params) = (PrefilterMode::Seeded, SeedParams::default());
+                    search_index(index, &proteins, threshold, mode, params, workers).unwrap()
+                };
+                let (hits, stats) = search(&files[0]);
+                assert!(hits.iter().all(|h| !h.is_empty()), "{fraction}: {hits:?}");
+                for (f, file) in files.iter().enumerate().skip(1) {
+                    assert_eq!(search(file), (hits.clone(), stats), "{fraction} file {f}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1724,6 +1802,41 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, FabpError::EmptyQuery));
+    }
+
+    #[test]
+    fn a_zero_shard_size_is_rejected_at_build() {
+        let reference: RnaSeq = "ACGUACGUACGU".parse().unwrap();
+        let options = IndexBuildOptions {
+            overlap: 0,
+            target_shard_bases: 0,
+        };
+        match ReferenceIndex::build_from_rna(&reference, options) {
+            Err(FabpError::InvalidShardPlan(msg)) => assert!(msg.contains("at least 1"), "{msg}"),
+            other => panic!("expected InvalidShardPlan, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_overlap_above_the_shard_size_is_rejected_at_build() {
+        // Each shard would repeat more bases than it holds, so the file
+        // would grow with the square of the reference.
+        let (reference, _) = small_index(1_000, 19);
+        let build = |overlap| {
+            let options = IndexBuildOptions {
+                overlap,
+                target_shard_bases: 100,
+            };
+            ReferenceIndex::build_from_rna(&reference, options)
+        };
+        match build(101) {
+            Err(FabpError::InvalidShardPlan(msg)) => assert!(msg.contains("overlap 101"), "{msg}"),
+            other => panic!("expected InvalidShardPlan, got {other:?}"),
+        }
+        let widest = build(100).unwrap();
+        assert_eq!(widest.shards().len(), 10);
+        let held: usize = widest.shards().iter().map(Range::len).sum();
+        assert!(held < 2 * 1_000, "{held}");
     }
 
     #[test]

@@ -110,10 +110,11 @@ proptest! {
     fn index_round_trip_is_bit_identical(
         reference_len in 1usize..=4_096,
         target_shard in 64usize..=1_024,
-        overlap in 0usize..=128,
+        overlap_pick in 0usize..=1_024,
         seed in 0u64..1_000_000,
     ) {
         let reference = random_reference(reference_len, seed);
+        let overlap = overlap_pick % (target_shard + 1);
         let index = ReferenceIndex::build_from_rna(
             &reference,
             IndexBuildOptions { overlap, target_shard_bases: target_shard },
@@ -137,6 +138,7 @@ proptest! {
         records in 2usize..=6,
         reference_len in 200usize..=4_000,
         target_shard in 128usize..=2_048,
+        overlap_pick in 0usize..=2_048,
         fraction in 0.75f64..=1.0,
         workers in 1usize..=3,
         seed in 0u64..1_000_000,
@@ -167,9 +169,10 @@ proptest! {
                     .collect()
             })
             .collect();
+        let overlap = overlap_pick % (target_shard + 1);
         let index = ReferenceIndex::build_from_packed(
             packed,
-            IndexBuildOptions { overlap: 3 * 16, target_shard_bases: target_shard },
+            IndexBuildOptions { overlap, target_shard_bases: target_shard },
         ).expect("records tile the reference");
         let search = |mode| {
             search_index(&index, &queries, threshold, mode, SeedParams::default(), workers)
@@ -227,6 +230,7 @@ proptest! {
         grid_pick in 0usize..4,
         num_queries in 3usize..=6,
         query_len in 10usize..=18,
+        overlap in 0usize..=2_048,
         seed in 0u64..1_000_000,
     ) {
         // (word_size, T) pairs where an unmutated word always
@@ -247,7 +251,7 @@ proptest! {
         );
         let index = ReferenceIndex::build_from_rna(
             &db.reference,
-            IndexBuildOptions { overlap: 3 * query_len + 16, target_shard_bases: 2_048 },
+            IndexBuildOptions { overlap, target_shard_bases: 2_048 },
         ).expect("non-empty reference");
         let threshold = Threshold::Fraction(0.6);
         let params = SeedParams { word_size, threshold: t };
@@ -310,6 +314,7 @@ proptest! {
         num_queries in 1usize..=4,
         query_len in 8usize..=14,
         target_shard in 512usize..=4_096,
+        overlap_pick in 0usize..=4_096,
         seed in 0u64..1_000_000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -326,7 +331,10 @@ proptest! {
         );
         let index = ReferenceIndex::build_from_rna(
             &db.reference,
-            IndexBuildOptions { overlap: 3 * query_len + 8, target_shard_bases: target_shard },
+            IndexBuildOptions {
+                overlap: overlap_pick % (target_shard + 1),
+                target_shard_bases: target_shard,
+            },
         ).expect("non-empty reference");
         let threshold = Threshold::Fraction(0.6);
         let search = |mode, params, workers| {
@@ -374,6 +382,7 @@ proptest! {
         rate in 0.0f64..=0.08,
         num_queries in 1usize..=4,
         target_shard in 256usize..=4_096,
+        overlap_pick in 0usize..=4_096,
         workers in 1usize..=3,
         seed in 0u64..1_000_000,
     ) {
@@ -402,7 +411,10 @@ proptest! {
         let reference = RnaSeq::from(bases);
         let index = ReferenceIndex::build_from_rna(
             &reference,
-            IndexBuildOptions { overlap: 3 * 40, target_shard_bases: target_shard },
+            IndexBuildOptions {
+                overlap: overlap_pick % (target_shard + 1),
+                target_shard_bases: target_shard,
+            },
         ).expect("non-empty reference");
         let threshold = if threshold_pick == 0 {
             Threshold::Absolute(absolute)
@@ -462,7 +474,7 @@ proptest! {
         reference_len in 1usize..=3_000,
         records in 1usize..=5,
         target_shard in 64usize..=1_024,
-        overlap in 0usize..=96,
+        overlap_pick in 0usize..=1_024,
         cut_frac in 0.0f64..1.0,
         flip_frac in 0.0f64..1.0,
         flip in 1u8..=255,
@@ -497,6 +509,7 @@ proptest! {
 
         let queries = [random_protein(6, &mut StdRng::seed_from_u64(seed))];
         let packed = planted_records(&queries, records, reference_len.max(18), seed);
+        let overlap = overlap_pick % (target_shard + 1);
         let index = ReferenceIndex::build_from_packed(
             packed,
             IndexBuildOptions { overlap, target_shard_bases: target_shard },

@@ -142,10 +142,10 @@ pub struct ServeConfig {
     /// Deadline attached to [`FabpServer::submit`] requests, as a
     /// relative budget in microseconds (`None`: requests never expire).
     pub default_deadline_us: Option<u64>,
-    /// Longest query accepted, amino acids. The fleet backend sizes
-    /// its shard overlap from this (`3 · max_query_aa` bases), so longer
-    /// queries are rejected at submit instead of silently losing
-    /// cross-shard hits.
+    /// Longest query accepted, amino acids; fleet backend only. The
+    /// fleet sizes its shard overlap from this (`3 · max_query_aa`
+    /// bases), so longer queries are rejected at submit instead of
+    /// silently losing cross-shard hits.
     pub max_query_aa: usize,
     /// Prefilter routing: [`PrefilterMode::Off`] (the default) keeps
     /// the exhaustive scan; [`PrefilterMode::Seeded`] routes the
@@ -313,16 +313,6 @@ impl Backend {
                 Ok(Backend::Scan { threads, aligners })
             }
             (&ServeBackend::Software { threads }, PrefilterMode::Seeded, Some(index)) => {
-                let window = 3 * config.max_query_aa;
-                if index.shards().len() > 1 && window > index.overlap() + 1 {
-                    return Err(FabpError::InvalidShardPlan(format!(
-                        "index overlap {} cannot cover max_query_aa {} windows ({window} bases); \
-                         rebuild the index with --overlap >= {} or lower max_query_aa",
-                        index.overlap(),
-                        config.max_query_aa,
-                        window - 1,
-                    )));
-                }
                 let index = Arc::clone(index);
                 Ok(Backend::Seeded { threads, index })
             }
@@ -491,10 +481,7 @@ impl FabpServer {
     ///
     /// # Errors
     ///
-    /// [`FabpError::InvalidShardPlan`] when the index's shard overlap is
-    /// too small for `max_query_aa` under [`PrefilterMode::Seeded`] (a
-    /// boundary-straddling window could be lost), and as
-    /// [`FabpServer::new`]; here the seeded prefilter fails the build
+    /// As [`FabpServer::new`]; here the seeded prefilter fails the build
     /// only on the fleet backend.
     pub fn with_index(
         index: Arc<ReferenceIndex>,
@@ -1031,9 +1018,10 @@ impl Dispatch<'_> {
     }
 
     /// Seeded dispatch: the whole batch rides one [`search_index`] call
-    /// — per shard, one three-frame translation pass seeds every query's
-    /// word table, then the exact engine verifies only the coalesced
-    /// candidate regions, and the index's records mask the hits. Hits
+    /// — per slice of the resident reference, one three-frame
+    /// translation pass seeds every query's word table, then the exact
+    /// engine verifies only the coalesced candidate regions, and the
+    /// index's records mask the hits. Hits
     /// are bit-identical to the exhaustive scan on everything the filter
     /// admits (the serving transparency invariant is unchanged for
     /// admitted windows).
@@ -1716,7 +1704,7 @@ mod tests {
             ReferenceIndex::build_from_rna(
                 &reference,
                 IndexBuildOptions {
-                    overlap: 3 * 64, // covers max_query_aa = 64 windows
+                    overlap: 0,
                     target_shard_bases: 1_024,
                 },
             )
@@ -1729,7 +1717,6 @@ mod tests {
             let config = ServeConfig {
                 threshold: Threshold::Fraction(0.9),
                 prefilter,
-                max_query_aa: 64,
                 ..ServeConfig::default()
             };
             let mut server = FabpServer::with_index(Arc::clone(&index), config, &registry).unwrap();
@@ -1769,34 +1756,50 @@ mod tests {
     }
 
     #[test]
-    fn with_index_rejects_overlap_too_small_for_max_query() {
+    fn with_index_serves_queries_wider_than_the_overlap() {
+        // Shards of 1 000 bases reaching 16 into the next, and a batch of
+        // two 8-aa queries and one 40-aa query (a 120-base window) planted
+        // across the second shard's start: the seeded server serves all
+        // three, each as the exhaustive scan does.
         use fabp_core::index::IndexBuildOptions;
         let mut rng = StdRng::seed_from_u64(107);
-        let reference = random_rna(4_000, &mut rng);
-        let index = Arc::new(
-            ReferenceIndex::build_from_rna(
-                &reference,
-                IndexBuildOptions {
-                    overlap: 16, // far below 3 * max_query_aa
-                    target_shard_bases: 1_024,
-                },
-            )
-            .unwrap(),
-        );
-        let registry = Registry::new();
-        let config = ServeConfig {
-            prefilter: PrefilterMode::Seeded,
-            ..ServeConfig::default()
+        let short = [random_protein(8, &mut rng), random_protein(8, &mut rng)];
+        let long = random_protein(40, &mut rng);
+        let mut bases = planted_reference(&short, &mut rng).into_inner();
+        let coding = coding_rna_for_paper_patterns(&long, &mut rng);
+        bases.splice(950..1_070, coding.iter().copied());
+        let options = IndexBuildOptions {
+            overlap: 16,
+            target_shard_bases: 1_024,
         };
-        match FabpServer::with_index(Arc::clone(&index), config, &registry) {
-            Err(FabpError::InvalidShardPlan(msg)) => {
-                assert!(msg.contains("overlap"), "{msg}");
-            }
-            other => panic!("expected InvalidShardPlan, got {other:?}"),
-        }
-        // The exhaustive path over the same index stays available.
-        let off = ServeConfig::default();
-        assert!(FabpServer::with_index(index, off, &registry).is_ok());
+        let index = ReferenceIndex::build_from_rna(&RnaSeq::from(bases), options).unwrap();
+        assert_eq!(index.shards()[1].start, 1_000);
+        let index = Arc::new(index);
+        let served: Vec<Vec<FabpResult<Vec<Hit>>>> = [PrefilterMode::Off, PrefilterMode::Seeded]
+            .into_iter()
+            .map(|prefilter| {
+                let config = ServeConfig {
+                    prefilter,
+                    ..ServeConfig::default()
+                };
+                let registry = Registry::disabled();
+                let mut server = FabpServer::with_index(Arc::clone(&index), config, &registry)
+                    .expect("any overlap serves");
+                for protein in short.iter().chain([&long]) {
+                    server.submit("a", protein).unwrap();
+                }
+                let mut responses = server.run_to_completion();
+                assert!(responses.iter().all(|r| r.batch_size == 3));
+                responses.sort_by_key(|r| r.id);
+                responses.into_iter().map(|r| r.result).collect()
+            })
+            .collect();
+        let long_hits = served[0][2].as_ref().unwrap();
+        assert!(long_hits.iter().any(|h| h.position == 950), "{long_hits:?}");
+        assert!(served[0]
+            .iter()
+            .all(|r| r.as_ref().is_ok_and(|h| !h.is_empty())));
+        assert_eq!(served[1], served[0]);
     }
 
     #[test]

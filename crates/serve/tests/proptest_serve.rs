@@ -89,7 +89,7 @@ proptest! {
         seed in 0u64..1_000_000,
         from_index in any::<bool>(),
         shard_bases in 64usize..512,
-        extra_overlap in 0usize..64,
+        overlap_pick in 0usize..512,
         seeded in any::<bool>(),
     ) {
         let backend = if on_fleet {
@@ -142,7 +142,7 @@ proptest! {
         };
         let mut server = if from_index {
             let options = IndexBuildOptions {
-                overlap: 3 * MAX_QUERY_AA - 1 + extra_overlap,
+                overlap: overlap_pick % (shard_bases + 1),
                 target_shard_bases: shard_bases,
             };
             let index = ReferenceIndex::build_from_packed(records, options).expect("index builds");

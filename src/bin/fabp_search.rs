@@ -38,7 +38,10 @@
 //!
 //! `--index` searches a persistent index's concatenated records, masked
 //! by the same rule; its rows name the index file and give concatenated
-//! coordinates. `--build-index` writes that index; the search flags are
+//! coordinates. `--build-index` writes that index, cut into shards of
+//! `--index-shard-bases` (default 4 194 304) that each repeat the next
+//! `--index-overlap` bases (default 384, at most the shard size): framing
+//! the loader cross-checks, which no search reads. The search flags are
 //! usage errors there, and every mode ends in the same `--stats`,
 //! `--metrics-out` and `--trace-out` tail.
 //!
@@ -135,7 +138,8 @@ fn usage() -> ! {
          \n\
          persistent index:\n\
            fabp-search --reference <db.fna> --build-index <out.fabpidx> \
-         [--index-overlap 384] [--index-shard-bases 4194304]\n\
+         [--index-overlap 384 (file framing, <= shard bases)] \
+         [--index-shard-bases 4194304]\n\
            fabp-search --query <queries.faa> --index <db.fabpidx> \
          [--prefilter off|seeded] [--threshold 0.9] [--threads 4] [--top 10]"
     );

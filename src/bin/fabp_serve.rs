@@ -45,7 +45,8 @@
 //!   --slo-us <n>             batch latency SLO, µs (default 50000)
 //!   --deadline-us <n>        per-request deadline budget, µs
 //!   --query-cache <n>        built-aligner/fleet cache entries (default 256)
-//!   --max-query-aa <n>       longest admissible query (default 128)
+//!   --max-query-aa <n>       longest admissible query (default 128;
+//!                            fleet backend only)
 //!   --inject-faults <spec>   fleet fault schedule, e.g. kill@1:50:
 //!                            kill@ nodes are marked dead in the failure
 //!                            detector (their shards fail over); other
@@ -115,7 +116,8 @@ fn usage() -> ! {
          [--backend software|fleet] [--threads 4] [--nodes 4] \
          [--replication 2] [--threshold 0.9] [--queue-capacity 1024] \
          [--max-batch 64] [--slo-us 50000] [--deadline-us <n>] \
-         [--query-cache 256] [--max-query-aa 128] [--inject-faults <spec>] \
+         [--query-cache 256] [--max-query-aa 128 (fleet backend only)] \
+         [--inject-faults <spec>] \
          [--stats] [--slo] [--metrics-out m.prom] [--trace-out t.json] \
          [--anomaly-out a.json] [--quiet]"
     );
@@ -245,6 +247,7 @@ fn parse_args() -> Args {
         ("--nodes", fleet, "--backend fleet"),
         ("--replication", fleet, "--backend fleet"),
         ("--inject-faults", fleet, "--backend fleet"),
+        ("--max-query-aa", fleet, "--backend fleet"),
         ("--threads", !fleet, "--backend software"),
         (
             "--prefilter",

@@ -624,20 +624,7 @@ fn every_reference_path_reads_every_record_and_names_a_bad_one() {
             .output()
             .expect("binary runs");
         assert!(output.status.success(), "{output:?}");
-        let stdout = String::from_utf8(output.stdout).unwrap();
-        let latency = stdout
-            .lines()
-            .next()
-            .and_then(|header| header.split('\t').position(|c| c == "latency_us"))
-            .expect("a latency_us column");
-        stdout
-            .lines()
-            .map(|line| {
-                let mut cells: Vec<&str> = line.split('\t').collect();
-                cells.remove(latency);
-                cells.join("\t")
-            })
-            .collect::<Vec<_>>()
+        without_columns(&String::from_utf8(output.stdout).unwrap(), &["latency_us"])
     };
     let from_fasta = serve_rows(&["--reference", reference.to_str().unwrap()]);
     assert_eq!(
@@ -693,6 +680,29 @@ fn every_reference_path_reads_every_record_and_names_a_bad_one() {
     for path in [query, reference, index, bad_reference] {
         fs::remove_file(path).ok();
     }
+}
+
+/// `fabp_serve`'s TSV `stdout`, row by row, without the `columns` its
+/// header names.
+fn without_columns(stdout: &str, columns: &[&str]) -> Vec<String> {
+    let header: Vec<&str> = stdout
+        .lines()
+        .next()
+        .expect("a header")
+        .split('\t')
+        .collect();
+    assert!(columns.iter().all(|c| header.contains(c)), "{header:?}");
+    stdout
+        .lines()
+        .map(|line| {
+            let cells = line.split('\t').zip(&header);
+            let kept: Vec<&str> = cells
+                .filter(|(_, name)| !columns.contains(name))
+                .map(|(cell, _)| cell)
+                .collect();
+            kept.join("\t")
+        })
+        .collect()
 }
 
 /// The 3-record repro, written to `name`: MFWKMFWK's coding RNA split
@@ -943,16 +953,20 @@ fn build_index_mode_writes_the_output_tail() {
 
 #[test]
 fn serve_cli_rejects_flags_of_another_backend() {
-    // The fleet's flags do nothing on the software backend, the
-    // software workers do nothing on the fleet, and only an index on the
-    // software backend has a prefilter: each is a usage error that names
-    // the flag, not a silent no-op.
+    // The fleet's flags (its query-length bound included) do nothing on
+    // the software backend, the software workers do nothing on the
+    // fleet, and only an index on the software backend has a prefilter:
+    // each is a usage error that names the flag, not a silent no-op.
     let cases = [
         ("--nodes 9", "--nodes requires --backend fleet"),
         ("--replication 7", "--replication requires --backend fleet"),
         (
             "--inject-faults kill@1:50",
             "--inject-faults requires --backend fleet",
+        ),
+        (
+            "--max-query-aa 8",
+            "--max-query-aa requires --backend fleet",
         ),
         (
             "--backend fleet --threads 2",
@@ -970,5 +984,99 @@ fn serve_cli_rejects_flags_of_another_backend() {
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(2), "{args}: {stderr}");
         assert!(stderr.contains(message), "{args}: {stderr}");
+    }
+}
+
+#[test]
+fn a_query_wider_than_the_index_overlap_is_served() {
+    // Shards of 4 000 bases with no overlap, and MFWKMFWK twice plus one
+    // 200-aa protein (a 600-base window) planted across the second
+    // shard's start: the seeded search and the seeded server print what
+    // the exhaustive scan prints, every request served. The server's TSV
+    // is compared without latency_us and without `cached`: the seeded
+    // backend builds no per-query aligner to cache.
+    let mut rng = StdRng::seed_from_u64(2024);
+    let long = random_protein(200, &mut rng);
+    let mut dna = planted_dna(16_000, &"MFWKMFWK".parse().unwrap(), 9_000, &mut rng);
+    let coding = coding_rna_for_paper_patterns(&long, &mut rng);
+    dna.replace_range(3_800..4_400, &coding.to_string().replace('U', "T"));
+    let reference = fasta_file("dbwide.fna", &[("wide".to_string(), dna)], 80);
+    let queries = format!(">m1\nMFWKMFWK\n>m2\nMFWKMFWK\n>long\n{long}\n");
+    let query = temp_file("qwide.faa", &queries);
+    let index = temp_file("dbwide.fabpidx", "");
+    let (query, reference, index) = (
+        query.to_str().unwrap(),
+        reference.to_str().unwrap(),
+        index.to_str().unwrap(),
+    );
+    let run = |bin: &str, args: &[&str]| {
+        let output = Command::new(bin).args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{args:?}: {stderr}");
+        String::from_utf8(output.stdout).unwrap()
+    };
+    let search = env!("CARGO_BIN_EXE_fabp_search");
+    let build = ["--reference", reference, "--build-index", index];
+    let framing = ["--index-overlap", "0", "--index-shard-bases", "4000"];
+    run(search, &[build, framing].concat());
+    let searched = |prefilter| {
+        let args = ["--query", query, "--index", index, "--quiet"];
+        run(search, &[&args[..], &["--prefilter", prefilter]].concat())
+    };
+    let off = searched("off");
+    assert!(off.contains(&format!("long\t{index}\t3800\t")), "{off}");
+    let mfwk_rows = off.lines().filter(|l| l.starts_with('m')).count();
+    assert_eq!(mfwk_rows, 2, "{off}");
+    assert_eq!(searched("seeded"), off);
+
+    let served = |prefilter| {
+        let args = ["--queries", query, "--index", index, "--quiet"];
+        let stdout = run(
+            env!("CARGO_BIN_EXE_fabp_serve"),
+            &[&args[..], &["--prefilter", prefilter]].concat(),
+        );
+        without_columns(&stdout, &["latency_us", "cached"])
+    };
+    let off = served("off");
+    assert_eq!(off.len(), 4, "{off:?}");
+    for row in &off[1..] {
+        let cells: Vec<&str> = row.split('\t').collect();
+        assert_eq!((cells[3], cells[4] != "0"), ("ok", true), "{off:?}");
+    }
+    assert_eq!(served("seeded"), off);
+    for path in [query, reference, index] {
+        fs::remove_file(path).ok();
+    }
+}
+
+#[test]
+fn build_index_rejects_framing_that_outgrows_the_reference() {
+    // Empty shards, or shards that repeat more bases than they hold (a
+    // file that grows with the square of the reference), are refused
+    // with the builder's message.
+    let reference = temp_file("dbframe.fna", ">r\nACGTACGTACGTACGTACGT\n");
+    let index = temp_file("dbframe.fabpidx", "");
+    let (reference, index) = (reference.to_str().unwrap(), index.to_str().unwrap());
+    for framing in [
+        ["--index-shard-bases", "0", "--index-overlap", "0"],
+        ["--index-shard-bases", "1", "--index-overlap", "2"],
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_fabp_search"))
+            .args(["--reference", reference, "--build-index", index])
+            .args(framing)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{framing:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "index shard size {} must be at least 1 and at least the overlap {}",
+                framing[1], framing[3]
+            )),
+            "{framing:?}: {stderr}"
+        );
+    }
+    for path in [reference, index] {
+        fs::remove_file(path).ok();
     }
 }

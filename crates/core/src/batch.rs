@@ -50,6 +50,9 @@ use crate::slice_plan::{SliceOptions, SlicePlan};
 use fabp_bio::seq::{PackedSeq, ProteinSeq};
 use fabp_resilience::{FabpError, FabpResult};
 use std::borrow::Borrow;
+use std::collections::HashMap;
+use std::hash::Hash;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Searches every query against the reference, returning one outcome per
@@ -266,6 +269,62 @@ where
     }
 }
 
+/// Deduplicates a batch by `key`: returns the index of each distinct
+/// item's first copy, in first-seen order, and for every item the
+/// position of its copy in that list. A batch that repeats a query
+/// computes it once and hands every copy the one result.
+pub fn distinct<'a, T, K: Eq + Hash>(
+    items: &'a [T],
+    key: impl Fn(&'a T) -> K,
+) -> (Vec<usize>, Vec<usize>) {
+    let mut firsts = Vec::new();
+    let mut seen: HashMap<K, usize> = HashMap::with_capacity(items.len());
+    let slot_of = items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| {
+            *seen.entry(key(item)).or_insert_with(|| {
+                firsts.push(i);
+                firsts.len() - 1
+            })
+        })
+        .collect();
+    (firsts, slot_of)
+}
+
+/// Up to [`LANES`] kernels joined into one, each lane with its own
+/// threshold: one pass over a base range scores every lane. The batch
+/// scan's lane groups and the fleet's scan phase pack their lanes this
+/// way.
+pub(crate) struct JoinedLanes {
+    engine: BitParallelEngine,
+    thresholds: Vec<u32>,
+}
+
+impl JoinedLanes {
+    /// Joins 1 ..= [`LANES`] kernels, each with its threshold.
+    pub(crate) fn new<'e>(
+        lanes: impl IntoIterator<Item = (&'e BitParallelEngine, u32)>,
+    ) -> JoinedLanes {
+        let (engines, thresholds): (Vec<_>, Vec<_>) = lanes.into_iter().unzip();
+        JoinedLanes {
+            engine: BitParallelEngine::join(&engines),
+            thresholds,
+        }
+    }
+
+    /// The longest lane's window.
+    fn window(&self) -> usize {
+        self.engine.query_len()
+    }
+
+    /// Scans `range` of the reference once, returning each lane's hits
+    /// at positions relative to `range.start`.
+    pub(crate) fn scan(&self, reference: &PackedSeq, range: Range<usize>) -> Vec<Vec<Hit>> {
+        self.engine.search_lanes(reference, range, &self.thresholds)
+    }
+}
+
 /// One search pass of one software query: a lane of a [`LaneGroup`].
 struct Lane<'a> {
     /// Query index (into `aligners`).
@@ -278,8 +337,7 @@ struct Lane<'a> {
 /// joined engine.
 struct LaneGroup<'a> {
     lanes: &'a [Lane<'a>],
-    engine: BitParallelEngine,
-    thresholds: Vec<u32>,
+    kernel: JoinedLanes,
     /// The shortest lane's window: a slice holding fewer bases has no
     /// position for any lane.
     shortest: usize,
@@ -294,28 +352,24 @@ impl<'a> LaneGroup<'a> {
         threads: usize,
         options: SliceOptions,
     ) -> LaneGroup<'a> {
-        let engines: Vec<&BitParallelEngine> = lanes.iter().map(|l| l.engine).collect();
-        let engine = BitParallelEngine::join(&engines);
-        let window = engine.query_len();
+        let kernel = JoinedLanes::new(lanes.iter().map(|l| (l.engine, l.threshold)));
+        let window = kernel.window();
         LaneGroup {
             lanes,
-            thresholds: lanes.iter().map(|l| l.threshold).collect(),
-            shortest: engines
+            shortest: lanes
                 .iter()
-                .map(|e| e.query_len())
+                .map(|l| l.engine.query_len())
                 .min()
                 .unwrap_or(window),
             plan: SlicePlan::build(reference_len, window, threads, options),
-            engine,
+            kernel,
         }
     }
 
     /// Scans slice `s`, returning hits per lane at reference positions.
     fn scan(&self, reference: &PackedSeq, s: usize) -> Vec<Vec<Hit>> {
         let slice = self.plan.slices()[s];
-        let mut per_lane =
-            self.engine
-                .search_lanes(reference, slice.start..slice.end, &self.thresholds);
+        let mut per_lane = self.kernel.scan(reference, slice.start..slice.end);
         for hit in per_lane.iter_mut().flatten() {
             hit.position += slice.start;
         }

@@ -29,12 +29,29 @@
 //!   `shard` span carries [`FLAG_ERROR`] and gains a `resilience_retry`
 //!   child ([`FLAG_RETRY`] | [`FLAG_RECOVERED`]) on the serving node's
 //!   track. Hits stay bit-identical to the healthy fleet.
+//! * **Scan once, then replay the control.** [`search_batch`] serves a
+//!   batch in two phases. The *scan* phase joins the batch's distinct
+//!   queries [`LANES`]-wide into fused kernels and scores each shard's
+//!   range of the resident reference once per lane group, the
+//!   (group, shard) items claimed by the batch module's worker pool.
+//!   The *control* phase then runs on the calling thread, request by
+//!   request and shard by shard in the order a serial fleet would:
+//!   routing, hedging, failover, detector updates, spans and the
+//!   merge. Each delivering read replays only the engine's accounting
+//!   pass ([`FabpEngine::run_scored`]) over its lane's hits for that
+//!   shard. Control never reads a hit, and a fault-free read's hits and
+//!   [`CycleReport`](fabp_fpga::engine::CycleReport) depend only on the
+//!   query, the shard's range and the one engine config, so every hit,
+//!   report, routing decision, counter and span equals the serial
+//!   fleet's. The modelled boards still hold one query per pass; only
+//!   the simulator shares it (Nguyen & Lavenier's bank-to-bank scheme).
 //! * **Engine-level faults.** When the request's [`FaultSchedule`]
 //!   holds anything besides node kills (beat/query flips, config upsets,
-//!   stalls, or a seeded schedule), every read runs under
-//!   [`ResilientRunner`] at [`ResilienceLevel::Recover`] — CRC retry,
-//!   scrub-and-replay, watchdog re-issue — with its retries traced
-//!   under the read. Otherwise reads take [`FabpEngine::run_traced`].
+//!   stalls, or a seeded schedule), there is no scan phase: every read
+//!   runs under [`ResilientRunner`] at [`ResilienceLevel::Recover`] —
+//!   CRC retry, scrub-and-replay, watchdog re-issue — with its retries
+//!   traced under the read. A query the kernel rejects reads through
+//!   the beat path of [`FabpEngine::read`].
 //! * **Hedged reads** (the tail-at-scale pattern): when the primary's
 //!   modelled completion exceeds the detector's p95-derived budget for
 //!   that node, a duplicate read is issued to the next placed replica.
@@ -50,6 +67,8 @@
 //! The serving integration (graceful drain, brownout shedding, chaos
 //! under live traffic) lives in `fabp-serve`.
 
+use crate::batch::{claim_all, distinct, JoinedLanes};
+use crate::bitparallel::LANES;
 use crate::hits::{merge_shard_hits, Hit};
 use crate::slice_plan::overlap_ranges;
 use fabp_bio::seq::PackedSeq;
@@ -59,13 +78,14 @@ use fabp_resilience::health::FailureDetector;
 use fabp_resilience::telemetry as rtel;
 use fabp_resilience::{
     FabpError, FabpResult, FaultKind, FaultSchedule, ResilienceLevel, ResilienceReport,
-    ResilientRun, ResilientRunner,
+    ResilientRunner,
 };
 use fabp_telemetry::{
     FlightRecorder, Registry, TraceContext, TraceEvent, FLAG_CANCELLED, FLAG_ERROR, FLAG_HEDGE,
     FLAG_RECOVERED, FLAG_RETRY,
 };
 use std::ops::Range;
+use std::time::Instant;
 
 /// Display-track base for per-shard scatter spans in Chrome-trace dumps:
 /// node `n`'s spans render on track `SHARD_TRACK_BASE + n`, so parallel
@@ -77,6 +97,11 @@ pub const SHARD_TRACK_BASE: u32 = 10;
 /// winner cannot be cancelled in time — both responses deliver and the
 /// gather deduplicates them.
 pub const CANCEL_PROPAGATION_US: f64 = 50.0;
+
+/// Child slot of a request's batch span that holds its measured
+/// `fleet_scan` work event — the slot of the serving layer's other
+/// measured work events (`align`, `seed_verify`).
+const SCAN_SPAN_SLOT: u64 = 200;
 
 /// Timing summary of one broadcast query on the fleet.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -157,7 +182,7 @@ pub struct ShardDispatch {
 }
 
 /// Outcome of one fleet search.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetSearchOutcome {
     /// Merged hits in global coordinates — bit-identical to a
     /// single-node scan of the whole reference.
@@ -390,13 +415,14 @@ impl FpgaFleet {
             .find(|&n| n != primary && detector.accepts_probes(n))
     }
 
-    /// Hedged scatter/gather of one query over `reference`, the packed
-    /// database the fleet was built for — the fleet's one entry point.
-    /// Untraced callers pass [`TraceContext::none`] and a disabled
-    /// recorder.
+    /// The control phase of one request: hedged scatter/gather of the
+    /// fleet's query over `reference`, the packed database the fleet was
+    /// built for. `scanned` holds the scan phase's hits per shard
+    /// (positions relative to the shard's start), when it ran for this
+    /// fleet.
     ///
-    /// Per shard: each read streams the shard's whole range, overlap
-    /// included, from `reference`'s words. The primary read goes to the
+    /// Per shard: each read covers the shard's whole range, overlap
+    /// included. The primary read goes to the
     /// first routable placed replica (consulting `detector`'s live
     /// routing table; node kills are recorded there by the caller with
     /// [`FailureDetector::record_kill`]); a shard with no routable
@@ -410,11 +436,13 @@ impl FpgaFleet {
     /// detector's EWMA statistics, so routing and hedge budgets evolve
     /// with the traffic.
     ///
-    /// When `faults` holds engine-level faults, every delivering read
-    /// runs under [`ResilientRunner`] at [`ResilienceLevel::Recover`];
-    /// the merged hits stay bit-identical to the fault-free search and
-    /// the outcome's `report` aggregates what was injected and
-    /// recovered. `kill@` entries are ignored here.
+    /// A delivering read replays the engine's accounting pass over the
+    /// scanned hits; without them it reads through [`FabpEngine::read`].
+    /// When `faults` holds engine-level
+    /// faults, every delivering read runs under [`ResilientRunner`] at
+    /// [`ResilienceLevel::Recover`]; the merged hits stay bit-identical
+    /// to the fault-free search and the outcome's `report` aggregates
+    /// what was injected and recovered. `kill@` entries are ignored here.
     ///
     /// Trace spans: each shard records a `shard` span on track
     /// `SHARD_TRACK_BASE + primary`, each delivering read an
@@ -428,13 +456,9 @@ impl FpgaFleet {
     ///
     /// # Errors
     ///
-    /// [`FabpError::InvalidShardPlan`] when `reference` is not the
-    /// length the fleet was built for,
-    /// [`FabpError::NodeDown`] when no node is routable for some shard,
-    /// and any engine-level error [`ResilientRunner::run`] could not
-    /// recover.
+    /// As [`search_batch`].
     #[allow(clippy::too_many_arguments)]
-    pub fn search(
+    fn scatter(
         &self,
         reference: &PackedSeq,
         faults: &FaultSchedule,
@@ -444,6 +468,7 @@ impl FpgaFleet {
         flight: &FlightRecorder,
         trace: TraceContext,
         start_us: f64,
+        scanned: Option<&[Vec<Hit>]>,
     ) -> FabpResult<FleetSearchOutcome> {
         if reference.len() != self.total_bases() {
             return Err(FabpError::InvalidShardPlan(format!(
@@ -565,17 +590,23 @@ impl FpgaFleet {
             for node in std::iter::once(dispatch.winner).chain(uncancelled) {
                 let latency = self.read_latency_us(node, bases);
                 let read_ctx = shard_ctx.child(0x10 + node as u64);
+                // Engine-fault retries hang beneath the read's span.
                 let run = if engine_faults {
                     let shard = reference.slice(range.clone());
-                    let out =
-                        self.run_resilient(&shard, faults, registry, flight, read_ctx, start_us)?;
+                    let level = ResilienceLevel::Recover;
+                    let runner = ResilientRunner::new(&self.engine, level, faults.clone());
+                    let traced = runner.with_trace(flight.clone(), read_ctx, start_us);
+                    let out = traced.run(&shard, registry)?;
                     report.absorb(&out.report);
                     out.run
+                } else if let Some(scanned) = scanned {
+                    let hits = &scanned[shard_idx];
+                    self.engine.run_scored(range.len(), hits, registry)
                 } else {
-                    let range = range.clone();
-                    self.engine
-                        .run_traced(reference, range, registry, flight, read_ctx, start_us)
+                    self.engine.read(reference, range.clone(), registry)
                 };
+                self.engine
+                    .record_kernel_span(flight, read_ctx, start_us, range.len());
                 per_shard.push(
                     run.hits
                         .into_iter()
@@ -615,32 +646,127 @@ impl FpgaFleet {
             report,
         })
     }
+}
 
-    /// One read under the engine-level faults of `faults`, recovered by
-    /// [`ResilientRunner`]. The read records an `fpga_kernel` span at
-    /// `ctx`, as [`FabpEngine::run_traced`] does, and the runner's
-    /// retries hang beneath it.
-    fn run_resilient(
-        &self,
-        shard: &PackedSeq,
-        faults: &FaultSchedule,
-        registry: &Registry,
-        flight: &FlightRecorder,
-        ctx: TraceContext,
-        start_us: f64,
-    ) -> FabpResult<ResilientRun> {
-        let out = ResilientRunner::new(&self.engine, ResilienceLevel::Recover, faults.clone())
-            .with_trace(flight.clone(), ctx, start_us)
-            .run(shard, registry)?;
-        let dur_us = self
-            .engine
-            .model_kernel_seconds(shard.len().div_ceil(4) as u64)
-            * 1e6;
-        flight.record(
-            TraceEvent::new(ctx, "fpga_kernel", start_us, dur_us).with_arg(shard.len() as u64),
-        );
-        Ok(out)
+/// Serves a batch of requests, each `(fleet, trace)` one query on its
+/// fleet, over `reference`, the packed database every fleet was built
+/// for — the fleet's one entry point. Untraced callers pass
+/// [`TraceContext::none`] and a disabled recorder; a single request is a
+/// batch of one.
+///
+/// **Scan phase.** Every distinct fleet (a repeated query's fleet is the
+/// same one and is scanned once) whose kernel exists joins a lane group
+/// of up to [`LANES`] fleets with equal shard ranges, and each
+/// (group, shard) pair is one item of the batch module's claim queue,
+/// run by up to `workers` workers: one fused pass over the shard's range
+/// of `reference`'s words scores every lane. Each scanned request then
+/// records one measured `fleet_scan` work event under `trace`, carrying
+/// the phase's wall time. The phase is skipped when `faults` holds
+/// engine-level faults (every read then runs under [`ResilientRunner`])
+/// and when no node is routable or accepts probes (every request then
+/// fails with [`FabpError::NodeDown`] before it reads, and nothing in the
+/// batch can change that).
+///
+/// **Control phase.** On the calling thread, request by request in
+/// batch order, each fleet routes, hedges and fails over its shards,
+/// feeds `detector`, records its spans and merges its hits exactly as a
+/// serial fleet does; a delivering read replays the engine's accounting
+/// pass over its lane's hits for the shard. Outcomes are therefore the
+/// same whatever the batch and `workers`.
+///
+/// Returns one result per request, in order.
+///
+/// # Errors
+///
+/// Per request: [`FabpError::InvalidShardPlan`] when `reference` is not
+/// the length the fleet was built for, [`FabpError::NodeDown`] when no
+/// node is routable for some shard, and any engine-level error
+/// [`ResilientRunner::run`] could not recover.
+#[allow(clippy::too_many_arguments)]
+pub fn search_batch(
+    requests: &[(&FpgaFleet, TraceContext)],
+    reference: &PackedSeq,
+    faults: &FaultSchedule,
+    detector: &mut FailureDetector,
+    now_us: u64,
+    registry: &Registry,
+    flight: &FlightRecorder,
+    start_us: f64,
+    workers: usize,
+) -> Vec<FabpResult<FleetSearchOutcome>> {
+    let (firsts, slot_of) = distinct(requests, |&(fleet, _)| fleet as *const FpgaFleet);
+    let mut scanned: Vec<Option<Vec<Vec<Hit>>>> = vec![None; firsts.len()];
+    if !has_engine_faults(faults) && detector.serving_count() > 0 {
+        let fleets: Vec<&FpgaFleet> = firsts.iter().map(|&i| requests[i].0).collect();
+        let started = Instant::now();
+        scanned = scan_phase(&fleets, reference, workers);
+        let scan_us = started.elapsed().as_secs_f64() * 1e6;
+        for (&(_, trace), &slot) in requests.iter().zip(&slot_of) {
+            if scanned[slot].is_some() {
+                let ctx = trace.child(SCAN_SPAN_SLOT);
+                let event = TraceEvent::new(ctx, "fleet_scan", start_us, scan_us);
+                flight.record(event.with_track(1));
+            }
+        }
     }
+    requests
+        .iter()
+        .zip(&slot_of)
+        .map(|(&(fleet, trace), &slot)| {
+            let scanned = scanned[slot].as_deref();
+            fleet.scatter(
+                reference, faults, detector, now_us, registry, flight, trace, start_us, scanned,
+            )
+        })
+        .collect()
+}
+
+/// The scan phase of [`search_batch`] over distinct `fleets`: returns
+/// each fleet's hits per shard, positions relative to the shard's start,
+/// or `None` for a fleet it cannot scan (its kernel rejects the query,
+/// or `reference` is not the length it was built for).
+fn scan_phase(
+    fleets: &[&FpgaFleet],
+    reference: &PackedSeq,
+    workers: usize,
+) -> Vec<Option<Vec<Vec<Hit>>>> {
+    // Lane groups of up to LANES fleets over equal shard ranges.
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (f, fleet) in fleets.iter().enumerate() {
+        if fleet.engine.kernel().is_none() || fleet.total_bases() != reference.len() {
+            continue;
+        }
+        let open = groups
+            .iter_mut()
+            .find(|g| g.len() < LANES && fleets[g[0]].ranges == fleet.ranges);
+        match open {
+            Some(group) => group.push(f),
+            None => groups.push(vec![f]),
+        }
+    }
+    let kernels: Vec<JoinedLanes> = groups
+        .iter()
+        .map(|group| JoinedLanes::new(group.iter().filter_map(|&f| fleets[f].engine.kernel())))
+        .collect();
+    let items: Vec<(usize, usize)> = groups
+        .iter()
+        .enumerate()
+        .flat_map(|(g, group)| (0..fleets[group[0]].ranges.len()).map(move |s| (g, s)))
+        .collect();
+    let claimed = claim_all(&items, workers, |&(g, s)| {
+        let range = fleets[groups[g][0]].ranges[s].clone();
+        kernels[g].scan(reference, range)
+    });
+
+    // Items run group by group, shard by shard: hand each lane's list
+    // to its fleet in shard order.
+    let mut scanned: Vec<Option<Vec<Vec<Hit>>>> = vec![None; fleets.len()];
+    for (&(g, _), per_lane) in items.iter().zip(claimed.results) {
+        for (&f, hits) in groups[g].iter().zip(per_lane) {
+            scanned[f].get_or_insert_with(Vec::new).push(hits);
+        }
+    }
+    scanned
 }
 
 #[cfg(test)]
@@ -692,6 +818,26 @@ mod tests {
         (end - start) as u64
     }
 
+    /// `fleet` serving one request, as a batch of one.
+    #[allow(clippy::too_many_arguments)]
+    fn batch_of_one(
+        fleet: &FpgaFleet,
+        reference: &PackedSeq,
+        faults: &FaultSchedule,
+        detector: &mut FailureDetector,
+        now_us: u64,
+        registry: &Registry,
+        flight: &FlightRecorder,
+        trace: TraceContext,
+        start_us: f64,
+    ) -> FabpResult<FleetSearchOutcome> {
+        let requests = [(fleet, trace)];
+        let mut outcomes = search_batch(
+            &requests, reference, faults, detector, now_us, registry, flight, start_us, 1,
+        );
+        outcomes.remove(0)
+    }
+
     /// An untraced search at time 0.
     fn search(
         fleet: &FpgaFleet,
@@ -700,15 +846,10 @@ mod tests {
         detector: &mut FailureDetector,
         registry: &Registry,
     ) -> FabpResult<FleetSearchOutcome> {
-        fleet.search(
-            reference,
-            faults,
-            detector,
-            0,
-            registry,
-            &FlightRecorder::disabled(),
-            TraceContext::none(),
-            0.0,
+        let flight = FlightRecorder::disabled();
+        let none = TraceContext::none();
+        batch_of_one(
+            fleet, reference, faults, detector, 0, registry, &flight, none, 0.0,
         )
     }
 
@@ -826,18 +967,18 @@ mod tests {
         fleet.set_straggle(1, straggle);
 
         let registry = Registry::new();
-        let out = fleet
-            .search(
-                &packed,
-                &FaultSchedule::new(),
-                &mut detector,
-                1_000_000,
-                &registry,
-                &FlightRecorder::disabled(),
-                TraceContext::none(),
-                0.0,
-            )
-            .unwrap();
+        let out = batch_of_one(
+            &fleet,
+            &packed,
+            &FaultSchedule::new(),
+            &mut detector,
+            1_000_000,
+            &registry,
+            &FlightRecorder::disabled(),
+            TraceContext::none(),
+            0.0,
+        )
+        .unwrap();
         assert_eq!(out.hits, oracle(&query, &reference), "hedging is invisible");
         assert!(out.hedges >= 1);
         assert!(out.hedge_wins >= 1, "the healthy replica must win");
@@ -867,18 +1008,18 @@ mod tests {
             fleet.set_straggle(n, 1.0);
         }
 
-        let out = fleet
-            .search(
-                &packed,
-                &FaultSchedule::new(),
-                &mut detector,
-                1_000_000,
-                &Registry::disabled(),
-                &FlightRecorder::disabled(),
-                TraceContext::none(),
-                0.0,
-            )
-            .unwrap();
+        let out = batch_of_one(
+            &fleet,
+            &packed,
+            &FaultSchedule::new(),
+            &mut detector,
+            1_000_000,
+            &Registry::disabled(),
+            &FlightRecorder::disabled(),
+            TraceContext::none(),
+            0.0,
+        )
+        .unwrap();
         assert!(out.hedges >= 1, "every shard should hedge: {out:?}");
         assert_eq!(out.cancels, 0, "equal-speed losers cannot be cancelled");
         assert!(out
@@ -934,18 +1075,18 @@ mod tests {
             let mut detector = FailureDetector::with_defaults(4, &Registry::disabled());
             warm(&mut detector, 4, nominal);
             fleet.set_straggle(3, 50.0);
-            let out = fleet
-                .search(
-                    &packed,
-                    &FaultSchedule::new(),
-                    &mut detector,
-                    1_000_000,
-                    &Registry::disabled(),
-                    &FlightRecorder::disabled(),
-                    TraceContext::none(),
-                    0.0,
-                )
-                .unwrap();
+            let out = batch_of_one(
+                &fleet,
+                &packed,
+                &FaultSchedule::new(),
+                &mut detector,
+                1_000_000,
+                &Registry::disabled(),
+                &FlightRecorder::disabled(),
+                TraceContext::none(),
+                0.0,
+            )
+            .unwrap();
             (
                 out.hits,
                 out.dispatches,
@@ -1365,18 +1506,18 @@ mod tests {
         for (node, _) in faults.node_kills() {
             detector.record_kill(node);
         }
-        let out = fleet
-            .search(
-                &packed,
-                &faults,
-                &mut detector,
-                0,
-                &registry,
-                &flight,
-                trace,
-                0.0,
-            )
-            .unwrap();
+        let out = batch_of_one(
+            &fleet,
+            &packed,
+            &faults,
+            &mut detector,
+            0,
+            &registry,
+            &flight,
+            trace,
+            0.0,
+        )
+        .unwrap();
         assert_eq!(out.hits, baseline);
         assert_eq!(out.failovers, 1);
         assert!(out.report.injected > 0 && out.report.recovered > 0);
@@ -1413,5 +1554,196 @@ mod tests {
             .filter(|e| e.flags & FLAG_RECOVERED == 0)
             .all(|e| span(e.parent_span_id).is_some_and(|p| p.name == "fpga_kernel")));
         assert!(retries.len() > 1, "engine faults retry under the reads");
+    }
+
+    // ---- batches: one scan phase, then the serial control ----
+
+    /// Nodes of [`batch_fixture`]'s fleets.
+    const BATCH_NODES: usize = 8;
+
+    /// Eight nodes at R = 2 over one 3 000-base reference holding a
+    /// planted copy of each of three queries (10, 6 and 10 aa, the first
+    /// two straddling shard boundaries): one fleet per query, cutting the
+    /// same shards, and a fourth for the 6-aa query whose wider overlap
+    /// cuts other ones, so it cannot share their lanes. On every fleet
+    /// node 1 is a
+    /// heavy straggler (its hedged loser is cancelled) and node 3 a mild
+    /// one (its loser finishes inside the cancel window and delivers).
+    /// Returns the fleets, the packed reference and the nominal read
+    /// latency the detector is warmed at.
+    fn batch_fixture() -> (Vec<FpgaFleet>, PackedSeq, f64) {
+        let mut rng = StdRng::seed_from_u64(61);
+        let proteins = [10, 6, 10].map(|aa| random_protein(aa, &mut rng));
+        let mut bases = random_rna(3_000, &mut rng).into_inner();
+        // The 6-aa query's second copy ends past shard 4's 30-base
+        // overlap, inside its 45-base one.
+        let plants = [(0, 1_110), (1, 1_495), (1, 1_890), (2, 2_200)];
+        for (p, at) in plants {
+            let coding = coding_rna_for_paper_patterns(&proteins[p], &mut rng);
+            bases.splice(at..at + coding.len(), coding.iter().copied());
+        }
+        let packed = PackedSeq::from_rna(&RnaSeq::from(bases));
+        let mut fleets: Vec<FpgaFleet> = [(0, 30), (1, 30), (2, 30), (1, 45)]
+            .into_iter()
+            .map(|(p, overlap)| {
+                let query = EncodedQuery::from_protein(&proteins[p]);
+                let config = EngineConfig::kintex7(query.len() as u32 - 2);
+                let bases = packed.len();
+                FpgaFleet::homogeneous(&query, &config, BATCH_NODES, 2, bases, overlap).unwrap()
+            })
+            .collect();
+        let nominal = fleets[0].read_latency_us(0, fleets[0].ranges[0].len() as u64);
+        for fleet in &mut fleets {
+            fleet.set_straggle(1, 2.0 * CANCEL_PROPAGATION_US / nominal + 2.0);
+            fleet.set_straggle(3, 2.0);
+        }
+        (fleets, packed, nominal)
+    }
+
+    /// What one run of a request stream leaves behind: each request's
+    /// result, the detector's per-node state, the fleet telemetry, and
+    /// the flight events — the control's in recording order, the
+    /// measured `fleet_scan` events (duration dropped) sorted apart.
+    #[derive(Debug, PartialEq)]
+    struct Served {
+        outcomes: Vec<FabpResult<FleetSearchOutcome>>,
+        detector: Vec<(fabp_resilience::health::NodeState, u64, u64)>,
+        metrics: String,
+        control: Vec<fabp_telemetry::FlightEvent>,
+        scans: Vec<(u64, u64, u64, u32)>,
+    }
+
+    /// Serves `fleets[f]` for each `f` of `stream` at 1 ms, after warming
+    /// the detector at `nominal` and killing `kills`: as one
+    /// batch on `workers` workers, or with `None` one request at a time,
+    /// each a batch of one.
+    fn serve_stream(
+        fleets: &[FpgaFleet],
+        stream: &[usize],
+        packed: &PackedSeq,
+        (faults, kills, nominal): (&FaultSchedule, &[usize], f64),
+        workers: Option<usize>,
+    ) -> Served {
+        let registry = Registry::new();
+        let flight = registry.flight_recorder();
+        let mut detector = FailureDetector::with_defaults(BATCH_NODES, &registry);
+        warm(&mut detector, BATCH_NODES, nominal);
+        for &node in kills {
+            detector.record_kill(node);
+        }
+        let requests: Vec<(&FpgaFleet, TraceContext)> = stream
+            .iter()
+            .enumerate()
+            .map(|(i, &f)| (&fleets[f], TraceContext::mint(0xB47C, i as u64)))
+            .collect();
+        let mut batch = |requests: &[(&FpgaFleet, TraceContext)], workers| {
+            let (d, r, f) = (&mut detector, &registry, &flight);
+            search_batch(requests, packed, faults, d, 1_000_000, r, f, 0.0, workers)
+        };
+        let outcomes = match workers {
+            Some(workers) => batch(&requests, workers),
+            None => requests
+                .iter()
+                .flat_map(|request| batch(std::slice::from_ref(request), 1))
+                .collect(),
+        };
+        let (mut control, mut scans) = (Vec::new(), Vec::new());
+        for event in flight.events() {
+            if event.name == "fleet_scan" {
+                let key = (event.trace_id, event.span_id, event.parent_span_id);
+                scans.push((key.0, key.1, key.2, event.track));
+            } else {
+                control.push(event);
+            }
+        }
+        scans.sort_unstable();
+        Served {
+            outcomes,
+            detector: (0..BATCH_NODES)
+                .map(|n| {
+                    let ewma = detector.ewma_latency_us(n).to_bits();
+                    (
+                        detector.state(n),
+                        ewma,
+                        detector.p95_latency_us(n).to_bits(),
+                    )
+                })
+                .collect(),
+            metrics: registry.snapshot().to_prometheus(),
+            control,
+            scans,
+        }
+    }
+
+    #[test]
+    fn a_batch_serves_exactly_as_its_requests_one_at_a_time() {
+        // A repeated query, two query lengths, two shard plans, hedges
+        // with a cancelled and an uncancelled loser, and nodes 5 and 6
+        // killed, so shard 5 (placed on both) fails over.
+        let (fleets, packed, nominal) = batch_fixture();
+        let stream = [0, 1, 0, 3, 2, 1];
+        let none = FaultSchedule::new();
+        let shape = (&none, &[5usize, 6][..], nominal);
+        let serial = serve_stream(&fleets, &stream, &packed, shape, None);
+        let outcomes: Vec<&FleetSearchOutcome> = serial
+            .outcomes
+            .iter()
+            .map(|o| o.as_ref().unwrap())
+            .collect();
+        let dispatches = || outcomes.iter().flat_map(|o| &o.dispatches);
+        assert!(dispatches().any(|d| d.cancelled.is_some()), "{outcomes:?}");
+        assert!(dispatches().any(|d| d.hedge.is_some() && d.cancelled.is_none()));
+        assert!(dispatches().any(|d| d.failover && d.shard == 5));
+        for (o, &f) in outcomes.iter().zip(&stream) {
+            let engine = &fleets[f].engine;
+            assert_eq!(
+                o.hits,
+                engine.run(&packed).hits,
+                "hedges and failover are invisible"
+            );
+            assert!(!o.hits.is_empty(), "planted queries hit");
+        }
+        assert_eq!(
+            serial.scans.len(),
+            stream.len(),
+            "one fleet_scan per request"
+        );
+        for workers in [1, 2, 4] {
+            let batch = serve_stream(&fleets, &stream, &packed, shape, Some(workers));
+            assert_eq!(batch, serial, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn engine_faults_and_a_dead_fleet_serve_batches_serially() {
+        let (fleets, packed, nominal) = batch_fixture();
+        let stream = [2, 0, 2];
+        // Engine-level faults: no scan phase, every read recovered under
+        // the resilient runner, exactly as one request at a time.
+        let faults = FaultSchedule::parse("beatflip@0:2:9,stall@1:900").unwrap();
+        let shape = (&faults, &[][..], nominal);
+        let serial = serve_stream(&fleets, &stream, &packed, shape, None);
+        assert!(serial.scans.is_empty(), "engine faults skip the scan phase");
+        for (outcome, &f) in serial.outcomes.iter().zip(&stream) {
+            let outcome = outcome.as_ref().unwrap();
+            assert_eq!(outcome.hits, fleets[f].engine.run(&packed).hits);
+            assert!(outcome.report.injected > 0 && outcome.report.recovered > 0);
+        }
+        assert_eq!(
+            serve_stream(&fleets, &stream, &packed, shape, Some(2)),
+            serial
+        );
+
+        // Every node dead: every request fails before it reads.
+        let none = FaultSchedule::new();
+        let every: Vec<usize> = (0..BATCH_NODES).collect();
+        let shape = (&none, &every[..], nominal);
+        let dead = serve_stream(&fleets, &stream, &packed, shape, Some(2));
+        assert!(dead
+            .outcomes
+            .iter()
+            .all(|o| matches!(o, Err(FabpError::NodeDown { .. }))));
+        assert!(dead.scans.is_empty() && dead.control.is_empty());
+        assert_eq!(serve_stream(&fleets, &stream, &packed, shape, None), dead);
     }
 }

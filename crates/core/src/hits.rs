@@ -127,7 +127,7 @@ pub fn merge_overlapping(hits: &[Hit], query_len: usize) -> Vec<HitRegion> {
 /// coordinates) into one position-sorted, duplicate-free list.
 ///
 /// This is the one shared merge step for every shard-composing path —
-/// [`crate::fleet::FpgaFleet::search`], the batch scheduler's slices,
+/// [`crate::fleet::search_batch`], the batch scheduler's slices,
 /// and any caller composing [`crate::slice_plan::overlap_ranges`] with
 /// per-shard engines. Shards built with
 /// `query_len - 1` bases of trailing overlap evaluate every window

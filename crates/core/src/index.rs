@@ -86,7 +86,7 @@
 //! wrong hits.
 
 use crate::aligner::Threshold;
-use crate::batch::{claim_all, search_all};
+use crate::batch::{claim_all, distinct, search_all};
 use crate::bitparallel::BitParallelEngine;
 use crate::hits::{retain_within_records, Hit};
 use crate::kmer::{pack_word, WordIndex, SYMBOLS};
@@ -750,7 +750,9 @@ pub fn record_recall(recall: f64) {
 ///
 /// Either way the concatenated records are scanned once, and a hit is
 /// kept only when its window lies inside one record
-/// ([`retain_within_records`]).
+/// ([`retain_within_records`]). A protein the batch repeats is searched
+/// once; every copy gets its hits, and the stats count distinct
+/// proteins.
 ///
 /// Returns per-query hit lists (global positions, in order) and the
 /// run's [`IndexSearchStats`].
@@ -772,8 +774,10 @@ pub fn search_index(
             return Err(FabpError::EmptyQuery);
         }
     }
+    let (firsts, slot_of) = distinct(proteins, |protein| protein);
+    let unique: Vec<ProteinSeq> = firsts.iter().map(|&i| proteins[i].clone()).collect();
     let mut stats = IndexSearchStats {
-        full_scan_bases: index.total_bases() as u64 * proteins.len() as u64,
+        full_scan_bases: index.total_bases() as u64 * unique.len() as u64,
         ..IndexSearchStats::default()
     };
     let mut hits: Vec<Vec<Hit>> = match mode {
@@ -781,18 +785,19 @@ pub fn search_index(
             // The exhaustive path: the held words through the sliced
             // batch scheduler.
             stats.admitted_bases = stats.full_scan_bases;
-            let outcomes = search_all(proteins, &index.reference, threshold, workers)?;
+            let outcomes = search_all(&unique, &index.reference, threshold, workers)?;
             outcomes.into_iter().map(|o| o.hits).collect()
         }
         PrefilterMode::Seeded => {
-            search_seeded(index, proteins, threshold, params, workers, &mut stats)?
+            search_seeded(index, &unique, threshold, params, workers, &mut stats)?
         }
     };
-    for (query_hits, protein) in hits.iter_mut().zip(proteins) {
+    for (query_hits, protein) in hits.iter_mut().zip(&unique) {
         retain_within_records(query_hits, 3 * protein.len(), index.records());
     }
     publish_stats(&stats, mode);
-    Ok((hits, stats))
+    let copies = slot_of.into_iter().map(|slot| hits[slot].clone()).collect();
+    Ok((copies, stats))
 }
 
 /// Per-query seeding and verification state shared across slices.
@@ -1642,6 +1647,34 @@ mod tests {
         assert!(stats.admitted_bases < off_stats.admitted_bases);
         assert!(stats.scanned_fraction() < 1.0);
         assert!(stats.seed_hits > 0);
+    }
+
+    #[test]
+    fn a_repeated_protein_is_searched_once_and_answered_per_copy() {
+        let mut rng = StdRng::seed_from_u64(43);
+        let (p, q) = (random_protein(9, &mut rng), random_protein(7, &mut rng));
+        let mut bases = random_rna(3_000, &mut rng).into_inner();
+        for (protein, at) in [(&p, 700), (&q, 1_900)] {
+            let coding = fabp_bio::generate::coding_rna_for_paper_patterns(protein, &mut rng);
+            bases.splice(at..at + coding.len(), coding.iter().copied());
+        }
+        let options = IndexBuildOptions {
+            overlap: 63,
+            target_shard_bases: 512,
+        };
+        let index = ReferenceIndex::build_from_rna(&RnaSeq::from(bases), options).unwrap();
+        for mode in [PrefilterMode::Off, PrefilterMode::Seeded] {
+            let search = |proteins: &[ProteinSeq]| {
+                let threshold = Threshold::Fraction(0.9);
+                search_index(&index, proteins, threshold, mode, SeedParams::default(), 2).unwrap()
+            };
+            let (hits, stats) = search(&[p.clone(), p.clone(), q.clone()]);
+            let (once, once_stats) = search(&[p.clone(), q.clone()]);
+            assert!(once.iter().all(|h| !h.is_empty()), "{mode:?}: plants hit");
+            let copies = [once[0].clone(), once[0].clone(), once[1].clone()];
+            assert_eq!(hits, copies, "{mode:?}");
+            assert_eq!(stats, once_stats, "{mode:?}: stats count distinct proteins");
+        }
     }
 
     #[test]

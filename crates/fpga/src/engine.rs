@@ -16,10 +16,19 @@
 //! ([`EngineSession::push_beat`]) evaluates the live two-LUT comparator
 //! configuration for every instance, so it also models configuration
 //! upsets. The fast-forward path ([`EngineSession::push_beats_fast`],
-//! behind [`FabpEngine::run`]) scores the beat stream with the fused
-//! bit-parallel kernel ([`crate::bitparallel`]) in bounded chunks and
-//! retires each hit with the beat that completes its window, so hits
-//! and every [`CycleReport`] field match the exact path.
+//! behind [`FabpEngine::run`]) runs two passes per bounded chunk of
+//! beats: a kernel pass scores the chunk with the fused bit-parallel
+//! kernel ([`crate::bitparallel`]), and an accounting pass retires each
+//! hit with the beat that completes its window, so hits and every
+//! [`CycleReport`] field match the exact path.
+//!
+//! The accounting pass reads only each beat's valid count and the hit
+//! positions. A fault-free read of a range of resident words
+//! ([`FabpEngine::read`]) therefore needs no beats at all: the kernel
+//! scans the range in place, and the accounting pass runs over the
+//! range's `⌈len / 256⌉` beats ([`FabpEngine::run_scored`]). A caller
+//! that already holds a read's kernel hits — a joined multi-lane scan,
+//! say — replays only the accounting pass.
 
 use crate::axi::{AxiChannel, AxiConfig};
 use crate::bitparallel::BitParallelEngine;
@@ -29,8 +38,11 @@ use crate::primitives::DspThreshold;
 use crate::resources::{plan, ArchParams, FabpPlan, PlanError};
 use fabp_bio::seq::PackedSeq;
 use fabp_encoding::encoder::EncodedQuery;
-use fabp_encoding::packing::{axi_beats, AxiBeat, ReferenceStream, ELEMENTS_PER_BEAT};
+use fabp_encoding::packing::{
+    axi_beats, axi_beats_in, AxiBeat, ReferenceStream, ELEMENTS_PER_BEAT,
+};
 use std::fmt;
+use std::ops::Range;
 
 /// Beats one fused scan of the fast-forward path covers. Its buffer
 /// holds these beats' 16 384 elements plus the `L_q − 1` the stream
@@ -207,32 +219,84 @@ impl FabpEngine {
         self.run_beats(&axi_beats(reference), registry)
     }
 
-    /// Runs the kernel over `reference[range]`, its beats read in place
-    /// ([`fabp_encoding::packing::axi_beats_in`]; hit positions are
-    /// relative to `range.start`), with request-scoped tracing: on
-    /// completion one `fpga_kernel` work span is recorded into `flight`
-    /// under `trace`, with the modelled kernel time as its duration (so
-    /// span durations stay deterministic under an injectable clock) and
-    /// the consumed-base count as its argument. A disabled context or
-    /// recorder costs one branch.
-    pub fn run_traced(
+    /// One fault-free read of `reference[range]`, hit positions relative
+    /// to `range.start`: the kernel scans the range of the resident
+    /// words in place, then one accounting pass
+    /// ([`FabpEngine::run_scored`]) retires its hits over the range's
+    /// beats. No beat is built, unpacked or re-packed. A query the kernel
+    /// rejects reads through the beat path
+    /// ([`fabp_encoding::packing::axi_beats_in`], then
+    /// [`FabpEngine::run_beats`]). Hits and every [`CycleReport`] field
+    /// equal [`FabpEngine::run_beats_exact`] over the range's beats.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` ends past `reference.len()`.
+    pub fn read(
         &self,
         reference: &PackedSeq,
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
         registry: &fabp_telemetry::Registry,
+    ) -> EngineRun {
+        match self.kernel() {
+            Some((kernel, threshold)) => {
+                let hits = kernel.search(reference, range.clone(), threshold);
+                self.run_scored(range.len(), &hits, registry)
+            }
+            None => self.run_beats(&axi_beats_in(reference, range), registry),
+        }
+    }
+
+    /// The accounting pass of a fault-free read of `bases` elements whose
+    /// kernel hits are `hits` (ascending, positions relative to the
+    /// read's start, as [`FabpEngine::kernel`] reports them): a fresh
+    /// session retires them over `⌈bases / 256⌉` beats, the last one
+    /// partial — the retirement rule, WB back-pressure and the burst
+    /// fast-forward of [`EngineSession::push_beats_fast`] — and closes,
+    /// publishing telemetry to `registry`.
+    pub fn run_scored(
+        &self,
+        bases: usize,
+        hits: &[Hit],
+        registry: &fabp_telemetry::Registry,
+    ) -> EngineRun {
+        let (full, tail) = (bases / ELEMENTS_PER_BEAT, bases % ELEMENTS_PER_BEAT);
+        let valids = std::iter::repeat_n(ELEMENTS_PER_BEAT, full).chain((tail > 0).then_some(tail));
+        let mut session = self.session();
+        session.retire(valids, hits.iter().copied());
+        session.finish_with_registry(registry)
+    }
+
+    /// The fused kernel behind fault-free reads, with the DSP threshold it
+    /// applies: `kernel.search(reference, range, threshold)` yields the
+    /// hits [`FabpEngine::run_scored`] retires for a read of `range`.
+    /// Joined with other engines' kernels
+    /// ([`BitParallelEngine::join`]), it scores several reads in one pass.
+    /// `None` when the kernel rejects the query (a context-dependent
+    /// element at index 0 or 1).
+    pub fn kernel(&self) -> Option<(&BitParallelEngine, u32)> {
+        self.kernel
+            .as_ref()
+            .map(|kernel| (kernel, self.dsp.threshold()))
+    }
+
+    /// Records the `fpga_kernel` work span of a read of `bases` bases into
+    /// `flight` under `trace`, with the modelled kernel time as its
+    /// duration (so span durations stay deterministic under an
+    /// injectable clock) and the base count as its argument. A disabled
+    /// context or recorder costs one branch.
+    pub fn record_kernel_span(
+        &self,
         flight: &fabp_telemetry::FlightRecorder,
         trace: fabp_telemetry::TraceContext,
         start_us: f64,
-    ) -> EngineRun {
-        let bases = range.len();
-        let beats = fabp_encoding::packing::axi_beats_in(reference, range);
-        let run = self.run_beats(&beats, registry);
+        bases: usize,
+    ) {
         let dur_us = self.model_kernel_seconds(bases.div_ceil(4) as u64) * 1e6;
         flight.record(
             fabp_telemetry::TraceEvent::new(trace, "fpga_kernel", start_us, dur_us)
                 .with_arg(bases as u64),
         );
-        run
     }
 
     /// Runs the kernel over an explicit beat stream (the decomposed form
@@ -455,112 +519,140 @@ impl<'e> EngineSession<'e> {
     /// the `fast_forward_equivalence` test matrix), but two per-beat costs
     /// are amortised:
     ///
-    /// * **Datapath**: the beats stream through the Reference Stream
-    ///   buffer as in `push_beat`, and every alignment instance they
-    ///   complete is scored by one fused bit-parallel scan
+    /// * **Datapath** (the kernel pass): the beats stream through the
+    ///   Reference Stream buffer as in `push_beat`, and every alignment
+    ///   instance they complete is scored by one fused bit-parallel scan
     ///   ([`BitParallelEngine`]) per chunk of [`FAST_CHUNK_BEATS`] beats,
     ///   over the chunk's elements plus the `L_q − 1` the buffer carries
     ///   from earlier beats, instead of per-element evaluation of the
-    ///   two-LUT comparator netlist. A hit at position `p` retires with
-    ///   the beat that delivers element `p + L_q − 1`, the beat whose
-    ///   `push_beat` would report it, so each beat's hit count, `hits`,
-    ///   `instances_evaluated` and the stream buffer end up exactly as
-    ///   the per-beat path leaves them. The kernel models the *golden*
+    ///   two-LUT comparator netlist. The kernel models the *golden*
     ///   datapath: if a configuration upset is present
     ///   ([`EngineSession::set_cell`]), or the kernel rejects the query,
     ///   the whole stream takes the exact per-beat path instead.
-    /// * **Cycle accounting**: stall-free beats are batched per channel
-    ///   and advanced over whole AXI bursts in O(1)
-    ///   ([`AxiChannel::fetch_burst`]). Only two events can interrupt a
-    ///   batch — a burst boundary (the next beat may stall on the
-    ///   inter-burst gap) and WB back-pressure (`extra_wb > 0` changes
-    ///   the consumer's pace) — and both fall back to the exact
-    ///   single-beat update.
+    /// * **Cycle accounting** (the accounting pass, shared with
+    ///   [`FabpEngine::run_scored`]): each hit retires with the beat that
+    ///   completes its window, and stall-free beats are advanced over
+    ///   whole AXI bursts in O(1).
     pub fn push_beats_fast(&mut self, beats: &[AxiBeat]) {
         debug_assert!(!self.finished, "session already finished");
-        let engine = self.engine;
-        let kernel = match &engine.kernel {
-            Some(kernel) if self.cell == engine.cell => kernel,
+        let kernel = self
+            .engine
+            .kernel()
+            .filter(|_| self.cell == self.engine.cell);
+        let Some((kernel, threshold)) = kernel else {
             // A live SEU (the kernel models the golden netlist) or a
             // query the kernel rejects: exact per-beat path throughout.
-            _ => {
-                for beat in beats {
-                    self.push_beat(beat);
-                }
-                return;
+            for beat in beats {
+                self.push_beat(beat);
             }
+            return;
         };
+        for chunk in beats.chunks(FAST_CHUNK_BEATS) {
+            let hits = self.scan_chunk(kernel, threshold, chunk);
+            self.retire(chunk.iter().map(|beat| beat.valid), hits);
+        }
+    }
+
+    /// The kernel pass of [`EngineSession::push_beats_fast`]: streams
+    /// `chunk` through the Reference Stream buffer and scores the
+    /// reference from `next_position` on — the (at most `L_q − 1`)
+    /// elements the buffer carries, then every beat's words, partial
+    /// beats included — in one fused scan. Returns the hits at absolute
+    /// positions, ascending.
+    fn scan_chunk(
+        &mut self,
+        kernel: &BitParallelEngine,
+        threshold: u32,
+        chunk: &[AxiBeat],
+    ) -> Vec<Hit> {
+        let scan_start = self.next_position;
+        let query_len = self.engine.query.len();
+        let mut scan = PackedSeq::with_capacity(query_len + chunk.len() * ELEMENTS_PER_BEAT);
+        for (k, beat) in chunk.iter().enumerate() {
+            let window = self.stream.push_beat(beat);
+            if k == 0 {
+                let carried = &window.elements[scan_start - window.start_position..];
+                scan.extend_from_slice(&carried[..carried.len() - beat.valid]);
+            }
+            scan.extend_from_words(&beat.words, beat.valid);
+        }
+        let mut hits = kernel.search(&scan, 0..scan.len(), threshold);
+        for hit in &mut hits {
+            hit.position += scan_start;
+        }
+        hits
+    }
+
+    /// The accounting pass: delivers beats of `valids` elements each and
+    /// retires `hits` (absolute positions, ascending), each with the beat
+    /// that delivers element `position + L_q − 1` — the beat whose
+    /// `push_beat` would report it — so each beat's hit count, `hits`,
+    /// `instances_evaluated` and the cycle accounting end up exactly as
+    /// the per-beat path leaves them. It reads nothing of a beat but its
+    /// valid count, and leaves the Reference Stream buffer alone.
+    ///
+    /// Stall-free beats are batched per channel and advanced over whole
+    /// AXI bursts in O(1) ([`AxiChannel::fetch_burst`]). Only two events
+    /// can interrupt a batch — a burst boundary (the next beat may stall
+    /// on the inter-burst gap) and WB back-pressure (`extra_wb > 0`
+    /// changes the consumer's pace) — and both fall back to the exact
+    /// single-beat update.
+    fn retire(
+        &mut self,
+        valids: impl IntoIterator<Item = usize>,
+        hits: impl IntoIterator<Item = Hit>,
+    ) {
+        let engine = self.engine;
         let query_len = engine.query.len();
         let segments = engine.plan.segments.max(1) as u64;
         let channels = self.channel_ready.len();
         let bpb = engine.config.axi.beats_per_burst;
         let wb_rate = engine.config.wb_rate_per_cycle.max(1) as u64;
-        let threshold = engine.dsp.threshold();
         // Stall-free beats deferred per channel, waiting to be advanced
         // in one `fetch_burst` call.
         let mut pending = vec![0u64; channels];
-        for chunk in beats.chunks(FAST_CHUNK_BEATS) {
-            // The reference from `next_position` on, packed: the (at most
-            // `L_q − 1`) elements the stream buffer carries, then every
-            // beat's words, partial beats included.
-            let scan_start = self.next_position;
-            let mut scan = PackedSeq::with_capacity(query_len + chunk.len() * ELEMENTS_PER_BEAT);
-            for (k, beat) in chunk.iter().enumerate() {
-                let window = self.stream.push_beat(beat);
-                if k == 0 {
-                    let carried = &window.elements[scan_start - window.start_position..];
-                    scan.extend_from_slice(&carried[..carried.len() - beat.valid]);
-                }
-                scan.extend_from_words(&beat.words, beat.valid);
+        let mut hits = hits.into_iter().peekable();
+        for valid in valids {
+            let ch = (self.beat_index % channels as u64) as usize;
+            self.beat_index += 1;
+            self.consumed += valid as u64;
+
+            // Retire the instances this beat completes: positions up to
+            // `consumed − L_q`, each scored once.
+            let next = (self.consumed as usize + 1).saturating_sub(query_len);
+            self.stats.instances_evaluated += (next - self.next_position) as u64;
+            self.next_position = next;
+            let mut beat_hits = 0u64;
+            while let Some(hit) = hits.next_if(|h| h.position < next) {
+                self.hits.push(hit);
+                beat_hits += 1;
             }
-            let hits = kernel.search(&scan, 0..scan.len(), threshold);
-            let mut hits = hits.into_iter().peekable();
-            for beat in chunk {
-                let ch = (self.beat_index % channels as u64) as usize;
-                self.beat_index += 1;
-                self.consumed += beat.valid as u64;
 
-                // Retire the instances this beat completes: positions up
-                // to `consumed − L_q`, each scored once.
-                let next = (self.consumed as usize + 1).saturating_sub(query_len);
-                self.stats.instances_evaluated += (next - self.next_position) as u64;
-                self.next_position = next;
-                let mut beat_hits = 0u64;
-                while let Some(hit) = hits.next_if(|h| scan_start + h.position < next) {
-                    self.hits.push(Hit {
-                        position: scan_start + hit.position,
-                        score: hit.score,
-                    });
-                    beat_hits += 1;
-                }
+            let wb_cycles = beat_hits.div_ceil(wb_rate);
+            let extra_wb = wb_cycles.saturating_sub(segments);
 
-                let wb_cycles = beat_hits.div_ceil(wb_rate);
-                let extra_wb = wb_cycles.saturating_sub(segments);
-
-                // This beat's index within the channel's own sequence:
-                // beats already fetched plus beats deferred ahead of it.
-                let local = self.axi[ch].stats().beats + pending[ch];
-                let new_burst = bpb != u64::MAX && local.is_multiple_of(bpb);
-                if pending[ch] > 0 && (new_burst || extra_wb > 0) {
-                    // Event boundary: advance the deferred stall-free
-                    // beats in O(1) before handling this one exactly.
-                    self.flush_pending(ch, pending[ch], segments);
-                    pending[ch] = 0;
-                }
-                if extra_wb > 0 {
-                    // WB back-pressure alters the consumer's pace for
-                    // this beat: exact single-beat update, as in
-                    // `push_beat`.
-                    let t_data = self.axi[ch].fetch_beat(self.channel_ready[ch]);
-                    self.channel_ready[ch] = t_data + segments + extra_wb;
-                    self.stats.busy_cycles += segments;
-                    self.stats.wb_stall_cycles += extra_wb;
-                } else {
-                    pending[ch] += 1;
-                }
+            // This beat's index within the channel's own sequence: beats
+            // already fetched plus beats deferred ahead of it.
+            let local = self.axi[ch].stats().beats + pending[ch];
+            let new_burst = bpb != u64::MAX && local.is_multiple_of(bpb);
+            if pending[ch] > 0 && (new_burst || extra_wb > 0) {
+                // Event boundary: advance the deferred stall-free beats
+                // in O(1) before handling this one exactly.
+                self.flush_pending(ch, pending[ch], segments);
+                pending[ch] = 0;
             }
-            debug_assert!(hits.next().is_none(), "every scanned hit retires");
+            if extra_wb > 0 {
+                // WB back-pressure alters the consumer's pace for this
+                // beat: exact single-beat update, as in `push_beat`.
+                let t_data = self.axi[ch].fetch_beat(self.channel_ready[ch]);
+                self.channel_ready[ch] = t_data + segments + extra_wb;
+                self.stats.busy_cycles += segments;
+                self.stats.wb_stall_cycles += extra_wb;
+            } else {
+                pending[ch] += 1;
+            }
         }
+        debug_assert!(hits.next().is_none(), "every scanned hit retires");
         for (ch, &deferred) in pending.iter().enumerate() {
             if deferred > 0 {
                 self.flush_pending(ch, deferred, segments);

@@ -12,13 +12,20 @@
 //! bit-parallel kernel in chunks, so the matrix also covers irregular
 //! streams: partial beats mid-stream, runs split across calls, a
 //! checkpoint replay, and a query the kernel rejects.
+//!
+//! A fault-free read of a range of resident words
+//! ([`fabp_fpga::engine::FabpEngine::read`]) builds no beats: the kernel
+//! scans the range in place and the accounting pass replays the range's
+//! beats from their valid counts. It must equal the exact model over
+//! that range's beats ([`fabp_encoding::packing::axi_beats_in`]), and so
+//! must the accounting pass over each lane of one joined multi-lane scan.
 
 use fabp_bio::alphabet::Nucleotide;
 use fabp_bio::backtranslate::{BackTranslatedQuery, DependentFn, PatternElement};
 use fabp_bio::generate::{random_protein, random_rna};
 use fabp_bio::seq::PackedSeq;
 use fabp_encoding::encoder::EncodedQuery;
-use fabp_encoding::packing::{axi_beats, AxiBeat};
+use fabp_encoding::packing::{axi_beats, axi_beats_in, AxiBeat};
 use fabp_fpga::axi::AxiConfig;
 use fabp_fpga::bitparallel::BitParallelEngine;
 use fabp_fpga::comparator::ComparatorCell;
@@ -343,14 +350,103 @@ fn query_rejected_by_fused_kernel_takes_exact_path() {
     let qlen = query.len() as u32;
     let reference = random_rna(5_000, &mut rng);
     let beats = axi_beats(&PackedSeq::from_rna(&reference));
+    let packed = PackedSeq::from_rna(&reference);
     for threshold in [0u32, qlen / 2, qlen] {
         let engine = FabpEngine::new(query.clone(), EngineConfig::kintex7(threshold)).unwrap();
+        assert!(engine.kernel().is_none());
         let fast = engine.run_beats(&beats, &Registry::new());
         let exact = engine.run_beats_exact(&beats, &Registry::new());
         let label = format!("rejected/t{threshold}");
         assert_eq!(fast.hits, exact.hits, "{label}: hits");
         assert_reports_identical(&fast.stats, &exact.stats, &label);
         assert_eq!(fast.stats, exact.stats, "{label}: CycleReport");
+        // Without a kernel, the in-place read takes the beat path.
+        let read = engine.read(&packed, 300..4_321, &Registry::new());
+        let exact = engine.run_beats_exact(&axi_beats_in(&packed, 300..4_321), &Registry::new());
+        assert_eq!(read.hits, exact.hits, "{label}: read hits");
+        assert_eq!(read.stats, exact.stats, "{label}: read CycleReport");
+    }
+}
+
+/// Asserts `run` equals the exact per-beat model over `range`'s beats:
+/// hits and every `CycleReport` field.
+fn assert_matches_exact_read(
+    engine: &FabpEngine,
+    reference: &PackedSeq,
+    range: std::ops::Range<usize>,
+    run: &fabp_fpga::engine::EngineRun,
+    label: &str,
+) {
+    let beats = axi_beats_in(reference, range);
+    let exact = engine.run_beats_exact(&beats, &Registry::new());
+    assert_eq!(run.hits, exact.hits, "{label}: hits");
+    assert_reports_identical(&run.stats, &exact.stats, label);
+    assert_eq!(run.stats, exact.stats, "{label}: CycleReport");
+}
+
+#[test]
+fn joined_lane_scans_replay_each_lanes_own_read() {
+    // One joined pass scores up to four engines' kernels over a range;
+    // the accounting pass over each lane's hits must give that lane's
+    // own read. The lanes differ in query length, threshold (0 floods
+    // the WB port), channel count and AXI timing, and the ranges are
+    // unaligned, end in partial beats, are shorter than some queries or
+    // empty.
+    let mut rng = StdRng::seed_from_u64(0x1A7E);
+    let reference = PackedSeq::from_rna(&random_rna(9_000, &mut rng));
+    let tight = AxiConfig {
+        read_latency: 3,
+        beats_per_burst: 2,
+        inter_burst_gap: 5,
+    };
+    for round in 0..12 {
+        let lanes = 1 + round % 4;
+        let engines: Vec<FabpEngine> = (0..lanes)
+            .map(|lane| {
+                let query =
+                    EncodedQuery::from_protein(&random_protein(rng.gen_range(1..=40), &mut rng));
+                let threshold = match lane {
+                    0 => 0,
+                    _ => rng.gen_range(0..=query.len() as u32),
+                };
+                let two_channels = rng.gen::<bool>();
+                let config = EngineConfig {
+                    device: if two_channels {
+                        FpgaDevice::virtex7()
+                    } else {
+                        FpgaDevice::kintex7()
+                    },
+                    channels: if two_channels { 2 } else { 1 },
+                    axi: if rng.gen::<bool>() {
+                        tight
+                    } else {
+                        AxiConfig::default()
+                    },
+                    wb_rate_per_cycle: rng.gen_range(1..=4),
+                    ..EngineConfig::kintex7(threshold)
+                };
+                FabpEngine::new(query, config).unwrap()
+            })
+            .collect();
+        let kernels: Vec<(&BitParallelEngine, u32)> =
+            engines.iter().map(|e| e.kernel().unwrap()).collect();
+        let joined = BitParallelEngine::join(&kernels.iter().map(|k| k.0).collect::<Vec<_>>());
+        let thresholds: Vec<u32> = kernels.iter().map(|k| k.1).collect();
+        let start = rng.gen_range(0..=reference.len());
+        let len = match round % 3 {
+            0 => rng.gen_range(0..=60),
+            _ => rng.gen_range(0..=reference.len() - start),
+        };
+        let range = start..start + len;
+        let per_lane = joined.search_lanes(&reference, range.clone(), &thresholds);
+        for (lane, (engine, hits)) in engines.iter().zip(&per_lane).enumerate() {
+            let label = format!("round{round}/lane{lane}/{range:?}");
+            let replayed = engine.run_scored(len, hits, &Registry::new());
+            let own = engine.read(&reference, range.clone(), &Registry::new());
+            assert_eq!(replayed.hits, own.hits, "{label}: hits");
+            assert_eq!(replayed.stats, own.stats, "{label}: CycleReport");
+            assert_matches_exact_read(engine, &reference, range.clone(), &replayed, &label);
+        }
     }
 }
 
@@ -399,5 +495,54 @@ proptest! {
             false,
             &format!("q{protein_len}/t{threshold}/r{ref_len}/cuts{cuts:?}"),
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The in-place read of `reference[range]` equals the per-beat model
+    /// over the range's beats across query lengths, every threshold
+    /// (0 floods the WB port), references, unaligned ranges ending in
+    /// partial beats, empty ranges and ranges shorter than the query,
+    /// AXI timings, channel counts and WB rates.
+    #[test]
+    fn in_place_reads_match_exact(
+        protein_len in 1usize..=60,
+        threshold_pick in 0u32..=200,
+        ref_len in 0usize..=6_000,
+        start_pick in 0usize..=6_000,
+        short_range in any::<bool>(),
+        len_pick in 0usize..=6_000,
+        read_latency in 0u64..40,
+        beats_per_burst in 1u64..=24,
+        inter_burst_gap in 0u64..6,
+        two_channels in any::<bool>(),
+        wb_rate in 1usize..=4,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let query = EncodedQuery::from_protein(&random_protein(protein_len, &mut rng));
+        let threshold = threshold_pick % (query.len() as u32 + 1);
+        let (device, channels) = if two_channels {
+            (FpgaDevice::virtex7(), 2)
+        } else {
+            (FpgaDevice::kintex7(), 1)
+        };
+        let config = EngineConfig {
+            device,
+            channels,
+            axi: AxiConfig { read_latency, beats_per_burst, inter_burst_gap },
+            wb_rate_per_cycle: wb_rate,
+            ..EngineConfig::kintex7(threshold)
+        };
+        let engine = FabpEngine::new(query, config).unwrap();
+        let reference = PackedSeq::from_rna(&random_rna(ref_len, &mut rng));
+        let start = start_pick.min(ref_len);
+        let len = if short_range { len_pick % (3 * protein_len + 2) } else { len_pick };
+        let range = start..(start + len).min(ref_len);
+        let read = engine.read(&reference, range.clone(), &Registry::new());
+        let label = format!("q{protein_len}/t{threshold}/r{ref_len}/{range:?}");
+        assert_matches_exact_read(&engine, &reference, range, &read, &label);
     }
 }

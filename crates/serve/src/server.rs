@@ -17,9 +17,9 @@
 //!           backend dispatch ──► Scan: cached aligners +
 //!                 │               work-stealing batch::search_prebuilt
 //!                 │              Seeded: one search_index per batch
-//!                 │              Fleet: cached per-query FpgaFleet
-//!                 │               reading the resident reference, routed
-//!                 ▼               through the failure detector
+//!                 │              Fleet: cached per-query FpgaFleet, one
+//!                 │               fleet::search_batch over the resident
+//!                 ▼               reference, routed by the failure detector
 //!           per-request Response { result, latency, … }
 //! ```
 //!
@@ -46,8 +46,8 @@ use fabp_bio::alphabet::Nucleotide;
 use fabp_bio::fasta::PackedRecords;
 use fabp_bio::seq::{PackedSeq, ProteinSeq, RnaSeq};
 use fabp_core::aligner::{Engine, FabpAligner, Threshold};
-use fabp_core::batch::search_prebuilt;
-use fabp_core::fleet::{place_replicas, FpgaFleet};
+use fabp_core::batch::{distinct, search_prebuilt};
+use fabp_core::fleet::{place_replicas, search_batch, FpgaFleet};
 use fabp_core::hits::{retain_within_records, Hit};
 use fabp_core::index::{search_index, PrefilterMode, ReferenceIndex, SeedParams};
 use fabp_core::slice_plan::SliceOptions;
@@ -62,7 +62,7 @@ use fabp_telemetry::{
 };
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Salt on the trace seed for dispatch traces, keeping their ids apart
@@ -946,6 +946,14 @@ impl FabpServer {
     }
 }
 
+/// The host's cores, read once per process (the read costs tens of
+/// microseconds): the fleet's scan phase runs one worker per modelled
+/// board, capped by them.
+fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// What a dispatch reads from the server besides its backend's state.
 struct Dispatch<'a> {
     reference: &'a PackedSeq,
@@ -960,7 +968,8 @@ struct Dispatch<'a> {
 }
 
 impl Dispatch<'_> {
-    /// Scan dispatch: cached aligners + one work-stealing batch run.
+    /// Scan dispatch: cached aligners + one work-stealing batch run, each
+    /// distinct aligner scanned once however many requests share it.
     fn scan(
         &self,
         batch: Vec<Request>,
@@ -992,25 +1001,30 @@ impl Dispatch<'_> {
             .iter()
             .filter_map(|(_, _, built)| built.as_ref().ok().cloned())
             .collect();
+        // A repeated query resolves to the one cached aligner.
+        let (firsts, slot_of) = distinct(&runnable, Arc::as_ptr);
+        let unique: Vec<&FabpAligner> = firsts.iter().map(|&i| runnable[i].as_ref()).collect();
         let align_start = Instant::now();
         let (outcomes, _) =
-            search_prebuilt(&runnable, self.reference, threads, SliceOptions::default());
+            search_prebuilt(&unique, self.reference, threads, SliceOptions::default());
         let align_us = align_start.elapsed().as_secs_f64() * 1e6;
-        let mut outcomes = outcomes.into_iter();
+        let mut slots = slot_of.into_iter();
         prepared
             .into_iter()
             .map(|(request, cached, built)| {
                 let missing = "batch dispatch returned fewer outcomes than aligners";
                 let result = built
                     .and_then(|_| {
-                        outcomes
+                        slots
                             .next()
+                            .and_then(|slot| outcomes.get(slot))
                             .ok_or_else(|| FabpError::Internal(missing.into()))
                     })
-                    .map(|mut outcome| {
+                    .map(|outcome| {
                         self.record_work(request.trace, "align", align_us);
-                        retain_within_records(&mut outcome.hits, outcome.query_len, self.records);
-                        outcome.hits
+                        let mut hits = outcome.hits.clone();
+                        retain_within_records(&mut hits, outcome.query_len, self.records);
+                        hits
                     });
                 (request, cached, false, result)
             })
@@ -1056,15 +1070,20 @@ impl Dispatch<'_> {
             .collect()
     }
 
-    /// Fleet dispatch: per-query cached fleets streaming the resident
-    /// reference, hedged scatter/gather routed through the server's
-    /// persistent failure detector. Queries run back-to-back as on
-    /// hardware (the query lives in flip-flops — reloading it is
-    /// microseconds against a multi-millisecond scan). Every completion
-    /// feeds the detector's EWMA statistics, so health state (and with
-    /// it the p95 hedge budget) evolves across requests. A request
-    /// counts as recovered when a shard failed over or the engine-level
-    /// faults of the schedule were recovered.
+    /// Fleet dispatch: every request first resolves its fleet, in request
+    /// order — the cache lookup, its `query_cache` span and the build —
+    /// so one bad query cannot fail its batch-mates; then the built
+    /// fleets ride one [`search_batch`] call over the resident
+    /// reference. Its scan phase scores each distinct query once, on one
+    /// worker per modelled board, capped by the host's cores; its control
+    /// phase routes every request through the server's persistent
+    /// failure detector back-to-back, as on hardware (the query lives in
+    /// flip-flops — reloading it is microseconds against a
+    /// multi-millisecond scan). Every completion feeds the detector's
+    /// EWMA statistics, so health state (and with it the p95 hedge
+    /// budget) evolves across requests. A request counts as recovered
+    /// when a shard failed over or the engine-level faults of the
+    /// schedule were recovered.
     fn fleet(
         &self,
         batch: Vec<Request>,
@@ -1077,50 +1096,67 @@ impl Dispatch<'_> {
         // bases per residue); the shared merge removes the cross-shard
         // duplicates it creates.
         let overlap = 3 * self.config.max_query_aa;
-        let served = batch
+        let prepared: Vec<(Request, bool, FabpResult<Arc<FpgaFleet>>)> = batch
             .into_iter()
             .map(|request| {
                 let key = content_hash(request.protein.iter().map(|&aa| aa as u8));
                 let cached = fleet.fleets.contains(key);
-                // Scatter spans hang off the batch span, so the dump
-                // reads submit → queue → batch → per-shard work.
-                let batch_ctx = request.trace.child(1);
-                self.record_query_cache(batch_ctx, cached);
+                self.record_query_cache(request.trace.child(1), cached);
                 let built = fleet.fleets.try_get_or_insert_with(key, || {
                     let query = EncodedQuery::from_protein(&request.protein);
                     let config = EngineConfig::kintex7(threshold.resolve(query.len()));
                     FpgaFleet::homogeneous(&query, &config, nodes, replication, total, overlap)
                         .map(Arc::new)
                 });
-                let mut recovered = false;
-                let result = built.and_then(|built| {
-                    built
-                        .search(
-                            self.reference,
-                            &fleet.faults,
-                            &mut fleet.detector,
-                            self.now_us,
-                            self.registry,
-                            self.flight,
-                            batch_ctx,
-                            self.start_us,
-                        )
-                        .map(|mut outcome| {
-                            recovered = outcome.failovers > 0 || outcome.report.recovered > 0;
-                            stats.hedges += u64::from(outcome.hedges);
-                            stats.hedge_wins += u64::from(outcome.hedge_wins);
-                            stats.cancels += u64::from(outcome.cancels);
-                            stats.failovers += u64::from(outcome.failovers);
-                            let window = 3 * request.protein.len();
-                            retain_within_records(&mut outcome.hits, window, self.records);
-                            outcome.hits
-                        })
-                });
-                (request, cached, recovered, result)
+                (request, cached, built)
             })
             .collect();
         stats.query_cache = fleet.fleets.stats();
-        served
+        // Scatter spans hang off the batch span, so the dump reads
+        // submit → queue → batch → per-shard work.
+        let requests: Vec<(&FpgaFleet, TraceContext)> = prepared
+            .iter()
+            .filter_map(|(request, _, built)| {
+                let built = built.as_ref().ok()?;
+                Some((built.as_ref(), request.trace.child(1)))
+            })
+            .collect();
+        let mut outcomes = search_batch(
+            &requests,
+            self.reference,
+            &fleet.faults,
+            &mut fleet.detector,
+            self.now_us,
+            self.registry,
+            self.flight,
+            self.start_us,
+            nodes.min(host_cores()),
+        )
+        .into_iter();
+        prepared
+            .into_iter()
+            .map(|(request, cached, built)| {
+                let missing = "fleet dispatch returned fewer outcomes than fleets";
+                let mut recovered = false;
+                let result = built
+                    .and_then(|_| {
+                        outcomes
+                            .next()
+                            .unwrap_or_else(|| Err(FabpError::Internal(missing.into())))
+                    })
+                    .map(|mut outcome| {
+                        recovered = outcome.failovers > 0 || outcome.report.recovered > 0;
+                        stats.hedges += u64::from(outcome.hedges);
+                        stats.hedge_wins += u64::from(outcome.hedge_wins);
+                        stats.cancels += u64::from(outcome.cancels);
+                        stats.failovers += u64::from(outcome.failovers);
+                        let window = 3 * request.protein.len();
+                        retain_within_records(&mut outcome.hits, window, self.records);
+                        outcome.hits
+                    });
+                (request, cached, recovered, result)
+            })
+            .collect()
     }
 
     /// Records whether a request's per-query artefact was cached, under
@@ -1800,6 +1836,46 @@ mod tests {
             .iter()
             .all(|r| r.as_ref().is_ok_and(|h| !h.is_empty())));
         assert_eq!(served[1], served[0]);
+    }
+
+    #[test]
+    fn a_repeated_query_in_one_batch_is_answered_like_its_first_copy() {
+        // Scan and seeded backends compute a repeated query once per
+        // batch; every copy gets the answer a batch without it gives.
+        use fabp_core::index::IndexBuildOptions;
+        let mut rng = StdRng::seed_from_u64(112);
+        let proteins: Vec<ProteinSeq> = (0..2).map(|_| random_protein(8, &mut rng)).collect();
+        let reference = planted_reference(&proteins, &mut rng);
+        let options = IndexBuildOptions {
+            overlap: 48,
+            target_shard_bases: 1_024,
+        };
+        let index = Arc::new(ReferenceIndex::build_from_rna(&reference, options).unwrap());
+        let (p, q) = (&proteins[0], &proteins[1]);
+        for prefilter in [PrefilterMode::Off, PrefilterMode::Seeded] {
+            let serve = |stream: &[&ProteinSeq]| {
+                let config = ServeConfig {
+                    threshold: Threshold::Fraction(0.9),
+                    prefilter,
+                    ..ServeConfig::default()
+                };
+                let registry = Registry::disabled();
+                let mut server = FabpServer::with_index(Arc::clone(&index), config, &registry)
+                    .expect("index-backed server builds");
+                for protein in stream {
+                    server.submit("a", protein).unwrap();
+                }
+                let mut responses = server.run_to_completion();
+                assert!(responses.iter().all(|r| r.batch_size == stream.len()));
+                responses.sort_by_key(|r| r.id);
+                let hits = responses.into_iter().map(|r| r.result.unwrap());
+                hits.collect::<Vec<_>>()
+            };
+            let once = serve(&[p, q]);
+            assert!(!once[0].is_empty(), "{prefilter:?}: planted query hits");
+            let copies = [once[0].clone(), once[1].clone(), once[0].clone()];
+            assert_eq!(serve(&[p, q, p]), copies, "{prefilter:?}");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use fabp::bio::generate::{coding_rna_for_paper_patterns, random_protein, random_rna};
 use fabp::bio::orf::find_orfs;
 use fabp::bio::seq::{PackedSeq, RnaSeq};
-use fabp::core::fleet::FpgaFleet;
+use fabp::core::fleet::{search_batch, FpgaFleet};
 use fabp::encoding::encoder::EncodedQuery;
 use fabp::fpga::engine::EngineConfig;
 use fabp::resilience::{FailureDetector, FaultSchedule};
@@ -75,18 +75,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         qlen - 1,
     )?;
     let mut detector = FailureDetector::with_defaults(4, &Registry::disabled());
-    let hits = fleet
-        .search(
-            &packed,
-            &FaultSchedule::new(),
-            &mut detector,
-            0,
-            &Registry::disabled(),
-            &FlightRecorder::disabled(),
-            TraceContext::none(),
-            0.0,
-        )?
-        .hits;
+    // One request: a batch of one, scanned on one worker.
+    let hits = search_batch(
+        &[(&fleet, TraceContext::none())],
+        &packed,
+        &FaultSchedule::new(),
+        &mut detector,
+        0,
+        &Registry::disabled(),
+        &FlightRecorder::disabled(),
+        0.0,
+        1,
+    )
+    .remove(0)?
+    .hits;
     println!(
         "  hits: {:?}",
         hits.iter().map(|h| h.position).collect::<Vec<_>>()

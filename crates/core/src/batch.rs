@@ -15,7 +15,12 @@
 //! DRAM for each claim, so the memory system — not the core count — sets
 //! the ceiling. `batch_parallel4_vs_serial` measured **0.98×**.
 //!
-//! **This scheduler steals `(lane-group, slice)` pairs.** A
+//! **This scheduler steals reference slices of one joined pass.**
+//! Every pass of every software query (one per query, plus one per
+//! serine in extended-Ser mode) is a lane of one
+//! [`BitParallelEngine::join`]: one fused pass scores the whole batch,
+//! so the column fill is paid once per batch rather than once per query
+//! (Nguyen & Lavenier's bank-to-bank sharing of one database pass). A
 //! [`SlicePlan`](crate::slice_plan::SlicePlan) cuts the reference — a
 //! multi-record database's concatenation, scanned once for every query —
 //! into cache-friendly slices with exactly `window − 1` bases of trailing
@@ -23,14 +28,12 @@
 //! the alignment-position space and
 //! [`merge_shard_hits`](crate::hits::merge_shard_hits) reassembles the
 //! serial hit list bit-identically — even for one query on many workers.
-//! Every pass of every software query (one per query, plus one per
-//! serine in extended-Ser mode) is a lane for the fused bit-parallel
-//! engine; lanes pack [`LANES`]-wide into groups, each one
-//! [`BitParallelEngine::join`] of its passes' engines scanning a slice
-//! per pass, amortising column decode and table evaluation across
-//! queries. [`FabpAligner::search`] runs through the same path as a
-//! batch of one. Each slice is a base range of the packed reference,
-//! which the kernel scans in place.
+//! Slices are sized by work: their floor in positions falls with the
+//! lane count, since a slice's fixed costs (tile warm-up, overlap
+//! re-read, hand-off) do not grow with the lanes it scores.
+//! [`FabpAligner::search`] runs through the same path as a batch of
+//! one. Each slice is a base range of the packed reference, which the
+//! kernel scans in place.
 //!
 //! Scheduling is **work-stealing** (an atomic claim index over the
 //! flattened item list, `claim_all`) rather than static chunking: a
@@ -39,12 +42,11 @@
 //! same claim loop, the only worker pool in this crate. Telemetry is
 //! honest about utilisation: per-worker **busy-nanosecond histograms**
 //! (`fabp_batch_worker_busy_ns`) replace the old claim-count gauges that
-//! hid the 0.98× pathology, the imbalance gauge reports the busy-time
-//! spread in microseconds, and `fabp_batch_lane_occupancy_pct` exposes
-//! how full the SIMD lanes ran.
+//! hid the 0.98× pathology, and the imbalance gauge reports the
+//! busy-time spread in microseconds.
 
 use crate::aligner::{merge_hits, Engine, FabpAligner, SearchOutcome, Threshold};
-use crate::bitparallel::{BitParallelEngine, LANES};
+use crate::bitparallel::BitParallelEngine;
 use crate::hits::{merge_shard_hits, Hit};
 use crate::slice_plan::{SliceOptions, SlicePlan};
 use fabp_bio::seq::{PackedSeq, ProteinSeq};
@@ -58,8 +60,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Searches every query against the reference, returning one outcome per
 /// query (input order preserved).
 ///
-/// `threads` parallelises across `(query-group, reference-slice)` work
-/// items (see the module docs) — no query or slice is lost or duplicated
+/// `threads` parallelises across the reference slices of one joined
+/// pass (see the module docs) — no query or slice is lost or duplicated
 /// regardless of per-query cost skew, `threads > queries`, or slice
 /// boundaries straddling match windows.
 ///
@@ -88,8 +90,8 @@ pub fn search_all(
     Ok(search_prebuilt(&aligners, reference, threads, SliceOptions::default()).0)
 }
 
-/// How the scheduler actually ran one batch: work-item mix, lane packing
-/// and the per-worker busy time the critical-path analysis needs.
+/// How the scheduler actually ran one batch: the work items and the
+/// per-worker busy time the critical-path analysis needs.
 ///
 /// Busy time is what the old claim-count gauges could not show: with
 /// per-query stealing, `1 query × 4 workers` reported a perfectly
@@ -101,13 +103,8 @@ pub fn search_all(
 pub struct BatchRunStats {
     /// Workers that claimed items (≤ requested threads).
     pub workers: usize,
-    /// (Lane group, reference slice) work items scheduled.
+    /// Reference-slice work items scheduled.
     pub items: usize,
-    /// Multi-query lane groups formed.
-    pub lane_groups: usize,
-    /// Occupied lanes as a percentage of `lane_groups × LANES`
-    /// (100.0 when every group is full; 0.0 when no groups formed).
-    pub lane_occupancy_pct: f64,
     /// Busy CPU nanoseconds per worker (thread CPU time spent inside
     /// claimed items — immune to preemption on oversubscribed hosts).
     pub per_worker_busy_ns: Vec<u64>,
@@ -292,17 +289,16 @@ pub fn distinct<'a, T, K: Eq + Hash>(
     (firsts, slot_of)
 }
 
-/// Up to [`LANES`] kernels joined into one, each lane with its own
-/// threshold: one pass over a base range scores every lane. The batch
-/// scan's lane groups and the fleet's scan phase pack their lanes this
-/// way.
+/// Kernels joined into one, each lane with its own threshold: one pass
+/// over a base range scores every lane. The batch scan and the fleet's
+/// scan phase join their lanes this way.
 pub(crate) struct JoinedLanes {
     engine: BitParallelEngine,
     thresholds: Vec<u32>,
 }
 
 impl JoinedLanes {
-    /// Joins 1 ..= [`LANES`] kernels, each with its threshold.
+    /// Joins one or more kernels, each with its threshold.
     pub(crate) fn new<'e>(
         lanes: impl IntoIterator<Item = (&'e BitParallelEngine, u32)>,
     ) -> JoinedLanes {
@@ -325,45 +321,51 @@ impl JoinedLanes {
     }
 }
 
-/// One search pass of one software query: a lane of a [`LaneGroup`].
-struct Lane<'a> {
-    /// Query index (into `aligners`).
-    query: usize,
-    engine: &'a BitParallelEngine,
-    threshold: u32,
-}
-
-/// Up to [`LANES`] passes scanned together, slice by slice, by one
-/// joined engine.
-struct LaneGroup<'a> {
-    lanes: &'a [Lane<'a>],
+/// Every pass of a batch's software queries, scanned together, slice by
+/// slice, by one joined engine.
+struct LaneGroup {
+    /// Per lane, the index of its query in the batch.
+    queries: Vec<usize>,
     kernel: JoinedLanes,
     /// The shortest lane's window: a slice holding fewer bases has no
     /// position for any lane.
     shortest: usize,
-    /// The reference's slices, planned against the group-maximum window.
+    /// The reference's slices, planned against the longest window.
     plan: SlicePlan,
 }
 
-impl<'a> LaneGroup<'a> {
-    fn new(
-        lanes: &'a [Lane<'a>],
+impl LaneGroup {
+    /// Joins every pass of every software aligner, or `None` when the
+    /// batch has none.
+    fn new<A: Borrow<FabpAligner>>(
+        aligners: &[A],
         reference_len: usize,
         threads: usize,
         options: SliceOptions,
-    ) -> LaneGroup<'a> {
-        let kernel = JoinedLanes::new(lanes.iter().map(|l| (l.engine, l.threshold)));
-        let window = kernel.window();
-        LaneGroup {
-            lanes,
-            shortest: lanes
-                .iter()
-                .map(|l| l.engine.query_len())
-                .min()
-                .unwrap_or(window),
-            plan: SlicePlan::build(reference_len, window, threads, options),
-            kernel,
+    ) -> Option<LaneGroup> {
+        let mut queries = Vec::new();
+        let mut lanes = Vec::new();
+        for (q, a) in aligners.iter().enumerate() {
+            let a = a.borrow();
+            for engine in a.fused_passes().unwrap_or_default() {
+                queries.push(q);
+                lanes.push((engine, a.threshold()));
+            }
         }
+        let shortest = lanes.iter().map(|(engine, _)| engine.query_len()).min()?;
+        let kernel = JoinedLanes::new(lanes);
+        // Size slices by work: a slice's fixed costs do not grow with
+        // the lanes it scores.
+        let options = SliceOptions {
+            min_slice_positions: (options.min_slice_positions / queries.len()).max(1),
+            ..options
+        };
+        Some(LaneGroup {
+            plan: SlicePlan::build(reference_len, kernel.window(), threads, options),
+            queries,
+            kernel,
+            shortest,
+        })
     }
 
     /// Scans slice `s`, returning hits per lane at reference positions.
@@ -380,13 +382,13 @@ impl<'a> LaneGroup<'a> {
 /// The batch scan behind every software search, over aligners the
 /// caller already built (and possibly cached — the serving layer pays a
 /// repeated query's encode and table build once): every pass of every
-/// software aligner becomes a lane, lanes pack [`LANES`]-wide into
-/// groups, and each group's slices of the reference are claimed by one
-/// [`claim_all`] queue's workers. A cycle-accurate aligner runs its whole
-/// search on the calling thread after the queue, so its cycle statistics
-/// cover one whole-reference run. `options` sizes the slices (the
-/// proptest matrix draws it to force slice boundaries through match
-/// windows).
+/// software aligner becomes a lane of one joined engine, and its slices
+/// of the reference are claimed by one [`claim_all`] queue's workers. A
+/// cycle-accurate aligner runs its whole search on the calling thread
+/// after the queue, so its cycle statistics cover one whole-reference
+/// run. `options` sizes the slices (the proptest matrix draws it to
+/// force slice boundaries through match windows); their floor in
+/// positions is divided by the lane count.
 ///
 /// A multi-record reference is scanned as its records' concatenation,
 /// in one pass for every query; [`locate`](crate::hits::locate) then
@@ -403,82 +405,50 @@ pub fn search_prebuilt<A: Borrow<FabpAligner> + Sync>(
     options: SliceOptions,
 ) -> (Vec<SearchOutcome>, BatchRunStats) {
     let threads = threads.max(1);
-    let mut lanes: Vec<Lane<'_>> = Vec::new();
-    for (q, a) in aligners.iter().enumerate() {
-        let a = a.borrow();
-        if let Some(engines) = a.fused_passes() {
-            lanes.extend(engines.iter().map(|engine| Lane {
-                query: q,
-                engine,
-                threshold: a.threshold(),
-            }));
-        }
-    }
-    let groups: Vec<LaneGroup<'_>> = lanes
-        .chunks(LANES)
-        .map(|chunk| LaneGroup::new(chunk, reference.len(), threads, options))
-        .collect();
+    let group = LaneGroup::new(aligners, reference.len(), threads, options);
 
-    // Flatten every group's slices into one claim queue of (lane group,
-    // slice) items. A slice too short for the group's shortest lane has
-    // no position to score and schedules nothing; one shorter than the
-    // longest lane's window still scores the lanes that fit.
-    let items: Vec<(usize, usize)> = groups
+    // The claim queue holds the group's slices. A slice too short for
+    // the shortest lane has no position to score and schedules nothing;
+    // one shorter than the longest lane's window still scores the lanes
+    // that fit.
+    let items: Vec<(&LaneGroup, usize)> = group
         .iter()
-        .enumerate()
-        .flat_map(|(g, group)| {
+        .flat_map(|group| {
             let slices = group.plan.slices().iter().enumerate();
             slices
                 .filter(|(_, slice)| slice.bases() >= group.shortest)
-                .map(move |(s, _)| (g, s))
+                .map(move |(s, _)| (group, s))
         })
         .collect();
     let claimed = claim_all(&items, threads, |&(group, slice)| {
-        groups[group].scan(reference, slice)
+        group.scan(reference, slice)
     });
-
-    let telemetry = fabp_telemetry::Registry::global();
-    telemetry
+    fabp_telemetry::Registry::global()
         .counter(
             "fabp_batch_slice_steals_total",
             "Reference-slice work items stolen by batch workers",
         )
         .add(items.len() as u64);
-    let lane_occupancy_pct = if groups.is_empty() {
-        0.0
-    } else {
-        lanes.len() as f64 * 100.0 / (groups.len() * LANES) as f64
-    };
-    telemetry
-        .gauge(
-            "fabp_batch_lane_occupancy_pct",
-            "Occupied SIMD lanes as a percentage of lane-group capacity in the last batch",
-        )
-        .set(lane_occupancy_pct.round() as i64);
 
-    // Reassemble per-query hits group by group. Across several slices the
+    // Reassemble per-query hits lane by lane. Across several slices the
     // shard merge restores position order and drops the exact boundary
     // duplicates shorter lanes re-report across slice overlaps; one
     // slice's lists already are in order. A query's passes then reduce
     // with the per-position best-score merge.
-    let mut slices_of: Vec<Vec<Vec<Vec<Hit>>>> = vec![Vec::new(); groups.len()];
-    for (&(group, _), per_lane) in items.iter().zip(claimed.results) {
-        slices_of[group].push(per_lane);
-    }
+    let mut slices = claimed.results;
     let mut hits: Vec<Vec<Hit>> = vec![Vec::new(); aligners.len()];
-    for (group, mut slices) in groups.iter().zip(slices_of) {
-        for (l, lane) in group.lanes.iter().enumerate() {
-            let lane_hits = match slices.as_mut_slice() {
-                [one] => std::mem::take(&mut one[l]),
-                many => merge_shard_hits(many.iter_mut().map(|s| std::mem::take(&mut s[l]))),
-            };
-            let query_hits = &mut hits[lane.query];
-            *query_hits = if query_hits.is_empty() {
-                lane_hits
-            } else {
-                merge_hits(std::mem::take(query_hits), lane_hits)
-            };
-        }
+    let lane_queries = group.as_ref().map_or(&[][..], |group| &group.queries);
+    for (l, &query) in lane_queries.iter().enumerate() {
+        let lane_hits = match slices.as_mut_slice() {
+            [one] => std::mem::take(&mut one[l]),
+            many => merge_shard_hits(many.iter_mut().map(|s| std::mem::take(&mut s[l]))),
+        };
+        let query_hits = &mut hits[query];
+        *query_hits = if query_hits.is_empty() {
+            lane_hits
+        } else {
+            merge_hits(std::mem::take(query_hits), lane_hits)
+        };
     }
     let outcomes = hits
         .into_iter()
@@ -500,8 +470,6 @@ pub fn search_prebuilt<A: Borrow<FabpAligner> + Sync>(
     let stats = BatchRunStats {
         workers: claimed.busy_ns.len(),
         items: items.len(),
-        lane_groups: groups.len(),
-        lane_occupancy_pct,
         per_worker_busy_ns: claimed.busy_ns,
     };
     (outcomes, stats)
@@ -621,15 +589,14 @@ mod tests {
             "1 query × 8 workers must schedule ≥ 8 slices, got {}",
             stats.items
         );
-        assert_eq!(stats.lane_groups, 1);
         assert_eq!(stats.workers, 8);
         assert_eq!(stats.per_worker_busy_ns.len(), 8);
     }
 
     #[test]
     fn lane_groups_are_packed_and_exact() {
-        // 9 queries → two full LANES-wide groups plus a single-lane tail;
-        // every lane must match its serial outcome.
+        // 9 queries → one group of nine lanes, whose slices are the whole
+        // claim queue; every lane must match its serial outcome.
         let mut rng = StdRng::seed_from_u64(77);
         let queries: Vec<_> = (0..9).map(|i| random_protein(8 + i, &mut rng)).collect();
         let reference = fabp_bio::generate::random_rna(20_000, &mut rng);
@@ -648,8 +615,8 @@ mod tests {
         for (i, (a, b)) in serial.iter().zip(&sliced).enumerate() {
             assert_eq!(a.hits, b.hits, "query {i}");
         }
-        assert_eq!(stats.lane_groups, 3);
-        assert!((stats.lane_occupancy_pct - 75.0).abs() < 1e-9); // 9 of 12 lanes
+        // 4 workers × 2 slices each, not 9 × 8 (query, slice) pairs.
+        assert_eq!(stats.items, 8);
     }
 
     #[test]
@@ -679,10 +646,7 @@ mod tests {
         let (sliced, stats) = search_whole(&[&aligner], &reference, 4, TEST_SLICES);
         assert_eq!(sliced[0].hits, golden);
         assert_eq!(aligner.search(&reference).hits, golden);
-        assert_eq!(
-            stats.lane_groups, 1,
-            "the three passes share one lane group"
-        );
+        assert_eq!(stats.items, 8, "the three passes share each slice's pass");
     }
 
     #[test]
@@ -736,7 +700,7 @@ mod tests {
         let (grouped, stats) = search_whole(&[&short, &long], &reference, 2, TEST_SLICES);
         assert_eq!(grouped[0].hits, alone.hits);
         assert!(grouped[1].hits.is_empty());
-        assert_eq!((stats.lane_groups, stats.items), (1, 1));
+        assert_eq!(stats.items, 1);
         // Shorter than both windows: nothing to schedule.
         let (none, stats) = search_whole(
             &[&short, &long],
@@ -896,7 +860,7 @@ mod tests {
         let text = snapshot.to_prometheus();
         assert!(text.contains("fabp_batch_queue_depth"));
         assert!(text.contains("fabp_batch_queue_imbalance"));
-        assert!(text.contains("fabp_batch_lane_occupancy_pct"));
+        assert!(!text.contains("fabp_batch_lane_occupancy_pct"));
         assert!(text.contains("fabp_batch_items_claimed_total"));
         assert!(text.contains("fabp_batch_slice_steals_total"));
         // The satellite fix: busy-time histograms, not claim-count gauges.

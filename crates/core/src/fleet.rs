@@ -31,9 +31,9 @@
 //!   track. Hits stay bit-identical to the healthy fleet.
 //! * **Scan once, then replay the control.** [`search_batch`] serves a
 //!   batch in two phases. The *scan* phase joins the batch's distinct
-//!   queries [`LANES`]-wide into fused kernels and scores each shard's
-//!   range of the resident reference once per lane group, the
-//!   (group, shard) items claimed by the batch module's worker pool.
+//!   queries over equal shard ranges into one fused kernel and scores
+//!   each shard's range of the resident reference once for all of them,
+//!   the (group, shard) items claimed by the batch module's worker pool.
 //!   The *control* phase then runs on the calling thread, request by
 //!   request and shard by shard in the order a serial fleet would:
 //!   routing, hedging, failover, detector updates, spans and the
@@ -68,7 +68,6 @@
 //! under live traffic) lives in `fabp-serve`.
 
 use crate::batch::{claim_all, distinct, JoinedLanes};
-use crate::bitparallel::LANES;
 use crate::hits::{merge_shard_hits, Hit};
 use crate::slice_plan::overlap_ranges;
 use fabp_bio::seq::PackedSeq;
@@ -81,8 +80,8 @@ use fabp_resilience::{
     ResilientRunner,
 };
 use fabp_telemetry::{
-    FlightRecorder, Registry, TraceContext, TraceEvent, FLAG_CANCELLED, FLAG_ERROR, FLAG_HEDGE,
-    FLAG_RECOVERED, FLAG_RETRY,
+    FlightRecorder, Registry, SpanKind, TraceContext, TraceEvent, FLAG_CANCELLED, FLAG_ERROR,
+    FLAG_HEDGE, FLAG_RECOVERED, FLAG_RETRY,
 };
 use std::ops::Range;
 use std::time::Instant;
@@ -98,10 +97,11 @@ pub const SHARD_TRACK_BASE: u32 = 10;
 /// gather deduplicates them.
 pub const CANCEL_PROPAGATION_US: f64 = 50.0;
 
-/// Child slot of a request's batch span that holds its measured
-/// `fleet_scan` work event — the slot of the serving layer's other
-/// measured work events (`align`, `seed_verify`).
-const SCAN_SPAN_SLOT: u64 = 200;
+/// Most nodes a fleet may have. A fleet allocates per-node and
+/// per-replica state before any work, so the node count is checked
+/// against this bound first: 1 024 boards is far beyond any modelled
+/// deployment, and a larger count is an [`FabpError::InvalidShardPlan`].
+pub const MAX_FLEET_NODES: usize = 1_024;
 
 /// Timing summary of one broadcast query on the fleet.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,13 +123,21 @@ pub struct FleetTiming {
 /// # Errors
 ///
 /// [`FabpError::InvalidShardPlan`] when `replication == 0` (a shard with
-/// no home) or `replication > nodes` (anti-affinity is unsatisfiable —
-/// some node would hold two copies of one shard).
+/// no home), `replication > nodes` (anti-affinity is unsatisfiable —
+/// some node would hold two copies of one shard), or `shards` or
+/// `nodes` exceeds [`MAX_FLEET_NODES`]; each is checked before anything
+/// is allocated.
 pub fn place_replicas(
     shards: usize,
     nodes: usize,
     replication: usize,
 ) -> FabpResult<Vec<Vec<usize>>> {
+    if shards.max(nodes) > MAX_FLEET_NODES {
+        return Err(FabpError::InvalidShardPlan(format!(
+            "{} nodes exceed the fleet bound of {MAX_FLEET_NODES}",
+            shards.max(nodes)
+        )));
+    }
     if nodes == 0 {
         return Err(FabpError::InvalidShardPlan(
             "a fleet needs at least one node".into(),
@@ -235,8 +243,9 @@ impl FpgaFleet {
     ///
     /// # Errors
     ///
-    /// [`FabpError::InvalidShardPlan`] for a zero-node fleet or an
-    /// unsatisfiable replication factor, [`FabpError::EmptyQuery`] for
+    /// [`FabpError::InvalidShardPlan`] for a zero-node fleet, one of
+    /// more than [`MAX_FLEET_NODES`] nodes or an unsatisfiable
+    /// replication factor, [`FabpError::EmptyQuery`] for
     /// an empty query, and [`FabpError::Plan`] when the query cannot fit
     /// the device.
     pub fn homogeneous(
@@ -250,11 +259,11 @@ impl FpgaFleet {
         if query.is_empty() {
             return Err(FabpError::EmptyQuery);
         }
+        let placement = place_replicas(nodes, nodes, replication)?;
         let ranges = overlap_ranges(total_bases, nodes, overlap)?
             .into_iter()
             .map(|(start, end)| start..end)
             .collect();
-        let placement = place_replicas(nodes, nodes, replication)?;
         Ok(FpgaFleet {
             engine: FabpEngine::new(query.clone(), config.clone())?,
             ranges,
@@ -503,7 +512,7 @@ impl FpgaFleet {
                 None
             };
 
-            let shard_ctx = trace.child(shard_idx as u64);
+            let shard_ctx = trace.child(SpanKind::Shard, shard_idx as u64);
             let mut dispatch = ShardDispatch {
                 shard: shard_idx,
                 primary,
@@ -550,7 +559,7 @@ impl FpgaFleet {
             if let Some(hedge_node) = hedge {
                 flight.record(
                     TraceEvent::new(
-                        shard_ctx.child(0x4E + hedge_node as u64),
+                        shard_ctx.child(SpanKind::Hedge, hedge_node as u64),
                         "hedge",
                         start_us,
                         hedge_latency,
@@ -565,7 +574,7 @@ impl FpgaFleet {
                 // is a recovered retry on the node that served it.
                 flight.record(
                     TraceEvent::new(
-                        shard_ctx.child(0x8E + primary as u64),
+                        shard_ctx.child(SpanKind::Failover, primary as u64),
                         "resilience_retry",
                         start_us,
                         primary_latency,
@@ -589,7 +598,7 @@ impl FpgaFleet {
             let uncancelled = loser.filter(|_| dispatch.cancelled.is_none());
             for node in std::iter::once(dispatch.winner).chain(uncancelled) {
                 let latency = self.read_latency_us(node, bases);
-                let read_ctx = shard_ctx.child(0x10 + node as u64);
+                let read_ctx = shard_ctx.child(SpanKind::Read, node as u64);
                 // Engine-fault retries hang beneath the read's span.
                 let run = if engine_faults {
                     let shard = reference.slice(range.clone());
@@ -655,8 +664,8 @@ impl FpgaFleet {
 /// batch of one.
 ///
 /// **Scan phase.** Every distinct fleet (a repeated query's fleet is the
-/// same one and is scanned once) whose kernel exists joins a lane group
-/// of up to [`LANES`] fleets with equal shard ranges, and each
+/// same one and is scanned once) whose kernel exists joins the lane
+/// group of every fleet with equal shard ranges, and each
 /// (group, shard) pair is one item of the batch module's claim queue,
 /// run by up to `workers` workers: one fused pass over the shard's range
 /// of `reference`'s words scores every lane. Each scanned request then
@@ -703,7 +712,7 @@ pub fn search_batch(
         let scan_us = started.elapsed().as_secs_f64() * 1e6;
         for (&(_, trace), &slot) in requests.iter().zip(&slot_of) {
             if scanned[slot].is_some() {
-                let ctx = trace.child(SCAN_SPAN_SLOT);
+                let ctx = trace.child(SpanKind::Work, 0);
                 let event = TraceEvent::new(ctx, "fleet_scan", start_us, scan_us);
                 flight.record(event.with_track(1));
             }
@@ -730,16 +739,17 @@ fn scan_phase(
     reference: &PackedSeq,
     workers: usize,
 ) -> Vec<Option<Vec<Vec<Hit>>>> {
-    // Lane groups of up to LANES fleets over equal shard ranges.
+    // One lane group per shard geometry: every fleet over equal shard
+    // ranges joins one kernel.
     let mut groups: Vec<Vec<usize>> = Vec::new();
     for (f, fleet) in fleets.iter().enumerate() {
         if fleet.engine.kernel().is_none() || fleet.total_bases() != reference.len() {
             continue;
         }
-        let open = groups
+        match groups
             .iter_mut()
-            .find(|g| g.len() < LANES && fleets[g[0]].ranges == fleet.ranges);
-        match open {
+            .find(|g| fleets[g[0]].ranges == fleet.ranges)
+        {
             Some(group) => group.push(f),
             None => groups.push(vec![f]),
         }
@@ -862,6 +872,24 @@ mod tests {
                 detector.record_success(n, latency_us, t * 1_000);
             }
         }
+    }
+
+    #[test]
+    fn a_fleet_beyond_the_node_bound_is_refused_before_allocating() {
+        let query = EncodedQuery::from_protein(&"MKW".parse().unwrap());
+        let config = EngineConfig::kintex7(9);
+        for nodes in [MAX_FLEET_NODES + 1, usize::MAX] {
+            assert!(matches!(
+                place_replicas(nodes, nodes, 1),
+                Err(FabpError::InvalidShardPlan(msg)) if msg.contains("fleet bound")
+            ));
+            assert!(matches!(
+                FpgaFleet::homogeneous(&query, &config, nodes, 1, 100, 8),
+                Err(FabpError::InvalidShardPlan(_))
+            ));
+        }
+        let fleet = FpgaFleet::homogeneous(&query, &config, MAX_FLEET_NODES, 1, 100, 8).unwrap();
+        assert_eq!(fleet.nodes(), MAX_FLEET_NODES);
     }
 
     #[test]
@@ -1745,5 +1773,58 @@ mod tests {
             .all(|o| matches!(o, Err(FabpError::NodeDown { .. }))));
         assert!(dead.scans.is_empty() && dead.control.is_empty());
         assert_eq!(serve_stream(&fleets, &stream, &packed, shape, None), dead);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// Span ids cannot collide: on fleets of up to 512 nodes, with
+        /// stragglers (hedged reads whose losers are cancelled or
+        /// deliver) and killed nodes (failovers), every event of a
+        /// request's trace has a span id of its own.
+        #[test]
+        fn span_ids_are_unique_in_every_trace(
+            nodes in 1usize..=512,
+            replication in 1usize..=3,
+            stragglers in proptest::prop::collection::vec(0usize..512, 0..=8),
+            kills in proptest::prop::collection::vec(0usize..512, 0..=4),
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let query = EncodedQuery::from_protein(&random_protein(4, &mut rng));
+            let reference = PackedSeq::from_rna(&random_rna(3_000, &mut rng));
+            let config = EngineConfig::kintex7(query.len() as u32 / 2);
+            let replication = replication.min(nodes);
+            let bases = reference.len();
+            let mut fleet =
+                FpgaFleet::homogeneous(&query, &config, nodes, replication, bases, query.len() - 1)
+                    .unwrap();
+            let nominal = fleet.read_latency_us(0, fleet.ranges[0].len() as u64);
+            for (i, &node) in stragglers.iter().enumerate() {
+                // A heavy straggler's loser is cancelled; a mild one's
+                // finishes inside the cancel window and delivers.
+                let heavy = 2.0 * CANCEL_PROPAGATION_US / nominal + 2.0;
+                fleet.set_straggle(node % nodes, if i % 2 == 0 { heavy } else { 2.0 });
+            }
+            let registry = Registry::new();
+            let flight = registry.flight_recorder();
+            let mut detector = FailureDetector::with_defaults(nodes, &registry);
+            warm(&mut detector, nodes, nominal);
+            for &node in &kills {
+                detector.record_kill(node % nodes);
+            }
+            let none = FaultSchedule::new();
+            let trace = TraceContext::mint(0x5EED, seed);
+            let requests = [(&fleet, trace)];
+            let (d, r, f) = (&mut detector, &registry, &flight);
+            search_batch(&requests, &reference, &none, d, 1_000_000, r, f, 0.0, 2);
+            proptest::prop_assert_eq!(flight.dropped(), 0);
+            let events = flight.events_for(trace.trace_id);
+            let mut ids: Vec<u64> = events.iter().map(|e| e.span_id).collect();
+            ids.sort_unstable();
+            let before = ids.len();
+            ids.dedup();
+            proptest::prop_assert_eq!(ids.len(), before, "a span id repeats in {:?}", events);
+        }
     }
 }

@@ -9,11 +9,11 @@
 //!   cycle-accurate execution engines (identical hits; the latter adds
 //!   cycle/bandwidth statistics from the `fabp-fpga` model).
 //! * [`bitparallel`] — the fused bit-parallel engine, the one scan
-//!   kernel: one to [`LANES`] queries per pass over one reference
+//!   kernel: any number of queries per pass over one reference
 //!   (re-exported from `fabp-fpga`, whose cycle engine runs it too).
 //! * [`batch`] — the one scheduler: every software search (aligner,
-//!   batch, index, serving) runs as `(query, reference-slice)` items of
-//!   its work-stealing claim loop.
+//!   batch, index, serving) joins its queries into one pass and runs
+//!   its reference slices as items of the work-stealing claim loop.
 //! * [`hits`] — hit post-processing (region merging, top-k).
 //! * [`index`] — the persistent packed reference index and its seeded
 //!   prefilter, over [`kmer`]'s BLAST-style word neighbourhoods.
@@ -57,11 +57,13 @@ pub mod software;
 pub mod streaming;
 
 pub use aligner::{BuildError, Engine, FabpAligner, SearchOutcome, Threshold};
-pub use bitparallel::{BitParallelEngine, LANES};
+pub use bitparallel::BitParallelEngine;
 // The fused engine lives in `fabp-fpga`, beside the cycle engine whose
 // fast-forward datapath it drives; every core path reaches it here.
 pub use fabp_fpga::bitparallel;
-pub use fleet::{place_replicas, FleetSearchOutcome, FleetTiming, FpgaFleet, ShardDispatch};
+pub use fleet::{
+    place_replicas, FleetSearchOutcome, FleetTiming, FpgaFleet, ShardDispatch, MAX_FLEET_NODES,
+};
 pub use hits::{
     best_hit, dedup_sorted_hits, merge_overlapping, merge_overlapping_unsorted, merge_shard_hits,
     top_k, Hit, HitRegion,

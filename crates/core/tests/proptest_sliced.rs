@@ -1,8 +1,8 @@
 //! Property tests: sliced-scan bit-identity.
 //!
-//! The sliced batch scheduler (reference slices stolen by workers,
-//! multi-query SIMD lane groups per slice) must be **invisible** in the
-//! hit stream: whatever the slice size, worker count, lane packing or
+//! The sliced batch scheduler (reference slices stolen by workers, every
+//! query a lane of one joined pass per slice) must be **invisible** in
+//! the hit stream: whatever the slice size, worker count, lane count or
 //! query mix, the per-query hits after
 //! [`merge_shard_hits`](fabp_core::hits::merge_shard_hits) must equal
 //! the serial oracle — [`BitParallelEngine::search_two_pass`] for
@@ -26,7 +26,7 @@ use fabp_core::aligner::{Engine, FabpAligner, SearchOutcome, Threshold};
 use fabp_core::batch::{search_prebuilt, BatchRunStats};
 use fabp_core::hits::{split_by_record, Hit};
 use fabp_core::slice_plan::{SliceOptions, SlicePlan};
-use fabp_core::{BitParallelEngine, StreamingAligner, LANES};
+use fabp_core::{BitParallelEngine, StreamingAligner};
 use fabp_encoding::encoder::{EncodedQuery, QuerySet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -71,8 +71,8 @@ proptest! {
     /// **Sliced-batch bit-identity.** Random query count and a length
     /// per query, reference length, worker count and slice sizing: every
     /// query's batch hits equal its own serial `search_two_pass` oracle.
-    /// Some cases draw a reference between the first lane group's
-    /// shortest and longest windows, where only the shorter lanes have
+    /// Some cases draw a reference between the lanes' shortest and
+    /// longest windows, where only the shorter lanes have
     /// positions to score.
     #[test]
     fn sliced_batch_matches_two_pass_oracle(
@@ -89,8 +89,8 @@ proptest! {
             .iter()
             .map(|&aa| random_protein(aa, &mut rng))
             .collect();
-        // The first lane group's windows (one lane per query here).
-        let windows: Vec<usize> = query_aas.iter().take(LANES).map(|aa| 3 * aa).collect();
+        // The lanes' windows (one lane per query here, all in one group).
+        let windows: Vec<usize> = query_aas.iter().map(|aa| 3 * aa).collect();
         let (shortest, longest) = (windows.iter().min().unwrap(), windows.iter().max().unwrap());
         let reference_len = if between_windows && shortest < longest {
             shortest + (seed as usize) % (longest - shortest)

@@ -4,7 +4,7 @@
 //! bit per (instance, element) — and reduces them with Pop-Counters, all
 //! fed from one reference stream buffer. This engine is the same
 //! computation transposed onto 64-bit words, executed as a **single
-//! fused, tiled streaming pass** that scores one to [`LANES`] queries
+//! fused, tiled streaming pass** that scores any number of queries
 //! (*lanes*) against one reference:
 //!
 //! 1. For every *distinct* comparator truth table used by any lane the
@@ -16,25 +16,37 @@
 //!    [`TableEval`] plan computes all 64 comparator outputs in a handful
 //!    of word operations. The lanes' tables are interned into one union
 //!    set (protein-derived queries draw from at most 12 distinct tables,
-//!    so four lanes' union is no wider than one query's worst case), and
-//!    this fill is paid once per tile whatever the lane count. The tile
-//!    ring is recycled (`copy_within` of the `L_q`-element overlap)
+//!    so a whole batch's union is no wider than one query's worst case),
+//!    and this fill is paid once per tile whatever the lane count. The
+//!    tile ring is recycled (`copy_within` of the `L_q`-element overlap)
 //!    instead of allocating `O(reference)` heap vectors, so the working
 //!    set stays cache-resident regardless of the reference size.
 //! 2. Each 64-position block of the tile is scored lane by lane, adding
-//!    the lane's `L_q` shifted column slices into vertical (bit-sliced)
+//!    the lane's shifted column slices into vertical (bit-sliced)
 //!    counters — the Pop-Counter, carried out across 64 instances at
 //!    once. Like Pop36's compressor tree, it first compresses: each
 //!    group of 16 columns folds into the counter through fifteen
 //!    carry-save adders (Harley–Seal), and only the group's sixteens
 //!    word ripples into the upper planes. After each group, a lane
 //!    abandons the block once no position can still reach its
-//!    threshold.
+//!    threshold. Each lane reads its columns through a *read plan* built
+//!    with the engine: its most selective elements first (ascending
+//!    table popcount, the match probability on a uniform reference), so
+//!    the first group's abandon check ends almost every block, and
+//!    without the elements whose table accepts every context, which
+//!    match everywhere and add their count to every score instead. A
+//!    plan entry packs the element's ring word offset and shift, and a
+//!    column word is one funnel shift of two ring words.
 //! 3. Thresholding is bit-sliced too: a borrow-propagating
 //!    `score >= threshold` comparator produces the 64-position hit mask in
 //!    `O(planes)` word operations (instead of extracting all 64 scores
 //!    bit-by-bit), and the mask is walked with `trailing_zeros` so only
 //!    actual hits pay for score extraction.
+//!
+//! The order of scoring cannot change a score: a score is a sum over
+//! elements, and the counters hold `⌈log2(L_q + 1)⌉` planes, so they
+//! never saturate. The abandon bound (`counter ≥ threshold − remaining`)
+//! is necessary for a hit whichever elements were added first.
 //!
 //! The engine scans a base range of a [`PackedSeq`] (the FPGA streams the
 //! same 2-bit words) as a reference of its own, positions relative to it.
@@ -57,7 +69,7 @@
 //! The original two-pass implementation is retained as
 //! [`BitParallelEngine::search_two_pass`] — it is the differential-testing
 //! oracle and the baseline the `bench_perf` harness measures the fused
-//! path against; it reads unpacked bases.
+//! path against; it reads unpacked bases, in element order.
 
 use crate::engine::Hit;
 use fabp_bio::alphabet::Nucleotide;
@@ -70,8 +82,8 @@ use std::ops::Range;
 /// Maximum score-counter planes. The engine sizes its counters to the
 /// query (`⌈log2(L_q + 1)⌉` planes — the hardware's 10-bit alignment
 /// score of §IV-B corresponds to queries up to 1023 elements), capped
-/// here. The counters saturate at the cap, which would misreport scores,
-/// so longer queries are rejected at construction ([`MAX_QUERY_LEN`]).
+/// here; longer queries are rejected at construction
+/// ([`MAX_QUERY_LEN`]), so no counter saturates.
 const MAX_PLANES: usize = 16;
 
 /// Longest query the engines accept: its score still fits
@@ -84,13 +96,9 @@ const MAX_QUERY_LEN: usize = (1 << MAX_PLANES) - 1;
 const TILE_BLOCKS: usize = 128;
 
 /// Structural upper bound on distinct fused tables: 4 `Exact` + 4
-/// `Conditional` + 4 `Dependent` pattern-element kinds.
+/// `Conditional` + 4 `Dependent` pattern-element kinds. It bounds the
+/// tile ring's rows however many lanes a join holds.
 const MAX_TABLES: usize = 12;
-
-/// Queries one [`BitParallelEngine`] scores per pass: the most lanes
-/// [`BitParallelEngine::join`] accepts, and the width the batch
-/// scheduler packs lane groups to.
-pub const LANES: usize = 4;
 
 /// Error for queries the bit-parallel engine cannot score.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,8 +129,8 @@ impl std::fmt::Display for UnsupportedQuery {
 
 impl std::error::Error for UnsupportedQuery {}
 
-/// The fused bit-parallel engine: one to [`LANES`] encoded queries
-/// scored against one reference stream.
+/// The fused bit-parallel engine: one or more encoded queries scored
+/// against one reference stream.
 #[derive(Debug, Clone)]
 pub struct BitParallelEngine {
     /// Distinct fused tables used by the lanes (their union).
@@ -131,14 +139,24 @@ pub struct BitParallelEngine {
     /// the comparator column for 64 reference elements at once from the
     /// nucleotide bit-planes, instead of one table lookup per element.
     evals: Vec<TableEval>,
-    /// The queries scored per pass (1 ..= [`LANES`]).
+    /// Words per tile-ring row: a tile's blocks plus the longest lane's
+    /// `L_q − 1` overlap bits and two padding words. The lanes' read
+    /// plans address the ring with it.
+    ring_words: usize,
+    /// The queries scored per pass.
     lanes: Vec<Lane>,
     /// Telemetry handles, registered once at construction so the scan
     /// loops pay only an atomic add per call (one registry lookup per
     /// engine lifetime, not per search).
-    queries_ctr: Counter,
-    residues_ctr: Counter,
-    hits_ctr: Counter,
+    counters: ScanCounters,
+}
+
+/// The engine's telemetry handles.
+#[derive(Debug, Clone)]
+struct ScanCounters {
+    queries: Counter,
+    residues: Counter,
+    hits: Counter,
 }
 
 /// One query of a [`BitParallelEngine`].
@@ -146,9 +164,90 @@ pub struct BitParallelEngine {
 struct Lane {
     /// Per query element: index into the engine's `tables`.
     element_table: Vec<u16>,
-    /// Counter planes needed to represent scores up to the query length;
-    /// also the saturated-score cap.
+    /// Elements whose table accepts every context: they match at every
+    /// position, so pass 2 adds their count to every score instead of
+    /// reading their columns.
+    always: u32,
+    /// Pass 2's read plan: one entry per other element, most selective
+    /// first, packing the element's column as `word << 6 | shift` — its
+    /// ring word offset from a block's first word, and the bit shift
+    /// within it ([`read_column`]).
+    plan: Vec<u32>,
+    /// Counter planes needed to represent scores up to the query length.
     nplanes: usize,
+}
+
+impl Lane {
+    /// A lane over `element_table` (slots into `tables`), reading a ring
+    /// of `ring_words`-word rows.
+    fn new(element_table: Vec<u16>, tables: &[u64], ring_words: usize) -> Lane {
+        let (order, always) = read_order(&element_table, tables);
+        let plan = order
+            .into_iter()
+            .map(|i| {
+                let word = usize::from(element_table[i]) * ring_words + i / 64;
+                u32::try_from((word << 6) | (i % 64)).expect("the ring fits a packed plan entry")
+            })
+            .collect();
+        let nplanes = (usize::BITS - element_table.len().leading_zeros()) as usize;
+        Lane {
+            element_table,
+            always,
+            plan,
+            nplanes: nplanes.clamp(1, MAX_PLANES),
+        }
+    }
+
+    /// Scores one 64-position block whose ring words start at `ring[0]`:
+    /// adds the planned columns into `planes` (zeroed) and returns the
+    /// positions of `valid` whose counted sum reaches `threshold`, or 0
+    /// as soon as no position can.
+    #[inline]
+    fn score_block(&self, ring: &[u64], threshold: u32, valid: u64, planes: &mut [u64]) -> u64 {
+        // Whole 16-element groups go through the carry-save tree (a
+        // plan with a group has the ≥ 5 planes it needs); the tail of
+        // < 16 elements ripples.
+        let mut groups = self.plan.chunks_exact(16);
+        let mut remaining = self.plan.len() as u32;
+        for group in groups.by_ref() {
+            let words: [u64; 16] = std::array::from_fn(|k| read_column(ring, group[k]));
+            add_group(planes, &words);
+            // Bit-sliced early abandon (the 64-position analogue of the
+            // scalar mismatch-budget exit): a position can still reach
+            // the threshold only if its counter is already at
+            // `threshold − remaining`. Once no valid position can, the
+            // rest of the block's accumulation is dead work.
+            remaining -= 16;
+            let needed = threshold.saturating_sub(remaining);
+            if needed > 0 && ge_threshold_mask(planes, needed) & valid == 0 {
+                return 0;
+            }
+        }
+        for &entry in groups.remainder() {
+            ripple_add(planes, read_column(ring, entry));
+        }
+        ge_threshold_mask(planes, threshold) & valid
+    }
+}
+
+/// Pass 2's scoring order for one lane: the indices of the elements
+/// whose table rejects some context, by ascending table popcount (the
+/// element's match probability on a uniform reference), ties by element
+/// index; and the count of the others, whose table accepts every
+/// context.
+fn read_order(element_table: &[u16], tables: &[u64]) -> (Vec<usize>, u32) {
+    let table = |i: usize| tables[usize::from(element_table[i])];
+    let mut order: Vec<usize> = (0..element_table.len())
+        .filter(|&i| table(i) != u64::MAX)
+        .collect();
+    order.sort_by_key(|&i| (table(i).count_ones(), i));
+    let always = (element_table.len() - order.len()) as u32;
+    (order, always)
+}
+
+/// Words per tile-ring row for a longest lane of `qlen` elements.
+fn ring_words(qlen: usize) -> usize {
+    TILE_BLOCKS + qlen.saturating_sub(1).div_ceil(64) + 2
 }
 
 impl BitParallelEngine {
@@ -186,42 +285,40 @@ impl BitParallelEngine {
             .into_iter()
             .map(|table| intern_table(&mut tables, table))
             .collect();
-        debug_assert!(tables.len() <= MAX_TABLES, "{} fused tables", tables.len());
-        let nplanes = (usize::BITS - element_table.len().leading_zeros()) as usize;
         let engine = labels(&[("engine", "bitparallel")]);
-        Ok(BitParallelEngine {
-            evals: tables.iter().map(|&t| TableEval::plan(t)).collect(),
-            tables,
-            lanes: vec![Lane {
-                element_table,
-                nplanes: nplanes.clamp(1, MAX_PLANES),
-            }],
-            queries_ctr: registry.counter_with(
+        let counters = ScanCounters {
+            queries: registry.counter_with(
                 "fabp_queries_processed_total",
                 "Query scans started, by engine",
                 engine.clone(),
             ),
-            residues_ctr: registry.counter_with(
+            residues: registry.counter_with(
                 "fabp_residues_scanned_total",
                 "Alignment positions evaluated, by engine",
                 engine.clone(),
             ),
-            hits_ctr: registry.counter_with("fabp_hits_total", "Hits emitted, by engine", engine),
-        })
+            hits: registry.counter_with("fabp_hits_total", "Hits emitted, by engine", engine),
+        };
+        Ok(BitParallelEngine::assemble(
+            tables,
+            vec![element_table],
+            counters,
+        ))
     }
 
     /// Joins built engines into one that scores all of their lanes in a
-    /// single pass: their tables are interned into one union set, so no
-    /// query is decoded again and the join cannot fail. The result's
-    /// lanes are the engines' lanes in order; its telemetry goes to the
-    /// first engine's counters.
+    /// single pass, however many there are: their tables are interned
+    /// into one union set, so no query is decoded again and the join
+    /// cannot fail. The result's lanes are the engines' lanes in order;
+    /// its telemetry goes to the first engine's counters.
     ///
     /// # Panics
     ///
-    /// Panics unless `engines` hold 1 ..= [`LANES`] lanes in total.
+    /// Panics if `engines` is empty.
     pub fn join(engines: &[&BitParallelEngine]) -> BitParallelEngine {
+        let first = engines.first().expect("a join needs at least one engine");
         let mut tables: Vec<u64> = Vec::new();
-        let mut lanes = Vec::new();
+        let mut element_tables = Vec::new();
         for engine in engines {
             let slots: Vec<u16> = engine
                 .tables
@@ -229,33 +326,38 @@ impl BitParallelEngine {
                 .map(|&table| intern_table(&mut tables, table))
                 .collect();
             for lane in &engine.lanes {
-                lanes.push(Lane {
-                    element_table: lane
-                        .element_table
-                        .iter()
-                        .map(|&s| slots[usize::from(s)])
-                        .collect(),
-                    nplanes: lane.nplanes,
-                });
+                let remapped = lane.element_table.iter().map(|&s| slots[usize::from(s)]);
+                element_tables.push(remapped.collect());
             }
         }
-        assert!(
-            (1..=LANES).contains(&lanes.len()),
-            "1..={LANES} lanes per engine, got {}",
-            lanes.len()
-        );
-        let first = engines[0];
+        BitParallelEngine::assemble(tables, element_tables, first.counters.clone())
+    }
+
+    /// An engine over interned `tables` with one lane per element-table
+    /// list: sizes the tile ring to the longest lane and builds every
+    /// lane's read plan against it.
+    fn assemble(
+        tables: Vec<u64>,
+        element_tables: Vec<Vec<u16>>,
+        counters: ScanCounters,
+    ) -> BitParallelEngine {
+        debug_assert!(tables.len() <= MAX_TABLES, "{} fused tables", tables.len());
+        let qlen = element_tables.iter().map(Vec::len).max().unwrap_or(0);
+        let ring_words = ring_words(qlen);
+        let lanes = element_tables
+            .into_iter()
+            .map(|element_table| Lane::new(element_table, &tables, ring_words))
+            .collect();
         BitParallelEngine {
             evals: tables.iter().map(|&t| TableEval::plan(t)).collect(),
             tables,
+            ring_words,
             lanes,
-            queries_ctr: first.queries_ctr.clone(),
-            residues_ctr: first.residues_ctr.clone(),
-            hits_ctr: first.hits_ctr.clone(),
+            counters,
         }
     }
 
-    /// Number of lanes: queries scored per pass (1 ..= [`LANES`]).
+    /// Number of lanes: queries scored per pass.
     pub fn lanes(&self) -> usize {
         self.lanes.len()
     }
@@ -314,23 +416,31 @@ impl BitParallelEngine {
         let mut results: Vec<Vec<Hit>> = vec![Vec::new(); self.lanes.len()];
         // Alignment positions per lane: none for a lane longer than the
         // range.
-        let mut lane_positions = [0usize; LANES];
-        for (positions, lane) in lane_positions.iter_mut().zip(&self.lanes) {
-            *positions = (len + 1).saturating_sub(lane.element_table.len());
-        }
+        let lane_positions: Vec<usize> = self
+            .lanes
+            .iter()
+            .map(|lane| (len + 1).saturating_sub(lane.element_table.len()))
+            .collect();
         let positions = lane_positions.iter().copied().max().unwrap_or(0);
         if positions == 0 {
             return results;
         }
-        self.queries_ctr.add(self.lanes.len() as u64);
-        self.residues_ctr
+        self.counters.queries.add(self.lanes.len() as u64);
+        self.counters
+            .residues
             .add(lane_positions.iter().map(|&p| p as u64).sum());
+        // Each lane's threshold on the elements it reads: its always
+        // matching elements add `always` to every position's score.
+        let counted: Vec<u32> = self
+            .lanes
+            .iter()
+            .zip(thresholds)
+            .map(|(lane, &threshold)| threshold.saturating_sub(lane.always))
+            .collect();
 
         let qlen = self.query_len();
         let tile_positions = TILE_BLOCKS * 64;
-        // Extra words holding the longest lane's `L_q − 1` cross-tile
-        // overlap bits, plus the 2-word padding `read_unaligned` requires.
-        let tile_words = TILE_BLOCKS + (qlen - 1).div_ceil(64) + 2;
+        let tile_words = self.ring_words;
         // One flat allocation for the whole scan: the tile ring, one row
         // per distinct table. Invariant maintained below: every bit at a
         // relative position >= the encode frontier is zero, so filling
@@ -407,76 +517,35 @@ impl BitParallelEngine {
             // Fused pass 2: vertical-counter accumulation and bit-sliced
             // thresholding, 64 positions per block, straight out of the
             // still-hot tile ring. Each lane runs its own counter loop —
-            // its own plane count, 16-element carry-save groups
+            // its own plane count, read plan, 16-element carry-save groups
             // ([`add_group`]) and early abandon after each group — over
-            // the shared tile. An interleaved
-            // `[u64; LANES]` ripple was tried first and measured ~3×
-            // slower per lane: rippling the full lane array per element
-            // forfeits the per-lane all-zero-carry exit and keeps every
-            // lane accumulating until the *last* lane abandons (see
-            // docs/PERFORMANCE.md). Lane independence is what makes this
-            // exact: counters never interact across lanes, only the column
-            // fill is shared.
+            // the shared tile. An interleaved ripple across lanes was
+            // tried first and measured ~3× slower per lane: rippling the
+            // full lane array per element forfeits the per-lane
+            // all-zero-carry exit and keeps every lane accumulating until
+            // the *last* lane abandons (see docs/PERFORMANCE.md). Lane
+            // independence is what makes this exact: counters never
+            // interact across lanes, only the column fill is shared.
             for block in (0..tile_valid).step_by(64) {
-                'lanes: for (l, lane) in self.lanes.iter().enumerate() {
+                let ring = &cols[block / 64..];
+                for (l, lane) in self.lanes.iter().enumerate() {
                     let valid = lane_positions[l].saturating_sub(tile_start + block).min(64);
                     if valid == 0 {
                         continue;
                     }
-                    let valid_mask = u64::MAX >> (64 - valid);
-                    let threshold = thresholds[l];
                     let mut plane_store = [0u64; MAX_PLANES];
                     let planes = &mut plane_store[..lane.nplanes];
-                    let mut saturated = 0u64;
-                    // Match word of query element `i` (table `slot`) over
-                    // this block's 64 positions.
-                    let column = |slot: u16, i: usize| {
-                        let row = usize::from(slot) * tile_words;
-                        read_unaligned(&cols[row..row + tile_words], block + i)
-                    };
-                    let qlen = lane.element_table.len();
-                    // Whole 16-element groups go through the carry-save
-                    // tree (a query with a group has the ≥ 5 planes it
-                    // needs); the tail of < 16 elements ripples.
-                    let mut groups = lane.element_table.chunks_exact(16);
-                    for (g, group) in groups.by_ref().enumerate() {
-                        let first = 16 * g;
-                        let words: [u64; 16] = std::array::from_fn(|k| column(group[k], first + k));
-                        saturated |= add_group(planes, &words);
-                        // Bit-sliced early abandon (the 64-position analogue of
-                        // the scalar mismatch-budget exit): a position can
-                        // still reach the threshold only if its counter is
-                        // already at `threshold − remaining`. Once no valid
-                        // position can, the rest of the block's
-                        // accumulation is dead work.
-                        let remaining = (qlen - first - 16) as u32;
-                        let needed = threshold.saturating_sub(remaining);
-                        if needed > 0
-                            && (ge_threshold_mask(planes, needed) | saturated) & valid_mask == 0
-                        {
-                            continue 'lanes;
-                        }
-                    }
-                    let tail = groups.remainder();
-                    for (k, &slot) in tail.iter().enumerate() {
-                        saturated |= ripple_add(planes, column(slot, qlen - tail.len() + k));
-                    }
+                    let valid_mask = u64::MAX >> (64 - valid);
                     // O(planes) word ops produce the 64-position hit mask;
                     // only set positions pay for score extraction.
-                    let mut hit_mask =
-                        (ge_threshold_mask(planes, threshold) | saturated) & valid_mask;
+                    let mut hit_mask = lane.score_block(ring, counted[l], valid_mask, planes);
                     while hit_mask != 0 {
                         let j = hit_mask.trailing_zeros() as usize;
                         hit_mask &= hit_mask - 1;
-                        let score = if (saturated >> j) & 1 == 1 {
-                            ((1u64 << lane.nplanes) - 1) as u32
-                        } else {
-                            let mut s = 0u32;
-                            for (b, &plane) in planes.iter().enumerate() {
-                                s |= (((plane >> j) & 1) as u32) << b;
-                            }
-                            s
-                        };
+                        let mut score = lane.always;
+                        for (b, &plane) in planes.iter().enumerate() {
+                            score += (((plane >> j) & 1) as u32) << b;
+                        }
                         results[l].push(Hit {
                             position: tile_start + block + j,
                             score,
@@ -485,7 +554,8 @@ impl BitParallelEngine {
                 }
             }
         }
-        self.hits_ctr
+        self.counters
+            .hits
             .add(results.iter().map(|hits| hits.len() as u64).sum());
         results
     }
@@ -496,8 +566,9 @@ impl BitParallelEngine {
     ///
     /// Kept (without telemetry) as the differential-testing oracle for
     /// [`BitParallelEngine::search`] and as the baseline the `bench_perf`
-    /// harness measures the fused path against. Scores above
-    /// `2^MAX_PLANES − 1` saturate, matching the fused path.
+    /// harness measures the fused path against. It adds every element,
+    /// in element order, with no read plan; scores above
+    /// `2^MAX_PLANES − 1` would saturate.
     ///
     /// # Panics
     ///
@@ -730,11 +801,10 @@ fn cur_mask(e0: &[u64; 4], set: u8) -> u64 {
 }
 
 /// Bit-sliced increment: adds one match word into the counter planes,
-/// rippling the carry up until it clears. Returns the carry out of the
-/// top plane (positions whose counter would wrap; the caller saturates
-/// them).
+/// rippling the carry up until it clears. The planes hold the largest
+/// score, so no carry leaves the top plane.
 #[inline]
-fn ripple_add(planes: &mut [u64], mut carry: u64) -> u64 {
+fn ripple_add(planes: &mut [u64], mut carry: u64) {
     for plane in planes.iter_mut() {
         if carry == 0 {
             break;
@@ -743,7 +813,7 @@ fn ripple_add(planes: &mut [u64], mut carry: u64) -> u64 {
         *plane ^= carry;
         carry = t;
     }
-    carry
+    debug_assert_eq!(carry, 0, "a score outgrew its counter planes");
 }
 
 /// Carry-save full adder over 64 bit positions: per position,
@@ -759,10 +829,9 @@ fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
 /// four planes serve as the ones/twos/fours/eights accumulators, fifteen
 /// carry-save adders fold the words into them, and the one resulting
 /// sixteens word ripples into the planes above. The planes stay an
-/// ordinary bit-sliced binary counter. Returns the carry out of the top
-/// plane, as [`ripple_add`].
+/// ordinary bit-sliced binary counter.
 #[inline]
-fn add_group(planes: &mut [u64], w: &[u64; 16]) -> u64 {
+fn add_group(planes: &mut [u64], w: &[u64; 16]) {
     let (twos_a, ones) = csa(planes[0], w[0], w[1]);
     let (twos_b, ones) = csa(ones, w[2], w[3]);
     let (fours_a, twos) = csa(planes[1], twos_a, twos_b);
@@ -779,7 +848,7 @@ fn add_group(planes: &mut [u64], w: &[u64; 16]) -> u64 {
     let (eights_b, fours) = csa(fours, fours_a, fours_b);
     let (sixteens, eights) = csa(planes[3], eights_a, eights_b);
     planes[..4].copy_from_slice(&[ones, twos, fours, eights]);
-    ripple_add(&mut planes[4..], sixteens)
+    ripple_add(&mut planes[4..], sixteens);
 }
 
 /// Splits 64 packed 2-bit codes (32 in `lo`, then 32 in `hi`) into bit
@@ -833,8 +902,18 @@ fn ge_threshold_mask(planes: &[u64], threshold: u32) -> u64 {
     !borrow
 }
 
+/// Reads the column word a plan entry (`word << 6 | shift`) addresses
+/// from a block's ring words: one funnel shift of two words, with no
+/// branch on the shift.
+#[inline(always)]
+fn read_column(ring: &[u64], entry: u32) -> u64 {
+    let word = (entry >> 6) as usize;
+    let pair = (u128::from(ring[word + 1]) << 64) | u128::from(ring[word]);
+    (pair >> (entry & 63)) as u64
+}
+
 /// Reads 64 bits starting at bit offset `bit_pos` from a padded word
-/// vector.
+/// vector: the two-pass oracle's read.
 ///
 /// Callers must size `words` with **two padding words** past the last
 /// addressed position so the unconditional `words[word + 1]` access in
@@ -922,13 +1001,41 @@ mod tests {
     }
 
     /// One engine joining a one-lane engine per query, as the batch
-    /// scheduler builds its lane groups.
+    /// scheduler joins a batch's lanes.
     fn joined(queries: &[EncodedQuery]) -> BitParallelEngine {
         let engines: Vec<BitParallelEngine> = queries
             .iter()
             .map(|q| BitParallelEngine::new(q).unwrap())
             .collect();
         BitParallelEngine::join(&engines.iter().collect::<Vec<_>>())
+    }
+
+    /// A query of `protein_len` residues in one of three shapes: `0`,
+    /// the protein's back-translation; `1`, the same with about three
+    /// elements in four replaced by `D`, which matches every context and
+    /// so leaves the read plan; `2`, the back-translation with every
+    /// element from index 2 on shuffled, so the selective elements sit
+    /// anywhere in the query.
+    fn drawn_query(protein_len: usize, shape: usize, rng: &mut StdRng) -> EncodedQuery {
+        let protein = random_protein(protein_len, rng);
+        let query = EncodedQuery::from_protein(&protein);
+        let mut elements = query.decode().elements().to_vec();
+        match shape {
+            0 => return query,
+            1 => {
+                for element in &mut elements {
+                    if rng.gen_bool(0.75) {
+                        *element = PatternElement::Dependent(DependentFn::Any);
+                    }
+                }
+            }
+            _ => {
+                for i in (3..elements.len()).rev() {
+                    elements.swap(i, rng.gen_range(2..=i));
+                }
+            }
+        }
+        EncodedQuery::from_back_translated(&BackTranslatedQuery::from_elements(elements))
     }
 
     #[test]
@@ -962,17 +1069,22 @@ mod tests {
         /// The fused/tiled path agrees with the scalar engine across
         /// tile-boundary-straddling reference lengths and *all* threshold
         /// values `0..=qlen`.
+        ///
+        /// The query is a protein's back-translation, or an element
+        /// stream where most elements match every context, or one whose
+        /// read plan order differs from element order ([`drawn_query`]);
+        /// every threshold up to the always-matching count is drawn too.
         #[test]
         fn fused_tiled_path_matches_scalar(
             protein_len in 3usize..=40,
+            shape in 0usize..3,
             len_class in 0usize..6,
             jitter in 0usize..130,
             start in 0usize..96,
             seed in 0u64..1_000_000,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let protein = random_protein(protein_len, &mut rng);
-            let query = EncodedQuery::from_protein(&protein);
+            let query = drawn_query(protein_len, shape, &mut rng);
             let qlen = query.len();
             // Length families: shorter than the query, exactly the query,
             // block-edge, straddling one tile boundary, straddling two.
@@ -1264,9 +1376,8 @@ mod tests {
 
     #[test]
     fn multiquery_partial_occupancy_and_short_references() {
-        // 1-, 2- and 3-lane groups (the ragged tail the batch layer
-        // produces), including references shorter than the longest lane
-        // but not the shortest.
+        // 1-, 2- and 3-lane joins, including references shorter than the
+        // longest lane but not the shortest.
         let mut rng = StdRng::seed_from_u64(0xB180);
         for nlanes in 1..=3usize {
             let proteins: Vec<_> = (0..nlanes)
@@ -1296,29 +1407,24 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         /// Multi-query lanes are bit-identical to per-lane `search_two_pass`
-        /// across lane counts, ragged query lengths, per-lane thresholds and
+        /// across lane counts, ragged query lengths, query shapes
+        /// ([`drawn_query`]), per-lane thresholds (near the query length,
+        /// or at most the lane's always-matching count) and
         /// tile-boundary-straddling reference lengths.
         #[test]
         fn multiquery_matches_two_pass_oracle(
-            nlanes in 1usize..=LANES,
-            len_a in 3usize..=40,
-            len_b in 3usize..=40,
-            len_c in 3usize..=40,
-            len_d in 3usize..=40,
+            lens in prop::collection::vec(3usize..=40, 1..=8),
+            shape in 0usize..3,
+            low_thresholds in any::<bool>(),
             len_class in 0usize..4,
             jitter in 0usize..130,
             start in 0usize..96,
             seed in 0u64..1_000_000,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let lens = [len_a, len_b, len_c, len_d];
-            let proteins: Vec<_> = lens[..nlanes]
+            let queries: Vec<_> = lens
                 .iter()
-                .map(|&aa| random_protein(aa, &mut rng))
-                .collect();
-            let queries: Vec<_> = proteins
-                .iter()
-                .map(EncodedQuery::from_protein)
+                .map(|&aa| drawn_query(aa, shape, &mut rng))
                 .collect();
             let multi = joined(&queries);
             let max_qlen = multi.query_len();
@@ -1329,10 +1435,18 @@ mod tests {
                 _ => max_qlen - 1 + TILE_POSITIONS + jitter,
             };
             let reference = random_rna(len, &mut rng);
-            let thresholds: Vec<u32> = queries
+            let thresholds: Vec<u32> = multi
+                .lanes
                 .iter()
                 .enumerate()
-                .map(|(l, q)| (q.len() as u32).saturating_sub(1 + (l as u32 + jitter as u32) % 7))
+                .map(|(l, lane)| {
+                    let drop = 1 + (l as u32 + jitter as u32) % 7;
+                    if low_thresholds {
+                        lane.always.saturating_sub(drop - 1)
+                    } else {
+                        (lane.element_table.len() as u32).saturating_sub(drop)
+                    }
+                })
                 .collect();
             let packed = embedded(reference.as_slice(), start, &mut rng);
             let got = multi.search_lanes(&packed, start..start + len, &thresholds);
@@ -1341,9 +1455,100 @@ mod tests {
                 prop_assert_eq!(
                     &got[l],
                     &single.search_two_pass(reference.as_slice(), thresholds[l]),
-                    "nlanes {} len {} start {} lane {}", nlanes, len, start, l
+                    "lanes {} len {} start {} lane {}", lens.len(), len, start, l
                 );
             }
+        }
+
+        /// A join of N lanes equals N one-lane scans: up to 64 lanes of
+        /// mixed lengths and shapes, each at its own threshold anywhere
+        /// in `0..=L_q`, over a range starting at any word offset.
+        #[test]
+        fn join_of_n_lanes_equals_n_one_lane_scans(
+            lens in prop::collection::vec(3usize..=40, 1..=64),
+            len_class in 0usize..3,
+            jitter in 0usize..200,
+            start in 0usize..160,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let queries: Vec<_> = lens
+                .iter()
+                .enumerate()
+                .map(|(l, &aa)| drawn_query(aa, l % 3, &mut rng))
+                .collect();
+            let singles: Vec<BitParallelEngine> = queries
+                .iter()
+                .map(|q| BitParallelEngine::new(q).unwrap())
+                .collect();
+            let multi = BitParallelEngine::join(&singles.iter().collect::<Vec<_>>());
+            prop_assert_eq!(multi.lanes(), lens.len());
+            let len = match len_class {
+                0 => jitter,
+                1 => multi.query_len() + 64 * (jitter % 8) + jitter % 64,
+                _ => multi.query_len() - 1 + TILE_POSITIONS - 100 + jitter,
+            };
+            let packed = embedded(random_rna(len, &mut rng).as_slice(), start, &mut rng);
+            let thresholds: Vec<u32> = queries
+                .iter()
+                .map(|q| rng.gen_range(0..=q.len() as u32))
+                .collect();
+            let range = start..start + len;
+            let got = multi.search_lanes(&packed, range.clone(), &thresholds);
+            for (l, single) in singles.iter().enumerate() {
+                prop_assert_eq!(
+                    &got[l],
+                    &single.search(&packed, range.clone(), thresholds[l]),
+                    "lanes {} len {} start {} lane {}", lens.len(), len, start, l
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn read_plan_orders_by_popcount_and_counts_out_always_matches() {
+        use fabp_bio::backtranslate::MatchCondition;
+        // Table popcounts: D 64 (always), Exact 16, a two-base condition
+        // 32, NotG 48.
+        let elements = vec![
+            PatternElement::Dependent(DependentFn::Any),
+            PatternElement::Conditional(MatchCondition::PurineAg),
+            PatternElement::Exact(Nucleotide::A),
+            PatternElement::Conditional(MatchCondition::NotG),
+            PatternElement::Dependent(DependentFn::Any),
+            PatternElement::Exact(Nucleotide::G),
+            PatternElement::Conditional(MatchCondition::PyrimidineUc),
+            PatternElement::Exact(Nucleotide::A),
+        ];
+        let query =
+            EncodedQuery::from_back_translated(&BackTranslatedQuery::from_elements(elements));
+        let engine = BitParallelEngine::new(&query).unwrap();
+        let lane = &engine.lanes[0];
+        let (order, always) = read_order(&lane.element_table, &engine.tables);
+        assert_eq!(order, vec![2, 5, 7, 1, 6, 3]);
+        assert_eq!(always, 2);
+        assert_eq!(lane.always, 2);
+        // Each plan entry addresses its element's row and bit in the ring.
+        let addressed: Vec<(usize, usize)> = lane
+            .plan
+            .iter()
+            .map(|&entry| ((entry >> 6) as usize, (entry & 63) as usize))
+            .collect();
+        let expected: Vec<(usize, usize)> = order
+            .iter()
+            .map(|&i| (usize::from(lane.element_table[i]) * engine.ring_words, i))
+            .collect();
+        assert_eq!(addressed, expected);
+        // Threshold at or below the two always-matching elements: every
+        // position is a hit, scored in full.
+        let reference = random_rna(300, &mut StdRng::seed_from_u64(0xB184));
+        for threshold in 0..=2 {
+            let hits = scan(&engine, reference.as_slice(), threshold);
+            assert_eq!(hits.len(), 300 - query.len() + 1);
+            assert_eq!(
+                hits,
+                engine.search_two_pass(reference.as_slice(), threshold)
+            );
         }
     }
 
@@ -1361,22 +1566,49 @@ mod tests {
     }
 
     #[test]
+    fn a_block_is_abandoned_once_the_planned_elements_cannot_reach_it() {
+        // Two always-matching elements, sixteen whose ring row is empty,
+        // then two whose row is full. At a counted threshold of 4 the
+        // first group leaves 0 with 2 planned elements to go, so no
+        // position can reach it: the block ends before the tail.
+        let tables = [0xFFFF, 0xFFFF_FFFF, u64::MAX];
+        let element_table: Vec<u16> = [2, 2].into_iter().chain([0; 16]).chain([1, 1]).collect();
+        let ring_words = 4;
+        let lane = Lane::new(element_table, &tables, ring_words);
+        assert_eq!((lane.always, lane.plan.len()), (2, 18));
+        let mut ring = vec![u64::MAX; 3 * ring_words];
+        ring[..ring_words].fill(0);
+        let mut planes = vec![0u64; lane.nplanes];
+        assert_eq!(lane.score_block(&ring, 4, u64::MAX, &mut planes), 0);
+        assert!(
+            planes.iter().all(|&p| p == 0),
+            "the tail was added: {planes:?}"
+        );
+        // At 2 the bound never rules a position out: the tail's two
+        // matches make every position a hit.
+        planes.fill(0);
+        assert_eq!(lane.score_block(&ring, 2, u64::MAX, &mut planes), u64::MAX);
+        assert_eq!(planes[1], u64::MAX);
+    }
+
+    #[test]
     fn joined_engines_join_again_and_count_one_query_per_lane() {
         // A join of joined engines keeps every lane exact, and one pass
         // counts one query per lane under the `bitparallel` label.
         let mut rng = StdRng::seed_from_u64(0xB182);
         let registry = Registry::new();
-        let singles: Vec<BitParallelEngine> = (0..LANES)
+        let singles: Vec<BitParallelEngine> = (0..6)
             .map(|i| {
                 let query = EncodedQuery::from_protein(&random_protein(5 + 3 * i, &mut rng));
                 BitParallelEngine::with_registry(&query, &registry).unwrap()
             })
             .collect();
         let pair = BitParallelEngine::join(&[&singles[0], &singles[1]]);
-        let four = BitParallelEngine::join(&[&pair, &singles[2], &singles[3]]);
-        assert_eq!(four.lanes(), LANES);
+        let four = BitParallelEngine::join(&[&singles[2], &singles[3], &singles[4], &singles[5]]);
+        let six = BitParallelEngine::join(&[&pair, &four]);
+        assert_eq!(six.lanes(), 6);
         let reference = random_rna(3_000, &mut rng);
-        let got = scan_lanes(&four, reference.as_slice(), &[4; LANES]);
+        let got = scan_lanes(&six, reference.as_slice(), &[4; 6]);
         for (l, single) in singles.iter().enumerate() {
             assert_eq!(
                 got[l],
@@ -1386,17 +1618,14 @@ mod tests {
         }
         let text = registry.snapshot().to_prometheus();
         assert!(
-            text.contains("fabp_queries_processed_total{engine=\"bitparallel\"} 4"),
+            text.contains("fabp_queries_processed_total{engine=\"bitparallel\"} 6"),
             "{text}"
         );
     }
 
     #[test]
-    #[should_panic(expected = "lanes per engine")]
-    fn join_beyond_lanes_panics() {
-        let query = EncodedQuery::from_protein(&"MKW".parse().unwrap());
-        let one = BitParallelEngine::new(&query).unwrap();
-        let full = BitParallelEngine::join(&[&one; LANES]);
-        BitParallelEngine::join(&[&full, &one]);
+    #[should_panic(expected = "at least one engine")]
+    fn join_without_lanes_panics() {
+        BitParallelEngine::join(&[]);
     }
 }

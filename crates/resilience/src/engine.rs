@@ -36,7 +36,7 @@ use fabp_encoding::packing::axi_beats;
 use fabp_fpga::comparator::ComparatorCell;
 use fabp_fpga::engine::{EngineRun, FabpEngine};
 use fabp_fpga::primitives::Lut6;
-use fabp_telemetry::{FlightRecorder, Registry, TraceContext, TraceEvent, FLAG_RETRY};
+use fabp_telemetry::{FlightRecorder, Registry, SpanKind, TraceContext, TraceEvent, FLAG_RETRY};
 
 /// Aggregate fault/detect/recover statistics for one resilient run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -160,7 +160,7 @@ impl<'e> ResilientRunner<'e> {
     fn trace_retry(&self, slot: u64, name: &'static str, delay_cycles: u64) {
         self.flight.record(
             TraceEvent::new(
-                self.trace.child(0x5E7 + slot),
+                self.trace.child(SpanKind::Retry, slot),
                 name,
                 self.trace_start_us,
                 (delay_cycles as f64).max(1.0),

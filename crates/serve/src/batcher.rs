@@ -15,7 +15,9 @@
 //! Under light load (`queue_depth` small) batches stay small and latency
 //! tracks the single-query cost; under heavy load batches grow until the
 //! SLO bound or `max_batch` caps them. A cold batcher (no observations
-//! yet) starts from a configurable prior instead of guessing zero.
+//! yet) starts from a configurable prior instead of guessing zero. The
+//! target is never rounded to a lane multiple: the software scan joins
+//! a whole batch into one fused pass, whatever its size.
 
 use fabp_telemetry::{Gauge, Registry};
 
@@ -92,13 +94,9 @@ impl AdaptiveBatcher {
     /// Chooses the next batch size for a queue of `queue_depth` runnable
     /// requests. Zero when the queue is empty; otherwise at least 1 (a
     /// single query is dispatched even if it alone is predicted to miss
-    /// the SLO — shedding is the queue's job, not the batcher's).
-    ///
-    /// When the queue holds more work than one dispatch takes, the target
-    /// is rounded down to a multiple of [`fabp_core::LANES`] so
-    /// micro-batches land on lane-group boundaries instead of paying a
-    /// partially filled lane pass; depth-limited dispatches (the queue
-    /// fits entirely) are never rounded.
+    /// the SLO — shedding is the queue's job, not the batcher's). The
+    /// target is not rounded: the software scan joins a whole batch into
+    /// one pass, whatever its size.
     pub fn target_batch(&mut self, queue_depth: usize) -> usize {
         if queue_depth == 0 {
             self.target_gauge.set(0);
@@ -106,14 +104,7 @@ impl AdaptiveBatcher {
         }
         let slo_limited = (self.policy.slo_us as f64 / self.ewma_query_us).floor() as usize;
         let capped = slo_limited.min(self.policy.max_batch);
-        let target = if capped < queue_depth {
-            // The queue can refill the next batch, so don't dispatch a
-            // ragged tail that leaves lanes empty.
-            capped / fabp_core::LANES * fabp_core::LANES
-        } else {
-            queue_depth // taking the whole queue: a remainder is unavoidable
-        }
-        .max(1);
+        let target = capped.min(queue_depth).max(1);
         self.target_gauge.set(target as i64);
         target
     }
@@ -151,10 +142,9 @@ mod tests {
             prior_query_us: 1_000.0,
             alpha: 0.3,
         });
-        // slo/prior = 10: depth-limited below, SLO-limited (and rounded
-        // down to the lane boundary) above.
+        // slo/prior = 10: depth-limited below, SLO-limited above.
         assert_eq!(b.target_batch(4), 4);
-        assert_eq!(b.target_batch(100), 8);
+        assert_eq!(b.target_batch(100), 10);
     }
 
     #[test]
@@ -177,12 +167,12 @@ mod tests {
             prior_query_us: 100.0,
             alpha: 1.0, // adapt instantly for the test
         });
-        assert_eq!(b.target_batch(1_000), 100); // 10_000 / 100, lane-aligned
+        assert_eq!(b.target_batch(1_000), 100); // 10_000 / 100
         b.observe(10, 20_000.0); // 2_000 us/query observed
-        assert_eq!(b.target_batch(1_000), 4); // 10_000 / 2_000 → 5, rounded to lanes
+        assert_eq!(b.target_batch(1_000), 5); // 10_000 / 2_000
         b.observe(5, 50.0); // 10 us/query observed
         assert_eq!(b.target_batch(1_000), 1_000); // SLO allows 1000
-        assert_eq!(b.target_batch(7), 7); // depth-limited: never rounded
+        assert_eq!(b.target_batch(7), 7); // depth-limited
     }
 
     #[test]
@@ -212,26 +202,25 @@ mod tests {
     }
 
     #[test]
-    fn lane_rounding_only_applies_above_queue_depth() {
+    fn targets_are_never_rounded_to_lanes() {
         let mut b = batcher(BatchPolicy {
             max_batch: 64,
             slo_us: 10_000,
             prior_query_us: 1_000.0, // SLO-limited at 10
             alpha: 0.3,
         });
-        // Queue deeper than the cap: 10 rounds down to the lane boundary.
-        assert_eq!(b.target_batch(50), 8);
-        // Queue shallower than the cap: take it all, ragged or not.
+        // Queue deeper than the cap: the cap itself, unrounded.
+        assert_eq!(b.target_batch(50), 10);
+        // Queue shallower than the cap: take it all.
         assert_eq!(b.target_batch(7), 7);
-        // Rounding never starves progress: a cap under one lane group
-        // still dispatches.
+        // A cap of a few queries dispatches all of them.
         let mut tiny = batcher(BatchPolicy {
             max_batch: 64,
-            slo_us: 3_000, // SLO-limited at 3 < lanes
+            slo_us: 3_000, // SLO-limited at 3
             prior_query_us: 1_000.0,
             alpha: 0.3,
         });
-        assert_eq!(tiny.target_batch(50), 1);
+        assert_eq!(tiny.target_batch(50), 3);
     }
 
     #[test]

@@ -57,8 +57,8 @@ use fabp_resilience::health::FailureDetector;
 use fabp_resilience::{FabpError, FabpResult, FaultSchedule};
 use fabp_telemetry::{
     chrome_trace_for_events, Counter, FlightRecorder, Gauge, Histogram, Registry, SloMonitor,
-    SloPolicy, SloReport, TraceContext, TraceEvent, FLAG_CACHE_HIT, FLAG_CACHE_MISS, FLAG_ERROR,
-    FLAG_RECOVERED, FLAG_SHED,
+    SloPolicy, SloReport, SpanKind, TraceContext, TraceEvent, FLAG_CACHE_HIT, FLAG_CACHE_MISS,
+    FLAG_ERROR, FLAG_RECOVERED, FLAG_SHED,
 };
 use std::collections::HashMap;
 use std::ops::Range;
@@ -742,7 +742,7 @@ impl FabpServer {
         for request in &batch {
             self.flight.record(
                 TraceEvent::new(
-                    request.trace.child(0),
+                    request.trace.child(SpanKind::Stage, 0),
                     "queue_wait",
                     request.submitted_us as f64,
                     now.saturating_sub(request.submitted_us) as f64,
@@ -796,7 +796,12 @@ impl FabpServer {
             }
             let latency_us = done.saturating_sub(request.submitted_us);
             self.latency_hist.observe_traced(latency_us, trace.trace_id);
-            let batch_span = TraceEvent::new(trace.child(1), "batch", now as f64, exec_us);
+            let batch_span = TraceEvent::new(
+                trace.child(SpanKind::Stage, 1),
+                "batch",
+                now as f64,
+                exec_us,
+            );
             self.flight.record(batch_span.with_arg(batch_id));
             let error = if ok { 0 } else { FLAG_ERROR };
             let flags = error | if recovered { FLAG_RECOVERED } else { 0 };
@@ -878,8 +883,13 @@ impl FabpServer {
             .observe_traced(latency_us, request.trace.trace_id);
         let (start_us, dur_us) = (request.submitted_us as f64, latency_us as f64);
         self.flight.record(
-            TraceEvent::new(request.trace.child(0), "queue_wait", start_us, dur_us)
-                .with_flags(FLAG_SHED),
+            TraceEvent::new(
+                request.trace.child(SpanKind::Stage, 0),
+                "queue_wait",
+                start_us,
+                dur_us,
+            )
+            .with_flags(FLAG_SHED),
         );
         self.flight.record(
             TraceEvent::new(request.trace, "request", start_us, dur_us)
@@ -984,7 +994,7 @@ impl Dispatch<'_> {
         for request in batch {
             let key = content_hash(request.protein.iter().map(|&aa| aa as u8));
             let cached = aligners.contains(key);
-            self.record_query_cache(request.trace.child(1), cached);
+            self.record_query_cache(request.trace.child(SpanKind::Stage, 1), cached);
             let built = aligners.try_get_or_insert_with(key, || {
                 FabpAligner::builder()
                     .protein_query(&request.protein)
@@ -1101,7 +1111,7 @@ impl Dispatch<'_> {
             .map(|request| {
                 let key = content_hash(request.protein.iter().map(|&aa| aa as u8));
                 let cached = fleet.fleets.contains(key);
-                self.record_query_cache(request.trace.child(1), cached);
+                self.record_query_cache(request.trace.child(SpanKind::Stage, 1), cached);
                 let built = fleet.fleets.try_get_or_insert_with(key, || {
                     let query = EncodedQuery::from_protein(&request.protein);
                     let config = EngineConfig::kintex7(threshold.resolve(query.len()));
@@ -1118,7 +1128,7 @@ impl Dispatch<'_> {
             .iter()
             .filter_map(|(request, _, built)| {
                 let built = built.as_ref().ok()?;
-                Some((built.as_ref(), request.trace.child(1)))
+                Some((built.as_ref(), request.trace.child(SpanKind::Stage, 1)))
             })
             .collect();
         let mut outcomes = search_batch(
@@ -1167,14 +1177,24 @@ impl Dispatch<'_> {
         } else {
             FLAG_CACHE_MISS
         };
-        let event = TraceEvent::new(ctx.child(100), "query_cache", self.start_us, 1.0);
+        let event = TraceEvent::new(
+            ctx.child(SpanKind::QueryCache, 0),
+            "query_cache",
+            self.start_us,
+            1.0,
+        );
         self.flight.record(event.with_flags(flags));
     }
 
     /// Records a request's measured dispatch work `name` under its batch
     /// span.
     fn record_work(&self, trace: TraceContext, name: &'static str, dur_us: f64) {
-        let event = TraceEvent::new(trace.child(1).child(200), name, self.start_us, dur_us);
+        let event = TraceEvent::new(
+            trace.child(SpanKind::Stage, 1).child(SpanKind::Work, 0),
+            name,
+            self.start_us,
+            dur_us,
+        );
         self.flight.record(event.with_track(1));
     }
 }

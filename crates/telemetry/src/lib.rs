@@ -56,9 +56,9 @@ pub use snapshot::{
     Exemplar, HistogramSnapshot, MetricKind, MetricSnapshot, MetricValue, Snapshot,
 };
 pub use trace::{
-    chrome_trace_for_events, splitmix64, FlightEvent, FlightRecorder, TraceContext, TraceEvent,
-    FLAG_CACHE_HIT, FLAG_CACHE_MISS, FLAG_CANCELLED, FLAG_ERROR, FLAG_HEDGE, FLAG_RECOVERED,
-    FLAG_RETRY, FLAG_SHED, FLIGHT_RECORDER_CAPACITY, TRACE_NAME_MAX,
+    chrome_trace_for_events, splitmix64, FlightEvent, FlightRecorder, SpanKind, TraceContext,
+    TraceEvent, FLAG_CACHE_HIT, FLAG_CACHE_MISS, FLAG_CANCELLED, FLAG_ERROR, FLAG_HEDGE,
+    FLAG_RECOVERED, FLAG_RETRY, FLAG_SHED, FLIGHT_RECORDER_CAPACITY, TRACE_NAME_MAX,
 };
 
 /// Convenience: the global registry (enabled by default).

@@ -54,6 +54,35 @@ pub fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Bit position of the span kind in a child slot: the index of a child
+/// below it, the kind above it.
+const SLOT_KIND_SHIFT: u32 = 56;
+
+/// The kind of a child span, [`TraceContext::child`]'s namespace: two
+/// kinds' children of one parent never share a span id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum SpanKind {
+    /// An ordinal child: a pipeline stage ([`FlightRecorder::record_stages`]),
+    /// a request's queue wait (0) and batch (1), a search's steps.
+    Stage = 0,
+    /// A fleet shard's scatter, by shard index.
+    Shard = 1,
+    /// A delivering shard read, by node.
+    Read = 2,
+    /// A hedged duplicate read, by node.
+    Hedge = 3,
+    /// A failed-over shard's recovered retry, by serving node.
+    Failover = 4,
+    /// An engine-level recovery retry, by beat or retry site.
+    Retry = 5,
+    /// A request's query-cache lookup.
+    QueryCache = 6,
+    /// A request's measured dispatch work (`align`, `seed_verify`,
+    /// `fleet_scan`).
+    Work = 7,
+}
+
 /// A request's trace identity: one `trace_id` shared by every span the
 /// request produces, plus this hop's `span_id` and its parent.
 ///
@@ -97,13 +126,23 @@ impl TraceContext {
         }
     }
 
-    /// Derives a child context. `slot` distinguishes siblings (stage
-    /// index, shard index, retry ordinal); the derivation is pure, so
-    /// child ids are as deterministic as the root.
-    pub fn child(&self, slot: u64) -> TraceContext {
+    /// Derives the child context of span kind `kind` with sibling index
+    /// `index` (stage ordinal, shard, node, retry site). Each kind owns
+    /// its own slot namespace — the kind in the slot's top byte, the
+    /// index below it — and `splitmix64` is a bijection, so two distinct
+    /// (kind, index) children of one parent never share a span id,
+    /// whatever the index. A [`SpanKind::Stage`] child's slot is its
+    /// index. The derivation is pure, so child ids are as deterministic
+    /// as the root.
+    pub fn child(&self, kind: SpanKind, index: u64) -> TraceContext {
         if !self.is_enabled() {
             return TraceContext::none();
         }
+        debug_assert!(
+            index >> SLOT_KIND_SHIFT == 0,
+            "span index {index} overflows its kind"
+        );
+        let slot = ((kind as u64) << SLOT_KIND_SHIFT) | index;
         TraceContext {
             trace_id: self.trace_id,
             span_id: splitmix64(self.span_id ^ splitmix64(slot.wrapping_add(1))),
@@ -318,7 +357,7 @@ impl FlightRecorder {
 
     /// Records a parent event and its stages laid end to end under one
     /// context: the parent is `ctx` and covers the stages' summed
-    /// duration from `start_us`; stage `i` is `ctx.child(i)` and starts
+    /// duration from `start_us`; stage `i` is `ctx.child(SpanKind::Stage, i)` and starts
     /// where stage `i - 1` ends, so the children sum exactly to the
     /// parent. Negative durations count as zero.
     pub fn record_stages(
@@ -336,7 +375,12 @@ impl FlightRecorder {
         let mut cursor = start_us;
         for (slot, &(name, dur)) in (0u64..).zip(stages) {
             let dur = dur.max(0.0);
-            self.record(TraceEvent::new(ctx.child(slot), name, cursor, dur));
+            self.record(TraceEvent::new(
+                ctx.child(SpanKind::Stage, slot),
+                name,
+                cursor,
+                dur,
+            ));
             cursor += dur;
         }
     }
@@ -514,15 +558,15 @@ mod tests {
     #[test]
     fn children_share_the_trace_and_chain_parents() {
         let root = TraceContext::mint(7, 42);
-        let shard0 = root.child(0);
-        let shard1 = root.child(1);
+        let shard0 = root.child(SpanKind::Shard, 0);
+        let shard1 = root.child(SpanKind::Shard, 1);
         assert_eq!(shard0.trace_id, root.trace_id);
         assert_eq!(shard0.parent_span_id, root.span_id);
         assert_ne!(shard0.span_id, shard1.span_id);
-        let retry = shard0.child(99);
+        let retry = shard0.child(SpanKind::Retry, 99);
         assert_eq!(retry.parent_span_id, shard0.span_id);
         // Disabled contexts stay disabled.
-        assert!(!TraceContext::none().child(3).is_enabled());
+        assert!(!TraceContext::none().child(SpanKind::Stage, 3).is_enabled());
     }
 
     #[test]
@@ -626,7 +670,8 @@ mod tests {
         let a = TraceContext::mint(6, 1);
         let b = TraceContext::mint(6, 2);
         flight.record(TraceEvent::new(a, "request", 0.0, 10.0));
-        flight.record(TraceEvent::new(a.child(0), "shard", 2.0, 3.0).with_track(10));
+        flight
+            .record(TraceEvent::new(a.child(SpanKind::Shard, 0), "shard", 2.0, 3.0).with_track(10));
         flight.record(TraceEvent::new(b, "request", 1.0, 4.0));
         let dump = chrome_trace_for_events(&flight.events());
         assert_eq!(dump.matches("\"ph\": \"X\"").count(), 3);

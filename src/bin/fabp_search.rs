@@ -66,7 +66,9 @@ use fabp::core::slice_plan::SliceOptions;
 use fabp::encoding::encoder::EncodedQuery;
 use fabp::fpga::engine::{EngineConfig, FabpEngine};
 use fabp::resilience::{FabpError, FaultSchedule, ResilienceLevel, ResilientRunner};
-use fabp_telemetry::{chrome_trace_for_events, MetricValue, Registry, TraceContext, TraceEvent};
+use fabp_telemetry::{
+    chrome_trace_for_events, MetricValue, Registry, SpanKind, TraceContext, TraceEvent,
+};
 use std::fs::File;
 use std::io::{BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
@@ -513,7 +515,7 @@ fn run_reference_search(args: &Args) -> Result<(), Box<dyn std::error::Error + S
     let build = |ctx: TraceContext, query_id: &str, protein: &ProteinSeq| {
         let start_us = telemetry.now_us();
         let encoded = EncodedQuery::from_protein(protein);
-        record_since(ctx.child(0), "encode_query", start_us);
+        record_since(ctx.child(SpanKind::Stage, 0), "encode_query", start_us);
         if args.disasm && !args.quiet {
             eprintln!("# disassembly of {query_id}:");
             for line in encoded.disassemble().lines() {
@@ -639,7 +641,7 @@ fn run_reference_search(args: &Args) -> Result<(), Box<dyn std::error::Error + S
                     }
                     None => aligner.search_packed(record),
                 };
-                record_since(ctx.child(slot), "search", search_start_us);
+                record_since(ctx.child(SpanKind::Stage, slot), "search", search_start_us);
                 // Cycle engine: assemble the modelled host pipeline so the
                 // encode → transfer → kernel → readback breakdown lands in
                 // the flight recorder and the per-stage counters.

@@ -35,8 +35,9 @@
 //!   --backend <software|fleet>  execution backend (default software)
 //!   --threads <n>            software batch workers (default 4;
 //!                            software backend only)
-//!   --nodes <n>              fleet nodes, one shard each (default 4;
-//!                            fleet backend only, as are the next two)
+//!   --nodes <n>              fleet nodes, one shard each (default 4,
+//!                            at most 1024; fleet backend only, as are
+//!                            the next two)
 //!   --replication <n>        fleet replicas per shard (default 2;
 //!                            anti-affinity requires n <= nodes)
 //!   --threshold <0..1>       match fraction (default 0.9)
@@ -67,6 +68,7 @@ use fabp::bio::fasta::{read_packed, read_proteins, PackedRecords};
 use fabp::bio::generate::{coding_rna_for_paper_patterns, random_protein, random_rna};
 use fabp::bio::seq::{PackedSeq, ProteinSeq};
 use fabp::core::aligner::Threshold;
+use fabp::core::fleet::MAX_FLEET_NODES;
 use fabp::core::index::PrefilterMode;
 use fabp::serve::{BatchPolicy, FabpServer, IndexStore, Response, ServeBackend, ServeConfig};
 use fabp_telemetry::{chrome_trace_for_events, Registry};
@@ -137,6 +139,19 @@ fn parse_for<T: std::str::FromStr>(flag: &str, it: &mut impl Iterator<Item = Str
         eprintln!("invalid value {raw:?} for {flag}");
         usage()
     })
+}
+
+/// Parses a count of at most `max`: a larger one would size an
+/// allocation by the input, so it is a usage error before anything runs.
+fn parse_at_most(flag: &str, max: usize, it: &mut impl Iterator<Item = String>) -> usize {
+    let raw = value_for(flag, it);
+    match raw.parse::<usize>() {
+        Ok(count) if count <= max => count,
+        _ => {
+            eprintln!("invalid value {raw:?} for {flag} (at most {max})");
+            usage()
+        }
+    }
 }
 
 /// Parses a fraction in `[0, 1]`, rejecting NaN, infinities and values
@@ -211,7 +226,7 @@ fn parse_args() -> Args {
                 }
             }
             "--threads" => args.threads = parse_for("--threads", &mut it),
-            "--nodes" => args.nodes = parse_for("--nodes", &mut it),
+            "--nodes" => args.nodes = parse_at_most("--nodes", MAX_FLEET_NODES, &mut it),
             "--replication" => args.replication = parse_for("--replication", &mut it),
             "--threshold" => args.threshold = parse_fraction("--threshold", &mut it),
             "--queue-capacity" => args.queue_capacity = parse_for("--queue-capacity", &mut it),

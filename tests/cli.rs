@@ -327,6 +327,49 @@ fn serve_cli_fails_over_a_killed_node_and_rejects_removed_options() {
 }
 
 #[test]
+fn serve_cli_bounds_the_node_count_before_building_the_fleet() {
+    // The bound is checked as the flag is parsed: no fleet state is
+    // sized by the value.
+    for nodes in ["1025", "18446744073709551615"] {
+        let output = serve(&["--backend", "fleet", "--nodes", nodes]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "--nodes {nodes}: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "invalid value \"{nodes}\" for --nodes (at most 1024)"
+            )),
+            "--nodes {nodes}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn a_wide_fleet_trace_holds_no_repeated_span_id() {
+    // 128 nodes: shard 100's span id once equalled the `query_cache`
+    // event's, both children of the request's batch span.
+    let trace = std::env::temp_dir().join(format!("fabp-wide-{}.json", std::process::id()));
+    let output = Command::new(env!("CARGO_BIN_EXE_fabp_serve"))
+        .args(["--synthetic-bases", "60000", "--synthetic-queries", "2"])
+        .args(["--backend", "fleet", "--nodes", "128", "--replication", "1"])
+        .args(["--quiet", "--trace-out", trace.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(output.status.success(), "{output:?}");
+    let json = fs::read_to_string(&trace).unwrap();
+    fs::remove_file(&trace).ok();
+    let field = |line: &str, key: &str| {
+        let at = line.find(&format!("\"{key}\": \"")).unwrap() + key.len() + 5;
+        line[at..at + 16].to_string()
+    };
+    let mut seen = std::collections::HashSet::new();
+    for line in json.lines().filter(|l| l.contains("\"span_id\"")) {
+        let id = (field(line, "trace_id"), field(line, "span_id"));
+        assert!(seen.insert(id), "repeated span id: {line}");
+    }
+    assert!(seen.len() > 2 * 128, "{} events", seen.len());
+}
+
+#[test]
 fn serve_cli_rejects_a_kill_of_a_node_the_fleet_lacks() {
     // Four nodes are 0..=3: killing node 9 would otherwise be a no-op
     // that reports a healthy run.

@@ -3,9 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fabp_baselines::sw::{sw_banded_score, sw_protein, GapPenalties};
+use fabp_baselines::WordIndex;
 use fabp_bio::blosum::blosum62;
 use fabp_bio::generate::random_protein;
-use fabp_core::kmer::WordIndex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

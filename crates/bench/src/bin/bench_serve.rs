@@ -23,11 +23,13 @@
 //! ```
 //!
 //! The persistent-index entries (`index_build`, `index_cold_load`,
-//! `index_warm_reload`, `index_warm_vs_cold`, `index_seeded_recall`)
-//! cover the on-disk packed-shard format: cold loads CRC-verify every
-//! shard frame, warm re-loads come from the resident store, and recall
-//! is measured against planted ground truth at BLAST-default seeding
-//! (w=3, T=11) with a hard-asserted 0.99 floor.
+//! `index_warm_reload`, `index_warm_vs_cold`, `index_seeded_recall`,
+//! `index_search_{seeded,off}_{80,85,90}`) cover the on-disk
+//! packed-shard format and the seeded prefilter: cold loads CRC-verify
+//! every shard frame, warm re-loads come from the resident store, recall
+//! is measured against planted ground truth with seeded hits gated equal
+//! to the exhaustive scan's, and seeded and exhaustive index searches
+//! are timed at thresholds 0.8, 0.85 and 0.9.
 
 use fabp_bio::generate::{coding_rna_for_paper_patterns, random_protein, random_rna};
 use fabp_bio::seq::{ProteinSeq, RnaSeq};
@@ -246,11 +248,12 @@ fn index_persistence(shape: &Shape, entries: &mut Vec<Entry>) {
     ));
 }
 
-/// Seeded-prefilter recall against planted ground truth at BLAST-default
-/// seeding (w=3, T=11). Deterministic: fixed seed, substitution-only
-/// mutations, both scans exact. Recall is measured over the plants the
-/// *exhaustive* scan recovers, so the entry isolates what the prefilter
-/// loses — the committed floor is 0.99 and the run hard-asserts it.
+/// Seeded-prefilter recall against planted ground truth, then seeded and
+/// exhaustive search times on the same index. Deterministic: fixed seed,
+/// substitution-only mutations, both scans exact. Recall is measured
+/// over the plants the *exhaustive* scan recovers, so the entry isolates
+/// what the prefilter loses: the run hard-asserts that the seeded hits
+/// equal the exhaustive scan's, so recall is 1.
 fn index_recall(shape: &Shape, entries: &mut Vec<Entry>) {
     use fabp_bio::generate::{PlantedDatabase, PlantedDatabaseConfig};
     use fabp_bio::mutate::{IndelModel, SubstitutionModel};
@@ -277,7 +280,7 @@ fn index_recall(shape: &Shape, entries: &mut Vec<Entry>) {
     )
     .expect("index builds");
     let threshold = Threshold::Fraction(0.9);
-    let params = SeedParams::default(); // BLAST defaults: w=3, T=11
+    let params = SeedParams::default();
     let (off, _) = search_index(
         &index,
         &db.queries,
@@ -296,13 +299,11 @@ fn index_recall(shape: &Shape, entries: &mut Vec<Entry>) {
         shape.threads,
     )
     .expect("seeded scan");
-    for (q, hits) in seeded.iter().enumerate() {
-        for hit in hits {
-            assert!(
-                off[q].contains(hit),
-                "{tag}: seeded hit {hit:?} absent from the full scan"
-            );
-        }
+    for (q, (seeded, off)) in seeded.iter().zip(&off).enumerate() {
+        assert_eq!(
+            seeded, off,
+            "{tag}: query {q}: seeded hits differ from the full scan's"
+        );
     }
     let mut findable = 0usize;
     let mut found = 0usize;
@@ -331,12 +332,47 @@ fn index_recall(shape: &Shape, entries: &mut Vec<Entry>) {
         &format!("index_seeded_recall_{tag}"),
         recall,
         format!(
-            "{found}/{findable} full-scan-findable plants recovered at w=3 T=11, \
+            "{found}/{findable} full-scan-findable plants recovered, \
              2 % substitutions; scanned fraction {:.4}",
             stats.scanned_fraction()
         ),
     ));
+    for fraction in [0.8, 0.85, 0.9] {
+        let threshold = Threshold::Fraction(fraction);
+        for mode in [PrefilterMode::Seeded, PrefilterMode::Off] {
+            let search = || {
+                let started = std::time::Instant::now();
+                let searched =
+                    search_index(&index, &db.queries, threshold, mode, params, shape.threads);
+                (started.elapsed(), searched.expect("index search"))
+            };
+            let (mut best, (_, stats)) = search();
+            for _ in 1..SEARCH_REPS {
+                best = best.min(search().0);
+            }
+            entries.push(Entry::time(
+                &format!(
+                    "index_search_{}_{:.0}_{tag}",
+                    mode.label(),
+                    fraction * 100.0
+                ),
+                best.as_nanos() as f64,
+                format!(
+                    "{} queries at {fraction}, best of {SEARCH_REPS}: {} full-scan \
+                     queries, {} seed hits, {} candidate windows, scanned fraction {:.4}",
+                    db.queries.len(),
+                    stats.full_scan_queries,
+                    stats.seed_hits,
+                    stats.candidate_windows,
+                    stats.scanned_fraction()
+                ),
+            ));
+        }
+    }
 }
+
+/// Runs per index search time; the entry takes the fastest.
+const SEARCH_REPS: usize = 5;
 
 /// Sustained closed-loop throughput + latency over the repeated stream.
 fn sustained(shape: &Shape, entries: &mut Vec<Entry>) {

@@ -19,34 +19,36 @@
 //!    search scans in place; shards are base ranges of it that frame
 //!    the file and nothing else. The overlap is framing the loader
 //!    cross-checks, at most one shard long; no search reads either.
-//! 2. **A k-mer seed prefilter** ([`search_index`] with
+//! 2. **A lossless exact-word seed prefilter** ([`search_index`] with
 //!    [`PrefilterMode::Seeded`]), seed-then-extend in the
-//!    filter-then-verify shape. The BLAST-style BLOSUM62 neighbourhood
-//!    tables of every query ([`WordIndex`]) are merged into one table per
-//!    search. The reference is cut into the batch scheduler's slices
+//!    filter-then-verify shape. An **identity bound** drives it: a codon
+//!    pattern accepts only synonymous codons, so a window scoring `t`
+//!    over `n` residues holds at least `need = t − 2n` residues
+//!    identical to the query's, and so at most `k = n − need` others.
+//!    Each of those breaks at most `w` of the query's `n − w + 1` words
+//!    of `w` residues, so at least `c = n − w + 1 − k·w` of them recur
+//!    exactly on the window's own diagonal (the q-gram lemma of Jokinen
+//!    and Ukkonen, as in QUASAR and SWIFT). Each query takes the longest
+//!    `w` from 2 to [`SeedParams::word_size`] with `c ≥ 1`; a query with
+//!    none is scanned in full. The words of every seeded query go into
+//!    one exact-word table per word length, with a presence bitmap over
+//!    its keys. The reference is cut into the batch scheduler's slices
 //!    ([`SlicePlan`]) for the longest query window and the worker count;
-//!    each slice is translated once in the three forward frames, and
-//!    each frame word is looked up once with a rolling packed key;
-//!    every seed hit `(word position, query position)` names one
-//!    diagonal, so the candidate alignment start is `word_base − 3·q`.
-//!    Each seeded (query, diagonal) is checked once against an
-//!    **identity bound**: a codon pattern accepts only synonymous codons,
-//!    so a window scoring `t` over `n` residues holds at least `t − 2n`
-//!    residues identical to the query's, and a diagonal with fewer
-//!    cannot reach the threshold. Where the bound forces every passing
-//!    window to repeat a query word exactly, the table keeps only that
-//!    query's exact postings. Each query's passing diagonals, gathered
-//!    from every slice, are coalesced once into disjoint regions of the
-//!    whole reference and **verified by the exact engine**
-//!    ([`BitParallelEngine`]) over just those regions. A hit depends only
-//!    on the `window` bases it spans, so seeded hits are a subset of the
-//!    full scan's with equal scores, and every full-scan hit whose own
-//!    diagonal carries a seed word is reported; the filter can only
-//!    *miss* windows none of whose words seeds their own query position.
-//!    Recall is measured against planted ground truth (see
-//!    `tests/proptest_index.rs` and `bench_serve`);
-//!    [`PrefilterMode::Off`] keeps the exhaustive scan reachable
-//!    end-to-end.
+//!    each slice is translated once in the three forward frames, a packed
+//!    key rolls along each frame, and only a word whose presence bit is
+//!    set reads its postings: each exact hit `(word position, query
+//!    position)` names one diagonal, so the candidate alignment start is
+//!    `word_base − 3·q`. A (query, diagonal) that gathers `c` exact hits
+//!    is checked once against the identity bound and, if it passes,
+//!    becomes a candidate window. Each query's candidates, gathered from
+//!    every slice, are coalesced once into disjoint regions of the whole
+//!    reference and **verified by the exact engine**
+//!    ([`BitParallelEngine`]) over just those regions. Every window that
+//!    reaches the threshold is a candidate, and a hit depends only on the
+//!    `window` bases it spans, so seeded hits **equal** the full scan's,
+//!    with equal scores (`tests/proptest_index.rs`, `bench_serve` and
+//!    CI's index-smoke job check it); [`PrefilterMode::Off`] keeps the
+//!    exhaustive scan reachable end-to-end.
 //!
 //! The reference is a database of records (a FASTA file's sequences)
 //! held as one concatenation, as FabP streams its whole database. Every
@@ -89,9 +91,8 @@ use crate::aligner::Threshold;
 use crate::batch::{claim_all, distinct, search_all};
 use crate::bitparallel::BitParallelEngine;
 use crate::hits::{retain_within_records, Hit};
-use crate::kmer::{pack_word, WordIndex, SYMBOLS};
+use crate::kmer::{roll, WordTable, MAX_WORD};
 use crate::slice_plan::{overlap_ranges, SliceOptions, SlicePlan};
-use fabp_bio::alphabet::AminoAcid;
 use fabp_bio::codon::Codon;
 use fabp_bio::fasta::PackedRecords;
 use fabp_bio::seq::{PackedSeq, ProteinSeq, RnaSeq};
@@ -116,10 +117,9 @@ const SHARD_GEOMETRY_BYTES: usize = 32;
 /// length (u64 each).
 const RECORD_FIXED_BYTES: usize = 24;
 
-/// BLAST protein defaults: 3-residue words, neighbourhood threshold 11.
+/// The longest exact seed word by default: 3 residues, BLAST's protein
+/// word length and the longest the seed tables pack.
 pub const DEFAULT_WORD_SIZE: usize = 3;
-/// See [`DEFAULT_WORD_SIZE`].
-pub const DEFAULT_SEED_THRESHOLD: i32 = 11;
 
 /// Whether the seeded prefilter routes the scan, or the exhaustive
 /// full-reference scan runs (the ground-truth path).
@@ -127,7 +127,7 @@ pub const DEFAULT_SEED_THRESHOLD: i32 = 11;
 pub enum PrefilterMode {
     /// Exhaustive scan of every position — no filtering, full recall.
     Off,
-    /// k-mer seed → diagonal candidates → exact verification.
+    /// Exact word hits → diagonal candidates → exact verification.
     #[default]
     Seeded,
 }
@@ -159,17 +159,15 @@ impl FromStr for PrefilterMode {
 /// Seeding parameters for the prefilter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeedParams {
-    /// Word size in residues (BLAST protein default 3).
+    /// The longest exact word, in residues, a query's trigger may pick:
+    /// at most 3; below 2 every query is scanned in full.
     pub word_size: usize,
-    /// BLOSUM62 neighbourhood threshold `T` (BLAST default 11).
-    pub threshold: i32,
 }
 
 impl Default for SeedParams {
     fn default() -> SeedParams {
         SeedParams {
             word_size: DEFAULT_WORD_SIZE,
-            threshold: DEFAULT_SEED_THRESHOLD,
         }
     }
 }
@@ -660,14 +658,18 @@ impl<'a> Cursor<'a> {
 /// Counters describing one [`search_index`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IndexSearchStats {
-    /// Raw seed hits (word match × posting) across all queries, each
-    /// frame word of the reference counted once.
+    /// Exact word hits across the seeded queries: each frame word of the
+    /// reference, counted once, adds the query words it repeats exactly.
     pub seed_hits: u64,
     /// Candidate alignment windows admitted for verification: the
-    /// distinct seeded (query, window start) pairs that pass the query's
-    /// identity bound (all of them when the bound is 0), before region
-    /// coalescing.
+    /// distinct (query, window start) pairs whose diagonal reached its
+    /// query's exact-hit trigger and whose window passes the identity
+    /// bound, before region coalescing.
     pub candidate_windows: u64,
+    /// Distinct queries the seeded prefilter scanned in full, because
+    /// the identity bound guarantees no exact word of 2 or more residues
+    /// on a passing window (0 with the prefilter off).
+    pub full_scan_queries: u64,
     /// Bases the exact engine actually scanned (coalesced regions),
     /// summed over queries.
     pub admitted_bases: u64,
@@ -692,7 +694,7 @@ fn publish_stats(stats: &IndexSearchStats, mode: PrefilterMode) {
     registry
         .counter(
             "fabp_index_seed_hits_total",
-            "Raw k-mer seed hits across queries, each reference word counted once",
+            "Exact word hits across seeded queries, each reference word counted once",
         )
         .add(stats.seed_hits);
     registry
@@ -701,6 +703,12 @@ fn publish_stats(stats: &IndexSearchStats, mode: PrefilterMode) {
             "Candidate windows admitted by the seed prefilter",
         )
         .add(stats.candidate_windows);
+    registry
+        .counter(
+            "fabp_index_full_scan_queries_total",
+            "Queries the seeded prefilter scanned in full: no exact word is guaranteed",
+        )
+        .add(stats.full_scan_queries);
     registry
         .counter(
             "fabp_index_admitted_bases_total",
@@ -739,14 +747,14 @@ pub fn record_recall(recall: f64) {
 ///
 /// With [`PrefilterMode::Off`] every position of the held words is
 /// scanned (the exhaustive ground-truth path). With
-/// [`PrefilterMode::Seeded`] each slice of the batch plan is translated
-/// once in three frames against one neighbourhood table of all queries,
-/// each seeded diagonal whose window can reach the threshold (the
-/// identity bound in the module docs) becomes a candidate window, and
-/// only each query's coalesced candidate regions are verified by the
-/// exact engine. Seeded hits are a subset of the full scan's with equal
-/// scores, include every full-scan hit whose own diagonal carries a seed
-/// word, and do not depend on the file's shards or the worker count.
+/// [`PrefilterMode::Seeded`] each query gets the exact-word trigger its
+/// identity bound guarantees (module docs): each slice of the batch plan
+/// is translated once in three frames against one exact-word table per
+/// word length, a diagonal carrying as many exact hits as its query's
+/// trigger becomes a candidate window, and only each query's coalesced
+/// candidate regions are verified by the exact engine; a query no word
+/// can seed is scanned in full. Seeded hits equal the full scan's and do
+/// not depend on the file's shards or the worker count.
 ///
 /// Either way the concatenated records are scanned once, and a hit is
 /// kept only when its window lies inside one record
@@ -760,7 +768,9 @@ pub fn record_recall(recall: f64) {
 /// # Errors
 ///
 /// * [`FabpError::EmptyQuery`] — a query with zero residues;
-/// * seed-table errors from [`WordIndex::try_build`].
+/// * [`FabpError::InvalidWord`] — a seeded search whose
+///   [`SeedParams::word_size`] is above 3, the longest word the seed
+///   tables pack.
 pub fn search_index(
     index: &ReferenceIndex,
     proteins: &[ProteinSeq],
@@ -800,9 +810,54 @@ pub fn search_index(
     Ok((copies, stats))
 }
 
-/// Per-query seeding and verification state shared across slices.
+/// How the seeded prefilter finds one query's candidate windows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Trigger {
+    /// The threshold is above the window's length: no window reaches it.
+    Never,
+    /// No exact word of 2 or more residues is guaranteed: scan in full.
+    Scan,
+    /// Admit a diagonal once `hits` of the query's `word`-residue words
+    /// recur on it exactly, each at its own offset.
+    Words { word: usize, hits: usize },
+}
+
+impl Trigger {
+    /// The trigger of a query of `n` residues at resolved threshold `t`,
+    /// with words of at most `longest` residues.
+    ///
+    /// A passing window holds at least `need = t − 2n` residues identical
+    /// to the query's ([`QuerySeed::reaches_need`]), so at most
+    /// `k = n − need` others. Each of those breaks at most `w` of the
+    /// query's `n − w + 1` words, so at least `c(w) = n − w + 1 − k·w`
+    /// recur exactly on the window's own diagonal (the q-gram lemma). The
+    /// longest `w` from 2 with `c(w) ≥ 1` is taken, and `c(w)` hits
+    /// admit a diagonal: every passing window reaches them.
+    fn of(n: usize, t: usize, longest: usize) -> Trigger {
+        let need = t.saturating_sub(2 * n);
+        if need > n {
+            return Trigger::Never;
+        }
+        // c(w) = n + 1 − w·(k + 1), at least 1 exactly when n ≥ w·(k + 1).
+        let span = n - need + 1;
+        match (2..=longest).rev().find(|&word| n >= word * span) {
+            Some(word) => Trigger::Words {
+                word,
+                hits: n + 1 - word * span,
+            },
+            None => Trigger::Scan,
+        }
+    }
+}
+
+/// A seeded query's trigger and verification state, shared across slices.
 struct QuerySeed {
-    words: WordIndex,
+    /// The query's slot among the searched proteins.
+    query: usize,
+    /// Residues per exact word.
+    word: usize,
+    /// Exact word hits that admit a diagonal.
+    hits: usize,
     engine: BitParallelEngine,
     window: usize,
     resolved_threshold: u32,
@@ -811,12 +866,8 @@ struct QuerySeed {
     /// The query's amino-acid indices, zero-padded to whole 8-byte words.
     residues: Vec<u8>,
     /// Residues a window must share with the query to reach the
-    /// threshold, `threshold − 2n`, floored at 0 (no bound).
+    /// threshold, `threshold − 2n`, at least 1 and at most `n`.
     need: usize,
-    /// The packed keys of the query's words, when only the postings of
-    /// exact word matches can seed a window that passes the bound (see
-    /// [`QuerySeed::exact_words`]).
-    exact_words: Option<Vec<usize>>,
 }
 
 impl QuerySeed {
@@ -831,12 +882,7 @@ impl QuerySeed {
     /// threshold. `frame` must hold the window's residues plus padding to
     /// a whole 8-byte word; the residues are compared 8 at a time.
     fn reaches_need(&self, frame: &[u8]) -> bool {
-        if self.need == 0 {
-            return true;
-        }
-        let Some(allowed) = self.residue_count.checked_sub(self.need) else {
-            return false;
-        };
+        let allowed = self.residue_count - self.need;
         let mut mismatches = 0;
         for (k, query) in self.residues.chunks_exact(8).enumerate() {
             let mut diff = load_word(query) ^ load_word(&frame[8 * k..]);
@@ -854,27 +900,6 @@ impl QuerySeed {
         }
         true
     }
-
-    /// The packed keys of `query`'s words when an exact word match is the
-    /// only seed that can lead to a window passing the bound.
-    ///
-    /// A passing window holds at least `need` identical residues, so its
-    /// at most `n − need` other residues split them into at most
-    /// `n − need + 1` runs, one of at least `ceil(need / (n − need + 1))`
-    /// residues. When that is `w` or more, the window repeats a query
-    /// word exactly, at the word's own position; if every query word
-    /// seeds itself, that word's own posting seeds the window's
-    /// diagonal, and the query's other postings add no candidate.
-    fn exact_words(query: &[AminoAcid], words: &WordIndex, need: usize) -> Option<Vec<usize>> {
-        let (n, w) = (query.len(), words.word_size());
-        let pigeonhole = need > 0 && (need > n || need.div_ceil(n - need + 1) >= w);
-        let keys: Vec<usize> = query.windows(w).map(pack_word).collect();
-        let self_seeding = keys
-            .iter()
-            .enumerate()
-            .all(|(j, &key)| words.lookup_key(key).contains(&(j as u32)));
-        (pigeonhole && self_seeding).then_some(keys)
-    }
 }
 
 /// The first 8 bytes of `bytes`, little-endian.
@@ -882,83 +907,10 @@ fn load_word(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
 }
 
-/// A query word seeded by a reference word: residue `position` of
-/// query `query`.
-#[derive(Debug, Clone, Copy, Default)]
-struct Posting {
-    query: u32,
-    position: u32,
-}
-
-/// Postings copied per frame word without looking at the row length;
-/// the rare longer row takes a second copy.
-const GATHER: usize = 4;
-
-/// Frame words whose postings are gathered before they are checked, so
-/// the gather buffer stays in L1.
-const SEED_BLOCK: usize = 256;
-
-/// The neighbourhood tables of every query of one search, merged into
-/// one CSR table over the dense `21^w` packed word keys, so each frame
-/// word of the reference is looked up once whatever the query count.
-struct SeedTable {
-    word_size: usize,
-    /// CSR row offsets, `21^w + 1` entries.
-    offsets: Vec<usize>,
-    /// `(query, query position)` postings, grouped by packed word, then
-    /// [`GATHER`] padding postings so every row can be read `GATHER` wide.
-    /// A query with [`QuerySeed::exact_words`] keeps only its exact
-    /// postings, those whose key is its own word at that position.
-    postings: Vec<Posting>,
-    /// Per packed word, every query position it seeds: the raw seed hits,
-    /// postings left out included.
-    seed_hits: Vec<u64>,
-}
-
-impl SeedTable {
-    /// Merges the seeds' word tables, which share one word size.
-    fn build(seeds: &[QuerySeed], word_size: usize) -> SeedTable {
-        let table_size = SYMBOLS.pow(word_size as u32);
-        let mut offsets = Vec::with_capacity(table_size + 1);
-        let mut postings = Vec::new();
-        let mut seed_hits = Vec::with_capacity(table_size);
-        offsets.push(0);
-        for key in 0..table_size {
-            let mut hits = 0;
-            for (query, seed) in seeds.iter().enumerate() {
-                let positions = seed.words.lookup_key(key);
-                hits += positions.len() as u64;
-                postings.extend(
-                    positions
-                        .iter()
-                        .filter(|&&p| {
-                            seed.exact_words
-                                .as_ref()
-                                .is_none_or(|k| k[p as usize] == key)
-                        })
-                        .map(|&position| Posting {
-                            query: query as u32,
-                            position,
-                        }),
-                );
-            }
-            offsets.push(postings.len());
-            seed_hits.push(hits);
-        }
-        postings.resize(postings.len() + GATHER, Posting::default());
-        SeedTable {
-            word_size,
-            offsets,
-            postings,
-            seed_hits,
-        }
-    }
-}
-
-/// One verification work item: a run of `query`'s candidate base ranges,
+/// One verification work item: a run of `seed`'s candidate base ranges,
 /// as indices into the shared list of global ranges.
 struct Verify {
-    query: usize,
+    seed: usize,
     ranges: Range<usize>,
 }
 
@@ -970,40 +922,82 @@ fn search_seeded(
     workers: usize,
     stats: &mut IndexSearchStats,
 ) -> FabpResult<Vec<Vec<Hit>>> {
-    // Each query's neighbourhood table and engine, built on the workers.
-    let seeds: Vec<QuerySeed> = claim_all(proteins, workers, |protein| {
-        let words = WordIndex::try_build(protein.as_slice(), params.word_size, params.threshold)?;
+    if params.word_size > MAX_WORD {
+        return Err(FabpError::InvalidWord {
+            word_size: params.word_size,
+            detail: format!("exact seed words are at most {MAX_WORD} residues"),
+        });
+    }
+    let reference = index.reference();
+    let (mut scanned, mut triggered) = (Vec::new(), Vec::new());
+    for (q, protein) in proteins.iter().enumerate() {
+        let t = threshold.resolve(3 * protein.len()) as usize;
+        match Trigger::of(protein.len(), t, params.word_size) {
+            Trigger::Never => {}
+            Trigger::Scan => scanned.push(q),
+            Trigger::Words { word, hits } => triggered.push((q, word, hits)),
+        }
+    }
+    let mut per_query: Vec<Vec<Hit>> = vec![Vec::new(); proteins.len()];
+
+    // Queries no exact word can seed take the exhaustive scan, joined
+    // into one pass as with the prefilter off.
+    if !scanned.is_empty() {
+        let queries: Vec<ProteinSeq> = scanned.iter().map(|&q| proteins[q].clone()).collect();
+        stats.full_scan_queries += scanned.len() as u64;
+        stats.admitted_bases += (reference.len() * scanned.len()) as u64;
+        let outcomes = search_all(&queries, reference, threshold, workers)?;
+        for (&q, outcome) in scanned.iter().zip(outcomes) {
+            per_query[q] = outcome.hits;
+        }
+    }
+
+    // Each seeded query's engine, built on the workers.
+    let seeds: Vec<QuerySeed> = claim_all(&triggered, workers, |&(query, word, hits)| {
+        let protein = &proteins[query];
         let encoded = EncodedQuery::from_protein(protein);
         let window = encoded.len();
         let resolved_threshold = threshold.resolve(window);
-        let need = (resolved_threshold as usize).saturating_sub(2 * protein.len());
         let mut residues: Vec<u8> = protein.iter().map(|aa| aa.index() as u8).collect();
         residues.resize(protein.len().next_multiple_of(8), 0);
         Ok(QuerySeed {
-            exact_words: QuerySeed::exact_words(protein.as_slice(), &words, need),
-            words,
+            query,
+            word,
+            hits,
             engine: BitParallelEngine::new(&encoded)?,
             window,
             resolved_threshold,
             residue_count: protein.len(),
             residues,
-            need,
+            need: resolved_threshold as usize - 2 * protein.len(),
         })
     })
     .results
     .into_iter()
     .collect::<FabpResult<_>>()?;
     let Some(longest) = seeds.iter().map(|seed| seed.window).max() else {
-        return Ok(Vec::new());
+        return Ok(per_query);
     };
 
-    // Seed the batch plan's slices of the resident reference for the
-    // longest window, each slice's three forward frames as items of their
-    // own. A slice owns the window starts up to the next slice's first
-    // base, the last one those up to the reference end, and reads every
-    // base an owned window covers.
-    let table = SeedTable::build(&seeds, params.word_size);
-    let reference = index.reference();
+    // One exact-word table per word length in use. Seed the batch plan's
+    // slices of the resident reference for the longest window, each
+    // slice's three forward frames as items of their own. A slice owns
+    // the window starts up to the next slice's first base, the last one
+    // those up to the reference end, and reads every base an owned window
+    // covers.
+    let tables: Vec<WordTable> = (2..=MAX_WORD)
+        .filter(|&word| seeds.iter().any(|seed| seed.word == word))
+        .map(|word| {
+            let queries = seeds
+                .iter()
+                .enumerate()
+                .filter(|(_, seed)| seed.word == word);
+            WordTable::build(
+                word,
+                queries.map(|(i, seed)| (i, proteins[seed.query].as_slice())),
+            )
+        })
+        .collect();
     let options = SliceOptions::default();
     let plan = SlicePlan::build(reference.len(), longest, workers, options);
     let slices = plan.slices();
@@ -1013,22 +1007,22 @@ fn search_seeded(
     let mut seeded = claim_all(&frames, workers, |&(i, frame)| {
         let owned_end = slices.get(i + 1).map_or(reference.len(), |next| next.start);
         let bases = slices[i].start + frame..slices[i].end;
-        seed_frame(reference, bases, owned_end, &seeds, &table)
+        seed_frame(reference, bases, owned_end, &seeds, &tables)
     })
     .results;
     stats.seed_hits += seeded.iter().map(|(_, hits)| hits).sum::<u64>();
 
-    // Coalesce each query's candidates, gathered from every slice, once
+    // Coalesce each seed's candidates, gathered from every slice, once
     // over the whole reference. Regions are cut into slices (the batch
     // slice plan) so a long one spreads over the workers, and
     // consecutive slices are packed into items of at least one slice's
     // worth of bases so short regions do not each pay a claim.
     let mut ranges: Vec<(usize, usize)> = Vec::new();
     let mut items: Vec<Verify> = Vec::new();
-    for (q, seed) in seeds.iter().enumerate() {
+    for (s, seed) in seeds.iter().enumerate() {
         let mut starts: Vec<usize> = seeded
             .iter_mut()
-            .flat_map(|(candidates, _)| std::mem::take(&mut candidates[q]))
+            .flat_map(|(candidates, _)| std::mem::take(&mut candidates[s]))
             .collect();
         starts.sort_unstable();
         stats.candidate_windows += starts.len() as u64;
@@ -1041,7 +1035,7 @@ fn search_seeded(
                 item_bases += slice.bases();
                 if item_bases >= options.min_slice_positions {
                     items.push(Verify {
-                        query: q,
+                        seed: s,
                         ranges: first..ranges.len(),
                     });
                     first = ranges.len();
@@ -1051,17 +1045,17 @@ fn search_seeded(
         }
         if first < ranges.len() {
             items.push(Verify {
-                query: q,
+                seed: s,
                 ranges: first..ranges.len(),
             });
         }
     }
 
-    // Verify every range in place with the exact engine. A query's
+    // Verify every range in place with the exact engine. A seed's
     // regions are disjoint and its items in order, so its hits are its
     // items' hits, concatenated.
     let verified = claim_all(&items, workers, |item| {
-        let seed = &seeds[item.query];
+        let seed = &seeds[item.seed];
         let mut hits = Vec::new();
         for &(lo, hi) in &ranges[item.ranges.clone()] {
             hits.extend(
@@ -1077,49 +1071,32 @@ fn search_seeded(
         hits
     })
     .results;
-    let mut per_query: Vec<Vec<Hit>> = vec![Vec::new(); seeds.len()];
     for (item, hits) in items.iter().zip(verified) {
-        per_query[item.query].extend(hits);
+        per_query[seeds[item.seed].query].extend(hits);
     }
     Ok(per_query)
 }
 
 /// Seeds one forward frame of a slice, the codons of `bases` from its
-/// first base on: translates them once, rolls a packed word key along
-/// them, looks every key up once in the all-query `table`, and checks
-/// each (query, diagonal) its postings seed once against the query's
-/// identity bound. The slice owns the window starts and frame words that
-/// begin below `owned_end`. Returns per-query candidate window starts
-/// (owned global bases whose window ends inside the reference,
-/// unordered) and the raw seed-hit count of the owned words.
+/// first base on: translates them once, then per word table rolls a
+/// packed key along them, tests each key's presence bit, and counts each
+/// posting of a live key as an exact hit on its (seed, diagonal). A
+/// diagonal is checked against its seed's identity bound once, when its
+/// count reaches the seed's trigger. The slice owns the window starts
+/// and frame words that begin below `owned_end`. Returns per-seed
+/// candidate window starts (owned global bases whose window ends inside
+/// the reference, unordered) and the exact hits of the owned words.
 fn seed_frame(
     reference: &PackedSeq,
     bases: Range<usize>,
     owned_end: usize,
     seeds: &[QuerySeed],
-    table: &SeedTable,
+    tables: &[WordTable],
 ) -> (Vec<Vec<usize>>, u64) {
-    let w = table.word_size;
     let count = bases.len() / 3;
     let mut candidates: Vec<Vec<usize>> = vec![Vec::new(); seeds.len()];
-    if count < w {
-        return (candidates, 0);
-    }
-    let top = SYMBOLS.pow(w as u32 - 1);
-    // A query's word positions span `n − w + 1` residues, so every seed
-    // hit on one diagonal comes within that many frame words of the
-    // first: a ring of at least that many slots per query, keyed by
-    // diagonal, remembers each diagonal until its last hit has passed.
-    let ring = seeds
-        .iter()
-        .map(|seed| (seed.residue_count + 1).saturating_sub(w).max(1))
-        .max()
-        .unwrap_or(1)
-        .next_power_of_two();
-    let mut seen = vec![usize::MAX; seeds.len() * ring];
-    let mut gathered: Vec<(u32, usize)> = Vec::with_capacity(GATHER * SEED_BLOCK);
     let mut seed_hits = 0u64;
-    // Per query, the diagonals whose window starts at an owned base and
+    // Per seed, the diagonals whose window starts at an owned base and
     // ends inside the reference; each such window lies inside the slice.
     let owned: Vec<usize> = seeds
         .iter()
@@ -1129,45 +1106,54 @@ fn seed_frame(
         })
         .collect();
     let owned_words = owned_end.saturating_sub(bases.start).div_ceil(3);
-    let residues = translate_codons(reference, bases.start, count);
-    let mut key = residues[..w - 1]
+    // A seed's words span `n − w + 1` frame words, so every exact hit on
+    // one diagonal comes within that many frame words of the first: a
+    // ring of at least that many slots per seed, each a diagonal and its
+    // hits so far, counts each diagonal's hits until its last word has
+    // passed.
+    let ring = seeds
         .iter()
-        .fold(0, |key, &r| key * SYMBOLS + r as usize);
-    let words = count + 1 - w;
-    for block in (0..words).step_by(SEED_BLOCK) {
-        // Gather the block's postings as (query, diagonal): word `j`
-        // spans frame residues `j ..= j + w − 1`, so seeding query
-        // position `p` puts the window's first residue, its diagonal, at
-        // `j − p` (wrapping past every owned diagonal when `p > j`).
-        // Copying `GATHER` slots per word and keeping the row's share
-        // spares a branch on each row's length.
-        gathered.clear();
-        for j in block..words.min(block + SEED_BLOCK) {
-            key = key * SYMBOLS + residues[j + w - 1] as usize;
-            let (lo, hi) = (table.offsets[key], table.offsets[key + 1]);
-            if j < owned_words {
-                seed_hits += table.seed_hits[key];
-            }
-            let row = &table.postings[lo..hi.max(lo + GATHER)];
-            let entry = |p: &Posting| (p.query, j.wrapping_sub(p.position as usize));
-            let kept = gathered.len() + (hi - lo).min(GATHER);
-            gathered.extend(row[..GATHER].iter().map(entry));
-            gathered.truncate(kept);
-            gathered.extend(row[GATHER..].iter().map(entry));
-            key -= residues[j] as usize * top;
+        .map(|seed| seed.residue_count + 1 - seed.word)
+        .max()
+        .unwrap_or(1)
+        .next_power_of_two();
+    let mut slots = vec![(usize::MAX, 0usize); seeds.len() * ring];
+    let residues = translate_codons(reference, bases.start, count);
+    for table in tables {
+        let (w, mask) = (table.word(), table.mask());
+        if count < w {
+            continue;
         }
-        for &(query, diagonal) in &gathered {
-            let q = query as usize;
-            if diagonal >= owned[q] {
+        let mut key = residues[..w - 1]
+            .iter()
+            .fold(0, |key, &r| roll(key, r, mask));
+        for j in 0..count + 1 - w {
+            key = roll(key, residues[j + w - 1], mask);
+            if !table.is_live(key) {
                 continue;
             }
-            let slot = &mut seen[q * ring + (diagonal & (ring - 1))];
-            if *slot == diagonal {
-                continue;
+            let postings = table.postings(key);
+            if j < owned_words {
+                seed_hits += postings.len() as u64;
             }
-            *slot = diagonal;
-            if seeds[q].reaches_need(&residues[diagonal..]) {
-                candidates[q].push(bases.start + 3 * diagonal);
+            for posting in postings {
+                // Word `j` spans frame residues `j ..= j + w − 1`, so
+                // query position `p` puts the window's first residue, its
+                // diagonal, at `j − p` (wrapping past every owned
+                // diagonal when `p > j`).
+                let s = posting.query as usize;
+                let diagonal = j.wrapping_sub(posting.position as usize);
+                if diagonal >= owned[s] {
+                    continue;
+                }
+                let (seen, hits) = &mut slots[s * ring + (diagonal & (ring - 1))];
+                if *seen != diagonal {
+                    (*seen, *hits) = (diagonal, 0);
+                }
+                *hits += 1;
+                if *hits == seeds[s].hits && seeds[s].reaches_need(&residues[diagonal..]) {
+                    candidates[s].push(bases.start + 3 * diagonal);
+                }
             }
         }
     }
@@ -1677,51 +1663,224 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_window_seeded_only_by_neighbourhood_words_is_kept() {
-        // Each planted window scores exactly the threshold `t`, so it
-        // holds exactly `need = t − 2n` identical residues, and no seed on
-        // its diagonal comes from a query word it repeats exactly:
-        //
-        // * (WWI)×10 against (WWV)×10: 20 identical residues, never three
-        //   in a row; each Val codon GUU matches 2 of Ile's 3 elements,
-        //   so t = 80, and WWV seeds WWI's positions (score 25);
-        // * A*AIWW against A*AVWW: t = 17 and `need` 5 puts every passing
-        //   window in the pigeonhole regime, but its one identical word,
-        //   A*A, scores 9 < T against itself and seeds nothing; AVW and
-        //   VWW seed the diagonal.
-        let cases = [
-            ("WWI".repeat(10), "UGGUGGGUU".repeat(10), 80),
-            ("A*AIWW".to_string(), "GCUUAAGCUGUUUGGUGG".to_string(), 17),
-        ];
-        for (query, coding, t) in cases {
-            let query: ProteinSeq = query.parse().unwrap();
-            let coding: RnaSeq = coding.parse().unwrap();
-            let mut rng = StdRng::seed_from_u64(3);
-            let mut bases = random_rna(2_000, &mut rng).into_inner();
-            bases.splice(700..700 + coding.len(), coding.iter().copied());
-            let index = ReferenceIndex::build_from_rna(
-                &RnaSeq::from(bases),
-                IndexBuildOptions {
-                    overlap: 100,
-                    target_shard_bases: 500,
-                },
+    /// `len` random bases with each `(at, coding)` planted, as one index
+    /// of several shards.
+    fn planted(len: usize, plants: &[(usize, RnaSeq)]) -> ReferenceIndex {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut bases = random_rna(len, &mut rng).into_inner();
+        for (at, coding) in plants {
+            bases.splice(*at..at + coding.len(), coding.iter().copied());
+        }
+        let options = IndexBuildOptions {
+            overlap: 100,
+            target_shard_bases: 500,
+        };
+        ReferenceIndex::build_from_rna(&RnaSeq::from(bases), options).unwrap()
+    }
+
+    /// The paper-codon coding RNA of `query` with the codons of residues
+    /// `at` replaced by `codon`.
+    fn coding_with(query: &ProteinSeq, at: &[usize], codon: &str) -> RnaSeq {
+        let mut rng = StdRng::seed_from_u64(5);
+        let coding = fabp_bio::generate::coding_rna_for_paper_patterns(query, &mut rng);
+        let mut bases = coding.into_inner();
+        let codon: RnaSeq = codon.parse().unwrap();
+        for &residue in at {
+            bases.splice(3 * residue..3 * residue + 3, codon.iter().copied());
+        }
+        RnaSeq::from(bases)
+    }
+
+    /// Seeded and off hits of `queries` at `threshold` on `workers`
+    /// workers, and the seeded search's statistics.
+    fn seeded_and_off(
+        index: &ReferenceIndex,
+        queries: &[ProteinSeq],
+        threshold: Threshold,
+        workers: usize,
+    ) -> (Vec<Vec<Hit>>, Vec<Vec<Hit>>, IndexSearchStats) {
+        let search = |mode| {
+            search_index(
+                index,
+                queries,
+                threshold,
+                mode,
+                SeedParams::default(),
+                workers,
             )
-            .unwrap();
-            let search = |mode| {
-                let queries = [query.clone()];
-                let threshold = Threshold::Absolute(t);
-                search_index(&index, &queries, threshold, mode, SeedParams::default(), 2)
-                    .unwrap()
-                    .0
-            };
-            let off = search(PrefilterMode::Off);
+            .unwrap()
+        };
+        let (seeded, stats) = search(PrefilterMode::Seeded);
+        (seeded, search(PrefilterMode::Off).0, stats)
+    }
+
+    #[test]
+    fn the_trigger_follows_the_identity_bound() {
+        let words = |word, hits| Trigger::Words { word, hits };
+        // (residues, resolved threshold, longest word, trigger): the 34-aa
+        // query at 0.9, 0.85 and 0.8, 16 aa at 0.9, CI's 8-aa and 200-aa
+        // queries at 0.9, no bound at all, a threshold above the window,
+        // and shorter longest words.
+        let cases = [
+            (34, 92, 3, words(3, 2)),
+            (34, 87, 3, words(2, 3)),
+            (34, 82, 3, Trigger::Scan),
+            (16, 44, 3, words(3, 2)),
+            (8, 22, 3, words(2, 3)),
+            (200, 540, 3, words(3, 18)),
+            (34, 60, 3, Trigger::Scan),
+            (8, 25, 3, Trigger::Never),
+            (34, 92, 2, words(2, 13)),
+            (34, 92, 1, Trigger::Scan),
+        ];
+        for (n, t, longest, trigger) in cases {
+            assert_eq!(Trigger::of(n, t, longest), trigger, "{n} aa at {t}");
+        }
+        let fraction = |n: usize, f| Threshold::Fraction(f).resolve(3 * n) as usize;
+        assert_eq!(
+            [fraction(34, 0.9), fraction(34, 0.85), fraction(34, 0.8)],
+            [92, 87, 82]
+        );
+        assert_eq!([fraction(16, 0.9), fraction(8, 0.9)], [44, 22]);
+        // `c(w) ≥ 1` is the pigeonhole run bound `ceil(need / (k + 1)) ≥ w`.
+        for n in 1..=60usize {
+            for t in 0..=3 * n {
+                let need = t.saturating_sub(2 * n);
+                let run = |w| need > 0 && need.div_ceil(n - need + 1) >= w;
+                let seeded =
+                    |w| matches!(Trigger::of(n, t, w), Trigger::Words { word, .. } if word == w);
+                for w in 2..=MAX_WORD {
+                    assert_eq!(seeded(w), run(w), "{n} aa at {t}, w {w}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn windows_at_their_exact_word_trigger_are_kept() {
+        // Each planted window scores exactly the threshold `t`, so it
+        // holds exactly `need = t − 2n` identical residues:
+        //
+        // * (WWI)×10 against (WWV)×10: each Val codon GUU matches 2 of
+        //   Ile's 3 elements, so t = 80, need 20, w = 2 and c = 9; the
+        //   window repeats WW exactly 10 times, never three residues;
+        // * A*AIWW against A*AVWW: t = 17, need 5, w = 3 and c = 1; A*A
+        //   is the window's one exact word.
+        let cases = [
+            ("WWI".repeat(10), "UGGUGGGUU".repeat(10), 80, (2, 9)),
+            (
+                "A*AIWW".to_string(),
+                "GCUUAAGCUGUUUGGUGG".to_string(),
+                17,
+                (3, 1),
+            ),
+        ];
+        for (query, coding, t, (word, hits)) in cases {
+            let query: ProteinSeq = query.parse().unwrap();
+            let index = planted(2_000, &[(700, coding.parse().unwrap())]);
+            let trigger = Trigger::of(query.len(), t as usize, DEFAULT_WORD_SIZE);
+            assert_eq!(trigger, Trigger::Words { word, hits }, "{query}");
+            let queries = [query.clone()];
+            let (seeded, off, _) = seeded_and_off(&index, &queries, Threshold::Absolute(t), 2);
             let plant = Hit {
                 position: 700,
                 score: t,
             };
             assert!(off[0].contains(&plant), "{query}: {off:?}");
-            assert_eq!(search(PrefilterMode::Seeded), off, "{query}");
+            assert_eq!(seeded, off, "{query}");
+        }
+    }
+
+    #[test]
+    fn a_window_at_the_tight_point_is_found_and_one_more_mismatch_loses_it() {
+        // 19 aa at t = 52: need 14, k = 5, w = 3 and c = 2. Val's GUU at
+        // the Ile residues 2, 5, …, 14, one every third, breaks words 0 to
+        // 14, so exactly words 15 and 16 survive. Word 0 repeats word 16,
+        // so the last word's frame word also hits the diagonal 16 words
+        // on: a ring with a slot fewer than the 17 words would lose the
+        // count.
+        let query: ProteinSeq = "MKIWFIDEIRHIYTIPMKI".parse().unwrap();
+        let t = 52;
+        assert_eq!(
+            Trigger::of(19, t as usize, DEFAULT_WORD_SIZE),
+            Trigger::Words { word: 3, hits: 2 }
+        );
+        let tight = coding_with(&query, &[2, 5, 8, 11, 14], "GUU");
+        let beyond = coding_with(&query, &[2, 5, 8, 11, 14, 18], "GUU");
+        let index = planted(3_000, &[(700, tight), (1_900, beyond)]);
+        for workers in [1, 2] {
+            let queries = [query.clone()];
+            let (seeded, off, stats) =
+                seeded_and_off(&index, &queries, Threshold::Absolute(t), workers);
+            let plant = Hit {
+                position: 700,
+                score: t,
+            };
+            assert!(off[0].contains(&plant), "{off:?}");
+            assert!(off[0].iter().all(|hit| hit.position != 1_900), "{off:?}");
+            assert_eq!(seeded, off, "{workers} workers");
+            assert_eq!(stats.candidate_windows, 1);
+        }
+    }
+
+    #[test]
+    fn a_query_no_word_can_seed_is_scanned_in_full() {
+        // 34 aa at 0.8: need 14 of 34, so 20 other residues can break
+        // every word of 2 or more. Beside it, CI's 8-aa query at 0.8
+        // (need 4, k = 4: c(2) = 7 − 8) is scanned too, and a 16-aa query
+        // whose threshold exceeds its window is searched by neither path.
+        let mut rng = StdRng::seed_from_u64(41);
+        let long = random_protein(34, &mut rng);
+        let short: ProteinSeq = "MFWKMFWK".parse().unwrap();
+        let exact = fabp_bio::generate::coding_rna_for_paper_patterns(&long, &mut rng);
+        let mutated = coding_with(&long, &[1, 4, 9, 16, 20, 27, 30], "GGG");
+        let index = planted(6_000, &[(1_000, exact), (4_000, mutated)]);
+        let queries = [long, short];
+        let (seeded, off, stats) = seeded_and_off(&index, &queries, Threshold::Fraction(0.8), 2);
+        assert!(off[0].iter().any(|hit| hit.position == 1_000), "{off:?}");
+        assert_eq!(seeded, off);
+        assert_eq!(stats.full_scan_queries, 2);
+        assert_eq!(stats.admitted_bases, stats.full_scan_bases);
+        assert_eq!((stats.seed_hits, stats.candidate_windows), (0, 0));
+
+        let never = [random_protein(16, &mut rng)];
+        let (seeded, off, stats) = seeded_and_off(&index, &never, Threshold::Absolute(49), 2);
+        assert_eq!((seeded, off), (vec![vec![]], vec![vec![]]));
+        assert_eq!((stats.full_scan_queries, stats.admitted_bases), (0, 0));
+    }
+
+    #[test]
+    fn a_batch_mixing_word_lengths_equals_off() {
+        // At 0.9, CI's 8-aa query seeds with w = 2, c = 3 and a 34-aa one
+        // with w = 3, c = 2. MFWKMFWK's plant breaks residues 2 and 5
+        // (Cys UGU for Trp, Leu UUA for Phe, 2 elements each): three exact
+        // 2-words survive, and no exact 3-word.
+        let short: ProteinSeq = "MFWKMFWK".parse().unwrap();
+        let mut broken = coding_with(&short, &[2], "UGU").into_inner();
+        broken.splice(15..18, "UUA".parse::<RnaSeq>().unwrap().iter().copied());
+        let mut rng = StdRng::seed_from_u64(47);
+        let long = random_protein(34, &mut rng);
+        let exact = fabp_bio::generate::coding_rna_for_paper_patterns(&long, &mut rng);
+        let index = planted(
+            8_000,
+            &[
+                (900, RnaSeq::from(broken)),
+                (2_500, exact.clone()),
+                (6_100, exact),
+            ],
+        );
+        let queries = [short, long];
+        for workers in [1, 3] {
+            let (seeded, off, stats) =
+                seeded_and_off(&index, &queries, Threshold::Fraction(0.9), workers);
+            let plant = Hit {
+                position: 900,
+                score: 22,
+            };
+            assert!(off[0].contains(&plant), "{off:?}");
+            assert_eq!(off[1].len(), 2, "{off:?}");
+            assert_eq!(seeded, off, "{workers} workers");
+            assert_eq!(stats.full_scan_queries, 0);
         }
     }
 
@@ -1835,6 +1994,27 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, FabpError::EmptyQuery));
+    }
+
+    #[test]
+    fn a_seed_word_beyond_the_table_is_a_typed_error() {
+        let (_, index) = small_index(256, 2);
+        let search = |word_size| {
+            let queries = ["MKWVF".parse::<ProteinSeq>().unwrap()];
+            let params = SeedParams { word_size };
+            let threshold = Threshold::Fraction(0.9);
+            search_index(
+                &index,
+                &queries,
+                threshold,
+                PrefilterMode::Seeded,
+                params,
+                1,
+            )
+        };
+        let err = search(MAX_WORD + 1).unwrap_err();
+        assert!(matches!(err, FabpError::InvalidWord { word_size: 4, .. }));
+        assert!(search(MAX_WORD).is_ok());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   its reference slices as items of the work-stealing claim loop.
 //! * [`hits`] — hit post-processing (region merging, top-k).
 //! * [`index`] — the persistent packed reference index and its seeded
-//!   prefilter, over [`kmer`]'s BLAST-style word neighbourhoods.
+//!   prefilter: lossless exact-word seeding from the identity bound.
 //! * [`fleet`] — the sharded multi-FPGA backend: even shards,
 //!   replication, health-driven routing, hedged reads and fault
 //!   recovery.
@@ -51,7 +51,7 @@ pub mod fleet;
 pub mod hits;
 pub mod host;
 pub mod index;
-pub mod kmer;
+mod kmer;
 pub mod slice_plan;
 pub mod software;
 pub mod streaming;

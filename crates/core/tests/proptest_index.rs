@@ -1,7 +1,7 @@
-//! Property tests: persistent index round-trip and seeded-prefilter
-//! recall.
+//! Property tests: persistent index round-trip and the seeded
+//! prefilter's equality with the exhaustive scan.
 //!
-//! Three invariant families:
+//! Invariant families:
 //!
 //! 1. **Round-trip.** `write → load` reproduces bit-identical shards
 //!    (and the same fingerprint); flipping any byte of the serialized
@@ -9,18 +9,16 @@
 //!    [`FabpError::Decode`]) — never UB, never silently wrong shards.
 //! 2. **Recall.** Against planted ground truth
 //!    ([`fabp_bio::generate::PlantedDatabase`], substitution-only so
-//!    diagonals are exact), across a (mutation rate × word size ×
-//!    seed threshold) grid: the seeded hits are always a **subset** of
-//!    the exhaustive scan's (exact agreement on admitted windows), and
-//!    recall of full-scan-findable planted regions stays at or above
-//!    the documented floor.
-//! 3. **Scheduling.** Seeded hits do not depend on the worker count,
-//!    and equal the exhaustive scan's when every window is admitted.
-//! 4. **The identity bound.** Seeded search drops only windows that
-//!    carry no seed word on their own diagonal: it reports every
-//!    exhaustive-scan hit whose diagonal a query word seeds, and equals
-//!    the exhaustive scan where pigeonhole puts a self-seeding identical
-//!    word on every hit's diagonal.
+//!    diagonals are exact), across mutation rates, threshold fractions
+//!    over (2/3, 1], absolute thresholds and longest seed words: the
+//!    seeded hits **equal** the exhaustive scan's, so every
+//!    full-scan-findable plant is recovered.
+//! 3. **Scheduling.** Seeded hits and statistics do not depend on the
+//!    worker count, and equal the exhaustive scan's.
+//! 4. **The identity bound.** At any threshold, fraction or absolute,
+//!    with Stop residues in the queries, the exact-word trigger the
+//!    bound picks admits every window that reaches the threshold: seeded
+//!    hits equal the exhaustive scan's.
 //! 5. **Records.** An index of several records, with plants split across
 //!    record ends, reports exactly the hits of each record searched alone,
 //!    in concatenated coordinates, on both prefilters.
@@ -29,7 +27,6 @@
 //!    version 1 and 2 framing, load or fail with a typed error.
 
 use fabp_bio::alphabet::AminoAcid;
-use fabp_bio::codon::Codon;
 use fabp_bio::fasta::PackedRecords;
 use fabp_bio::generate::{
     coding_rna_for_paper_patterns, random_protein, PlantedDatabase, PlantedDatabaseConfig,
@@ -41,7 +38,6 @@ use fabp_core::hits::Hit;
 use fabp_core::index::{
     search_index, IndexBuildOptions, PrefilterMode, ReferenceIndex, SeedParams,
 };
-use fabp_core::kmer::WordIndex;
 use fabp_resilience::FabpError;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -92,14 +88,6 @@ fn forge_header(bytes: &mut [u8], at: usize, new: &[u8]) {
     bytes[16 + header_len..20 + header_len].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// The residues of the `residues`-codon window starting at base `at`.
-fn translate_window(reference: &RnaSeq, at: usize, residues: usize) -> Vec<AminoAcid> {
-    reference.as_slice()[at..at + 3 * residues]
-        .chunks_exact(3)
-        .map(|c| Codon::new(c[0], c[1], c[2]).translate())
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -130,7 +118,7 @@ proptest! {
     /// records, each query planted whole inside one and split across a
     /// record end: the exhaustive scan reports exactly each record's own
     /// hits (its aligner run over the record alone, in concatenated
-    /// coordinates), and the seeded hits are a subset of them.
+    /// coordinates), and the seeded hits equal them.
     #[test]
     fn index_search_reports_each_records_own_hits(
         num_queries in 1usize..=4,
@@ -181,11 +169,7 @@ proptest! {
         };
         let off = search(PrefilterMode::Off);
         prop_assert_eq!(&off, &oracle);
-        for (q, hits) in search(PrefilterMode::Seeded).iter().enumerate() {
-            for hit in hits {
-                prop_assert!(off[q].contains(hit), "query {q}: {hit:?} not in the full scan");
-            }
-        }
+        prop_assert_eq!(&search(PrefilterMode::Seeded), &off);
     }
 
     /// **Corruption is always a typed error.** Flip one byte anywhere
@@ -215,28 +199,23 @@ proptest! {
     }
 
     /// **Seeded recall vs planted ground truth.** Mutation rate ×
-    /// word size × seed threshold grid. Invariants:
-    ///
-    /// * seeded hits ⊆ exhaustive hits, with identical scores (exact
-    ///   agreement on admitted windows);
-    /// * every planted region the full scan finds is recovered by the
-    ///   seeded path — at these settings a plant only escapes when all
-    ///   of its seed words mutate below `T` at once, which the
-    ///   assertion bounds at ≥ 80% per case (measured recall in
-    ///   bench_serve stays ≥ 0.99 at BLAST defaults, w=3 T=11).
+    /// threshold (a fraction over (2/3, 1], where every passing window
+    /// holds identical residues, or an absolute one, up to beyond the
+    /// window) × longest seed word: the seeded hits equal the exhaustive
+    /// scan's, with identical scores, so every planted region the full
+    /// scan finds is recovered.
     #[test]
     fn seeded_recall_holds_across_the_grid(
         rate in 0.0f64..=0.05,
-        grid_pick in 0usize..4,
+        fraction in (2.0f64 / 3.0)..=1.0,
+        absolute in 20u32..=60,
+        threshold_pick in 0usize..4,
+        word_size in 2usize..=3,
         num_queries in 3usize..=6,
         query_len in 10usize..=18,
         overlap in 0usize..=2_048,
         seed in 0u64..1_000_000,
     ) {
-        // (word_size, T) pairs where an unmutated word always
-        // self-seeds (min BLOSUM62 self-score 4/residue, no Stop in
-        // generated queries).
-        let (word_size, t) = [(3, 11), (3, 10), (3, 12), (4, 13)][grid_pick];
         let mut rng = StdRng::seed_from_u64(seed);
         let db = PlantedDatabase::generate(
             &PlantedDatabaseConfig {
@@ -253,8 +232,12 @@ proptest! {
             &db.reference,
             IndexBuildOptions { overlap, target_shard_bases: 2_048 },
         ).expect("non-empty reference");
-        let threshold = Threshold::Fraction(0.6);
-        let params = SeedParams { word_size, threshold: t };
+        let threshold = if threshold_pick == 0 {
+            Threshold::Absolute(absolute)
+        } else {
+            Threshold::Fraction(fraction)
+        };
+        let params = SeedParams { word_size };
 
         let (off, _) = search_index(
             &index, &db.queries, threshold, PrefilterMode::Off, params, 2,
@@ -262,55 +245,18 @@ proptest! {
         let (seeded, stats) = search_index(
             &index, &db.queries, threshold, PrefilterMode::Seeded, params, 2,
         ).expect("seeded scan");
-
-        // Exact agreement on admitted windows: subset with equal scores.
-        for (q, hits) in seeded.iter().enumerate() {
-            for hit in hits {
-                prop_assert!(
-                    off[q].contains(hit),
-                    "query {q}: seeded hit {hit:?} absent from the full scan"
-                );
-            }
-        }
-
-        // Recall over full-scan-findable plants.
-        let mut findable = 0usize;
-        let mut found = 0usize;
-        for region in &db.regions {
-            let in_off = off[region.query_index].iter().any(|h| h.position == region.position);
-            let in_seeded =
-                seeded[region.query_index].iter().any(|h| h.position == region.position);
-            if in_off {
-                findable += 1;
-                if in_seeded {
-                    found += 1;
-                }
-            }
-            prop_assert!(!in_seeded || in_off, "seeded found a plant off missed");
-        }
-        if findable > 0 {
-            let recall = found as f64 / findable as f64;
-            prop_assert!(
-                recall >= 0.8,
-                "recall {recall:.3} ({found}/{findable}) at rate {rate:.3}, w={word_size}, T={t}"
-            );
-            // Zero mutations: self-seeding is deterministic — perfect recall.
-            if rate == 0.0 {
-                prop_assert_eq!(found, findable, "exact plants must all self-seed");
-            }
-        }
+        prop_assert_eq!(&seeded, &off, "{:?}, longest word {}", threshold, word_size);
         prop_assert!(stats.scanned_fraction() <= 1.0);
     }
 
     /// **Seeded search is worker-invariant and exact.** Seeding and
     /// verification run as items of the batch claim loop, so the worker
     /// count may change only who claims what: 1, 2 and 4 workers return
-    /// identical hits and statistics, a subset of `--prefilter off`.
-    /// With a neighbourhood threshold every word passes, every window
-    /// is admitted, and the seeded hits equal the exhaustive scan's.
+    /// identical hits and statistics, equal to `--prefilter off`'s.
     #[test]
     fn seeded_hits_are_worker_invariant_and_exact_on_admitted_windows(
         rate in 0.0f64..=0.05,
+        fraction in 0.6f64..=1.0,
         num_queries in 1usize..=4,
         query_len in 8usize..=14,
         target_shard in 512usize..=4_096,
@@ -336,44 +282,29 @@ proptest! {
                 target_shard_bases: target_shard,
             },
         ).expect("non-empty reference");
-        let threshold = Threshold::Fraction(0.6);
-        let search = |mode, params, workers| {
-            search_index(&index, &db.queries, threshold, mode, params, workers).expect("search")
+        let threshold = Threshold::Fraction(fraction);
+        let search = |mode, workers| {
+            search_index(&index, &db.queries, threshold, mode, SeedParams::default(), workers)
+                .expect("search")
         };
 
-        let (off, _) = search(PrefilterMode::Off, SeedParams::default(), 2);
-        let (seeded, stats) = search(PrefilterMode::Seeded, SeedParams::default(), 1);
+        let (off, _) = search(PrefilterMode::Off, 2);
+        let (seeded, stats) = search(PrefilterMode::Seeded, 1);
         for workers in [2, 4] {
-            let (other, other_stats) = search(PrefilterMode::Seeded, SeedParams::default(), workers);
+            let (other, other_stats) = search(PrefilterMode::Seeded, workers);
             prop_assert_eq!(&other, &seeded, "{} workers", workers);
             prop_assert_eq!(other_stats, stats);
         }
-        for (q, hits) in seeded.iter().enumerate() {
-            for hit in hits {
-                prop_assert!(off[q].contains(hit), "query {}: {:?} not in the full scan", q, hit);
-            }
-        }
-
-        let every_word = SeedParams { word_size: 3, threshold: -100 };
-        for workers in [1, 4] {
-            let (admitted, _) = search(PrefilterMode::Seeded, every_word, workers);
-            prop_assert_eq!(&admitted, &off, "{} workers", workers);
-        }
+        prop_assert_eq!(&seeded, &off, "at {}", fraction);
     }
 
-    /// **The identity bound drops only windows without a seed of their
-    /// own.** A threshold fraction from 0.5 to 1.0 or an absolute
-    /// threshold, 0–8 % substitutions, 6–40-aa queries (some holding a
-    /// Stop), any shard size and 1–3 workers. Against the exhaustive
-    /// scan:
-    ///
-    /// * seeded hits are a subset, with equal scores;
-    /// * every hit whose own diagonal carries a seed word is reported
-    ///   (a brute-force oracle over `WordIndex::lookup`);
-    /// * the two are equal when `ceil(need / (n − need + 1)) ≥ w`, where
-    ///   `need = t − 2n`, and every query word seeds itself: a window
-    ///   scoring `t` then holds `w` identical residues in a row, a word
-    ///   that seeds the window's own diagonal.
+    /// **The identity bound admits every passing window.** A threshold
+    /// fraction from 0.5 to 1.0 or an absolute threshold, 0–8 %
+    /// substitutions, 6–40-aa queries (some holding a Stop), any shard
+    /// size and 1–3 workers: each query seeds with the longest word whose
+    /// exact hits the bound guarantees on a passing window's diagonal, or
+    /// is scanned in full, and the seeded hits equal the exhaustive
+    /// scan's.
     #[test]
     fn seeded_search_is_complete_on_seeded_diagonals(
         fraction in 0.5f64..=1.0,
@@ -421,38 +352,13 @@ proptest! {
         } else {
             Threshold::Fraction(fraction)
         };
-        let params = SeedParams::default();
-        let w = params.word_size;
         let search = |mode| {
-            search_index(&index, &queries, threshold, mode, params, workers).expect("search")
+            search_index(&index, &queries, threshold, mode, SeedParams::default(), workers)
+                .expect("search")
         };
         let (off, _) = search(PrefilterMode::Off);
         let (seeded, _) = search(PrefilterMode::Seeded);
-
-        for (q, query) in queries.iter().enumerate() {
-            for hit in &seeded[q] {
-                prop_assert!(off[q].contains(hit), "query {q}: {hit:?} not in the full scan");
-            }
-            let n = query.len();
-            let words = WordIndex::try_build(query.as_slice(), w, params.threshold)
-                .expect("word table");
-            for hit in &off[q] {
-                let window = translate_window(&reference, hit.position, n);
-                let seeded_diagonal = (0..=n - w)
-                    .any(|j| words.lookup(&window[j..j + w]).contains(&(j as u32)));
-                prop_assert!(
-                    !seeded_diagonal || seeded[q].contains(hit),
-                    "query {q} ({n} aa): {hit:?} has a seed on its diagonal but was dropped"
-                );
-            }
-            let need = (threshold.resolve(3 * n) as usize).saturating_sub(2 * n);
-            let self_seeding = (0..=n - w)
-                .all(|j| words.lookup(&query.as_slice()[j..j + w]).contains(&(j as u32)));
-            let pigeonhole = need > 0 && (need > n || need.div_ceil(n - need + 1) >= w);
-            if pigeonhole && self_seeding {
-                prop_assert_eq!(&seeded[q], &off[q], "query {} ({} aa), need {}", q, n, need);
-            }
-        }
+        prop_assert_eq!(&seeded, &off, "{:?}", threshold);
     }
 }
 

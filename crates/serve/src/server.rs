@@ -1043,12 +1043,11 @@ impl Dispatch<'_> {
 
     /// Seeded dispatch: the whole batch rides one [`search_index`] call
     /// — per slice of the resident reference, one three-frame
-    /// translation pass seeds every query's word table, then the exact
+    /// translation pass seeds every query's exact words, then the exact
     /// engine verifies only the coalesced candidate regions, and the
-    /// index's records mask the hits. Hits
-    /// are bit-identical to the exhaustive scan on everything the filter
-    /// admits (the serving transparency invariant is unchanged for
-    /// admitted windows).
+    /// index's records mask the hits. Seeding is lossless, so hits are
+    /// bit-identical to the exhaustive scan's (the serving transparency
+    /// invariant).
     fn seeded(&self, batch: Vec<Request>, threads: usize, index: &ReferenceIndex) -> Vec<Served> {
         let proteins: Vec<ProteinSeq> = batch.iter().map(|r| r.protein.clone()).collect();
         let verify_start = Instant::now();

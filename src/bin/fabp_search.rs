@@ -365,9 +365,10 @@ fn run_index_search(
     if !args.quiet {
         eprintln!(
             "# index: search {search_ms:.1} ms, seed_hits={} candidate_windows={} \
-             scanned_fraction={:.4}",
+             full_scan_queries={} scanned_fraction={:.4}",
             istats.seed_hits,
             istats.candidate_windows,
+            istats.full_scan_queries,
             istats.scanned_fraction(),
         );
     }
